@@ -78,20 +78,32 @@ def _flatten(doc, prefix=""):
     return items
 
 
+def _parse_tokens(text: str, parse, what: str) -> list:
+    """Parse comma- or space-separated tokens; a malformed one is a usage error."""
+    out = []
+    for tok in text.replace(",", " ").split():
+        try:
+            out.append(parse(tok))
+        except ValueError:
+            raise click.BadParameter(f"'{tok}' is not {what}") from None
+    return out
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return _parse_tokens(text, float, "a number")
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return _parse_tokens(text, int, "an integer")
+
+
+def _parse_edge(tok: str) -> tuple[int, int]:
+    i, j = tok.split("-")
+    return int(i), int(j)
 
 
 def _parse_edges(text: str) -> list[tuple[int, int]]:
-    edges = []
-    for tok in text.replace(",", " ").split():
-        i, j = tok.split("-")
-        edges.append((int(i), int(j)))
-    return edges
+    return _parse_tokens(text, _parse_edge, "an i-j pair")
 
 
 def _load_estimate(path: str):

@@ -8,10 +8,18 @@ sampling-noise term of the decomposition, so the measured excess is exactly
 
     inference_bias + per-source conditional KL(truth || fit),
 
-which is what the scaling theory bounds.  Every trial draws fresh
-multinomial state counts; all randomness derives from a root seed through
-per-(purpose, n, trial) seed sequences, so results are reproducible and
-independent of execution order or worker count.
+which is what the scaling theory bounds.
+
+The labeled side is computed exactly, not simulated: each labeled estimate
+mean(s_i*y) is (2*Binomial(n, (1+a_i)/2) - n)/n and the scored excess
+separates by source, so its expectation is a sum over n+1 binomial outcomes
+per source (``TrialEngine.labeled_excess``).  The curve has zero variance;
+its monotonicity in n, which the data-value-ratio bisection relies on, is
+tested.  Unlabeled fits, the Monte-Carlo labeled oracle
+(``expected_excess_error(..., "labeled", ...)``) and the combined sweep draw
+fresh multinomial state counts per trial; all randomness derives from a root
+seed through per-(purpose, n, trial) seed sequences, so results are
+reproducible and independent of execution order.
 """
 
 from __future__ import annotations
@@ -157,12 +165,50 @@ class ExcessResult:
 
 
 class TrialEngine:
-    """Shared per-model state for Monte-Carlo excess evaluation."""
+    """Shared per-model state for excess evaluation: Monte-Carlo trials of
+    the fitted estimators and the exact, memoised labeled curve."""
 
     def __init__(self, model: IsingModel, diag: ModelDiagnostics | None = None):
         self.model = model
         self.diag = diag if diag is not None else diagnostics(model)
         self.m = model.m
+        self._labeled: dict[int, float] = {}
+        self._log_factorial = np.zeros(1)
+
+    def binomial_pmf(self, n: int, p: float) -> np.ndarray:
+        """Binomial(n, p) probabilities of 0..n successes.
+
+        The log-factorial table is a sequential cumulative sum, so its
+        entries do not depend on how far it has grown; the pmf is
+        renormalised to absorb the table's accumulated rounding.
+        """
+        if n >= self._log_factorial.size:
+            self._log_factorial = np.concatenate(
+                ([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.float64))))
+            )
+        lf = self._log_factorial
+        k = np.arange(n + 1)
+        pmf = np.exp(lf[n] - lf[k] - lf[n - k] + k * np.log(p) + (n - k) * np.log1p(-p))
+        return pmf / pmf.sum()
+
+    def labeled_excess(self, n: int) -> float:
+        """Exact expected excess of the labeled fit on n labeled samples.
+
+        Source i's estimate is (2K - n)/n with K ~ Binomial(n, (1+a_i)/2), and
+        the excess is B_I plus a sum of per-source terms, so its expectation
+        is B_I plus, per source, the pmf-weighted score of the n+1 outcomes.
+        Memoised per n.
+        """
+        if n < 1:
+            raise ContractError("sample size must be at least 1")
+        if n not in self._labeled:
+            outcomes = (2.0 * np.arange(n + 1) - n) / n
+            total = self.diag.inference_bias
+            for a in self.diag.accuracies:
+                kl = accuracy_excess([a], 0.0, outcomes[:, None])
+                total += float(self.binomial_pmf(n, (1.0 + a) / 2.0) @ kl)
+            self._labeled[n] = float(total)
+        return self._labeled[n]
 
     def fit(self, estimator: str, moments: SampleMoments, rng) -> np.ndarray:
         if estimator == "labeled":
@@ -237,7 +283,35 @@ class DvrResult:
     matched_n_labeled: int | None
     value_ratio: float
     lower_bounded: bool
-    trace: tuple = field(default=())  # evaluated (n_labeled, mean, stderr) points
+    target_stderr: float
+    # least grid points matching target +- DVR_Z * target_stderr; None off-grid
+    n_labeled_lo: int | None
+    n_labeled_hi: int | None
+    trace: tuple = field(default=())  # evaluated (n_labeled, exact excess, 0.0) points
+
+
+# Normal quantile of the two-sided 95% interval mapped onto the labeled grid.
+DVR_Z = 1.96
+
+
+def _first_at_or_below(grid: list[int], curve, threshold: float) -> int | None:
+    """Least grid point with curve(n) <= threshold, by bisection; None if none.
+
+    Assumes curve is non-increasing along the grid.  The returned point's
+    predecessor, when it has one, has been evaluated and fails.
+    """
+    if curve(grid[0]) <= threshold:
+        return grid[0]
+    if curve(grid[-1]) > threshold:
+        return None
+    lo, hi = 0, len(grid) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if curve(grid[mid]) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return grid[hi]
 
 
 def data_value_ratio(
@@ -249,48 +323,35 @@ def data_value_ratio(
     grid: list[int] | None = None,
     engine: TrialEngine | None = None,
 ) -> DvrResult:
-    """n_U over the least labeled size whose mean excess matches n_U unlabeled.
+    """n_U over the least labeled size whose exact labeled excess matches the
+    Monte-Carlo mean excess of n_U unlabeled samples.
 
-    The labeled grid is scanned by bisection under the monotone-in-mean
-    assumption; every evaluated point is deterministic in (seed, n), so the
-    minimal qualifying point has, by construction, a failing predecessor.
-    Comparisons use Monte-Carlo means without confidence gating; standard
-    errors are recorded in the trace for downstream gating.
+    The labeled curve is ``engine.labeled_excess`` (exact, memoised on the
+    engine, strictly decreasing in n on the default grid, which is tested),
+    so the grid is scanned by bisection and the matched point has, by
+    construction, a failing predecessor.  The target's standard error is
+    mapped through the same curve: ``n_labeled_lo`` and ``n_labeled_hi`` are
+    the least grid points at or below target + and - DVR_Z standard errors.
     """
     engine = engine if engine is not None else TrialEngine(model)
     grid = list(grid) if grid is not None else labeled_search_grid()
     target = expected_excess_error(model, estimator, n_unlabeled, trials, seed, engine)
 
-    cache: dict[int, ExcessResult] = {}
+    evaluated: dict[int, float] = {}
 
-    def labeled_mean(n_l: int) -> float:
-        if n_l not in cache:
-            cache[n_l] = expected_excess_error(
-                model, "labeled", n_l, trials, seed, engine
-            )
-        return cache[n_l].mean
+    def labeled(n_l: int) -> float:
+        evaluated[n_l] = engine.labeled_excess(n_l)
+        return evaluated[n_l]
 
-    matched: int | None
-    lower_bounded = False
-    if labeled_mean(grid[0]) <= target.mean:
-        matched = grid[0]
-    elif labeled_mean(grid[-1]) > target.mean:
-        matched, lower_bounded = None, True
-    else:
-        lo, hi = 0, len(grid) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if labeled_mean(grid[mid]) <= target.mean:
-                hi = mid
-            else:
-                lo = mid
-        matched = grid[hi]
+    matched = _first_at_or_below(grid, labeled, target.mean)
+    half_width = DVR_Z * target.stderr
+    n_lo = _first_at_or_below(grid, labeled, target.mean + half_width)
+    n_hi = _first_at_or_below(grid, labeled, target.mean - half_width)
     ratio = n_unlabeled / (matched if matched is not None else grid[-1])
-    trace = tuple(
-        (n, cache[n].mean, cache[n].stderr) for n in sorted(cache)
-    )
+    trace = tuple((n, evaluated[n], 0.0) for n in sorted(evaluated))
     return DvrResult(
-        n_unlabeled, estimator, target.mean, matched, ratio, lower_bounded, trace
+        n_unlabeled, estimator, target.mean, matched, ratio, matched is None,
+        target.stderr, n_lo, n_hi, trace,
     )
 
 
@@ -375,7 +436,6 @@ def combined_sweep(
         shrink_r = float(m - 2)
     rows = []
     for n_l in n_labeled_grid:
-        per_alpha = np.zeros((0, alphas.size))
         gs_excess, gs_alpha = [], []
         failures = 0
         buf = []
@@ -447,15 +507,26 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _grid_point(n: int | None) -> int:
+    return n if n is not None else -1
+
+
 def run_curves(config: ExperimentConfig, out_dir: str | Path) -> list[ExcessResult]:
-    """Excess-error curves for every (estimator, n) cell; writes curves.csv."""
+    """Excess-error curves for every (estimator, n) cell; writes curves.csv.
+
+    Unlabeled cells are Monte-Carlo means over ``config.trials`` trials.
+    Labeled cells are exact (``TrialEngine.labeled_excess``): stderr 0, no
+    failures, and ``trials`` reports the requested count.
+    """
     model = config.model.build()
     engine = TrialEngine(model)
-    results = [
-        expected_excess_error(model, est, n, config.trials, config.seed, engine)
-        for est in config.estimators
-        for n in config.n_grid
-    ]
+
+    def cell(est: str, n: int) -> ExcessResult:
+        if est == "labeled":
+            return ExcessResult(est, n, engine.labeled_excess(n), 0.0, config.trials, 0)
+        return expected_excess_error(model, est, n, config.trials, config.seed, engine)
+
+    results = [cell(est, n) for est in config.estimators for n in config.n_grid]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -485,12 +556,13 @@ def run_dvr(
         [
             "estimator", "n_unlabeled", "target_excess",
             "matched_n_labeled", "value_ratio", "lower_bounded",
+            "target_stderr", "n_labeled_lo", "n_labeled_hi",
         ],
         [
             [
                 r.estimator, r.n_unlabeled, r.target_excess,
-                r.matched_n_labeled if r.matched_n_labeled is not None else -1,
-                r.value_ratio, int(r.lower_bounded),
+                _grid_point(r.matched_n_labeled), r.value_ratio, int(r.lower_bounded),
+                r.target_stderr, _grid_point(r.n_labeled_lo), _grid_point(r.n_labeled_hi),
             ]
             for r in results
         ],

@@ -1,8 +1,7 @@
-"""Run manifests, canonical config hashing, and the worker-pool helper."""
+"""Run manifests and canonical config hashing."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import time
@@ -60,15 +59,3 @@ class RunManifest:
         }
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
-
-def parallel_map(fn, items, jobs: int = 1) -> list:
-    """Order-preserving map, fanned out over processes when jobs > 1.
-
-    Units of work must be independent; aggregation downstream is
-    order-independent sums, so worker count never changes results.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,70 @@ class TestExpectedExcess:
             expected_excess_error(synth_model_dep, "labeled", 0, engine=dep_engine)
 
 
+class TestExactLabeled:
+    @pytest.mark.parametrize("n", [10, 250, 1000])
+    def test_matches_monte_carlo_oracle(self, synth_model_dep, dep_engine, n):
+        mc = expected_excess_error(
+            synth_model_dep, "labeled", n, trials=1000, seed=21, engine=dep_engine
+        )
+        assert abs(dep_engine.labeled_excess(n) - mc.mean) <= 4 * mc.stderr
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 5000])
+    def test_binomial_pmf(self, dep_engine, n):
+        for a in dep_engine.diag.accuracies:
+            p = (1 + a) / 2
+            pmf = dep_engine.binomial_pmf(n, p)
+            assert abs(pmf.sum() - 1.0) <= 1e-12
+            # against math.lgamma at the outcomes carrying the mass
+            k = np.arange(n + 1)
+            ref = np.exp([
+                math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                + j * math.log(p) + (n - j) * math.log1p(-p)
+                for j in k
+            ])
+            assert np.allclose(pmf, ref, rtol=1e-9, atol=1e-300)
+
+    def test_strictly_decreasing_on_search_grid(self, synth_model_dep, synth_diag_dep):
+        engine = TrialEngine(synth_model_dep, synth_diag_dep)
+        curve = np.array([engine.labeled_excess(n) for n in labeled_search_grid()])
+        assert np.all(np.diff(curve) < 0)
+        assert np.all(curve > synth_diag_dep.inference_bias)
+
+    def test_independent_of_evaluation_order(self, synth_model_dep, synth_diag_dep):
+        ns = [5000, 10, 733]
+        first = TrialEngine(synth_model_dep, synth_diag_dep)
+        second = TrialEngine(synth_model_dep, synth_diag_dep)
+        a = [first.labeled_excess(n) for n in ns]
+        b = [second.labeled_excess(n) for n in reversed(ns)][::-1]
+        assert a == b
+
+    def test_rejects_bad_sizes(self, dep_engine):
+        with pytest.raises(ContractError):
+            dep_engine.labeled_excess(0)
+
+
 class TestDataValueRatio:
+    def test_bisection_matches_linear_scan(self, synth_model_dep, dep_engine):
+        grid = list(range(100, 1001, 50))
+        res = data_value_ratio(
+            synth_model_dep, 800, "triplet-median", trials=60, seed=8,
+            grid=grid, engine=dep_engine,
+        )
+
+        def scan(threshold):
+            hits = [n for n in grid if dep_engine.labeled_excess(n) <= threshold]
+            return hits[0] if hits else None
+
+        half = 1.96 * res.target_stderr
+        assert res.target_stderr > 0
+        assert res.matched_n_labeled == scan(res.target_excess)
+        assert res.n_labeled_lo == scan(res.target_excess + half)
+        assert res.n_labeled_hi == scan(res.target_excess - half)
+        if res.n_labeled_lo is not None and res.n_labeled_hi is not None:
+            assert res.n_labeled_lo <= res.matched_n_labeled <= res.n_labeled_hi
+        assert all(stderr == 0.0 for _, _, stderr in res.trace)
+
+
     def test_minimal_grid_point_with_failing_predecessor(
         self, synth_model_dep, dep_engine
     ):
@@ -213,6 +278,22 @@ class TestSuiteRunners:
         assert a == b
         header = a.decode().splitlines()[0]
         assert header == "estimator,n,mean_excess,stderr,trials,failures"
+
+    def test_curves_labeled_rows_are_exact(self, tmp_path):
+        cfg = ExperimentConfig(
+            SyntheticModelSpec(d=1, accuracies=DEFAULT_ACCURACIES[:6]),
+            estimators=("labeled", "triplet-mean"),
+            n_grid=(50, 400),
+            trials=7,
+            seed=14,
+        )
+        engine = TrialEngine(cfg.model.build())
+        results = run_curves(cfg, tmp_path)
+        labeled = [r for r in results if r.estimator == "labeled"]
+        assert [r.n for r in labeled] == [50, 400]
+        for r in labeled:
+            assert r.mean == engine.labeled_excess(r.n)
+            assert (r.stderr, r.trials, r.failures) == (0.0, 7, 0)
 
     def test_dvr_runner_writes_rows(self, tmp_path):
         cfg = ExperimentConfig(
