@@ -12,6 +12,7 @@ optional column of true labels in {-1, +1}.  Two formats are supported:
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,11 @@ from .errors import ContractError
 from .states import config_index, values_from_config
 
 _MAGIC = b"LMSM"
+_HEADER_BYTES = 13  # magic, uint32 n, uint32 m, uint8 label flag
+
+
+def _all_signs(a: np.ndarray) -> bool:
+    return bool(((a == 1) | (a == -1)).all())
 
 
 @dataclass(frozen=True)
@@ -31,19 +37,21 @@ class SourceMatrix:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.int8)
+        # Entries are checked before the int8 cast, which would wrap 257 to 1
+        # and truncate 1.7 to 1.
+        values = np.asarray(self.values)
         if values.ndim != 2:
             raise ContractError("source matrix must be two-dimensional")
-        if not np.isin(values, (-1, 1)).all():
+        if not _all_signs(values):
             raise ContractError("source outputs must be -1 or +1")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", np.ascontiguousarray(values, dtype=np.int8))
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int8)
+            labels = np.asarray(self.labels)
             if labels.shape != (values.shape[0],):
                 raise ContractError("label column length must equal the row count")
-            if not np.isin(labels, (-1, 1)).all():
+            if not _all_signs(labels):
                 raise ContractError("labels must be -1 or +1")
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", np.ascontiguousarray(labels, dtype=np.int8))
 
     @property
     def n(self) -> int:
@@ -94,9 +102,21 @@ class SourceMatrix:
     def from_csv(cls, path: str | Path) -> "SourceMatrix":
         with open(path, "r") as fh:
             header = fh.readline().strip().split(",")
-            body = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
-        if not header or not header[0].startswith("lf_"):
-            raise ContractError(f"{path}: expected a header starting with lf_0")
+            if not header[0].startswith("lf_"):
+                raise ContractError(f"{path}: expected a header starting with lf_0")
+            try:
+                with warnings.catch_warnings():
+                    # An empty body is reported below as a ContractError.
+                    warnings.simplefilter("ignore", UserWarning)
+                    body = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ContractError(f"{path}: {exc}") from exc
+        if body.size == 0:
+            raise ContractError(f"{path}: no data rows after the header")
+        if body.shape[1] != len(header):
+            raise ContractError(
+                f"{path}: rows have {body.shape[1]} columns, the header {len(header)}"
+            )
         has_labels = header[-1] == "y"
         m = len(header) - (1 if has_labels else 0)
         values = body[:, :m]
@@ -121,10 +141,18 @@ class SourceMatrix:
         buf = io.BytesIO(raw)
         if buf.read(4) != _MAGIC:
             raise ContractError(f"{path}: not a source-matrix binary file")
+        if len(raw) < _HEADER_BYTES:
+            raise ContractError(f"{path}: truncated header")
         n = int(np.frombuffer(buf.read(4), dtype=np.uint32)[0])
         m = int(np.frombuffer(buf.read(4), dtype=np.uint32)[0])
         flag = int(np.frombuffer(buf.read(1), dtype=np.uint8)[0])
         nbytes = (n * m + 7) // 8
+        expected = _HEADER_BYTES + nbytes + ((n + 7) // 8 if flag else 0)
+        if len(raw) != expected:
+            raise ContractError(
+                f"{path}: {len(raw)} bytes, but a {n} x {m} matrix"
+                f"{' with labels' if flag else ''} takes {expected}"
+            )
         bits = np.unpackbits(
             np.frombuffer(buf.read(nbytes), dtype=np.uint8), count=n * m
         )

@@ -104,13 +104,6 @@ class SampleMoments:
         return (self.pair - np.outer(self.acc, self.acc)) * (self.n / (self.n - 1))
 
 
-def pairwise_agreement(data: SourceMatrix | np.ndarray) -> np.ndarray:
-    """Empirical pairwise agreement matrix E[s_i s_j] with a unit diagonal."""
-    if isinstance(data, SourceMatrix):
-        return SampleMoments.from_source_matrix(data).pair
-    return SampleMoments.from_source_matrix(SourceMatrix(np.asarray(data))).pair
-
-
 # ---------------------------------------------------------------------------
 # Estimates
 # ---------------------------------------------------------------------------
@@ -259,6 +252,33 @@ def _lower_median(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return order[np.arange(vals.shape[0]), (counts - 1) // 2]
 
 
+def _aggregate(
+    vals: np.ndarray, valid: np.ndarray, aggregation: str, seed, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-source ``mean``/``median``/``single`` of a census; returns (estimates, valid counts).
+
+    ``single`` draws one valid column per source, in source order, from the
+    generator ``seed`` (or one seeded by it).  ``kind`` names the census in
+    the error raised when a source has no valid column.
+    """
+    counts = valid.sum(axis=1)
+    if (counts == 0).any():
+        bad = int(np.argmin(counts))
+        raise EstimationError(f"no usable {kind} for source {bad}")
+    if aggregation == "mean":
+        est = np.nansum(np.where(valid, vals, 0.0), axis=1) / counts
+    elif aggregation == "median":
+        est = _lower_median(vals, valid)
+    elif aggregation == "single":
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        est = np.empty(len(vals))
+        for i in range(len(vals)):
+            est[i] = vals[i, rng.choice(np.flatnonzero(valid[i]))]
+    else:
+        raise ContractError(f"unknown aggregation '{aggregation}'")
+    return est, counts
+
+
 def estimate_triplet_from_moments(
     pair_moments: np.ndarray,
     aggregation: str = "mean",
@@ -267,22 +287,8 @@ def estimate_triplet_from_moments(
 ) -> AccuracyEstimate:
     """Triplet estimates for every source from a pairwise agreement matrix."""
     vals, valid = triplet_census(pair_moments, known_edges)
-    m, npairs = vals.shape
-    counts = valid.sum(axis=1)
-    if (counts == 0).any():
-        bad = int(np.argmin(counts))
-        raise EstimationError(f"no usable triplet for source {bad}")
-    if aggregation == "mean":
-        est = np.nansum(np.where(valid, vals, 0.0), axis=1) / counts
-    elif aggregation == "median":
-        est = _lower_median(vals, valid)
-    elif aggregation == "single":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        est = np.empty(m)
-        for i in range(m):
-            est[i] = vals[i, rng.choice(np.flatnonzero(valid[i]))]
-    else:
-        raise ContractError(f"unknown aggregation '{aggregation}'")
+    npairs = vals.shape[1]
+    est, counts = _aggregate(vals, valid, aggregation, seed, "triplet")
     meta = {
         "skipped": [int(npairs - c) for c in counts],
         "census_size": int(npairs),
@@ -438,68 +444,70 @@ class ClassConditionalEstimate:
         )
 
 
-def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
-    if abs(qa) < 1e-14:
-        if abs(qb) < 1e-14:
-            return []
-        return [-qc / qb]
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0:
-        return []
-    root = np.sqrt(disc)
-    return [(-qb + root) / (2 * qa), (-qb - root) / (2 * qa)]
-
-
-def _solve_class_conditional_triplet(
-    q: np.ndarray, c: np.ndarray, d: float, i: int, j: int, k: int, prob_tol: float
-) -> tuple[float | None, bool]:
-    """Recover Pr(s_i = 1 | Y = 1) from one triplet of positive-vote overlaps.
+def _class_conditional_census(
+    q: np.ndarray, c: np.ndarray, d: float, prob_tol: float
+) -> tuple[np.ndarray, int]:
+    """Pr(s_i = 1 | Y = 1) from every triplet (i, j, k) of positive-vote overlaps.
 
     ``q[a, b]`` is Pr(s_a = 1, s_b = 1) / Pr(Y = -1) and ``c[a]`` is
     Pr(s_a = 1) / Pr(Y = -1); d is the class-balance odds.  Eliminating the
     i and k unknowns from the three pair equations leaves a quadratic in
     source j's parameter; each real root back-substitutes into candidate
-    probabilities for all three sources.  Returns (value, tiebreak_applied);
-    value is None when no root yields probabilities within ``prob_tol`` of
-    [0, 1].
+    probabilities for all three sources, and a root counts only when all six
+    lie within ``prob_tol`` of [0, 1].  All (i, j, k) of the witness-pair
+    table are solved at once.  Returns the (m, C(m-1, 2)) values, NaN where
+    no root is valid, and the number of cells where both roots were valid and
+    the better-than-random one was kept.
     """
+    m = c.size
+    jj, kk, _ = _pair_table(m, frozenset())
+    rows = np.arange(m)[:, None]
+    ci, cj, ck = c[:, None], c[jj], c[kk]
     big_a = d + d * d
-    u0, u1 = q[i, j] - c[i] * c[j], c[i] * d
-    v0, v1 = q[j, k] - c[j] * c[k], c[k] * d
-    d0, d1 = -c[j] * d, big_a
-    w = c[i] * c[k] - q[i, k]
-    qa = big_a * u1 * v1 - c[k] * d * u1 * d1 - c[i] * d * v1 * d1 + w * d1 * d1
+    u0, u1 = q[rows, jj] - ci * cj, ci * d
+    v0, v1 = q[jj, kk] - cj * ck, ck * d
+    d0, d1 = -cj * d, big_a
+    w = ci * ck - q[rows, kk]
+    qa = big_a * u1 * v1 - ck * d * u1 * d1 - ci * d * v1 * d1 + w * d1 * d1
     qb = (
         big_a * (u0 * v1 + u1 * v0)
-        - c[k] * d * (u0 * d1 + u1 * d0)
-        - c[i] * d * (v0 * d1 + v1 * d0)
+        - ck * d * (u0 * d1 + u1 * d0)
+        - ci * d * (v0 * d1 + v1 * d0)
         + 2.0 * w * d0 * d1
     )
-    qc = big_a * u0 * v0 - c[k] * d * u0 * d0 - c[i] * d * v0 * d0 + w * d0 * d0
+    qc = big_a * u0 * v0 - ck * d * u0 * d0 - ci * d * v0 * d0 + w * d0 * d0
 
-    candidates = []
-    for beta in _quadratic_roots(qa, qb, qc):
-        denom = d0 + d1 * beta
-        if abs(denom) < 1e-12:
-            continue
-        alpha = (u0 + u1 * beta) / denom
-        gamma = (v0 + v1 * beta) / denom
-        probs = [
-            alpha, beta, gamma,
-            c[i] - d * alpha, c[j] - d * beta, c[k] - d * gamma,
-        ]
-        if all(-prob_tol <= p <= 1.0 + prob_tol for p in probs):
-            candidates.append(alpha)
-    if not candidates:
-        return None, False
-    if len(candidates) == 1:
-        return float(np.clip(candidates[0], 0.0, 1.0)), False
-    # Both roots give valid probability systems: prefer the better-than-random
-    # source (implied accuracy >= 0.5 in probability units).
-    p = d / (1.0 + d)
-    accs = [p * a + (1 - p) * (1.0 - (c[i] - d * a)) for a in candidates]
-    pick = int(np.argmax(accs))
-    return float(np.clip(candidates[pick], 0.0, 1.0)), True
+    # The branch tests are negated "<" so that NaN coefficients branch as a
+    # scalar if/else would; NaN roots then fail the probability checks.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quadratic = ~(np.abs(qa) < 1e-14)
+        linear = ~quadratic & ~(np.abs(qb) < 1e-14)
+        disc = qb * qb - 4.0 * qa * qc
+        real = quadratic & ~(disc < 0)
+        root = np.sqrt(disc)
+        betas = (
+            np.where(quadratic, (-qb + root) / (2 * qa), -qc / qb),
+            (-qb - root) / (2 * qa),
+        )
+        alphas, oks = [], []
+        for beta, exists in zip(betas, (real | linear, real)):
+            denom = d0 + d1 * beta
+            alpha = (u0 + u1 * beta) / denom
+            gamma = (v0 + v1 * beta) / denom
+            ok = exists & ~(np.abs(denom) < 1e-12)
+            for prob in (alpha, beta, gamma, ci - d * alpha, cj - d * beta, ck - d * gamma):
+                ok &= (prob >= -prob_tol) & (prob <= 1.0 + prob_tol)
+            alphas.append(alpha)
+            oks.append(ok)
+        # Both roots give valid probability systems: prefer the better-than-random
+        # source (implied accuracy >= 0.5 in probability units); the first root
+        # wins ties.
+        p = d / (1.0 + d)
+        acc = [p * a + (1 - p) * (1.0 - (ci - d * a)) for a in alphas]
+        second = oks[1] & (~oks[0] | (acc[1] > acc[0]))
+    both = oks[0] & oks[1]
+    vals = np.where(second, alphas[1], np.where(oks[0], alphas[0], np.nan))
+    return np.clip(vals, 0.0, 1.0), int(both.sum())
 
 
 def estimate_quadratic_triplet_from_moments(
@@ -509,6 +517,14 @@ def estimate_quadratic_triplet_from_moments(
     seed=None,
     prob_tol: float = 1e-6,
 ) -> ClassConditionalEstimate:
+    """Class-conditional estimates from the quadratic triplet census of unlabeled moments.
+
+    The census over every source i and witness pair (j, k) is computed in one
+    array pass and aggregated per source like the accuracy triplets.  The
+    metadata counts the skipped (rootless) cells per source and
+    ``tiebreaks``, the cells where both roots were valid probability systems
+    and the better-than-random root was kept.
+    """
     if not 0.0 < class_balance < 1.0:
         raise ContractError("class balance must lie in (0, 1)")
     m = moments.m
@@ -521,34 +537,11 @@ def estimate_quadratic_triplet_from_moments(
     q = q / (1.0 - p)
     c = pos / (1.0 - p)
 
-    jj, kk, _ = _pair_table(m, frozenset())
-    npairs = jj.shape[1]
-    vals = np.full((m, npairs), np.nan)
-    tiebreaks = 0
-    for i in range(m):
-        for col in range(npairs):
-            val, tie = _solve_class_conditional_triplet(
-                q, c, d, i, int(jj[i, col]), int(kk[i, col]), prob_tol
-            )
-            if val is not None:
-                vals[i, col] = val
-            tiebreaks += int(tie)
-    valid = ~np.isnan(vals)
-    counts = valid.sum(axis=1)
-    if (counts == 0).any():
-        bad = int(np.argmin(counts))
-        raise EstimationError(f"no usable class-conditional triplet for source {bad}")
-    if aggregation == "mean":
-        alpha = np.nansum(np.where(valid, vals, 0.0), axis=1) / counts
-    elif aggregation == "median":
-        alpha = _lower_median(vals, valid)
-    elif aggregation == "single":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        alpha = np.empty(m)
-        for i in range(m):
-            alpha[i] = vals[i, rng.choice(np.flatnonzero(valid[i]))]
-    else:
-        raise ContractError(f"unknown aggregation '{aggregation}'")
+    vals, tiebreaks = _class_conditional_census(q, c, d, prob_tol)
+    npairs = vals.shape[1]
+    alpha, counts = _aggregate(
+        vals, ~np.isnan(vals), aggregation, seed, "class-conditional triplet"
+    )
 
     alpha = np.clip(alpha, 0.0, 1.0)
     alpha_neg = np.clip((pos - p * alpha) / (1.0 - p), 0.0, 1.0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -117,14 +118,20 @@ class Corpus:
     ) -> "Corpus":
         docs = []
         with open(docs_path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                docs.append(
-                    Document(str(rec["id"]), rec["text"], rec.get("label"))
-                )
+                try:
+                    rec = json.loads(line)
+                    docs.append(
+                        Document(str(rec["id"]), rec["text"], rec.get("label"))
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ContractError(
+                        f"{docs_path}, line {lineno}: not a document record with "
+                        f"'id' and 'text' ({type(exc).__name__}: {exc})"
+                    ) from exc
         split = {}
         if split_path is not None:
             manifest = json.loads(Path(split_path).read_text())
@@ -147,13 +154,18 @@ def apply_sources(
     roster = roster if roster is not None else default_roster()
     if not roster:
         raise ContractError("source roster must be nonempty")
-    n, m = len(docs), len(roster)
-    values = np.empty((n, m), dtype=np.int8)
+    column: dict[str, int] = {}  # roster word -> presence column; a repeated word shares one
+    for src in roster:
+        column.setdefault(src.word, len(column))
+    k = len(column)
+    hits = array("q")  # flat index r * k + column of each word present in document r
     for r, doc in enumerate(docs):
-        tokens = tokenize(doc.text)
-        for c, src in enumerate(roster):
-            present = src.word in tokens
-            values[r, c] = src.sentiment if present else -src.sentiment
+        for word in tokenize(doc.text).intersection(column):
+            hits.append(r * k + column[word])
+    present = np.zeros((len(docs), k), dtype=bool)
+    np.put(present, hits, True)
+    sentiment = np.array([src.sentiment for src in roster], dtype=np.int8)
+    values = np.where(present[:, [column[src.word] for src in roster]], sentiment, -sentiment)
     labels = None
     if docs and all(d.label is not None for d in docs):
         labels = np.array([d.label for d in docs], dtype=np.int8)

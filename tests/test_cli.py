@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
 from labelmoments.cli import main
 from labelmoments.experiments import DEFAULT_ACCURACIES
+from labelmoments.manifest import file_sha256
+from labelmoments.ws import Corpus, default_roster, synthetic_keyword_corpus
 
 
 @pytest.fixture
@@ -66,3 +69,60 @@ def test_dvr_csv_reports_target_uncertainty(tmp_path, tiny_config):
         lo, matched, hi = int(fields[7]), int(fields[3]), int(fields[8])
         if min(lo, matched, hi) > 0:
             assert lo <= matched <= hi
+
+
+@pytest.fixture
+def tiny_corpus(tmp_path):
+    sent = [s.sentiment for s in default_roster()]
+    p_pos = [0.6 if s > 0 else 0.2 for s in sent]
+    p_neg = [0.2 if s > 0 else 0.6 for s in sent]
+    corpus = synthetic_keyword_corpus(2000, p_pos, p_neg, seed=4)
+    split = {d.doc_id: ("test" if i % 5 == 0 else "train") for i, d in enumerate(corpus.documents)}
+    docs, split_path = tmp_path / "docs.jsonl", tmp_path / "split.json"
+    Corpus(corpus.documents, split).to_jsonl(docs, split_path)
+    return docs, split_path
+
+
+def _ws_run(docs, split, out):
+    return CliRunner().invoke(main, [
+        "ws", "run", "--corpus", str(docs), "--split", str(split),
+        "--n-grid", "400,1600", "--n-unlabeled", "1600", "--n-labeled-grid", "40,80",
+        "--trials", "2", "-o", str(out),
+    ])
+
+
+def test_ws_run_on_tiny_corpus(tmp_path, tiny_corpus):
+    out = tmp_path / "out"
+    result = _ws_run(*tiny_corpus, out)
+    assert result.exit_code == 0, result.output
+    header, *rows = (out / "metrics.csv").read_text().splitlines()
+    # 3 models x 2 training sizes, then labeled-small and combined x 2 budgets
+    assert len(rows) == 3 * 2 + 2 * 2
+    columns = header.split(",")
+    for row in rows:
+        rec = dict(zip(columns, row.split(",")))
+        assert math.isfinite(float(rec["loss"]))
+        assert 0.0 <= float(rec["f1"]) <= 1.0
+
+
+def test_ws_run_manifest_hashes(tmp_path, tiny_corpus):
+    docs, split = tiny_corpus
+    out = tmp_path / "out"
+    assert _ws_run(docs, split, out).exit_code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["input_hashes"] == {
+        str(docs): file_sha256(docs), str(split): file_sha256(split),
+    }
+    metrics = out / "metrics.csv"
+    assert manifest["output_hashes"] == {str(metrics): file_sha256(metrics)}
+
+
+def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
+    docs, split = tiny_corpus
+    with open(docs, "a") as fh:
+        fh.write('{"id": "broken"\n')
+    result = _ws_run(docs, split, tmp_path / "out")
+    assert result.exit_code == 1
+    assert "error (ContractError)" in result.output
+    assert "docs.jsonl, line 2001" in result.output
+    assert "Traceback" not in result.output

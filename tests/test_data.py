@@ -24,6 +24,20 @@ class TestValidation:
         with pytest.raises(ContractError):
             SourceMatrix(np.array([[1, -1]]), np.array([1, -1]))
 
+    @pytest.mark.parametrize("values", [[[257, 1]], [[1.7, -1]], [[1, 0.5]]])
+    def test_checks_entries_before_the_int8_cast(self, values):
+        with pytest.raises(ContractError):
+            SourceMatrix(np.array(values))
+
+    def test_accepts_float_signs(self):
+        matrix = SourceMatrix(np.array([[1.0, -1.0]]), np.array([-1.0]))
+        np.testing.assert_array_equal(matrix.values, [[1, -1]])
+        assert matrix.values.dtype == np.int8 and matrix.labels.dtype == np.int8
+
+    def test_rejects_fractional_label(self):
+        with pytest.raises(ContractError):
+            SourceMatrix(np.array([[1, -1]]), np.array([1.5]))
+
     def test_require_labels(self, small):
         assert small.require_labels().shape == (40,)
         with pytest.raises(ContractError):
@@ -59,6 +73,32 @@ class TestRoundTrips:
         path.write_bytes(b"nope" + b"\x00" * 16)
         with pytest.raises(ContractError):
             SourceMatrix.from_binary(path)
+
+    @pytest.mark.parametrize("cut", [1, 5, 10])
+    def test_binary_truncated(self, tmp_path, small, cut):
+        path = tmp_path / "d.bin"
+        small.to_binary(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ContractError, match="d.bin"):
+            SourceMatrix.from_binary(path)
+
+    def test_binary_trailing_bytes(self, tmp_path, small):
+        path = tmp_path / "d.bin"
+        small.to_binary(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ContractError, match="d.bin"):
+            SourceMatrix.from_binary(path)
+
+    @pytest.mark.parametrize("text", [
+        "lf_0,lf_1,y\n",                # header only
+        "lf_0,lf_1,y\n1,-1\n",          # short row
+        "lf_0,lf_1\n1,x\n",             # not an integer
+    ])
+    def test_csv_malformed_body(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ContractError, match="d.csv"):
+            SourceMatrix.from_csv(path)
 
     def test_sniffing_loader(self, tmp_path, small):
         csv_path, bin_path = tmp_path / "d.csv", tmp_path / "d.bin"

@@ -20,6 +20,7 @@ from labelmoments import (
 from labelmoments.estimators import (
     AccuracyEstimate,
     SampleMoments,
+    _class_conditional_census,
     combine_green_strawderman,
     combine_linear,
     estimate_labeled,
@@ -374,3 +375,121 @@ class TestQuadraticTriplets:
         moments = SampleMoments(100, np.zeros(10), synth_diag_dep.pair_moments, None)
         with pytest.raises(ContractError):
             estimate_quadratic_triplet_from_moments(moments, 1.0, "mean")
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the class-conditional census: one (i, j, k) at a time,
+# sharing no code with the array pass in the package.
+# ---------------------------------------------------------------------------
+
+
+def _quadratic_roots(qa, qb, qc):
+    if abs(qa) < 1e-14:
+        if abs(qb) < 1e-14:
+            return []
+        return [-qc / qb]
+    disc = qb * qb - 4.0 * qa * qc
+    if disc < 0:
+        return []
+    root = np.sqrt(disc)
+    return [(-qb + root) / (2 * qa), (-qb - root) / (2 * qa)]
+
+
+def _solve_class_conditional_triplet(q, c, d, i, j, k, prob_tol):
+    """(Pr(s_i = 1 | Y = 1) or None, whether the better-than-random root was picked)."""
+    big_a = d + d * d
+    u0, u1 = q[i, j] - c[i] * c[j], c[i] * d
+    v0, v1 = q[j, k] - c[j] * c[k], c[k] * d
+    d0, d1 = -c[j] * d, big_a
+    w = c[i] * c[k] - q[i, k]
+    qa = big_a * u1 * v1 - c[k] * d * u1 * d1 - c[i] * d * v1 * d1 + w * d1 * d1
+    qb = (
+        big_a * (u0 * v1 + u1 * v0)
+        - c[k] * d * (u0 * d1 + u1 * d0)
+        - c[i] * d * (v0 * d1 + v1 * d0)
+        + 2.0 * w * d0 * d1
+    )
+    qc = big_a * u0 * v0 - c[k] * d * u0 * d0 - c[i] * d * v0 * d0 + w * d0 * d0
+
+    candidates = []
+    for beta in _quadratic_roots(qa, qb, qc):
+        denom = d0 + d1 * beta
+        if abs(denom) < 1e-12:
+            continue
+        alpha = (u0 + u1 * beta) / denom
+        gamma = (v0 + v1 * beta) / denom
+        probs = [
+            alpha, beta, gamma,
+            c[i] - d * alpha, c[j] - d * beta, c[k] - d * gamma,
+        ]
+        if all(-prob_tol <= p <= 1.0 + prob_tol for p in probs):
+            candidates.append(alpha)
+    if not candidates:
+        return None, False
+    if len(candidates) == 1:
+        return float(np.clip(candidates[0], 0.0, 1.0)), False
+    p = d / (1.0 + d)
+    accs = [p * a + (1 - p) * (1.0 - (c[i] - d * a)) for a in candidates]
+    pick = int(np.argmax(accs))
+    return float(np.clip(candidates[pick], 0.0, 1.0)), True
+
+
+def _census_inputs(moments, p):
+    d = p / (1.0 - p)
+    pos = (1.0 + moments.means) / 2.0
+    q = (1.0 + moments.pair + moments.means[:, None] + moments.means[None, :]) / 4.0
+    return q / (1.0 - p), pos / (1.0 - p), d
+
+
+def _scalar_census(q, c, d, prob_tol=1e-6):
+    m = c.size
+    vals = np.full((m, (m - 1) * (m - 2) // 2), np.nan)
+    tiebreaks = 0
+    for i in range(m):
+        others = [o for o in range(m) if o != i]
+        for col, (j, k) in enumerate(itertools.combinations(others, 2)):
+            val, tie = _solve_class_conditional_triplet(q, c, d, i, j, k, prob_tol)
+            if val is not None:
+                vals[i, col] = val
+            tiebreaks += int(tie)
+    return vals, tiebreaks
+
+
+class TestClassConditionalCensusOracle:
+    """The array census equals the scalar solver bit for bit."""
+
+    @staticmethod
+    def _assert_same(moments, p):
+        q, c, d = _census_inputs(moments, p)
+        vals, tiebreaks = _class_conditional_census(q, c, d, 1e-6)
+        ref_vals, ref_tiebreaks = _scalar_census(q, c, d)
+        np.testing.assert_array_equal(vals, ref_vals)
+        assert tiebreaks == ref_tiebreaks
+        return vals
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_sampled_moments(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        cond_pos = rng.uniform(0.5, 0.95, 12)
+        cond_neg = rng.uniform(0.05, 0.5, 12)
+        rootless = 0
+        for n in (50, 200, 2500, 40000):
+            for _ in range(3):
+                y = rng.random(n) < p
+                votes = rng.random((n, 12)) < np.where(y[:, None], cond_pos, cond_neg)
+                data = SourceMatrix(np.where(votes, 1, -1))
+                vals = self._assert_same(SampleMoments.from_source_matrix(data), p)
+                rootless += int(np.isnan(vals).sum())
+        assert rootless > 0
+
+    def test_exact_moments(self, synth_diag_dep):
+        self._assert_same(SampleMoments(10**9, np.zeros(10), synth_diag_dep.pair_moments, None), 0.5)
+        # A perfect source (roots on the [0, 1] boundary) and an uninformative
+        # one (leading coefficient zero: the degenerate linear branch).
+        for cond_pos, cond_neg in (
+            ([1.0, 0.8, 0.7, 0.9], [0.0, 0.25, 0.4, 0.3]),
+            ([0.8, 0.7, 0.5, 0.9], [0.2, 0.3, 0.5, 0.1]),
+        ):
+            for p in (0.3, 0.5, 0.6):
+                moments = _class_conditional_moments(np.array(cond_pos), np.array(cond_neg), p)
+                self._assert_same(moments, p)

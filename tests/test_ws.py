@@ -82,6 +82,30 @@ class TestApplySources:
         shuffled = apply_sources([docs[i] for i in perm]).values
         np.testing.assert_array_equal(shuffled, base[perm])
 
+    @pytest.mark.parametrize("roster", [
+        default_roster(),
+        (KeywordSource("good", 1), KeywordSource("Good", -1), KeywordSource("bad", -1)),
+        (KeywordSource("don't", 1), KeywordSource("10", -1), KeywordSource("good", 1)),
+    ])
+    def test_matches_per_document_loop(self, roster):
+        texts = [
+            "GOOD movie, really good!!", "goodness gracious", "Not bad... 10/10",
+            "", "could've been better; WOULD not watch", "don't", "love-like 2 GREAT",
+            "goodgood bad_ending", "Excellent.", "worst\tterrible\nbest",
+        ]
+        docs = [Document(f"d{i}", t) for i, t in enumerate(texts)]
+        expected = np.array(
+            [[s.sentiment if s.word in tokenize(d.text) else -s.sentiment for s in roster]
+             for d in docs],
+            dtype=np.int8,
+        )
+        np.testing.assert_array_equal(apply_sources(docs, roster).values, expected)
+
+    def test_empty_corpus(self):
+        matrix = apply_sources([])
+        assert matrix.values.shape == (0, len(default_roster()))
+        assert matrix.labels is None
+
     def test_empty_roster_rejected(self):
         with pytest.raises(ContractError):
             apply_sources([Document("d", "x")], roster=())
@@ -100,6 +124,19 @@ class TestCorpusIO:
         assert back.documents == docs
         assert [d.doc_id for d in back.train] == ["a", "c"]
         assert [d.doc_id for d in back.test] == ["b"]
+
+    @pytest.mark.parametrize("line", [
+        "not json",
+        '{"id": "b"}',
+        '{"text": "no id"}',
+        '["b", "text"]',
+        '{"id": "b", "text": "x", "label": 2}',
+    ])
+    def test_jsonl_bad_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "a", "text": "fine"}\n\n' + line + "\n")
+        with pytest.raises(ContractError, match=r"docs\.jsonl, line 3"):
+            Corpus.from_jsonl(path)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractError):
