@@ -13,7 +13,6 @@ from .errors import (
     CalibrationError,
     CapacityError,
     ContractError,
-    DegenerateTripletError,
     EstimationError,
     IdentityUndefinedError,
     LabelMomentsError,
@@ -25,7 +24,6 @@ from .ising import (
     ModelDiagnostics,
     calibrate,
     diagnostics,
-    enumerate_joint,
     misspecification_gap,
     sample,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "SourceMatrix",
     "calibrate",
     "diagnostics",
-    "enumerate_joint",
     "load_source_matrix",
     "misspecification_gap",
     "sample",
@@ -44,7 +41,6 @@ __all__ = [
     "CapacityError",
     "ContractError",
     "CalibrationError",
-    "DegenerateTripletError",
     "EstimationError",
     "UnseenConfigurationError",
     "IdentityUndefinedError",

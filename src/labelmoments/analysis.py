@@ -34,12 +34,14 @@ from .errors import ContractError, IdentityUndefinedError, NumericalError
 from .ising import (
     IsingModel,
     ModelDiagnostics,
-    _pair_conditional_mi,
+    conditional_entropy,
     diagnostics,
+    inference_bias,
     sample_state_counts,
 )
 from .estimators import SampleMoments, estimate_triplet_from_moments
 from .label_model import ACCURACY_CLAMP, LabelModel
+from .states import sign_rows
 
 
 # ---------------------------------------------------------------------------
@@ -72,27 +74,14 @@ class DecompositionReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
 
-def _entropy_terms(model: IsingModel) -> tuple[float, np.ndarray]:
-    joint = model.joint
-    p_lambda = model.lambda_marginal()
-    h_cond = -float(np.dot(joint, np.log(joint))) + float(
-        np.dot(p_lambda, np.log(p_lambda))
-    )
-    return h_cond, p_lambda
-
-
-def _inference_bias(model: IsingModel) -> float:
-    return float(sum(_pair_conditional_mi(model, i, j) for i, j, _ in model.edges))
-
-
 def _source_conditionals(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """True Pr(s_i = 1 | Y = +-1) for every source, from the joint table."""
     blocks = model.conditional_configs()  # rows: Y=-1, Y=+1
     m = model.m
-    idx = np.arange(1 << m, dtype=np.int64)
+    signs = sign_rows(m)[:m, : blocks.shape[1]]  # source signs per configuration
     out = np.empty((2, m))
     for i in range(m):
-        mask = ((idx >> i) & 1).astype(np.float64)
+        mask = 0.5 * (signs[i] + 1.0)
         out[0, i] = float(np.dot(blocks[1], mask))  # Y = +1
         out[1, i] = float(np.dot(blocks[0], mask))  # Y = -1
     return out[0], out[1]
@@ -126,9 +115,10 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
             "fitted configuration distribution has zero-mass patterns; "
             "both sides of the identity are infinite"
         )
-    h_cond, p_lambda = _entropy_terms(model)
+    h_cond = conditional_entropy(model)
+    p_lambda = model.lambda_marginal()
     noise = float(np.dot(p_lambda, np.log(p_lambda) - np.log(fitted.config_dist)))
-    bias = _inference_bias(model)
+    bias = inference_bias(model)
     true_pos, true_neg = _source_conditionals(model)
     p = model.class_balance()
     est = 0.0
@@ -152,9 +142,8 @@ def exact_generalization_error(
     model: IsingModel, fitted: LabelModel
 ) -> tuple[float, float]:
     """(expected loss, excess over H(Y|sources)) by enumeration."""
-    h_cond, _ = _entropy_terms(model)
     loss = expected_loss_by_enumeration(model, fitted)
-    return loss, loss - h_cond
+    return loss, loss - conditional_entropy(model)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__, analysis, experiments, ws
 from .data import SourceMatrix, load_source_matrix
@@ -113,6 +112,15 @@ def _load_estimate(path: str):
     return AccuracyEstimate.from_dict(doc)
 
 
+def _fit(data, method, agg, balance, seed, known_edges=()):
+    """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets."""
+    if method == "labeled":
+        return estimate_labeled(data)
+    if method == "triplet":
+        return estimate_triplet(data.without_labels(), agg, seed, known_edges)
+    return estimate_quadratic_triplet(data.without_labels(), balance, agg, seed)
+
+
 def _build_label_model(est, balance, mode, data, laplace):
     dist = None
     if mode == "empirical":
@@ -201,14 +209,7 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
     man = _manifest("fit", config, seed)
     man.add_input(data_path)
     data = load_source_matrix(data_path)
-    if method == "labeled":
-        est = estimate_labeled(data)
-    elif method == "triplet":
-        est = estimate_triplet(
-            data.without_labels(), agg, seed, _parse_edges(known_edges)
-        )
-    else:
-        est = estimate_quadratic_triplet(data.without_labels(), balance, agg, seed)
+    est = _fit(data, method, agg, balance, seed, _parse_edges(known_edges))
     if combine_with is not None:
         if not isinstance(est, AccuracyEstimate):
             raise LabelMomentsError("combination applies to accuracy estimates only")
@@ -286,25 +287,13 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
         man.add_input(data_path)
         model = IsingModel.from_json(model_path)
         data = load_source_matrix(data_path)
-    if method == "labeled":
-        est = estimate_labeled(data)
-    elif method == "triplet":
-        est = estimate_triplet(data.without_labels(), agg, seed)
-    else:
-        est = estimate_quadratic_triplet(data.without_labels(), balance, agg, seed)
-    dist = empirical_config_dist(data.without_labels(), laplace=laplace)
-    fitted = _build_fitted(est, balance, dist)
+    est = _fit(data, method, agg, balance, seed)
+    fitted = _build_label_model(est, balance, "empirical", data.without_labels(), laplace)
     report = analysis.decompose(model, fitted)
     report.to_json(out)
     man.add_output(out)
     man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} (residual {report.residual:.3e})")
-
-
-def _build_fitted(est, balance, dist):
-    if isinstance(est, ClassConditionalEstimate):
-        return LabelModel.from_class_conditional(est, mode="empirical", config_dist=dist)
-    return LabelModel.from_accuracies(est, balance, mode="empirical", config_dist=dist)
 
 
 @main.command("bounds")
@@ -459,16 +448,8 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
     elif fmt == "csv":
         corpus = ws.ingest_csv(input_path, test_fraction, seed)
     else:
-        corpus = ws.Corpus.from_jsonl(input_path)
-        if not corpus.split:
-            rng = np.random.default_rng(seed)
-            order = rng.permutation(len(corpus.documents))
-            n_test = int(round(test_fraction * len(corpus.documents)))
-            split = {
-                corpus.documents[idx].doc_id: ("test" if rank < n_test else "train")
-                for rank, idx in enumerate(order)
-            }
-            corpus = ws.Corpus(corpus.documents, split)
+        docs = ws.Corpus.from_jsonl(input_path).documents
+        corpus = ws.Corpus(docs, ws.random_split(docs, test_fraction, seed))
     corpus.to_jsonl(docs_out, split_out)
     man.add_output(docs_out)
     man.add_output(split_out)

@@ -24,10 +24,6 @@ class CalibrationError(LabelMomentsError):
         self.residuals = residuals
 
 
-class DegenerateTripletError(LabelMomentsError):
-    """A triplet's denominator moment is below the usable floor."""
-
-
 class EstimationError(LabelMomentsError):
     """No usable triplet remained for at least one source."""
 

@@ -28,14 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import SourceMatrix
-from .errors import (
-    ContractError,
-    DegenerateTripletError,
-    EstimationError,
-    NumericalError,
-)
+from .errors import ContractError, EstimationError, NumericalError
+from .states import sign_rows
 
-DEGENERATE_FLOOR = 1e-6
+DEGENERATE_FLOOR = 1e-6  # |M_jk| below this makes a triplet denominator unusable
+SHRINKAGE_RIDGE = 1e-8   # ridge on the labeled covariance, relative to its mean diagonal
+PROB_TOL = 1e-6          # slack on the [0, 1] checks of the class-conditional census
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +43,17 @@ DEGENERATE_FLOOR = 1e-6
 
 @lru_cache(maxsize=8)
 def _state_stats(m: int) -> dict:
-    """Per-state sign products for moment computation from joint-state counts."""
-    size = 1 << (m + 1)
-    idx = np.arange(size, dtype=np.int64)
-    signs = np.empty((size, m))
-    for i in range(m):
-        signs[:, i] = 2.0 * ((idx >> i) & 1) - 1.0
-    sy = (2.0 * ((idx >> m) & 1) - 1.0)[:, None]
+    """Per-state sign rows and pair-product rows for moments from joint-state counts.
+
+    Both tables hold one contiguous row per statistic, and the products are
+    filled row by row so that no whole-table temporary is built.
+    """
+    rows = sign_rows(m)
     pairs = list(combinations(range(m), 2))
-    ss = np.empty((size, len(pairs)))
+    products = np.empty((len(pairs), rows.shape[1]))
     for c, (i, j) in enumerate(pairs):
-        ss[:, c] = signs[:, i] * signs[:, j]
-    return {"signs": signs, "signs_y": signs * sy, "pair_products": ss, "pairs": pairs}
+        np.multiply(rows[i], rows[j], out=products[c])
+    return {"signs": rows, "pair_products": products, "pairs": pairs}
 
 
 @dataclass(frozen=True)
@@ -87,12 +84,13 @@ class SampleMoments:
     def from_state_counts(cls, counts: np.ndarray, m: int) -> "SampleMoments":
         stats = _state_stats(m)
         n = counts.sum()
-        means = (counts @ stats["signs"]) / n
-        flat = (counts @ stats["pair_products"]) / n
+        signs = stats["signs"]
+        means = (counts @ signs[:m].T) / n
+        flat = (counts @ stats["pair_products"].T) / n
         pair = np.eye(m)
         for c, (i, j) in enumerate(stats["pairs"]):
             pair[i, j] = pair[j, i] = flat[c]
-        acc = (counts @ stats["signs_y"]) / n
+        acc = ((counts * signs[m]) @ signs[:m].T) / n  # sign flips are exact
         return cls(int(n), means, pair, acc)
 
     def labeled_covariance(self) -> np.ndarray:
@@ -102,6 +100,18 @@ class SampleMoments:
         if self.n < 2:
             raise ContractError("labeled covariance requires at least two rows")
         return (self.pair - np.outer(self.acc, self.acc)) * (self.n / (self.n - 1))
+
+    def shrinkage_covariance(self) -> np.ndarray:
+        """Covariance of the labeled accuracy estimate, as the shrinkage rule uses it.
+
+        The labeled covariance over the row count, plus ``SHRINKAGE_RIDGE``
+        times its mean diagonal; a zero trace raises ``NumericalError``.
+        """
+        sigma = self.labeled_covariance() / self.n
+        scale = np.trace(sigma) / self.m
+        if scale <= 0.0:
+            raise NumericalError("labeled covariance is identically zero")
+        return sigma + SHRINKAGE_RIDGE * scale * np.eye(self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +193,6 @@ def labeled_from_moments(moments: SampleMoments) -> AccuracyEstimate:
 # ---------------------------------------------------------------------------
 # Triplet estimation
 # ---------------------------------------------------------------------------
-
-
-def triplet_accuracy(pair_moments: np.ndarray, i: int, j: int, k: int) -> float:
-    """One raw triplet solve for source i using witnesses j and k."""
-    if len({i, j, k}) != 3:
-        raise ContractError("triplet indices must be distinct")
-    denom = pair_moments[j, k]
-    if abs(denom) < DEGENERATE_FLOOR:
-        raise DegenerateTripletError(
-            f"agreement moment M[{j},{k}]={denom:.2e} below floor {DEGENERATE_FLOOR}"
-        )
-    val = np.sqrt(abs(pair_moments[i, j] * pair_moments[i, k] / denom))
-    return float(np.clip(val, 0.0, 1.0))
 
 
 @lru_cache(maxsize=64)
@@ -350,14 +347,13 @@ def combine_green_strawderman(
     a_unlabeled: AccuracyEstimate,
     labeled: SourceMatrix | SampleMoments,
     r: float | None = None,
-    ridge: float = 1e-8,
 ) -> AccuracyEstimate:
     """Positive-part shrinkage of the labeled estimate toward the unlabeled one.
 
-    The labeled estimator's covariance is the sample covariance of the rows
-    s * y divided by the row count, ridge-regularized by ``ridge`` times its
-    mean diagonal.  The result equals the linear combination at
-    alpha = min(r / ||a_L - a_U||_{cov^-1}, 1), reported in the metadata.
+    The labeled estimator's covariance is ``SampleMoments.shrinkage_covariance``,
+    so a zero covariance raises ``NumericalError``.  The result equals the
+    linear combination at alpha = min(r / ||a_L - a_U||_{cov^-1}, 1),
+    reported in the metadata.
     ``r`` defaults to m - 2, the midpoint of the admissible range
     [0, 2(m - 2)] (which requires m >= 3).
     """
@@ -376,17 +372,13 @@ def combine_green_strawderman(
     if not 0.0 <= r <= 2.0 * (m - 2):
         raise ContractError(f"r must lie in [0, {2 * (m - 2)}]")
     a_labeled = labeled_from_moments(moments)
-    sigma = moments.labeled_covariance() / moments.n
-    scale = np.trace(sigma) / m
-    if scale <= 0.0:
-        raise NumericalError("labeled covariance is identically zero")
-    sigma = sigma + ridge * scale * np.eye(m)
+    sigma = moments.shrinkage_covariance()
     alpha = green_strawderman_alpha(a_labeled.values - a_unlabeled.values, sigma, r)
     out = combine_linear(a_unlabeled, a_labeled, alpha)
     return AccuracyEstimate(
         out.values,
         method="combined-green-strawderman",
-        metadata={"alpha": float(alpha), "r": float(r), "ridge": float(ridge)},
+        metadata={"alpha": float(alpha), "r": float(r), "ridge": SHRINKAGE_RIDGE},
     )
 
 
@@ -445,7 +437,7 @@ class ClassConditionalEstimate:
 
 
 def _class_conditional_census(
-    q: np.ndarray, c: np.ndarray, d: float, prob_tol: float
+    q: np.ndarray, c: np.ndarray, d: float
 ) -> tuple[np.ndarray, int]:
     """Pr(s_i = 1 | Y = 1) from every triplet (i, j, k) of positive-vote overlaps.
 
@@ -454,7 +446,7 @@ def _class_conditional_census(
     i and k unknowns from the three pair equations leaves a quadratic in
     source j's parameter; each real root back-substitutes into candidate
     probabilities for all three sources, and a root counts only when all six
-    lie within ``prob_tol`` of [0, 1].  All (i, j, k) of the witness-pair
+    lie within ``PROB_TOL`` of [0, 1].  All (i, j, k) of the witness-pair
     table are solved at once.  Returns the (m, C(m-1, 2)) values, NaN where
     no root is valid, and the number of cells where both roots were valid and
     the better-than-random one was kept.
@@ -496,7 +488,7 @@ def _class_conditional_census(
             gamma = (v0 + v1 * beta) / denom
             ok = exists & ~(np.abs(denom) < 1e-12)
             for prob in (alpha, beta, gamma, ci - d * alpha, cj - d * beta, ck - d * gamma):
-                ok &= (prob >= -prob_tol) & (prob <= 1.0 + prob_tol)
+                ok &= (prob >= -PROB_TOL) & (prob <= 1.0 + PROB_TOL)
             alphas.append(alpha)
             oks.append(ok)
         # Both roots give valid probability systems: prefer the better-than-random
@@ -515,7 +507,6 @@ def estimate_quadratic_triplet_from_moments(
     class_balance: float,
     aggregation: str = "mean",
     seed=None,
-    prob_tol: float = 1e-6,
 ) -> ClassConditionalEstimate:
     """Class-conditional estimates from the quadratic triplet census of unlabeled moments.
 
@@ -537,7 +528,7 @@ def estimate_quadratic_triplet_from_moments(
     q = q / (1.0 - p)
     c = pos / (1.0 - p)
 
-    vals, tiebreaks = _class_conditional_census(q, c, d, prob_tol)
+    vals, tiebreaks = _class_conditional_census(q, c, d)
     npairs = vals.shape[1]
     alpha, counts = _aggregate(
         vals, ~np.isnan(vals), aggregation, seed, "class-conditional triplet"

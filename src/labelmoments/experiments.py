@@ -38,7 +38,7 @@ from .estimators import (
     estimate_triplet_from_moments,
     green_strawderman_alpha,
 )
-from .ising import IsingModel, ModelDiagnostics, calibrate, diagnostics
+from .ising import IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_state_counts
 from .manifest import config_hash
 
 # Default synthetic roster: ten sources with accuracies drawn once, uniformly
@@ -231,7 +231,7 @@ class TrialEngine:
         failures = 0
         for t in range(trials):
             rng = trial_rng(seed, f"excess:{estimator}", n, t)
-            counts = rng.multinomial(n, self.model.joint).astype(np.float64)
+            counts = sample_state_counts(self.model, n, rng)
             moments = SampleMoments.from_state_counts(counts, self.m)
             try:
                 est = self.fit(estimator, moments, rng)
@@ -392,6 +392,9 @@ def approx_data_value_ratio(
 # ---------------------------------------------------------------------------
 
 
+ALPHA_STEP = 0.01  # spacing of the combined sweep's grid of unlabeled weights
+
+
 @dataclass(frozen=True)
 class CombinedSweepRow:
     n_labeled: int
@@ -417,23 +420,21 @@ def combined_sweep(
     estimator: str = "triplet-mean",
     trials: int = 1000,
     seed: int = 0,
-    alpha_step: float = 0.01,
-    shrink_r: float | None = None,
     engine: TrialEngine | None = None,
 ) -> list[CombinedSweepRow]:
     """Excess error of linear combinations across a labeled-size grid.
 
     Per labeled size: the grid-optimal weight is the alpha (unlabeled weight,
-    scanned at ``alpha_step``) minimizing the trial-averaged excess; the
-    shrinkage rule picks its own per-trial weight from the labeled
-    covariance.  Alpha 0 is labeled-only and alpha 1 unlabeled-only, so those
-    columns come from the same sweep.
+    scanned in steps of ``ALPHA_STEP``) minimizing the trial-averaged excess;
+    the shrinkage rule picks its own per-trial weight, at r = m - 2, from the
+    labeled covariance, and falls back to alpha 1 when that covariance is
+    zero or undefined.  Alpha 0 is labeled-only and alpha 1 unlabeled-only,
+    so those columns come from the same sweep.
     """
     engine = engine if engine is not None else TrialEngine(model)
     m = engine.m
-    alphas = np.arange(0.0, 1.0 + alpha_step / 2, alpha_step)
-    if shrink_r is None:
-        shrink_r = float(m - 2)
+    alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
+    r = float(m - 2)
     rows = []
     for n_l in n_labeled_grid:
         gs_excess, gs_alpha = [], []
@@ -441,8 +442,8 @@ def combined_sweep(
         buf = []
         for t in range(trials):
             rng = trial_rng(seed, f"combined:{estimator}:{n_unlabeled}", n_l, t)
-            counts_u = rng.multinomial(n_unlabeled, model.joint).astype(np.float64)
-            counts_l = rng.multinomial(n_l, model.joint).astype(np.float64)
+            counts_u = sample_state_counts(model, n_unlabeled, rng)
+            counts_l = sample_state_counts(model, n_l, rng)
             mom_u = SampleMoments.from_state_counts(counts_u, m)
             mom_l = SampleMoments.from_state_counts(counts_l, m)
             try:
@@ -454,9 +455,8 @@ def combined_sweep(
             blends = alphas[:, None] * a_u[None, :] + (1 - alphas)[:, None] * a_l[None, :]
             buf.append(engine.excess(blends))
             try:
-                sigma = mom_l.labeled_covariance() / n_l
-                sigma = sigma + 1e-8 * (np.trace(sigma) / m) * np.eye(m)
-                alpha_g = green_strawderman_alpha(a_l - a_u, sigma, shrink_r)
+                sigma = mom_l.shrinkage_covariance()
+                alpha_g = green_strawderman_alpha(a_l - a_u, sigma, r)
             except (NumericalError, ContractError):
                 alpha_g = 1.0
             gs_alpha.append(alpha_g)
@@ -501,10 +501,11 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Comma-separated rows under a header; floats written with ``repr``."""
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _grid_point(n: int | None) -> int:
@@ -529,7 +530,7 @@ def run_curves(config: ExperimentConfig, out_dir: str | Path) -> list[ExcessResu
     results = [cell(est, n) for est in config.estimators for n in config.n_grid]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    write_csv(
         out / "curves.csv",
         ["estimator", "n", "mean_excess", "stderr", "trials", "failures"],
         [[r.estimator, r.n, r.mean, r.stderr, r.trials, r.failures] for r in results],
@@ -551,7 +552,7 @@ def run_dvr(
     ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    write_csv(
         out / "dvr.csv",
         [
             "estimator", "n_unlabeled", "target_excess",
@@ -584,7 +585,7 @@ def run_combined(
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    write_csv(
         out / "combined.csv",
         [
             "n_labeled", "n_unlabeled",

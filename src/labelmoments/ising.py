@@ -30,12 +30,15 @@ import numpy as np
 
 from .data import SourceMatrix
 from .errors import CalibrationError, ContractError
-from .states import check_capacity, values_from_config
+from .estimators import triplet_census
+from .states import sign_rows, values_from_config
 
 Edge = tuple[int, int, float]
 
 _THETA_HI = 12.0  # tanh(12) differs from 1 by ~1.2e-10; ample for targets < 1
 _BALANCE_HI = 20.0
+PARAM_TOL = 1e-9             # calibration tolerance on each potential
+CALIBRATION_BUDGET = 10_000  # bisection steps allowed across one calibration
 
 
 def _validate_edges(m: int, edges) -> tuple[Edge, ...]:
@@ -56,25 +59,19 @@ def _validate_edges(m: int, edges) -> tuple[Edge, ...]:
     return tuple(sorted(out))
 
 
-def _source_signs(size: int, bit: int) -> np.ndarray:
-    idx = np.arange(size, dtype=np.int64)
-    return (2.0 * ((idx >> bit) & 1) - 1.0).astype(np.float64)
-
-
 def _joint_table(
     m: int, theta_y: float, theta: np.ndarray, edges: tuple[Edge, ...]
 ) -> tuple[np.ndarray, float]:
     """Normalized joint over all 2**(m+1) states plus the log cumulant."""
-    check_capacity(m)
-    size = 1 << (m + 1)
-    sy = _source_signs(size, m)
+    signs = sign_rows(m)
+    sy = signs[m]
     energy = theta_y * sy
     for i in range(m):
         if theta[i] != 0.0:
-            energy += theta[i] * _source_signs(size, i) * sy
+            energy += theta[i] * signs[i] * sy
     for i, j, t in edges:
         if t != 0.0:
-            energy += t * _source_signs(size, i) * _source_signs(size, j)
+            energy += t * signs[i] * signs[j]
     shift = energy.max()
     table = np.exp(energy - shift)
     total = table.sum()
@@ -150,11 +147,6 @@ class IsingModel:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def enumerate_joint(model: IsingModel) -> np.ndarray:
-    """The cached normalized joint table (state order: low bits sources, top bit Y)."""
-    return model.joint
-
-
 @dataclass(frozen=True)
 class ModelDiagnostics:
     """Exact moments of a model, the inputs to every bound evaluator."""
@@ -181,79 +173,49 @@ class ModelDiagnostics:
         return max(self.edge_gaps.values()) if self.edge_gaps else 0.0
 
 
-def _pair_conditional_mi(model: IsingModel, i: int, j: int) -> float:
-    size = model.joint.size
-    idx = np.arange(size, dtype=np.int64)
-    cell = ((idx >> model.m) & 1) * 4 + ((idx >> i) & 1) * 2 + ((idx >> j) & 1)
-    t = np.bincount(cell, weights=model.joint, minlength=8).reshape(2, 2, 2)
-    mi = 0.0
-    for yb in (0, 1):
-        block = t[yb]
-        py = block.sum()
-        cond = block / py
-        pi = cond.sum(axis=1, keepdims=True)
-        pj = cond.sum(axis=0, keepdims=True)
-        mi += py * float(np.sum(cond * (np.log(cond) - np.log(pi) - np.log(pj))))
-    return mi
+def inference_bias(model: IsingModel) -> float:
+    """B_I: the sum over dependency edges of I(s_i; s_j | Y), in nats."""
+    bits = sign_rows(model.m) > 0
+    bias = 0.0
+    for i, j, _ in model.edges:
+        cell = 4 * bits[model.m] + 2 * bits[i] + bits[j]
+        t = np.bincount(cell, weights=model.joint, minlength=8).reshape(2, 2, 2)
+        mi = 0.0
+        for block in t:  # Y = -1, then Y = +1
+            py = block.sum()
+            cond = block / py
+            pi = cond.sum(axis=1, keepdims=True)
+            pj = cond.sum(axis=0, keepdims=True)
+            mi += py * float(np.sum(cond * (np.log(cond) - np.log(pi) - np.log(pj))))
+        bias += mi
+    return bias
 
 
-def population_triplets(pair_moments: np.ndarray) -> np.ndarray:
-    """All triplet values sqrt(|M_ij M_ik / M_jk|) as an (m, n_pairs) array.
-
-    Column order per source i: pairs (j, k) with j < k drawn from the other
-    sources in lexicographic order.
-    """
-    m = pair_moments.shape[0]
-    if m < 3:
-        raise ContractError("triplet values require at least three sources")
-    rows = []
-    for i in range(m):
-        others = [o for o in range(m) if o != i]
-        vals = []
-        for a in range(len(others)):
-            for b in range(a + 1, len(others)):
-                j, k = others[a], others[b]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals.append(
-                        math.sqrt(
-                            abs(pair_moments[i, j] * pair_moments[i, k] / pair_moments[j, k])
-                        )
-                        if pair_moments[j, k] != 0
-                        else np.nan
-                    )
-        rows.append(vals)
-    return np.clip(np.asarray(rows, dtype=np.float64), 0.0, 1.0)
+def conditional_entropy(model: IsingModel) -> float:
+    """H(Y | sources) in nats: the joint entropy minus the source-marginal entropy."""
+    joint, p_lambda = model.joint, model.lambda_marginal()
+    ent_joint = -float(np.dot(joint, np.log(joint)))
+    ent_lambda = -float(np.dot(p_lambda, np.log(p_lambda)))
+    return ent_joint - ent_lambda
 
 
 def diagnostics(model: IsingModel) -> ModelDiagnostics:
     """Exact accuracies, pairwise moments, entropy, and misspecification gaps."""
     m, joint = model.m, model.joint
-    size = joint.size
-    sy = _source_signs(size, m)
-    signs = [_source_signs(size, i) for i in range(m)]
+    signs = sign_rows(m)
+    sy = signs[m]
 
-    acc = np.array([float(np.dot(joint, s * sy)) for s in signs])
+    acc = np.array([float(np.dot(joint, s * sy)) for s in signs[:m]])
     pair = np.eye(m)
     for i in range(m):
         wi = joint * signs[i]
         for j in range(i + 1, m):
             pair[i, j] = pair[j, i] = float(np.dot(wi, signs[j]))
 
-    p_lambda = model.lambda_marginal()
-    ent_joint = -float(np.dot(joint, np.log(joint)))
-    ent_lambda = -float(np.dot(p_lambda, np.log(p_lambda)))
-    cond_entropy = ent_joint - ent_lambda
-
-    gaps = {}
-    bias = 0.0
-    for i, j, _ in model.edges:
-        gaps[(i, j)] = float(pair[i, j] - acc[i] * acc[j])
-        bias += _pair_conditional_mi(model, i, j)
-
+    gaps = {(i, j): float(pair[i, j] - acc[i] * acc[j]) for i, j, _ in model.edges}
     off = pair[~np.eye(m, dtype=bool)]
     if m >= 3:
-        trip = population_triplets(pair)
-        max_mean_triplet = float(np.nanmean(trip, axis=1).max())
+        max_mean_triplet = float(np.nanmean(triplet_census(pair)[0], axis=1).max())
     else:
         max_mean_triplet = float("nan")
 
@@ -263,8 +225,8 @@ def diagnostics(model: IsingModel) -> ModelDiagnostics:
         accuracies=acc,
         pair_moments=pair,
         class_balance=model.class_balance(),
-        cond_entropy=cond_entropy,
-        inference_bias=bias,
+        cond_entropy=conditional_entropy(model),
+        inference_bias=inference_bias(model),
         edge_gaps=gaps,
         min_accuracy=float(acc.min()),
         max_accuracy=float(acc.max()),
@@ -420,9 +382,6 @@ def calibrate(
     edges=(),
     edge_gap: float | list[float] = 0.1,
     class_balance: float = 0.5,
-    *,
-    param_tol: float = 1e-9,
-    budget: int = 10_000,
 ) -> IsingModel:
     """Build a model whose accuracies, per-edge gaps, and class balance hit targets.
 
@@ -449,13 +408,13 @@ def calibrate(
     if any(g < 0 for g in gaps):
         raise ContractError("gap targets must be nonnegative")
 
-    counter = _Budget(budget)
+    counter = _Budget(CALIBRATION_BUDGET)
     theta = np.array([math.atanh(a) for a in targets])
     solved: list[Edge] = []
     for (i, j), gap in zip(pairs, gaps):
         if gap == 0.0:
             continue
-        ti, tj, tij = _solve_edge(targets[i], targets[j], gap, param_tol, counter)
+        ti, tj, tij = _solve_edge(targets[i], targets[j], gap, PARAM_TOL, counter)
         theta[i], theta[j] = ti, tj
         solved.append((i, j, tij))
 
@@ -463,7 +422,7 @@ def calibrate(
         theta_y = 0.0
     else:
         theta_y = _bisect(
-            math.tanh, -_BALANCE_HI, _BALANCE_HI, 2 * class_balance - 1, param_tol, counter
+            math.tanh, -_BALANCE_HI, _BALANCE_HI, 2 * class_balance - 1, PARAM_TOL, counter
         )
     return IsingModel.from_parameters(theta, solved, theta_y)
 

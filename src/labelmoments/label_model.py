@@ -27,7 +27,6 @@ import numpy as np
 from .data import SourceMatrix
 from .errors import ContractError, UnseenConfigurationError
 from .estimators import AccuracyEstimate, ClassConditionalEstimate
-from .ising import IsingModel
 from .states import check_capacity, config_bits, config_index
 
 ACCURACY_CLAMP = 1e-6   # estimates pulled inside [-1 + c, 1 - c] before use
@@ -49,20 +48,6 @@ def empirical_config_dist(
     if laplace <= 0:
         raise ContractError("laplace pseudocount must be positive")
     return (counts + laplace) / (data.n + laplace * counts.size)
-
-
-def config_dist_from_model(model: IsingModel) -> np.ndarray:
-    """The exact source-configuration marginal of a ground-truth model."""
-    return model.lambda_marginal()
-
-
-def smooth_config_dist(
-    counts: np.ndarray, n: float, laplace: float | None
-) -> np.ndarray:
-    """Smoothing applied to raw configuration counts (the counts-based path)."""
-    if laplace is None:
-        return counts / n
-    return (counts + laplace) / (n + laplace * counts.size)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ single state.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import CapacityError
@@ -23,17 +25,23 @@ def check_capacity(m: int) -> None:
         )
 
 
-def sign_table(m: int, with_label: bool = True) -> np.ndarray:
-    """Matrix of signs for every state, one row per state.
+@lru_cache(maxsize=8)
+def sign_rows(m: int) -> np.ndarray:
+    """Read-only (m+1, 2**(m+1)) table of -1.0/+1.0 signs over every joint state.
 
-    Columns 0..m-1 are sources; when ``with_label`` an extra final column
-    carries Y.  Entries are -1.0 or +1.0.
+    Row k holds source k's sign and row m holds Y's.  Each row is filled in
+    place and stays contiguous, so dot products along a row sum in the same
+    order as over a freshly built sign vector.  Cached, so every reader at
+    one m shares a single table.
     """
     check_capacity(m)
-    ncols = m + 1 if with_label else m
-    idx = np.arange(1 << ncols, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(ncols)) & 1
-    return (2.0 * bits - 1.0).astype(np.float64)
+    idx = np.arange(1 << (m + 1), dtype=np.int64)
+    rows = np.empty((m + 1, idx.size))
+    for k in range(m + 1):
+        np.multiply((idx >> k) & 1, 2.0, out=rows[k])
+        rows[k] -= 1.0
+    rows.setflags(write=False)
+    return rows
 
 
 def config_bits(m: int) -> np.ndarray:

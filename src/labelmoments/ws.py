@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,13 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import SourceMatrix
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .estimators import (
     ClassConditionalEstimate,
     SampleMoments,
     estimate_quadratic_triplet_from_moments,
     green_strawderman_alpha,
 )
+from .experiments import trial_rng, write_csv
 from .label_model import LabelModel, cross_entropy, f1_score
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -70,6 +70,8 @@ class Document:
     label: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ContractError("document text must be a string")
         if self.label is not None and self.label not in (-1, 1):
             raise ContractError("labels must be -1 or +1")
 
@@ -132,13 +134,35 @@ class Corpus:
                         f"{docs_path}, line {lineno}: not a document record with "
                         f"'id' and 'text' ({type(exc).__name__}: {exc})"
                     ) from exc
-        split = {}
-        if split_path is not None:
-            manifest = json.loads(Path(split_path).read_text())
-            for name, ids in manifest.items():
-                for i in ids:
-                    split[str(i)] = name
+        split = _read_split(split_path) if split_path is not None else {}
         return cls(tuple(docs), split)
+
+
+def _read_split(path: str | Path) -> dict:
+    """doc_id -> split name from a {"train": [...], "test": [...]} manifest."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ContractError(f"{path}: not a JSON split manifest ({exc})") from exc
+    if not isinstance(manifest, dict) or not all(
+        isinstance(ids, list) for ids in manifest.values()
+    ):
+        raise ContractError(
+            f"{path}: a split manifest maps each split name to a list of document ids"
+        )
+    return {str(i): name for name, ids in manifest.items() for i in ids}
+
+
+def random_split(docs, test_fraction: float, seed: int) -> dict:
+    """doc_id -> "test" for a seeded random ``test_fraction`` of docs, "train" otherwise."""
+    if not 0.0 <= test_fraction <= 1.0:
+        raise ContractError(f"test fraction must lie in [0, 1], got {test_fraction}")
+    order = np.random.default_rng(seed).permutation(len(docs))
+    n_test = int(round(test_fraction * len(docs)))
+    return {
+        docs[idx].doc_id: "test" if rank < n_test else "train"
+        for rank, idx in enumerate(order)
+    }
 
 
 def tokenize(text: str) -> frozenset:
@@ -215,13 +239,7 @@ def ingest_csv(
                 label = int(label)
                 label = -1 if label in (0, -1) else 1
             docs.append(Document(str(rec.get("id", row_id)), rec["text"], label))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(docs))
-    n_test = int(round(test_fraction * len(docs)))
-    split = {}
-    for rank, idx in enumerate(order):
-        split[docs[idx].doc_id] = "test" if rank < n_test else "train"
-    return Corpus(tuple(docs), split)
+    return Corpus(tuple(docs), random_split(docs, test_fraction, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +349,21 @@ def _combine_class_conditional(
     """Shrink the labeled conditionals toward the unlabeled ones.
 
     The weight comes from the accuracy-vector shrinkage rule (the labeled
-    accuracy estimator's covariance is observable); the same weight then
-    blends both conditional columns, which preserves column-stochasticity.
+    accuracy estimator's covariance is observable), and is 1 when that
+    covariance is zero or undefined; the same weight then blends both
+    conditional columns, which preserves column-stochasticity.
     """
-    m = labeled_moments.m
-    sigma = labeled_moments.labeled_covariance() / labeled_moments.n
-    sigma = sigma + 1e-8 * max(np.trace(sigma) / m, 1e-12) * np.eye(m)
     diff = labeled.implied_accuracies() - unlabeled.implied_accuracies()
-    alpha = green_strawderman_alpha(diff, sigma, r)
+    try:
+        alpha = green_strawderman_alpha(diff, labeled_moments.shrinkage_covariance(), r)
+    except (NumericalError, ContractError):
+        alpha = 1.0
     mu = alpha * unlabeled.mu + (1.0 - alpha) * labeled.mu
     return (
         ClassConditionalEstimate(
             mu, labeled.class_balance, {"method": "combined", "alpha": alpha}
         ),
         alpha,
-    )
-
-
-def _case_study_rng(seed: int, label: str, n: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed % (1 << 63), zlib.crc32(label.encode()), n, trial])
     )
 
 
@@ -397,7 +410,7 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
         for n in config.n_grid:
             losses, f1s = [], []
             for t in range(config.trials):
-                rng = _case_study_rng(config.seed, f"case:{name}", n, t)
+                rng = trial_rng(config.seed, f"case:{name}", n, t)
                 loss, f1 = score(fitter(subsample(rng, n), rng))
                 losses.append(loss)
                 f1s.append(f1)
@@ -420,7 +433,7 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
         stats = {"combined": ([], []), "labeled-small": ([], [])}
         alphas = []
         for t in range(config.trials):
-            rng = _case_study_rng(config.seed, "case:combined", n_l, t)
+            rng = trial_rng(config.seed, "case:combined", n_l, t)
             unl = subsample(rng, config.n_unlabeled)
             corrected = estimate_quadratic_triplet_from_moments(
                 SampleMoments.from_source_matrix(unl.without_labels()), p, "median"
@@ -454,7 +467,4 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
 
 def write_metrics_csv(rows: list[dict], path: str | Path) -> None:
     header = ["model", "n", "n_labeled", "loss", "loss_sd", "f1", "f1_sd", "alpha"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h]) for h in header))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, header, [[row[h] for h in header] for row in rows])

@@ -27,7 +27,6 @@ from labelmoments.estimators import estimate_labeled, estimate_triplet
 from labelmoments.ising import ModelDiagnostics
 from labelmoments.label_model import (
     LabelModel,
-    config_dist_from_model,
     cross_entropy,
     empirical_config_dist,
 )
@@ -40,7 +39,7 @@ class TestDecomposition:
         model, diag = synth_model_indep, synth_diag_indep
         fitted = LabelModel.from_accuracies(
             diag.accuracies, diag.class_balance,
-            mode="empirical", config_dist=config_dist_from_model(model),
+            mode="empirical", config_dist=model.lambda_marginal(),
         )
         rep = decompose(model, fitted)
         assert rep.sampling_noise == pytest.approx(0.0, abs=1e-12)
@@ -113,7 +112,7 @@ class TestExactGeneralizationError:
     def test_perfect_fit_no_dependencies(self, synth_model_indep, synth_diag_indep):
         fitted = LabelModel.from_accuracies(
             synth_diag_indep.accuracies, 0.5,
-            mode="empirical", config_dist=config_dist_from_model(synth_model_indep),
+            mode="empirical", config_dist=synth_model_indep.lambda_marginal(),
         )
         _, excess = exact_generalization_error(synth_model_indep, fitted)
         assert excess == pytest.approx(0.0, abs=1e-10)
@@ -123,7 +122,7 @@ class TestExactGeneralizationError:
     ):
         fitted = LabelModel.from_accuracies(
             synth_diag_dep.accuracies, 0.5,
-            mode="empirical", config_dist=config_dist_from_model(synth_model_dep),
+            mode="empirical", config_dist=synth_model_dep.lambda_marginal(),
         )
         _, excess = exact_generalization_error(synth_model_dep, fitted)
         assert excess == pytest.approx(synth_diag_dep.inference_bias, abs=1e-12)
@@ -133,7 +132,7 @@ class TestExactGeneralizationError:
         est = estimate_triplet(data, "median")
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
-            config_dist=config_dist_from_model(synth_model_dep),
+            config_dist=synth_model_dep.lambda_marginal(),
         )
         _, excess = exact_generalization_error(synth_model_dep, fitted)
         assert abs(excess - synth_diag_dep.inference_bias) <= 0.01
@@ -146,7 +145,7 @@ class TestExactGeneralizationError:
             )
             fitted = LabelModel.from_accuracies(
                 est, 0.5, mode="empirical",
-                config_dist=config_dist_from_model(synth_model_dep),
+                config_dist=synth_model_dep.lambda_marginal(),
             )
             _, excess = exact_generalization_error(synth_model_dep, fitted)
             fast = accuracy_excess(

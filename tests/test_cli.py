@@ -126,3 +126,65 @@ def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
     assert "error (ContractError)" in result.output
     assert "docs.jsonl, line 2001" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("sizes", [
+    ["--n-labeled-grid", "0"],
+    ["--n-labeled-grid", "40,0"],
+    ["--n-unlabeled", "0", "--n-labeled-grid", "40"],
+])
+def test_combine_rejects_nonpositive_sizes(tmp_path, tiny_config, sizes):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main, ["combine", "--config", str(tiny_config), "-o", str(out)] + sizes
+    )
+    assert result.exit_code == 1
+    assert "error (ContractError)" in result.output
+    assert not (out / "combined.csv").exists()
+
+
+def test_ws_ingest_rejects_test_fraction_outside_unit_interval(tmp_path, tiny_corpus):
+    docs, _ = tiny_corpus
+    result = CliRunner().invoke(main, [
+        "ws", "ingest", "--input", str(docs), "--format", "jsonl",
+        "--test-fraction", "1.5",
+        "--docs-out", str(tmp_path / "d.jsonl"), "--split-out", str(tmp_path / "s.json"),
+    ])
+    assert result.exit_code == 1
+    assert "error (ContractError)" in result.output
+
+
+def test_ws_apply_bad_split_exits_1(tmp_path, tiny_corpus):
+    docs, split = tiny_corpus
+    split.write_text('["doc0"]')
+    result = CliRunner().invoke(main, [
+        "ws", "apply", "--corpus", str(docs), "--split", str(split),
+        "-o", str(tmp_path / "m.csv"),
+    ])
+    assert result.exit_code == 1
+    assert "split.json" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("method", ["labeled", "triplet", "quadratic"])
+def test_fit_then_decompose(tmp_path, method):
+    runner = CliRunner()
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    assert runner.invoke(main, [
+        "calibrate", "--accuracies", "0.7,0.65,0.6,0.75", "--edges", "0-1", "-o", str(model),
+    ]).exit_code == 0
+    assert runner.invoke(main, [
+        "sample", "--model", str(model), "-n", "800", "--seed", "2", "-o", str(data),
+    ]).exit_code == 0
+    est = tmp_path / "est.json"
+    result = runner.invoke(main, [
+        "fit", "--data", str(data), "--method", method, "-o", str(est),
+    ])
+    assert result.exit_code == 0, result.output
+    report = tmp_path / "decomposition.json"
+    result = runner.invoke(main, [
+        "decompose", "--model", str(model), "--data", str(data), "--method", method,
+        "-o", str(report),
+    ])
+    assert result.exit_code == 0, result.output
+    assert json.loads(report.read_text())["residual"] < 1e-9

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from labelmoments import (
     ContractError,
-    DegenerateTripletError,
     EstimationError,
     IsingModel,
     NumericalError,
@@ -17,7 +16,9 @@ from labelmoments import (
     diagnostics,
     sample,
 )
+from labelmoments import estimators, experiments, ws
 from labelmoments.estimators import (
+    SHRINKAGE_RIDGE,
     AccuracyEstimate,
     SampleMoments,
     _class_conditional_census,
@@ -28,9 +29,10 @@ from labelmoments.estimators import (
     estimate_triplet,
     estimate_triplet_from_moments,
     green_strawderman_alpha,
-    triplet_accuracy,
     triplet_census,
 )
+
+from labelmoments.ising import sample_state_counts
 
 from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint
 
@@ -70,30 +72,39 @@ class TestLabeled:
 
 
 class TestTripletRaw:
+    """Single triplet solves, read from the census column of witness pair (1, 2)."""
+
+    @staticmethod
+    def _solve(pair):
+        vals, valid = triplet_census(pair)
+        return vals[0, 0], valid[0, 0]
+
     def test_factorized_moments(self):
         m = np.eye(3)
         m[0, 1] = m[1, 0] = 0.42
         m[0, 2] = m[2, 0] = 0.48
         m[1, 2] = m[2, 1] = 0.56
-        assert triplet_accuracy(m, 0, 1, 2) == pytest.approx(0.6, abs=1e-12)
+        val, valid = self._solve(m)
+        assert valid and val == pytest.approx(0.6, abs=1e-12)
+        est = estimate_triplet_from_moments(m, "mean")
+        assert est.values[0] == val
 
     def test_self_agreement_clips_to_one(self):
         m = np.eye(3)
         m[0, 1] = m[1, 0] = 1.0
         m[0, 2] = m[2, 0] = 0.5
         m[1, 2] = m[2, 1] = 0.5
-        assert triplet_accuracy(m, 0, 1, 2) == 1.0
+        assert self._solve(m) == (1.0, True)
+        assert estimate_triplet_from_moments(m, "median").values[0] == 1.0
 
     def test_degenerate_denominator(self):
         m = np.eye(3)
         m[1, 2] = m[2, 1] = 1e-9
         m[0, 1] = m[1, 0] = m[0, 2] = m[2, 0] = 0.4
-        with pytest.raises(DegenerateTripletError):
-            triplet_accuracy(m, 0, 1, 2)
-
-    def test_distinct_indices(self):
-        with pytest.raises(ContractError):
-            triplet_accuracy(np.eye(3), 0, 0, 1)
+        val, valid = self._solve(m)
+        assert not valid and np.isnan(val)
+        with pytest.raises(EstimationError, match="source 0"):
+            estimate_triplet_from_moments(m, "mean")
 
     def test_witness_edge_underestimates(self):
         # dependent witnesses inflate the denominator, shrinking the estimate
@@ -107,12 +118,12 @@ class TestTripletRaw:
                 pair[i, j] = pair[j, i] = sum(
                     p * s[i] * s[j] for (y, s), p in table.items()
                 )
-        assert triplet_accuracy(pair, 0, 1, 2) < acc[0]
+        val, _ = self._solve(pair)
+        assert val < acc[0]
         # frozen from the enumeration oracle above
         assert acc[0] == pytest.approx(0.664036770267849, abs=1e-12)
-        assert triplet_accuracy(pair, 0, 1, 2) == pytest.approx(
-            0.5957185166332072, abs=1e-12
-        )
+        assert val == pytest.approx(0.5957185166332072, abs=1e-12)
+        assert estimate_triplet_from_moments(pair, "single", seed=0).values[0] == val
 
 
 class TestTripletAggregation:
@@ -320,6 +331,66 @@ class TestGreenStrawderman:
             combine_green_strawderman(a_u, data, r=100.0)
 
 
+class TestShrinkageCovariance:
+    """One labeled covariance for the three shrinkage callers, and one zero-covariance policy."""
+
+    @staticmethod
+    def _capture(monkeypatch, module, seen):
+        original = module.green_strawderman_alpha
+
+        def spy(diff, sigma, r):
+            seen.append(sigma)
+            return original(diff, sigma, r)
+
+        monkeypatch.setattr(module, "green_strawderman_alpha", spy)
+
+    @staticmethod
+    def _fixed_draws(monkeypatch, counts):
+        monkeypatch.setattr(experiments, "sample_state_counts", lambda model, n, rng: counts)
+
+    def test_definition(self, synth_model_dep):
+        mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 300, 6))
+        cov = mom.labeled_covariance() / mom.n
+        expected = cov + SHRINKAGE_RIDGE * (np.trace(cov) / mom.m) * np.eye(mom.m)
+        np.testing.assert_array_equal(mom.shrinkage_covariance(), expected)
+
+    def test_three_callers_share_one_covariance(self, monkeypatch, synth_model_dep):
+        counts = sample_state_counts(synth_model_dep, 200, 9)
+        mom = SampleMoments.from_state_counts(counts, 10)
+        seen = {}
+        for module in (estimators, experiments, ws):
+            seen[module.__name__] = []
+            self._capture(monkeypatch, module, seen[module.__name__])
+        self._fixed_draws(monkeypatch, counts)
+
+        a_u = estimate_triplet_from_moments(mom.pair, "mean")
+        combine_green_strawderman(a_u, mom)
+        experiments.combined_sweep(synth_model_dep, 200, [200], trials=1)
+        cc = estimate_quadratic_triplet_from_moments(mom, 0.5, "mean")
+        lab = ws.estimate_labeled_class_conditional(sample(synth_model_dep, 200, 9), 0.5)
+        ws._combine_class_conditional(cc, lab, mom, 8.0)
+
+        assert [len(sigmas) for sigmas in seen.values()] == [1, 1, 1]
+        for (sigma,) in seen.values():
+            np.testing.assert_array_equal(sigma, mom.shrinkage_covariance())
+
+    def test_both_loops_fall_back_to_alpha_one(self, monkeypatch, synth_model_dep):
+        # every draw is the all-agree state: zero labeled covariance
+        counts = np.zeros(synth_model_dep.joint.size)
+        counts[-1] = 50.0
+        self._fixed_draws(monkeypatch, counts)
+        (row,) = experiments.combined_sweep(synth_model_dep, 50, [50], trials=3)
+        assert row.gs_alpha_mean == 1.0 and row.failures == 0
+
+        unl = SampleMoments.from_source_matrix(sample(synth_model_dep, 500, 1).without_labels())
+        cc = estimate_quadratic_triplet_from_moments(unl, 0.5)
+        lab = ws.estimate_labeled_class_conditional(sample(synth_model_dep, 50, 2), 0.5)
+        zero = SampleMoments.from_state_counts(counts, 10)
+        combined, alpha = ws._combine_class_conditional(cc, lab, zero, 8.0)
+        assert alpha == 1.0
+        np.testing.assert_array_equal(combined.mu, cc.mu)
+
+
 def _class_conditional_moments(cond_pos, cond_neg, p):
     """Exact SampleMoments for a conditionally-independent two-class model."""
     m = len(cond_pos)
@@ -461,7 +532,7 @@ class TestClassConditionalCensusOracle:
     @staticmethod
     def _assert_same(moments, p):
         q, c, d = _census_inputs(moments, p)
-        vals, tiebreaks = _class_conditional_census(q, c, d, 1e-6)
+        vals, tiebreaks = _class_conditional_census(q, c, d)
         ref_vals, ref_tiebreaks = _scalar_census(q, c, d)
         np.testing.assert_array_equal(vals, ref_vals)
         assert tiebreaks == ref_tiebreaks

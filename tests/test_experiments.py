@@ -22,7 +22,7 @@ from labelmoments.experiments import (
     run_dvr,
     trial_rng,
 )
-from labelmoments.label_model import LabelModel, config_dist_from_model
+from labelmoments.label_model import LabelModel
 from labelmoments.analysis import exact_generalization_error
 
 
@@ -74,7 +74,7 @@ class TestExpectedExcess:
         est = labeled_from_moments(SampleMoments.from_state_counts(counts, 10))
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
-            config_dist=config_dist_from_model(synth_model_dep),
+            config_dist=synth_model_dep.lambda_marginal(),
         )
         _, excess = exact_generalization_error(synth_model_dep, fitted)
         assert res.mean == pytest.approx(excess, abs=1e-12)

@@ -15,7 +15,11 @@ from labelmoments import (
     misspecification_gap,
     sample,
 )
-from labelmoments.ising import _pair_stats
+from labelmoments.analysis import decompose
+from labelmoments.estimators import SampleMoments
+from labelmoments.ising import _pair_stats, conditional_entropy, inference_bias
+from labelmoments.label_model import LabelModel
+from labelmoments.states import sign_rows
 
 from conftest import (
     SYNTH_ACCURACIES,
@@ -128,6 +132,82 @@ class TestDiagnostics:
         )
         balance = brute_moment(table, lambda y, s: 1.0 if y > 0 else 0.0)
         assert abs(d.class_balance - balance) < 1e-13
+
+
+class TestSignRows:
+    """The one state-sign table against the brute-force joint, which shares no code with it."""
+
+    THETA = [0.7, 0.5, 0.9, 0.4, 0.2]
+    EDGES = [(1, 3, 0.3), (0, 4, 0.6)]
+
+    @staticmethod
+    def _state_index(y, s):
+        return sum(1 << k for k, v in enumerate(s) if v > 0) + ((y > 0) << len(s))
+
+    def test_rows_hold_every_state_sign(self):
+        table, _ = brute_joint(self.THETA, self.EDGES)
+        rows = sign_rows(5)
+        assert rows.shape == (6, 64) and rows.flags.c_contiguous
+        for (y, s), _p in table.items():
+            idx = self._state_index(y, s)
+            assert list(rows[:5, idx]) == list(s) and rows[5, idx] == y
+
+    def test_moments_from_brute_force_counts(self):
+        table, _ = brute_joint(self.THETA, self.EDGES)
+        counts = np.zeros(64)
+        for (y, s), p in table.items():
+            counts[self._state_index(y, s)] = p
+        mom = SampleMoments.from_state_counts(counts, 5)
+        means = [brute_moment(table, lambda y, s, i=i: s[i]) for i in range(5)]
+        np.testing.assert_allclose(mom.means, means, atol=1e-13)
+        np.testing.assert_allclose(mom.acc, brute_accuracies(table, 5), atol=1e-13)
+        np.testing.assert_allclose(mom.pair, brute_pair_moments(table, 5), atol=1e-13)
+
+
+class TestSharedExactTerms:
+    def test_bias_and_entropy_shared_with_decomposition(self, synth_model_dep, synth_diag_dep):
+        assert inference_bias(synth_model_dep) == synth_diag_dep.inference_bias
+        assert conditional_entropy(synth_model_dep) == synth_diag_dep.cond_entropy
+        fitted = LabelModel.from_accuracies(
+            synth_diag_dep.accuracies, 0.5,
+            mode="empirical", config_dist=synth_model_dep.lambda_marginal(),
+        )
+        rep = decompose(synth_model_dep, fitted)
+        assert rep.inference_bias == synth_diag_dep.inference_bias
+        assert rep.irreducible == synth_diag_dep.cond_entropy
+
+    def test_conditional_entropy_matches_brute_force(self):
+        theta, edges = [0.7, 0.5, 0.9, 0.4], [(1, 3, 0.3)]
+        table, _ = brute_joint(theta, edges, theta_y=0.25)
+        h = 0.0
+        for s in {s for _y, s in table}:
+            pair = [table[(y, s)] for y in (-1, 1)]
+            h -= sum(p * math.log(p / sum(pair)) for p in pair)
+        model = IsingModel.from_parameters(theta, edges, theta_y=0.25)
+        assert conditional_entropy(model) == pytest.approx(h, abs=1e-13)
+
+    def test_mean_triplet_floors_tiny_denominators(self):
+        # Source 4 is nearly uninformative, so every pair moment with it lies
+        # in (0, 1e-6): those witness pairs are degenerate for the bound
+        # constant a_bar exactly as for the triplet estimator.
+        model = IsingModel.from_parameters([0.5, 0.5, 1.4, 0.6, 1e-6], [(0, 1, 0.6)])
+        d = diagnostics(model)
+        pair = d.pair_moments
+        assert 0.0 < d.min_pair_moment < 1e-6
+        floored, every = [], []
+        for i in range(5):
+            vals, kept = [], []
+            others = [o for o in range(5) if o != i]
+            for a, j in enumerate(others):
+                for k in others[a + 1:]:
+                    v = min(1.0, math.sqrt(abs(pair[i, j] * pair[i, k] / pair[j, k])))
+                    vals.append(v)
+                    if abs(pair[j, k]) >= 1e-6:
+                        kept.append(v)
+            floored.append(np.mean(kept))
+            every.append(np.mean(vals))
+        assert d.max_mean_triplet == pytest.approx(max(floored), abs=1e-15)
+        assert d.max_mean_triplet < max(every) - 0.01
 
 
 class TestSymmetry:

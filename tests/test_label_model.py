@@ -14,7 +14,6 @@ from labelmoments import (
 from labelmoments.label_model import (
     LabelModel,
     classification_scores,
-    config_dist_from_model,
     cross_entropy,
     empirical_config_dist,
     f1_score,
@@ -130,7 +129,7 @@ class TestInferenceBiasExample:
         diag = diagnostics(model)
         fitted = LabelModel.from_accuracies(
             diag.accuracies, 0.5, mode="empirical",
-            config_dist=config_dist_from_model(model),
+            config_dist=model.lambda_marginal(),
         )
         lp_pos, lp_neg = fitted.log_posterior_table()
         blocks = model.joint.reshape(2, -1)

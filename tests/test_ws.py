@@ -16,6 +16,7 @@ from labelmoments.ws import (
     implied_source_conditionals,
     ingest_csv,
     ingest_review_directory,
+    random_split,
     run_case_study,
     synthetic_keyword_corpus,
     tokenize,
@@ -131,12 +132,33 @@ class TestCorpusIO:
         '{"text": "no id"}',
         '["b", "text"]',
         '{"id": "b", "text": "x", "label": 2}',
+        '{"id": "b", "text": null}',
     ])
     def test_jsonl_bad_line_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "a", "text": "fine"}\n\n' + line + "\n")
         with pytest.raises(ContractError, match=r"docs\.jsonl, line 3"):
             Corpus.from_jsonl(path)
+
+    @pytest.mark.parametrize("manifest", ['{"train": ["a"]', '["a"]', '{"train": "a"}'])
+    def test_bad_split_manifest_names_file(self, tmp_path, manifest):
+        docs, split = tmp_path / "docs.jsonl", tmp_path / "split.json"
+        docs.write_text('{"id": "a", "text": "fine"}\n')
+        split.write_text(manifest)
+        with pytest.raises(ContractError, match=r"split\.json"):
+            Corpus.from_jsonl(docs, split)
+
+    def test_random_split(self):
+        docs = [Document(str(i), "x") for i in range(10)]
+        split = random_split(docs, 0.3, 5)
+        order = np.random.default_rng(5).permutation(10)
+        assert sorted(k for k, v in split.items() if v == "test") == sorted(
+            str(i) for i in order[:3]
+        )
+        assert random_split(docs, 0.0, 5) == {str(i): "train" for i in range(10)}
+        for fraction in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ContractError, match="test fraction"):
+                random_split(docs, fraction, 5)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractError):
