@@ -23,7 +23,6 @@ Bound evaluators drop the o(1/n) remainder terms; reports record that.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +40,7 @@ from .ising import (
 )
 from .estimators import SampleMoments, estimate_triplet_from_moments
 from .label_model import ACCURACY_CLAMP, LabelModel
+from .manifest import write_json
 from .states import sign_rows
 
 
@@ -71,7 +71,7 @@ class DecompositionReport:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_json(path, self.to_dict())
 
 
 def _source_conditionals(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:

@@ -2,23 +2,36 @@
 decomposition, bound evaluation, the synthetic experiment suites, and the
 keyword weak-supervision pipeline.
 
-Every run writes a manifest (config, seed, version, input/output hashes)
-next to its outputs; all randomness flows from --seed.  Exit codes: 0 on
-success, 1 on domain errors (the error class name is printed), 2 on usage
-errors.
+All randomness flows from --seed.  Exit codes: 0 on success, 1 on domain
+errors (the error class name is printed), 2 on usage errors.
+
+Every command runs under one decorator, ``_recorded``, which writes the run's
+manifest (subcommand, config and its hash, seed, version, input and output
+hashes, wall-clock seconds):
+
+- it is written only when the command succeeds, to ``manifest.json`` inside
+  ``--out`` for the directory commands (curves, dvr, combine, ws run) and
+  next to the first output otherwise (``model.json`` -> ``model.manifest.json``);
+- the config is every option except ``--seed``, keyed by its long name
+  (``--n-labeled`` -> ``n_labeled``), unless the command resolves a config
+  object (curves, dvr, combine, ws run), which is recorded instead;
+- the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
+- inputs are the given existing-path options that name a file (not a
+  directory), hashed before the command runs; outputs are the files the
+  command wrote.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
+import time
 from pathlib import Path
 
 import click
 
 from . import __version__, analysis, experiments, ws
-from .data import SourceMatrix, load_source_matrix
+from .data import load_source_matrix
 from .errors import LabelMomentsError
 from .estimators import (
     AccuracyEstimate,
@@ -29,37 +42,63 @@ from .estimators import (
     estimate_triplet,
 )
 from .ising import IsingModel, calibrate, diagnostics, sample
-from .label_model import (
-    LabelModel,
-    cross_entropy,
-    empirical_config_dist,
-    f1_score,
-    posterior,
-)
-from .manifest import RunManifest
+from .label_model import LabelModel, empirical_config_dist, posterior
+from .manifest import hash_files, read_json, write_json, write_manifest
 
 DEFAULT_SEED = 0
 
 
-def _fail_on_domain_errors(fn):
+def _option_key(param: click.Parameter) -> str:
+    """The config key of an option: its long name, ``--n-labeled`` -> ``n_labeled``."""
+    return max(param.opts, key=len).lstrip("-").replace("-", "_")
+
+
+def _subcommand(ctx: click.Context) -> str:
+    """``ws-ingest`` for ``labelmoments ws ingest``."""
+    names = []
+    while ctx.parent is not None:
+        names.insert(0, ctx.info_name)
+        ctx = ctx.parent
+    return "-".join(names)
+
+
+def _recorded(fn):
+    """Run a command body under its run record; a domain error exits 1.
+
+    The body returns the paths it wrote, or ``(paths, config, seed)`` when
+    its recorded config is a resolved config object.
+    """
+
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(**kwargs):
+        started = time.monotonic()
+        ctx = click.get_current_context()
+        params = ctx.command.params
+        config = {_option_key(p): kwargs[p.name] for p in params if p.name != "seed"}
+        seed = kwargs.get("seed", DEFAULT_SEED)
+        inputs = hash_files(
+            kwargs[p.name] for p in params
+            if isinstance(p.type, click.Path) and p.type.exists
+            and kwargs[p.name] is not None and Path(kwargs[p.name]).is_file()
+        )
         try:
-            return fn(*args, **kwargs)
+            result = fn(**kwargs)
         except LabelMomentsError as exc:
             click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
             sys.exit(1)
+        outputs, config, seed = result if isinstance(result, tuple) else (result, config, seed)
+        if "out_dir" in kwargs:
+            path = Path(kwargs["out_dir"]) / "manifest.json"
+        else:
+            path = Path(outputs[0]).with_suffix(".manifest.json")
+        write_manifest(path, _subcommand(ctx), config, seed, __version__, inputs, outputs, started)
 
     return wrapper
 
 
-def _manifest(subcommand: str, config: dict, seed: int) -> RunManifest:
-    return RunManifest(subcommand, config, seed, __version__)
-
-
 def _write_report(doc: dict, out: Path, fmt: str) -> None:
     if fmt == "json":
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True, default=float))
+        write_json(out, doc)
     else:
         lines = ["key,value"]
         flat = _flatten(doc)
@@ -105,13 +144,6 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
     return _parse_tokens(text, _parse_edge, "an i-j pair")
 
 
-def _load_estimate(path: str):
-    doc = json.loads(Path(path).read_text())
-    if "mu" in doc:
-        return ClassConditionalEstimate.from_dict(doc)
-    return AccuracyEstimate.from_dict(doc)
-
-
 def _fit(data, method, agg, balance, seed, known_edges=()):
     """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets."""
     if method == "labeled":
@@ -147,19 +179,13 @@ def main():
 @click.option("--edge-gap", default=0.1, show_default=True, help="Misspecification gap target per edge.")
 @click.option("--balance", default=0.5, show_default=True, help="Class balance Pr(Y=1).")
 @click.option("--out", "-o", required=True, type=click.Path(), help="Output model JSON path.")
-@_fail_on_domain_errors
+@_recorded
 def calibrate_cmd(accuracies, edges, edge_gap, balance, out):
     """Calibrate a ground-truth model to accuracy and dependence targets."""
-    config = {
-        "accuracies": accuracies, "edges": edges,
-        "edge_gap": edge_gap, "balance": balance, "out": out,
-    }
-    man = _manifest("calibrate", config, DEFAULT_SEED)
     model = calibrate(_parse_floats(accuracies), _parse_edges(edges), edge_gap, balance)
     model.to_json(out)
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
+    return [out]
 
 
 @main.command("sample")
@@ -168,20 +194,16 @@ def calibrate_cmd(accuracies, edges, edge_gap, balance, out):
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--binary", is_flag=True, help="Write the compact binary format instead of CSV.")
 @click.option("--out", "-o", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def sample_cmd(model_path, n, seed, binary, out):
     """Draw labeled rows from a model's exact joint distribution."""
-    config = {"model": model_path, "n": n, "binary": binary, "out": out}
-    man = _manifest("sample", config, seed)
-    man.add_input(model_path)
     data = sample(IsingModel.from_json(model_path), n, seed)
     if binary:
         data.to_binary(out)
     else:
         data.to_csv(out)
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} ({data.n} rows x {data.m} sources)")
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +221,18 @@ def sample_cmd(model_path, n, seed, binary, out):
               help="Labeled CSV; applies the shrinkage combination to the unlabeled fit.")
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--out", "-o", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, out):
     """Estimate source accuracies (or class conditionals) from data."""
-    config = {
-        "data": data_path, "method": method, "agg": agg, "balance": balance,
-        "known_edges": known_edges, "combine_with": combine_with, "out": out,
-    }
-    man = _manifest("fit", config, seed)
-    man.add_input(data_path)
     data = load_source_matrix(data_path)
     est = _fit(data, method, agg, balance, seed, _parse_edges(known_edges))
     if combine_with is not None:
         if not isinstance(est, AccuracyEstimate):
             raise LabelMomentsError("combination applies to accuracy estimates only")
-        man.add_input(combine_with)
         est = combine_green_strawderman(est, load_source_matrix(combine_with))
     est.to_json(out)
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
+    return [out]
 
 
 @main.command("infer")
@@ -228,27 +242,21 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
 @click.option("--mode", type=click.Choice(["normalized", "empirical"]), default="normalized", show_default=True)
 @click.option("--laplace", default=None, type=float, help="Pseudocount for the configuration distribution (empirical mode).")
 @click.option("--out", "-o", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def infer_cmd(data_path, estimate_path, balance, mode, laplace, out):
     """Produce soft labels (row_id, p_y1, soft_label) for a source matrix."""
-    config = {
-        "data": data_path, "estimate": estimate_path, "balance": balance,
-        "mode": mode, "laplace": laplace, "out": out,
-    }
-    man = _manifest("infer", config, DEFAULT_SEED)
-    man.add_input(data_path)
-    man.add_input(estimate_path)
     data = load_source_matrix(data_path)
-    model = _build_label_model(
-        _load_estimate(estimate_path), balance, mode, data.without_labels(), laplace
+    est = read_json(
+        estimate_path,
+        lambda doc: (ClassConditionalEstimate if "mu" in doc else AccuracyEstimate).from_dict(doc),
     )
+    model = _build_label_model(est, balance, mode, data.without_labels(), laplace)
     probs = posterior(model, data)
     lines = ["row_id,p_y1,soft_label"]
     lines += [f"{i},{p!r},{2 * p - 1!r}" for i, p in enumerate(map(float, probs))]
     Path(out).write_text("\n".join(lines) + "\n")
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -269,31 +277,23 @@ DEMO_ACCURACIES = "0.7,0.65,0.6,0.75"
 @click.option("--demo", is_flag=True, help="Run on a built-in small model and sample.")
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--out", "-o", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, seed, out):
     """Exact four-term decomposition of a fitted model's expected loss."""
-    config = {
-        "model": model_path, "data": data_path, "method": method, "agg": agg,
-        "laplace": laplace, "balance": balance, "demo": demo, "out": out,
-    }
-    man = _manifest("decompose", config, seed)
     if demo:
         model = calibrate(_parse_floats(DEMO_ACCURACIES), [(0, 1)], 0.08, balance)
         data = sample(model, 800, seed)
     else:
         if model_path is None or data_path is None:
             raise click.UsageError("either --demo or both --model and --data are required")
-        man.add_input(model_path)
-        man.add_input(data_path)
         model = IsingModel.from_json(model_path)
         data = load_source_matrix(data_path)
     est = _fit(data, method, agg, balance, seed)
     fitted = _build_label_model(est, balance, "empirical", data.without_labels(), laplace)
     report = analysis.decompose(model, fitted)
     report.to_json(out)
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} (residual {report.residual:.3e})")
+    return [out]
 
 
 @main.command("bounds")
@@ -305,15 +305,9 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", "-o", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def bounds_cmd(model_path, n_labeled, n_unlabeled, rho_trials, seed, fmt, out):
     """Evaluate the excess-error bounds for a ground-truth model."""
-    config = {
-        "model": model_path, "n_labeled": n_labeled, "n_unlabeled": n_unlabeled,
-        "rho_trials": rho_trials, "format": fmt, "out": out,
-    }
-    man = _manifest("bounds", config, seed)
-    man.add_input(model_path)
     model = IsingModel.from_json(model_path)
     diag = diagnostics(model)
     rho = None
@@ -323,9 +317,8 @@ def bounds_cmd(model_path, n_labeled, n_unlabeled, rho_trials, seed, fmt, out):
         rho = analysis.median_mse(model, n_unlabeled, rho_trials, seed, diag).rho
     doc = analysis.bound_report(diag, n_labeled, n_unlabeled, rho=rho)
     _write_report(doc, Path(out), fmt)
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out}")
+    return [out]
 
 
 # ---------------------------------------------------------------------------
@@ -363,35 +356,31 @@ def _suite_options(fn):
 
 @main.command("curves")
 @_suite_options
-@_fail_on_domain_errors
+@_recorded
 def curves_cmd(config_path, d, trials, seed, n_grid, out_dir):
     """Mean excess generalization error per (estimator, n); writes curves.csv."""
     cfg = _experiment_config(config_path, d, trials, seed, n_grid)
-    man = _manifest("curves", cfg.to_dict(), cfg.seed)
     results = experiments.run_curves(cfg, out_dir)
-    man.add_output(Path(out_dir) / "curves.csv")
-    man.finish(Path(out_dir) / "manifest.json")
     for r in results:
         click.echo(f"{r.estimator} n={r.n}: {r.mean:.6f} +- {r.stderr:.6f}")
+    return [Path(out_dir) / "curves.csv"], cfg.to_dict(), cfg.seed
 
 
 @main.command("dvr")
 @_suite_options
 @click.option("--estimators", default=None, help="Comma-separated unlabeled estimators.")
-@_fail_on_domain_errors
+@_recorded
 def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
     """Data value ratio V(n) per unlabeled estimator; writes dvr.csv."""
     cfg = _experiment_config(config_path, d, trials, seed, n_grid)
-    man = _manifest("dvr", cfg.to_dict(), cfg.seed)
     names = estimators.split(",") if estimators else None
     results = experiments.run_dvr(cfg, out_dir, names)
-    man.add_output(Path(out_dir) / "dvr.csv")
-    man.finish(Path(out_dir) / "manifest.json")
     for r in results:
         click.echo(
             f"{r.estimator} n={r.n_unlabeled}: V={r.value_ratio:.3f} "
             f"(matched n_labeled={r.matched_n_labeled})"
         )
+    return [Path(out_dir) / "dvr.csv"], cfg.to_dict(), cfg.seed
 
 
 @main.command("combine")
@@ -399,22 +388,20 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
 @click.option("--n-unlabeled", default=1000, show_default=True, type=int)
 @click.option("--n-labeled-grid", default="25,50,100,200,400,800", show_default=True)
 @click.option("--estimator", default="triplet-mean", show_default=True)
-@_fail_on_domain_errors
+@_recorded
 def combine_cmd(config_path, d, trials, seed, n_grid, out_dir, n_unlabeled, n_labeled_grid, estimator):
     """Combined labeled+unlabeled sweep at fixed n_unlabeled; writes combined.csv."""
     cfg = _experiment_config(config_path, d, trials, seed, n_grid)
-    man = _manifest("combine", cfg.to_dict(), cfg.seed)
     rows = experiments.run_combined(
         cfg, out_dir, n_unlabeled, _parse_ints(n_labeled_grid), estimator
     )
-    man.add_output(Path(out_dir) / "combined.csv")
-    man.finish(Path(out_dir) / "manifest.json")
     for r in rows:
         click.echo(
             f"n_labeled={r.n_labeled}: labeled={r.excess_labeled:.5f} "
             f"unlabeled={r.excess_unlabeled:.5f} best={r.excess_best:.5f} "
             f"(alpha={r.best_alpha:.2f})"
         )
+    return [Path(out_dir) / "combined.csv"], cfg.to_dict(), cfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +422,9 @@ def ws_group():
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--docs-out", required=True, type=click.Path())
 @click.option("--split-out", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
     """Convert a corpus layout into JSONL documents plus a split manifest."""
-    config = {
-        "input": input_path, "format": fmt, "test_fraction": test_fraction,
-        "docs_out": docs_out, "split_out": split_out,
-    }
-    man = _manifest("ws-ingest", config, seed)
     if fmt == "review-dir":
         corpus = ws.ingest_review_directory(input_path)
     elif fmt == "csv":
@@ -451,10 +433,8 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
         docs = ws.Corpus.from_jsonl(input_path).documents
         corpus = ws.Corpus(docs, ws.random_split(docs, test_fraction, seed))
     corpus.to_jsonl(docs_out, split_out)
-    man.add_output(docs_out)
-    man.add_output(split_out)
-    man.finish(Path(docs_out).with_suffix(".manifest.json"))
     click.echo(f"wrote {docs_out} ({len(corpus.documents)} documents) and {split_out}")
+    return [docs_out, split_out]
 
 
 @ws_group.command("apply")
@@ -462,19 +442,15 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
 @click.option("--split", "split_path", default=None, type=click.Path(exists=True))
 @click.option("--subset", type=click.Choice(["all", "train", "test"]), default="all", show_default=True)
 @click.option("--out", "-o", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def ws_apply_cmd(docs_path, split_path, subset, out):
     """Apply the keyword sources to a corpus; writes a source-matrix CSV."""
-    config = {"corpus": docs_path, "split": split_path, "subset": subset, "out": out}
-    man = _manifest("ws-apply", config, DEFAULT_SEED)
-    man.add_input(docs_path)
     corpus = ws.Corpus.from_jsonl(docs_path, split_path)
     docs = list(corpus.documents) if subset == "all" else corpus.subset(subset)
     matrix = ws.apply_sources(docs)
     matrix.to_csv(out)
-    man.add_output(out)
-    man.finish(Path(out).with_suffix(".manifest.json"))
     click.echo(f"wrote {out} ({matrix.n} rows x {matrix.m} sources)")
+    return [out]
 
 
 @ws_group.command("run")
@@ -487,7 +463,7 @@ def ws_apply_cmd(docs_path, split_path, subset, out):
 @click.option("--balance", default=0.5, show_default=True)
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option("--out", "-o", "out_dir", required=True, type=click.Path())
-@_fail_on_domain_errors
+@_recorded
 def ws_run_cmd(docs_path, split_path, n_grid, n_unlabeled, n_labeled_grid, trials, balance, seed, out_dir):
     """Run the full case study; writes metrics.csv in the output directory."""
     cfg = ws.CaseStudyConfig(
@@ -498,21 +474,17 @@ def ws_run_cmd(docs_path, split_path, n_grid, n_unlabeled, n_labeled_grid, trial
         seed=seed,
         class_balance=balance,
     )
-    man = _manifest("ws-run", {"corpus": docs_path, "split": split_path, **cfg.to_dict()}, seed)
-    man.add_input(docs_path)
-    man.add_input(split_path)
     corpus = ws.Corpus.from_jsonl(docs_path, split_path)
     rows = ws.run_case_study(corpus, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ws.write_metrics_csv(rows, out / "metrics.csv")
-    man.add_output(out / "metrics.csv")
-    man.finish(out / "manifest.json")
     for row in rows:
         click.echo(
             f"{row['model']} n={row['n']} n_labeled={row['n_labeled']}: "
             f"loss={row['loss']:.4f} f1={row['f1']:.4f}"
         )
+    return [out / "metrics.csv"], {"corpus": docs_path, "split": split_path, **cfg.to_dict()}, seed
 
 
 if __name__ == "__main__":

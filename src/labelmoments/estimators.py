@@ -19,7 +19,6 @@ labeled estimator's covariance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -29,6 +28,7 @@ import numpy as np
 
 from .data import SourceMatrix
 from .errors import ContractError, EstimationError, NumericalError
+from .manifest import write_json
 from .states import sign_rows
 
 DEGENERATE_FLOOR = 1e-6  # |M_jk| below this makes a triplet denominator unusable
@@ -146,7 +146,7 @@ class AccuracyEstimate:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AccuracyEstimate":
@@ -182,12 +182,6 @@ def estimate_labeled(data: SourceMatrix) -> AccuracyEstimate:
         raise ContractError("at least one row required")
     acc = (data.values.astype(np.float64) * labels[:, None]).mean(axis=0)
     return AccuracyEstimate(acc, method="labeled")
-
-
-def labeled_from_moments(moments: SampleMoments) -> AccuracyEstimate:
-    if moments.acc is None:
-        raise ContractError("moments carry no label statistics")
-    return AccuracyEstimate(moments.acc, method="labeled")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,7 @@ def _aggregate(
     elif aggregation == "median":
         est = _lower_median(vals, valid)
     elif aggregation == "single":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         est = np.empty(len(vals))
         for i in range(len(vals)):
             est[i] = vals[i, rng.choice(np.flatnonzero(valid[i]))]
@@ -371,8 +365,8 @@ def combine_green_strawderman(
         r = float(m - 2)
     if not 0.0 <= r <= 2.0 * (m - 2):
         raise ContractError(f"r must lie in [0, {2 * (m - 2)}]")
-    a_labeled = labeled_from_moments(moments)
-    sigma = moments.shrinkage_covariance()
+    sigma = moments.shrinkage_covariance()  # ContractError when the moments carry no labels
+    a_labeled = AccuracyEstimate(moments.acc, method="labeled")
     alpha = green_strawderman_alpha(a_labeled.values - a_unlabeled.values, sigma, r)
     out = combine_linear(a_unlabeled, a_labeled, alpha)
     return AccuracyEstimate(
@@ -425,7 +419,17 @@ class ClassConditionalEstimate:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_json(path, self.to_dict())
+
+    @classmethod
+    def from_conditionals(
+        cls, cond_pos: np.ndarray, cond_neg: np.ndarray, class_balance: float, metadata: dict
+    ) -> "ClassConditionalEstimate":
+        """From per-source Pr(s_i = 1 | Y = 1) and Pr(s_i = 1 | Y = -1)."""
+        mu = np.empty((len(cond_pos), 2, 2))
+        mu[:, 0, 0], mu[:, 1, 0] = cond_pos, 1.0 - cond_pos
+        mu[:, 0, 1], mu[:, 1, 1] = cond_neg, 1.0 - cond_neg
+        return cls(mu, class_balance, metadata)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassConditionalEstimate":
@@ -536,16 +540,13 @@ def estimate_quadratic_triplet_from_moments(
 
     alpha = np.clip(alpha, 0.0, 1.0)
     alpha_neg = np.clip((pos - p * alpha) / (1.0 - p), 0.0, 1.0)
-    mu = np.empty((m, 2, 2))
-    mu[:, 0, 0], mu[:, 1, 0] = alpha, 1.0 - alpha
-    mu[:, 0, 1], mu[:, 1, 1] = alpha_neg, 1.0 - alpha_neg
     meta = {
         "aggregation": aggregation,
         "skipped": [int(npairs - cnt) for cnt in counts],
         "census_size": int(npairs),
         "tiebreaks": int(tiebreaks),
     }
-    return ClassConditionalEstimate(mu, class_balance, meta)
+    return ClassConditionalEstimate.from_conditionals(alpha, alpha_neg, class_balance, meta)
 
 
 def estimate_quadratic_triplet(

@@ -24,9 +24,8 @@ reproducible and independent of execution order.
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .estimators import (
     green_strawderman_alpha,
 )
 from .ising import IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_state_counts
-from .manifest import config_hash
+from .manifest import read_json
 
 # Default synthetic roster: ten sources with accuracies drawn once, uniformly
 # from [.55, .75]; dependencies pair sources in index order with a fixed
@@ -88,6 +87,8 @@ class SyntheticModelSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticModelSpec":
+        if not isinstance(doc, dict):
+            raise TypeError(f"the model spec must be an object, got {type(doc).__name__}")
         return cls(
             tuple(doc.get("accuracies", DEFAULT_ACCURACIES)),
             int(doc.get("d", 0)),
@@ -132,10 +133,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def hash(self) -> str:
-        return config_hash(self.to_dict())
+        return read_json(path, cls.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -587,24 +585,7 @@ def run_combined(
     out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "combined.csv",
-        [
-            "n_labeled", "n_unlabeled",
-            "excess_labeled", "stderr_labeled",
-            "excess_unlabeled", "stderr_unlabeled",
-            "best_alpha", "excess_best", "stderr_best",
-            "gs_alpha_mean", "excess_gs", "stderr_gs",
-            "trials", "failures",
-        ],
-        [
-            [
-                r.n_labeled, r.n_unlabeled,
-                r.excess_labeled, r.stderr_labeled,
-                r.excess_unlabeled, r.stderr_unlabeled,
-                r.best_alpha, r.excess_best, r.stderr_best,
-                r.gs_alpha_mean, r.excess_gs, r.stderr_gs,
-                r.trials, r.failures,
-            ]
-            for r in rows
-        ],
+        [f.name for f in fields(CombinedSweepRow)],
+        [astuple(r) for r in rows],
     )
     return rows

@@ -21,7 +21,6 @@ the test suite through brute-force enumeration:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +30,7 @@ import numpy as np
 from .data import SourceMatrix
 from .errors import CalibrationError, ContractError
 from .estimators import triplet_census
+from .manifest import read_json, write_json
 from .states import sign_rows, values_from_config
 
 Edge = tuple[int, int, float]
@@ -135,7 +135,7 @@ class IsingModel:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IsingModel":
@@ -144,7 +144,7 @@ class IsingModel:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "IsingModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return read_json(path, cls.from_dict)
 
 
 @dataclass(frozen=True)
@@ -436,7 +436,7 @@ def sample(model: IsingModel, n: int, seed) -> SourceMatrix:
     """n i.i.d. labeled draws via inverse CDF over the cached table."""
     if n < 1:
         raise ContractError("sample size must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cdf = np.cumsum(model.joint)
     cdf[-1] = 1.0
     idx = np.searchsorted(cdf, rng.random(n), side="right")
@@ -453,5 +453,5 @@ def sample_state_counts(model: IsingModel, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ContractError("sample size must be at least 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return rng.multinomial(n, model.joint).astype(np.float64)

@@ -190,11 +190,6 @@ def posterior(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:
     return np.exp(lp_pos)
 
 
-def soft_labels(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:
-    """2 q(Y=1|row) - 1, in [-1, 1] for normalized mode."""
-    return 2.0 * posterior(model, rows) - 1.0
-
-
 def cross_entropy(
     model: LabelModel, data: SourceMatrix, floor: float = LOSS_FLOOR
 ) -> float:

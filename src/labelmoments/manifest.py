@@ -1,12 +1,13 @@
-"""Run manifests and canonical config hashing."""
+"""Run manifests, canonical config hashing, and the package's JSON file I/O."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+
+from .errors import ContractError
 
 
 def canonical_json(obj) -> str:
@@ -26,36 +27,57 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI run; enough to reproduce it exactly."""
+def hash_files(paths) -> dict:
+    """path -> SHA-256 of its bytes, keyed by ``str(path)``."""
+    return {str(p): file_sha256(p) for p in paths}
 
-    subcommand: str
-    config: dict
-    seed: int
-    version: str
-    input_hashes: dict = field(default_factory=dict)
-    output_hashes: dict = field(default_factory=dict)
-    wall_clock_s: float = 0.0
-    _t0: float = field(default_factory=time.monotonic, repr=False)
 
-    def add_input(self, path: str | Path) -> None:
-        self.input_hashes[str(path)] = file_sha256(path)
+def write_json(path: str | Path, doc) -> None:
+    """Every JSON document the package writes: two-space indent, sorted keys."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, default=float))
 
-    def add_output(self, path: str | Path) -> None:
-        self.output_hashes[str(path)] = file_sha256(path)
 
-    def finish(self, path: str | Path) -> None:
-        self.wall_clock_s = time.monotonic() - self._t0
-        doc = {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "config_hash": config_hash(self.config),
-            "seed": self.seed,
-            "version": self.version,
-            "input_hashes": self.input_hashes,
-            "output_hashes": self.output_hashes,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+def read_json(path: str | Path, build):
+    """``build(doc)`` for the JSON object stored at ``path``.
 
+    A file that is not JSON, a document that is not an object, and a
+    ``build`` that fails with ``KeyError``, ``TypeError`` or ``ValueError``
+    all raise ``ContractError`` naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ContractError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: not a JSON object")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
+def write_manifest(
+    path: str | Path,
+    subcommand: str,
+    config: dict,
+    seed: int,
+    version: str,
+    input_hashes: dict,
+    outputs,
+    started: float,
+) -> None:
+    """Record of one CLI run, enough to reproduce it exactly.
+
+    ``outputs`` are hashed here; ``started`` is the ``time.monotonic()`` at
+    which the run began.
+    """
+    write_json(path, {
+        "subcommand": subcommand,
+        "config": config,
+        "config_hash": config_hash(config),
+        "seed": seed,
+        "version": version,
+        "input_hashes": input_hashes,
+        "output_hashes": hash_files(outputs),
+        "wall_clock_s": time.monotonic() - started,
+    })

@@ -36,6 +36,7 @@ from .estimators import (
 )
 from .experiments import trial_rng, write_csv
 from .label_model import LabelModel, cross_entropy, f1_score
+from .manifest import read_json
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -138,19 +139,15 @@ class Corpus:
         return cls(tuple(docs), split)
 
 
+def _split_from_dict(doc: dict) -> dict:
+    if not all(isinstance(ids, list) for ids in doc.values()):
+        raise TypeError("a split manifest maps each split name to a list of document ids")
+    return {str(i): name for name, ids in doc.items() for i in ids}
+
+
 def _read_split(path: str | Path) -> dict:
     """doc_id -> split name from a {"train": [...], "test": [...]} manifest."""
-    try:
-        manifest = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ContractError(f"{path}: not a JSON split manifest ({exc})") from exc
-    if not isinstance(manifest, dict) or not all(
-        isinstance(ids, list) for ids in manifest.values()
-    ):
-        raise ContractError(
-            f"{path}: a split manifest maps each split name to a list of document ids"
-        )
-    return {str(i): name for name, ids in manifest.items() for i in ids}
+    return read_json(path, _split_from_dict)
 
 
 def random_split(docs, test_fraction: float, seed: int) -> dict:
@@ -223,21 +220,28 @@ def ingest_review_directory(root: str | Path) -> Corpus:
     return Corpus(tuple(docs), split)
 
 
+_CSV_LABELS = {-1: -1, 0: -1, 1: 1}
+
+
 def ingest_csv(
     path: str | Path, test_fraction: float = 0.2, seed: int = 0
 ) -> Corpus:
-    """CSV with 'text' and 'label' columns; labels in {-1,1} or {0,1}."""
+    """CSV with 'text' and 'label' columns; labels -1, 0 or 1, with 0 read as -1."""
     import csv as _csv
 
     docs = []
     with open(path, newline="") as fh:
         for row_id, rec in enumerate(_csv.DictReader(fh)):
             if "text" not in rec:
-                raise ContractError("csv ingestion needs a 'text' column")
+                raise ContractError(f"{path}: csv ingestion needs a 'text' column")
             label = rec.get("label")
             if label is not None:
-                label = int(label)
-                label = -1 if label in (0, -1) else 1
+                try:
+                    label = _CSV_LABELS[int(label)]
+                except (ValueError, KeyError):
+                    raise ContractError(
+                        f"{path}, row {row_id + 1}: label must be -1, 0 or 1, got {label!r}"
+                    ) from None
             docs.append(Document(str(rec.get("id", row_id)), rec["text"], label))
     return Corpus(tuple(docs), random_split(docs, test_fraction, seed))
 
@@ -332,11 +336,8 @@ def estimate_labeled_class_conditional(
     cond_neg = (
         votes[neg_rows].mean(axis=0) if n_neg else np.full(data.m, 0.5)
     )
-    mu = np.empty((data.m, 2, 2))
-    mu[:, 0, 0], mu[:, 1, 0] = cond_pos, 1.0 - cond_pos
-    mu[:, 0, 1], mu[:, 1, 1] = cond_neg, 1.0 - cond_neg
-    return ClassConditionalEstimate(
-        mu, class_balance, {"method": "labeled-class-conditional"}
+    return ClassConditionalEstimate.from_conditionals(
+        cond_pos, cond_neg, class_balance, {"method": "labeled-class-conditional"}
     )
 
 
@@ -365,6 +366,20 @@ def _combine_class_conditional(
         ),
         alpha,
     )
+
+
+def _metric_row(model: str, n, n_labeled, losses, f1s, alpha) -> dict:
+    """One metrics row: mean and sample standard deviation over the trials."""
+
+    def sd(xs) -> float:
+        return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
+
+    return {
+        "model": model, "n": n, "n_labeled": n_labeled,
+        "loss": float(np.mean(losses)), "loss_sd": sd(losses),
+        "f1": float(np.mean(f1s)), "f1_sd": sd(f1s),
+        "alpha": alpha,
+    }
 
 
 def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> list[dict]:
@@ -414,18 +429,7 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
                 loss, f1 = score(fitter(subsample(rng, n), rng))
                 losses.append(loss)
                 f1s.append(f1)
-            rows.append(
-                {
-                    "model": name,
-                    "n": int(min(n, train.n)),
-                    "n_labeled": "",
-                    "loss": float(np.mean(losses)),
-                    "loss_sd": float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0,
-                    "f1": float(np.mean(f1s)),
-                    "f1_sd": float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
-                    "alpha": "",
-                }
-            )
+            rows.append(_metric_row(name, int(min(n, train.n)), "", losses, f1s, ""))
 
     m = train.m
     r = float(m - 2)
@@ -448,20 +452,11 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
                 loss, f1 = score(est)
                 stats[key][0].append(loss)
                 stats[key][1].append(f1)
-        for key in ("labeled-small", "combined"):
-            losses, f1s = stats[key]
-            rows.append(
-                {
-                    "model": key,
-                    "n": int(config.n_unlabeled) if key == "combined" else "",
-                    "n_labeled": int(n_l),
-                    "loss": float(np.mean(losses)),
-                    "loss_sd": float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0,
-                    "f1": float(np.mean(f1s)),
-                    "f1_sd": float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
-                    "alpha": float(np.mean(alphas)) if key == "combined" else "",
-                }
-            )
+        rows.append(_metric_row("labeled-small", "", int(n_l), *stats["labeled-small"], ""))
+        rows.append(_metric_row(
+            "combined", int(config.n_unlabeled), int(n_l), *stats["combined"],
+            float(np.mean(alphas)),
+        ))
     return rows
 
 

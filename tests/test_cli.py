@@ -188,3 +188,200 @@ def test_fit_then_decompose(tmp_path, method):
     ])
     assert result.exit_code == 0, result.output
     assert json.loads(report.read_text())["residual"] < 1e-9
+
+
+def _ok(*args):
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 0, result.output
+    return result
+
+
+@pytest.fixture
+def model_and_data(tmp_path):
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    _ok("calibrate", "--accuracies", "0.7,0.65,0.6,0.75", "--edges", "0-1", "-o", model)
+    _ok("sample", "--model", model, "-n", "400", "--seed", "2", "-o", data)
+    return model, data
+
+
+MALFORMED = {
+    "truncated": '{"theta": [0.5, 0.5, 0.5]',
+    "array": "[1, 2]",
+    # an experiment config has no required key, so its bad object has a wrongly typed field
+    "bad-object": {"bounds": '{"foo": 1}', "infer": '{"foo": 1}', "curves": '{"model": [1]}'},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["bounds", "curves", "infer"])
+def test_malformed_json_input_fails_typed(tmp_path, model_and_data, command, case):
+    text = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text[command] if isinstance(text, dict) else text)
+    out = tmp_path / "out"
+    args = {
+        "bounds": ["bounds", "--model", bad, "-o", out],
+        "curves": ["curves", "--config", bad, "-o", out],
+        "infer": ["infer", "--data", model_and_data[1], "--estimate", bad, "-o", out],
+    }[command]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error (ContractError): {bad}: " in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("est_method", ["triplet", "quadratic"])
+def test_infer_writes_soft_labels(tmp_path, model_and_data, est_method):
+    _, data = model_and_data
+    est, out = tmp_path / "est.json", tmp_path / "soft.csv"
+    _ok("fit", "--data", data, "--method", est_method, "-o", est)
+    _ok("infer", "--data", data, "--estimate", est, "-o", out)
+    header, *rows = out.read_text().splitlines()
+    assert header == "row_id,p_y1,soft_label"
+    assert len(rows) == 400
+    for k, row in enumerate(rows):
+        row_id, p, soft = row.split(",")
+        assert int(row_id) == k
+        assert 0.0 <= float(p) <= 1.0
+        assert float(soft) == 2 * float(p) - 1
+
+
+def test_bounds_json_and_csv(tmp_path, model_and_data):
+    model, _ = model_and_data
+    as_json, as_csv = tmp_path / "bounds.json", tmp_path / "bounds.csv"
+    common = ["bounds", "--model", model, "--n-labeled", "200", "--n-unlabeled", "2000"]
+    _ok(*common, "-o", as_json)
+    _ok(*common, "--format", "csv", "-o", as_csv)
+    doc = json.loads(as_json.read_text())
+    header, *lines = as_csv.read_text().splitlines()
+    assert header == "key,value"
+    flat = dict(line.split(",", 1) for line in lines)
+
+    def leaves(d, prefix=""):
+        for k, v in d.items():
+            if isinstance(v, dict):
+                yield from leaves(v, f"{prefix}{k}.")
+            else:
+                yield f"{prefix}{k}", v
+
+    expected = dict(leaves(doc))
+    assert set(flat) == set(expected)
+    numbers = [v for v in expected.values() if isinstance(v, float)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+@pytest.fixture
+def review_dir(tmp_path):
+    root = tmp_path / "reviews"
+    for part in ("train", "test"):
+        for sentiment in ("pos", "neg"):
+            folder = root / part / sentiment
+            folder.mkdir(parents=True)
+            for k in range(2):
+                (folder / f"{k}.txt").write_text(f"{sentiment} review {k}")
+    return root
+
+
+def test_ws_ingest_formats_and_apply(tmp_path, tiny_corpus, review_dir):
+    csv_in = tmp_path / "reviews.csv"
+    csv_in.write_text("text,label\ngood film,1\nbad film,0\ngreat,1\nworst,0\n")
+    sources = {"csv": (csv_in, 4), "jsonl": (tiny_corpus[0], 2000), "review-dir": (review_dir, 8)}
+    for fmt, (path, n_docs) in sources.items():
+        docs, split = tmp_path / f"{fmt}.jsonl", tmp_path / f"{fmt}.split.json"
+        _ok("ws", "ingest", "--input", path, "--format", fmt, "--test-fraction", "0.5",
+            "--docs-out", docs, "--split-out", split)
+        corpus = Corpus.from_jsonl(docs, split)
+        assert len(corpus.documents) == n_docs
+        assert len(corpus.train) + len(corpus.test) == n_docs
+        assert corpus.train and corpus.test
+    matrix = tmp_path / "matrix.csv"
+    _ok("ws", "apply", "--corpus", tmp_path / "jsonl.jsonl", "--split", tmp_path / "jsonl.split.json",
+        "--subset", "test", "-o", matrix)
+    header, *rows = matrix.read_text().splitlines()
+    assert len(rows) == 1000
+    assert len(header.split(",")) == len(default_roster()) + 1  # sources plus the label
+
+
+def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus, review_dir):
+    t = tmp_path
+    docs, split = tiny_corpus
+    csv_in = t / "reviews.csv"
+    csv_in.write_text("text,label\ngood film,1\nbad film,0\ngreat,1\nworst,0\n")
+    suite_keys = {"model", "estimators", "n_grid", "trials", "seed"}
+    # (arguments, manifest, config keys, seed, inputs, outputs)
+    runs = [
+        (["calibrate", "--accuracies", "0.7,0.65,0.6,0.75", "--edges", "0-1", "-o", t / "model.json"],
+         t / "model.manifest.json", {"accuracies", "edges", "edge_gap", "balance", "out"}, 0,
+         [], [t / "model.json"]),
+        (["sample", "--model", t / "model.json", "-n", "300", "--seed", "4", "-o", t / "data.csv"],
+         t / "data.manifest.json", {"model", "rows", "binary", "out"}, 4,
+         [t / "model.json"], [t / "data.csv"]),
+        (["fit", "--data", t / "data.csv", "--combine-with", t / "data.csv", "--seed", "5",
+          "-o", t / "est.json"],
+         t / "est.manifest.json",
+         {"data", "method", "agg", "balance", "known_edges", "combine_with", "out"}, 5,
+         [t / "data.csv"], [t / "est.json"]),
+        (["infer", "--data", t / "data.csv", "--estimate", t / "est.json", "-o", t / "soft.csv"],
+         t / "soft.manifest.json", {"data", "estimate", "balance", "mode", "laplace", "out"}, 0,
+         [t / "data.csv", t / "est.json"], [t / "soft.csv"]),
+        (["decompose", "--model", t / "model.json", "--data", t / "data.csv", "--seed", "6",
+          "-o", t / "dec.json"],
+         t / "dec.manifest.json",
+         {"model", "data", "method", "agg", "laplace", "balance", "demo", "out"}, 6,
+         [t / "model.json", t / "data.csv"], [t / "dec.json"]),
+        (["bounds", "--model", t / "model.json", "--n-labeled", "100", "--seed", "7",
+          "-o", t / "bounds.json"],
+         t / "bounds.manifest.json",
+         {"model", "n_labeled", "n_unlabeled", "rho_trials", "format", "out"}, 7,
+         [t / "model.json"], [t / "bounds.json"]),
+        (["curves", "--config", tiny_config, "-o", t / "curves"],
+         t / "curves" / "manifest.json", suite_keys, 3,
+         [tiny_config], [t / "curves" / "curves.csv"]),
+        (["dvr", "--config", tiny_config, "--seed", "8", "-o", t / "dvr"],
+         t / "dvr" / "manifest.json", suite_keys, 8,
+         [tiny_config], [t / "dvr" / "dvr.csv"]),
+        (["combine", "--trials", "3", "--d", "1", "--n-unlabeled", "200", "--n-labeled-grid", "40",
+          "-o", t / "combine"],
+         t / "combine" / "manifest.json", suite_keys, 0,
+         [], [t / "combine" / "combined.csv"]),
+        (["ws", "ingest", "--input", csv_in, "--format", "csv", "--seed", "9",
+          "--docs-out", t / "ing.jsonl", "--split-out", t / "ing.split.json"],
+         t / "ing.manifest.json", {"input", "format", "test_fraction", "docs_out", "split_out"}, 9,
+         [csv_in], [t / "ing.jsonl", t / "ing.split.json"]),
+        (["ws", "ingest", "--input", review_dir, "--docs-out", t / "rev.jsonl",
+          "--split-out", t / "rev.split.json"],
+         t / "rev.manifest.json", {"input", "format", "test_fraction", "docs_out", "split_out"}, 0,
+         [], [t / "rev.jsonl", t / "rev.split.json"]),
+        (["ws", "apply", "--corpus", docs, "--split", split, "-o", t / "matrix.csv"],
+         t / "matrix.manifest.json", {"corpus", "split", "subset", "out"}, 0,
+         [docs, split], [t / "matrix.csv"]),
+        (["ws", "run", "--corpus", docs, "--split", split, "--n-grid", "400",
+          "--n-unlabeled", "800", "--n-labeled-grid", "40", "--trials", "2", "--seed", "10",
+          "-o", t / "wsrun"],
+         t / "wsrun" / "manifest.json",
+         {"corpus", "split", "n_grid", "n_unlabeled", "n_labeled_grid", "trials", "seed",
+          "class_balance", "threshold"}, 10,
+         [docs, split], [t / "wsrun" / "metrics.csv"]),
+    ]
+    for args, path, keys, seed, inputs, outputs in runs:
+        _ok(*args)
+        manifest = json.loads(path.read_text())
+        command = [a for a in args[:2] if not str(a).startswith("-")]
+        assert manifest["subcommand"] == "-".join(command)
+        assert set(manifest["config"]) == keys, command
+        assert manifest["seed"] == seed, command
+        assert manifest["input_hashes"] == {str(p): file_sha256(p) for p in inputs}, command
+        assert manifest["output_hashes"] == {str(p): file_sha256(p) for p in outputs}, command
+    assert {tuple(a for a in r[0][:2] if not str(a).startswith("-")) for r in runs} == {
+        ("calibrate",), ("sample",), ("fit",), ("infer",), ("decompose",), ("bounds",),
+        ("curves",), ("dvr",), ("combine",), ("ws", "ingest"), ("ws", "apply"), ("ws", "run"),
+    }
+
+    failed = t / "failed"
+    result = CliRunner().invoke(main, [
+        "combine", "--config", str(tiny_config), "--n-labeled-grid", "0", "-o", str(failed),
+    ])
+    assert result.exit_code == 1
+    assert not (failed / "manifest.json").exists()

@@ -5,7 +5,7 @@ import pytest
 
 from labelmoments import ContractError
 from labelmoments.analysis import median_mse
-from labelmoments.estimators import SampleMoments, labeled_from_moments
+from labelmoments.estimators import AccuracyEstimate, SampleMoments
 from labelmoments.experiments import (
     DEFAULT_ACCURACIES,
     ExperimentConfig,
@@ -49,7 +49,7 @@ class TestConfig:
         cfg = ExperimentConfig(SyntheticModelSpec(d=3), trials=7, seed=5)
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
-        assert again.hash() == cfg.hash()
+        assert again.to_dict() == cfg.to_dict()
 
     def test_edge_layout(self):
         assert edge_layout(3) == ((0, 1), (2, 3), (4, 5))
@@ -71,7 +71,7 @@ class TestExpectedExcess:
         )
         rng = trial_rng(9, "excess:labeled", 400, 0)
         counts = rng.multinomial(400, synth_model_dep.joint).astype(np.float64)
-        est = labeled_from_moments(SampleMoments.from_state_counts(counts, 10))
+        est = AccuracyEstimate(SampleMoments.from_state_counts(counts, 10).acc, "labeled")
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
             config_dist=synth_model_dep.lambda_marginal(),

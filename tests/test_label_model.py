@@ -18,7 +18,6 @@ from labelmoments.label_model import (
     empirical_config_dist,
     f1_score,
     posterior,
-    soft_labels,
 )
 
 from conftest import brute_joint
@@ -217,12 +216,3 @@ class TestScores:
         scores = classification_scores(model, SourceMatrix(values, labels))
         assert scores["f1"] == 0.0
         assert scores["degenerate"]
-
-
-class TestSoftLabels:
-    def test_range_and_sign(self):
-        model = LabelModel.from_accuracies([0.8, 0.6], 0.5)
-        rows = np.array([[1, 1], [-1, -1]])
-        y = soft_labels(model, rows)
-        assert (-1 <= y).all() and (y <= 1).all()
-        assert y[0] > 0 > y[1]

@@ -188,6 +188,20 @@ class TestCorpusIO:
         assert len(corpus.test) == 1
         assert {d.label for d in corpus.documents} == {-1, 1}
 
+    @pytest.mark.parametrize("neg", ["0", "-1"])
+    def test_ingest_csv_label_encodings(self, tmp_path, neg):
+        path = tmp_path / "data.csv"
+        path.write_text(f"text,label\ngood film,1\nbad film,{neg}\nmeh, 1 \n")
+        labels = [d.label for d in ingest_csv(path).documents]
+        assert labels == [1, -1, 1]
+
+    @pytest.mark.parametrize("label", ["pos", "5", "2", "", "1.0"])
+    def test_ingest_csv_rejects_other_labels(self, tmp_path, label):
+        path = tmp_path / "data.csv"
+        path.write_text(f"text,label\ngood film,1\nbad film,{label}\n")
+        with pytest.raises(ContractError, match=r"data\.csv, row 2: label must be -1, 0 or 1"):
+            ingest_csv(path)
+
 
 class TestSyntheticOracle:
     def test_implied_conditionals_match_empirical(self):
