@@ -11,10 +11,14 @@ hashes, wall-clock seconds):
 
 - it is written only when the command succeeds, to ``manifest.json`` inside
   ``--out`` for the directory commands (curves, dvr, combine, ws run) and
-  next to the first output otherwise (``model.json`` -> ``model.manifest.json``);
+  next to the first output otherwise, named after all of it
+  (``data.csv`` -> ``data.csv.manifest.json``), so outputs that differ only
+  in extension keep separate records;
 - the config is every option except ``--seed``, keyed by its long name
   (``--n-labeled`` -> ``n_labeled``), unless the command resolves a config
-  object (curves, dvr, combine, ws run), which is recorded instead;
+  object (curves, dvr, combine, ws run), which is recorded instead, together
+  with the options the config does not hold (the estimators dvr ran;
+  combine's ``n_unlabeled``, ``n_labeled_grid`` and ``estimator``);
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
 - inputs are the given existing-path options that name a file (not a
   directory), hashed before the command runs; outputs are the files the
@@ -36,10 +40,10 @@ from .errors import LabelMomentsError
 from .estimators import (
     AccuracyEstimate,
     ClassConditionalEstimate,
+    SampleMoments,
     combine_green_strawderman,
-    estimate_labeled,
-    estimate_quadratic_triplet,
-    estimate_triplet,
+    estimate_quadratic_triplet_from_moments,
+    estimate_triplet_from_moments,
 )
 from .ising import IsingModel, calibrate, diagnostics, sample
 from .label_model import LabelModel, empirical_config_dist, posterior
@@ -90,7 +94,7 @@ def _recorded(fn):
         if "out_dir" in kwargs:
             path = Path(kwargs["out_dir"]) / "manifest.json"
         else:
-            path = Path(outputs[0]).with_suffix(".manifest.json")
+            path = Path(f"{outputs[0]}.manifest.json")
         write_manifest(path, _subcommand(ctx), config, seed, __version__, inputs, outputs, started)
 
     return wrapper
@@ -146,11 +150,13 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 def _fit(data, method, agg, balance, seed, known_edges=()):
     """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets."""
+    moments = SampleMoments.from_source_matrix(data)
     if method == "labeled":
-        return estimate_labeled(data)
+        data.require_labels()
+        return AccuracyEstimate(moments.acc, method="labeled")
     if method == "triplet":
-        return estimate_triplet(data.without_labels(), agg, seed, known_edges)
-    return estimate_quadratic_triplet(data.without_labels(), balance, agg, seed)
+        return estimate_triplet_from_moments(moments.pair, agg, seed, known_edges)
+    return estimate_quadratic_triplet_from_moments(moments, balance, agg, seed)
 
 
 def _build_label_model(est, balance, mode, data, laplace):
@@ -229,7 +235,8 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
     if combine_with is not None:
         if not isinstance(est, AccuracyEstimate):
             raise LabelMomentsError("combination applies to accuracy estimates only")
-        est = combine_green_strawderman(est, load_source_matrix(combine_with))
+        labeled = SampleMoments.from_source_matrix(load_source_matrix(combine_with))
+        est = combine_green_strawderman(est, labeled)
     est.to_json(out)
     click.echo(f"wrote {out}")
     return [out]
@@ -250,7 +257,7 @@ def infer_cmd(data_path, estimate_path, balance, mode, laplace, out):
         estimate_path,
         lambda doc: (ClassConditionalEstimate if "mu" in doc else AccuracyEstimate).from_dict(doc),
     )
-    model = _build_label_model(est, balance, mode, data.without_labels(), laplace)
+    model = _build_label_model(est, balance, mode, data, laplace)
     probs = posterior(model, data)
     lines = ["row_id,p_y1,soft_label"]
     lines += [f"{i},{p!r},{2 * p - 1!r}" for i, p in enumerate(map(float, probs))]
@@ -289,7 +296,7 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
         model = IsingModel.from_json(model_path)
         data = load_source_matrix(data_path)
     est = _fit(data, method, agg, balance, seed)
-    fitted = _build_label_model(est, balance, "empirical", data.without_labels(), laplace)
+    fitted = _build_label_model(est, balance, "empirical", data, laplace)
     report = analysis.decompose(model, fitted)
     report.to_json(out)
     click.echo(f"wrote {out} (residual {report.residual:.3e})")
@@ -380,7 +387,8 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
             f"{r.estimator} n={r.n_unlabeled}: V={r.value_ratio:.3f} "
             f"(matched n_labeled={r.matched_n_labeled})"
         )
-    return [Path(out_dir) / "dvr.csv"], cfg.to_dict(), cfg.seed
+    ran = list(dict.fromkeys(r.estimator for r in results))
+    return [Path(out_dir) / "dvr.csv"], {**cfg.to_dict(), "estimators": ran}, cfg.seed
 
 
 @main.command("combine")
@@ -392,16 +400,17 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
 def combine_cmd(config_path, d, trials, seed, n_grid, out_dir, n_unlabeled, n_labeled_grid, estimator):
     """Combined labeled+unlabeled sweep at fixed n_unlabeled; writes combined.csv."""
     cfg = _experiment_config(config_path, d, trials, seed, n_grid)
-    rows = experiments.run_combined(
-        cfg, out_dir, n_unlabeled, _parse_ints(n_labeled_grid), estimator
-    )
+    grid = _parse_ints(n_labeled_grid)
+    rows = experiments.run_combined(cfg, out_dir, n_unlabeled, grid, estimator)
     for r in rows:
         click.echo(
             f"n_labeled={r.n_labeled}: labeled={r.excess_labeled:.5f} "
             f"unlabeled={r.excess_unlabeled:.5f} best={r.excess_best:.5f} "
             f"(alpha={r.best_alpha:.2f})"
         )
-    return [Path(out_dir) / "combined.csv"], cfg.to_dict(), cfg.seed
+    record = {**cfg.to_dict(), "n_unlabeled": n_unlabeled, "n_labeled_grid": grid,
+              "estimator": estimator}
+    return [Path(out_dir) / "combined.csv"], record, cfg.seed
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError
-from .states import config_index, values_from_config
+from .states import config_index
 
 _MAGIC = b"LMSM"
 _HEADER_BYTES = 13  # magic, uint32 n, uint32 m, uint8 label flag
@@ -70,14 +70,14 @@ class SourceMatrix:
             raise ContractError("this operation requires labeled data")
         return self.labels
 
-    def without_labels(self) -> "SourceMatrix":
-        return SourceMatrix(self.values)
+    def state_index(self) -> np.ndarray:
+        """Each row's joint-state index over (sources, Y), in row order (labels required)."""
+        labels = self.require_labels()
+        return config_index(self.values) + ((labels > 0).astype(np.int64) << self.m)
 
     def state_counts(self) -> np.ndarray:
         """Counts over the 2**(m+1) joint states (labels required)."""
-        labels = self.require_labels()
-        idx = config_index(self.values) + ((labels > 0).astype(np.int64) << self.m)
-        return np.bincount(idx, minlength=1 << (self.m + 1)).astype(np.float64)
+        return np.bincount(self.state_index(), minlength=1 << (self.m + 1)).astype(np.float64)
 
     def config_counts(self) -> np.ndarray:
         """Counts over the 2**m source configurations."""
@@ -175,11 +175,3 @@ def load_source_matrix(path: str | Path) -> SourceMatrix:
         return SourceMatrix.from_binary(path)
     return SourceMatrix.from_csv(path)
 
-
-def matrix_from_state_counts(counts: np.ndarray, m: int) -> SourceMatrix:
-    """Expand joint-state counts back into explicit rows (states in index order)."""
-    counts = np.asarray(counts, dtype=np.int64)
-    idx = np.repeat(np.arange(counts.size), counts)
-    values = values_from_config(idx & ((1 << m) - 1), m)
-    labels = (2 * ((idx >> m) & 1) - 1).astype(np.int8)
-    return SourceMatrix(values, labels)

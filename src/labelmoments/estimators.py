@@ -12,7 +12,10 @@ variant the theory analyzes), ``mean`` (the experimental baseline), or
 ``median`` (the misspecification correction).  Signs are taken positive
 throughout: sources are assumed better than random on average.
 
-Labeled data estimates E[s_i Y] directly.  The two can be combined linearly
+Labeled data estimates E[s_i Y] directly: it is ``SampleMoments.acc``.
+Every estimator reads moments, never rows; ``SampleMoments`` comes from
+joint-state counts (``from_state_counts``) or, for a data file, from its
+rows (``from_source_matrix``).  The two estimates can be combined linearly
 or through a positive-part James-Stein rule that picks the weight from the
 labeled estimator's covariance.
 """
@@ -71,8 +74,10 @@ class SampleMoments:
 
     @classmethod
     def from_source_matrix(cls, data: SourceMatrix) -> "SampleMoments":
-        x = data.values.astype(np.float64)
         n = data.n
+        if n < 1:
+            raise ContractError("at least one row required")
+        x = data.values.astype(np.float64)
         pair = (x.T @ x) / n
         np.fill_diagonal(pair, 1.0)
         acc = None
@@ -168,20 +173,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
     return obj
-
-
-# ---------------------------------------------------------------------------
-# Labeled estimation
-# ---------------------------------------------------------------------------
-
-
-def estimate_labeled(data: SourceMatrix) -> AccuracyEstimate:
-    """Direct moment estimate: the mean of s_i * y over rows, unbiased."""
-    labels = data.require_labels()
-    if data.n < 1:
-        raise ContractError("at least one row required")
-    acc = (data.values.astype(np.float64) * labels[:, None]).mean(axis=0)
-    return AccuracyEstimate(acc, method="labeled")
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +280,6 @@ def estimate_triplet_from_moments(
     return AccuracyEstimate(est, method="triplet", aggregation=aggregation, metadata=meta)
 
 
-def estimate_triplet(
-    data: SourceMatrix,
-    aggregation: str = "mean",
-    seed=None,
-    known_edges=(),
-) -> AccuracyEstimate:
-    """Triplet estimates from raw unlabeled source outputs."""
-    if data.n < 1:
-        raise ContractError("at least one row required")
-    moments = SampleMoments.from_source_matrix(data)
-    return estimate_triplet_from_moments(moments.pair, aggregation, seed, known_edges)
-
-
 # ---------------------------------------------------------------------------
 # Combination rules
 # ---------------------------------------------------------------------------
@@ -339,23 +317,20 @@ def green_strawderman_alpha(
 
 def combine_green_strawderman(
     a_unlabeled: AccuracyEstimate,
-    labeled: SourceMatrix | SampleMoments,
+    moments: SampleMoments,
     r: float | None = None,
 ) -> AccuracyEstimate:
     """Positive-part shrinkage of the labeled estimate toward the unlabeled one.
 
-    The labeled estimator's covariance is ``SampleMoments.shrinkage_covariance``,
-    so a zero covariance raises ``NumericalError``.  The result equals the
+    The labeled estimate is ``moments.acc``, so the moments must carry labels
+    (``ContractError`` otherwise).  The labeled estimator's covariance is
+    ``SampleMoments.shrinkage_covariance``, so a zero covariance raises
+    ``NumericalError``.  The result equals the
     linear combination at alpha = min(r / ||a_L - a_U||_{cov^-1}, 1),
     reported in the metadata.
     ``r`` defaults to m - 2, the midpoint of the admissible range
     [0, 2(m - 2)] (which requires m >= 3).
     """
-    moments = (
-        labeled
-        if isinstance(labeled, SampleMoments)
-        else SampleMoments.from_source_matrix(labeled)
-    )
     m = a_unlabeled.m
     if m < 3:
         raise ContractError("the shrinkage rule requires at least three sources")
@@ -548,17 +523,3 @@ def estimate_quadratic_triplet_from_moments(
     }
     return ClassConditionalEstimate.from_conditionals(alpha, alpha_neg, class_balance, meta)
 
-
-def estimate_quadratic_triplet(
-    data: SourceMatrix,
-    class_balance: float,
-    aggregation: str = "mean",
-    seed=None,
-) -> ClassConditionalEstimate:
-    """Class-conditional accuracy recovery via the quadratic triplet system."""
-    if data.n < 1:
-        raise ContractError("at least one row required")
-    moments = SampleMoments.from_source_matrix(data)
-    return estimate_quadratic_triplet_from_moments(
-        moments, class_balance, aggregation, seed
-    )

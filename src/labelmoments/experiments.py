@@ -60,6 +60,13 @@ def edge_layout(d: int, m: int | None = None) -> tuple[tuple[int, int], ...]:
     return tuple((2 * k, 2 * k + 1) for k in range(d))
 
 
+def _reject_unknown_keys(cls, doc: dict, what: str) -> None:
+    """A key that names no field of ``cls`` is a misspelling, not a default."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ContractError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
+
+
 @dataclass(frozen=True)
 class SyntheticModelSpec:
     """Calibration targets defining a synthetic ground truth."""
@@ -89,6 +96,7 @@ class SyntheticModelSpec:
     def from_dict(cls, doc: dict) -> "SyntheticModelSpec":
         if not isinstance(doc, dict):
             raise TypeError(f"the model spec must be an object, got {type(doc).__name__}")
+        _reject_unknown_keys(cls, doc, "model spec")
         return cls(
             tuple(doc.get("accuracies", DEFAULT_ACCURACIES)),
             int(doc.get("d", 0)),
@@ -123,6 +131,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _reject_unknown_keys(cls, doc, "experiment config")
         return cls(
             SyntheticModelSpec.from_dict(doc.get("model", {})),
             tuple(doc.get("estimators", ("labeled", "triplet-mean", "triplet-median"))),

@@ -16,6 +16,11 @@ with two denominator modes:
 Accuracy-parameterized models use the symmetric conditionals
 q(s_i = 1 | Y = 1) = q(s_i = -1 | Y = -1) = (1 + a_i) / 2; class-conditional
 models supply both columns explicitly.
+
+``posterior`` evaluates rows of source outputs.  The scores
+(``cross_entropy``, ``classification_scores``) take labeled rows as
+joint-state indices and gather from ``log_posterior_table``, the posteriors
+of all 2**m configurations.
 """
 
 from __future__ import annotations
@@ -190,31 +195,44 @@ def posterior(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:
     return np.exp(lp_pos)
 
 
-def cross_entropy(
-    model: LabelModel, data: SourceMatrix, floor: float = LOSS_FLOOR
-) -> float:
+def _split_states(model: LabelModel, states) -> tuple[np.ndarray, np.ndarray]:
+    """(configuration index, label is +1) per joint-state index (``SourceMatrix.state_index``)."""
+    states = np.asarray(states)
+    if states.ndim != 1 or not np.issubdtype(states.dtype, np.integer):
+        raise ContractError("scoring takes a 1-d integer array of joint-state indices")
+    if states.size and (states.min() < 0 or states.max() >= 2 << model.m):
+        raise ContractError(f"joint-state indices of {model.m} sources lie in [0, {2 << model.m})")
+    return states & ((1 << model.m) - 1), (states >> model.m) > 0
+
+
+def cross_entropy(model: LabelModel, states, floor: float = LOSS_FLOOR) -> float:
     """Mean cross-entropy of the model's posteriors against the labels.
 
-    Posterior probabilities are floored at ``floor`` before the log so the
-    loss stays finite; values above one (possible in empirical mode) are kept
-    as-is for decomposition fidelity.
+    ``states`` holds each scored row's joint-state index, so every row's
+    log posterior is gathered from ``log_posterior_table``; empirical mode
+    therefore needs a configuration distribution with full support, as
+    ``analysis.decompose`` does.  Posterior probabilities are floored at
+    ``floor`` before the log so the loss stays finite; values above one
+    (possible in empirical mode) are kept as-is for decomposition fidelity.
     """
-    labels = data.require_labels()
-    lp_pos, lp_neg = model.log_posteriors(data.values)
+    config, positive = _split_states(model, states)
+    lp_pos, lp_neg = model.log_posterior_table()
     if floor > 0.0:
         lp_pos = np.maximum(lp_pos, np.log(floor))
         lp_neg = np.maximum(lp_neg, np.log(floor))
-    picked = np.where(labels > 0, lp_pos, lp_neg)
+    picked = np.where(positive, lp_pos[config], lp_neg[config])
     return float(-picked.mean())
 
 
-def classification_scores(
-    model: LabelModel, data: SourceMatrix, threshold: float = 0.5
-) -> dict:
-    """Precision/recall/F1 on the +1 class at the given posterior threshold."""
-    labels = data.require_labels()
-    pred = posterior(model, data) >= threshold
-    actual = labels > 0
+def classification_scores(model: LabelModel, states, threshold: float = 0.5) -> dict:
+    """Precision/recall/F1 on the +1 class at the given posterior threshold.
+
+    ``states`` are joint-state indices, scored through ``log_posterior_table``
+    as in :func:`cross_entropy`.
+    """
+    config, actual = _split_states(model, states)
+    lp_pos, _ = model.log_posterior_table()
+    pred = np.exp(lp_pos)[config] >= threshold
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))
     fn = int(np.sum(~pred & actual))
@@ -230,5 +248,5 @@ def classification_scores(
     }
 
 
-def f1_score(model: LabelModel, data: SourceMatrix, threshold: float = 0.5) -> float:
-    return classification_scores(model, data, threshold)["f1"]
+def f1_score(model: LabelModel, states, threshold: float = 0.5) -> float:
+    return classification_scores(model, states, threshold)["f1"]

@@ -44,11 +44,18 @@ def sign_rows(m: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=8)
 def config_bits(m: int) -> np.ndarray:
-    """(2**m, m) matrix of 0/1 bits for source-only configurations."""
+    """Read-only (2**m, m) matrix of 0/1 bits for source-only configurations.
+
+    Cached like :func:`sign_rows`, so every label-model table at one m
+    shares it.
+    """
     check_capacity(m)
     idx = np.arange(1 << m, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    bits = ((idx[:, None] >> np.arange(m)) & 1).astype(np.float64)
+    bits.setflags(write=False)
+    return bits
 
 
 def config_index(values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,13 @@ The case study fits three class-conditional label models on growing
 training subsets (labeled frequencies, quadratic-triplet with mean
 aggregation, and its median-corrected variant), evaluates test
 cross-entropy and F1, and sweeps a shrinkage combination of the corrected
-and labeled fits across small labeled budgets.
+and labeled fits across small labeled budgets.  It works on joint states,
+as the synthetic trial engine does: each split becomes one vector of
+joint-state indices right after ``apply_sources``, a training subset is the
+``bincount`` of the indices it draws, every fit reads those counts (through
+``SampleMoments.from_state_counts`` or the class-conditional frequencies),
+and the test split is scored by gathering from the label model's
+posterior table.
 
 External corpora are ingested to JSONL ({"id", "text", "label"}) plus a
 split manifest ({"train": [...], "test": [...]}); nothing is bundled.
@@ -37,6 +43,7 @@ from .estimators import (
 from .experiments import trial_rng, write_csv
 from .label_model import LabelModel, cross_entropy, f1_score
 from .manifest import read_json
+from .states import config_bits
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -283,17 +290,6 @@ def synthetic_keyword_corpus(
     return Corpus(tuple(docs), split)
 
 
-def implied_source_conditionals(
-    present_pos: np.ndarray, present_neg: np.ndarray, roster=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pr(vote = +1 | Y = +-1) induced by per-class word-presence probabilities."""
-    roster = roster if roster is not None else default_roster()
-    sent = np.array([src.sentiment for src in roster])
-    cond_pos = np.where(sent > 0, present_pos, 1.0 - present_pos)
-    cond_neg = np.where(sent > 0, present_neg, 1.0 - present_neg)
-    return cond_pos, cond_neg
-
-
 # ---------------------------------------------------------------------------
 # Case study
 # ---------------------------------------------------------------------------
@@ -322,20 +318,17 @@ class CaseStudyConfig:
 
 
 def estimate_labeled_class_conditional(
-    data: SourceMatrix, class_balance: float
+    counts: np.ndarray, m: int, class_balance: float
 ) -> ClassConditionalEstimate:
-    """Empirical Pr(vote = 1 | label) per source from a labeled sample."""
-    labels = data.require_labels()
-    pos_rows = labels > 0
-    neg_rows = ~pos_rows
-    votes = data.values > 0
-    n_pos, n_neg = int(pos_rows.sum()), int(neg_rows.sum())
-    cond_pos = (
-        votes[pos_rows].mean(axis=0) if n_pos else np.full(data.m, 0.5)
-    )
-    cond_neg = (
-        votes[neg_rows].mean(axis=0) if n_neg else np.full(data.m, 0.5)
-    )
+    """Empirical Pr(vote = 1 | label) per source from a labeled sample's joint-state counts.
+
+    A class with no rows gets conditionals of 0.5.
+    """
+    by_class = np.asarray(counts, dtype=np.float64).reshape(2, 1 << m)  # Y = -1, then Y = +1
+    votes = by_class @ config_bits(m)  # +1 votes per class and source
+    n_neg, n_pos = by_class.sum(axis=1)
+    cond_pos = votes[1] / n_pos if n_pos else np.full(m, 0.5)
+    cond_neg = votes[0] / n_neg if n_neg else np.full(m, 0.5)
     return ClassConditionalEstimate.from_conditionals(
         cond_pos, cond_neg, class_balance, {"method": "labeled-class-conditional"}
     )
@@ -385,8 +378,12 @@ def _metric_row(model: str, n, n_labeled, losses, f1s, alpha) -> dict:
 def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> list[dict]:
     """Fit labeled / mean / median-corrected / combined models; score on the test split.
 
-    Returns metric rows (dicts) ready for CSV serialization.  Training
-    subsets are drawn without replacement; the test split must be labeled.
+    Returns metric rows (dicts) ready for CSV serialization.  Both splits
+    become joint-state indices once.  Each training subset is one
+    ``rng.choice`` of row positions without replacement, kept as the
+    joint-state counts of the drawn rows, so the random stream is the one a
+    row subsample draws.  Every fit reads those counts, and the test split
+    is scored by its state indices.  The test split must be labeled.
     """
     config = config if config is not None else CaseStudyConfig()
     train_docs, test_docs = corpus.train, corpus.test
@@ -397,55 +394,53 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
         )
     if not all(d.label is not None for d in test_docs):
         raise ContractError("the test split must be fully labeled")
-    train = apply_sources(train_docs)
-    test = apply_sources(test_docs)
-    if train.labels is None:
+    if not all(d.label is not None for d in train_docs):
         raise ContractError("the training split must be labeled to simulate budgets")
+    train_states = apply_sources(train_docs).state_index()
+    test_states = apply_sources(test_docs).state_index()
+    m = len(default_roster())
     p = config.class_balance
     rows: list[dict] = []
 
     def score(est: ClassConditionalEstimate) -> tuple[float, float]:
         lm = LabelModel.from_class_conditional(est, mode="normalized")
-        return cross_entropy(lm, test), f1_score(lm, test, config.threshold)
+        return cross_entropy(lm, test_states), f1_score(lm, test_states, config.threshold)
 
-    def subsample(rng, n: int) -> SourceMatrix:
-        idx = rng.choice(train.n, size=min(n, train.n), replace=False)
-        return SourceMatrix(train.values[idx], train.labels[idx])
+    def subsample(rng, n: int) -> np.ndarray:
+        idx = rng.choice(train_states.size, size=min(n, train_states.size), replace=False)
+        return np.bincount(train_states[idx], minlength=1 << (m + 1))
+
+    def quadratic(counts: np.ndarray, aggregation: str) -> ClassConditionalEstimate:
+        # unlabeled: the solver reads only the source moments, not the labels in the counts
+        moments = SampleMoments.from_state_counts(counts, m)
+        return estimate_quadratic_triplet_from_moments(moments, p, aggregation)
 
     fitters = {
-        "labeled": lambda d, rng: estimate_labeled_class_conditional(d, p),
-        "unlabeled-mean": lambda d, rng: estimate_quadratic_triplet_from_moments(
-            SampleMoments.from_source_matrix(d.without_labels()), p, "mean"
-        ),
-        "corrected-median": lambda d, rng: estimate_quadratic_triplet_from_moments(
-            SampleMoments.from_source_matrix(d.without_labels()), p, "median"
-        ),
+        "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
+        "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
+        "corrected-median": lambda counts: quadratic(counts, "median"),
     }
     for name, fitter in fitters.items():
         for n in config.n_grid:
             losses, f1s = [], []
             for t in range(config.trials):
                 rng = trial_rng(config.seed, f"case:{name}", n, t)
-                loss, f1 = score(fitter(subsample(rng, n), rng))
+                loss, f1 = score(fitter(subsample(rng, n)))
                 losses.append(loss)
                 f1s.append(f1)
-            rows.append(_metric_row(name, int(min(n, train.n)), "", losses, f1s, ""))
+            rows.append(_metric_row(name, int(min(n, train_states.size)), "", losses, f1s, ""))
 
-    m = train.m
     r = float(m - 2)
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
         alphas = []
         for t in range(config.trials):
             rng = trial_rng(config.seed, "case:combined", n_l, t)
-            unl = subsample(rng, config.n_unlabeled)
-            corrected = estimate_quadratic_triplet_from_moments(
-                SampleMoments.from_source_matrix(unl.without_labels()), p, "median"
-            )
-            lab_data = subsample(rng, n_l)
-            lab = estimate_labeled_class_conditional(lab_data, p)
+            corrected = quadratic(subsample(rng, config.n_unlabeled), "median")
+            lab_counts = subsample(rng, n_l)
+            lab = estimate_labeled_class_conditional(lab_counts, m, p)
             combined, alpha = _combine_class_conditional(
-                corrected, lab, SampleMoments.from_source_matrix(lab_data), r
+                corrected, lab, SampleMoments.from_state_counts(lab_counts, m), r
             )
             alphas.append(alpha)
             for key, est in (("combined", combined), ("labeled-small", lab)):

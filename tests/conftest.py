@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from labelmoments import calibrate, diagnostics
+from labelmoments import SourceMatrix, calibrate, diagnostics
+from labelmoments.states import values_from_config
 
 SYNTH_ACCURACIES = [
     0.6893, 0.6072, 0.5954, 0.6603, 0.6939,
@@ -85,3 +86,12 @@ def random_valid_edges(rng, m, max_edges=None):
         (min(order[2 * t], order[2 * t + 1]), max(order[2 * t], order[2 * t + 1]))
         for t in range(k)
     ]
+
+
+def matrix_from_state_counts(counts, m):
+    """Expand joint-state counts back into explicit rows (states in index order)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    idx = np.repeat(np.arange(counts.size), counts)
+    values = values_from_config(idx & ((1 << m) - 1), m)
+    labels = (2 * ((idx >> m) & 1) - 1).astype(np.int8)
+    return SourceMatrix(values, labels)

@@ -23,7 +23,7 @@ from labelmoments.analysis import (
     median_correction_constant,
     median_mse,
 )
-from labelmoments.estimators import estimate_labeled, estimate_triplet
+from labelmoments.estimators import AccuracyEstimate, SampleMoments, estimate_triplet_from_moments
 from labelmoments.ising import ModelDiagnostics
 from labelmoments.label_model import (
     LabelModel,
@@ -31,7 +31,7 @@ from labelmoments.label_model import (
     empirical_config_dist,
 )
 
-from conftest import brute_joint, brute_moment
+from conftest import brute_joint, brute_moment, matrix_from_state_counts
 
 
 class TestDecomposition:
@@ -51,7 +51,7 @@ class TestDecomposition:
     def test_true_accuracies_finite_sample_dist(self, synth_model_indep, synth_diag_indep):
         model, diag = synth_model_indep, synth_diag_indep
         data = sample(model, 600, 9)
-        dist = empirical_config_dist(data.without_labels(), laplace=1.0)
+        dist = empirical_config_dist(data, laplace=1.0)
         fitted = LabelModel.from_accuracies(
             diag.accuracies, 0.5, mode="empirical", config_dist=dist
         )
@@ -65,8 +65,8 @@ class TestDecomposition:
 
     def test_identity_on_dependent_model(self, synth_model_dep):
         data = sample(synth_model_dep, 1500, 12)
-        est = estimate_triplet(data.without_labels(), "mean")
-        dist = empirical_config_dist(data.without_labels(), laplace=0.5)
+        est = estimate_triplet_from_moments(SampleMoments.from_source_matrix(data).pair, "mean")
+        dist = empirical_config_dist(data, laplace=0.5)
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical", config_dist=dist
         )
@@ -76,7 +76,7 @@ class TestDecomposition:
 
     def test_zero_mass_pattern_rejected(self, synth_model_dep):
         data = sample(synth_model_dep, 50, 1)
-        dist = empirical_config_dist(data.without_labels())  # unsmoothed: zeros
+        dist = empirical_config_dist(data)  # unsmoothed: zeros
         fitted = LabelModel.from_accuracies(
             [0.5] * 10, 0.5, mode="empirical", config_dist=dist
         )
@@ -91,18 +91,16 @@ class TestDecomposition:
     def test_matches_cross_entropy_on_enumerated_rows(self, synth_model_dep):
         # the enumerated expected loss is exactly the row-loss formula
         # weighted by the true joint (no floor active)
-        from labelmoments.data import matrix_from_state_counts
-
         model = calibrate([0.7, 0.62, 0.66], [(0, 1)], 0.05)
         data = sample(model, 400, 3)
-        dist = empirical_config_dist(data.without_labels(), laplace=1.0)
-        est = estimate_labeled(data)
+        dist = empirical_config_dist(data, laplace=1.0)
+        est = AccuracyEstimate(SampleMoments.from_source_matrix(data).acc, "labeled")
         fitted = LabelModel.from_accuracies(est, 0.5, mode="empirical", config_dist=dist)
         # build a dataset whose empirical distribution is the true joint,
         # scaled to integer counts
         counts = np.round(model.joint * 2_000_000).astype(np.int64)
         big = matrix_from_state_counts(counts, model.m)
-        weighted_loss = cross_entropy(fitted, big, floor=0.0)
+        weighted_loss = cross_entropy(fitted, big.state_index(), floor=0.0)
         enumerated = expected_loss_by_enumeration(model, fitted)
         # small gap from rounding the joint to counts
         assert weighted_loss == pytest.approx(enumerated, abs=1e-4)
@@ -128,8 +126,8 @@ class TestExactGeneralizationError:
         assert excess == pytest.approx(synth_diag_dep.inference_bias, abs=1e-12)
 
     def test_median_fit_large_sample(self, synth_model_dep, synth_diag_dep):
-        data = sample(synth_model_dep, 100_000, 71).without_labels()
-        est = estimate_triplet(data, "median")
+        moments = SampleMoments.from_source_matrix(sample(synth_model_dep, 100_000, 71))
+        est = estimate_triplet_from_moments(moments.pair, "median")
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
             config_dist=synth_model_dep.lambda_marginal(),

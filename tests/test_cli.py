@@ -313,27 +313,27 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
     # (arguments, manifest, config keys, seed, inputs, outputs)
     runs = [
         (["calibrate", "--accuracies", "0.7,0.65,0.6,0.75", "--edges", "0-1", "-o", t / "model.json"],
-         t / "model.manifest.json", {"accuracies", "edges", "edge_gap", "balance", "out"}, 0,
+         t / "model.json.manifest.json", {"accuracies", "edges", "edge_gap", "balance", "out"}, 0,
          [], [t / "model.json"]),
         (["sample", "--model", t / "model.json", "-n", "300", "--seed", "4", "-o", t / "data.csv"],
-         t / "data.manifest.json", {"model", "rows", "binary", "out"}, 4,
+         t / "data.csv.manifest.json", {"model", "rows", "binary", "out"}, 4,
          [t / "model.json"], [t / "data.csv"]),
         (["fit", "--data", t / "data.csv", "--combine-with", t / "data.csv", "--seed", "5",
           "-o", t / "est.json"],
-         t / "est.manifest.json",
+         t / "est.json.manifest.json",
          {"data", "method", "agg", "balance", "known_edges", "combine_with", "out"}, 5,
          [t / "data.csv"], [t / "est.json"]),
         (["infer", "--data", t / "data.csv", "--estimate", t / "est.json", "-o", t / "soft.csv"],
-         t / "soft.manifest.json", {"data", "estimate", "balance", "mode", "laplace", "out"}, 0,
+         t / "soft.csv.manifest.json", {"data", "estimate", "balance", "mode", "laplace", "out"}, 0,
          [t / "data.csv", t / "est.json"], [t / "soft.csv"]),
         (["decompose", "--model", t / "model.json", "--data", t / "data.csv", "--seed", "6",
           "-o", t / "dec.json"],
-         t / "dec.manifest.json",
+         t / "dec.json.manifest.json",
          {"model", "data", "method", "agg", "laplace", "balance", "demo", "out"}, 6,
          [t / "model.json", t / "data.csv"], [t / "dec.json"]),
         (["bounds", "--model", t / "model.json", "--n-labeled", "100", "--seed", "7",
           "-o", t / "bounds.json"],
-         t / "bounds.manifest.json",
+         t / "bounds.json.manifest.json",
          {"model", "n_labeled", "n_unlabeled", "rho_trials", "format", "out"}, 7,
          [t / "model.json"], [t / "bounds.json"]),
         (["curves", "--config", tiny_config, "-o", t / "curves"],
@@ -344,18 +344,21 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
          [tiny_config], [t / "dvr" / "dvr.csv"]),
         (["combine", "--trials", "3", "--d", "1", "--n-unlabeled", "200", "--n-labeled-grid", "40",
           "-o", t / "combine"],
-         t / "combine" / "manifest.json", suite_keys, 0,
+         t / "combine" / "manifest.json",
+         suite_keys | {"n_unlabeled", "n_labeled_grid", "estimator"}, 0,
          [], [t / "combine" / "combined.csv"]),
         (["ws", "ingest", "--input", csv_in, "--format", "csv", "--seed", "9",
           "--docs-out", t / "ing.jsonl", "--split-out", t / "ing.split.json"],
-         t / "ing.manifest.json", {"input", "format", "test_fraction", "docs_out", "split_out"}, 9,
+         t / "ing.jsonl.manifest.json",
+         {"input", "format", "test_fraction", "docs_out", "split_out"}, 9,
          [csv_in], [t / "ing.jsonl", t / "ing.split.json"]),
         (["ws", "ingest", "--input", review_dir, "--docs-out", t / "rev.jsonl",
           "--split-out", t / "rev.split.json"],
-         t / "rev.manifest.json", {"input", "format", "test_fraction", "docs_out", "split_out"}, 0,
+         t / "rev.jsonl.manifest.json",
+         {"input", "format", "test_fraction", "docs_out", "split_out"}, 0,
          [], [t / "rev.jsonl", t / "rev.split.json"]),
         (["ws", "apply", "--corpus", docs, "--split", split, "-o", t / "matrix.csv"],
-         t / "matrix.manifest.json", {"corpus", "split", "subset", "out"}, 0,
+         t / "matrix.csv.manifest.json", {"corpus", "split", "subset", "out"}, 0,
          [docs, split], [t / "matrix.csv"]),
         (["ws", "run", "--corpus", docs, "--split", split, "--n-grid", "400",
           "--n-unlabeled", "800", "--n-labeled-grid", "40", "--trials", "2", "--seed", "10",
@@ -365,6 +368,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
           "class_balance", "threshold"}, 10,
          [docs, split], [t / "wsrun" / "metrics.csv"]),
     ]
+    records = {}
     for args, path, keys, seed, inputs, outputs in runs:
         _ok(*args)
         manifest = json.loads(path.read_text())
@@ -374,10 +378,18 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
         assert manifest["seed"] == seed, command
         assert manifest["input_hashes"] == {str(p): file_sha256(p) for p in inputs}, command
         assert manifest["output_hashes"] == {str(p): file_sha256(p) for p in outputs}, command
+        records[tuple(command)] = manifest["config"]
     assert {tuple(a for a in r[0][:2] if not str(a).startswith("-")) for r in runs} == {
         ("calibrate",), ("sample",), ("fit",), ("infer",), ("decompose",), ("bounds",),
         ("curves",), ("dvr",), ("combine",), ("ws", "ingest"), ("ws", "apply"), ("ws", "run"),
     }
+
+    # the options a run used beyond its resolved config are recorded as given
+    assert records[("dvr",)]["estimators"] == ["triplet-mean"]
+    combine = records[("combine",)]
+    assert (combine["n_unlabeled"], combine["n_labeled_grid"], combine["estimator"]) == (
+        200, [40], "triplet-mean"
+    )
 
     failed = t / "failed"
     result = CliRunner().invoke(main, [
@@ -385,3 +397,44 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
     ])
     assert result.exit_code == 1
     assert not (failed / "manifest.json").exists()
+
+
+def test_outputs_differing_in_extension_keep_separate_records(tmp_path, model_and_data):
+    model, _ = model_and_data
+    for args, out in (
+        (["sample", "--model", model, "-n", "50"], tmp_path / "d.csv"),
+        (["sample", "--model", model, "-n", "50", "--binary"], tmp_path / "d.bin"),
+        (["bounds", "--model", model, "--n-labeled", "100"], tmp_path / "b.json"),
+        (["bounds", "--model", model, "--n-labeled", "100", "--format", "csv"], tmp_path / "b.csv"),
+    ):
+        _ok(*args, "-o", out)
+    for out in ("d.csv", "d.bin", "b.json", "b.csv"):
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert list(manifest["output_hashes"]) == [str(tmp_path / out)]
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"trails": 5}, "trails"),
+    ({"model": {"acuracies": [0.7]}}, "acuracies"),
+])
+def test_config_with_unknown_key_fails_typed(tmp_path, doc, key):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["curves", "--config", str(config), "-o", str(out)])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {config}: " in result.output
+    assert f"'{key}'" in result.output
+    assert not out.exists()
+
+
+def test_labeled_fit_needs_labels(tmp_path, model_and_data):
+    _, data = model_and_data
+    unlabeled = tmp_path / "unlabeled.csv"
+    lines = data.read_text().splitlines()
+    unlabeled.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+    result = CliRunner().invoke(main, [
+        "fit", "--data", str(unlabeled), "--method", "labeled", "-o", str(tmp_path / "est.json"),
+    ])
+    assert result.exit_code == 1
+    assert "error (ContractError)" in result.output
+    assert not (tmp_path / "est.json").exists()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from labelmoments import ContractError, SourceMatrix, load_source_matrix
-from labelmoments.data import matrix_from_state_counts
+
+from conftest import matrix_from_state_counts
 
 
 @pytest.fixture
@@ -41,7 +42,7 @@ class TestValidation:
     def test_require_labels(self, small):
         assert small.require_labels().shape == (40,)
         with pytest.raises(ContractError):
-            small.without_labels().require_labels()
+            SourceMatrix(small.values).require_labels()
 
 
 class TestRoundTrips:
@@ -56,7 +57,7 @@ class TestRoundTrips:
 
     def test_csv_unlabeled(self, tmp_path, small):
         path = tmp_path / "d.csv"
-        small.without_labels().to_csv(path)
+        SourceMatrix(small.values).to_csv(path)
         back = SourceMatrix.from_csv(path)
         assert back.labels is None
         np.testing.assert_array_equal(back.values, small.values)
@@ -116,6 +117,18 @@ class TestStateCounts:
         back = matrix_from_state_counts(counts, small.m)
         # same multiset of rows (counts ignore order)
         np.testing.assert_array_equal(back.state_counts(), counts)
+
+    def test_state_index_in_row_order(self, small):
+        expected = [
+            sum(1 << k for k in range(small.m) if row[k] > 0) + ((y > 0) << small.m)
+            for row, y in zip(small.values, small.labels)
+        ]
+        np.testing.assert_array_equal(small.state_index(), expected)
+        np.testing.assert_array_equal(
+            np.bincount(small.state_index(), minlength=1 << (small.m + 1)), small.state_counts()
+        )
+        with pytest.raises(ContractError):
+            SourceMatrix(small.values).state_index()
 
     def test_config_counts_marginalize(self, small):
         sc = small.state_counts().reshape(2, -1).sum(axis=0)

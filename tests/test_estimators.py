@@ -24,9 +24,7 @@ from labelmoments.estimators import (
     _class_conditional_census,
     combine_green_strawderman,
     combine_linear,
-    estimate_labeled,
     estimate_quadratic_triplet_from_moments,
-    estimate_triplet,
     estimate_triplet_from_moments,
     green_strawderman_alpha,
     triplet_census,
@@ -37,27 +35,33 @@ from labelmoments.ising import sample_state_counts
 from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint
 
 
+def _labeled(data: SourceMatrix) -> np.ndarray:
+    """The labeled accuracy estimate: the mean of s_i * y over rows."""
+    return SampleMoments.from_source_matrix(data).acc
+
+
 class TestLabeled:
     def test_perfect_agreement(self):
         values = np.array([[1, 1], [-1, -1], [1, 1]])
         labels = np.array([1, -1, 1])
-        est = estimate_labeled(SourceMatrix(values, labels))
-        np.testing.assert_allclose(est.values, 1.0)
+        np.testing.assert_allclose(_labeled(SourceMatrix(values, labels)), 1.0)
 
     def test_direct_average(self):
         values = np.array([[1], [1], [1], [1]])
         labels = np.array([1, 1, -1, 1])
-        est = estimate_labeled(SourceMatrix(values, labels))
-        assert est.values[0] == pytest.approx(0.5)
+        assert _labeled(SourceMatrix(values, labels))[0] == pytest.approx(0.5)
 
     def test_missing_labels(self):
+        unlabeled = SampleMoments.from_source_matrix(SourceMatrix(np.array([[1, -1]])))
+        assert unlabeled.acc is None
         with pytest.raises(ContractError):
-            estimate_labeled(SourceMatrix(np.array([[1, -1]])))
+            unlabeled.labeled_covariance()
+        with pytest.raises(ContractError, match="at least one row"):
+            SampleMoments.from_source_matrix(SourceMatrix(np.zeros((0, 3))))
 
     def test_concentration_on_large_sample(self, synth_model_indep, synth_diag_indep):
         data = sample(synth_model_indep, 100_000, 21)
-        est = estimate_labeled(data)
-        assert np.abs(est.values - synth_diag_indep.accuracies).max() <= 0.02
+        assert np.abs(_labeled(data) - synth_diag_indep.accuracies).max() <= 0.02
 
     def test_unbiasedness_over_resamples(self, synth_model_dep, synth_diag_dep):
         rng = np.random.default_rng(5)
@@ -65,10 +69,31 @@ class TestLabeled:
         total = np.zeros(10)
         for _ in range(reps):
             data = sample(synth_model_dep, n_l, rng)
-            total += estimate_labeled(data).values
+            total += _labeled(data)
         mean = total / reps
         se = np.sqrt((1 - synth_diag_dep.accuracies**2) / n_l / reps)
         assert (np.abs(mean - synth_diag_dep.accuracies) <= 3 * se).all()
+
+
+class TestCountMomentsMatchRows:
+    """Joint-state counts give the row moments bit for bit: every sum adds
+    +-1 terms, so it is exact in any order."""
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (37, 1), (5000, 2)])
+    def test_bit_for_bit(self, synth_model_dep, n, seed):
+        data = sample(synth_model_dep, n, seed)
+        rows = SampleMoments.from_source_matrix(data)
+        counts = np.bincount(data.state_index(), minlength=1 << (data.m + 1))
+        for moments in (
+            SampleMoments.from_state_counts(counts, data.m),
+            SampleMoments.from_state_counts(data.state_counts(), data.m),
+        ):
+            assert moments.n == rows.n
+            for name in ("means", "pair", "acc"):
+                np.testing.assert_array_equal(getattr(moments, name), getattr(rows, name))
+            np.testing.assert_array_equal(
+                moments.shrinkage_covariance(), rows.shrinkage_covariance()
+            )
 
 
 class TestTripletRaw:
@@ -174,17 +199,20 @@ class TestTripletAggregation:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_from_data_matches_from_moments(self, synth_model_dep):
-        data = sample(synth_model_dep, 5000, 13).without_labels()
-        via_data = estimate_triplet(data, "median")
-        moments = SampleMoments.from_source_matrix(data)
-        via_moments = estimate_triplet_from_moments(moments.pair, "median")
-        np.testing.assert_allclose(via_data.values, via_moments.values, atol=0)
+        # row moments of a data file and joint-state count moments give one fit
+        data = sample(synth_model_dep, 5000, 13)
+        via_data = SampleMoments.from_source_matrix(data)
+        via_counts = SampleMoments.from_state_counts(data.state_counts(), data.m)
+        np.testing.assert_array_equal(
+            estimate_triplet_from_moments(via_data.pair, "median").values,
+            estimate_triplet_from_moments(via_counts.pair, "median").values,
+        )
 
     def test_consistency_well_specified(self, synth_model_indep, synth_diag_indep):
         errs = []
         for n, seed in ((1_000, 31), (10_000, 32), (100_000, 33)):
-            data = sample(synth_model_indep, n, seed).without_labels()
-            est = estimate_triplet(data, "mean")
+            moments = SampleMoments.from_source_matrix(sample(synth_model_indep, n, seed))
+            est = estimate_triplet_from_moments(moments.pair, "mean")
             errs.append(np.abs(est.values - synth_diag_indep.accuracies).max())
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] <= 0.01
@@ -304,31 +332,30 @@ class TestGreenStrawderman:
         assert green_strawderman_alpha(diff, np.eye(3), r=1.0) == 1.0
 
     def test_equal_estimates_return_unlabeled(self, synth_model_dep):
-        data = sample(synth_model_dep, 200, 3)
-        a_l = estimate_labeled(data)
-        out = combine_green_strawderman(a_l, data)
+        mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 200, 3))
+        a_l = AccuracyEstimate(mom.acc, "labeled")
+        out = combine_green_strawderman(a_l, mom)
         assert out.metadata["alpha"] == 1.0
         np.testing.assert_allclose(out.values, a_l.values, atol=0)
 
     def test_combination_reports_alpha(self, synth_model_dep):
-        data = sample(synth_model_dep, 400, 8)
-        a_u = estimate_triplet(data.without_labels(), "mean")
-        out = combine_green_strawderman(a_u, data)
+        mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 400, 8))
+        a_u = estimate_triplet_from_moments(mom.pair, "mean")
+        out = combine_green_strawderman(a_u, mom)
         assert 0.0 <= out.metadata["alpha"] <= 1.0
         assert out.metadata["r"] == pytest.approx(8.0)
 
     def test_zero_covariance_raises(self):
-        values = np.ones((10, 3), dtype=np.int8)
-        labels = np.ones(10, dtype=np.int8)
+        data = SourceMatrix(np.ones((10, 3), dtype=np.int8), np.ones(10, dtype=np.int8))
         a_u = AccuracyEstimate(np.array([0.5, 0.5, 0.5]), "triplet")
         with pytest.raises(NumericalError):
-            combine_green_strawderman(a_u, SourceMatrix(values, labels))
+            combine_green_strawderman(a_u, SampleMoments.from_source_matrix(data))
 
     def test_r_range_validation(self, synth_model_dep):
-        data = sample(synth_model_dep, 100, 2)
-        a_u = estimate_triplet(data.without_labels(), "mean")
+        mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 100, 2))
+        a_u = estimate_triplet_from_moments(mom.pair, "mean")
         with pytest.raises(ContractError):
-            combine_green_strawderman(a_u, data, r=100.0)
+            combine_green_strawderman(a_u, mom, r=100.0)
 
 
 class TestShrinkageCovariance:
@@ -367,7 +394,7 @@ class TestShrinkageCovariance:
         combine_green_strawderman(a_u, mom)
         experiments.combined_sweep(synth_model_dep, 200, [200], trials=1)
         cc = estimate_quadratic_triplet_from_moments(mom, 0.5, "mean")
-        lab = ws.estimate_labeled_class_conditional(sample(synth_model_dep, 200, 9), 0.5)
+        lab = ws.estimate_labeled_class_conditional(counts, 10, 0.5)
         ws._combine_class_conditional(cc, lab, mom, 8.0)
 
         assert [len(sigmas) for sigmas in seen.values()] == [1, 1, 1]
@@ -382,9 +409,10 @@ class TestShrinkageCovariance:
         (row,) = experiments.combined_sweep(synth_model_dep, 50, [50], trials=3)
         assert row.gs_alpha_mean == 1.0 and row.failures == 0
 
-        unl = SampleMoments.from_source_matrix(sample(synth_model_dep, 500, 1).without_labels())
+        unl = SampleMoments.from_source_matrix(sample(synth_model_dep, 500, 1))
         cc = estimate_quadratic_triplet_from_moments(unl, 0.5)
-        lab = ws.estimate_labeled_class_conditional(sample(synth_model_dep, 50, 2), 0.5)
+        lab_counts = sample(synth_model_dep, 50, 2).state_counts()
+        lab = ws.estimate_labeled_class_conditional(lab_counts, 10, 0.5)
         zero = SampleMoments.from_state_counts(counts, 10)
         combined, alpha = ws._combine_class_conditional(cc, lab, zero, 8.0)
         assert alpha == 1.0
@@ -436,8 +464,7 @@ class TestQuadraticTriplets:
             np.testing.assert_allclose(est.cond_neg, cond_neg, atol=1e-9)
 
     def test_columns_are_stochastic(self, synth_model_dep):
-        data = sample(synth_model_dep, 3000, 17).without_labels()
-        moments = SampleMoments.from_source_matrix(data)
+        moments = SampleMoments.from_source_matrix(sample(synth_model_dep, 3000, 17))
         est = estimate_quadratic_triplet_from_moments(moments, 0.5, "mean")
         np.testing.assert_allclose(est.mu.sum(axis=1), 1.0, atol=1e-12)
         assert (est.mu >= 0).all() and (est.mu <= 1).all()

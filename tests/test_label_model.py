@@ -11,7 +11,9 @@ from labelmoments import (
     diagnostics,
     sample,
 )
+from labelmoments.estimators import ClassConditionalEstimate, SampleMoments
 from labelmoments.label_model import (
+    LOSS_FLOOR,
     LabelModel,
     classification_scores,
     cross_entropy,
@@ -162,13 +164,13 @@ class TestCrossEntropy:
         values = np.array([[1], [-1], [1]])
         labels = np.array([1, -1, 1])
         model = LabelModel.from_accuracies([1.0], 0.5)
-        assert cross_entropy(model, SourceMatrix(values, labels)) < 1e-5
+        assert cross_entropy(model, SourceMatrix(values, labels).state_index()) < 1e-5
 
     def test_uninformative_model_gives_log_two(self):
         values = np.array([[1], [-1], [1], [-1]])
         labels = np.array([1, 1, -1, -1])
         model = LabelModel.from_accuracies([0.0], 0.5)
-        assert cross_entropy(model, SourceMatrix(values, labels)) == pytest.approx(
+        assert cross_entropy(model, SourceMatrix(values, labels).state_index()) == pytest.approx(
             math.log(2), abs=1e-12
         )
 
@@ -176,18 +178,16 @@ class TestCrossEntropy:
         values = np.array([[1, 1, 1, 1]])
         labels = np.array([-1])
         model = LabelModel.from_accuracies([1.0] * 4, 0.5)
-        loss = cross_entropy(model, SourceMatrix(values, labels))
+        loss = cross_entropy(model, SourceMatrix(values, labels).state_index())
         assert np.isfinite(loss)
 
     def test_large_sample_approaches_conditional_entropy(
         self, synth_model_indep, synth_diag_indep
     ):
         data = sample(synth_model_indep, 10_000, 55)
-        from labelmoments.estimators import estimate_labeled
-
-        est = estimate_labeled(data)
+        est = SampleMoments.from_source_matrix(data).acc
         model = LabelModel.from_accuracies(est, 0.5)
-        loss = cross_entropy(model, data)
+        loss = cross_entropy(model, data.state_index())
         assert abs(loss - synth_diag_indep.cond_entropy) <= 0.01
 
 
@@ -196,14 +196,14 @@ class TestScores:
         values = np.array([[1], [-1], [1], [-1]])
         labels = np.array([1, -1, 1, -1])
         model = LabelModel.from_accuracies([0.9], 0.5)
-        assert f1_score(model, SourceMatrix(values, labels)) == 1.0
+        assert f1_score(model, SourceMatrix(values, labels).state_index()) == 1.0
 
     def test_all_positive_predictions(self):
         # predictor always votes +1; half the labels are positive
         values = np.array([[1], [1], [1], [1]])
         labels = np.array([1, 1, -1, -1])
         model = LabelModel.from_accuracies([0.9], 0.5)
-        scores = classification_scores(model, SourceMatrix(values, labels))
+        scores = classification_scores(model, SourceMatrix(values, labels).state_index())
         assert scores["precision"] == pytest.approx(0.5)
         assert scores["recall"] == pytest.approx(1.0)
         assert scores["f1"] == pytest.approx(2 / 3)
@@ -213,6 +213,90 @@ class TestScores:
         values = np.array([[-1], [-1]])
         labels = np.array([-1, -1])
         model = LabelModel.from_accuracies([0.9], 0.5)
-        scores = classification_scores(model, SourceMatrix(values, labels))
+        scores = classification_scores(model, SourceMatrix(values, labels).state_index())
         assert scores["f1"] == 0.0
         assert scores["degenerate"]
+
+
+# ---------------------------------------------------------------------------
+# Row-wise scoring oracle: every row's posterior from ``log_posteriors``,
+# without the configuration table the package scores through.
+# ---------------------------------------------------------------------------
+
+
+def _row_cross_entropy(model, data, floor=LOSS_FLOOR):
+    labels = data.require_labels()
+    lp_pos, lp_neg = model.log_posteriors(data.values)
+    if floor > 0.0:
+        lp_pos = np.maximum(lp_pos, np.log(floor))
+        lp_neg = np.maximum(lp_neg, np.log(floor))
+    return float(-np.where(labels > 0, lp_pos, lp_neg).mean())
+
+
+def _row_f1(model, data, threshold=0.5):
+    pred = posterior(model, data) >= threshold
+    actual = data.require_labels() > 0
+    tp = int(np.sum(pred & actual))
+    fp = int(np.sum(pred & ~actual))
+    fn = int(np.sum(~pred & actual))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def _random_rows(rng, n, m):
+    return SourceMatrix(rng.choice([-1, 1], size=(n, m)), rng.choice([-1, 1], size=n))
+
+
+class TestScoresMatchRowOracle:
+    """Scoring through the state table equals the row-wise oracle exactly."""
+
+    @pytest.mark.parametrize("m, n", [(3, 1), (6, 37), (12, 2500), (12, 10_001)])
+    def test_normalized_mode(self, m, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        data = _random_rows(rng, n, m)
+        states = data.state_index()
+        cond_pos, cond_neg = rng.uniform(0.05, 0.95, (2, m))
+        est = ClassConditionalEstimate.from_conditionals(cond_pos, cond_neg, 0.4, {})
+        for model in (
+            LabelModel.from_class_conditional(est),
+            LabelModel.from_accuracies(rng.uniform(-0.9, 0.9, m), 0.6),
+            LabelModel.from_accuracies(np.ones(m), 0.5),  # the floor is active
+        ):
+            for floor in (LOSS_FLOOR, 0.0):
+                assert cross_entropy(model, states, floor) == _row_cross_entropy(model, data, floor)
+            for threshold in (0.3, 0.5, 0.9):
+                assert f1_score(model, states, threshold) == _row_f1(model, data, threshold)
+
+    @pytest.mark.parametrize("m, n", [(4, 50), (10, 3000)])
+    def test_empirical_mode_with_full_support(self, m, n):
+        rng = np.random.default_rng(m + n)
+        data = _random_rows(rng, n, m)
+        dist = empirical_config_dist(data, laplace=0.5)
+        model = LabelModel.from_accuracies(
+            rng.uniform(0.1, 0.9, m), 0.5, mode="empirical", config_dist=dist
+        )
+        for floor in (LOSS_FLOOR, 0.0):
+            assert cross_entropy(model, data.state_index(), floor) == _row_cross_entropy(
+                model, data, floor
+            )
+        assert f1_score(model, data.state_index()) == _row_f1(model, data)
+
+    def test_empirical_mode_needs_full_support(self):
+        # every scored row is seen, but an unseen configuration elsewhere
+        # has no table entry, so the table cannot be built
+        data = SourceMatrix(np.array([[1, 1], [1, -1], [-1, 1]]), np.array([1, -1, 1]))
+        model = LabelModel.from_accuracies(
+            [0.6, 0.6], 0.5, mode="empirical", config_dist=empirical_config_dist(data)
+        )
+        assert np.isfinite(_row_cross_entropy(model, data))
+        with pytest.raises(UnseenConfigurationError):
+            cross_entropy(model, data.state_index())
+
+    @pytest.mark.parametrize("states", [[0, 8], [-1], [[0, 1]], [0.0, 1.0]])
+    def test_rejects_bad_state_indices(self, states):
+        model = LabelModel.from_accuracies([0.6, 0.6], 0.5)
+        with pytest.raises(ContractError):
+            cross_entropy(model, np.array(states))

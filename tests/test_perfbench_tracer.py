@@ -31,3 +31,28 @@ def test_every_patch_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (experiments.trial_rng, ws.green_strawderman_alpha) == originals
+
+
+def test_case_study_spans_are_traced(monkeypatch):
+    from labelmoments import ws
+
+    tracer_mod = _load_tracer(monkeypatch)
+    sent = [s.sentiment for s in ws.default_roster()]
+    corpus = ws.synthetic_keyword_corpus(
+        600, [0.6 if s > 0 else 0.2 for s in sent], [0.2 if s > 0 else 0.6 for s in sent], seed=1
+    )
+    split = {d.doc_id: ("test" if i % 3 == 0 else "train") for i, d in enumerate(corpus.documents)}
+    config = ws.CaseStudyConfig(n_grid=(200,), n_unlabeled=400, n_labeled_grid=(40,), trials=2)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer, lambda: None)
+        ws.run_case_study(ws.Corpus(corpus.documents, split), config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_mod.layer_metrics(tracer)
+    # 3 fitters x 2 trials, then labeled-small and combined x 2 trials
+    assert metrics["label_model.cross_entropy.calls"] == 10
+    assert metrics["label_model.f1_score.calls"] == 10
+    # the two quadratic fitters, then the corrected fit and the labeled moments per trial
+    assert metrics["estimators.from_state_counts.calls"] == 8
+    assert metrics["estimators.from_source_matrix.calls"] == 0

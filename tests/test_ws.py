@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from labelmoments import ContractError
+from labelmoments import ContractError, SourceMatrix
 from labelmoments.estimators import SampleMoments, estimate_quadratic_triplet_from_moments
 from labelmoments.ws import (
     CaseStudyConfig,
@@ -13,7 +13,6 @@ from labelmoments.ws import (
     apply_sources,
     default_roster,
     estimate_labeled_class_conditional,
-    implied_source_conditionals,
     ingest_csv,
     ingest_review_directory,
     random_split,
@@ -203,6 +202,15 @@ class TestCorpusIO:
             ingest_csv(path)
 
 
+def implied_source_conditionals(present_pos, present_neg, roster=None):
+    """Pr(vote = +1 | Y = +-1) induced by per-class word-presence probabilities."""
+    roster = roster if roster is not None else default_roster()
+    sent = np.array([src.sentiment for src in roster])
+    cond_pos = np.where(sent > 0, present_pos, 1.0 - present_pos)
+    cond_neg = np.where(sent > 0, present_neg, 1.0 - present_neg)
+    return cond_pos, cond_neg
+
+
 class TestSyntheticOracle:
     def test_implied_conditionals_match_empirical(self):
         roster = default_roster()
@@ -228,7 +236,7 @@ class TestSyntheticOracle:
         p_pos = np.where(sent > 0, rng.uniform(0.5, 0.75, m), rng.uniform(0.1, 0.35, m))
         p_neg = np.where(sent > 0, rng.uniform(0.1, 0.35, m), rng.uniform(0.5, 0.75, m))
         corpus = synthetic_keyword_corpus(20_000, p_pos, p_neg, seed=3)
-        matrix = apply_sources(corpus.train).without_labels()
+        matrix = apply_sources(corpus.train)
         est = estimate_quadratic_triplet_from_moments(
             SampleMoments.from_source_matrix(matrix), 0.5, "median"
         )
@@ -241,11 +249,26 @@ class TestLabeledClassConditional:
     def test_counts(self):
         values = np.array([[1, -1], [1, 1], [-1, 1], [1, -1]], dtype=np.int8)
         labels = np.array([1, 1, -1, -1], dtype=np.int8)
-        from labelmoments.data import SourceMatrix
-
-        est = estimate_labeled_class_conditional(SourceMatrix(values, labels), 0.5)
+        counts = SourceMatrix(values, labels).state_counts()
+        est = estimate_labeled_class_conditional(counts, 2, 0.5)
         np.testing.assert_allclose(est.cond_pos, [1.0, 0.5])
         np.testing.assert_allclose(est.cond_neg, [0.5, 0.5])
+
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (40, 0.5), (400, 0.9), (40_000, 0.5)])
+    def test_counts_equal_row_frequencies(self, n, p):
+        # the row path: per-class vote frequencies over the rows themselves
+        rng = np.random.default_rng(n)
+        labels = np.where(rng.random(n) < p, 1, -1)
+        data = SourceMatrix(rng.choice([-1, 1], size=(n, 12)), labels)
+        votes, pos_rows = data.values > 0, labels > 0
+        expected = [
+            votes[rows].mean(axis=0) if rows.any() else np.full(12, 0.5)
+            for rows in (pos_rows, ~pos_rows)
+        ]
+        counts = np.bincount(data.state_index(), minlength=1 << 13)
+        est = estimate_labeled_class_conditional(counts, 12, 0.5)
+        np.testing.assert_array_equal(est.cond_pos, expected[0])
+        np.testing.assert_array_equal(est.cond_neg, expected[1])
 
 
 class TestCaseStudy:
