@@ -163,7 +163,9 @@ def accuracy_excess(
         excess = inference_bias + sum_i E_Y KL(true cond_i || fitted cond_i).
 
     ``estimates`` may be a batch with shape (..., m); estimates are clamped
-    exactly as LabelModel does before the KL.
+    exactly as LabelModel does before the KL.  The per-source terms are
+    summed as the rows of a 2-d array, so a batch row scores bit for bit as
+    the same estimate alone.
     """
     a = np.asarray(true_accuracies, dtype=np.float64)
     est = np.clip(
@@ -174,7 +176,7 @@ def accuracy_excess(
     tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
     fp, fq = (1.0 + est) / 2.0, (1.0 - est) / 2.0
     kl = tp * (np.log(tp) - np.log(fp)) + tq * (np.log(tq) - np.log(fq))
-    return inference_bias + kl.sum(axis=-1)
+    return inference_bias + kl.reshape(-1, kl.shape[-1]).sum(axis=1).reshape(kl.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,18 @@ joint-state counts (``from_state_counts``) or, for a data file, from its
 rows (``from_source_matrix``).  The two estimates can be combined linearly
 or through a positive-part James-Stein rule that picks the weight from the
 labeled estimator's covariance.
+
+Batch axes: ``SampleMoments.from_state_counts`` takes counts of shape
+(..., 2^(m+1)) and returns moments with the same leading axes,
+``triplet_census`` turns pair moments (..., m, m) into a (..., m, C(m-1, 2))
+census, and ``aggregate_census`` reduces a census over its last axis.  The
+Monte-Carlo engine passes a block of trials at once; a single fit
+(``estimate_*``, the data-file commands, the case study, the median-MSE
+loop) is the case without leading axes, so both run one implementation.
+Each batch row comes out bit for bit as the unbatched call would give it:
+the moment sums are exact (integer counts times +-1), the census is
+elementwise, the median is a sort, and the mean sums the rows of a 2-d
+array.
 """
 
 from __future__ import annotations
@@ -45,32 +57,40 @@ PROB_TOL = 1e-6          # slack on the [0, 1] checks of the class-conditional c
 
 
 @lru_cache(maxsize=8)
-def _state_stats(m: int) -> dict:
-    """Per-state sign rows and pair-product rows for moments from joint-state counts.
+def _state_stats(m: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Statistic rows over the 2^m source configurations, and the pair indices.
 
-    Both tables hold one contiguous row per statistic, and the products are
-    filled row by row so that no whole-table temporary is built.
+    Rows 0..m-1 hold each source's sign and the rest the sign products of
+    the pairs (i, j), i < j, in ``combinations`` order.  Source signs repeat
+    in both label halves of the joint states, so configurations suffice.
+    Each row is contiguous and filled in place, so no whole-table temporary
+    is built.
     """
-    rows = sign_rows(m)
-    pairs = list(combinations(range(m), 2))
-    products = np.empty((len(pairs), rows.shape[1]))
-    for c, (i, j) in enumerate(pairs):
-        np.multiply(rows[i], rows[j], out=products[c])
-    return {"signs": rows, "pair_products": products, "pairs": pairs}
+    signs = sign_rows(m)[:m, : 1 << m]
+    ii, jj = np.triu_indices(m, 1)
+    table = np.empty((m + ii.size, 1 << m))
+    table[:m] = signs
+    for c in range(ii.size):
+        np.multiply(signs[ii[c]], signs[jj[c]], out=table[m + c])
+    return table, (ii, jj)
 
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """First and second empirical moments of a sample; all estimators run on these."""
+    """First and second empirical moments of a sample; all estimators run on these.
 
-    n: int
+    ``from_state_counts`` also makes the moments of a batch of samples, with
+    leading axes on every field; the covariance methods take one sample.
+    """
+
+    n: int                         # an integer array for a batch of samples
     means: np.ndarray              # empirical E[s_i]
     pair: np.ndarray               # empirical E[s_i s_j], unit diagonal
     acc: np.ndarray | None = None  # empirical E[s_i y] when labels were present
 
     @property
     def m(self) -> int:
-        return self.means.size
+        return self.means.shape[-1]
 
     @classmethod
     def from_source_matrix(cls, data: SourceMatrix) -> "SampleMoments":
@@ -87,16 +107,27 @@ class SampleMoments:
 
     @classmethod
     def from_state_counts(cls, counts: np.ndarray, m: int) -> "SampleMoments":
-        stats = _state_stats(m)
-        n = counts.sum()
-        signs = stats["signs"]
-        means = (counts @ signs[:m].T) / n
-        flat = (counts @ stats["pair_products"].T) / n
-        pair = np.eye(m)
-        for c, (i, j) in enumerate(stats["pairs"]):
-            pair[i, j] = pair[j, i] = flat[c]
-        acc = ((counts * signs[m]) @ signs[:m].T) / n  # sign flips are exact
-        return cls(int(n), means, pair, acc)
+        """Moments of joint-state counts (..., 2^(m+1)); leading axes are a batch.
+
+        The label is the top bit of a joint-state index, so the counts split
+        into a Y = -1 and a Y = +1 half over the same source configurations:
+        their sum gives the source moments and their difference the labeled
+        ones.  Every sum adds integer counts times +-1, so it is exact in any
+        order, and one matrix product over a batch equals a product per
+        sample.
+        """
+        table, (ii, jj) = _state_stats(m)
+        neg, pos = counts[..., : 1 << m], counts[..., 1 << m :]
+        n = counts.sum(axis=-1)
+        scale = n[..., None]
+        stats = ((neg + pos) @ table.T) / scale  # means, then pair moments
+        pair = np.empty(counts.shape[:-1] + (m, m))
+        pair[..., ii, jj] = pair[..., jj, ii] = stats[..., m:]
+        pair[..., range(m), range(m)] = 1.0
+        acc = ((pos - neg) @ table[:m].T) / scale
+        return cls(
+            int(n) if counts.ndim == 1 else n.astype(np.int64), stats[..., :m], pair, acc
+        )
 
     def labeled_covariance(self) -> np.ndarray:
         """Sample covariance (ddof=1) of the per-row vectors s * y."""
@@ -207,58 +238,74 @@ def _normalize_edges(known_edges) -> frozenset:
 def triplet_census(
     pair_moments: np.ndarray, known_edges=()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All triplet values (m, C(m-1,2)) and their validity mask.
+    """All triplet values (..., m, C(m-1,2)) and their validity mask.
 
-    Invalid columns are degenerate denominators or pairs touching a known
+    ``pair_moments`` is (..., m, m); leading axes are a batch.  Invalid
+    columns are degenerate denominators or pairs touching a known
     dependency (partial-recovery mode).
     """
     pair_moments = np.asarray(pair_moments, dtype=np.float64)
-    m = pair_moments.shape[0]
+    m = pair_moments.shape[-1]
     if m < 3:
         raise ContractError("triplet estimation requires at least three sources")
     jj, kk, allowed = _pair_table(m, _normalize_edges(known_edges))
     rows = np.arange(m)[:, None]
-    denom = pair_moments[jj, kk]
+    denom = pair_moments[..., jj, kk]
     valid = allowed & (np.abs(denom) >= DEGENERATE_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sqrt(np.abs(pair_moments[rows, jj] * pair_moments[rows, kk] / denom))
+        vals = np.sqrt(
+            np.abs(pair_moments[..., rows, jj] * pair_moments[..., rows, kk] / denom)
+        )
     vals = np.clip(np.where(valid, vals, np.nan), 0.0, 1.0)
     return vals, valid
 
 
-def _lower_median(vals: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Row-wise lower median of the valid entries (deterministic for even counts)."""
-    counts = valid.sum(axis=1)
-    filled = np.where(valid, vals, np.inf)
-    order = np.sort(filled, axis=1)
-    return order[np.arange(vals.shape[0]), (counts - 1) // 2]
+def aggregate_census(
+    vals: np.ndarray, valid: np.ndarray, aggregation: str, rngs=()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-source ``mean``/``median``/``single`` of a census over its last axis.
+
+    ``vals`` and ``valid`` are (..., m, C); returns the (..., m) estimates
+    and valid counts.  A batch row in which some source has no valid column
+    is unusable: its estimates are meaningless and it draws nothing.
+    ``single`` draws, for each usable row in C order, one valid column per
+    source in source order from that row's entry of ``rngs`` (a generator,
+    or a seed for one).
+    """
+    if aggregation not in ("mean", "median", "single"):
+        raise ContractError(f"unknown aggregation '{aggregation}'")
+    m, npairs = vals.shape[-2:]
+    counts = valid.sum(axis=-1)
+    if aggregation == "mean":
+        # The row sums run over a 2-d array, as for a single census.
+        sums = np.nansum(np.where(valid, vals, 0.0).reshape(-1, npairs), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return sums.reshape(counts.shape) / counts, counts
+    if aggregation == "median":
+        order = np.sort(np.where(valid, vals, np.inf), axis=-1)
+        lower = np.maximum(counts - 1, 0)[..., None] // 2  # lower median for even counts
+        return np.take_along_axis(order, lower, axis=-1)[..., 0], counts
+    est = np.full(counts.shape, np.nan)
+    flat_est, flat_vals = est.reshape(-1, m), vals.reshape(-1, m, npairs)
+    flat_valid = valid.reshape(-1, m, npairs)
+    usable = (counts > 0).all(axis=-1).reshape(-1)
+    for b, seed in enumerate(rngs):
+        if usable[b]:
+            rng = np.random.default_rng(seed)
+            for i in range(m):
+                flat_est[b, i] = flat_vals[b, i, rng.choice(np.flatnonzero(flat_valid[b, i]))]
+    return est, counts
 
 
-def _aggregate(
+def _aggregate_one(
     vals: np.ndarray, valid: np.ndarray, aggregation: str, seed, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-source ``mean``/``median``/``single`` of a census; returns (estimates, valid counts).
-
-    ``single`` draws one valid column per source, in source order, from the
-    generator ``seed`` (or one seeded by it).  ``kind`` names the census in
-    the error raised when a source has no valid column.
-    """
+    """``aggregate_census`` of one (m, C) census; ``kind`` names it in the error
+    raised, before any draw, when a source has no valid column."""
     counts = valid.sum(axis=1)
     if (counts == 0).any():
-        bad = int(np.argmin(counts))
-        raise EstimationError(f"no usable {kind} for source {bad}")
-    if aggregation == "mean":
-        est = np.nansum(np.where(valid, vals, 0.0), axis=1) / counts
-    elif aggregation == "median":
-        est = _lower_median(vals, valid)
-    elif aggregation == "single":
-        rng = np.random.default_rng(seed)
-        est = np.empty(len(vals))
-        for i in range(len(vals)):
-            est[i] = vals[i, rng.choice(np.flatnonzero(valid[i]))]
-    else:
-        raise ContractError(f"unknown aggregation '{aggregation}'")
-    return est, counts
+        raise EstimationError(f"no usable {kind} for source {int(np.argmin(counts))}")
+    return aggregate_census(vals, valid, aggregation, (seed,))
 
 
 def estimate_triplet_from_moments(
@@ -270,7 +317,7 @@ def estimate_triplet_from_moments(
     """Triplet estimates for every source from a pairwise agreement matrix."""
     vals, valid = triplet_census(pair_moments, known_edges)
     npairs = vals.shape[1]
-    est, counts = _aggregate(vals, valid, aggregation, seed, "triplet")
+    est, counts = _aggregate_one(vals, valid, aggregation, seed, "triplet")
     meta = {
         "skipped": [int(npairs - c) for c in counts],
         "census_size": int(npairs),
@@ -509,7 +556,7 @@ def estimate_quadratic_triplet_from_moments(
 
     vals, tiebreaks = _class_conditional_census(q, c, d)
     npairs = vals.shape[1]
-    alpha, counts = _aggregate(
+    alpha, counts = _aggregate_one(
         vals, ~np.isnan(vals), aggregation, seed, "class-conditional triplet"
     )
 

@@ -15,11 +15,19 @@ mean(s_i*y) is (2*Binomial(n, (1+a_i)/2) - n)/n and the scored excess
 separates by source, so its expectation is a sum over n+1 binomial outcomes
 per source (``TrialEngine.labeled_excess``).  The curve has zero variance;
 its monotonicity in n, which the data-value-ratio bisection relies on, is
-tested.  Unlabeled fits, the Monte-Carlo labeled oracle
+tested.
+
+Unlabeled fits, the Monte-Carlo labeled oracle
 (``expected_excess_error(..., "labeled", ...)``) and the combined sweep draw
-fresh multinomial state counts per trial; all randomness derives from a root
-seed through per-(purpose, n, trial) seed sequences, so results are
-reproducible and independent of execution order.
+fresh multinomial state counts per trial, from the trial's own generator
+``trial_rng(seed, purpose, n, t)``, which then makes any random choice of
+that trial's fit.  The engine scores trials in blocks: it writes the count
+rows of consecutive trials into buffers of at most ``BLOCK_BYTES`` and
+computes moments, triplet census, aggregation and excess once per block; a
+trial whose fit fails is a masked row, skipped and counted.  Each trial
+draws from its own generator and every batched step computes each row
+exactly as for a lone trial, so results are reproducible and independent
+of execution order and of the block size.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import accuracy_excess, median_correction_constant, bound_constants
-from .errors import ContractError, EstimationError, LabelMomentsError, NumericalError
+from .errors import ContractError, EstimationError, NumericalError
 from .estimators import (
     SampleMoments,
-    estimate_triplet_from_moments,
+    aggregate_census,
+    estimate_triplet_from_moments,  # noqa: F401  (perfbench/tracer.py wraps this name)
     green_strawderman_alpha,
+    triplet_census,
 )
 from .ising import IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_state_counts
 from .manifest import read_json
@@ -50,6 +60,11 @@ DEFAULT_ACCURACIES = (
 DEFAULT_EDGE_GAP = 0.1
 DEFAULT_CURVE_GRID = (250, 500, 1000, 2000, 4000)
 ESTIMATOR_NAMES = ("labeled", "triplet-mean", "triplet-median", "triplet-single")
+
+
+def _require_estimator(name: str) -> None:
+    if name not in ESTIMATOR_NAMES:
+        raise ContractError(f"unknown estimator '{name}'")
 
 
 def edge_layout(d: int, m: int | None = None) -> tuple[tuple[int, int], ...]:
@@ -119,8 +134,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ContractError("n grid must be strictly increasing")
         for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
-                raise ContractError(f"unknown estimator '{name}'")
+            _require_estimator(name)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -171,9 +185,16 @@ class ExcessResult:
     failures: int
 
 
+# Memory budget of one block of trials' joint-state count rows (float64,
+# 2^(m+1) states per sample): at m=10, 8 trials per block, or 4 in the
+# combined sweep, which draws two samples per trial; one trial from m=13 up.
+BLOCK_BYTES = 128 * 1024
+
+
 class TrialEngine:
     """Shared per-model state for excess evaluation: Monte-Carlo trials of
-    the fitted estimators and the exact, memoised labeled curve."""
+    the fitted estimators, scored in blocks, and the exact, memoised labeled
+    curve."""
 
     def __init__(self, model: IsingModel, diag: ModelDiagnostics | None = None):
         self.model = model
@@ -217,13 +238,38 @@ class TrialEngine:
             self._labeled[n] = float(total)
         return self._labeled[n]
 
-    def fit(self, estimator: str, moments: SampleMoments, rng) -> np.ndarray:
+    def blocks(self, label: str, n: int, sizes: tuple, trials: int, seed: int):
+        """Draw ``trials`` trials of a cell in blocks; yields (generators, counts).
+
+        Trial t draws one multinomial of each size in ``sizes``, in order,
+        from its own ``trial_rng(seed, label, n, t)``, whose generator is
+        yielded for any draw its fit makes.  ``counts`` holds one
+        (block, 2^(m+1)) array per size, views of buffers allocated once per
+        cell, so a block must be used before the next one is drawn.
+        """
+        step = min(trials, max(1, BLOCK_BYTES // (len(sizes) * (8 << (self.m + 1)))))
+        buffers = [np.empty((step, 2 << self.m)) for _ in sizes]
+        for start in range(0, trials, step):
+            rngs = [trial_rng(seed, label, n, t) for t in range(start, min(start + step, trials))]
+            for b, rng in enumerate(rngs):
+                for buf, size in zip(buffers, sizes):
+                    buf[b] = sample_state_counts(self.model, size, rng)
+            yield rngs, [buf[: len(rngs)] for buf in buffers]
+
+    def fit(self, estimator: str, moments: SampleMoments, rngs) -> tuple[np.ndarray, np.ndarray]:
+        """Accuracy fits of a block of trials and the mask of fits that succeeded.
+
+        ``moments`` carry one leading trial axis; a ``triplet-single`` fit
+        draws its witness pairs from its trial's generator in ``rngs``.  A
+        fit fails when some source has no usable triplet; its row is then
+        meaningless.
+        """
         if estimator == "labeled":
-            return moments.acc
-        if estimator.startswith("triplet-"):
-            agg = estimator.split("-", 1)[1]
-            return estimate_triplet_from_moments(moments.pair, agg, seed=rng).values
-        raise ContractError(f"unknown estimator '{estimator}'")
+            return moments.acc, np.ones(len(rngs), dtype=bool)
+        _require_estimator(estimator)
+        vals, valid = triplet_census(moments.pair)
+        est, counts = aggregate_census(vals, valid, estimator.split("-", 1)[1], rngs)
+        return est, (counts > 0).all(axis=-1)
 
     def excess(self, estimates: np.ndarray) -> np.ndarray:
         return accuracy_excess(
@@ -233,20 +279,14 @@ class TrialEngine:
     def excess_series(
         self, estimator: str, n: int, trials: int, seed: int
     ) -> tuple[np.ndarray, int]:
-        """Per-trial exact excess values; failed fits are skipped and counted."""
-        out = []
-        failures = 0
-        for t in range(trials):
-            rng = trial_rng(seed, f"excess:{estimator}", n, t)
-            counts = sample_state_counts(self.model, n, rng)
-            moments = SampleMoments.from_state_counts(counts, self.m)
-            try:
-                est = self.fit(estimator, moments, rng)
-            except LabelMomentsError:
-                failures += 1
-                continue
-            out.append(float(self.excess(est)))
-        return np.asarray(out), failures
+        """Per-trial exact excess values in trial order; failed fits are skipped and counted."""
+        _require_estimator(estimator)
+        series = []
+        for rngs, (counts,) in self.blocks(f"excess:{estimator}", n, (n,), trials, seed):
+            est, ok = self.fit(estimator, SampleMoments.from_state_counts(counts, self.m), rngs)
+            series.append(self.excess(est[ok]))
+        series = np.concatenate(series)
+        return series, trials - series.size
 
 
 def expected_excess_error(
@@ -420,6 +460,15 @@ class CombinedSweepRow:
     failures: int
 
 
+def _shrinkage_alpha(labeled: SampleMoments, a_u: np.ndarray, r: float) -> float:
+    """The shrinkage rule's unlabeled weight; 1 when the labeled covariance
+    is zero or undefined."""
+    try:
+        return green_strawderman_alpha(labeled.acc - a_u, labeled.shrinkage_covariance(), r)
+    except (NumericalError, ContractError):
+        return 1.0
+
+
 def combined_sweep(
     model: IsingModel,
     n_unlabeled: int,
@@ -438,46 +487,40 @@ def combined_sweep(
     zero or undefined.  Alpha 0 is labeled-only and alpha 1 unlabeled-only,
     so those columns come from the same sweep.
     """
+    _require_estimator(estimator)
     engine = engine if engine is not None else TrialEngine(model)
     m = engine.m
     alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
     r = float(m - 2)
     rows = []
     for n_l in n_labeled_grid:
-        gs_excess, gs_alpha = [], []
-        failures = 0
-        buf = []
-        for t in range(trials):
-            rng = trial_rng(seed, f"combined:{estimator}:{n_unlabeled}", n_l, t)
-            counts_u = sample_state_counts(model, n_unlabeled, rng)
-            counts_l = sample_state_counts(model, n_l, rng)
-            mom_u = SampleMoments.from_state_counts(counts_u, m)
+        blend_excess, gs_excess, gs_alpha = [], [], []
+        label = f"combined:{estimator}:{n_unlabeled}"
+        for rngs, (counts_u, counts_l) in engine.blocks(
+            label, n_l, (n_unlabeled, n_l), trials, seed
+        ):
+            a_u, ok = engine.fit(estimator, SampleMoments.from_state_counts(counts_u, m), rngs)
             mom_l = SampleMoments.from_state_counts(counts_l, m)
-            try:
-                a_u = engine.fit(estimator, mom_u, rng)
-            except LabelMomentsError:
-                failures += 1
-                continue
-            a_l = mom_l.acc
-            blends = alphas[:, None] * a_u[None, :] + (1 - alphas)[:, None] * a_l[None, :]
-            buf.append(engine.excess(blends))
-            try:
-                sigma = mom_l.shrinkage_covariance()
-                alpha_g = green_strawderman_alpha(a_l - a_u, sigma, r)
-            except (NumericalError, ContractError):
-                alpha_g = 1.0
-            gs_alpha.append(alpha_g)
+            a_u, a_l = a_u[ok], mom_l.acc[ok]
+            blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]
+            blend_excess.append(engine.excess(blends))
+            labeled = [
+                SampleMoments(int(n_l), mom_l.means[b], mom_l.pair[b], mom_l.acc[b])
+                for b in np.flatnonzero(ok)
+            ]
+            alpha_g = np.array([_shrinkage_alpha(lab, u, r) for lab, u in zip(labeled, a_u)])
+            gs_alpha.extend(alpha_g)
             gs_excess.append(
-                float(engine.excess(alpha_g * a_u + (1 - alpha_g) * a_l))
+                engine.excess(alpha_g[:, None] * a_u + (1 - alpha_g)[:, None] * a_l)
             )
-        if not buf:
-            raise EstimationError(f"every trial failed at n_labeled={n_l}")
-        per_alpha = np.vstack(buf)
+        per_alpha = np.concatenate(blend_excess)
         k = per_alpha.shape[0]
+        if k == 0:
+            raise EstimationError(f"every trial failed at n_labeled={n_l}")
         means = per_alpha.mean(axis=0)
         stderrs = per_alpha.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else 0 * means
         best = int(np.argmin(means))
-        gs_excess = np.asarray(gs_excess)
+        gs_excess = np.concatenate(gs_excess)
         rows.append(
             CombinedSweepRow(
                 n_labeled=int(n_l),
@@ -493,7 +536,7 @@ def combined_sweep(
                 excess_gs=float(gs_excess.mean()),
                 stderr_gs=float(gs_excess.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
                 trials=k,
-                failures=failures,
+                failures=trials - k,
             )
         )
     return rows

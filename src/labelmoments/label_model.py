@@ -26,6 +26,7 @@ of all 2**m configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -173,7 +174,14 @@ class LabelModel:
         return lw_pos - denom, lw_neg - denom
 
     def log_posterior_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log posteriors for every one of the 2**m configurations, in index order."""
+        """Log posteriors for every one of the 2**m configurations, in index order.
+
+        Built once per model (the model is immutable) and returned read-only.
+        """
+        return self._posterior_table
+
+    @cached_property
+    def _posterior_table(self) -> tuple[np.ndarray, np.ndarray]:
         check_capacity(self.m)
         bits = config_bits(self.m)
         lw_pos, lw_neg = self._log_numerators(bits)
@@ -185,7 +193,10 @@ class LabelModel:
                     "configuration distribution lacks full support"
                 )
             denom = np.log(self.config_dist)
-        return lw_pos - denom, lw_neg - denom
+        table = (lw_pos - denom, lw_neg - denom)
+        for arr in table:
+            arr.setflags(write=False)
+        return table
 
 
 def posterior(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:

@@ -143,6 +143,63 @@ def test_combine_rejects_nonpositive_sizes(tmp_path, tiny_config, sizes):
     assert not (out / "combined.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["dvr", "--estimators", "foo"],
+    ["combine", "--estimator", "foo"],
+])
+def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeypatch, args):
+    from labelmoments import experiments
+
+    def no_draw(*a):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "trial_rng", no_draw)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, args + ["--config", str(tiny_config), "-o", str(out)])
+    assert result.exit_code == 1
+    assert "error (ContractError): unknown estimator 'foo'" in result.output
+    assert "Traceback" not in result.output
+
+
+# SHA-256 of the suite outputs of GOLDEN_CONFIG, recorded before the trial
+# engine scored trials in blocks.
+GOLDEN_CONFIG = {
+    "model": {"accuracies": list(DEFAULT_ACCURACIES[:6]), "d": 1},
+    "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
+    "n_grid": [40, 200],
+    "trials": 5,
+    "seed": 3,
+}
+GOLDEN_HASHES = {
+    "curves.csv": "216e7e6d9be39f6455592a5d9734150a9371bc7abd8d62da8bb89e337c698f4a",
+    "combined.csv": "cdd2aa37f3fdbbea3c77e7fd163a0583c47616c8e0a7deb410bf01546d4b518c",
+    "dvr.csv": "0749ba8dcbcb491058413fb281ac801a4b65327e054542c8cfa66947715d10e5",
+}
+
+
+def test_suite_outputs_match_recorded_hashes(tmp_path):
+    """The Monte-Carlo suites reproduce recorded bytes (m=6, 5 trials).
+
+    These hashes pin the random-stream protocol: per-trial generators from
+    ``trial_rng``, the draw order within a trial, and every number computed
+    from the draws.  A speed-up must leave them unchanged.  A deliberate
+    change of the stream (for example one generator per cell instead of one
+    per trial) must update them in the same change, and say so.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    for args in (
+        ["curves"],
+        ["dvr"],
+        ["combine", "--n-unlabeled", "200", "--n-labeled-grid", "25,50",
+         "--estimator", "triplet-single"],
+    ):
+        result = CliRunner().invoke(main, args + ["--config", str(config), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+    assert {name: file_sha256(out / name) for name in GOLDEN_HASHES} == GOLDEN_HASHES
+
+
 def test_ws_ingest_rejects_test_fraction_outside_unit_interval(tmp_path, tiny_corpus):
     docs, _ = tiny_corpus
     result = CliRunner().invoke(main, [

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from labelmoments import ContractError
-from labelmoments.analysis import median_mse
-from labelmoments.estimators import AccuracyEstimate, SampleMoments
+from labelmoments import ContractError, EstimationError, NumericalError, experiments
+from labelmoments.analysis import accuracy_excess, median_mse
+from labelmoments.estimators import (
+    AccuracyEstimate,
+    SampleMoments,
+    estimate_triplet_from_moments,
+    green_strawderman_alpha,
+)
 from labelmoments.experiments import (
+    ALPHA_STEP,
     DEFAULT_ACCURACIES,
+    CombinedSweepRow,
     ExperimentConfig,
     SyntheticModelSpec,
     TrialEngine,
@@ -22,6 +29,7 @@ from labelmoments.experiments import (
     run_dvr,
     trial_rng,
 )
+from labelmoments.ising import sample_state_counts
 from labelmoments.label_model import LabelModel
 from labelmoments.analysis import exact_generalization_error
 
@@ -318,3 +326,138 @@ class TestSuiteRunners:
         rows = run_combined(cfg, tmp_path, n_unlabeled=200, n_labeled_grid=(40, 80))
         lines = (tmp_path / "combined.csv").read_text().splitlines()
         assert len(lines) == 1 + len(rows) == 3
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the batched trial engine: the per-trial loop it replaced, written
+# on the public per-fit API (one draw, one moment set, one fit per trial).
+# ---------------------------------------------------------------------------
+
+
+def _fit_one(estimator, moments, rng):
+    if estimator == "labeled":
+        return moments.acc
+    aggregation = estimator.split("-", 1)[1]
+    return estimate_triplet_from_moments(moments.pair, aggregation, seed=rng).values
+
+
+def _per_trial_series(engine, estimator, n, trials, seed):
+    out, failures = [], 0
+    for t in range(trials):
+        rng = trial_rng(seed, f"excess:{estimator}", n, t)
+        counts = sample_state_counts(engine.model, n, rng)
+        moments = SampleMoments.from_state_counts(counts, engine.m)
+        try:
+            est = _fit_one(estimator, moments, rng)
+        except EstimationError:
+            failures += 1
+            continue
+        out.append(float(accuracy_excess(engine.diag.accuracies, engine.diag.inference_bias, est)))
+    return np.asarray(out), failures
+
+
+def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
+    m = engine.m
+    alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
+    rows = []
+    for n_l in n_labeled_grid:
+        per_alpha, gs_alpha, gs_excess, failures = [], [], [], 0
+        for t in range(trials):
+            rng = trial_rng(seed, f"combined:{estimator}:{n_u}", n_l, t)
+            mom_u = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_u, rng), m)
+            mom_l = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_l, rng), m)
+            try:
+                a_u = _fit_one(estimator, mom_u, rng)
+            except EstimationError:
+                failures += 1
+                continue
+            a_l = mom_l.acc
+            per_alpha.append(engine.excess(alphas[:, None] * a_u + (1 - alphas)[:, None] * a_l))
+            try:
+                alpha = green_strawderman_alpha(a_l - a_u, mom_l.shrinkage_covariance(), m - 2.0)
+            except (NumericalError, ContractError):
+                alpha = 1.0
+            gs_alpha.append(alpha)
+            gs_excess.append(float(engine.excess(alpha * a_u + (1 - alpha) * a_l)))
+        per_alpha, gs_excess = np.vstack(per_alpha), np.asarray(gs_excess)
+        k = per_alpha.shape[0]
+        means = per_alpha.mean(axis=0)
+        stderrs = per_alpha.std(axis=0, ddof=1) / np.sqrt(k)
+        best = int(np.argmin(means))
+        rows.append(CombinedSweepRow(
+            int(n_l), int(n_u), float(means[0]), float(stderrs[0]),
+            float(means[-1]), float(stderrs[-1]), float(alphas[best]),
+            float(means[best]), float(stderrs[best]), float(np.mean(gs_alpha)),
+            float(gs_excess.mean()), float(gs_excess.std(ddof=1) / np.sqrt(k)),
+            k, failures,
+        ))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def tiny_engine():
+    """Four sources: at n=4 a source's three witness denominators can all
+    vanish, so some trials fail and failures land inside and at the edges
+    of blocks."""
+    return TrialEngine(SyntheticModelSpec((0.6, 0.55, 0.7, 0.65), d=1).build())
+
+
+# Block budgets: one trial per block, seven count rows (uneven blocks), the
+# module default, and the whole cell in one block.
+BUDGETS = {
+    "one-trial": lambda m: 1,
+    "seven-rows": lambda m: 7 * (8 << (m + 1)),
+    "default": lambda m: experiments.BLOCK_BYTES,
+    "whole-cell": lambda m: 1 << 40,
+}
+
+
+class TestBatchedEngineOracle:
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
+    def test_excess_series_matches_per_trial_loop(
+        self, monkeypatch, tiny_engine, dep_engine, estimator, budget
+    ):
+        failed = 0
+        for engine, n, trials in ((tiny_engine, 4, 40), (tiny_engine, 9, 13), (dep_engine, 300, 20)):
+            monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
+            series, failures = engine.excess_series(estimator, n, trials, 21)
+            ref_series, ref_failures = _per_trial_series(engine, estimator, n, trials, 21)
+            np.testing.assert_array_equal(series, ref_series)
+            assert failures == ref_failures
+            failed += failures
+        if estimator != "labeled":
+            assert failed > 0  # the tiny model exercises masked rows
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("estimator", ["triplet-mean", "triplet-single"])
+    def test_combined_sweep_matches_per_trial_loop(
+        self, monkeypatch, tiny_engine, dep_engine, estimator, budget
+    ):
+        failed = 0
+        for engine, n_u, grid, trials in ((tiny_engine, 4, (2, 6), 30), (dep_engine, 200, (30,), 12)):
+            monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
+            rows = combined_sweep(engine.model, n_u, grid, estimator, trials, 8, engine)
+            assert rows == _per_trial_combined(engine, n_u, grid, estimator, trials, 8)
+            failed += sum(r.failures for r in rows)
+        assert failed > 0
+
+    def test_block_size_follows_the_budget(self, monkeypatch, tiny_engine):
+        sizes = []
+        for budget in (1, 3 * (8 << 5), 1 << 40):
+            monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
+            sizes.append([len(rngs) for rngs, _ in tiny_engine.blocks("x", 4, (4,), 7, 0)])
+        assert sizes == [[1] * 7, [3, 3, 1], [7]]
+
+    @pytest.mark.parametrize("call", [
+        lambda e: e.excess_series("triplet-foo", 50, 3, 0),
+        lambda e: expected_excess_error(e.model, "foo", 50, 3, 0, e),
+        lambda e: combined_sweep(e.model, 50, (10,), "foo", 3, 0, e),
+    ])
+    def test_unknown_estimator_raises_before_any_draw(self, monkeypatch, tiny_engine, call):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "trial_rng", no_draw)
+        with pytest.raises(ContractError, match="unknown estimator"):
+            call(tiny_engine)

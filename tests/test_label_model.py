@@ -300,3 +300,22 @@ class TestScoresMatchRowOracle:
         model = LabelModel.from_accuracies([0.6, 0.6], 0.5)
         with pytest.raises(ContractError):
             cross_entropy(model, np.array(states))
+
+    def test_posterior_table_is_built_once_per_model(self, monkeypatch):
+        model = LabelModel.from_accuracies([0.6, 0.2, 0.4], 0.5)
+        builds = []
+        original = LabelModel._log_numerators
+
+        def counted(self, bits):
+            builds.append(bits.shape)
+            return original(self, bits)
+
+        monkeypatch.setattr(LabelModel, "_log_numerators", counted)
+        states = np.arange(16)
+        loss, f1 = cross_entropy(model, states), f1_score(model, states)
+        assert len(builds) == 1
+        lp_pos, lp_neg = model.log_posterior_table()
+        assert not lp_pos.flags.writeable and not lp_neg.flags.writeable
+        fresh = LabelModel.from_accuracies([0.6, 0.2, 0.4], 0.5)
+        assert (cross_entropy(fresh, states), f1_score(fresh, states)) == (loss, f1)
+        assert len(builds) == 2
