@@ -29,16 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, IdentityUndefinedError, NumericalError
+from .errors import ContractError, EstimationError, IdentityUndefinedError, NumericalError
 from .ising import (
     IsingModel,
     ModelDiagnostics,
     conditional_entropy,
-    diagnostics,
     inference_bias,
-    sample_state_counts,
+    sample_state_counts,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
-from .estimators import SampleMoments, estimate_triplet_from_moments
+from .estimators import estimate_triplet_from_moments  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .label_model import ACCURACY_CLAMP, LabelModel
 from .manifest import write_json
 from .states import sign_rows
@@ -82,8 +81,8 @@ def _source_conditionals(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     out = np.empty((2, m))
     for i in range(m):
         mask = 0.5 * (signs[i] + 1.0)
-        out[0, i] = float(np.dot(blocks[1], mask))  # Y = +1
-        out[1, i] = float(np.dot(blocks[0], mask))  # Y = -1
+        out[0, i] = float((blocks[1] * mask).sum())  # Y = +1
+        out[1, i] = float((blocks[0] * mask).sum())  # Y = -1
     return out[0], out[1]
 
 
@@ -97,7 +96,7 @@ def expected_loss_by_enumeration(model: IsingModel, fitted: LabelModel) -> float
         raise ContractError("fitted model and ground truth disagree on m")
     lp_pos, lp_neg = fitted.log_posterior_table()
     blocks = model.joint.reshape(2, -1)  # row 0: Y=-1, row 1: Y=+1
-    return float(-(np.dot(blocks[1], lp_pos) + np.dot(blocks[0], lp_neg)))
+    return float(-((blocks[1] * lp_pos).sum() + (blocks[0] * lp_neg).sum()))
 
 
 def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
@@ -117,7 +116,7 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
         )
     h_cond = conditional_entropy(model)
     p_lambda = model.lambda_marginal()
-    noise = float(np.dot(p_lambda, np.log(p_lambda) - np.log(fitted.config_dist)))
+    noise = float((p_lambda * (np.log(p_lambda) - np.log(fitted.config_dist))).sum())
     bias = inference_bias(model)
     true_pos, true_neg = _source_conditionals(model)
     p = model.class_balance()
@@ -276,8 +275,9 @@ class MedianMseResult:
     c_rho: float
     applicable: bool             # consistency conditions m > 5, d < (m-1)(m-2)/4
     n_unlabeled: int
-    trials: int
+    trials: int                  # fits scored
     per_source_mse: np.ndarray = field(repr=False, default=None)
+    failures: int = 0            # fits skipped: some source had no usable triplet
 
 
 def median_mse(
@@ -289,22 +289,23 @@ def median_mse(
 ) -> MedianMseResult:
     """Monte-Carlo maximum MSE of the median-corrected estimator, plus its bound.
 
-    The consistency conditions (m > 5, d below a quarter of the triplet
-    count) are reported; when violated the MSE is still estimated.
+    The fits are the ``triplet-median`` trials of the excess curves
+    (``TrialEngine.estimates``), so rho and the curve at n_unlabeled share
+    one Monte-Carlo path.  A failed fit is skipped and counted;
+    ``EstimationError`` only when every fit fails.  The consistency
+    conditions (m > 5, d below a quarter of the triplet count) are
+    reported; when violated the MSE is still estimated.
     """
+    from .experiments import TrialEngine  # experiments imports this module
+
     if trials < 30:
         raise ContractError("at least 30 trials required")
-    if diag is None:
-        diag = diagnostics(model)
-    m = model.m
-    sq = np.zeros(m)
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 887, t]))
-        counts = sample_state_counts(model, n_unlabeled, rng)
-        moments = SampleMoments.from_state_counts(counts, m)
-        est = estimate_triplet_from_moments(moments.pair, "median")
-        sq += (est.values - diag.accuracies) ** 2
-    per_source = sq / trials
+    engine = TrialEngine(model, diag)
+    diag, m = engine.diag, engine.m
+    fits, failures = engine.estimates("triplet-median", n_unlabeled, trials, seed)
+    if len(fits) == 0:
+        raise EstimationError("every median-corrected fit failed")
+    per_source = ((fits - diag.accuracies) ** 2).mean(axis=0)
     rho = float(per_source.max())
     c_rho = median_correction_constant(diag)
     applicable = m > 5 and model.edge_count < (m - 1) * (m - 2) / 4.0
@@ -314,8 +315,9 @@ def median_mse(
         c_rho=c_rho,
         applicable=applicable,
         n_unlabeled=n_unlabeled,
-        trials=trials,
+        trials=len(fits),
         per_source_mse=per_source,
+        failures=failures,
     )
 
 

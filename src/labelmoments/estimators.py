@@ -24,8 +24,8 @@ Batch axes: ``SampleMoments.from_state_counts`` takes counts of shape
 ``triplet_census`` turns pair moments (..., m, m) into a (..., m, C(m-1, 2))
 census, and ``aggregate_census`` reduces a census over its last axis.  The
 Monte-Carlo engine passes a block of trials at once; a single fit
-(``estimate_*``, the data-file commands, the case study, the median-MSE
-loop) is the case without leading axes, so both run one implementation.
+(``estimate_*``, the data-file commands, the case study) is the case
+without leading axes, so both run one implementation.
 Each batch row comes out bit for bit as the unbatched call would give it:
 the moment sums are exact (integer counts times +-1), the census is
 elementwise, the median is a sort, and the mean sums the rows of a 2-d
@@ -261,20 +261,24 @@ def triplet_census(
 
 
 def aggregate_census(
-    vals: np.ndarray, valid: np.ndarray, aggregation: str, rngs=()
+    vals: np.ndarray, valid: np.ndarray, aggregation: str, rng=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-source ``mean``/``median``/``single`` of a census over its last axis.
 
     ``vals`` and ``valid`` are (..., m, C); returns the (..., m) estimates
     and valid counts.  A batch row in which some source has no valid column
     is unusable: its estimates are meaningless and it draws nothing.
-    ``single`` draws, for each usable row in C order, one valid column per
-    source in source order from that row's entry of ``rngs`` (a generator,
-    or a seed for one).
+    ``single`` picks one valid column per source for every usable row with
+    one ``rng.integers(0, counts)`` (``rng`` is a generator, or a seed for
+    one), in row, then source order.  numpy draws those elements one after
+    another, so the picks of consecutive blocks of rows equal one call over
+    all of them; for one census they are the columns, and leave the
+    generator in the state, of a ``rng.choice`` among each source's valid
+    columns in source order.
     """
     if aggregation not in ("mean", "median", "single"):
         raise ContractError(f"unknown aggregation '{aggregation}'")
-    m, npairs = vals.shape[-2:]
+    npairs = vals.shape[-1]
     counts = valid.sum(axis=-1)
     if aggregation == "mean":
         # The row sums run over a 2-d array, as for a single census.
@@ -285,15 +289,12 @@ def aggregate_census(
         order = np.sort(np.where(valid, vals, np.inf), axis=-1)
         lower = np.maximum(counts - 1, 0)[..., None] // 2  # lower median for even counts
         return np.take_along_axis(order, lower, axis=-1)[..., 0], counts
+    usable = (counts > 0).all(axis=-1)
+    pick = np.random.default_rng(rng).integers(0, counts[usable])
+    # the pick-th valid column is the first whose running valid count exceeds pick
+    cols = np.argmax(np.cumsum(valid[usable], axis=-1) > pick[..., None], axis=-1)
     est = np.full(counts.shape, np.nan)
-    flat_est, flat_vals = est.reshape(-1, m), vals.reshape(-1, m, npairs)
-    flat_valid = valid.reshape(-1, m, npairs)
-    usable = (counts > 0).all(axis=-1).reshape(-1)
-    for b, seed in enumerate(rngs):
-        if usable[b]:
-            rng = np.random.default_rng(seed)
-            for i in range(m):
-                flat_est[b, i] = flat_vals[b, i, rng.choice(np.flatnonzero(flat_valid[b, i]))]
+    est[usable] = np.take_along_axis(vals[usable], cols[..., None], axis=-1)[..., 0]
     return est, counts
 
 
@@ -305,7 +306,7 @@ def _aggregate_one(
     counts = valid.sum(axis=1)
     if (counts == 0).any():
         raise EstimationError(f"no usable {kind} for source {int(np.argmin(counts))}")
-    return aggregate_census(vals, valid, aggregation, (seed,))
+    return aggregate_census(vals, valid, aggregation, seed)
 
 
 def estimate_triplet_from_moments(

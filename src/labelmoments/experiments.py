@@ -18,16 +18,22 @@ its monotonicity in n, which the data-value-ratio bisection relies on, is
 tested.
 
 Unlabeled fits, the Monte-Carlo labeled oracle
-(``expected_excess_error(..., "labeled", ...)``) and the combined sweep draw
-fresh multinomial state counts per trial, from the trial's own generator
-``trial_rng(seed, purpose, n, t)``, which then makes any random choice of
-that trial's fit.  The engine scores trials in blocks: it writes the count
-rows of consecutive trials into buffers of at most ``BLOCK_BYTES`` and
-computes moments, triplet census, aggregation and excess once per block; a
-trial whose fit fails is a masked row, skipped and counted.  Each trial
-draws from its own generator and every batched step computes each row
-exactly as for a lone trial, so results are reproducible and independent
-of execution order and of the block size.
+(``expected_excess_error(..., "labeled", ...)``), the median MSE behind
+rho (``analysis.median_mse``) and the combined sweep run in cells: one
+purpose label and one sample size n.  A cell draws from one generator per
+sample size it draws and one for its fits' random choices (the witness
+pairs of ``triplet-single``), each from ``trial_rng`` under its own stream
+label, so trial t's samples are the t-th draws of those streams.  The
+engine scores trials in blocks of at most ``BLOCK_BYTES`` of count rows:
+one ``multinomial(size=...)`` per stream and block, then moments, triplet
+census, aggregation and excess once per block; a trial whose fit fails is
+a masked row that draws nothing, skipped and counted.  numpy draws
+multinomial rows and ``integers`` elements one after another, so a block
+draws exactly what the same trials drawn one by one would, and every
+batched step computes each row exactly as for a lone trial.  Results are
+reproducible, and the same whatever the block size and whichever cells run
+first; within a cell, trial t depends on the trials before it, so the first
+T trials of a longer run equal a run of T trials.
 """
 
 from __future__ import annotations
@@ -168,10 +174,16 @@ def _stream(label: str) -> int:
     return zlib.crc32(label.encode())
 
 
-def trial_rng(seed: int, label: str, n: int, trial: int) -> np.random.Generator:
-    """Per-trial generator derived from the root seed by counter."""
+def trial_rng(seed: int, label: str, n: int) -> np.random.Generator:
+    """The generator of one random stream of a Monte-Carlo cell.
+
+    Derived from the root seed, the stream label and the cell's sample
+    size; the only place a generator is seeded from the root seed.  The name
+    predates one generator per stream and stays: ``perfbench/tracer.py`` and
+    the tests patch it.
+    """
     return np.random.default_rng(
-        np.random.SeedSequence([seed % (1 << 63), _stream(label), n, trial])
+        np.random.SeedSequence([seed % (1 << 63), _stream(label), n])
     )
 
 
@@ -224,8 +236,9 @@ class TrialEngine:
 
         Source i's estimate is (2K - n)/n with K ~ Binomial(n, (1+a_i)/2), and
         the excess is B_I plus a sum of per-source terms, so its expectation
-        is B_I plus, per source, the pmf-weighted score of the n+1 outcomes.
-        Memoised per n.
+        is B_I plus, per source, the pmf-weighted score of the n+1 outcomes,
+        summed by numpy rather than a BLAS dot, whose split across threads
+        would move its last bits.  Memoised per n.
         """
         if n < 1:
             raise ContractError("sample size must be at least 1")
@@ -234,41 +247,39 @@ class TrialEngine:
             total = self.diag.inference_bias
             for a in self.diag.accuracies:
                 kl = accuracy_excess([a], 0.0, outcomes[:, None])
-                total += float(self.binomial_pmf(n, (1.0 + a) / 2.0) @ kl)
+                total += float((self.binomial_pmf(n, (1.0 + a) / 2.0) * kl).sum())
             self._labeled[n] = float(total)
         return self._labeled[n]
 
     def blocks(self, label: str, n: int, sizes: tuple, trials: int, seed: int):
-        """Draw ``trials`` trials of a cell in blocks; yields (generators, counts).
+        """Draw ``trials`` trials of a cell in blocks; yields (fit generator, counts).
 
-        Trial t draws one multinomial of each size in ``sizes``, in order,
-        from its own ``trial_rng(seed, label, n, t)``, whose generator is
-        yielded for any draw its fit makes.  ``counts`` holds one
-        (block, 2^(m+1)) array per size, views of buffers allocated once per
-        cell, so a block must be used before the next one is drawn.
+        Sample k of every trial, of size ``sizes[k]``, comes from the stream
+        ``trial_rng(seed, f"{label}/{k}", n)``; ``counts`` holds one
+        (block, 2^(m+1)) array per size.  The fit generator
+        ``trial_rng(seed, f"{label}/fit", n)`` is the same in every block.
         """
+        draws = [trial_rng(seed, f"{label}/{k}", n) for k in range(len(sizes))]
+        fit_rng = trial_rng(seed, f"{label}/fit", n)
         step = min(trials, max(1, BLOCK_BYTES // (len(sizes) * (8 << (self.m + 1)))))
-        buffers = [np.empty((step, 2 << self.m)) for _ in sizes]
         for start in range(0, trials, step):
-            rngs = [trial_rng(seed, label, n, t) for t in range(start, min(start + step, trials))]
-            for b, rng in enumerate(rngs):
-                for buf, size in zip(buffers, sizes):
-                    buf[b] = sample_state_counts(self.model, size, rng)
-            yield rngs, [buf[: len(rngs)] for buf in buffers]
+            b = min(step, trials - start)
+            yield fit_rng, [
+                sample_state_counts(self.model, size, rng, b) for rng, size in zip(draws, sizes)
+            ]
 
-    def fit(self, estimator: str, moments: SampleMoments, rngs) -> tuple[np.ndarray, np.ndarray]:
+    def fit(self, estimator: str, moments: SampleMoments, rng) -> tuple[np.ndarray, np.ndarray]:
         """Accuracy fits of a block of trials and the mask of fits that succeeded.
 
         ``moments`` carry one leading trial axis; a ``triplet-single`` fit
-        draws its witness pairs from its trial's generator in ``rngs``.  A
-        fit fails when some source has no usable triplet; its row is then
-        meaningless.
+        draws its witness pairs from ``rng``.  A fit fails when some source
+        has no usable triplet; its row is then meaningless.
         """
         if estimator == "labeled":
-            return moments.acc, np.ones(len(rngs), dtype=bool)
+            return moments.acc, np.ones(len(moments.acc), dtype=bool)
         _require_estimator(estimator)
         vals, valid = triplet_census(moments.pair)
-        est, counts = aggregate_census(vals, valid, estimator.split("-", 1)[1], rngs)
+        est, counts = aggregate_census(vals, valid, estimator.split("-", 1)[1], rng)
         return est, (counts > 0).all(axis=-1)
 
     def excess(self, estimates: np.ndarray) -> np.ndarray:
@@ -276,17 +287,25 @@ class TrialEngine:
             self.diag.accuracies, self.diag.inference_bias, estimates
         )
 
+    def estimates(
+        self, estimator: str, n: int, trials: int, seed: int
+    ) -> tuple[np.ndarray, int]:
+        """The (fits, m) successful fits of the cell ``excess:{estimator}`` at n,
+        in trial order, and the number of failed fits."""
+        _require_estimator(estimator)
+        fits = []
+        for rng, (counts,) in self.blocks(f"excess:{estimator}", n, (n,), trials, seed):
+            est, ok = self.fit(estimator, SampleMoments.from_state_counts(counts, self.m), rng)
+            fits.append(est[ok])
+        fits = np.concatenate(fits)
+        return fits, trials - len(fits)
+
     def excess_series(
         self, estimator: str, n: int, trials: int, seed: int
     ) -> tuple[np.ndarray, int]:
         """Per-trial exact excess values in trial order; failed fits are skipped and counted."""
-        _require_estimator(estimator)
-        series = []
-        for rngs, (counts,) in self.blocks(f"excess:{estimator}", n, (n,), trials, seed):
-            est, ok = self.fit(estimator, SampleMoments.from_state_counts(counts, self.m), rngs)
-            series.append(self.excess(est[ok]))
-        series = np.concatenate(series)
-        return series, trials - series.size
+        fits, failures = self.estimates(estimator, n, trials, seed)
+        return self.excess(fits), failures
 
 
 def expected_excess_error(
@@ -496,10 +515,10 @@ def combined_sweep(
     for n_l in n_labeled_grid:
         blend_excess, gs_excess, gs_alpha = [], [], []
         label = f"combined:{estimator}:{n_unlabeled}"
-        for rngs, (counts_u, counts_l) in engine.blocks(
+        for rng, (counts_u, counts_l) in engine.blocks(
             label, n_l, (n_unlabeled, n_l), trials, seed
         ):
-            a_u, ok = engine.fit(estimator, SampleMoments.from_state_counts(counts_u, m), rngs)
+            a_u, ok = engine.fit(estimator, SampleMoments.from_state_counts(counts_u, m), rng)
             mom_l = SampleMoments.from_state_counts(counts_l, m)
             a_u, a_l = a_u[ok], mom_l.acc[ok]
             blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]

@@ -194,23 +194,28 @@ def inference_bias(model: IsingModel) -> float:
 def conditional_entropy(model: IsingModel) -> float:
     """H(Y | sources) in nats: the joint entropy minus the source-marginal entropy."""
     joint, p_lambda = model.joint, model.lambda_marginal()
-    ent_joint = -float(np.dot(joint, np.log(joint)))
-    ent_lambda = -float(np.dot(p_lambda, np.log(p_lambda)))
+    ent_joint = -float((joint * np.log(joint)).sum())
+    ent_lambda = -float((p_lambda * np.log(p_lambda)).sum())
     return ent_joint - ent_lambda
 
 
 def diagnostics(model: IsingModel) -> ModelDiagnostics:
-    """Exact accuracies, pairwise moments, entropy, and misspecification gaps."""
+    """Exact accuracies, pairwise moments, entropy, and misspecification gaps.
+
+    Every reduction over the joint states is numpy's own pairwise sum, one
+    row at a time: a BLAS dot may split a long sum across threads, which
+    changes its last bits with the thread count.
+    """
     m, joint = model.m, model.joint
     signs = sign_rows(m)
-    sy = signs[m]
+    wy = joint * signs[m]
 
-    acc = np.array([float(np.dot(joint, s * sy)) for s in signs[:m]])
+    acc = np.array([float((wy * s).sum()) for s in signs[:m]])
     pair = np.eye(m)
     for i in range(m):
         wi = joint * signs[i]
         for j in range(i + 1, m):
-            pair[i, j] = pair[j, i] = float(np.dot(wi, signs[j]))
+            pair[i, j] = pair[j, i] = float((wi * signs[j]).sum())
 
     gaps = {(i, j): float(pair[i, j] - acc[i] * acc[j]) for i, j, _ in model.edges}
     off = pair[~np.eye(m, dtype=bool)]
@@ -445,13 +450,16 @@ def sample(model: IsingModel, n: int, seed) -> SourceMatrix:
     return SourceMatrix(values, labels)
 
 
-def sample_state_counts(model: IsingModel, n: int, seed) -> np.ndarray:
+def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None) -> np.ndarray:
     """Multinomial counts over joint states; the sufficient statistics of a draw.
 
     Distributionally identical to counting the rows of :func:`sample`, and
-    what the Monte-Carlo experiment loops consume.
+    what the Monte-Carlo experiment loops consume.  With ``size``, returns
+    (size, 2^(m+1)) counts of that many independent samples in one call;
+    numpy draws the rows one after another, so they equal ``size`` calls
+    without it on the same generator.
     """
     if n < 1:
         raise ContractError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
-    return rng.multinomial(n, model.joint).astype(np.float64)
+    return rng.multinomial(n, model.joint, size=size).astype(np.float64)

@@ -30,7 +30,7 @@ def sign_rows(m: int) -> np.ndarray:
     """Read-only (m+1, 2**(m+1)) table of -1.0/+1.0 signs over every joint state.
 
     Row k holds source k's sign and row m holds Y's.  Each row is filled in
-    place and stays contiguous, so dot products along a row sum in the same
+    place and stays contiguous, so a reduction along a row sums in the same
     order as over a freshly built sign vector.  Cached, so every reader at
     one m shares a single table.
     """

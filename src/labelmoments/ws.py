@@ -379,11 +379,13 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     """Fit labeled / mean / median-corrected / combined models; score on the test split.
 
     Returns metric rows (dicts) ready for CSV serialization.  Both splits
-    become joint-state indices once.  Each training subset is one
+    become joint-state indices once.  Each cell (a model and a training
+    size) draws its trials, one after another, from one
+    ``trial_rng(seed, f"case:{name}", n)``.  A training subset is one
     ``rng.choice`` of row positions without replacement, kept as the
-    joint-state counts of the drawn rows, so the random stream is the one a
-    row subsample draws.  Every fit reads those counts, and the test split
-    is scored by its state indices.  The test split must be labeled.
+    joint-state counts of the drawn rows; every fit reads those counts, and
+    the test split is scored by its state indices.  The test split must be
+    labeled.
     """
     config = config if config is not None else CaseStudyConfig()
     train_docs, test_docs = corpus.train, corpus.test
@@ -423,8 +425,8 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     for name, fitter in fitters.items():
         for n in config.n_grid:
             losses, f1s = [], []
-            for t in range(config.trials):
-                rng = trial_rng(config.seed, f"case:{name}", n, t)
+            rng = trial_rng(config.seed, f"case:{name}", n)
+            for _ in range(config.trials):
                 loss, f1 = score(fitter(subsample(rng, n)))
                 losses.append(loss)
                 f1s.append(f1)
@@ -434,8 +436,8 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
         alphas = []
-        for t in range(config.trials):
-            rng = trial_rng(config.seed, "case:combined", n_l, t)
+        rng = trial_rng(config.seed, "case:combined", n_l)
+        for _ in range(config.trials):
             corrected = quadratic(subsample(rng, config.n_unlabeled), "median")
             lab_counts = subsample(rng, n_l)
             lab = estimate_labeled_class_conditional(lab_counts, m, p)

@@ -3,9 +3,11 @@ import pytest
 
 from labelmoments import (
     ContractError,
+    EstimationError,
     IdentityUndefinedError,
     IsingModel,
     NumericalError,
+    SourceMatrix,
     calibrate,
     diagnostics,
     sample,
@@ -293,6 +295,40 @@ class TestMedianMse:
         assert series.mean() <= out.bound
         frac = np.mean(series - synth_diag_dep.inference_bias <= out.bound)
         assert frac >= 0.95
+
+    def test_reads_the_curve_cell(self, synth_model_dep, synth_diag_dep):
+        from labelmoments.experiments import TrialEngine
+
+        out = median_mse(synth_model_dep, 500, trials=40, seed=3, diag=synth_diag_dep)
+        fits, failures = TrialEngine(synth_model_dep, synth_diag_dep).estimates(
+            "triplet-median", 500, 40, 3
+        )
+        mse = ((fits - synth_diag_dep.accuracies) ** 2).mean(axis=0)
+        np.testing.assert_array_equal(out.per_source_mse, mse)
+        assert out.rho == mse.max()
+        assert (out.trials, out.failures) == (len(fits), failures) == (40, 0)
+
+    def test_failed_fits_are_skipped_and_counted(self):
+        # four sources at n=4: some fits find no usable triplet for a source
+        model = calibrate([0.6, 0.55, 0.7, 0.65], [(0, 1)], 0.1)
+        out = median_mse(model, 4, trials=40, seed=21)
+        assert out.failures > 0 and out.trials + out.failures == 40
+        assert np.isfinite(out.rho)
+
+    def test_every_fit_failing_raises(self, monkeypatch):
+        from labelmoments import experiments
+
+        # four orthogonal sign columns: every pair moment, hence every
+        # triplet denominator, is zero
+        rows = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        counts = SourceMatrix(rows.astype(np.int8), np.ones(4, dtype=np.int8)).state_counts()
+        monkeypatch.setattr(
+            experiments, "sample_state_counts",
+            lambda model, n, rng, size: np.tile(counts, (size, 1)),
+        )
+        model = calibrate([0.6, 0.55, 0.7, 0.65], [], 0.0)
+        with pytest.raises(EstimationError, match="every"):
+            median_mse(model, 4, trials=30)
 
     def test_c_rho_value(self, synth_diag_dep):
         want = 1.0 / (2.0 * (1.0 - synth_diag_dep.max_accuracy**2))

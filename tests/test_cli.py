@@ -161,8 +161,9 @@ def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeyp
     assert "Traceback" not in result.output
 
 
-# SHA-256 of the suite outputs of GOLDEN_CONFIG, recorded before the trial
-# engine scored trials in blocks.
+# SHA-256 of the suite outputs of GOLDEN_CONFIG under random-stream protocol
+# v2 (one generator per stream of a Monte-Carlo cell), recorded with numpy
+# 2.4.6.
 GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES[:6]), "d": 1},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -171,20 +172,20 @@ GOLDEN_CONFIG = {
     "seed": 3,
 }
 GOLDEN_HASHES = {
-    "curves.csv": "216e7e6d9be39f6455592a5d9734150a9371bc7abd8d62da8bb89e337c698f4a",
-    "combined.csv": "cdd2aa37f3fdbbea3c77e7fd163a0583c47616c8e0a7deb410bf01546d4b518c",
-    "dvr.csv": "0749ba8dcbcb491058413fb281ac801a4b65327e054542c8cfa66947715d10e5",
+    "curves.csv": "a35a519869e6026479e075e781937e1638fe45dfd89e6404cb3a325cf5a3a3fc",
+    "combined.csv": "44ebbfa63ca95ce80510a00e6097972458d2b3109623f091777b73cccc3e882f",
+    "dvr.csv": "7304386bc5352170bd5c36d374ceed86221a0a5626d4bcb542b15a7ccae3fdae",
 }
 
 
 def test_suite_outputs_match_recorded_hashes(tmp_path):
     """The Monte-Carlo suites reproduce recorded bytes (m=6, 5 trials).
 
-    These hashes pin the random-stream protocol: per-trial generators from
-    ``trial_rng``, the draw order within a trial, and every number computed
-    from the draws.  A speed-up must leave them unchanged.  A deliberate
-    change of the stream (for example one generator per cell instead of one
-    per trial) must update them in the same change, and say so.
+    These hashes pin random-stream protocol v2: one generator per stream
+    of a cell from ``trial_rng``, numpy 2.4.6's ``multinomial(size=...)``
+    and ``integers`` streams, and every number computed from the draws.  A
+    speed-up must leave them unchanged.  A deliberate change of the stream
+    must update them in the same change, and say so.
     """
     config = tmp_path / "config.json"
     config.write_text(json.dumps(GOLDEN_CONFIG))

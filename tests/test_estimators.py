@@ -26,6 +26,7 @@ from labelmoments.estimators import (
     combine_linear,
     estimate_quadratic_triplet_from_moments,
     estimate_triplet_from_moments,
+    aggregate_census,
     green_strawderman_alpha,
     triplet_census,
 )
@@ -191,6 +192,23 @@ class TestTripletAggregation:
     def test_needs_three_sources(self):
         with pytest.raises(ContractError):
             estimate_triplet_from_moments(np.eye(2), "mean")
+
+    def test_single_draws_as_one_choice_per_source(self):
+        # the loop `single` replaced: one rng.choice among each source's valid
+        # columns, in source order; same picks and same generator state after
+        masks = np.random.default_rng(2024)
+        for _ in range(500):
+            m = int(masks.integers(3, 15))
+            npairs = (m - 1) * (m - 2) // 2
+            valid = masks.random((m, npairs)) < masks.uniform(0.02, 1.0)
+            valid[np.arange(m), masks.integers(0, npairs, m)] = True
+            vals = masks.random((m, npairs))
+            seed = int(masks.integers(1 << 32))
+            ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ref = [vals[i, ref_rng.choice(np.flatnonzero(valid[i]))] for i in range(m)]
+            est, _ = aggregate_census(vals, valid, "single", rng)
+            assert est.tolist() == ref
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_single_aggregation_deterministic_under_seed(self, synth_diag_dep):
         pair = synth_diag_dep.pair_moments
@@ -373,7 +391,11 @@ class TestShrinkageCovariance:
 
     @staticmethod
     def _fixed_draws(monkeypatch, counts):
-        monkeypatch.setattr(experiments, "sample_state_counts", lambda model, n, rng: counts)
+        # every block of every stream draws ``counts`` in each row
+        monkeypatch.setattr(
+            experiments, "sample_state_counts",
+            lambda model, n, rng, size: np.tile(counts, (size, 1)),
+        )
 
     def test_definition(self, synth_model_dep):
         mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 300, 6))

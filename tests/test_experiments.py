@@ -77,8 +77,7 @@ class TestExpectedExcess:
         res = expected_excess_error(
             synth_model_dep, "labeled", 400, trials=1, seed=9, engine=dep_engine
         )
-        rng = trial_rng(9, "excess:labeled", 400, 0)
-        counts = rng.multinomial(400, synth_model_dep.joint).astype(np.float64)
+        counts = sample_state_counts(synth_model_dep, 400, trial_rng(9, "excess:labeled/0", 400))
         est = AccuracyEstimate(SampleMoments.from_state_counts(counts, 10).acc, "labeled")
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
@@ -87,14 +86,6 @@ class TestExpectedExcess:
         _, excess = exact_generalization_error(synth_model_dep, fitted)
         assert res.mean == pytest.approx(excess, abs=1e-12)
         assert res.trials == 1 and res.failures == 0
-
-    def test_labeled_matches_parametric_rate(self, synth_model_indep, indep_engine):
-        # d = 0 labeled fits concentrate at m / (2 n)
-        res = expected_excess_error(
-            synth_model_indep, "labeled", 100_000, trials=1000, seed=0,
-            engine=indep_engine,
-        )
-        assert abs(res.mean - 10 / (2 * 100_000)) <= 2 * res.stderr
 
     def test_mean_triplet_plateaus_above_bias(self, synth_model_dep, dep_engine):
         res = expected_excess_error(
@@ -119,12 +110,20 @@ class TestExpectedExcess:
 
 
 class TestExactLabeled:
-    @pytest.mark.parametrize("n", [10, 250, 1000])
-    def test_matches_monte_carlo_oracle(self, synth_model_dep, dep_engine, n):
+    @pytest.mark.parametrize("d, n, seed", [
+        *(pytest.param("dep", n, 21, id=str(n)) for n in (10, 250, 1000)),
+        pytest.param("indep", 100_000, 0, id="indep-100000"),
+    ])
+    def test_matches_monte_carlo_oracle(self, request, d, n, seed):
+        engine = request.getfixturevalue(f"{d}_engine")
         mc = expected_excess_error(
-            synth_model_dep, "labeled", n, trials=1000, seed=21, engine=dep_engine
+            engine.model, "labeled", n, trials=1000, seed=seed, engine=engine
         )
-        assert abs(dep_engine.labeled_excess(n) - mc.mean) <= 4 * mc.stderr
+        assert abs(engine.labeled_excess(n) - mc.mean) <= 4 * mc.stderr
+
+    def test_matches_parametric_rate(self, indep_engine):
+        # d = 0: no inference bias, and labeled fits concentrate at m / (2 n)
+        assert indep_engine.labeled_excess(100_000) == pytest.approx(10 / (2 * 100_000), rel=1e-3)
 
     @pytest.mark.parametrize("n", [1, 10, 1000, 5000])
     def test_binomial_pmf(self, dep_engine, n):
@@ -248,12 +247,11 @@ class TestCombinedSweep:
             synth_model_dep, 300, [80], trials=30, seed=6, engine=dep_engine
         )
         row = rows[0]
-        # reproduce the labeled-only column directly from the same trials
+        # reproduce the labeled-only column directly from the cell's labeled stream
+        rng = trial_rng(6, "combined:triplet-mean:300/1", 80)
         excesses = []
-        for t in range(30):
-            rng = trial_rng(6, "combined:triplet-mean:300", 80, t)
-            rng.multinomial(300, synth_model_dep.joint)
-            counts_l = rng.multinomial(80, synth_model_dep.joint).astype(np.float64)
+        for _ in range(30):
+            counts_l = sample_state_counts(synth_model_dep, 80, rng)
             mom = SampleMoments.from_state_counts(counts_l, 10)
             excesses.append(float(dep_engine.excess(mom.acc)))
         assert row.excess_labeled == pytest.approx(np.mean(excesses), abs=1e-12)
@@ -329,8 +327,9 @@ class TestSuiteRunners:
 
 
 # ---------------------------------------------------------------------------
-# Oracle for the batched trial engine: the per-trial loop it replaced, written
-# on the public per-fit API (one draw, one moment set, one fit per trial).
+# Oracle for the batched trial engine: a per-trial loop over the cell's
+# streams, written on the public per-fit API (one draw per stream, one moment
+# set, one fit per trial).
 # ---------------------------------------------------------------------------
 
 
@@ -342,13 +341,14 @@ def _fit_one(estimator, moments, rng):
 
 
 def _per_trial_series(engine, estimator, n, trials, seed):
+    label = f"excess:{estimator}"
+    draw, fit_rng = trial_rng(seed, f"{label}/0", n), trial_rng(seed, f"{label}/fit", n)
     out, failures = [], 0
-    for t in range(trials):
-        rng = trial_rng(seed, f"excess:{estimator}", n, t)
-        counts = sample_state_counts(engine.model, n, rng)
+    for _ in range(trials):
+        counts = sample_state_counts(engine.model, n, draw)
         moments = SampleMoments.from_state_counts(counts, engine.m)
         try:
-            est = _fit_one(estimator, moments, rng)
+            est = _fit_one(estimator, moments, fit_rng)
         except EstimationError:
             failures += 1
             continue
@@ -362,12 +362,13 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
     rows = []
     for n_l in n_labeled_grid:
         per_alpha, gs_alpha, gs_excess, failures = [], [], [], 0
-        for t in range(trials):
-            rng = trial_rng(seed, f"combined:{estimator}:{n_u}", n_l, t)
-            mom_u = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_u, rng), m)
-            mom_l = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_l, rng), m)
+        label = f"combined:{estimator}:{n_u}"
+        draw_u, draw_l, fit_rng = (trial_rng(seed, f"{label}/{k}", n_l) for k in ("0", "1", "fit"))
+        for _ in range(trials):
+            mom_u = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_u, draw_u), m)
+            mom_l = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_l, draw_l), m)
             try:
-                a_u = _fit_one(estimator, mom_u, rng)
+                a_u = _fit_one(estimator, mom_u, fit_rng)
             except EstimationError:
                 failures += 1
                 continue
@@ -446,8 +447,17 @@ class TestBatchedEngineOracle:
         sizes = []
         for budget in (1, 3 * (8 << 5), 1 << 40):
             monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
-            sizes.append([len(rngs) for rngs, _ in tiny_engine.blocks("x", 4, (4,), 7, 0)])
+            sizes.append([len(counts) for _, (counts,) in tiny_engine.blocks("x", 4, (4,), 7, 0)])
         assert sizes == [[1] * 7, [3, 3, 1], [7]]
+
+    @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
+    def test_shorter_run_is_a_prefix(self, tiny_engine, dep_engine, estimator):
+        for engine, n, trials in ((tiny_engine, 4, 20), (dep_engine, 300, 9)):
+            short, short_failures = engine.estimates(estimator, n, trials, 5)
+            long, long_failures = engine.estimates(estimator, n, 2 * trials, 5)
+            # the first `trials` trials of the long run are the short run
+            np.testing.assert_array_equal(long[: len(short)], short)
+            assert short_failures <= long_failures
 
     @pytest.mark.parametrize("call", [
         lambda e: e.excess_series("triplet-foo", 50, 3, 0),

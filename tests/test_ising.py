@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +137,42 @@ class TestDiagnostics:
         )
         balance = brute_moment(table, lambda y, s: 1.0 if y > 0 else 0.0)
         assert abs(d.class_balance - balance) < 1e-13
+
+
+# m=14: the SYNTH_ACCURACIES roster plus four sources, five edges at gap 0.1
+_THREADS_SCRIPT = textwrap.dedent("""
+    import dataclasses
+    import numpy as np
+    from labelmoments import calibrate, diagnostics
+    from labelmoments.experiments import TrialEngine
+    from labelmoments.ising import conditional_entropy
+
+    acc = %r + [0.5822, 0.7, 0.61, 0.66]
+    model = calibrate(acc, %r, 0.1)
+    diag = diagnostics(model)
+    for f in dataclasses.fields(diag):
+        v = getattr(diag, f.name)
+        print(f.name, repr(v.tolist() if isinstance(v, np.ndarray) else v))
+    print(repr(conditional_entropy(model)))
+    print(repr(TrialEngine(model, diag).labeled_excess(20000)))
+""" % (SYNTH_ACCURACIES, SYNTH_EDGES))
+
+
+def test_exact_reductions_ignore_the_blas_thread_count():
+    # OpenBLAS splits a long dot across threads, which moved the last bits of
+    # min_accuracy at m=14 between one and two threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert "min_accuracy 0.5822\n" in outputs[0]
 
 
 class TestSignRows:
