@@ -302,10 +302,10 @@ def median_mse(
         raise ContractError("at least 30 trials required")
     engine = TrialEngine(model, diag)
     diag, m = engine.diag, engine.m
-    fits, failures = engine.estimates("triplet-median", n_unlabeled, trials, seed)
-    if len(fits) == 0:
+    fits, ok = engine.estimates("triplet-median", n_unlabeled, trials, seed)
+    if not ok.any():
         raise EstimationError("every median-corrected fit failed")
-    per_source = ((fits - diag.accuracies) ** 2).mean(axis=0)
+    per_source = ((fits[ok] - diag.accuracies) ** 2).mean(axis=0)
     rho = float(per_source.max())
     c_rho = median_correction_constant(diag)
     applicable = m > 5 and model.edge_count < (m - 1) * (m - 2) / 4.0
@@ -315,9 +315,9 @@ def median_mse(
         c_rho=c_rho,
         applicable=applicable,
         n_unlabeled=n_unlabeled,
-        trials=len(fits),
+        trials=int(ok.sum()),
         per_source_mse=per_source,
-        failures=failures,
+        failures=trials - int(ok.sum()),
     )
 
 
@@ -331,9 +331,13 @@ def bound_report(
     n_labeled: int | None = None,
     n_unlabeled: int | None = None,
     d: int | None = None,
-    rho: float | None = None,
+    rho: MedianMseResult | None = None,
 ) -> dict:
-    """All bound quantities in one JSON-ready dict (paper-symbol field names)."""
+    """All bound quantities in one JSON-ready dict (paper-symbol field names).
+
+    A Monte-Carlo ``rho`` is recorded with the number of fits it scored and
+    of fits that failed.
+    """
     if d is None:
         d = diag.edge_count
     out: dict = {
@@ -347,13 +351,15 @@ def bound_report(
             "a_min": diag.min_accuracy,
             "b_min": diag.min_pair_moment,
             "a_bar_max": diag.max_mean_triplet,
-            "rho": rho,
+            "rho": rho.rho if rho is not None else None,
         },
         "B_I": diag.inference_bias,
         "c_rho": median_correction_constant(diag),
         "lower_bound_unlabeled": bound_lower_unlabeled(diag, d),
         "o_terms_dropped": True,
     }
+    if rho is not None:
+        out["inputs"].update(rho_trials=rho.trials, rho_failures=rho.failures)
     out.update(bound_constants(diag))
     if n_labeled is not None:
         out["R_L_bound"] = bound_labeled(diag, n_labeled)
@@ -362,5 +368,5 @@ def bound_report(
         out["B_est"] = ub["B_est"]
         out["R_U_bound"] = ub["bound"]
         if rho is not None:
-            out["R_M_bound"] = out["c_rho"] * diag.m * rho + diag.inference_bias
+            out["R_M_bound"] = rho.bound
     return out

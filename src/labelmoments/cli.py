@@ -321,7 +321,8 @@ def bounds_cmd(model_path, n_labeled, n_unlabeled, rho_trials, seed, fmt, out):
     if rho_trials > 0:
         if n_unlabeled is None:
             raise click.UsageError("--rho-trials requires --n-unlabeled")
-        rho = analysis.median_mse(model, n_unlabeled, rho_trials, seed, diag).rho
+        rho = analysis.median_mse(model, n_unlabeled, rho_trials, seed, diag)
+        click.echo(f"rho from {rho.trials} median-corrected fits ({rho.failures} failed)")
     doc = analysis.bound_report(diag, n_labeled, n_unlabeled, rho=rho)
     _write_report(doc, Path(out), fmt)
     click.echo(f"wrote {out}")

@@ -19,21 +19,22 @@ tested.
 
 Unlabeled fits, the Monte-Carlo labeled oracle
 (``expected_excess_error(..., "labeled", ...)``), the median MSE behind
-rho (``analysis.median_mse``) and the combined sweep run in cells: one
-purpose label and one sample size n.  A cell draws from one generator per
-sample size it draws and one for its fits' random choices (the witness
-pairs of ``triplet-single``), each from ``trial_rng`` under its own stream
-label, so trial t's samples are the t-th draws of those streams.  The
-engine scores trials in blocks of at most ``BLOCK_BYTES`` of count rows:
-one ``multinomial(size=...)`` per stream and block, then moments, triplet
-census, aggregation and excess once per block; a trial whose fit fails is
-a masked row that draws nothing, skipped and counted.  numpy draws
-multinomial rows and ``integers`` elements one after another, so a block
-draws exactly what the same trials drawn one by one would, and every
-batched step computes each row exactly as for a lone trial.  Results are
-reproducible, and the same whatever the block size and whichever cells run
-first; within a cell, trial t depends on the trials before it, so the first
-T trials of a longer run equal a run of T trials.
+rho (``analysis.median_mse``) and both sides of the combined sweep run in
+cells ``excess:{estimator}``: one estimator and one sample size n.  A cell
+draws its samples from one generator and its fits' random choices (the
+witness pairs of ``triplet-single``) from another, both from ``trial_rng``
+under their own stream labels, so trial t's sample is the t-th draw of
+its stream.  The engine scores trials in blocks of at most
+``BLOCK_BYTES`` of count rows: one ``multinomial(size=...)`` per block,
+then moments, triplet census, aggregation and excess once per block; a
+trial whose fit fails is a masked row that draws nothing, skipped and
+counted.  numpy draws multinomial rows and ``integers`` elements one after
+another, so a block draws exactly what the same trials drawn one by one
+would, and every batched step computes each row exactly as for a lone
+trial.  Results are reproducible, and the same whatever the block size
+and whichever cells run first; within a cell, trial t depends on the
+trials before it, so the first T trials of a longer run equal a run of T
+trials.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ class ExcessResult:
 
 
 # Memory budget of one block of trials' joint-state count rows (float64,
-# 2^(m+1) states per sample): at m=10, 8 trials per block, or 4 in the
-# combined sweep, which draws two samples per trial; one trial from m=13 up.
+# 2^(m+1) states per sample): at m=10, 8 trials per block; one trial from
+# m=13 up.
 BLOCK_BYTES = 128 * 1024
 
 
@@ -251,22 +252,19 @@ class TrialEngine:
             self._labeled[n] = float(total)
         return self._labeled[n]
 
-    def blocks(self, label: str, n: int, sizes: tuple, trials: int, seed: int):
-        """Draw ``trials`` trials of a cell in blocks; yields (fit generator, counts).
+    def blocks(self, label: str, n: int, trials: int, seed: int):
+        """Draw ``trials`` samples of size n of a cell in blocks; yields
+        (fit generator, (block, 2^(m+1)) counts).
 
-        Sample k of every trial, of size ``sizes[k]``, comes from the stream
-        ``trial_rng(seed, f"{label}/{k}", n)``; ``counts`` holds one
-        (block, 2^(m+1)) array per size.  The fit generator
-        ``trial_rng(seed, f"{label}/fit", n)`` is the same in every block.
+        The samples come from the stream ``trial_rng(seed, f"{label}/0", n)``.
+        The fit generator ``trial_rng(seed, f"{label}/fit", n)`` is the same
+        in every block.
         """
-        draws = [trial_rng(seed, f"{label}/{k}", n) for k in range(len(sizes))]
+        draw = trial_rng(seed, f"{label}/0", n)
         fit_rng = trial_rng(seed, f"{label}/fit", n)
-        step = min(trials, max(1, BLOCK_BYTES // (len(sizes) * (8 << (self.m + 1)))))
+        step = min(trials, max(1, BLOCK_BYTES // (8 << (self.m + 1))))
         for start in range(0, trials, step):
-            b = min(step, trials - start)
-            yield fit_rng, [
-                sample_state_counts(self.model, size, rng, b) for rng, size in zip(draws, sizes)
-            ]
+            yield fit_rng, sample_state_counts(self.model, n, draw, min(step, trials - start))
 
     def fit(self, estimator: str, moments: SampleMoments, rng) -> tuple[np.ndarray, np.ndarray]:
         """Accuracy fits of a block of trials and the mask of fits that succeeded.
@@ -289,23 +287,23 @@ class TrialEngine:
 
     def estimates(
         self, estimator: str, n: int, trials: int, seed: int
-    ) -> tuple[np.ndarray, int]:
-        """The (fits, m) successful fits of the cell ``excess:{estimator}`` at n,
-        in trial order, and the number of failed fits."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The (trials, m) fits of the cell ``excess:{estimator}`` at n, in
+        trial order, and the mask of fits that succeeded."""
         _require_estimator(estimator)
-        fits = []
-        for rng, (counts,) in self.blocks(f"excess:{estimator}", n, (n,), trials, seed):
+        fits, oks = [], []
+        for rng, counts in self.blocks(f"excess:{estimator}", n, trials, seed):
             est, ok = self.fit(estimator, SampleMoments.from_state_counts(counts, self.m), rng)
-            fits.append(est[ok])
-        fits = np.concatenate(fits)
-        return fits, trials - len(fits)
+            fits.append(est)
+            oks.append(ok)
+        return np.concatenate(fits), np.concatenate(oks)
 
     def excess_series(
         self, estimator: str, n: int, trials: int, seed: int
     ) -> tuple[np.ndarray, int]:
         """Per-trial exact excess values in trial order; failed fits are skipped and counted."""
-        fits, failures = self.estimates(estimator, n, trials, seed)
-        return self.excess(fits), failures
+        fits, ok = self.estimates(estimator, n, trials, seed)
+        return self.excess(fits[ok]), trials - int(ok.sum())
 
 
 def expected_excess_error(
@@ -505,22 +503,31 @@ def combined_sweep(
     labeled covariance, and falls back to alpha 1 when that covariance is
     zero or undefined.  Alpha 0 is labeled-only and alpha 1 unlabeled-only,
     so those columns come from the same sweep.
+
+    Trial t pairs the t-th fit of the curve cell ``excess:{estimator}`` at
+    n_unlabeled with the t-th sample of the Monte-Carlo labeled cell
+    ``excess:labeled`` at the labeled size.  The unlabeled fits are drawn
+    once and shared by the whole grid, so every row scores the same
+    unlabeled trials and fails the same ones.
     """
     _require_estimator(estimator)
     engine = engine if engine is not None else TrialEngine(model)
     m = engine.m
     alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
     r = float(m - 2)
+    fits_u, ok_u = engine.estimates(estimator, n_unlabeled, trials, seed)
+    k = int(ok_u.sum())
+    if k == 0:
+        raise EstimationError(f"every trial failed for estimator '{estimator}'")
     rows = []
     for n_l in n_labeled_grid:
         blend_excess, gs_excess, gs_alpha = [], [], []
-        label = f"combined:{estimator}:{n_unlabeled}"
-        for rng, (counts_u, counts_l) in engine.blocks(
-            label, n_l, (n_unlabeled, n_l), trials, seed
-        ):
-            a_u, ok = engine.fit(estimator, SampleMoments.from_state_counts(counts_u, m), rng)
+        start = 0
+        for _, counts_l in engine.blocks("excess:labeled", n_l, trials, seed):
             mom_l = SampleMoments.from_state_counts(counts_l, m)
-            a_u, a_l = a_u[ok], mom_l.acc[ok]
+            block = slice(start, start + len(counts_l))
+            ok, start = ok_u[block], block.stop
+            a_u, a_l = fits_u[block][ok], mom_l.acc[ok]
             blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]
             blend_excess.append(engine.excess(blends))
             labeled = [
@@ -529,13 +536,8 @@ def combined_sweep(
             ]
             alpha_g = np.array([_shrinkage_alpha(lab, u, r) for lab, u in zip(labeled, a_u)])
             gs_alpha.extend(alpha_g)
-            gs_excess.append(
-                engine.excess(alpha_g[:, None] * a_u + (1 - alpha_g)[:, None] * a_l)
-            )
+            gs_excess.append(engine.excess(alpha_g[:, None] * a_u + (1 - alpha_g)[:, None] * a_l))
         per_alpha = np.concatenate(blend_excess)
-        k = per_alpha.shape[0]
-        if k == 0:
-            raise EstimationError(f"every trial failed at n_labeled={n_l}")
         means = per_alpha.mean(axis=0)
         stderrs = per_alpha.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else 0 * means
         best = int(np.argmin(means))

@@ -382,10 +382,14 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     become joint-state indices once.  Each cell (a model and a training
     size) draws its trials, one after another, from one
     ``trial_rng(seed, f"case:{name}", n)``.  A training subset is one
-    ``rng.choice`` of row positions without replacement, kept as the
-    joint-state counts of the drawn rows; every fit reads those counts, and
-    the test split is scored by its state indices.  The test split must be
-    labeled.
+    ``rng.choice`` of the split's rows without replacement, kept as the
+    joint-state counts of the drawn rows; a size of at least the split is
+    the whole split and draws nothing.  Every fit reads those counts, and
+    the test split is scored by its state indices.  Combined trial t pairs
+    the t-th corrected-median fit at ``n_unlabeled``, fitted once for the
+    whole labeled grid, with the t-th labeled subset at the labeled size,
+    drawn as the ``labeled`` cell of that size draws it.  The test split
+    must be labeled.
     """
     config = config if config is not None else CaseStudyConfig()
     train_docs, test_docs = corpus.train, corpus.test
@@ -409,8 +413,8 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
         return cross_entropy(lm, test_states), f1_score(lm, test_states, config.threshold)
 
     def subsample(rng, n: int) -> np.ndarray:
-        idx = rng.choice(train_states.size, size=min(n, train_states.size), replace=False)
-        return np.bincount(train_states[idx], minlength=1 << (m + 1))
+        rows = train_states if n >= train_states.size else rng.choice(train_states, n, replace=False)
+        return np.bincount(rows, minlength=1 << (m + 1))
 
     def quadratic(counts: np.ndarray, aggregation: str) -> ClassConditionalEstimate:
         # unlabeled: the solver reads only the source moments, not the labels in the counts
@@ -433,12 +437,15 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
             rows.append(_metric_row(name, int(min(n, train_states.size)), "", losses, f1s, ""))
 
     r = float(m - 2)
+    rng = trial_rng(config.seed, "case:corrected-median", config.n_unlabeled)
+    unlabeled = [
+        quadratic(subsample(rng, config.n_unlabeled), "median") for _ in range(config.trials)
+    ]
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
         alphas = []
-        rng = trial_rng(config.seed, "case:combined", n_l)
-        for _ in range(config.trials):
-            corrected = quadratic(subsample(rng, config.n_unlabeled), "median")
+        rng = trial_rng(config.seed, "case:labeled", n_l)
+        for corrected in unlabeled:
             lab_counts = subsample(rng, n_l)
             lab = estimate_labeled_class_conditional(lab_counts, m, p)
             combined, alpha = _combine_class_conditional(

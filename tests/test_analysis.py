@@ -257,13 +257,15 @@ class TestBounds:
         assert lower <= upper_inf
 
     def test_report_fields(self, synth_model_dep, synth_diag_dep):
-        rho = median_mse(synth_model_dep, 500, trials=30, seed=2, diag=synth_diag_dep).rho
+        rho = median_mse(synth_model_dep, 500, trials=30, seed=2, diag=synth_diag_dep)
         doc = bound_report(synth_diag_dep, n_labeled=100, n_unlabeled=1000, rho=rho)
         for key in ("c1", "c2", "c3", "c4", "c_rho", "B_I", "B_est",
                     "R_L_bound", "R_U_bound", "R_M_bound", "lower_bound_unlabeled"):
             assert key in doc
         assert doc["o_terms_dropped"] is True
         assert doc["inputs"]["m"] == 10
+        assert (doc["inputs"]["rho"], doc["R_M_bound"]) == (rho.rho, rho.bound)
+        assert (doc["inputs"]["rho_trials"], doc["inputs"]["rho_failures"]) == (30, 0)
 
 
 class TestMedianMse:
@@ -289,9 +291,11 @@ class TestMedianMse:
         # inference bias as its reference offset
         from labelmoments.experiments import TrialEngine
 
+        # rho reads the curve cell, so the excess sample must come from another
+        # seed: scored on rho's own fits, the check would hold by construction
         out = median_mse(synth_model_dep, 10_000, trials=100, seed=4, diag=synth_diag_dep)
         engine = TrialEngine(synth_model_dep, synth_diag_dep)
-        series, _ = engine.excess_series("triplet-median", 10_000, 100, 4)
+        series, _ = engine.excess_series("triplet-median", 10_000, 100, 5)
         assert series.mean() <= out.bound
         frac = np.mean(series - synth_diag_dep.inference_bias <= out.bound)
         assert frac >= 0.95
@@ -300,13 +304,13 @@ class TestMedianMse:
         from labelmoments.experiments import TrialEngine
 
         out = median_mse(synth_model_dep, 500, trials=40, seed=3, diag=synth_diag_dep)
-        fits, failures = TrialEngine(synth_model_dep, synth_diag_dep).estimates(
+        fits, ok = TrialEngine(synth_model_dep, synth_diag_dep).estimates(
             "triplet-median", 500, 40, 3
         )
-        mse = ((fits - synth_diag_dep.accuracies) ** 2).mean(axis=0)
+        mse = ((fits[ok] - synth_diag_dep.accuracies) ** 2).mean(axis=0)
         np.testing.assert_array_equal(out.per_source_mse, mse)
         assert out.rho == mse.max()
-        assert (out.trials, out.failures) == (len(fits), failures) == (40, 0)
+        assert (out.trials, out.failures) == (ok.sum(), 40 - ok.sum()) == (40, 0)
 
     def test_failed_fits_are_skipped_and_counted(self):
         # four sources at n=4: some fits find no usable triplet for a source

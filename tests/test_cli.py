@@ -162,8 +162,9 @@ def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeyp
 
 
 # SHA-256 of the suite outputs of GOLDEN_CONFIG under random-stream protocol
-# v2 (one generator per stream of a Monte-Carlo cell), recorded with numpy
-# 2.4.6.
+# v2 (one generator per stream of a Monte-Carlo cell; the combined sweep
+# pairs the unlabeled curve cell with the Monte-Carlo labeled cell), recorded
+# with numpy 2.4.6.
 GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES[:6]), "d": 1},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -173,7 +174,7 @@ GOLDEN_CONFIG = {
 }
 GOLDEN_HASHES = {
     "curves.csv": "a35a519869e6026479e075e781937e1638fe45dfd89e6404cb3a325cf5a3a3fc",
-    "combined.csv": "44ebbfa63ca95ce80510a00e6097972458d2b3109623f091777b73cccc3e882f",
+    "combined.csv": "b58d1994c9c2b042be4fd9ab1d5de0e9241558ba4cc3bf690b5e71c3daa316cb",
     "dvr.csv": "7304386bc5352170bd5c36d374ceed86221a0a5626d4bcb542b15a7ccae3fdae",
 }
 
@@ -328,6 +329,18 @@ def test_bounds_json_and_csv(tmp_path, model_and_data):
     assert set(flat) == set(expected)
     numbers = [v for v in expected.values() if isinstance(v, float)]
     assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+def test_bounds_records_the_fits_behind_rho(tmp_path, model_and_data):
+    # four sources at n=8: some median-corrected fits find no usable triplet
+    model, _ = model_and_data
+    out = tmp_path / "bounds.json"
+    result = _ok("bounds", "--model", model, "--n-unlabeled", "8", "--rho-trials", "40",
+                 "--seed", "3", "-o", out)
+    inputs = json.loads(out.read_text())["inputs"]
+    scored, failed = inputs["rho_trials"], inputs["rho_failures"]
+    assert failed > 0 and scored + failed == 40
+    assert f"rho from {scored} median-corrected fits ({failed} failed)" in result.output
 
 
 @pytest.fixture

@@ -247,14 +247,31 @@ class TestCombinedSweep:
             synth_model_dep, 300, [80], trials=30, seed=6, engine=dep_engine
         )
         row = rows[0]
-        # reproduce the labeled-only column directly from the cell's labeled stream
-        rng = trial_rng(6, "combined:triplet-mean:300/1", 80)
+        # reproduce the labeled-only column from the Monte-Carlo labeled cell's stream
+        rng = trial_rng(6, "excess:labeled/0", 80)
         excesses = []
         for _ in range(30):
             counts_l = sample_state_counts(synth_model_dep, 80, rng)
             mom = SampleMoments.from_state_counts(counts_l, 10)
             excesses.append(float(dep_engine.excess(mom.acc)))
         assert row.excess_labeled == pytest.approx(np.mean(excesses), abs=1e-12)
+
+    def test_endpoints_are_the_curve_cells(self, synth_model_dep, dep_engine):
+        # alpha 1 scores the unlabeled curve cell, once for the whole grid;
+        # alpha 0 scores the Monte-Carlo labeled cell at each labeled size
+        rows = combined_sweep(
+            synth_model_dep, 300, [40, 80], "triplet-single", trials=25, seed=2, engine=dep_engine
+        )
+        unlabeled = expected_excess_error(
+            synth_model_dep, "triplet-single", 300, 25, 2, dep_engine
+        )
+        for row in rows:
+            assert row.excess_unlabeled == pytest.approx(unlabeled.mean, rel=1e-12)
+            assert (row.trials, row.failures) == (unlabeled.trials, unlabeled.failures)
+            labeled = expected_excess_error(
+                synth_model_dep, "labeled", row.n_labeled, 25, 2, dep_engine
+            )
+            assert row.excess_labeled == pytest.approx(labeled.mean, rel=1e-12)
 
     def test_combined_never_worse_than_best_endpoint(
         self, synth_model_dep, dep_engine
@@ -359,18 +376,24 @@ def _per_trial_series(engine, estimator, n, trials, seed):
 def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
     m = engine.m
     alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
+    # the unlabeled fits of the curve cell, fitted once for the whole grid
+    label = f"excess:{estimator}"
+    draw_u, fit_rng = trial_rng(seed, f"{label}/0", n_u), trial_rng(seed, f"{label}/fit", n_u)
+    fits_u = []
+    for _ in range(trials):
+        mom_u = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_u, draw_u), m)
+        try:
+            fits_u.append(_fit_one(estimator, mom_u, fit_rng))
+        except EstimationError:
+            fits_u.append(None)
+    failures = sum(a_u is None for a_u in fits_u)
     rows = []
     for n_l in n_labeled_grid:
-        per_alpha, gs_alpha, gs_excess, failures = [], [], [], 0
-        label = f"combined:{estimator}:{n_u}"
-        draw_u, draw_l, fit_rng = (trial_rng(seed, f"{label}/{k}", n_l) for k in ("0", "1", "fit"))
-        for _ in range(trials):
-            mom_u = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_u, draw_u), m)
+        per_alpha, gs_alpha, gs_excess = [], [], []
+        draw_l = trial_rng(seed, "excess:labeled/0", n_l)
+        for a_u in fits_u:
             mom_l = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_l, draw_l), m)
-            try:
-                a_u = _fit_one(estimator, mom_u, fit_rng)
-            except EstimationError:
-                failures += 1
+            if a_u is None:
                 continue
             a_l = mom_l.acc
             per_alpha.append(engine.excess(alphas[:, None] * a_u + (1 - alphas)[:, None] * a_l))
@@ -447,17 +470,17 @@ class TestBatchedEngineOracle:
         sizes = []
         for budget in (1, 3 * (8 << 5), 1 << 40):
             monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
-            sizes.append([len(counts) for _, (counts,) in tiny_engine.blocks("x", 4, (4,), 7, 0)])
+            sizes.append([len(counts) for _, counts in tiny_engine.blocks("x", 4, 7, 0)])
         assert sizes == [[1] * 7, [3, 3, 1], [7]]
 
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
     def test_shorter_run_is_a_prefix(self, tiny_engine, dep_engine, estimator):
         for engine, n, trials in ((tiny_engine, 4, 20), (dep_engine, 300, 9)):
-            short, short_failures = engine.estimates(estimator, n, trials, 5)
-            long, long_failures = engine.estimates(estimator, n, 2 * trials, 5)
+            short, short_ok = engine.estimates(estimator, n, trials, 5)
+            long, long_ok = engine.estimates(estimator, n, 2 * trials, 5)
             # the first `trials` trials of the long run are the short run
-            np.testing.assert_array_equal(long[: len(short)], short)
-            assert short_failures <= long_failures
+            np.testing.assert_array_equal(long_ok[:trials], short_ok)
+            np.testing.assert_array_equal(long[:trials][short_ok], short[short_ok])
 
     @pytest.mark.parametrize("call", [
         lambda e: e.excess_series("triplet-foo", 50, 3, 0),

@@ -158,6 +158,18 @@ _THREADS_SCRIPT = textwrap.dedent("""
 """ % (SYNTH_ACCURACIES, SYNTH_EDGES))
 
 
+def _openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(
+    not _openblas() or (os.cpu_count() or 1) < 2,
+    reason="the thread count can only matter to a multi-threaded OpenBLAS",
+)
 def test_exact_reductions_ignore_the_blas_thread_count():
     # OpenBLAS splits a long dot across threads, which moved the last bits of
     # min_accuracy at m=14 between one and two threads
@@ -172,7 +184,6 @@ def test_exact_reductions_ignore_the_blas_thread_count():
         for threads in ("1", "2")
     ]
     assert outputs[0] == outputs[1]
-    assert "min_accuracy 0.5822\n" in outputs[0]
 
 
 class TestSignRows:

@@ -308,6 +308,17 @@ class TestCaseStudy:
         assert lines[0].startswith("model,n,")
         assert len(lines) == len(rows) + 1
 
+    def test_cells_share_streams_and_the_whole_split_draws_nothing(self, small_corpus):
+        # labeled-small at 40 draws as the labeled cell at 40 does; at the
+        # split's size every trial is the whole split
+        cfg = CaseStudyConfig(
+            n_grid=(40, 6000), n_unlabeled=6000, n_labeled_grid=(40,), trials=3, seed=4,
+        )
+        rows = {(r["model"], r["n"], r["n_labeled"]): r for r in run_case_study(small_corpus, cfg)}
+        small, labeled = rows["labeled-small", "", 40], rows["labeled", 40, ""]
+        assert (small["loss"], small["f1"]) == (labeled["loss"], labeled["f1"])
+        assert rows["corrected-median", 6000, ""]["loss_sd"] == 0.0
+
     def test_missing_split_raises_with_remedy(self, small_corpus):
         bare = Corpus(small_corpus.documents, {})
         with pytest.raises(ContractError, match="ingest"):
