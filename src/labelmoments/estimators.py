@@ -14,20 +14,24 @@ throughout: sources are assumed better than random on average.
 
 Labeled data estimates E[s_i Y] directly: it is ``SampleMoments.acc``.
 Every estimator reads moments, never rows; ``SampleMoments`` comes from
-joint-state counts (``from_state_counts``) or, for a data file, from its
-rows (``from_source_matrix``).  The two estimates can be combined linearly
-or through a positive-part James-Stein rule that picks the weight from the
-labeled estimator's covariance.
+joint-state counts (``from_state_counts``) or from +-1 rows (``from_rows``;
+``from_source_matrix`` for a data file).  The Monte-Carlo engine takes
+rows when a sample has fewer entries than the joint states, and counts
+otherwise.  The two estimates can be combined linearly or through a
+positive-part James-Stein rule that picks the weight from the labeled
+estimator's covariance.
 
 Batch axes: ``SampleMoments.from_state_counts`` takes counts of shape
-(..., 2^(m+1)) and returns moments with the same leading axes,
-``triplet_census`` turns pair moments (..., m, m) into a (..., m, C(m-1, 2))
-census, and ``aggregate_census`` reduces a census over its last axis.  The
-Monte-Carlo engine passes a block of trials at once; a single fit
-(``estimate_*``, the data-file commands, the case study) is the case
-without leading axes, so both run one implementation.
-Each batch row comes out bit for bit as the unbatched call would give it:
-the moment sums are exact (integer counts times +-1), the census is
+(..., 2^(m+1)) and ``from_rows`` rows of shape (..., n, m), and both
+return moments with the same leading axes; ``triplet_census`` turns pair
+moments (..., m, m) into a (..., m, C(m-1, 2)) census, and
+``aggregate_census`` reduces a census over its last axis.  The Monte-Carlo
+engine passes a block of trials at once; a single fit (``estimate_*``, the
+data-file commands, the case study) is the case without leading axes, so
+both run one implementation.
+Each batch row comes out bit for bit as the unbatched call would give it,
+and a sample's row moments equal the moments of its state counts: the
+moment sums are exact (integer counts times +-1), the census is
 elementwise, the median is a sort, and the mean sums the rows of a 2-d
 array.
 """
@@ -79,8 +83,9 @@ def _state_stats(m: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
 class SampleMoments:
     """First and second empirical moments of a sample; all estimators run on these.
 
-    ``from_state_counts`` also makes the moments of a batch of samples, with
-    leading axes on every field; the covariance methods take one sample.
+    ``from_state_counts`` and ``from_rows`` also make the moments of a batch
+    of samples, with leading axes on every field; the covariance methods
+    take one sample.
     """
 
     n: int                         # an integer array for a batch of samples
@@ -94,16 +99,24 @@ class SampleMoments:
 
     @classmethod
     def from_source_matrix(cls, data: SourceMatrix) -> "SampleMoments":
-        n = data.n
-        if n < 1:
+        if data.n < 1:
             raise ContractError("at least one row required")
-        x = data.values.astype(np.float64)
-        pair = (x.T @ x) / n
-        np.fill_diagonal(pair, 1.0)
-        acc = None
-        if data.has_labels:
-            acc = (x * data.labels[:, None].astype(np.float64)).mean(axis=0)
-        return cls(n, x.mean(axis=0), pair, acc)
+        labels = data.labels.astype(np.float64) if data.has_labels else None
+        return cls.from_rows(data.values.astype(np.float64), labels)
+
+    @classmethod
+    def from_rows(cls, x: np.ndarray, y: np.ndarray | None = None) -> "SampleMoments":
+        """Moments of +-1 rows x (..., n, m) with labels y (..., n) or none;
+        leading axes are a batch.
+
+        Every sum adds +-1 products, so it is exact in any order: a sample's
+        moments equal ``from_state_counts`` of its state counts bit for bit.
+        """
+        n = x.shape[-2]
+        pair = np.matmul(np.swapaxes(x, -1, -2), x) / n
+        acc = None if y is None else np.matmul(y[..., None, :], x)[..., 0, :] / n
+        batch = n if x.ndim == 2 else np.full(x.shape[:-2], n, dtype=np.int64)
+        return cls(batch, np.matmul(np.ones(n), x) / n, pair, acc)
 
     @classmethod
     def from_state_counts(cls, counts: np.ndarray, m: int) -> "SampleMoments":
@@ -315,13 +328,27 @@ def estimate_triplet_from_moments(
     seed=None,
     known_edges=(),
 ) -> AccuracyEstimate:
-    """Triplet estimates for every source from a pairwise agreement matrix."""
+    """Triplet estimates for every source from a pairwise agreement matrix.
+
+    The census takes absolute values, which assumes every source better
+    than random.  The metadata counts, per source, the evidence against
+    that: ``negative_pairs``, the other sources j with M_ij < 0, where a
+    worse-than-random source shows, and ``negative_triplets``, valid
+    triplets with M_ij * M_ik * M_jk < 0, which no sign assignment fits
+    (negating sources keeps a triple product's sign).
+    """
     vals, valid = triplet_census(pair_moments, known_edges)
     npairs = vals.shape[1]
     est, counts = _aggregate_one(vals, valid, aggregation, seed, "triplet")
+    pair = np.asarray(pair_moments, dtype=np.float64)
+    jj, kk, _ = _pair_table(pair.shape[0], _normalize_edges(known_edges))
+    rows = np.arange(pair.shape[0])[:, None]
+    negative = valid & (pair[rows, jj] * pair[rows, kk] * pair[jj, kk] < 0)
     meta = {
         "skipped": [int(npairs - c) for c in counts],
         "census_size": int(npairs),
+        "negative_triplets": [int(c) for c in negative.sum(axis=1)],
+        "negative_pairs": [int(c) for c in (pair < 0).sum(axis=1)],
     }
     if known_edges:
         meta["known_edges"] = sorted(_normalize_edges(known_edges))

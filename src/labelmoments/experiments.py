@@ -25,10 +25,19 @@ draws its samples from one generator and its fits' random choices (the
 witness pairs of ``triplet-single``) from another, both from ``trial_rng``
 under their own stream labels, so trial t's sample is the t-th draw of
 its stream.  The engine scores trials in blocks of at most
-``BLOCK_BYTES`` of count rows: one ``multinomial(size=...)`` per block,
-then moments, triplet census, aggregation and excess once per block; a
-trial whose fit fails is a masked row that draws nothing, skipped and
-counted.  numpy draws multinomial rows and ``integers`` elements one after
+``BLOCK_BYTES`` of count rows: one draw per block, then moments, triplet
+census, aggregation and excess once per block; a trial whose fit fails is
+a masked row that draws nothing, skipped and counted.
+
+Random-stream protocol v3 picks the draw per cell from n and m alone.  A
+sample with fewer entries than the joint states, n(m+1) < 2^(m+1), is
+drawn as rows: one ``random((block, n, m+1))`` compared with per-column
+thresholds, since given Y the model factors into singletons and edge
+pairs (``ising.sample_rows``).  A larger sample is drawn as before, one
+``multinomial(size=...)`` over the 2^(m+1) states, so the cells at or
+above the rule keep protocol v2's bytes; at m=10 these are all cells with
+n >= 187, such as every ``curves`` and ``dvr`` cell of the default grid.
+numpy draws uniforms, multinomial rows and ``integers`` elements one after
 another, so a block draws exactly what the same trials drawn one by one
 would, and every batched step computes each row exactly as for a lone
 trial.  Results are reproducible, and the same whatever the block size
@@ -54,7 +63,9 @@ from .estimators import (
     green_strawderman_alpha,
     triplet_census,
 )
-from .ising import IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_state_counts
+from .ising import (
+    IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_rows, sample_state_counts,
+)
 from .manifest import read_json
 
 # Default synthetic roster: ten sources with accuracies drawn once, uniformly
@@ -254,17 +265,30 @@ class TrialEngine:
 
     def blocks(self, label: str, n: int, trials: int, seed: int):
         """Draw ``trials`` samples of size n of a cell in blocks; yields
-        (fit generator, (block, 2^(m+1)) counts).
+        (fit generator, ``SampleMoments`` of the block's samples).
 
         The samples come from the stream ``trial_rng(seed, f"{label}/0", n)``.
+        A sample with fewer entries than the joint states, n(m+1) < 2^(m+1),
+        is drawn as rows (``sample_rows``), a larger one as state counts
+        (``sample_state_counts``); the rule reads only n and m, so a whole
+        cell takes one path.  Blocks hold as many trials as ``BLOCK_BYTES``
+        of count rows on both paths, so a row block is never the larger.
         The fit generator ``trial_rng(seed, f"{label}/fit", n)`` is the same
         in every block.
         """
+        m = self.m
         draw = trial_rng(seed, f"{label}/0", n)
         fit_rng = trial_rng(seed, f"{label}/fit", n)
-        step = min(trials, max(1, BLOCK_BYTES // (8 << (self.m + 1))))
+        step = min(trials, max(1, BLOCK_BYTES // (8 << (m + 1))))
+        as_rows = n * (m + 1) < 1 << (m + 1)
         for start in range(0, trials, step):
-            yield fit_rng, sample_state_counts(self.model, n, draw, min(step, trials - start))
+            size = min(step, trials - start)
+            if as_rows:
+                rows = sample_rows(self.model, n, draw, size)
+                yield fit_rng, SampleMoments.from_rows(rows[..., :m], rows[..., m])
+            else:
+                counts = sample_state_counts(self.model, n, draw, size)
+                yield fit_rng, SampleMoments.from_state_counts(counts, m)
 
     def fit(self, estimator: str, moments: SampleMoments, rng) -> tuple[np.ndarray, np.ndarray]:
         """Accuracy fits of a block of trials and the mask of fits that succeeded.
@@ -292,8 +316,8 @@ class TrialEngine:
         trial order, and the mask of fits that succeeded."""
         _require_estimator(estimator)
         fits, oks = [], []
-        for rng, counts in self.blocks(f"excess:{estimator}", n, trials, seed):
-            est, ok = self.fit(estimator, SampleMoments.from_state_counts(counts, self.m), rng)
+        for rng, moments in self.blocks(f"excess:{estimator}", n, trials, seed):
+            est, ok = self.fit(estimator, moments, rng)
             fits.append(est)
             oks.append(ok)
         return np.concatenate(fits), np.concatenate(oks)
@@ -475,15 +499,16 @@ class CombinedSweepRow:
     stderr_gs: float
     trials: int
     failures: int
+    gs_fallbacks: int  # trials where the shrinkage rule fell back to alpha 1
 
 
 def _shrinkage_alpha(labeled: SampleMoments, a_u: np.ndarray, r: float) -> float:
-    """The shrinkage rule's unlabeled weight; 1 when the labeled covariance
-    is zero or undefined."""
+    """The shrinkage rule's unlabeled weight; NaN when the labeled
+    covariance is zero or undefined."""
     try:
         return green_strawderman_alpha(labeled.acc - a_u, labeled.shrinkage_covariance(), r)
     except (NumericalError, ContractError):
-        return 1.0
+        return float("nan")
 
 
 def combined_sweep(
@@ -501,8 +526,8 @@ def combined_sweep(
     scanned in steps of ``ALPHA_STEP``) minimizing the trial-averaged excess;
     the shrinkage rule picks its own per-trial weight, at r = m - 2, from the
     labeled covariance, and falls back to alpha 1 when that covariance is
-    zero or undefined.  Alpha 0 is labeled-only and alpha 1 unlabeled-only,
-    so those columns come from the same sweep.
+    zero or undefined, counted in ``gs_fallbacks``.  Alpha 0 is labeled-only
+    and alpha 1 unlabeled-only, so those columns come from the same sweep.
 
     Trial t pairs the t-th fit of the curve cell ``excess:{estimator}`` at
     n_unlabeled with the t-th sample of the Monte-Carlo labeled cell
@@ -522,10 +547,9 @@ def combined_sweep(
     rows = []
     for n_l in n_labeled_grid:
         blend_excess, gs_excess, gs_alpha = [], [], []
-        start = 0
-        for _, counts_l in engine.blocks("excess:labeled", n_l, trials, seed):
-            mom_l = SampleMoments.from_state_counts(counts_l, m)
-            block = slice(start, start + len(counts_l))
+        start = fallbacks = 0
+        for _, mom_l in engine.blocks("excess:labeled", n_l, trials, seed):
+            block = slice(start, start + len(mom_l.acc))
             ok, start = ok_u[block], block.stop
             a_u, a_l = fits_u[block][ok], mom_l.acc[ok]
             blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]
@@ -535,7 +559,10 @@ def combined_sweep(
                 for b in np.flatnonzero(ok)
             ]
             alpha_g = np.array([_shrinkage_alpha(lab, u, r) for lab, u in zip(labeled, a_u)])
+            fell_back = np.isnan(alpha_g)
+            alpha_g[fell_back] = 1.0
             gs_alpha.extend(alpha_g)
+            fallbacks += int(fell_back.sum())
             gs_excess.append(engine.excess(alpha_g[:, None] * a_u + (1 - alpha_g)[:, None] * a_l))
         per_alpha = np.concatenate(blend_excess)
         means = per_alpha.mean(axis=0)
@@ -558,6 +585,7 @@ def combined_sweep(
                 stderr_gs=float(gs_excess.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
                 trials=k,
                 failures=trials - k,
+                gs_fallbacks=fallbacks,
             )
         )
     return rows

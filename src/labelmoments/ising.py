@@ -17,12 +17,17 @@ the test suite through brute-force enumeration:
   source moments are independent of t_Y.
 * An edge (i, j) influences only quantities involving sources i and j, so
   per-edge calibration reduces to a two-source subproblem.
+
+Together they let ``sample_rows`` draw a sample row by row, one uniform per
+column, without the joint table: Y, then each singleton and edge pair of
+the u_i = s_i * Y on its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +127,28 @@ class IsingModel:
         """(2, 2**m) table of Pr(config | Y), row 0 for Y=-1, row 1 for Y=+1."""
         blocks = self.joint.reshape(2, -1)
         return blocks / blocks.sum(axis=1, keepdims=True)
+
+    @cached_property
+    def row_thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The probabilities :func:`sample_rows` compares its uniforms against.
+
+        In the coordinates u_i = s_i * y the columns (u_0, ..., u_{m-1}, Y)
+        are independent of Y and split into singletons and edge pairs: Y is
+        +1 with probability sigmoid(2 theta_Y), a singleton u_i with
+        sigmoid(2 theta_i), an edge's first source with its marginal and its
+        second given the first.  Returns P(+1) per column (for an edge's
+        second source, given that the first is +1); per edge, that second
+        source's P(+1) given -1; and the edges' first and second sources.
+        """
+        p = 1.0 / (1.0 + np.exp(-2.0 * np.append(self.theta, self.theta_y)))
+        given_minus = np.empty(len(self.edges))
+        for e, (i, j, t) in enumerate(self.edges):
+            w11, w10, w01, w00 = _pair_weights(self.theta[i], self.theta[j], t)
+            p[i] = (w11 + w10) / (w11 + w10 + w01 + w00)
+            p[j] = w11 / (w11 + w10)
+            given_minus[e] = w01 / (w01 + w00)
+        first, second = (np.array([e[k] for e in self.edges], dtype=np.intp) for k in (0, 1))
+        return p, given_minus, first, second
 
     # -- serialization -----------------------------------------------------
 
@@ -282,12 +309,20 @@ def misspecification_gap(theta_i: float, theta_j: float, theta_ij: float) -> flo
 # ---------------------------------------------------------------------------
 
 
+def _pair_weights(ti: float, tj: float, tij: float) -> tuple[float, float, float, float]:
+    """Unnormalised weights of an isolated edge's (u_i, u_j) = (+,+), (+,-), (-,+), (-,-),
+    where u = s * y."""
+    return (
+        math.exp(ti + tj + tij),
+        math.exp(ti - tj - tij),
+        math.exp(-ti + tj - tij),
+        math.exp(-ti - tj + tij),
+    )
+
+
 def _pair_stats(ti: float, tj: float, tij: float) -> tuple[float, float, float]:
     """(a_i, a_j, gap) for an isolated edge, by four-state enumeration."""
-    w11 = math.exp(ti + tj + tij)
-    w10 = math.exp(ti - tj - tij)
-    w01 = math.exp(-ti + tj - tij)
-    w00 = math.exp(-ti - tj + tij)
+    w11, w10, w01, w00 = _pair_weights(ti, tj, tij)
     z = w11 + w10 + w01 + w00
     ai = (w11 + w10 - w01 - w00) / z
     aj = (w11 - w10 + w01 - w00) / z
@@ -453,13 +488,36 @@ def sample(model: IsingModel, n: int, seed) -> SourceMatrix:
 def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None) -> np.ndarray:
     """Multinomial counts over joint states; the sufficient statistics of a draw.
 
-    Distributionally identical to counting the rows of :func:`sample`, and
-    what the Monte-Carlo experiment loops consume.  With ``size``, returns
-    (size, 2^(m+1)) counts of that many independent samples in one call;
-    numpy draws the rows one after another, so they equal ``size`` calls
-    without it on the same generator.
+    Distributionally identical to counting the rows of :func:`sample`.  With
+    ``size``, returns (size, 2^(m+1)) counts of that many independent
+    samples in one call; numpy draws the rows one after another, so they
+    equal ``size`` calls without it on the same generator.  The Monte-Carlo
+    engine draws a sample this way when it has at least as many entries as
+    the count vector has states, n(m+1) >= 2^(m+1); a smaller sample is
+    cheaper as rows (:func:`sample_rows`).
     """
     if n < 1:
         raise ContractError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
     return rng.multinomial(n, model.joint, size=size).astype(np.float64)
+
+
+def sample_rows(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
+    """``size`` samples of n rows, (size, n, m+1) of +-1: the source signs,
+    then the label in column m.
+
+    One ``random((size, n, m+1))`` call; a column is +1 where its uniform
+    lies below its ``IsingModel.row_thresholds`` entry, and a source's sign
+    is then its u times the label.  numpy draws the uniforms one after
+    another, so consecutive calls on one generator equal one call for all
+    their samples.
+    """
+    if n < 1:
+        raise ContractError("sample size must be at least 1")
+    m = model.m
+    p, given_minus, first, second = model.row_thresholds
+    uniform = np.random.default_rng(seed).random((size, n, m + 1))
+    plus = uniform < p
+    plus[..., second] = uniform[..., second] < np.where(plus[..., first], p[second], given_minus)
+    plus[..., :m] = plus[..., :m] == plus[..., m:]  # s_i = u_i * y
+    return np.where(plus, 1.0, -1.0)

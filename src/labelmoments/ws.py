@@ -343,25 +343,23 @@ def _combine_class_conditional(
     """Shrink the labeled conditionals toward the unlabeled ones.
 
     The weight comes from the accuracy-vector shrinkage rule (the labeled
-    accuracy estimator's covariance is observable), and is 1 when that
-    covariance is zero or undefined; the same weight then blends both
-    conditional columns, which preserves column-stochasticity.
+    accuracy estimator's covariance is observable), and falls back to 1 when
+    that covariance is zero or undefined, flagged as ``fallback`` in the
+    metadata; the same weight then blends both conditional columns, which
+    preserves column-stochasticity.
     """
     diff = labeled.implied_accuracies() - unlabeled.implied_accuracies()
     try:
         alpha = green_strawderman_alpha(diff, labeled_moments.shrinkage_covariance(), r)
+        fallback = False
     except (NumericalError, ContractError):
-        alpha = 1.0
+        alpha, fallback = 1.0, True
     mu = alpha * unlabeled.mu + (1.0 - alpha) * labeled.mu
-    return (
-        ClassConditionalEstimate(
-            mu, labeled.class_balance, {"method": "combined", "alpha": alpha}
-        ),
-        alpha,
-    )
+    meta = {"method": "combined", "alpha": alpha, "fallback": fallback}
+    return ClassConditionalEstimate(mu, labeled.class_balance, meta), alpha
 
 
-def _metric_row(model: str, n, n_labeled, losses, f1s, alpha) -> dict:
+def _metric_row(model: str, n, n_labeled, losses, f1s, alpha="", gs_fallbacks="") -> dict:
     """One metrics row: mean and sample standard deviation over the trials."""
 
     def sd(xs) -> float:
@@ -371,7 +369,7 @@ def _metric_row(model: str, n, n_labeled, losses, f1s, alpha) -> dict:
         "model": model, "n": n, "n_labeled": n_labeled,
         "loss": float(np.mean(losses)), "loss_sd": sd(losses),
         "f1": float(np.mean(f1s)), "f1_sd": sd(f1s),
-        "alpha": alpha,
+        "alpha": alpha, "gs_fallbacks": gs_fallbacks,
     }
 
 
@@ -388,8 +386,9 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     the test split is scored by its state indices.  Combined trial t pairs
     the t-th corrected-median fit at ``n_unlabeled``, fitted once for the
     whole labeled grid, with the t-th labeled subset at the labeled size,
-    drawn as the ``labeled`` cell of that size draws it.  The test split
-    must be labeled.
+    drawn as the ``labeled`` cell of that size draws it; a combined row's
+    ``gs_fallbacks`` counts its trials whose shrinkage weight fell back to
+    1.  The test split must be labeled.
     """
     config = config if config is not None else CaseStudyConfig()
     train_docs, test_docs = corpus.train, corpus.test
@@ -434,7 +433,7 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
                 loss, f1 = score(fitter(subsample(rng, n)))
                 losses.append(loss)
                 f1s.append(f1)
-            rows.append(_metric_row(name, int(min(n, train_states.size)), "", losses, f1s, ""))
+            rows.append(_metric_row(name, int(min(n, train_states.size)), "", losses, f1s))
 
     r = float(m - 2)
     rng = trial_rng(config.seed, "case:corrected-median", config.n_unlabeled)
@@ -443,7 +442,7 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     ]
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
-        alphas = []
+        alphas, fallbacks = [], 0
         rng = trial_rng(config.seed, "case:labeled", n_l)
         for corrected in unlabeled:
             lab_counts = subsample(rng, n_l)
@@ -452,18 +451,19 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
                 corrected, lab, SampleMoments.from_state_counts(lab_counts, m), r
             )
             alphas.append(alpha)
+            fallbacks += combined.metadata["fallback"]
             for key, est in (("combined", combined), ("labeled-small", lab)):
                 loss, f1 = score(est)
                 stats[key][0].append(loss)
                 stats[key][1].append(f1)
-        rows.append(_metric_row("labeled-small", "", int(n_l), *stats["labeled-small"], ""))
+        rows.append(_metric_row("labeled-small", "", int(n_l), *stats["labeled-small"]))
         rows.append(_metric_row(
             "combined", int(config.n_unlabeled), int(n_l), *stats["combined"],
-            float(np.mean(alphas)),
+            float(np.mean(alphas)), fallbacks,
         ))
     return rows
 
 
 def write_metrics_csv(rows: list[dict], path: str | Path) -> None:
-    header = ["model", "n", "n_labeled", "loss", "loss_sd", "f1", "f1_sd", "alpha"]
+    header = ["model", "n", "n_labeled", "loss", "loss_sd", "f1", "f1_sd", "alpha", "gs_fallbacks"]
     write_csv(path, header, [[row[h] for h in header] for row in rows])

@@ -326,10 +326,11 @@ class TestMedianMse:
         # triplet denominator, is zero
         rows = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
         counts = SourceMatrix(rows.astype(np.int8), np.ones(4, dtype=np.int8)).state_counts()
-        monkeypatch.setattr(
-            experiments, "sample_state_counts",
-            lambda model, n, rng, size: np.tile(counts, (size, 1)),
-        )
+
+        def blocks(engine, label, n, trials, seed):
+            yield None, SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
+
+        monkeypatch.setattr(experiments.TrialEngine, "blocks", blocks)
         model = calibrate([0.6, 0.55, 0.7, 0.65], [], 0.0)
         with pytest.raises(EstimationError, match="every"):
             median_mse(model, 4, trials=30)

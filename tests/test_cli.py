@@ -164,7 +164,9 @@ def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeyp
 # SHA-256 of the suite outputs of GOLDEN_CONFIG under random-stream protocol
 # v2 (one generator per stream of a Monte-Carlo cell; the combined sweep
 # pairs the unlabeled curve cell with the Monte-Carlo labeled cell), recorded
-# with numpy 2.4.6.
+# with numpy 2.4.6.  Every cell has n(m+1) >= 2^(m+1), so it draws state
+# counts.  The combined.csv hash is of the file without its last column,
+# gs_fallbacks, which was added after the hash was recorded.
 GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES[:6]), "d": 1},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -178,6 +180,32 @@ GOLDEN_HASHES = {
     "dvr.csv": "7304386bc5352170bd5c36d374ceed86221a0a5626d4bcb542b15a7ccae3fdae",
 }
 
+# The same under protocol v3, on cells that draw rows: at m=10 the samples
+# of n=100 (curves, and the unlabeled side of combine) and of the labeled
+# sizes 25 and 50 have n(m+1) < 2^(m+1); the curve cells at n=1000 draw
+# counts.  Recorded with numpy 2.4.6.
+ROW_GOLDEN_CONFIG = {
+    "model": {"accuracies": list(DEFAULT_ACCURACIES), "d": 5},
+    "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
+    "n_grid": [100, 1000],
+    "trials": 5,
+    "seed": 3,
+}
+ROW_GOLDEN_HASHES = {
+    "curves.csv": "01f14b141af777c99fdaf8f38d3a0fa0035fcfc8b0fe8ad7b52649e0920a2c02",
+    "combined.csv": "06e95492968d659728bb95f85fdfa3b0abf3def992c7973039ba64904309df30",
+}
+
+
+def _run_suites(tmp_path, config_doc, commands):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_doc))
+    out = tmp_path / "out"
+    for args in commands:
+        result = CliRunner().invoke(main, args + ["--config", str(config), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+    return out
+
 
 def test_suite_outputs_match_recorded_hashes(tmp_path):
     """The Monte-Carlo suites reproduce recorded bytes (m=6, 5 trials).
@@ -188,18 +216,28 @@ def test_suite_outputs_match_recorded_hashes(tmp_path):
     speed-up must leave them unchanged.  A deliberate change of the stream
     must update them in the same change, and say so.
     """
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(GOLDEN_CONFIG))
-    out = tmp_path / "out"
-    for args in (
+    out = _run_suites(tmp_path, GOLDEN_CONFIG, [
         ["curves"],
         ["dvr"],
         ["combine", "--n-unlabeled", "200", "--n-labeled-grid", "25,50",
          "--estimator", "triplet-single"],
-    ):
-        result = CliRunner().invoke(main, args + ["--config", str(config), "-o", str(out)])
-        assert result.exit_code == 0, result.output
+    ])
+    combined = out / "combined.csv"
+    lines = [line.rsplit(",", 1) for line in combined.read_text().splitlines()]
+    assert [last for _, last in lines] == ["gs_fallbacks", "0", "0"]
+    combined.write_text("".join(head + "\n" for head, _ in lines))
     assert {name: file_sha256(out / name) for name in GOLDEN_HASHES} == GOLDEN_HASHES
+
+
+def test_row_path_outputs_match_recorded_hashes(tmp_path):
+    """Protocol v3's row draws reproduce recorded bytes (m=10, 5 trials):
+    numpy 2.4.6's ``random`` stream and the thresholds it is compared with."""
+    out = _run_suites(tmp_path, ROW_GOLDEN_CONFIG, [
+        ["curves"],
+        ["combine", "--n-unlabeled", "100", "--n-labeled-grid", "25,50",
+         "--estimator", "triplet-single"],
+    ])
+    assert {name: file_sha256(out / name) for name in ROW_GOLDEN_HASHES} == ROW_GOLDEN_HASHES
 
 
 def test_ws_ingest_rejects_test_fraction_outside_unit_interval(tmp_path, tiny_corpus):

@@ -31,7 +31,7 @@ from labelmoments.estimators import (
     triplet_census,
 )
 
-from labelmoments.ising import sample_state_counts
+from labelmoments.ising import sample_rows, sample_state_counts
 
 from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint
 
@@ -96,6 +96,16 @@ class TestCountMomentsMatchRows:
                 moments.shrinkage_covariance(), rows.shrinkage_covariance()
             )
 
+    def test_batched_rows_bit_for_bit(self, synth_model_dep):
+        rows = sample_rows(synth_model_dep, 60, np.random.default_rng(4), 7)
+        batch = SampleMoments.from_rows(rows[..., :10], rows[..., 10])
+        assert batch.n.tolist() == [60] * 7
+        for b, one in enumerate(rows):
+            data = SourceMatrix(one[:, :10], one[:, 10])
+            counts = SampleMoments.from_state_counts(data.state_counts(), 10)
+            for name in ("means", "pair", "acc"):
+                np.testing.assert_array_equal(getattr(batch, name)[b], getattr(counts, name))
+
 
 class TestTripletRaw:
     """Single triplet solves, read from the census column of witness pair (1, 2)."""
@@ -151,6 +161,40 @@ class TestTripletRaw:
         assert val == pytest.approx(0.5957185166332072, abs=1e-12)
         assert estimate_triplet_from_moments(pair, "single", seed=0).values[0] == val
 
+
+
+class TestSignAssumption:
+    """The census assumes every source better than random; the fit's
+    metadata counts the evidence against it."""
+
+    @staticmethod
+    def _counts(pair):
+        meta = estimate_triplet_from_moments(pair, "mean").metadata
+        return meta["negative_triplets"], meta["negative_pairs"]
+
+    def test_population_moments_show_none(self, synth_diag_dep):
+        assert self._counts(synth_diag_dep.pair_moments) == ([0] * 10, [0] * 10)
+
+    def test_negated_source(self, synth_model_dep):
+        data = sample(synth_model_dep, 5000, 8)
+        flipped = data.values.copy()
+        flipped[:, 3] *= -1
+        triplets, pairs = self._counts(SampleMoments.from_source_matrix(data).pair)
+        neg_triplets, neg_pairs = self._counts(
+            SampleMoments.from_source_matrix(SourceMatrix(flipped, data.labels)).pair
+        )
+        assert pairs == [0] * 10
+        assert neg_pairs == [1, 1, 1, 9, 1, 1, 1, 1, 1, 1]
+        # a triple product keeps its sign when any of its sources is negated
+        assert neg_triplets == triplets
+
+    def test_one_negative_pair_moment(self):
+        # no sign assignment fits M_12 < 0 with every other moment positive:
+        # every triplet holding sources 1 and 2 has a negative product
+        pair = np.full((5, 5), 0.3)
+        np.fill_diagonal(pair, 1.0)
+        pair[1, 2] = pair[2, 1] = -0.3
+        assert self._counts(pair) == ([1, 3, 3, 1, 1], [0, 1, 1, 0, 0])
 
 class TestTripletAggregation:
     def test_population_exactness_well_specified(self, synth_diag_indep):
@@ -391,11 +435,11 @@ class TestShrinkageCovariance:
 
     @staticmethod
     def _fixed_draws(monkeypatch, counts):
-        # every block of every stream draws ``counts`` in each row
-        monkeypatch.setattr(
-            experiments, "sample_state_counts",
-            lambda model, n, rng, size: np.tile(counts, (size, 1)),
-        )
+        # every trial of every cell draws the sample ``counts``
+        def blocks(engine, label, n, trials, seed):
+            yield None, SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
+
+        monkeypatch.setattr(experiments.TrialEngine, "blocks", blocks)
 
     def test_definition(self, synth_model_dep):
         mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 300, 6))

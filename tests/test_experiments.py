@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from labelmoments import ContractError, EstimationError, NumericalError, experiments
+from labelmoments import ContractError, EstimationError, NumericalError, SourceMatrix, experiments
 from labelmoments.analysis import accuracy_excess, median_mse
 from labelmoments.estimators import (
     AccuracyEstimate,
@@ -248,13 +248,10 @@ class TestCombinedSweep:
         )
         row = rows[0]
         # reproduce the labeled-only column from the Monte-Carlo labeled cell's stream
-        rng = trial_rng(6, "excess:labeled/0", 80)
-        excesses = []
-        for _ in range(30):
-            counts_l = sample_state_counts(synth_model_dep, 80, rng)
-            mom = SampleMoments.from_state_counts(counts_l, 10)
-            excesses.append(float(dep_engine.excess(mom.acc)))
-        assert row.excess_labeled == pytest.approx(np.mean(excesses), abs=1e-12)
+        excesses = [
+            dep_engine.excess(mom.acc) for _, mom in dep_engine.blocks("excess:labeled", 80, 30, 6)
+        ]
+        assert row.excess_labeled == pytest.approx(np.concatenate(excesses).mean(), abs=1e-12)
 
     def test_endpoints_are_the_curve_cells(self, synth_model_dep, dep_engine):
         # alpha 1 scores the unlabeled curve cell, once for the whole grid;
@@ -357,13 +354,46 @@ def _fit_one(estimator, moments, rng):
     return estimate_triplet_from_moments(moments.pair, aggregation, seed=rng).values
 
 
+def _sigmoid2(t):
+    return math.exp(t) / (math.exp(t) + math.exp(-t))
+
+
+def _row_counts(model, n, rng):
+    """One sample drawn as the engine draws rows: uniforms (n, m+1) against
+    thresholds on u = s * y, worked out here from theta; the state counts of
+    the rows."""
+    m = model.m
+    uniform = rng.random((n, m + 1))
+    y = np.where(uniform[:, m] < _sigmoid2(model.theta_y), 1, -1)
+    u = np.where(uniform[:, :m] < [_sigmoid2(t) for t in model.theta], 1, -1)
+    for i, j, t in model.edges:
+        w = {
+            (a, b): math.exp(model.theta[i] * a + model.theta[j] * b + t * a * b)
+            for a in (1, -1) for b in (1, -1)
+        }
+        u[:, i] = np.where(uniform[:, i] < (w[1, 1] + w[1, -1]) / sum(w.values()), 1, -1)
+        given = {a: w[a, 1] / (w[a, 1] + w[a, -1]) for a in (1, -1)}
+        u[:, j] = np.where(uniform[:, j] < np.where(u[:, i] > 0, given[1], given[-1]), 1, -1)
+    return SourceMatrix(u * y[:, None], y).state_counts()
+
+
+def _draw_moments(engine, n, rng):
+    """One trial's moments, drawn by the engine's rule: rows when the sample
+    has fewer entries than the joint states, n(m+1) < 2^(m+1), else counts."""
+    m = engine.m
+    if n * (m + 1) < 1 << (m + 1):
+        counts = _row_counts(engine.model, n, rng)
+    else:
+        counts = sample_state_counts(engine.model, n, rng)
+    return SampleMoments.from_state_counts(counts, m)
+
+
 def _per_trial_series(engine, estimator, n, trials, seed):
     label = f"excess:{estimator}"
     draw, fit_rng = trial_rng(seed, f"{label}/0", n), trial_rng(seed, f"{label}/fit", n)
     out, failures = [], 0
     for _ in range(trials):
-        counts = sample_state_counts(engine.model, n, draw)
-        moments = SampleMoments.from_state_counts(counts, engine.m)
+        moments = _draw_moments(engine, n, draw)
         try:
             est = _fit_one(estimator, moments, fit_rng)
         except EstimationError:
@@ -381,7 +411,7 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
     draw_u, fit_rng = trial_rng(seed, f"{label}/0", n_u), trial_rng(seed, f"{label}/fit", n_u)
     fits_u = []
     for _ in range(trials):
-        mom_u = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_u, draw_u), m)
+        mom_u = _draw_moments(engine, n_u, draw_u)
         try:
             fits_u.append(_fit_one(estimator, mom_u, fit_rng))
         except EstimationError:
@@ -389,10 +419,10 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
     failures = sum(a_u is None for a_u in fits_u)
     rows = []
     for n_l in n_labeled_grid:
-        per_alpha, gs_alpha, gs_excess = [], [], []
+        per_alpha, gs_alpha, gs_excess, fallbacks = [], [], [], 0
         draw_l = trial_rng(seed, "excess:labeled/0", n_l)
         for a_u in fits_u:
-            mom_l = SampleMoments.from_state_counts(sample_state_counts(engine.model, n_l, draw_l), m)
+            mom_l = _draw_moments(engine, n_l, draw_l)
             if a_u is None:
                 continue
             a_l = mom_l.acc
@@ -400,7 +430,7 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
             try:
                 alpha = green_strawderman_alpha(a_l - a_u, mom_l.shrinkage_covariance(), m - 2.0)
             except (NumericalError, ContractError):
-                alpha = 1.0
+                alpha, fallbacks = 1.0, fallbacks + 1
             gs_alpha.append(alpha)
             gs_excess.append(float(engine.excess(alpha * a_u + (1 - alpha) * a_l)))
         per_alpha, gs_excess = np.vstack(per_alpha), np.asarray(gs_excess)
@@ -413,7 +443,7 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
             float(means[-1]), float(stderrs[-1]), float(alphas[best]),
             float(means[best]), float(stderrs[best]), float(np.mean(gs_alpha)),
             float(gs_excess.mean()), float(gs_excess.std(ddof=1) / np.sqrt(k)),
-            k, failures,
+            k, failures, fallbacks,
         ))
     return rows
 
@@ -442,8 +472,12 @@ class TestBatchedEngineOracle:
     def test_excess_series_matches_per_trial_loop(
         self, monkeypatch, tiny_engine, dep_engine, estimator, budget
     ):
+        # tiny at n=4 and dep at n=100 draw rows, tiny at n=9 and dep at n=300 counts
         failed = 0
-        for engine, n, trials in ((tiny_engine, 4, 40), (tiny_engine, 9, 13), (dep_engine, 300, 20)):
+        cells = (
+            (tiny_engine, 4, 40), (tiny_engine, 9, 13), (dep_engine, 100, 20), (dep_engine, 300, 20)
+        )
+        for engine, n, trials in cells:
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
             series, failures = engine.excess_series(estimator, n, trials, 21)
             ref_series, ref_failures = _per_trial_series(engine, estimator, n, trials, 21)
@@ -458,19 +492,22 @@ class TestBatchedEngineOracle:
     def test_combined_sweep_matches_per_trial_loop(
         self, monkeypatch, tiny_engine, dep_engine, estimator, budget
     ):
-        failed = 0
+        # labeled sizes 2 and 6 at m=4 and 30 at m=10 draw rows; at n_L=2 the
+        # labeled covariance is often zero, and the shrinkage rule falls back
+        failed = fallbacks = 0
         for engine, n_u, grid, trials in ((tiny_engine, 4, (2, 6), 30), (dep_engine, 200, (30,), 12)):
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
             rows = combined_sweep(engine.model, n_u, grid, estimator, trials, 8, engine)
             assert rows == _per_trial_combined(engine, n_u, grid, estimator, trials, 8)
             failed += sum(r.failures for r in rows)
-        assert failed > 0
+            fallbacks += sum(r.gs_fallbacks for r in rows)
+        assert failed > 0 and fallbacks > 0
 
     def test_block_size_follows_the_budget(self, monkeypatch, tiny_engine):
         sizes = []
         for budget in (1, 3 * (8 << 5), 1 << 40):
             monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
-            sizes.append([len(counts) for _, counts in tiny_engine.blocks("x", 4, 7, 0)])
+            sizes.append([len(mom.acc) for _, mom in tiny_engine.blocks("x", 4, 7, 0)])
         assert sizes == [[1] * 7, [3, 3, 1], [7]]
 
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)

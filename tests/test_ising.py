@@ -22,7 +22,7 @@ from labelmoments import (
 )
 from labelmoments.analysis import decompose
 from labelmoments.estimators import SampleMoments
-from labelmoments.ising import _pair_stats, conditional_entropy, inference_bias
+from labelmoments.ising import _pair_stats, conditional_entropy, inference_bias, sample_rows
 from labelmoments.label_model import LabelModel
 from labelmoments.states import sign_rows
 
@@ -33,6 +33,7 @@ from conftest import (
     brute_joint,
     brute_moment,
     brute_pair_moments,
+    random_valid_edges,
 )
 
 
@@ -428,6 +429,58 @@ class TestSampling:
         data = sample(synth_model_dep, 100_000, 77)
         emp = (data.values * data.labels[:, None]).mean(axis=0)
         assert np.abs(emp - synth_diag_dep.accuracies).max() < 0.02
+
+
+class TestRowSampler:
+    """Rows drawn by thresholds in the coordinates u = s * y, against the
+    dense joint and the exact moments."""
+
+    @staticmethod
+    def _pmf(model):
+        # each joint state's probability, multiplied out from the thresholds
+        p, given_minus, _, _ = model.row_thresholds
+        signs = sign_rows(model.m)
+        u = np.vstack([signs[: model.m] * signs[model.m], signs[model.m]]) > 0
+        cond = np.where(u, p[:, None], 1.0 - p[:, None])
+        for e, (i, j, _) in enumerate(model.edges):
+            cond[j] = np.where(u[i], cond[j], np.where(u[j], given_minus[e], 1.0 - given_minus[e]))
+        return cond.prod(axis=0)
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("with_edges", [False, True])
+    @pytest.mark.parametrize("balance", [0.5, 0.3])
+    def test_thresholds_enumerate_the_joint(self, m, with_edges, balance):
+        rng = np.random.default_rng(100 + m)
+        pairs = (random_valid_edges(rng, m) or [(0, 1)]) if with_edges else []
+        edges = [(i, j, t) for (i, j), t in zip(pairs, rng.uniform(0.1, 1.0, len(pairs)))]
+        # P(Y = 1) = sigmoid(2 theta_Y), since Y is independent of the u coordinates
+        model = IsingModel.from_parameters(
+            rng.uniform(0.0, 1.5, m), edges, math.atanh(2 * balance - 1)
+        )
+        assert model.class_balance() == pytest.approx(balance, abs=1e-12)
+        np.testing.assert_allclose(self._pmf(model), model.joint, rtol=0, atol=1e-15)
+
+    def test_moments_match_the_exact_ones(self):
+        # m=6 with two edges and a skewed class balance: the mean of many
+        # samples' moments lies within 5 standard errors of diagnostics'
+        model = calibrate([0.6, 0.7, 0.65, 0.8, 0.75, 0.55], [(0, 1), (2, 4)], 0.1, 0.3)
+        diag = diagnostics(model)
+        rows = sample_rows(model, 50, np.random.default_rng(5), 4000)
+        mom = SampleMoments.from_rows(rows[..., :6], rows[..., 6])
+        for draws, exact in ((mom.acc, diag.accuracies), (mom.pair, diag.pair_moments)):
+            se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+            assert (np.abs(draws.mean(axis=0) - exact) <= 5 * se + 1e-15).all()
+
+    def test_consecutive_calls_equal_one_call(self, synth_model_dep):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        whole = sample_rows(synth_model_dep, 20, a, 5)
+        parts = [sample_rows(synth_model_dep, 20, b, k) for k in (2, 1, 2)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        assert set(np.unique(whole)) == {-1.0, 1.0}
+
+    def test_rejects_empty_samples(self, synth_model_dep):
+        with pytest.raises(ContractError):
+            sample_rows(synth_model_dep, 0, 1, 3)
 
 
 class TestSerialization:

@@ -308,6 +308,18 @@ class TestCaseStudy:
         assert lines[0].startswith("model,n,")
         assert len(lines) == len(rows) + 1
 
+    def test_combined_rows_count_shrinkage_fallbacks(self, small_corpus):
+        # one labeled row has no covariance, so every combined trial at n_L=1
+        # falls back to alpha 1; at n_L=200 the rule itself picks alpha 1, so
+        # only the count tells the rows apart
+        cfg = CaseStudyConfig(
+            n_grid=(6000,), n_unlabeled=6000, n_labeled_grid=(1, 200), trials=3, seed=2,
+        )
+        combined = [r for r in run_case_study(small_corpus, cfg) if r["model"] == "combined"]
+        assert [(r["n_labeled"], r["gs_fallbacks"], r["alpha"]) for r in combined] == [
+            (1, 3, 1.0), (200, 0, 1.0),
+        ]
+
     def test_cells_share_streams_and_the_whole_split_draws_nothing(self, small_corpus):
         # labeled-small at 40 draws as the labeled cell at 40 does; at the
         # split's size every trial is the whole split
