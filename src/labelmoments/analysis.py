@@ -289,9 +289,10 @@ def median_mse(
 ) -> MedianMseResult:
     """Monte-Carlo maximum MSE of the median-corrected estimator, plus its bound.
 
-    The fits are the ``triplet-median`` trials of the excess curves
-    (``TrialEngine.estimates``), so rho and the curve at n_unlabeled share
-    one Monte-Carlo path.  A failed fit is skipped and counted;
+    The fits are the ``triplet-median`` fits of the unlabeled cell at
+    n_unlabeled (``TrialEngine.estimates``): the samples that every triplet
+    estimator of the excess curves fits, so rho and the curves at
+    n_unlabeled share one Monte-Carlo path.  A failed fit is skipped and counted;
     ``EstimationError`` only when every fit fails.  The consistency
     conditions (m > 5, d below a quarter of the triplet count) are
     reported; when violated the MSE is still estimated.

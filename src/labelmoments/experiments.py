@@ -17,26 +17,32 @@ per source (``TrialEngine.labeled_excess``).  The curve has zero variance;
 its monotonicity in n, which the data-value-ratio bisection relies on, is
 tested.
 
-Unlabeled fits, the Monte-Carlo labeled oracle
-(``expected_excess_error(..., "labeled", ...)``), the median MSE behind
-rho (``analysis.median_mse``) and both sides of the combined sweep run in
-cells ``excess:{estimator}``: one estimator and one sample size n.  A cell
-draws its samples from one generator and its fits' random choices (the
-witness pairs of ``triplet-single``) from another, both from ``trial_rng``
-under their own stream labels, so trial t's sample is the t-th draw of
-its stream.  The engine scores trials in blocks of at most
+A Monte-Carlo sample cell is a sample size n.  The unlabeled estimators
+share it: every triplet estimator at n fits the same samples, drawn once
+from the stream ``trial_rng(seed, "excess:unlabeled/0", n)`` and memoised
+on the engine as their moments, so the curves, the DVR targets, the median
+MSE behind rho (``analysis.median_mse``) and the unlabeled side of the
+combined sweep read one draw.  Each estimator draws its fits' random
+choices (the witness pairs of ``triplet-single``) from its own stream,
+``excess:{estimator}/fit``.  The Monte-Carlo labeled cell
+(``expected_excess_error(..., "labeled", ...)`` and the labeled side of the
+combined sweep) is separate: it draws from ``excess:labeled/0`` and never
+reads the unlabeled samples, so the combined sweep pairs independent
+samples even when its two sizes are equal.  Trial t's sample is the t-th
+draw of its stream.  The engine scores trials in blocks of at most
 ``BLOCK_BYTES`` of count rows: one draw per block, then moments, triplet
 census, aggregation and excess once per block; a trial whose fit fails is
-a masked row that draws nothing, skipped and counted.
+a masked row, skipped and counted.
 
-Random-stream protocol v3 picks the draw per cell from n and m alone.  A
-sample with fewer entries than the joint states, n(m+1) < 2^(m+1), is
-drawn as rows: one ``random((block, n, m+1))`` compared with per-column
-thresholds, since given Y the model factors into singletons and edge
-pairs (``ising.sample_rows``).  A larger sample is drawn as before, one
-``multinomial(size=...)`` over the 2^(m+1) states, so the cells at or
-above the rule keep protocol v2's bytes; at m=10 these are all cells with
-n >= 187, such as every ``curves`` and ``dvr`` cell of the default grid.
+Random-stream protocol v4 picks the draw per cell from n and m alone, as
+v3 did.  A sample with fewer entries than the joint states,
+n(m+1) < 2^(m+1), is drawn as rows: one ``random((block, n, m+1))``
+compared with per-column thresholds, since given Y the model factors into
+singletons and edge pairs (``ising.sample_rows``).  A larger sample is
+one ``multinomial(size=...)`` over the 2^(m+1) states; at m=10 these are
+all cells with n >= 187, such as every ``curves`` and ``dvr`` cell of the
+default grid.  v4 changed only the unlabeled streams' labels, so the
+labeled cell kept v3's bytes.
 numpy draws uniforms, multinomial rows and ``integers`` elements one after
 another, so a block draws exactly what the same trials drawn one by one
 would, and every batched step computes each row exactly as for a lone
@@ -66,6 +72,7 @@ from .estimators import (
 from .ising import (
     IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_rows, sample_state_counts,
 )
+from .label_model import ACCURACY_CLAMP
 from .manifest import read_json
 
 # Default synthetic roster: ten sources with accuracies drawn once, uniformly
@@ -217,22 +224,24 @@ BLOCK_BYTES = 128 * 1024
 
 class TrialEngine:
     """Shared per-model state for excess evaluation: Monte-Carlo trials of
-    the fitted estimators, scored in blocks, and the exact, memoised labeled
-    curve."""
+    the fitted estimators, scored in blocks, the memoised moments of the
+    unlabeled samples, and the exact, memoised labeled curve."""
 
     def __init__(self, model: IsingModel, diag: ModelDiagnostics | None = None):
         self.model = model
         self.diag = diag if diag is not None else diagnostics(model)
         self.m = model.m
         self._labeled: dict[int, float] = {}
+        # (n, trials, seed) -> read-only moment blocks of the unlabeled cell;
+        # ``means`` copied out of its moment table so the table is freed
+        self._unlabeled: dict[tuple[int, int, int], list[SampleMoments]] = {}
         self._log_factorial = np.zeros(1)
 
-    def binomial_pmf(self, n: int, p: float) -> np.ndarray:
-        """Binomial(n, p) probabilities of 0..n successes.
+    def log_binomial(self, n: int) -> np.ndarray:
+        """log C(n, k) for k = 0..n.
 
         The log-factorial table is a sequential cumulative sum, so its
-        entries do not depend on how far it has grown; the pmf is
-        renormalised to absorb the table's accumulated rounding.
+        entries do not depend on how far it has grown.
         """
         if n >= self._log_factorial.size:
             self._log_factorial = np.concatenate(
@@ -240,7 +249,15 @@ class TrialEngine:
             )
         lf = self._log_factorial
         k = np.arange(n + 1)
-        pmf = np.exp(lf[n] - lf[k] - lf[n - k] + k * np.log(p) + (n - k) * np.log1p(-p))
+        return lf[n] - lf[k] - lf[n - k]
+
+    def binomial_pmf(self, n: int, p: float, log_binomial: np.ndarray | None = None) -> np.ndarray:
+        """Binomial(n, p) probabilities of 0..n successes, renormalised to
+        absorb the log-factorial table's accumulated rounding;
+        ``log_binomial`` is ``self.log_binomial(n)``, passed when reused."""
+        log_binomial = self.log_binomial(n) if log_binomial is None else log_binomial
+        k = np.arange(n + 1)
+        pmf = np.exp(log_binomial + k * np.log(p) + (n - k) * np.log1p(-p))
         return pmf / pmf.sum()
 
     def labeled_excess(self, n: int) -> float:
@@ -250,22 +267,30 @@ class TrialEngine:
         the excess is B_I plus a sum of per-source terms, so its expectation
         is B_I plus, per source, the pmf-weighted score of the n+1 outcomes,
         summed by numpy rather than a BLAS dot, whose split across threads
-        would move its last bits.  Memoised per n.
+        would move its last bits.  The score is ``accuracy_excess``'s
+        per-source KL term; the log binomial coefficients and the log-ratios
+        of the clamped outcomes do not depend on the source and are computed
+        once per n.  Memoised per n.
         """
         if n < 1:
             raise ContractError("sample size must be at least 1")
         if n not in self._labeled:
-            outcomes = (2.0 * np.arange(n + 1) - n) / n
+            outcomes = np.clip(
+                (2.0 * np.arange(n + 1) - n) / n, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP
+            )
+            log_fp, log_fq = np.log((1.0 + outcomes) / 2.0), np.log((1.0 - outcomes) / 2.0)
+            log_binomial = self.log_binomial(n)
             total = self.diag.inference_bias
             for a in self.diag.accuracies:
-                kl = accuracy_excess([a], 0.0, outcomes[:, None])
-                total += float((self.binomial_pmf(n, (1.0 + a) / 2.0) * kl).sum())
+                tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
+                kl = tp * (np.log(tp) - log_fp) + tq * (np.log(tq) - log_fq)
+                total += float((self.binomial_pmf(n, tp, log_binomial) * kl).sum())
             self._labeled[n] = float(total)
         return self._labeled[n]
 
     def blocks(self, label: str, n: int, trials: int, seed: int):
-        """Draw ``trials`` samples of size n of a cell in blocks; yields
-        (fit generator, ``SampleMoments`` of the block's samples).
+        """Draw ``trials`` samples of size n of a cell in blocks; yields the
+        ``SampleMoments`` of each block's samples.
 
         The samples come from the stream ``trial_rng(seed, f"{label}/0", n)``.
         A sample with fewer entries than the joint states, n(m+1) < 2^(m+1),
@@ -273,22 +298,19 @@ class TrialEngine:
         (``sample_state_counts``); the rule reads only n and m, so a whole
         cell takes one path.  Blocks hold as many trials as ``BLOCK_BYTES``
         of count rows on both paths, so a row block is never the larger.
-        The fit generator ``trial_rng(seed, f"{label}/fit", n)`` is the same
-        in every block.
         """
         m = self.m
         draw = trial_rng(seed, f"{label}/0", n)
-        fit_rng = trial_rng(seed, f"{label}/fit", n)
         step = min(trials, max(1, BLOCK_BYTES // (8 << (m + 1))))
         as_rows = n * (m + 1) < 1 << (m + 1)
         for start in range(0, trials, step):
             size = min(step, trials - start)
             if as_rows:
                 rows = sample_rows(self.model, n, draw, size)
-                yield fit_rng, SampleMoments.from_rows(rows[..., :m], rows[..., m])
+                yield SampleMoments.from_rows(rows[..., :m], rows[..., m])
             else:
                 counts = sample_state_counts(self.model, n, draw, size)
-                yield fit_rng, SampleMoments.from_state_counts(counts, m)
+                yield SampleMoments.from_state_counts(counts, m)
 
     def fit(self, estimator: str, moments: SampleMoments, rng) -> tuple[np.ndarray, np.ndarray]:
         """Accuracy fits of a block of trials and the mask of fits that succeeded.
@@ -312,11 +334,31 @@ class TrialEngine:
     def estimates(
         self, estimator: str, n: int, trials: int, seed: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The (trials, m) fits of the cell ``excess:{estimator}`` at n, in
-        trial order, and the mask of fits that succeeded."""
+        """The (trials, m) fits of ``estimator`` at n, in trial order, and the
+        mask of fits that succeeded.
+
+        The labeled fits read the labeled cell ``excess:labeled``.  Every
+        triplet estimator fits the unlabeled cell ``excess:unlabeled``, drawn
+        once per (n, trials, seed) and memoised as read-only moments without
+        labels, with its own fit generator
+        ``trial_rng(seed, f"excess:{estimator}/fit", n)``.
+        """
         _require_estimator(estimator)
+        if estimator == "labeled":
+            cell, rng = self.blocks("excess:labeled", n, trials, seed), None
+        else:
+            cell = self._unlabeled.get((n, trials, seed))
+            if cell is None:
+                cell = self._unlabeled[n, trials, seed] = [
+                    SampleMoments(mom.n, mom.means.copy(), mom.pair)
+                    for mom in self.blocks("excess:unlabeled", n, trials, seed)
+                ]
+                for moments in cell:
+                    moments.means.setflags(write=False)
+                    moments.pair.setflags(write=False)
+            rng = trial_rng(seed, f"excess:{estimator}/fit", n)
         fits, oks = [], []
-        for rng, moments in self.blocks(f"excess:{estimator}", n, trials, seed):
+        for moments in cell:
             est, ok = self.fit(estimator, moments, rng)
             fits.append(est)
             oks.append(ok)
@@ -529,11 +571,12 @@ def combined_sweep(
     zero or undefined, counted in ``gs_fallbacks``.  Alpha 0 is labeled-only
     and alpha 1 unlabeled-only, so those columns come from the same sweep.
 
-    Trial t pairs the t-th fit of the curve cell ``excess:{estimator}`` at
-    n_unlabeled with the t-th sample of the Monte-Carlo labeled cell
-    ``excess:labeled`` at the labeled size.  The unlabeled fits are drawn
-    once and shared by the whole grid, so every row scores the same
-    unlabeled trials and fails the same ones.
+    Trial t pairs the t-th fit of ``estimator`` on the unlabeled cell at
+    n_unlabeled (the samples of the curves, ``TrialEngine.estimates``) with
+    the t-th sample of the Monte-Carlo labeled cell ``excess:labeled`` at the
+    labeled size, an independent stream even when the two sizes are equal.
+    The unlabeled fits are made once and shared by the whole grid, so every
+    row scores the same unlabeled trials and fails the same ones.
     """
     _require_estimator(estimator)
     engine = engine if engine is not None else TrialEngine(model)
@@ -548,7 +591,7 @@ def combined_sweep(
     for n_l in n_labeled_grid:
         blend_excess, gs_excess, gs_alpha = [], [], []
         start = fallbacks = 0
-        for _, mom_l in engine.blocks("excess:labeled", n_l, trials, seed):
+        for mom_l in engine.blocks("excess:labeled", n_l, trials, seed):
             block = slice(start, start + len(mom_l.acc))
             ok, start = ok_u[block], block.stop
             a_u, a_l = fits_u[block][ok], mom_l.acc[ok]

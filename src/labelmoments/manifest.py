@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ContractError
 
@@ -69,7 +72,8 @@ def write_manifest(
     """Record of one CLI run, enough to reproduce it exactly.
 
     ``outputs`` are hashed here; ``started`` is the ``time.monotonic()`` at
-    which the run began.
+    which the run began.  The Python and numpy versions are recorded
+    because the Monte-Carlo outputs follow numpy's random streams.
     """
     write_json(path, {
         "subcommand": subcommand,
@@ -77,6 +81,8 @@ def write_manifest(
         "config_hash": config_hash(config),
         "seed": seed,
         "version": version,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "input_hashes": input_hashes,
         "output_hashes": hash_files(outputs),
         "wall_clock_s": time.monotonic() - started,

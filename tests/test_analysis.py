@@ -328,7 +328,7 @@ class TestMedianMse:
         counts = SourceMatrix(rows.astype(np.int8), np.ones(4, dtype=np.int8)).state_counts()
 
         def blocks(engine, label, n, trials, seed):
-            yield None, SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
+            yield SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
 
         monkeypatch.setattr(experiments.TrialEngine, "blocks", blocks)
         model = calibrate([0.6, 0.55, 0.7, 0.65], [], 0.0)

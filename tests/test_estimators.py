@@ -437,7 +437,7 @@ class TestShrinkageCovariance:
     def _fixed_draws(monkeypatch, counts):
         # every trial of every cell draws the sample ``counts``
         def blocks(engine, label, n, trials, seed):
-            yield None, SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
+            yield SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
 
         monkeypatch.setattr(experiments.TrialEngine, "blocks", blocks)
 

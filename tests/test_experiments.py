@@ -158,6 +158,17 @@ class TestExactLabeled:
         with pytest.raises(ContractError):
             dep_engine.labeled_excess(0)
 
+    @pytest.mark.parametrize("n", [1, 7, 250, 4000])
+    def test_equals_the_per_source_score_sum(self, synth_model_dep, synth_diag_dep, n):
+        # bit for bit the pmf-weighted accuracy_excess of each source's n+1 outcomes
+        engine = TrialEngine(synth_model_dep, synth_diag_dep)
+        outcomes = (2.0 * np.arange(n + 1) - n) / n
+        total = synth_diag_dep.inference_bias
+        for a in synth_diag_dep.accuracies:
+            kl = accuracy_excess([a], 0.0, outcomes[:, None])
+            total += float((engine.binomial_pmf(n, (1.0 + a) / 2.0) * kl).sum())
+        assert engine.labeled_excess(n) == total
+
 
 class TestDataValueRatio:
     def test_bisection_matches_linear_scan(self, synth_model_dep, dep_engine):
@@ -249,7 +260,7 @@ class TestCombinedSweep:
         row = rows[0]
         # reproduce the labeled-only column from the Monte-Carlo labeled cell's stream
         excesses = [
-            dep_engine.excess(mom.acc) for _, mom in dep_engine.blocks("excess:labeled", 80, 30, 6)
+            dep_engine.excess(mom.acc) for mom in dep_engine.blocks("excess:labeled", 80, 30, 6)
         ]
         assert row.excess_labeled == pytest.approx(np.concatenate(excesses).mean(), abs=1e-12)
 
@@ -340,6 +351,84 @@ class TestSuiteRunners:
         assert len(lines) == 1 + len(rows) == 3
 
 
+class TestSharedUnlabeledCell:
+    TRIPLETS = ("triplet-mean", "triplet-median", "triplet-single")
+
+    @staticmethod
+    def _spy_fits(monkeypatch):
+        """estimator -> the moment blocks its fits read."""
+        seen = {}
+        original = TrialEngine.fit
+
+        def fit(engine, estimator, moments, rng):
+            seen.setdefault(estimator, []).append(moments)
+            return original(engine, estimator, moments, rng)
+
+        monkeypatch.setattr(TrialEngine, "fit", fit)
+        return seen
+
+    def test_triplet_estimators_fit_the_same_moments(self, monkeypatch, synth_model_dep):
+        seen = self._spy_fits(monkeypatch)
+        engine = TrialEngine(synth_model_dep)
+        for estimator in self.TRIPLETS:
+            engine.estimates(estimator, 300, 20, 4)
+        first = seen["triplet-mean"]
+        assert len(first) == 3  # 8 + 8 + 4 trials under the default budget
+        for estimator in self.TRIPLETS[1:]:
+            assert all(a is b for a, b in zip(seen[estimator], first, strict=True))
+
+    def test_run_curves_draws_each_n_once(self, monkeypatch, tmp_path):
+        drawn = []
+        for name in ("sample_rows", "sample_state_counts"):
+            def spy(model, n, rng, size, _draw=getattr(experiments, name), _name=name):
+                drawn.append((_name, n))
+                return _draw(model, n, rng, size)
+
+            monkeypatch.setattr(experiments, name, spy)
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", 1 << 40)  # one block per cell
+        cfg = ExperimentConfig(
+            estimators=("labeled",) + self.TRIPLETS, n_grid=(100, 300), trials=12, seed=5
+        )
+        run_curves(cfg, tmp_path)
+        assert sorted(drawn) == [("sample_rows", 100), ("sample_state_counts", 300)]
+
+    def test_combined_labeled_draws_are_not_the_unlabeled_samples(self, synth_model_dep):
+        engine = TrialEngine(synth_model_dep)
+        (row,) = combined_sweep(synth_model_dep, 300, [300], trials=20, seed=4, engine=engine)
+        labeled = np.concatenate([mom.acc for mom in engine.blocks("excess:labeled", 300, 20, 4)])
+        unlabeled = np.concatenate(
+            [mom.acc for mom in engine.blocks("excess:unlabeled", 300, 20, 4)]
+        )
+        assert row.excess_labeled == pytest.approx(engine.excess(labeled).mean(), abs=1e-12)
+        assert not np.any(np.all(labeled == unlabeled, axis=1))
+
+    def test_memoised_moments_are_read_only(self, monkeypatch, synth_model_dep):
+        seen = self._spy_fits(monkeypatch)
+        TrialEngine(synth_model_dep).estimates("triplet-mean", 300, 5, 0)
+        (moments,) = seen["triplet-mean"]
+        assert moments.acc is None  # the unlabeled fits never see a label
+        for array in (moments.means, moments.pair):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_estimator_order_leaves_rows_unchanged(self, tmp_path):
+        estimators = ("labeled",) + self.TRIPLETS
+        rows = []
+        for order in (estimators, estimators[::-1]):
+            cfg = ExperimentConfig(
+                SyntheticModelSpec(d=1, accuracies=DEFAULT_ACCURACIES[:6]),
+                estimators=order, n_grid=(30, 200), trials=15, seed=9,
+            )
+            out = tmp_path / "-".join(order)
+            run_curves(cfg, out)
+            run_dvr(cfg, out)
+            rows.append({
+                name: sorted((out / name).read_text().splitlines())
+                for name in ("curves.csv", "dvr.csv")
+            })
+        assert rows[0] == rows[1]
+
+
 # ---------------------------------------------------------------------------
 # Oracle for the batched trial engine: a per-trial loop over the cell's
 # streams, written on the public per-fit API (one draw per stream, one moment
@@ -388,9 +477,16 @@ def _draw_moments(engine, n, rng):
     return SampleMoments.from_state_counts(counts, m)
 
 
+def _cell_streams(estimator, n, seed):
+    """Protocol v4: the labeled cell draws from its own stream, every triplet
+    estimator from the shared unlabeled one; each estimator has its own fit
+    stream."""
+    cell = "labeled" if estimator == "labeled" else "unlabeled"
+    return trial_rng(seed, f"excess:{cell}/0", n), trial_rng(seed, f"excess:{estimator}/fit", n)
+
+
 def _per_trial_series(engine, estimator, n, trials, seed):
-    label = f"excess:{estimator}"
-    draw, fit_rng = trial_rng(seed, f"{label}/0", n), trial_rng(seed, f"{label}/fit", n)
+    draw, fit_rng = _cell_streams(estimator, n, seed)
     out, failures = [], 0
     for _ in range(trials):
         moments = _draw_moments(engine, n, draw)
@@ -407,8 +503,7 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
     m = engine.m
     alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
     # the unlabeled fits of the curve cell, fitted once for the whole grid
-    label = f"excess:{estimator}"
-    draw_u, fit_rng = trial_rng(seed, f"{label}/0", n_u), trial_rng(seed, f"{label}/fit", n_u)
+    draw_u, fit_rng = _cell_streams(estimator, n_u, seed)
     fits_u = []
     for _ in range(trials):
         mom_u = _draw_moments(engine, n_u, draw_u)
@@ -479,6 +574,7 @@ class TestBatchedEngineOracle:
         )
         for engine, n, trials in cells:
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
+            engine = TrialEngine(engine.model, engine.diag)  # nothing memoised under another budget
             series, failures = engine.excess_series(estimator, n, trials, 21)
             ref_series, ref_failures = _per_trial_series(engine, estimator, n, trials, 21)
             np.testing.assert_array_equal(series, ref_series)
@@ -497,6 +593,7 @@ class TestBatchedEngineOracle:
         failed = fallbacks = 0
         for engine, n_u, grid, trials in ((tiny_engine, 4, (2, 6), 30), (dep_engine, 200, (30,), 12)):
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
+            engine = TrialEngine(engine.model, engine.diag)
             rows = combined_sweep(engine.model, n_u, grid, estimator, trials, 8, engine)
             assert rows == _per_trial_combined(engine, n_u, grid, estimator, trials, 8)
             failed += sum(r.failures for r in rows)
@@ -507,7 +604,7 @@ class TestBatchedEngineOracle:
         sizes = []
         for budget in (1, 3 * (8 << 5), 1 << 40):
             monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
-            sizes.append([len(mom.acc) for _, mom in tiny_engine.blocks("x", 4, 7, 0)])
+            sizes.append([len(mom.acc) for mom in tiny_engine.blocks("x", 4, 7, 0)])
         assert sizes == [[1] * 7, [3, 3, 1], [7]]
 
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
