@@ -24,7 +24,6 @@ from .ising import (
     ModelDiagnostics,
     calibrate,
     diagnostics,
-    misspecification_gap,
     sample,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "calibrate",
     "diagnostics",
     "load_source_matrix",
-    "misspecification_gap",
     "sample",
     "LabelMomentsError",
     "CapacityError",

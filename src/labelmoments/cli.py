@@ -45,7 +45,7 @@ from .estimators import (
     estimate_quadratic_triplet_from_moments,
     estimate_triplet_from_moments,
 )
-from .ising import IsingModel, calibrate, diagnostics, sample
+from .ising import IsingModel, calibrate, calibration_residual, diagnostics, sample
 from .label_model import LabelModel, empirical_config_dist, posterior
 from .manifest import hash_files, read_json, write_json, write_manifest
 
@@ -187,9 +187,14 @@ def main():
 @click.option("--out", "-o", required=True, type=click.Path(), help="Output model JSON path.")
 @_recorded
 def calibrate_cmd(accuracies, edges, edge_gap, balance, out):
-    """Calibrate a ground-truth model to accuracy and dependence targets."""
-    model = calibrate(_parse_floats(accuracies), _parse_edges(edges), edge_gap, balance)
-    model.to_json(out)
+    """Calibrate a ground-truth model to accuracy and dependence targets.
+
+    The model JSON also records ``calibration_residual``, the largest miss
+    of any target; reading the model ignores it.
+    """
+    targets = (_parse_floats(accuracies), _parse_edges(edges), edge_gap, balance)
+    model = calibrate(*targets)
+    write_json(out, {**model.to_dict(), "calibration_residual": calibration_residual(model, *targets)})
     click.echo(f"wrote {out}")
     return [out]
 

@@ -75,10 +75,6 @@ class SourceMatrix:
         labels = self.require_labels()
         return config_index(self.values) + ((labels > 0).astype(np.int64) << self.m)
 
-    def state_counts(self) -> np.ndarray:
-        """Counts over the 2**(m+1) joint states (labels required)."""
-        return np.bincount(self.state_index(), minlength=1 << (self.m + 1)).astype(np.float64)
-
     def config_counts(self) -> np.ndarray:
         """Counts over the 2**m source configurations."""
         return np.bincount(

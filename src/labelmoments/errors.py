@@ -14,9 +14,10 @@ class ContractError(LabelMomentsError, ValueError):
 
 
 class CalibrationError(LabelMomentsError):
-    """Model calibration did not reach its targets within the iteration budget.
+    """No model reaches the calibration targets.
 
-    Carries the worst residuals at the point of failure.
+    Carries the infeasible edge's cell probabilities (and potentials, when
+    the cells are positive) as ``residuals``.
     """
 
     def __init__(self, message: str, residuals=None):

@@ -34,15 +34,14 @@ draw of its stream.  The engine scores trials in blocks of at most
 census, aggregation and excess once per block; a trial whose fit fails is
 a masked row, skipped and counted.
 
-Random-stream protocol v4 picks the draw per cell from n and m alone, as
-v3 did.  A sample with fewer entries than the joint states,
-n(m+1) < 2^(m+1), is drawn as rows: one ``random((block, n, m+1))``
+Random-stream protocol v5 picks the draw per cell from n and m alone, as
+v3 and v4 did.  A sample with fewer entries than twice the joint states,
+n(m+1) < 2^(m+2), is drawn as rows: one ``random((block, n, m+1))``
 compared with per-column thresholds, since given Y the model factors into
 singletons and edge pairs (``ising.sample_rows``).  A larger sample is
 one ``multinomial(size=...)`` over the 2^(m+1) states; at m=10 these are
-all cells with n >= 187, such as every ``curves`` and ``dvr`` cell of the
-default grid.  v4 changed only the unlabeled streams' labels, so the
-labeled cell kept v3's bytes.
+the cells with n >= 373, so n=250 of the default grid draws rows.  v5
+also moved every model's last bits: ``ising.calibrate`` is closed-form.
 numpy draws uniforms, multinomial rows and ``integers`` elements one after
 another, so a block draws exactly what the same trials drawn one by one
 would, and every batched step computes each row exactly as for a lone
@@ -60,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import accuracy_excess, median_correction_constant, bound_constants
+from .analysis import accuracy_excess
 from .errors import ContractError, EstimationError, NumericalError
 from .estimators import (
     SampleMoments,
@@ -218,7 +217,8 @@ class ExcessResult:
 
 # Memory budget of one block of trials' joint-state count rows (float64,
 # 2^(m+1) states per sample): at m=10, 8 trials per block; one trial from
-# m=13 up.
+# m=13 up.  A row block holds n(m+1) uniforms per trial: by the draw rule of
+# ``TrialEngine.blocks``, under twice the bytes of the count rows it replaces.
 BLOCK_BYTES = 128 * 1024
 
 
@@ -293,16 +293,19 @@ class TrialEngine:
         ``SampleMoments`` of each block's samples.
 
         The samples come from the stream ``trial_rng(seed, f"{label}/0", n)``.
-        A sample with fewer entries than the joint states, n(m+1) < 2^(m+1),
-        is drawn as rows (``sample_rows``), a larger one as state counts
-        (``sample_state_counts``); the rule reads only n and m, so a whole
-        cell takes one path.  Blocks hold as many trials as ``BLOCK_BYTES``
-        of count rows on both paths, so a row block is never the larger.
+        A sample with fewer entries than twice the joint states,
+        n(m+1) < 2^(m+2), is drawn as rows (``sample_rows``), a larger one as
+        state counts (``sample_state_counts``).  The rule reads only n and
+        m, so a whole cell takes one path; it stays below the measured
+        crossovers of the two paths, n(m+1) of about 5,500 at m=10 and
+        26,000 at m=12.  Blocks hold as many trials as ``BLOCK_BYTES`` of
+        count rows on both paths, so a row block is under twice the bytes of
+        the count block it replaces.
         """
         m = self.m
         draw = trial_rng(seed, f"{label}/0", n)
         step = min(trials, max(1, BLOCK_BYTES // (8 << (m + 1))))
-        as_rows = n * (m + 1) < 1 << (m + 1)
+        as_rows = n * (m + 1) < 1 << (m + 2)
         for start in range(0, trials, step):
             size = min(step, trials - start)
             if as_rows:
@@ -483,38 +486,6 @@ def data_value_ratio(
         n_unlabeled, estimator, target.mean, matched, ratio, matched is None,
         target.stderr, n_lo, n_hi, trace,
     )
-
-
-def approx_data_value_ratio(
-    diag: ModelDiagnostics,
-    setting: str,
-    n_unlabeled: int,
-    d: int | None = None,
-    rho: float | None = None,
-) -> float:
-    """Closed-form data-value-ratio approximation from the excess bounds."""
-    if d is None:
-        d = diag.edge_count
-    c = bound_constants(diag)
-    m = diag.m
-    if setting == "well-specified":
-        return 2.0 * c["c4"]
-    if setting == "misspecified":
-        return (
-            2.0
-            * diag.gap_max
-            * (
-                c["c1"] * d * n_unlabeled / m
-                + c["c2"] * np.sqrt(n_unlabeled) / m
-                + c["c3"] * d / m**2
-            )
-            + 2.0 * c["c4"]
-        )
-    if setting == "corrected":
-        if rho is None:
-            raise ContractError("the corrected setting needs a median MSE estimate")
-        return 2.0 * n_unlabeled * median_correction_constant(diag) * rho
-    raise ContractError(f"unknown setting '{setting}'")
 
 
 # ---------------------------------------------------------------------------

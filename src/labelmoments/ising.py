@@ -5,28 +5,25 @@ The joint distribution is
     Pr(y, s) = exp(t_Y * y + sum_i t_i * s_i * y + sum_(i,j) t_ij * s_i * s_j) / Z
 
 with y and every s_i in {-1, +1}, all potentials nonnegative, and every
-source participating in at most one source-source edge.  For source counts
-within the enumeration guard the full joint table is cached, which makes
-moments, entropies, and sampling exact.
+source participating in at most one source-source edge.
 
-Two structural facts drive much of the implementation and are re-verified by
-the test suite through brute-force enumeration:
-
-* Conditioned on Y = y, the distribution of (s_i * y) does not depend on y.
-  Hence Pr(s_i = 1 | Y = 1) = (1 + a_i) / 2 where a_i = E[s_i Y], and all
-  source moments are independent of t_Y.
-* An edge (i, j) influences only quantities involving sources i and j, so
-  per-edge calibration reduces to a two-source subproblem.
-
-Together they let ``sample_rows`` draw a sample row by row, one uniform per
-column, without the joint table: Y, then each singleton and edge pair of
-the u_i = s_i * Y on its own.
+In the coordinates u_i = s_i * y the columns (u_0, ..., u_{m-1}, Y) are
+independent except within an edge, whose pair (u_i, u_j) has its own 2x2
+table of weights (``_pair_weights``).  So the ground truth is closed-form
+and linear in m: ``diagnostics`` reads accuracies, gaps and the inference
+bias off each edge's table (``_pair_stats``, the one forward map),
+``calibrate`` inverts that map, and ``sample_rows`` draws column by column.
+The dense table over all 2**(m+1) states, ``IsingModel.joint``, is built on
+first use by the enumeration users only (the decomposition,
+``conditional_entropy``, ``sample_state_counts``), where
+``states.ENUMERATION_GUARD`` bounds m.  The tests check every closed form
+against a brute-force enumeration that shares no code with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -36,14 +33,9 @@ from .data import SourceMatrix
 from .errors import CalibrationError, ContractError
 from .estimators import triplet_census
 from .manifest import read_json, write_json
-from .states import sign_rows, values_from_config
+from .states import sign_rows
 
 Edge = tuple[int, int, float]
-
-_THETA_HI = 12.0  # tanh(12) differs from 1 by ~1.2e-10; ample for targets < 1
-_BALANCE_HI = 20.0
-PARAM_TOL = 1e-9             # calibration tolerance on each potential
-CALIBRATION_BUDGET = 10_000  # bisection steps allowed across one calibration
 
 
 def _validate_edges(m: int, edges) -> tuple[Edge, ...]:
@@ -64,28 +56,9 @@ def _validate_edges(m: int, edges) -> tuple[Edge, ...]:
     return tuple(sorted(out))
 
 
-def _joint_table(
-    m: int, theta_y: float, theta: np.ndarray, edges: tuple[Edge, ...]
-) -> tuple[np.ndarray, float]:
-    """Normalized joint over all 2**(m+1) states plus the log cumulant."""
-    signs = sign_rows(m)
-    sy = signs[m]
-    energy = theta_y * sy
-    for i in range(m):
-        if theta[i] != 0.0:
-            energy += theta[i] * signs[i] * sy
-    for i, j, t in edges:
-        if t != 0.0:
-            energy += t * signs[i] * signs[j]
-    shift = energy.max()
-    table = np.exp(energy - shift)
-    total = table.sum()
-    return table / total, float(shift + np.log(total))
-
-
 @dataclass(frozen=True)
 class IsingModel:
-    """Canonical parameters plus the cached exact joint table.
+    """Canonical parameters; the exact joint table is built on first use.
 
     Immutable after construction and safe to share across workers.
     """
@@ -94,8 +67,6 @@ class IsingModel:
     theta_y: float
     theta: np.ndarray
     edges: tuple[Edge, ...]
-    joint: np.ndarray = field(repr=False)
-    log_partition: float
 
     @classmethod
     def from_parameters(cls, theta, edges=(), theta_y: float = 0.0) -> "IsingModel":
@@ -104,24 +75,51 @@ class IsingModel:
             raise ContractError("theta must be a nonempty vector")
         if np.any(theta < 0):
             raise ContractError("source potentials must be nonnegative")
-        m = theta.size
-        edges = _validate_edges(m, edges)
-        joint, log_z = _joint_table(m, float(theta_y), theta, edges)
+        edges = _validate_edges(theta.size, edges)
         theta = theta.copy()
         theta.setflags(write=False)
-        joint.setflags(write=False)
-        return cls(m, float(theta_y), theta, edges, joint, log_z)
+        return cls(theta.size, float(theta_y), theta, edges)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """Read-only Pr over all 2**(m+1) joint states in ``states`` order, built
+        on first access; ``CapacityError`` above ``ENUMERATION_GUARD`` sources."""
+        m, signs = self.m, sign_rows(self.m)
+        sy = signs[m]
+        energy = self.theta_y * sy
+        for i in range(m):
+            if self.theta[i] != 0.0:
+                energy += self.theta[i] * signs[i] * sy
+        for i, j, t in self.edges:
+            if t != 0.0:
+                energy += t * signs[i] * signs[j]
+        table = np.exp(energy - energy.max())
+        table /= table.sum()
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def log_partition(self) -> float:
+        """log Z, the sum of the log partition functions of Y, of each
+        singleton u_i and of each edge pair (u_i, u_j)."""
+        paired = {k for i, j, _ in self.edges for k in (i, j)}
+        singles = [self.theta_y] + [t for k, t in enumerate(self.theta) if k not in paired]
+        log_z = sum(abs(t) + math.log1p(math.exp(-2.0 * abs(t))) for t in singles)  # log 2cosh
+        for i, j, t in self.edges:
+            log_z += math.log(sum(_pair_weights(self.theta[i], self.theta[j], t)))
+        return float(log_z)
 
     def lambda_marginal(self) -> np.ndarray:
         """Pr over the 2**m source configurations."""
         return self.joint.reshape(2, -1).sum(axis=0)
 
     def class_balance(self) -> float:
-        return float(self.joint.reshape(2, -1)[1].sum())
+        """Pr(Y = 1) = sigmoid(2 theta_Y)."""
+        return float(self.row_thresholds[0][self.m])
 
     def conditional_configs(self) -> np.ndarray:
         """(2, 2**m) table of Pr(config | Y), row 0 for Y=-1, row 1 for Y=+1."""
@@ -132,9 +130,7 @@ class IsingModel:
     def row_thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The probabilities :func:`sample_rows` compares its uniforms against.
 
-        In the coordinates u_i = s_i * y the columns (u_0, ..., u_{m-1}, Y)
-        are independent of Y and split into singletons and edge pairs: Y is
-        +1 with probability sigmoid(2 theta_Y), a singleton u_i with
+        Y is +1 with probability sigmoid(2 theta_Y), a singleton u_i with
         sigmoid(2 theta_i), an edge's first source with its marginal and its
         second given the first.  Returns P(+1) per column (for an edge's
         second source, given that the first is +1); per edge, that second
@@ -174,6 +170,31 @@ class IsingModel:
         return read_json(path, cls.from_dict)
 
 
+def _pair_weights(ti: float, tj: float, tij: float) -> tuple[float, float, float, float]:
+    """Unnormalised weights of an isolated edge's (u_i, u_j) = (+,+), (+,-), (-,+), (-,-),
+    where u = s * y."""
+    return (
+        math.exp(ti + tj + tij),
+        math.exp(ti - tj - tij),
+        math.exp(-ti + tj - tij),
+        math.exp(-ti - tj + tij),
+    )
+
+
+def _pair_stats(ti: float, tj: float, tij: float) -> tuple[float, float, float]:
+    """(a_i, a_j, gap) for an edge, by four-state enumeration of its pair.
+
+    The gap is E[s_i s_j] - E[s_i Y] E[s_j Y].  Exact within any graph,
+    because the pair factors out of the rest of it.
+    """
+    w11, w10, w01, w00 = _pair_weights(ti, tj, tij)
+    z = w11 + w10 + w01 + w00
+    ai = (w11 + w10 - w01 - w00) / z
+    aj = (w11 - w10 + w01 - w00) / z
+    mij = (w11 - w10 - w01 + w00) / z
+    return ai, aj, mij - ai * aj
+
+
 @dataclass(frozen=True)
 class ModelDiagnostics:
     """Exact moments of a model, the inputs to every bound evaluator."""
@@ -183,7 +204,6 @@ class ModelDiagnostics:
     accuracies: np.ndarray          # E[s_i Y]
     pair_moments: np.ndarray        # E[s_i s_j], unit diagonal
     class_balance: float            # Pr(Y = 1)
-    cond_entropy: float             # H(Y | sources), nats
     inference_bias: float           # sum over edges of I(s_i; s_j | Y)
     edge_gaps: dict[tuple[int, int], float]  # E[s_i s_j] - E[s_i Y] E[s_j Y] per edge
     min_accuracy: float
@@ -201,20 +221,18 @@ class ModelDiagnostics:
 
 
 def inference_bias(model: IsingModel) -> float:
-    """B_I: the sum over dependency edges of I(s_i; s_j | Y), in nats."""
-    bits = sign_rows(model.m) > 0
+    """B_I: the sum over dependency edges of I(s_i; s_j | Y), in nats.
+
+    Given Y, (s_i, s_j) is (u_i, u_j) up to a common sign flip, and the u
+    pair is independent of Y, so each term is I(u_i; u_j) of the edge's
+    normalised 2x2 table.
+    """
     bias = 0.0
-    for i, j, _ in model.edges:
-        cell = 4 * bits[model.m] + 2 * bits[i] + bits[j]
-        t = np.bincount(cell, weights=model.joint, minlength=8).reshape(2, 2, 2)
-        mi = 0.0
-        for block in t:  # Y = -1, then Y = +1
-            py = block.sum()
-            cond = block / py
-            pi = cond.sum(axis=1, keepdims=True)
-            pj = cond.sum(axis=0, keepdims=True)
-            mi += py * float(np.sum(cond * (np.log(cond) - np.log(pi) - np.log(pj))))
-        bias += mi
+    for i, j, t in model.edges:
+        q = np.array(_pair_weights(model.theta[i], model.theta[j], t)).reshape(2, 2)
+        q /= q.sum()
+        marginals = np.log(q.sum(axis=1, keepdims=True)) + np.log(q.sum(axis=0, keepdims=True))
+        bias += float((q * (np.log(q) - marginals)).sum())
     return bias
 
 
@@ -227,24 +245,23 @@ def conditional_entropy(model: IsingModel) -> float:
 
 
 def diagnostics(model: IsingModel) -> ModelDiagnostics:
-    """Exact accuracies, pairwise moments, entropy, and misspecification gaps.
+    """Exact accuracies, pairwise moments, gaps, class balance and B_I.
 
-    Every reduction over the joint states is numpy's own pairwise sum, one
-    row at a time: a BLAS dot may split a long sum across threads, which
-    changes its last bits with the thread count.
+    Polynomial in m, with no joint table: a singleton's accuracy is
+    tanh(theta_i), an edge's accuracies and gap come from its pair
+    (``_pair_stats``), and sources in different blocks have
+    E[s_i s_j] = a_i a_j.
     """
-    m, joint = model.m, model.joint
-    signs = sign_rows(m)
-    wy = joint * signs[m]
+    m = model.m
+    acc = np.tanh(model.theta)
+    gaps = {}
+    for i, j, t in model.edges:
+        acc[i], acc[j], gaps[i, j] = _pair_stats(model.theta[i], model.theta[j], t)
+    pair = np.outer(acc, acc)
+    for (i, j), gap in gaps.items():
+        pair[i, j] = pair[j, i] = gap + acc[i] * acc[j]
+    np.fill_diagonal(pair, 1.0)
 
-    acc = np.array([float((wy * s).sum()) for s in signs[:m]])
-    pair = np.eye(m)
-    for i in range(m):
-        wi = joint * signs[i]
-        for j in range(i + 1, m):
-            pair[i, j] = pair[j, i] = float((wi * signs[j]).sum())
-
-    gaps = {(i, j): float(pair[i, j] - acc[i] * acc[j]) for i, j, _ in model.edges}
     off = pair[~np.eye(m, dtype=bool)]
     if m >= 3:
         max_mean_triplet = float(np.nanmean(triplet_census(pair)[0], axis=1).max())
@@ -257,7 +274,6 @@ def diagnostics(model: IsingModel) -> ModelDiagnostics:
         accuracies=acc,
         pair_moments=pair,
         class_balance=model.class_balance(),
-        cond_entropy=conditional_entropy(model),
         inference_bias=inference_bias(model),
         edge_gaps=gaps,
         min_accuracy=float(acc.min()),
@@ -268,153 +284,27 @@ def diagnostics(model: IsingModel) -> ModelDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form per-edge misspecification gap
-# ---------------------------------------------------------------------------
-
-
-def misspecification_gap(theta_i: float, theta_j: float, theta_ij: float) -> float:
-    """E[s_i s_j] - E[s_i Y] E[s_j Y] for an edge, from its three potentials only.
-
-    Valid because the edge pair factors out of the rest of the graph; the
-    cross-check against full enumeration (including graphs with additional
-    edges elsewhere) lives in the test suite.  Positive whenever all three
-    potentials are strictly positive.
-    """
-    if theta_i < 0 or theta_j < 0 or theta_ij < 0:
-        raise ContractError("potentials must be nonnegative")
-    e = math.exp
-    z = (
-        e(theta_i + theta_j + theta_ij)
-        + e(theta_i - theta_j - theta_ij)
-        + e(-theta_i + theta_j - theta_ij)
-        + e(-theta_i - theta_j + theta_ij)
-    )
-    z_indep = (e(theta_i) + e(-theta_i)) * (e(theta_j) + e(-theta_j))
-    coupling = e(theta_ij) - e(-theta_ij)
-    shift_i = 2.0 / (z * z_indep) * coupling * (e(2 * theta_j) - e(-2 * theta_j))
-    shift_j = 2.0 / (z * z_indep) * coupling * (e(2 * theta_i) - e(-2 * theta_i))
-    shift_ij = (
-        2.0
-        / (z * z_indep)
-        * coupling
-        * (e(2 * theta_i) + e(-2 * theta_i) + e(2 * theta_j) + e(-2 * theta_j))
-    )
-    acc_i = math.tanh(theta_i)
-    acc_j = math.tanh(theta_j)
-    return shift_ij - shift_i * acc_j - shift_j * acc_i - shift_i * shift_j
-
-
-# ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
 
 
-def _pair_weights(ti: float, tj: float, tij: float) -> tuple[float, float, float, float]:
-    """Unnormalised weights of an isolated edge's (u_i, u_j) = (+,+), (+,-), (-,+), (-,-),
-    where u = s * y."""
-    return (
-        math.exp(ti + tj + tij),
-        math.exp(ti - tj - tij),
-        math.exp(-ti + tj - tij),
-        math.exp(-ti - tj + tij),
-    )
-
-
-def _pair_stats(ti: float, tj: float, tij: float) -> tuple[float, float, float]:
-    """(a_i, a_j, gap) for an isolated edge, by four-state enumeration."""
-    w11, w10, w01, w00 = _pair_weights(ti, tj, tij)
-    z = w11 + w10 + w01 + w00
-    ai = (w11 + w10 - w01 - w00) / z
-    aj = (w11 - w10 + w01 - w00) / z
-    mij = (w11 - w10 - w01 + w00) / z
-    return ai, aj, mij - ai * aj
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise CalibrationError("calibration iteration budget exhausted")
-
-
-def _bisect(fn, lo: float, hi: float, target: float, tol: float, budget: _Budget) -> float:
-    """Root of the increasing map fn on [lo, hi] against target, clamped to the bracket.
-
-    Returning an endpoint when the target is unreachable keeps intermediate
-    alternation sweeps alive; infeasible targets surface as a stalled outer
-    residual instead.
-    """
-    if fn(lo) - target >= 0:
-        return lo
-    if fn(hi) - target <= 0:
-        return hi
-    while hi - lo > tol:
-        budget.spend()
-        mid = 0.5 * (lo + hi)
-        if fn(mid) - target <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _solve_edge(
-    target_i: float, target_j: float, target_gap: float, tol: float, budget: _Budget
-) -> tuple[float, float, float]:
-    """Calibrate one edge's three potentials by damped bisection alternation.
-
-    Each sweep bisects every potential against its own target (each statistic
-    is increasing in its own potential); sweeps contract at roughly 0.4, so an
-    Aitken extrapolation along the last two sweep steps is applied to stay
-    within the iteration budget.  Inner tolerances track the current residual
-    down to ``tol``.
-    """
-    targets = (target_i, target_j, target_gap)
-
-    def residual(th: np.ndarray) -> float:
-        stats = _pair_stats(*th)
-        return max(abs(s - t) for s, t in zip(stats, targets))
-
-    def sweep(th: np.ndarray, sweep_tol: float) -> np.ndarray:
-        th = th.copy()
-        th[0] = _bisect(
-            lambda t: _pair_stats(t, th[1], th[2])[0],
-            0.0, _THETA_HI, target_i, sweep_tol, budget,
-        )
-        th[1] = _bisect(
-            lambda t: _pair_stats(th[0], t, th[2])[1],
-            0.0, _THETA_HI, target_j, sweep_tol, budget,
-        )
-        th[2] = _bisect(
-            lambda t: _pair_stats(th[0], th[1], t)[2],
-            0.0, _THETA_HI, target_gap, sweep_tol, budget,
-        )
-        return th
-
-    theta = np.array([math.atanh(target_i), math.atanh(target_j), 0.0])
-    res = residual(theta)
-    for _cycle in range(20):
-        sweep_tol = min(1e-3, max(tol, 1e-3 * res))
-        x1 = sweep(theta, sweep_tol)
-        x2 = sweep(x1, sweep_tol)
-        d0, d1 = x1 - theta, x2 - x1
-        denom = d1 - d0
-        safe = np.abs(denom) > 1e-14
-        accel = x2.copy()
-        accel[safe] -= d1[safe] ** 2 / denom[safe]
-        accel = np.clip(accel, 0.0, _THETA_HI)
-        res2, res_a = residual(x2), residual(accel)
-        theta, res = (accel, res_a) if res_a < res2 else (x2, res2)
-        if res < max(1e-10, 2.0 * tol) and sweep_tol <= tol:
-            return float(theta[0]), float(theta[1]), float(theta[2])
-    raise CalibrationError(
-        f"edge calibration did not converge (residual {res:.3e}); "
-        "the (accuracy, accuracy, gap) targets may be infeasible",
-        residuals=res,
-    )
+def _calibration_targets(targets, edges, edge_gap, class_balance):
+    """Validated (accuracies, edge pairs, one gap per pair) of a calibration."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 1 or targets.size == 0:
+        raise ContractError("accuracy targets must be a nonempty vector")
+    if np.any(targets <= 0.5) or np.any(targets >= 1.0):
+        raise ContractError("accuracy targets must lie in (0.5, 1)")
+    if not 0.0 < class_balance < 1.0:
+        raise ContractError("class balance must lie in (0, 1)")
+    pairs = [(int(i), int(j)) for i, j in edges]
+    _validate_edges(targets.size, [(i, j, 0.0) for i, j in pairs])
+    gaps = [float(g) for g in ([edge_gap] * len(pairs) if np.isscalar(edge_gap) else edge_gap)]
+    if len(gaps) != len(pairs):
+        raise ContractError("one gap target required per edge")
+    if any(g < 0 for g in gaps):
+        raise ContractError("gap targets must be nonnegative")
+    return targets, pairs, gaps
 
 
 def calibrate(
@@ -423,48 +313,62 @@ def calibrate(
     edge_gap: float | list[float] = 0.1,
     class_balance: float = 0.5,
 ) -> IsingModel:
-    """Build a model whose accuracies, per-edge gaps, and class balance hit targets.
+    """Build the model whose accuracies, per-edge gaps and class balance hit targets.
 
     ``targets`` are the desired E[s_i Y] in (0.5, 1); ``edges`` lists the
     dependent pairs; ``edge_gap`` is one target misspecification gap or one
-    per edge.  Inner one-dimensional bisections exploit monotonicity of each
-    statistic in its own potential; an outer loop absorbs the weak coupling
-    between them.
+    per edge, and an edge with gap 0 is dropped.  Closed form: a singleton
+    has theta_i = atanh(a_i) and the label theta_Y = atanh(2 pi - 1).  An
+    edge's (u_i, u_j) cells are p_st = (1 + s a_i + t a_j + s t M_ij) / 4
+    with M_ij = gap + a_i a_j, and its potentials are quarter log
+    cross-ratios of them.  Targets no model reaches, where a cell is not
+    positive or a potential is negative, raise ``CalibrationError`` with the
+    edge's cells and potentials as its residuals.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    if np.any(targets <= 0.5) or np.any(targets >= 1.0):
-        raise ContractError("accuracy targets must lie in (0.5, 1)")
-    if not 0.0 < class_balance < 1.0:
-        raise ContractError("class balance must lie in (0, 1)")
-    m = targets.size
-    pairs = [(int(i), int(j)) for i, j in edges]
-    gaps = (
-        [float(edge_gap)] * len(pairs)
-        if np.isscalar(edge_gap)
-        else [float(g) for g in edge_gap]
-    )
-    if len(gaps) != len(pairs):
-        raise ContractError("one gap target required per edge")
-    if any(g < 0 for g in gaps):
-        raise ContractError("gap targets must be nonnegative")
-
-    counter = _Budget(CALIBRATION_BUDGET)
+    targets, pairs, gaps = _calibration_targets(targets, edges, edge_gap, class_balance)
     theta = np.array([math.atanh(a) for a in targets])
     solved: list[Edge] = []
     for (i, j), gap in zip(pairs, gaps):
         if gap == 0.0:
             continue
-        ti, tj, tij = _solve_edge(targets[i], targets[j], gap, PARAM_TOL, counter)
-        theta[i], theta[j] = ti, tj
-        solved.append((i, j, tij))
-
-    if class_balance == 0.5:
-        theta_y = 0.0
-    else:
-        theta_y = _bisect(
-            math.tanh, -_BALANCE_HI, _BALANCE_HI, 2 * class_balance - 1, PARAM_TOL, counter
+        a_i, a_j = targets[i], targets[j]
+        m_ij = gap + a_i * a_j
+        cells = [
+            (1 + s * a_i + t * a_j + s * t * m_ij) / 4
+            for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        ]
+        where = f"edge ({i},{j}) with accuracies ({a_i}, {a_j}) and gap {gap}"
+        if min(cells) <= 0.0:
+            raise CalibrationError(
+                f"{where} needs a cell probability {min(cells):.3g} <= 0", residuals={"cells": cells}
+            )
+        p11, p10, p01, p00 = cells
+        potentials = (
+            0.25 * math.log(p11 * p10 / (p01 * p00)),
+            0.25 * math.log(p11 * p01 / (p10 * p00)),
+            0.25 * math.log(p11 * p00 / (p10 * p01)),
         )
-    return IsingModel.from_parameters(theta, solved, theta_y)
+        if min(potentials) < 0.0:
+            raise CalibrationError(
+                f"{where} needs a negative potential {min(potentials):.3g}",
+                residuals={"cells": cells, "potentials": list(potentials)},
+            )
+        theta[i], theta[j] = potentials[0], potentials[1]
+        solved.append((i, j, potentials[2]))
+    return IsingModel.from_parameters(theta, solved, math.atanh(2 * class_balance - 1))
+
+
+def calibration_residual(model: IsingModel, targets, edges=(), edge_gap=0.1, class_balance=0.5):
+    """max |achieved - target| over the accuracies, edge gaps and class
+    balance of a ``calibrate`` call, with the model's achieved values from
+    the forward map (``diagnostics``)."""
+    targets, pairs, gaps = _calibration_targets(targets, edges, edge_gap, class_balance)
+    diag = diagnostics(model)
+    acc, pair = diag.accuracies, diag.pair_moments
+    misses = list(np.abs(acc - targets))
+    misses += [abs(pair[i, j] - acc[i] * acc[j] - g) for (i, j), g in zip(pairs, gaps)]
+    misses.append(abs(diag.class_balance - class_balance))
+    return float(max(misses))
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +377,9 @@ def calibrate(
 
 
 def sample(model: IsingModel, n: int, seed) -> SourceMatrix:
-    """n i.i.d. labeled draws via inverse CDF over the cached table."""
-    if n < 1:
-        raise ContractError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(model.joint)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    values = values_from_config(idx & ((1 << model.m) - 1), model.m)
-    labels = (2 * ((idx >> model.m) & 1) - 1).astype(np.int8)
-    return SourceMatrix(values, labels)
+    """n i.i.d. labeled draws: one :func:`sample_rows` sample, as int8 rows."""
+    rows = sample_rows(model, n, seed, 1)[0].astype(np.int8)
+    return SourceMatrix(rows[:, : model.m], rows[:, model.m])
 
 
 def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None) -> np.ndarray:
@@ -491,9 +388,9 @@ def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None
     Distributionally identical to counting the rows of :func:`sample`.  With
     ``size``, returns (size, 2^(m+1)) counts of that many independent
     samples in one call; numpy draws the rows one after another, so they
-    equal ``size`` calls without it on the same generator.  The Monte-Carlo
-    engine draws a sample this way when it has at least as many entries as
-    the count vector has states, n(m+1) >= 2^(m+1); a smaller sample is
+    equal ``size`` calls without it on the same generator.  Reads the joint
+    table.  The Monte-Carlo engine draws a sample this way when its entries
+    reach twice the joint states, n(m+1) >= 2^(m+2); a smaller sample is
     cheaper as rows (:func:`sample_rows`).
     """
     if n < 1:

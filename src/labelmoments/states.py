@@ -65,10 +65,3 @@ def config_index(values: np.ndarray) -> np.ndarray:
     check_capacity(m)
     bits = (values > 0).astype(np.int64)
     return bits @ (1 << np.arange(m, dtype=np.int64))
-
-
-def values_from_config(indices: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of :func:`config_index`; returns +-1 int8 rows."""
-    indices = np.asarray(indices, dtype=np.int64)
-    bits = (indices[:, None] >> np.arange(m)) & 1
-    return (2 * bits - 1).astype(np.int8)

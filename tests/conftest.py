@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from labelmoments import SourceMatrix, calibrate, diagnostics
-from labelmoments.states import values_from_config
 
 SYNTH_ACCURACIES = [
     0.6893, 0.6072, 0.5954, 0.6603, 0.6939,
@@ -58,7 +57,7 @@ def brute_joint(theta, edges=(), theta_y=0.0):
 
 
 def brute_moment(table, fn):
-    return sum(p * fn(y, s) for (y, s), p in table.items())
+    return math.fsum(p * fn(y, s) for (y, s), p in table.items())
 
 
 def brute_accuracies(table, m):
@@ -86,6 +85,18 @@ def random_valid_edges(rng, m, max_edges=None):
         (min(order[2 * t], order[2 * t + 1]), max(order[2 * t], order[2 * t + 1]))
         for t in range(k)
     ]
+
+
+def values_from_config(indices, m):
+    """+-1 int8 rows of source-configuration indices (bit k is source k)."""
+    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(m)) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def state_counts(data):
+    """Counts of a labeled matrix's rows over the 2**(m+1) joint states: the
+    rows-to-counts oracle."""
+    return np.bincount(data.state_index(), minlength=1 << (data.m + 1)).astype(np.float64)
 
 
 def matrix_from_state_counts(counts, m):

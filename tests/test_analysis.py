@@ -33,7 +33,7 @@ from labelmoments.label_model import (
     empirical_config_dist,
 )
 
-from conftest import brute_joint, brute_moment, matrix_from_state_counts
+from conftest import brute_joint, brute_moment, matrix_from_state_counts, state_counts
 
 
 class TestDecomposition:
@@ -232,7 +232,7 @@ class TestBounds:
         broken = ModelDiagnostics(
             m=d.m, edge_count=d.edge_count, accuracies=d.accuracies,
             pair_moments=d.pair_moments, class_balance=d.class_balance,
-            cond_entropy=d.cond_entropy, inference_bias=d.inference_bias,
+            inference_bias=d.inference_bias,
             edge_gaps=d.edge_gaps, min_accuracy=d.min_accuracy,
             max_accuracy=d.max_accuracy, min_pair_moment=d.min_pair_moment,
             max_mean_triplet=1.0,
@@ -325,7 +325,7 @@ class TestMedianMse:
         # four orthogonal sign columns: every pair moment, hence every
         # triplet denominator, is zero
         rows = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-        counts = SourceMatrix(rows.astype(np.int8), np.ones(4, dtype=np.int8)).state_counts()
+        counts = state_counts(SourceMatrix(rows.astype(np.int8), np.ones(4, dtype=np.int8)))
 
         def blocks(engine, label, n, trials, seed):
             yield SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)

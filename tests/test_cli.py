@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from labelmoments.cli import main
 from labelmoments.experiments import DEFAULT_ACCURACIES
+from labelmoments.ising import IsingModel
 from labelmoments.manifest import file_sha256
 from labelmoments.ws import Corpus, default_roster, synthetic_keyword_corpus
 
@@ -173,10 +174,11 @@ def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeyp
 
 
 # SHA-256 of the suite outputs of GOLDEN_CONFIG under random-stream protocol
-# v4 (one generator per stream; every triplet estimator at n fits the samples
-# of the unlabeled cell, each with its own fit stream; the combined sweep
-# pairs them with the separate Monte-Carlo labeled cell), recorded with numpy
-# 2.4.6.  Every cell has n(m+1) >= 2^(m+1), so it draws state counts.
+# v5 (closed-form calibration; one generator per stream; every triplet
+# estimator at n fits the samples of the unlabeled cell, each with its own
+# fit stream; the combined sweep pairs them with the separate Monte-Carlo
+# labeled cell), recorded with numpy 2.4.6.  Every cell but combine's
+# labeled size 25 has n(m+1) >= 2^(m+2), so it draws state counts.
 GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES[:6]), "d": 1},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -185,14 +187,14 @@ GOLDEN_CONFIG = {
     "seed": 3,
 }
 GOLDEN_HASHES = {
-    "curves.csv": "40bc5310846946a498c3c07ce99268f98697884250d23b67d58173b3fc8bd0d0",
-    "combined.csv": "67e1364501d23f04a87e57ffcef2790f1fb572b9a17decf9dee65c118ae3feb7",
-    "dvr.csv": "c621348f12868d49b545de0152a6a6fc8dd1e331cc82cb2949c6e54d9e7481ec",
+    "curves.csv": "4e8aac152deca12e77e4ad2c2033d4d3f142cd04d4f579d6aba6b921babc74d6",
+    "combined.csv": "a6d47a09cb968aba2022f336ebe2d5a190ad62bc2e2f57db348486e828d15274",
+    "dvr.csv": "dff125b2a19b3b9310af8df4004aebad51570e5271135f6bf02fbf55ad1eca77",
 }
 
-# The same under protocol v4, on cells that draw rows: at m=10 the samples
+# The same under protocol v5, on cells that draw rows: at m=10 the samples
 # of n=100 (curves, and the unlabeled side of combine) and of the labeled
-# sizes 25 and 50 have n(m+1) < 2^(m+1); the curve cells at n=1000 draw
+# sizes 25 and 50 have n(m+1) < 2^(m+2); the curve cells at n=1000 draw
 # counts.  Recorded with numpy 2.4.6.
 ROW_GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES), "d": 5},
@@ -202,8 +204,8 @@ ROW_GOLDEN_CONFIG = {
     "seed": 3,
 }
 ROW_GOLDEN_HASHES = {
-    "curves.csv": "662ea1f9d5352175f25cb47c04dae288978ede96bda6b24bbd9b5f574634b94c",
-    "combined.csv": "0d8f22722efa2b0e7b9a7a9650d9c0a742694b14e3c2078bd932c09ee8eef24c",
+    "curves.csv": "db5d0c1002336fdaf792f50a04fd0066a1c7fb98888c22d03253930963ba90a1",
+    "combined.csv": "f8f9d272e2e7509c1ac9584cc2957237694b78ad6e5a9a8d45c3e17d5b7ee8ae",
 }
 
 
@@ -220,7 +222,7 @@ def _run_suites(tmp_path, config_doc, commands):
 def test_suite_outputs_match_recorded_hashes(tmp_path):
     """The Monte-Carlo suites reproduce recorded bytes (m=6, 5 trials).
 
-    These hashes pin random-stream protocol v4: one generator per stream
+    These hashes pin random-stream protocol v5: one generator per stream
     from ``trial_rng``, the unlabeled cell shared by every triplet
     estimator at n, numpy 2.4.6's ``multinomial(size=...)`` and
     ``integers`` streams, and every number computed from the draws.  A
@@ -237,7 +239,7 @@ def test_suite_outputs_match_recorded_hashes(tmp_path):
 
 
 def test_row_path_outputs_match_recorded_hashes(tmp_path):
-    """Protocol v4's row draws reproduce recorded bytes (m=10, 5 trials):
+    """Protocol v5's row draws reproduce recorded bytes (m=10, 5 trials):
     numpy 2.4.6's ``random`` stream and the thresholds it is compared with."""
     out = _run_suites(tmp_path, ROW_GOLDEN_CONFIG, [
         ["curves"],
@@ -386,6 +388,59 @@ def test_bounds_records_the_fits_behind_rho(tmp_path, model_and_data):
     scored, failed = inputs["rho_trials"], inputs["rho_failures"]
     assert failed > 0 and scored + failed == 40
     assert f"rho from {scored} median-corrected fits ({failed} failed)" in result.output
+
+
+def test_calibrate_records_its_residual(tmp_path):
+    model = tmp_path / "model.json"
+    _ok("calibrate", "--accuracies", "0.7,0.65,0.6,0.75", "--edges", "0-1,2-3",
+        "--edge-gap", "0.1", "--balance", "0.3", "-o", model)
+    doc = json.loads(model.read_text())
+    assert 0.0 <= doc["calibration_residual"] < 1e-12
+    assert IsingModel.from_json(model).to_dict() == {
+        k: v for k, v in doc.items() if k != "calibration_residual"
+    }
+
+
+def test_wide_model_runs_without_the_joint_table(tmp_path, monkeypatch):
+    # m=40, d=10: far above the enumeration guard, so every model the suites
+    # build must stay without its 2^41-state table
+    built = []
+    from_parameters = IsingModel.from_parameters.__func__
+
+    def spy(cls, *args, **kwargs):
+        built.append(from_parameters(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(IsingModel, "from_parameters", classmethod(spy))
+    accuracies = list(DEFAULT_ACCURACIES) * 4
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"accuracies": accuracies, "d": 10},
+        "estimators": ["labeled", "triplet-mean", "triplet-median"],
+        "n_grid": [250, 1000],
+        "trials": 10,
+        "seed": 1,
+    }))
+    model = tmp_path / "model.json"
+    edges = ",".join(f"{2 * k}-{2 * k + 1}" for k in range(10))
+    _ok("calibrate", "--accuracies", ",".join(map(str, accuracies)), "--edges", edges, "-o", model)
+    _ok("curves", "--config", config, "-o", tmp_path / "curves")
+    _ok("bounds", "--model", model, "--n-unlabeled", "1000", "--rho-trials", "30",
+        "-o", tmp_path / "bounds.json")
+    assert len(built) == 3 and all(m.m == 40 and "joint" not in m.__dict__ for m in built)
+    assert json.loads((tmp_path / "bounds.json").read_text())["B_I"] > 0
+
+
+def test_decompose_above_the_guard_fails_typed(tmp_path):
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    _ok("calibrate", "--accuracies", ",".join(["0.7"] * 25), "--edges", "0-1", "-o", model)
+    _ok("sample", "--model", model, "-n", "50", "-o", data)  # rows need no joint table
+    result = CliRunner().invoke(main, [
+        "decompose", "--model", str(model), "--data", str(data), "-o", str(tmp_path / "d.json"),
+    ])
+    assert result.exit_code == 1
+    assert "error (CapacityError)" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import pytest
 
 from labelmoments import ContractError, SourceMatrix, load_source_matrix
 
-from conftest import matrix_from_state_counts
+from conftest import matrix_from_state_counts, state_counts
 
 
 @pytest.fixture
@@ -112,11 +112,11 @@ class TestRoundTrips:
 
 class TestStateCounts:
     def test_counts_round_trip(self, small):
-        counts = small.state_counts()
+        counts = state_counts(small)
         assert counts.sum() == small.n
         back = matrix_from_state_counts(counts, small.m)
         # same multiset of rows (counts ignore order)
-        np.testing.assert_array_equal(back.state_counts(), counts)
+        np.testing.assert_array_equal(state_counts(back), counts)
 
     def test_state_index_in_row_order(self, small):
         expected = [
@@ -124,12 +124,9 @@ class TestStateCounts:
             for row, y in zip(small.values, small.labels)
         ]
         np.testing.assert_array_equal(small.state_index(), expected)
-        np.testing.assert_array_equal(
-            np.bincount(small.state_index(), minlength=1 << (small.m + 1)), small.state_counts()
-        )
         with pytest.raises(ContractError):
             SourceMatrix(small.values).state_index()
 
     def test_config_counts_marginalize(self, small):
-        sc = small.state_counts().reshape(2, -1).sum(axis=0)
+        sc = state_counts(small).reshape(2, -1).sum(axis=0)
         np.testing.assert_array_equal(sc, small.config_counts())

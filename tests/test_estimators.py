@@ -33,7 +33,7 @@ from labelmoments.estimators import (
 
 from labelmoments.ising import sample_rows, sample_state_counts
 
-from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint
+from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint, state_counts
 
 
 def _labeled(data: SourceMatrix) -> np.ndarray:
@@ -87,7 +87,7 @@ class TestCountMomentsMatchRows:
         counts = np.bincount(data.state_index(), minlength=1 << (data.m + 1))
         for moments in (
             SampleMoments.from_state_counts(counts, data.m),
-            SampleMoments.from_state_counts(data.state_counts(), data.m),
+            SampleMoments.from_state_counts(state_counts(data), data.m),
         ):
             assert moments.n == rows.n
             for name in ("means", "pair", "acc"):
@@ -102,7 +102,7 @@ class TestCountMomentsMatchRows:
         assert batch.n.tolist() == [60] * 7
         for b, one in enumerate(rows):
             data = SourceMatrix(one[:, :10], one[:, 10])
-            counts = SampleMoments.from_state_counts(data.state_counts(), 10)
+            counts = SampleMoments.from_state_counts(state_counts(data), 10)
             for name in ("means", "pair", "acc"):
                 np.testing.assert_array_equal(getattr(batch, name)[b], getattr(counts, name))
 
@@ -264,7 +264,7 @@ class TestTripletAggregation:
         # row moments of a data file and joint-state count moments give one fit
         data = sample(synth_model_dep, 5000, 13)
         via_data = SampleMoments.from_source_matrix(data)
-        via_counts = SampleMoments.from_state_counts(data.state_counts(), data.m)
+        via_counts = SampleMoments.from_state_counts(state_counts(data), data.m)
         np.testing.assert_array_equal(
             estimate_triplet_from_moments(via_data.pair, "median").values,
             estimate_triplet_from_moments(via_counts.pair, "median").values,
@@ -477,7 +477,7 @@ class TestShrinkageCovariance:
 
         unl = SampleMoments.from_source_matrix(sample(synth_model_dep, 500, 1))
         cc = estimate_quadratic_triplet_from_moments(unl, 0.5)
-        lab_counts = sample(synth_model_dep, 50, 2).state_counts()
+        lab_counts = state_counts(sample(synth_model_dep, 50, 2))
         lab = ws.estimate_labeled_class_conditional(lab_counts, 10, 0.5)
         zero = SampleMoments.from_state_counts(counts, 10)
         combined, alpha = ws._combine_class_conditional(cc, lab, zero, 8.0)

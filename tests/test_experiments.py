@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from labelmoments import ContractError, EstimationError, NumericalError, SourceMatrix, experiments
-from labelmoments.analysis import accuracy_excess, median_mse
+from labelmoments.analysis import accuracy_excess
 from labelmoments.estimators import (
     AccuracyEstimate,
     SampleMoments,
@@ -18,7 +18,6 @@ from labelmoments.experiments import (
     ExperimentConfig,
     SyntheticModelSpec,
     TrialEngine,
-    approx_data_value_ratio,
     combined_sweep,
     data_value_ratio,
     edge_layout,
@@ -32,6 +31,8 @@ from labelmoments.experiments import (
 from labelmoments.ising import sample_state_counts
 from labelmoments.label_model import LabelModel
 from labelmoments.analysis import exact_generalization_error
+
+from conftest import state_counts
 
 
 @pytest.fixture(scope="module")
@@ -224,34 +225,6 @@ class TestDataValueRatio:
         assert res.matched_n_labeled == 4000
 
 
-class TestApproxDataValueRatio:
-    def test_well_specified_constant(self, synth_diag_indep):
-        a = approx_data_value_ratio(synth_diag_indep, "well-specified", 100)
-        b = approx_data_value_ratio(synth_diag_indep, "well-specified", 100_000)
-        assert a == b > 0
-
-    def test_misspecified_affine_in_d(self, synth_diag_dep):
-        vals = [
-            approx_data_value_ratio(synth_diag_dep, "misspecified", 1000, d=d)
-            for d in (0, 1, 2)
-        ]
-        assert vals[2] - vals[1] == pytest.approx(vals[1] - vals[0], rel=1e-12)
-        assert vals[1] > vals[0]
-
-    def test_corrected_below_misspecified(self, synth_model_dep, synth_diag_dep):
-        rho = median_mse(synth_model_dep, 10_000, trials=60, seed=5,
-                         diag=synth_diag_dep).rho
-        corrected = approx_data_value_ratio(
-            synth_diag_dep, "corrected", 10_000, rho=rho
-        )
-        misspec = approx_data_value_ratio(synth_diag_dep, "misspecified", 10_000)
-        assert 0 < corrected < misspec
-
-    def test_corrected_needs_rho(self, synth_diag_dep):
-        with pytest.raises(ContractError):
-            approx_data_value_ratio(synth_diag_dep, "corrected", 1000)
-
-
 class TestCombinedSweep:
     def test_alpha_zero_column_is_labeled_only(self, synth_model_dep, dep_engine):
         rows = combined_sweep(
@@ -387,10 +360,11 @@ class TestSharedUnlabeledCell:
             monkeypatch.setattr(experiments, name, spy)
         monkeypatch.setattr(experiments, "BLOCK_BYTES", 1 << 40)  # one block per cell
         cfg = ExperimentConfig(
-            estimators=("labeled",) + self.TRIPLETS, n_grid=(100, 300), trials=12, seed=5
+            estimators=("labeled",) + self.TRIPLETS, n_grid=(300, 400), trials=12, seed=5
         )
         run_curves(cfg, tmp_path)
-        assert sorted(drawn) == [("sample_rows", 100), ("sample_state_counts", 300)]
+        # m=10: rows while n * 11 < 2^12
+        assert sorted(drawn) == [("sample_rows", 300), ("sample_state_counts", 400)]
 
     def test_combined_labeled_draws_are_not_the_unlabeled_samples(self, synth_model_dep):
         engine = TrialEngine(synth_model_dep)
@@ -463,14 +437,15 @@ def _row_counts(model, n, rng):
         u[:, i] = np.where(uniform[:, i] < (w[1, 1] + w[1, -1]) / sum(w.values()), 1, -1)
         given = {a: w[a, 1] / (w[a, 1] + w[a, -1]) for a in (1, -1)}
         u[:, j] = np.where(uniform[:, j] < np.where(u[:, i] > 0, given[1], given[-1]), 1, -1)
-    return SourceMatrix(u * y[:, None], y).state_counts()
+    return state_counts(SourceMatrix(u * y[:, None], y))
 
 
 def _draw_moments(engine, n, rng):
     """One trial's moments, drawn by the engine's rule: rows when the sample
-    has fewer entries than the joint states, n(m+1) < 2^(m+1), else counts."""
+    has fewer entries than twice the joint states, n(m+1) < 2^(m+2), else
+    counts."""
     m = engine.m
-    if n * (m + 1) < 1 << (m + 1):
+    if n * (m + 1) < 1 << (m + 2):
         counts = _row_counts(engine.model, n, rng)
     else:
         counts = sample_state_counts(engine.model, n, rng)
@@ -478,7 +453,7 @@ def _draw_moments(engine, n, rng):
 
 
 def _cell_streams(estimator, n, seed):
-    """Protocol v4: the labeled cell draws from its own stream, every triplet
+    """Protocol v4 and v5: the labeled cell draws from its own stream, every triplet
     estimator from the shared unlabeled one; each estimator has its own fit
     stream."""
     cell = "labeled" if estimator == "labeled" else "unlabeled"

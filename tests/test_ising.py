@@ -17,7 +17,6 @@ from labelmoments import (
     IsingModel,
     calibrate,
     diagnostics,
-    misspecification_gap,
     sample,
 )
 from labelmoments.analysis import decompose
@@ -78,8 +77,17 @@ class TestEnumeration:
             assert abs(model.joint[idx] * z - math.exp(energy)) < 1e-10 * z
 
     def test_capacity_guard(self):
+        # the guard fires where the 2^(m+1) table is made, on first access
+        model = IsingModel.from_parameters(np.full(25, 0.5))
         with pytest.raises(CapacityError):
-            IsingModel.from_parameters(np.full(25, 0.5))
+            model.joint
+        assert "joint" not in model.__dict__
+
+    def test_joint_is_built_on_first_access_only(self):
+        model = calibrate([0.7, 0.6, 0.65, 0.8], [(0, 1)], 0.1)
+        diagnostics(model)
+        assert "joint" not in model.__dict__
+        assert model.joint is model.joint and not model.joint.flags.writeable
 
     def test_degree_constraint(self):
         with pytest.raises(ContractError):
@@ -122,8 +130,8 @@ class TestDiagnostics:
         for gap in synth_diag_dep.edge_gaps.values():
             assert abs(gap - 0.1) < 1e-6
 
-    def test_entropy_and_bias_ranges(self, synth_diag_dep):
-        assert 0.0 <= synth_diag_dep.cond_entropy <= math.log(2)
+    def test_entropy_and_bias_ranges(self, synth_model_dep, synth_diag_dep):
+        assert 0.0 <= conditional_entropy(synth_model_dep) <= math.log(2)
         assert synth_diag_dep.inference_bias > 0
 
     def test_matches_brute_force(self):
@@ -138,6 +146,41 @@ class TestDiagnostics:
         )
         balance = brute_moment(table, lambda y, s: 1.0 if y > 0 else 0.0)
         assert abs(d.class_balance - balance) < 1e-13
+
+    @pytest.mark.parametrize("m", [3, 6, 9, 12])
+    def test_closed_form_matches_enumeration(self, m):
+        # class balance 0.3 and random disjoint edges; every quantity to 1e-14
+        rng = np.random.default_rng(200 + m)
+        pairs = random_valid_edges(rng, m) or [(0, 1)]
+        edges = [(i, j, float(t)) for (i, j), t in zip(pairs, rng.uniform(0.05, 1.0, len(pairs)))]
+        theta, theta_y = list(rng.uniform(0.0, 1.5, m)), math.atanh(2 * 0.3 - 1)
+        model = IsingModel.from_parameters(theta, edges, theta_y)
+        d = diagnostics(model)
+        assert "joint" not in model.__dict__
+        table, z = brute_joint(theta, edges, theta_y)
+        acc, pair = brute_accuracies(table, m), brute_pair_moments(table, m)
+        np.testing.assert_allclose(d.accuracies, acc, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(d.pair_moments, pair, rtol=0, atol=1e-14)
+        for i, j, _ in edges:
+            assert abs(d.edge_gaps[i, j] - (pair[i, j] - acc[i] * acc[j])) < 1e-14
+        assert abs(d.class_balance - 0.3) < 1e-14
+        assert abs(model.log_partition - math.log(z)) < 1e-14 * max(1.0, math.log(z))
+        # B_I = sum over edges of I(s_i; s_j | Y), from the table's cells
+        bias = 0.0
+        for i, j, _ in edges:
+            for y in (-1, 1):
+                cell = {
+                    (a, b): brute_moment(table, lambda yy, s, a=a, b=b: float(
+                        yy == y and s[i] == a and s[j] == b))
+                    for a in (-1, 1) for b in (-1, 1)
+                }
+                p_y = math.fsum(cell.values())
+                p_i = {a: (cell[a, 1] + cell[a, -1]) / p_y for a in (-1, 1)}
+                p_j = {b: (cell[1, b] + cell[-1, b]) / p_y for b in (-1, 1)}
+                bias += math.fsum(
+                    p * math.log(p / p_y / (p_i[a] * p_j[b])) for (a, b), p in cell.items()
+                )
+        assert abs(d.inference_bias - bias) < 1e-14
 
 
 # m=14: the SYNTH_ACCURACIES roster plus four sources, five edges at gap 0.1
@@ -220,14 +263,13 @@ class TestSignRows:
 class TestSharedExactTerms:
     def test_bias_and_entropy_shared_with_decomposition(self, synth_model_dep, synth_diag_dep):
         assert inference_bias(synth_model_dep) == synth_diag_dep.inference_bias
-        assert conditional_entropy(synth_model_dep) == synth_diag_dep.cond_entropy
         fitted = LabelModel.from_accuracies(
             synth_diag_dep.accuracies, 0.5,
             mode="empirical", config_dist=synth_model_dep.lambda_marginal(),
         )
         rep = decompose(synth_model_dep, fitted)
         assert rep.inference_bias == synth_diag_dep.inference_bias
-        assert rep.irreducible == synth_diag_dep.cond_entropy
+        assert rep.irreducible == conditional_entropy(synth_model_dep)
 
     def test_conditional_entropy_matches_brute_force(self):
         theta, edges = [0.7, 0.5, 0.9, 0.4], [(1, 3, 0.3)]
@@ -291,18 +333,20 @@ class TestSymmetry:
                 assert abs(neg - (1 + acc[i]) / 2) < 1e-12
 
 
-class TestMisspecificationGap:
+class TestPairStats:
+    """The one forward map of an edge, (a_i, a_j, gap) from its potentials."""
+
     def test_zero_coupling(self):
-        assert misspecification_gap(0.5, 0.7, 0.0) == 0.0
+        assert _pair_stats(0.5, 0.7, 0.0)[2] == pytest.approx(0.0, abs=1e-16)
 
     def test_frozen_value(self):
         # brute-force two-source enumeration gives this value for (.3, .4, .2)
-        assert abs(misspecification_gap(0.3, 0.4, 0.2) - 0.14801245933803286) < 1e-12
+        assert abs(_pair_stats(0.3, 0.4, 0.2)[2] - 0.14801245933803286) < 1e-12
 
     def test_symmetric_in_source_potentials(self):
-        assert misspecification_gap(0.3, 0.7, 0.25) == pytest.approx(
-            misspecification_gap(0.7, 0.3, 0.25), abs=1e-15
-        )
+        ai, aj, gap = _pair_stats(0.3, 0.7, 0.25)
+        aj2, ai2, gap2 = _pair_stats(0.7, 0.3, 0.25)
+        assert (ai, aj, gap) == pytest.approx((ai2, aj2, gap2), abs=1e-15)
 
     def test_grid_against_two_source_enumeration(self):
         grid = [0.05, 0.3, 0.8, 1.5, 3.0]
@@ -313,31 +357,26 @@ class TestMisspecificationGap:
                     acc = brute_accuracies(table, 2)
                     pair = brute_moment(table, lambda y, s: s[0] * s[1])
                     want = pair - acc[0] * acc[1]
-                    got = misspecification_gap(ti, tj, tij)
-                    assert abs(got - want) < 1e-9
+                    got = _pair_stats(ti, tj, tij)[2]
+                    assert abs(got - want) < 1e-12
                     assert 0.0 < got < 1.0
 
     def test_exact_with_extra_edges_elsewhere(self):
-        # the pair factors out of the rest of the graph, so the closed form
-        # stays exact when other edges and a label potential are present
+        # the pair factors out of the rest of the graph, so the four-state
+        # enumeration stays exact when other edges and a label potential are present
         theta = [0.9, 0.8, 0.6, 0.7, 0.5, 0.8]
         edges = [(0, 1, 0.25), (2, 3, 0.4), (4, 5, 0.15)]
         table, _ = brute_joint(theta, edges, theta_y=0.3)
         acc = brute_accuracies(table, 6)
         pair = brute_moment(table, lambda y, s: s[0] * s[1])
-        want = pair - acc[0] * acc[1]
-        assert abs(misspecification_gap(0.9, 0.8, 0.25) - want) < 1e-12
+        ai, aj, gap = _pair_stats(0.9, 0.8, 0.25)
+        assert abs(ai - acc[0]) < 1e-14 and abs(aj - acc[1]) < 1e-14
+        assert abs(gap - (pair - acc[0] * acc[1])) < 1e-14
 
     def test_monotone_in_coupling(self):
         for ti, tj in [(0.2, 0.4), (0.7, 0.9), (1.2, 0.3)]:
-            vals = [
-                misspecification_gap(ti, tj, t) for t in np.linspace(0.0, 2.0, 15)
-            ]
+            vals = [_pair_stats(ti, tj, t)[2] for t in np.linspace(0.0, 2.0, 15)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_negative_parameters(self):
-        with pytest.raises(ContractError):
-            misspecification_gap(-0.1, 0.5, 0.2)
 
 
 class TestCalibration:
@@ -369,9 +408,43 @@ class TestCalibration:
         np.testing.assert_allclose(d.accuracies, [0.7, 0.6, 0.65], atol=1e-9)
 
     def test_infeasible_targets_raise_with_residuals(self):
+        # M = 0.2 + 0.9 * 0.55 puts the (u_0, u_1) = (-, +) cell below zero
         with pytest.raises(CalibrationError) as err:
             calibrate([0.9, 0.55], [(0, 1)], 0.2)
-        assert err.value.residuals is not None
+        cells = err.value.residuals["cells"]
+        assert cells[2] == pytest.approx((1 - 0.9 + 0.55 - 0.695) / 4) and cells[2] < 0
+
+    def test_negative_potential_raises_with_residuals(self):
+        # every cell is positive, but p++ p+- < p-+ p-- gives theta_0 < 0
+        with pytest.raises(CalibrationError) as err:
+            calibrate([0.55, 0.9], [(0, 1)], 0.15)
+        assert min(err.value.residuals["cells"]) > 0
+        assert err.value.residuals["potentials"][0] < 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ti=st.floats(0.6, 2.5),
+        tj=st.floats(0.6, 2.5),
+        tij=st.floats(0.01, 1.5),
+        t2=st.floats(0.6, 2.5),
+        theta_y=st.floats(-1.0, 1.0),
+    )
+    def test_closed_form_hits_feasible_targets(self, ti, tj, tij, t2, theta_y):
+        # targets of a model drawn from its potentials are feasible; the
+        # calibrated model reproduces them under brute-force enumeration
+        def stats(theta, edges, t_y):
+            table, _ = brute_joint(theta, edges, t_y)
+            acc = brute_accuracies(table, 3)
+            gap = brute_moment(table, lambda y, s: s[0] * s[1]) - acc[0] * acc[1]
+            return acc, gap, brute_moment(table, lambda y, s: float(y > 0))
+
+        acc, gap, balance = stats([ti, tj, t2], [(0, 1, tij)], theta_y)
+        model = calibrate(list(acc), [(0, 1)], gap, balance)
+        got_acc, got_gap, got_balance = stats(
+            list(model.theta), list(model.edges), model.theta_y
+        )
+        np.testing.assert_allclose(got_acc, acc, rtol=0, atol=1e-12)
+        assert abs(got_gap - gap) < 1e-12 and abs(got_balance - balance) < 1e-12
 
     def test_target_validation(self):
         with pytest.raises(ContractError):

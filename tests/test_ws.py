@@ -22,6 +22,8 @@ from labelmoments.ws import (
     write_metrics_csv,
 )
 
+from conftest import state_counts
+
 
 class TestRoster:
     def test_default_roster(self):
@@ -249,7 +251,7 @@ class TestLabeledClassConditional:
     def test_counts(self):
         values = np.array([[1, -1], [1, 1], [-1, 1], [1, -1]], dtype=np.int8)
         labels = np.array([1, 1, -1, -1], dtype=np.int8)
-        counts = SourceMatrix(values, labels).state_counts()
+        counts = state_counts(SourceMatrix(values, labels))
         est = estimate_labeled_class_conditional(counts, 2, 0.5)
         np.testing.assert_allclose(est.cond_pos, [1.0, 0.5])
         np.testing.assert_allclose(est.cond_neg, [0.5, 0.5])
