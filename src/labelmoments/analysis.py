@@ -103,7 +103,9 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     """Exact four-term decomposition of the fitted model's expected loss.
 
     Requires empirical-denominator mode with a full-support configuration
-    distribution; every term is enumerated under the ground truth.
+    distribution; every term is enumerated under the ground truth.  The
+    estimation term includes the label prior's KL(pi || fitted balance),
+    which is 0 when the fitted balance is the model's.
     """
     if fitted.mode != "empirical":
         raise ContractError("the decomposition applies to empirical-denominator mode")
@@ -120,7 +122,7 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     bias = inference_bias(model)
     true_pos, true_neg = _source_conditionals(model)
     p = model.class_balance()
-    est = 0.0
+    est = _binary_kl(p, fitted.class_balance)
     for i in range(model.m):
         est += p * _binary_kl(true_pos[i], float(fitted.cond_pos[i]))
         est += (1.0 - p) * _binary_kl(true_neg[i], float(fitted.cond_neg[i]))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,7 +44,10 @@ from .label_model import LabelModel, cross_entropy, f1_score
 from .manifest import read_json
 from .states import config_bits
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+_TOKEN = re.compile(r"[0-9a-z]+")
+_TOKEN_BYTE = np.zeros(256, dtype=bool)  # byte value -> whether it can be part of a token
+_TOKEN_BYTE[list(b"0123456789abcdefghijklmnopqrstuvwxyz")] = True
+_SLICE_DOCS = 4096  # documents per scanned buffer: bounds its memory
 
 POSITIVE_WORDS = ("love", "like", "good", "great", "best", "excellent")
 NEGATIVE_WORDS = ("terrible", "worst", "bad", "better", "could", "would")
@@ -71,7 +73,7 @@ def default_roster() -> tuple[KeywordSource, ...]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     doc_id: str
     text: str
@@ -169,14 +171,30 @@ def random_split(docs, test_fraction: float, seed: int) -> dict:
     }
 
 
-def tokenize(text: str) -> frozenset:
-    return frozenset(t for t in _TOKEN_SPLIT.split(text.lower()) if t)
-
-
 def apply_sources(
     docs, roster: tuple[KeywordSource, ...] | None = None
 ) -> SourceMatrix:
-    """Vote matrix for the documents; label column included when all are labeled."""
+    """Vote matrix for the documents; label column included when all are labeled.
+
+    A word is present in a document when it equals one of the document's
+    tokens (the module docstring's tokenization), found without a token set
+    per document.  The documents are taken ``_SLICE_DOCS`` at a time; each is
+    lowercased and UTF-8 encoded, and the slice is joined into one buffer
+    with ``b"\\n"`` before, between and after the documents.  Each roster
+    word is one literal scan of that buffer.  A match counts when the bytes
+    on both sides of it are not token bytes (``_TOKEN_BYTE``), and a binary
+    search of the documents' end offsets names its document.
+
+    This is exact.  The tokens of the lowercased text are its maximal runs
+    of ``[0-9a-z]``.  UTF-8 writes each ASCII character as its own byte and
+    every other code point (lone surrogates included) as bytes of 0x80 and
+    above, and the separator is not a token byte, so the buffer's maximal
+    runs of token bytes are the documents' tokens.  The scan's matches do
+    not overlap, but it skips no whole-token match: a match overlapping one
+    would put a token byte right before it.  A roster word with a character
+    outside ``[0-9a-z]`` equals no token, so it is not scanned and never
+    present.
+    """
     if isinstance(docs, Corpus):
         docs = list(docs.documents)
     roster = roster if roster is not None else default_roster()
@@ -185,18 +203,27 @@ def apply_sources(
     column: dict[str, int] = {}  # roster word -> presence column; a repeated word shares one
     for src in roster:
         column.setdefault(src.word, len(column))
-    k = len(column)
-    hits = array("q")  # flat index r * k + column of each word present in document r
-    for r, doc in enumerate(docs):
-        for word in tokenize(doc.text).intersection(column):
-            hits.append(r * k + column[word])
-    present = np.zeros((len(docs), k), dtype=bool)
-    np.put(present, hits, True)
+    scans = [  # a pure literal per word that can be a token: the regex engine's fast search
+        (re.compile(re.escape(word.encode())), len(word), col)
+        for word, col in column.items()
+        if _TOKEN.fullmatch(word)
+    ]
+    present = np.zeros((len(docs), len(column)), dtype=bool)
+    for start in range(0, len(docs), _SLICE_DOCS):
+        texts = [d.text.lower().encode("utf-8", "surrogatepass")
+                 for d in docs[start:start + _SLICE_DOCS]]
+        buf = b"\n".join([b""] + texts + [b""])  # a separator before and after each document
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        ends = np.cumsum(lengths + 1)  # offset of the separator after each document
+        byte = np.frombuffer(buf, dtype=np.uint8)
+        for pattern, size, col in scans:
+            at = np.fromiter(map(re.Match.start, pattern.finditer(buf)), np.int64)
+            at = at[~(_TOKEN_BYTE[byte[at - 1]] | _TOKEN_BYTE[byte[at + size]])]  # a whole token
+            present[start + np.searchsorted(ends, at, side="right"), col] = True
     sentiment = np.array([src.sentiment for src in roster], dtype=np.int8)
     values = np.where(present[:, [column[src.word] for src in roster]], sentiment, -sentiment)
-    labels = None
-    if docs and all(d.label is not None for d in docs):
-        labels = np.array([d.label for d in docs], dtype=np.int8)
+    labels = [d.label for d in docs]
+    labels = np.array(labels, dtype=np.int8) if labels and None not in labels else None
     return SourceMatrix(values, labels)
 
 
@@ -251,43 +278,6 @@ def ingest_csv(
                     ) from None
             docs.append(Document(str(rec.get("id", row_id)), rec["text"], label))
     return Corpus(tuple(docs), random_split(docs, test_fraction, seed))
-
-
-# ---------------------------------------------------------------------------
-# Synthetic keyword corpus (the no-external-data oracle)
-# ---------------------------------------------------------------------------
-
-
-def synthetic_keyword_corpus(
-    n: int,
-    present_pos: np.ndarray,
-    present_neg: np.ndarray,
-    roster: tuple[KeywordSource, ...] | None = None,
-    class_balance: float = 0.5,
-    seed: int = 0,
-) -> Corpus:
-    """Documents whose word presences are class-conditionally independent.
-
-    ``present_pos[i]`` / ``present_neg[i]`` are the probabilities that word i
-    appears given label +1 / -1, so the induced source conditionals are known
-    exactly and the end-to-end pipeline can be oracle-checked.
-    """
-    roster = roster if roster is not None else default_roster()
-    present_pos = np.asarray(present_pos, dtype=np.float64)
-    present_neg = np.asarray(present_neg, dtype=np.float64)
-    if present_pos.size != len(roster) or present_neg.size != len(roster):
-        raise ContractError("presence probabilities must match the roster size")
-    rng = np.random.default_rng(seed)
-    labels = np.where(rng.random(n) < class_balance, 1, -1)
-    prob = np.where(labels[:, None] > 0, present_pos[None, :], present_neg[None, :])
-    present = rng.random((n, len(roster))) < prob
-    words = [src.word for src in roster]
-    docs = []
-    for r in range(n):
-        text = " ".join(w for w, p in zip(words, present[r]) if p)
-        docs.append(Document(f"doc{r}", text, int(labels[r])))
-    split = {d.doc_id: "train" for d in docs}
-    return Corpus(tuple(docs), split)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from labelmoments import SourceMatrix, calibrate, diagnostics
+from labelmoments.ws import Corpus, Document, default_roster
 
 SYNTH_ACCURACIES = [
     0.6893, 0.6072, 0.5954, 0.6603, 0.6939,
@@ -106,3 +108,40 @@ def matrix_from_state_counts(counts, m):
     values = values_from_config(idx & ((1 << m) - 1), m)
     labels = (2 * ((idx >> m) & 1) - 1).astype(np.int8)
     return SourceMatrix(values, labels)
+
+
+# ---------------------------------------------------------------------------
+# Keyword corpora: the per-document tokenizer that ``ws.apply_sources`` must
+# agree with, and documents with known class-conditional word presences.
+# ---------------------------------------------------------------------------
+
+_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+
+
+def tokenize(text):
+    """The token set of the ``ws`` module docstring: lowercase, split on non-alphanumerics."""
+    return frozenset(t for t in _TOKEN_SPLIT.split(text.lower()) if t)
+
+
+def synthetic_keyword_corpus(n, present_pos, present_neg, roster=None, class_balance=0.5, seed=0):
+    """Documents whose word presences are class-conditionally independent.
+
+    ``present_pos[i]`` / ``present_neg[i]`` are the probabilities that word i
+    appears given label +1 / -1, so the induced source conditionals are known
+    exactly and the end-to-end pipeline can be oracle-checked.
+    """
+    roster = roster if roster is not None else default_roster()
+    present_pos = np.asarray(present_pos, dtype=np.float64)
+    present_neg = np.asarray(present_neg, dtype=np.float64)
+    assert present_pos.size == len(roster) and present_neg.size == len(roster)
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(n) < class_balance, 1, -1)
+    prob = np.where(labels[:, None] > 0, present_pos[None, :], present_neg[None, :])
+    present = rng.random((n, len(roster))) < prob
+    words = [src.word for src in roster]
+    docs = []
+    for r in range(n):
+        text = " ".join(w for w, p in zip(words, present[r]) if p)
+        docs.append(Document(f"doc{r}", text, int(labels[r])))
+    split = {d.doc_id: "train" for d in docs}
+    return Corpus(tuple(docs), split)

@@ -10,7 +10,9 @@ from labelmoments.cli import main
 from labelmoments.experiments import DEFAULT_ACCURACIES
 from labelmoments.ising import IsingModel
 from labelmoments.manifest import file_sha256
-from labelmoments.ws import Corpus, default_roster, synthetic_keyword_corpus
+from labelmoments.ws import Corpus, default_roster
+
+from conftest import synthetic_keyword_corpus
 
 
 @pytest.fixture
@@ -127,6 +129,20 @@ def test_ws_run_manifest_hashes(tmp_path, tiny_corpus):
     }
     metrics = out / "metrics.csv"
     assert manifest["output_hashes"] == {str(metrics): file_sha256(metrics)}
+
+
+# SHA-256 of `ws run`'s metrics.csv on the tiny corpus, recorded with numpy
+# 2.4.6.  It pins the keyword votes, the case study's ``trial_rng`` streams
+# (``Generator.choice`` without replacement) and every fit and score after
+# them; a speed-up of any of these must leave it unchanged.
+WS_RUN_METRICS_SHA256 = "92a12613b4b688c7c6110d1917b8e713f6a02d052b90dd21aaf4a4a062e81db8"
+
+
+def test_ws_run_metrics_match_recorded_hash(tmp_path, tiny_corpus):
+    out = tmp_path / "out"
+    result = _ws_run(*tiny_corpus, out)
+    assert result.exit_code == 0, result.output
+    assert file_sha256(out / "metrics.csv") == WS_RUN_METRICS_SHA256
 
 
 def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
@@ -294,6 +310,18 @@ def test_fit_then_decompose(tmp_path, method):
     ])
     assert result.exit_code == 0, result.output
     assert json.loads(report.read_text())["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("method", ["labeled", "triplet", "quadratic"])
+def test_decompose_at_a_misspecified_prior_has_no_residual(tmp_path, method):
+    # a balance-0.4 model fitted at the default --balance 0.5: the label
+    # prior's KL(0.4 || 0.5) = 0.0201 belongs to the estimation term
+    model, data, report = tmp_path / "model.json", tmp_path / "data.csv", tmp_path / "d.json"
+    _ok("calibrate", "--accuracies", ",".join(map(str, DEFAULT_ACCURACIES[:6])),
+        "--edges", "0-1", "--balance", "0.4", "-o", model)
+    _ok("sample", "--model", model, "-n", "2000", "--seed", "3", "-o", data)
+    _ok("decompose", "--model", model, "--data", data, "--method", method, "-o", report)
+    assert json.loads(report.read_text())["residual"] < 1e-12
 
 
 def _ok(*args):

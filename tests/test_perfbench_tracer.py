@@ -5,6 +5,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from conftest import synthetic_keyword_corpus
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -38,7 +40,7 @@ def test_case_study_spans_are_traced(monkeypatch):
 
     tracer_mod = _load_tracer(monkeypatch)
     sent = [s.sentiment for s in ws.default_roster()]
-    corpus = ws.synthetic_keyword_corpus(
+    corpus = synthetic_keyword_corpus(
         600, [0.6 if s > 0 else 0.2 for s in sent], [0.2 if s > 0 else 0.6 for s in sent], seed=1
     )
     split = {d.doc_id: ("test" if i % 3 == 0 else "train") for i, d in enumerate(corpus.documents)}

@@ -1,9 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelmoments import ContractError, SourceMatrix
+from labelmoments import ContractError, SourceMatrix, ws
 from labelmoments.estimators import SampleMoments, estimate_quadratic_triplet_from_moments
 from labelmoments.ws import (
     CaseStudyConfig,
@@ -17,12 +20,10 @@ from labelmoments.ws import (
     ingest_review_directory,
     random_split,
     run_case_study,
-    synthetic_keyword_corpus,
-    tokenize,
     write_metrics_csv,
 )
 
-from conftest import state_counts
+from conftest import state_counts, synthetic_keyword_corpus, tokenize
 
 
 class TestRoster:
@@ -50,6 +51,25 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("...") == frozenset()
+
+
+# Text pieces on which a byte scan could disagree with the token sets: prefix
+# words, case folds into ASCII ("İ" lowers to "i" plus a combining dot, the
+# Kelvin sign to "k"), non-ASCII letters and digits, separators that are not
+# spaces, and a lone surrogate.
+FRAGMENTS = [
+    "go", "good", "goodness", "GOOD", "Good", "don't", "10", "k", "i", "ss", "fi",
+    " ", "  ", "\n", "\t", "_", "\x00", "'", "-", ".", "İ", "\u212a", "ß", "\ufb01",
+    "\U0001f600", "\uff11\uff10", "é", "\ud800",
+]
+ROSTER_WORDS = ["go", "good", "goodness", "Good", "don't", "10", "k", "i", "ss", "fi", "a_b", "é"]
+
+
+def oracle_votes(docs, roster):
+    """Votes from each document's token set, one document at a time."""
+    votes = [[s.sentiment if s.word in tokenize(d.text) else -s.sentiment for s in roster]
+             for d in docs]
+    return np.array(votes, dtype=np.int8).reshape(len(docs), len(roster))
 
 
 class TestApplySources:
@@ -96,12 +116,30 @@ class TestApplySources:
             "goodgood bad_ending", "Excellent.", "worst\tterrible\nbest",
         ]
         docs = [Document(f"d{i}", t) for i, t in enumerate(texts)]
-        expected = np.array(
-            [[s.sentiment if s.word in tokenize(d.text) else -s.sentiment for s in roster]
-             for d in docs],
-            dtype=np.int8,
-        )
-        np.testing.assert_array_equal(apply_sources(docs, roster).values, expected)
+        np.testing.assert_array_equal(apply_sources(docs, roster).values, oracle_votes(docs, roster))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(FRAGMENTS), max_size=12).map("".join), max_size=12),
+        words=st.lists(st.sampled_from(ROSTER_WORDS), min_size=1, max_size=8),
+        sentiments=st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8),
+        slice_docs=st.integers(1, 5),
+    )
+    def test_matches_tokenize_oracle(self, texts, words, sentiments, slice_docs):
+        # small slices, so most examples scan several buffers
+        roster = tuple(KeywordSource(w, s) for w, s in zip(words, sentiments))
+        docs = [Document(f"d{i}", t) for i, t in enumerate(texts)]
+        with mock.patch.object(ws, "_SLICE_DOCS", slice_docs):
+            votes = apply_sources(docs, roster).values
+        np.testing.assert_array_equal(votes, oracle_votes(docs, roster))
+
+    def test_matches_tokenize_oracle_across_default_slices(self):
+        rng = np.random.default_rng(11)
+        n = 2 * ws._SLICE_DOCS + 37
+        docs = [Document(f"d{i}", "".join(rng.choice(FRAGMENTS, rng.integers(0, 10))))
+                for i in range(n)]
+        roster = tuple(KeywordSource(w, 1) for w in ROSTER_WORDS)
+        np.testing.assert_array_equal(apply_sources(docs, roster).values, oracle_votes(docs, roster))
 
     def test_empty_corpus(self):
         matrix = apply_sources([])
