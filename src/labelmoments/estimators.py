@@ -84,8 +84,8 @@ class SampleMoments:
     """First and second empirical moments of a sample; all estimators run on these.
 
     ``from_state_counts`` and ``from_rows`` also make the moments of a batch
-    of samples, with leading axes on every field; the covariance methods
-    take one sample.
+    of samples, with leading axes on every field, and the covariance methods
+    then return one matrix per sample.
     """
 
     n: int                         # an integer array for a batch of samples
@@ -146,9 +146,10 @@ class SampleMoments:
         """Sample covariance (ddof=1) of the per-row vectors s * y."""
         if self.acc is None:
             raise ContractError("labeled covariance requires labels")
-        if self.n < 2:
+        if np.any(self.n < 2):
             raise ContractError("labeled covariance requires at least two rows")
-        return (self.pair - np.outer(self.acc, self.acc)) * (self.n / (self.n - 1))
+        n = np.asarray(self.n)[..., None, None]
+        return (self.pair - self.acc[..., :, None] * self.acc[..., None, :]) * (n / (n - 1))
 
     def shrinkage_covariance(self) -> np.ndarray:
         """Covariance of the labeled accuracy estimate, as the shrinkage rule uses it.
@@ -156,9 +157,9 @@ class SampleMoments:
         The labeled covariance over the row count, plus ``SHRINKAGE_RIDGE``
         times its mean diagonal; a zero trace raises ``NumericalError``.
         """
-        sigma = self.labeled_covariance() / self.n
-        scale = np.trace(sigma) / self.m
-        if scale <= 0.0:
+        sigma = self.labeled_covariance() / np.asarray(self.n)[..., None, None]
+        scale = np.trace(sigma, axis1=-2, axis2=-1)[..., None, None] / self.m
+        if np.any(scale <= 0.0):
             raise NumericalError("labeled covariance is identically zero")
         return sigma + SHRINKAGE_RIDGE * scale * np.eye(self.m)
 
@@ -376,18 +377,26 @@ def combine_linear(
 
 def green_strawderman_alpha(
     diff: np.ndarray, sigma: np.ndarray, r: float
-) -> float:
-    """min(r / ||diff||_{sigma^-1}, 1); the weight the shrinkage rule realizes."""
+) -> float | np.ndarray:
+    """min(r / ||diff||_{sigma^-1}, 1); the weight the shrinkage rule realizes.
+
+    ``diff`` (..., m) and ``sigma`` (..., m, m) may carry a batch of pairs,
+    and the weights then come back as an array.  Each pair's solve and dot
+    are the LAPACK and BLAS calls of a lone pair, so every weight equals its
+    pair's alone bit for bit; a failed solve or a negative form anywhere in
+    the batch raises ``NumericalError``.
+    """
+    diff = np.asarray(diff, dtype=np.float64)
     try:
-        quad = float(diff @ np.linalg.solve(sigma, diff))
+        solved = np.linalg.solve(sigma, diff[..., None])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance solve failed: {exc}") from exc
-    if quad < 0:
+    quad = np.matmul(diff[..., None, :], solved)[..., 0, 0]
+    if (quad < 0).any():
         raise NumericalError("covariance is not positive definite")
     norm = np.sqrt(quad)
-    if norm == 0.0:
-        return 1.0
-    return min(r / norm, 1.0)
+    alpha = np.minimum(np.divide(r, norm, out=np.ones_like(norm), where=norm != 0.0), 1.0)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def combine_green_strawderman(

@@ -515,13 +515,25 @@ class CombinedSweepRow:
     gs_fallbacks: int  # trials where the shrinkage rule fell back to alpha 1
 
 
-def _shrinkage_alpha(labeled: SampleMoments, a_u: np.ndarray, r: float) -> float:
-    """The shrinkage rule's unlabeled weight; NaN when the labeled
-    covariance is zero or undefined."""
+def _shrinkage_alphas(labeled: SampleMoments, a_u: np.ndarray, r: float) -> np.ndarray:
+    """The shrinkage rule's unlabeled weight per trial of a labeled batch;
+    NaN where the labeled covariance is zero or undefined.
+
+    One batched covariance and solve; when either fails for some trial, the
+    batch is taken again trial by trial.
+    """
     try:
         return green_strawderman_alpha(labeled.acc - a_u, labeled.shrinkage_covariance(), r)
     except (NumericalError, ContractError):
-        return float("nan")
+        pass
+    alphas = np.full(len(a_u), np.nan)
+    for b in range(len(a_u)):
+        one = SampleMoments(int(labeled.n[b]), labeled.means[b], labeled.pair[b], labeled.acc[b])
+        try:
+            alphas[b] = green_strawderman_alpha(one.acc - a_u[b], one.shrinkage_covariance(), r)
+        except (NumericalError, ContractError):
+            pass
+    return alphas
 
 
 def combined_sweep(
@@ -568,11 +580,8 @@ def combined_sweep(
             a_u, a_l = fits_u[block][ok], mom_l.acc[ok]
             blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]
             blend_excess.append(engine.excess(blends))
-            labeled = [
-                SampleMoments(int(n_l), mom_l.means[b], mom_l.pair[b], mom_l.acc[b])
-                for b in np.flatnonzero(ok)
-            ]
-            alpha_g = np.array([_shrinkage_alpha(lab, u, r) for lab, u in zip(labeled, a_u)])
+            labeled = SampleMoments(mom_l.n[ok], mom_l.means[ok], mom_l.pair[ok], a_l)
+            alpha_g = _shrinkage_alphas(labeled, a_u, r)
             fell_back = np.isnan(alpha_g)
             alpha_g[fell_back] = 1.0
             gs_alpha.extend(alpha_g)

@@ -206,14 +206,14 @@ def posterior(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:
     return np.exp(lp_pos)
 
 
-def _split_states(model: LabelModel, states) -> tuple[np.ndarray, np.ndarray]:
-    """(configuration index, label is +1) per joint-state index (``SourceMatrix.state_index``)."""
+def _check_states(model: LabelModel, states) -> np.ndarray:
+    """Joint-state indices (``SourceMatrix.state_index``) of the model's sources, as an array."""
     states = np.asarray(states)
     if states.ndim != 1 or not np.issubdtype(states.dtype, np.integer):
         raise ContractError("scoring takes a 1-d integer array of joint-state indices")
     if states.size and (states.min() < 0 or states.max() >= 2 << model.m):
         raise ContractError(f"joint-state indices of {model.m} sources lie in [0, {2 << model.m})")
-    return states & ((1 << model.m) - 1), (states >> model.m) > 0
+    return states
 
 
 def cross_entropy(model: LabelModel, states, floor: float = LOSS_FLOOR) -> float:
@@ -226,13 +226,12 @@ def cross_entropy(model: LabelModel, states, floor: float = LOSS_FLOOR) -> float
     ``floor`` before the log so the loss stays finite; values above one
     (possible in empirical mode) are kept as-is for decomposition fidelity.
     """
-    config, positive = _split_states(model, states)
+    states = _check_states(model, states)
     lp_pos, lp_neg = model.log_posterior_table()
+    table = np.concatenate((lp_neg, lp_pos))  # indexed by joint state: the label is the top bit
     if floor > 0.0:
-        lp_pos = np.maximum(lp_pos, np.log(floor))
-        lp_neg = np.maximum(lp_neg, np.log(floor))
-    picked = np.where(positive, lp_pos[config], lp_neg[config])
-    return float(-picked.mean())
+        table = np.maximum(table, np.log(floor))
+    return float(-table[states].mean())
 
 
 def classification_scores(model: LabelModel, states, threshold: float = 0.5) -> dict:
@@ -241,7 +240,8 @@ def classification_scores(model: LabelModel, states, threshold: float = 0.5) -> 
     ``states`` are joint-state indices, scored through ``log_posterior_table``
     as in :func:`cross_entropy`.
     """
-    config, actual = _split_states(model, states)
+    states = _check_states(model, states)
+    config, actual = states & ((1 << model.m) - 1), (states >> model.m) > 0
     lp_pos, _ = model.log_posterior_table()
     pred = np.exp(lp_pos)[config] >= threshold
     tp = int(np.sum(pred & actual))

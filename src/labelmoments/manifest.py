@@ -43,13 +43,14 @@ def write_json(path: str | Path, doc) -> None:
 def read_json(path: str | Path, build):
     """``build(doc)`` for the JSON object stored at ``path``.
 
-    A file that is not JSON, a document that is not an object, and a
-    ``build`` that fails with ``KeyError``, ``TypeError`` or ``ValueError``
-    all raise ``ContractError`` naming the file.
+    A file that is not UTF-8 JSON (or nests too deeply to parse), a document
+    that is not an object, and a ``build`` that fails with ``KeyError``,
+    ``TypeError`` or ``ValueError`` all raise ``ContractError`` naming the
+    file.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ContractError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ContractError(f"{path}: not a JSON object")

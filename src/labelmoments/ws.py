@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ _TOKEN = re.compile(r"[0-9a-z]+")
 _TOKEN_BYTE = np.zeros(256, dtype=bool)  # byte value -> whether it can be part of a token
 _TOKEN_BYTE[list(b"0123456789abcdefghijklmnopqrstuvwxyz")] = True
 _SLICE_DOCS = 4096  # documents per scanned buffer: bounds its memory
+_SCAN_ONCE = json.JSONDecoder().scan_once  # json.loads' C scanner, without its wrappers
 
 POSITIVE_WORDS = ("love", "like", "good", "great", "best", "excellent")
 NEGATIVE_WORDS = ("terrible", "worst", "bad", "better", "could", "would")
@@ -59,11 +61,14 @@ class KeywordSource:
     sentiment: int  # +1 votes for presence, -1 against
 
     def __post_init__(self):
-        if not self.word:
-            raise ContractError("keyword must be nonempty")
         if self.sentiment not in (-1, 1):
             raise ContractError("sentiment must be -1 or +1")
         object.__setattr__(self, "word", self.word.lower())
+        if not _TOKEN.fullmatch(self.word):
+            raise ContractError(
+                f"keyword {self.word!r} can never be a token: after lowercasing, "
+                "a keyword is one or more of [0-9a-z]"
+            )
 
 
 def default_roster() -> tuple[KeywordSource, ...]:
@@ -92,19 +97,30 @@ class Corpus:
     split: dict = field(default_factory=dict)  # doc_id -> "train" | "test"
 
     def __post_init__(self):
-        ids = [d.doc_id for d in self.documents]
-        if len(set(ids)) != len(ids):
-            raise ContractError("document ids must be unique")
+        if len({d.doc_id for d in self.documents}) != len(self.documents):
+            seen = set()
+            for d in self.documents:
+                if d.doc_id in seen:
+                    raise ContractError(f"document ids must be unique; {d.doc_id!r} repeats")
+                seen.add(d.doc_id)
 
-    def subset(self, name: str) -> list[Document]:
-        return [d for d in self.documents if self.split.get(d.doc_id) == name]
+    @cached_property
+    def _by_split(self) -> dict:
+        """Split name -> its documents in corpus order, from one pass."""
+        groups: dict = {}
+        for d in self.documents:
+            groups.setdefault(self.split.get(d.doc_id), []).append(d)
+        return {name: tuple(docs) for name, docs in groups.items()}
+
+    def subset(self, name: str) -> tuple[Document, ...]:
+        return self._by_split.get(name, ())
 
     @property
-    def train(self) -> list[Document]:
+    def train(self) -> tuple[Document, ...]:
         return self.subset("train")
 
     @property
-    def test(self) -> list[Document]:
+    def test(self) -> tuple[Document, ...]:
         return self.subset("test")
 
     # -- persistence -------------------------------------------------------
@@ -128,24 +144,56 @@ class Corpus:
     def from_jsonl(
         cls, docs_path: str | Path, split_path: str | Path | None = None
     ) -> "Corpus":
+        """Read documents from JSONL, and their split from a manifest if given.
+
+        The file is UTF-8 text with one JSON object per line, each with
+        ``"id"``, ``"text"`` and optionally ``"label"``.  Lines end as
+        universal newlines do (``\\n``, ``\\r\\n`` or a lone ``\\r``); whitespace
+        around a line is ignored, and blank lines are skipped.  A line that is
+        not such a record, or a file that is not UTF-8, raises
+        ``ContractError`` naming the file, and the line where it is known
+        (undecodable bytes are found a read buffer at a time).
+
+        The file is streamed a line at a time.  ``_parse_line`` parses a line
+        with ``json.loads``' own C scanner from index 0 and keeps the value
+        when the scan ends at the end of the line.  That is exactly
+        ``json.loads`` on a stripped line, which checks for a BOM, scans from
+        index 0 and fails with "Extra data" unless the scan ends at the end
+        (past trailing whitespace, which a stripped line lacks); a BOM fails
+        the scan, as no value starts with one.  On any other outcome the line
+        goes to ``json.loads`` itself, for the error it raises.
+        """
         docs = []
-        with open(docs_path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    docs.append(
-                        Document(str(rec["id"]), rec["text"], rec.get("label"))
-                    )
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ContractError(
-                        f"{docs_path}, line {lineno}: not a document record with "
-                        f"'id' and 'text' ({type(exc).__name__}: {exc})"
-                    ) from exc
+        with open(docs_path, encoding="utf-8") as fh:
+            try:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        rec = _parse_line(line)
+                        docs.append(Document(str(rec["id"]), rec["text"], rec.get("label")))
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                        raise ContractError(
+                            f"{docs_path}, line {lineno}: not a document record with "
+                            f"'id' and 'text' ({type(exc).__name__}: {exc})"
+                        ) from exc
+            except UnicodeDecodeError as exc:
+                raise ContractError(f"{docs_path}: not UTF-8 text ({exc})") from exc
         split = _read_split(split_path) if split_path is not None else {}
         return cls(tuple(docs), split)
+
+
+def _parse_line(line: str):
+    """``json.loads(line)`` for a stripped line, by its C scanner where that is
+    exact (``Corpus.from_jsonl`` says why)."""
+    try:
+        rec, end = _SCAN_ONCE(line, 0)
+        if end == len(line):
+            return rec
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
 
 
 def _split_from_dict(doc: dict) -> dict:
@@ -191,9 +239,7 @@ def apply_sources(
     above, and the separator is not a token byte, so the buffer's maximal
     runs of token bytes are the documents' tokens.  The scan's matches do
     not overlap, but it skips no whole-token match: a match overlapping one
-    would put a token byte right before it.  A roster word with a character
-    outside ``[0-9a-z]`` equals no token, so it is not scanned and never
-    present.
+    would put a token byte right before it.
     """
     if isinstance(docs, Corpus):
         docs = list(docs.documents)
@@ -203,10 +249,8 @@ def apply_sources(
     column: dict[str, int] = {}  # roster word -> presence column; a repeated word shares one
     for src in roster:
         column.setdefault(src.word, len(column))
-    scans = [  # a pure literal per word that can be a token: the regex engine's fast search
-        (re.compile(re.escape(word.encode())), len(word), col)
-        for word, col in column.items()
-        if _TOKEN.fullmatch(word)
+    scans = [  # a keyword is [0-9a-z]+, a pure literal: the regex engine's fast search
+        (re.compile(word.encode()), len(word), col) for word, col in column.items()
     ]
     present = np.zeros((len(docs), len(column)), dtype=bool)
     for start in range(0, len(docs), _SLICE_DOCS):
@@ -264,19 +308,22 @@ def ingest_csv(
     import csv as _csv
 
     docs = []
-    with open(path, newline="") as fh:
-        for row_id, rec in enumerate(_csv.DictReader(fh)):
-            if "text" not in rec:
-                raise ContractError(f"{path}: csv ingestion needs a 'text' column")
-            label = rec.get("label")
-            if label is not None:
-                try:
-                    label = _CSV_LABELS[int(label)]
-                except (ValueError, KeyError):
-                    raise ContractError(
-                        f"{path}, row {row_id + 1}: label must be -1, 0 or 1, got {label!r}"
-                    ) from None
-            docs.append(Document(str(rec.get("id", row_id)), rec["text"], label))
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for row_id, rec in enumerate(_csv.DictReader(fh)):
+                if "text" not in rec:
+                    raise ContractError(f"{path}: csv ingestion needs a 'text' column")
+                label = rec.get("label")
+                if label is not None:
+                    try:
+                        label = _CSV_LABELS[int(label)]
+                    except (ValueError, KeyError):
+                        raise ContractError(
+                            f"{path}, row {row_id + 1}: label must be -1, 0 or 1, got {label!r}"
+                        ) from None
+                docs.append(Document(str(rec.get("id", row_id)), rec["text"], label))
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: not UTF-8 text ({exc})") from exc
     return Corpus(tuple(docs), random_split(docs, test_fraction, seed))
 
 
@@ -372,8 +419,9 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     ``trial_rng(seed, f"case:{name}", n)``.  A training subset is one
     ``rng.choice`` of the split's rows without replacement, kept as the
     joint-state counts of the drawn rows; a size of at least the split is
-    the whole split and draws nothing.  Every fit reads those counts, and
-    the test split is scored by its state indices.  Combined trial t pairs
+    the whole split and draws nothing, so such a cell is fitted and scored
+    once and its one result stands for each of its trials.  Every fit reads
+    those counts, and the test split is scored by its state indices.  Combined trial t pairs
     the t-th corrected-median fit at ``n_unlabeled``, fitted once for the
     whole labeled grid, with the t-th labeled subset at the labeled size,
     drawn as the ``labeled`` cell of that size draws it; a combined row's
@@ -405,6 +453,12 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
         rows = train_states if n >= train_states.size else rng.choice(train_states, n, replace=False)
         return np.bincount(rows, minlength=1 << (m + 1))
 
+    def per_trial(n: int, trial):
+        """``trial()`` for each trial of a cell of size n; one call when n covers the split."""
+        if n >= train_states.size:
+            return [trial()] * config.trials
+        return [trial() for _ in range(config.trials)]
+
     def quadratic(counts: np.ndarray, aggregation: str) -> ClassConditionalEstimate:
         # unlabeled: the solver reads only the source moments, not the labels in the counts
         moments = SampleMoments.from_state_counts(counts, m)
@@ -417,19 +471,18 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
     }
     for name, fitter in fitters.items():
         for n in config.n_grid:
-            losses, f1s = [], []
             rng = trial_rng(config.seed, f"case:{name}", n)
-            for _ in range(config.trials):
-                loss, f1 = score(fitter(subsample(rng, n)))
-                losses.append(loss)
-                f1s.append(f1)
-            rows.append(_metric_row(name, int(min(n, train_states.size)), "", losses, f1s))
+            scores = per_trial(n, lambda: score(fitter(subsample(rng, n))))
+            rows.append(_metric_row(
+                name, int(min(n, train_states.size)), "",
+                [loss for loss, _ in scores], [f1 for _, f1 in scores],
+            ))
 
     r = float(m - 2)
     rng = trial_rng(config.seed, "case:corrected-median", config.n_unlabeled)
-    unlabeled = [
-        quadratic(subsample(rng, config.n_unlabeled), "median") for _ in range(config.trials)
-    ]
+    unlabeled = per_trial(
+        config.n_unlabeled, lambda: quadratic(subsample(rng, config.n_unlabeled), "median")
+    )
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
         alphas, fallbacks = [], 0

@@ -1,12 +1,13 @@
 import itertools
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from labelmoments import SourceMatrix, calibrate, diagnostics
-from labelmoments.ws import Corpus, Document, default_roster
+from labelmoments import ContractError, SourceMatrix, calibrate, diagnostics
+from labelmoments.ws import Corpus, Document, _read_split, default_roster
 
 SYNTH_ACCURACIES = [
     0.6893, 0.6072, 0.5954, 0.6603, 0.6939,
@@ -111,9 +112,31 @@ def matrix_from_state_counts(counts, m):
 
 
 # ---------------------------------------------------------------------------
-# Keyword corpora: the per-document tokenizer that ``ws.apply_sources`` must
-# agree with, and documents with known class-conditional word presences.
+# Keyword corpora: the per-line reader that ``Corpus.from_jsonl`` and the
+# per-document tokenizer that ``ws.apply_sources`` must agree with, and
+# documents with known class-conditional word presences.
 # ---------------------------------------------------------------------------
+
+
+def oracle_from_jsonl(docs_path, split_path=None):
+    """``Corpus.from_jsonl`` as one ``json.loads`` per stripped, nonblank line."""
+    docs = []
+    with open(docs_path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                docs.append(Document(str(rec["id"]), rec["text"], rec.get("label")))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ContractError(
+                    f"{docs_path}, line {lineno}: not a document record with "
+                    f"'id' and 'text' ({type(exc).__name__}: {exc})"
+                ) from exc
+    split = _read_split(split_path) if split_path is not None else {}
+    return Corpus(tuple(docs), split)
+
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 

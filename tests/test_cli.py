@@ -156,6 +156,47 @@ def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_ws_input_that_is_not_utf8_fails_typed(tmp_path, fmt):
+    # "café" with its é as the one latin-1 byte 0xe9
+    path, out = tmp_path / f"docs.{fmt}", tmp_path / "out"
+    if fmt == "jsonl":
+        path.write_bytes(b'{"id": "a", "text": "fine"}\n{"id": "b", "text": "caf\xe9"}\n')
+        args = ["ws", "apply", "--corpus", path, "-o", out]
+    else:
+        path.write_bytes(b"text,label\nfine,1\ncaf\xe9,0\n")
+        args = ["ws", "ingest", "--input", path, "--format", "csv",
+                "--docs-out", out, "--split-out", tmp_path / "split.json"]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {path}: not UTF-8 text" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_ws_corpus_line_nested_too_deeply_fails_typed(tmp_path):
+    docs, out = tmp_path / "docs.jsonl", tmp_path / "out.csv"
+    docs.write_text('{"id": "a", "text": "fine"}\n' + "[" * 100_000 + "\n")
+    result = CliRunner().invoke(main, ["ws", "apply", "--corpus", str(docs), "-o", str(out)])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {docs}, line 2: " in result.output
+    assert "RecursionError" in result.output
+    assert not out.exists()
+
+
+def test_ws_split_nested_too_deeply_fails_typed(tmp_path):
+    docs, split, out = tmp_path / "docs.jsonl", tmp_path / "split.json", tmp_path / "out.csv"
+    docs.write_text('{"id": "a", "text": "fine"}\n')
+    split.write_text('{"train": ' + "[" * 100_000)
+    result = CliRunner().invoke(main, [
+        "ws", "apply", "--corpus", str(docs), "--split", str(split), "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {split}: not JSON" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sizes", [
     ["--n-labeled-grid", "0"],
     ["--n-labeled-grid", "40,0"],
@@ -341,6 +382,7 @@ def model_and_data(tmp_path):
 MALFORMED = {
     "truncated": '{"theta": [0.5, 0.5, 0.5]',
     "array": "[1, 2]",
+    "nested": "[" * 100_000,  # deeper than the parser's recursion limit
     # an experiment config has no required key, so its bad object has a wrongly typed field
     "bad-object": {"bounds": '{"foo": 1}', "infer": '{"foo": 1}', "curves": '{"model": [1]}'},
 }

@@ -389,6 +389,34 @@ class TestGreenStrawderman:
             min(1.0, 1.0 / (np.linalg.norm(diff) / sigma)), abs=1e-12
         )
 
+    def test_batch_equals_each_pair_alone(self):
+        def lone_pair(diff, sigma, r):  # the rule on one pair, by a 1-d solve and dot
+            norm = np.sqrt(float(diff @ np.linalg.solve(sigma, diff)))
+            return 1.0 if norm == 0.0 else min(r / norm, 1.0)
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m, b, n = int(rng.integers(3, 15)), int(rng.integers(1, 9)), int(rng.integers(20, 500))
+            x = np.where(rng.random((b, n, m)) < rng.uniform(0.5, 0.95, m), 1.0, -1.0)
+            y = np.where(rng.random((b, n)) < 0.5, 1.0, -1.0)
+            mom = SampleMoments.from_rows(x * y[..., None], y)
+            diff = mom.acc - rng.uniform(-1, 1, (b, m))
+            diff[0] *= rng.integers(0, 2)  # a zero difference takes weight 1
+            r = float(rng.uniform(0, 2 * (m - 2)))
+            sigma = mom.shrinkage_covariance()
+            alphas = green_strawderman_alpha(diff, sigma, r)
+            assert alphas.shape == (b,)
+            for k in range(b):
+                one = SampleMoments(n, mom.means[k], mom.pair[k], mom.acc[k])
+                np.testing.assert_array_equal(sigma[k], one.shrinkage_covariance())
+                assert alphas[k] == green_strawderman_alpha(diff[k], sigma[k], r)
+                assert alphas[k] == lone_pair(diff[k], sigma[k], r)
+
+    def test_batch_raises_when_any_pair_fails(self):
+        sigma = np.stack([np.eye(3), np.zeros((3, 3))])
+        with pytest.raises(NumericalError):
+            green_strawderman_alpha(np.ones((2, 3)), sigma, 1.0)
+
     def test_alpha_clips_to_one(self):
         diff = np.array([1e-6, 0.0, 0.0])
         assert green_strawderman_alpha(diff, np.eye(3), r=1.0) == 1.0
@@ -464,8 +492,8 @@ class TestShrinkageCovariance:
         ws._combine_class_conditional(cc, lab, mom, 8.0)
 
         assert [len(sigmas) for sigmas in seen.values()] == [1, 1, 1]
-        for (sigma,) in seen.values():
-            np.testing.assert_array_equal(sigma, mom.shrinkage_covariance())
+        for (sigma,) in seen.values():  # the sweep's is a block of its one trial
+            np.testing.assert_array_equal(np.reshape(sigma, (10, 10)), mom.shrinkage_covariance())
 
     def test_both_loops_fall_back_to_alpha_one(self, monkeypatch, synth_model_dep):
         # every draw is the all-agree state: zero labeled covariance

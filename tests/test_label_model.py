@@ -283,6 +283,32 @@ class TestScoresMatchRowOracle:
             )
         assert f1_score(model, data.state_index()) == _row_f1(model, data)
 
+    def test_one_gather_equals_two_gathers(self):
+        # cross_entropy gathers each row from the two tables joined end to end;
+        # the np.where of one gather per table keeps the same values in order
+        def two_gathers(model, states, floor):
+            lp_pos, lp_neg = model.log_posterior_table()
+            if floor > 0.0:
+                lp_pos = np.maximum(lp_pos, np.log(floor))
+                lp_neg = np.maximum(lp_neg, np.log(floor))
+            config, positive = states & ((1 << model.m) - 1), (states >> model.m) > 0
+            return float(-np.where(positive, lp_pos[config], lp_neg[config]).mean())
+
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            m, n = int(rng.integers(1, 11)), int(rng.integers(1, 3000))
+            data = _random_rows(rng, n, m)
+            cond_pos, cond_neg = rng.uniform(1e-9, 1 - 1e-9, (2, m)) ** rng.uniform(0.2, 5)
+            est = ClassConditionalEstimate.from_conditionals(cond_pos, cond_neg, rng.uniform(0.1, 0.9), {})
+            models = [LabelModel.from_class_conditional(est)]
+            if trial % 4 == 0:
+                dist = empirical_config_dist(data, laplace=rng.uniform(0.1, 2.0))
+                models.append(LabelModel.from_class_conditional(est, "empirical", dist))
+            for model in models:
+                for floor in (LOSS_FLOOR, 1e-3, 0.0):
+                    states = data.state_index()
+                    assert cross_entropy(model, states, floor) == two_gathers(model, states, floor)
+
     def test_empirical_mode_needs_full_support(self):
         # every scored row is seen, but an unseen configuration elsewhere
         # has no table entry, so the table cannot be built

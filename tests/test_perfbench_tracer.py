@@ -55,6 +55,7 @@ def test_case_study_spans_are_traced(monkeypatch):
     # 3 fitters x 2 trials, then labeled-small and combined x 2 trials
     assert metrics["label_model.cross_entropy.calls"] == 10
     assert metrics["label_model.f1_score.calls"] == 10
-    # the two quadratic fitters, then the corrected fit and the labeled moments per trial
-    assert metrics["estimators.from_state_counts.calls"] == 8
+    # the two quadratic fitters per trial, the corrected fit once (n_unlabeled is the
+    # whole 400-document training split), then the labeled moments per trial
+    assert metrics["estimators.from_state_counts.calls"] == 7
     assert metrics["estimators.from_source_matrix.calls"] == 0

@@ -23,7 +23,7 @@ from labelmoments.ws import (
     write_metrics_csv,
 )
 
-from conftest import state_counts, synthetic_keyword_corpus, tokenize
+from conftest import oracle_from_jsonl, state_counts, synthetic_keyword_corpus, tokenize
 
 
 class TestRoster:
@@ -41,6 +41,11 @@ class TestRoster:
 
     def test_word_lowercased(self):
         assert KeywordSource("Good", 1).word == "good"
+
+    @pytest.mark.parametrize("word", ["don't", "a_b", "é", "two words", "İ"])
+    def test_word_that_can_never_be_a_token_rejected(self, word):
+        with pytest.raises(ContractError, match="can never be a token"):
+            KeywordSource(word, 1)
 
 
 class TestTokenize:
@@ -62,7 +67,8 @@ FRAGMENTS = [
     " ", "  ", "\n", "\t", "_", "\x00", "'", "-", ".", "İ", "\u212a", "ß", "\ufb01",
     "\U0001f600", "\uff11\uff10", "é", "\ud800",
 ]
-ROSTER_WORDS = ["go", "good", "goodness", "Good", "don't", "10", "k", "i", "ss", "fi", "a_b", "é"]
+# Roster words: each is [0-9a-z]+ after lowercasing, as ``KeywordSource`` requires.
+ROSTER_WORDS = ["go", "good", "goodness", "Good", "don", "t", "10", "k", "i", "ss", "fi"]
 
 
 def oracle_votes(docs, roster):
@@ -107,7 +113,7 @@ class TestApplySources:
     @pytest.mark.parametrize("roster", [
         default_roster(),
         (KeywordSource("good", 1), KeywordSource("Good", -1), KeywordSource("bad", -1)),
-        (KeywordSource("don't", 1), KeywordSource("10", -1), KeywordSource("good", 1)),
+        (KeywordSource("don", 1), KeywordSource("10", -1), KeywordSource("good", 1)),
     ])
     def test_matches_per_document_loop(self, roster):
         texts = [
@@ -151,6 +157,34 @@ class TestApplySources:
             apply_sources([Document("d", "x")], roster=())
 
 
+# JSONL lines on which a parse could disagree with one ``json.loads`` per line:
+# records (with a unicode text, or surrounded by whitespace that str.strip
+# removes and JSON does not), blank lines, a BOM, NaN and Infinity, two
+# objects or trailing garbage on one line, values that are not objects,
+# duplicate keys, lone surrogate escapes, and a record split across two lines
+# that would parse as two records if the lines were joined.  "@ID@" becomes
+# the line's position.
+JSONL_LINES = [
+    '{"id": "@ID@", "text": "good film", "label": 1}',
+    '{"id": "@ID@", "text": "caf\u00e9 \u2603", "label": -1}',
+    '{"id": "@ID@", "text": "unlabeled"}',
+    '  \t{"id": "@ID@", "text": "padded"} \u00a0\x1c',
+    "", "   ", "\t \u3000",
+    '\ufeff{"id": "@ID@", "text": "bom"}',
+    '{"id": "@ID@", "text": "x", "label": NaN}',
+    '{"id": "@ID@", "text": "x", "score": Infinity}',
+    '{"id": "@ID@", "text": "x"} {"id": "@ID@b", "text": "y"}',
+    '{"id": "@ID@", "text": "x"},',
+    '{"id": "@ID@", "text": "x"} trailing',
+    '[1, 2]', '"just a string"', "42", "null", "true", "{", "}",
+    '{"id": "@ID@", "text": "x", "text": "second"}',
+    '{"id": "@ID@", "text": "\\ud800 and \\udfff"}',
+    '{"id": "@ID@", "text": "x", "z": [1',
+    '2]}, {"id": "@ID@", "text": "y"}',
+    '{"id": 7, "text": "numeric id"}',
+]
+
+
 class TestCorpusIO:
     def test_jsonl_round_trip(self, tmp_path):
         docs = (
@@ -179,6 +213,28 @@ class TestCorpusIO:
         with pytest.raises(ContractError, match=r"docs\.jsonl, line 3"):
             Corpus.from_jsonl(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(JSONL_LINES), max_size=10),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=10, max_size=10),
+        bom=st.booleans(),
+    )
+    def test_jsonl_matches_per_line_json_loads(self, tmp_path_factory, lines, ends, bom):
+        # the record ids are the line positions, so a repeat is a repeated line
+        text = "".join(
+            line.replace("@ID@", f"r{i}") + end for i, (line, end) in enumerate(zip(lines, ends))
+        )
+        path = tmp_path_factory.mktemp("jsonl") / "docs.jsonl"
+        path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+
+        def outcome(read):
+            try:
+                return read(path)
+            except ContractError as exc:
+                return str(exc)
+
+        assert outcome(Corpus.from_jsonl) == outcome(oracle_from_jsonl)
+
     @pytest.mark.parametrize("manifest", ['{"train": ["a"]', '["a"]', '{"train": "a"}'])
     def test_bad_split_manifest_names_file(self, tmp_path, manifest):
         docs, split = tmp_path / "docs.jsonl", tmp_path / "split.json"
@@ -200,8 +256,17 @@ class TestCorpusIO:
                 random_split(docs, fraction, 5)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(ContractError):
-            Corpus((Document("a", "x"), Document("a", "y")))
+        docs = (Document("a", "x"), Document("b", "y"), Document("c", "z"))
+        with pytest.raises(ContractError, match="'b' repeats"):
+            Corpus(docs + (Document("b", "w"), Document("a", "v")))
+
+    def test_splits_from_one_pass(self):
+        docs = tuple(Document(str(i), "x") for i in range(6))
+        corpus = Corpus(docs, {"0": "test", "1": "train", "3": "train", "4": "test", "5": "dev"})
+        assert corpus.train == (docs[1], docs[3])
+        assert corpus.test == (docs[0], docs[4])
+        assert corpus.subset("dev") == (docs[5],)
+        assert corpus.subset("other") == ()
 
     def test_ingest_review_directory(self, tmp_path):
         for part in ("train", "test"):
@@ -370,6 +435,28 @@ class TestCaseStudy:
         small, labeled = rows["labeled-small", "", 40], rows["labeled", 40, ""]
         assert (small["loss"], small["f1"]) == (labeled["loss"], labeled["f1"])
         assert rows["corrected-median", 6000, ""]["loss_sd"] == 0.0
+
+    def test_cells_covering_the_split_are_fitted_and_scored_once(self, small_corpus, monkeypatch):
+        calls = {"fits": 0, "scores": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cfg = CaseStudyConfig(
+            n_grid=(1500, 9000), n_unlabeled=6000, n_labeled_grid=(40,), trials=3, seed=4,
+        )
+        expected = run_case_study(small_corpus, cfg)
+        monkeypatch.setattr(ws, "estimate_quadratic_triplet_from_moments",
+                            counted(estimate_quadratic_triplet_from_moments, "fits"))
+        monkeypatch.setattr(ws, "cross_entropy", counted(ws.cross_entropy, "scores"))
+        assert run_case_study(small_corpus, cfg) == expected
+        # mean and median: 3 trials at 1500 and one fit at 9000 each, then the
+        # shared corrected fit at 6000 once; three models scored 3 + 1 times,
+        # and labeled-small and combined 3 times each
+        assert calls == {"fits": 2 * (3 + 1) + 1, "scores": 3 * (3 + 1) + 2 * 3}
 
     def test_missing_split_raises_with_remedy(self, small_corpus):
         bare = Corpus(small_corpus.documents, {})
