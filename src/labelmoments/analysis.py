@@ -139,14 +139,6 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     )
 
 
-def exact_generalization_error(
-    model: IsingModel, fitted: LabelModel
-) -> tuple[float, float]:
-    """(expected loss, excess over H(Y|sources)) by enumeration."""
-    loss = expected_loss_by_enumeration(model, fitted)
-    return loss, loss - conditional_entropy(model)
-
-
 # ---------------------------------------------------------------------------
 # Fast excess evaluation for accuracy-parameterized fits
 # ---------------------------------------------------------------------------
@@ -157,9 +149,10 @@ def accuracy_excess(
 ) -> np.ndarray:
     """Excess loss of symmetric accuracy fits under an exact-denominator model.
 
-    Equals ``exact_generalization_error`` for a LabelModel built from the
-    estimates in empirical mode with the true configuration marginal as the
-    denominator, by the decomposition identity (noise term is then zero):
+    Equals the enumerated expected loss minus H(Y|sources) for a LabelModel
+    built from the estimates in empirical mode with the true configuration
+    marginal as the denominator, by the decomposition identity (noise term
+    is then zero):
 
         excess = inference_bias + sum_i E_Y KL(true cond_i || fitted cond_i).
 

@@ -96,17 +96,22 @@ class SourceMatrix:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SourceMatrix":
-        with open(path, "r") as fh:
-            header = fh.readline().strip().split(",")
-            if not header[0].startswith("lf_"):
-                raise ContractError(f"{path}: expected a header starting with lf_0")
-            try:
-                with warnings.catch_warnings():
-                    # An empty body is reported below as a ContractError.
-                    warnings.simplefilter("ignore", UserWarning)
-                    body = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ContractError(f"{path}: {exc}") from exc
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                if not header[0].startswith("lf_"):
+                    raise ContractError(f"{path}: expected a header starting with lf_0")
+                try:
+                    with warnings.catch_warnings():
+                        # An empty body is reported below as a ContractError.
+                        warnings.simplefilter("ignore", UserWarning)
+                        body = np.loadtxt(fh, dtype=np.int64, delimiter=",", ndmin=2)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as exc:
+                    raise ContractError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: not UTF-8 text ({exc})") from exc
         if body.size == 0:
             raise ContractError(f"{path}: no data rows after the header")
         if body.shape[1] != len(header):

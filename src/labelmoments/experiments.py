@@ -13,9 +13,11 @@ which is what the scaling theory bounds.
 The labeled side is computed exactly, not simulated: each labeled estimate
 mean(s_i*y) is (2*Binomial(n, (1+a_i)/2) - n)/n and the scored excess
 separates by source, so its expectation is a sum over n+1 binomial outcomes
-per source (``TrialEngine.labeled_excess``).  The curve has zero variance;
-its monotonicity in n, which the data-value-ratio bisection relies on, is
-tested.
+per source (``TrialEngine.labeled_excess``).  The curve has zero variance
+and approaches B_I + m/(2n).  The data value ratio's search starts near
+where that asymptote meets its target and gallops to the least grid point
+at or below it; the search is exact because the curve is monotone in n,
+which is tested, and the point's failing predecessor is evaluated.
 
 A Monte-Carlo sample cell is a sample size n.  The unlabeled estimators
 share it: every triplet estimator at n fits the same samples, drawn once
@@ -54,6 +56,7 @@ trials.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -427,24 +430,39 @@ class DvrResult:
 DVR_Z = 1.96
 
 
-def _first_at_or_below(grid: list[int], curve, threshold: float) -> int | None:
-    """Least grid point with curve(n) <= threshold, by bisection; None if none.
+def _first_at_or_below(grid: list[int], curve, threshold: float, guess: float) -> int | None:
+    """Least grid point with curve(n) <= threshold; None if none.
 
-    Assumes curve is non-increasing along the grid.  The returned point's
-    predecessor, when it has one, has been evaluated and fails.
+    Assumes curve is non-increasing along the ascending grid, so the points
+    that pass form a suffix of it and its first point is unique.  The search
+    starts at the grid point nearest ``guess`` and gallops toward the answer
+    in steps of 1, 2, 4, ... until a failing and a passing point bracket it,
+    then bisects inside the bracket, so it makes at most 2*ceil(log2(d+1)) + 2
+    evaluations, d being the answer's distance in grid points from the start.
+    A grid end is evaluated only when the gallop reaches it.  The returned
+    point's predecessor, when it has one, has been evaluated and fails; None
+    means ``grid[-1]`` has been evaluated and fails.
     """
-    if curve(grid[0]) <= threshold:
-        return grid[0]
-    if curve(grid[-1]) > threshold:
-        return None
-    lo, hi = 0, len(grid) - 1
+    last = len(grid) - 1
+    i = bisect_left(grid, guess)
+    if i > last or (i > 0 and guess - grid[i - 1] < grid[i] - guess):
+        i -= 1
+    # grid[lo] fails and grid[hi] passes; the sentinels -1 and last + 1 stand
+    # for the grid's outside, which is never evaluated
+    lo, hi, step = -1, last + 1, 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if curve(grid[mid]) <= threshold:
-            hi = mid
+        if curve(grid[i]) <= threshold:
+            hi = i
         else:
-            lo = mid
-    return grid[hi]
+            lo = i
+        if lo < 0:
+            i = max(hi - step, 0)
+        elif hi > last:
+            i = min(lo + step, last)
+        else:
+            i = (lo + hi) // 2
+        step *= 2
+    return grid[hi] if hi <= last else None
 
 
 def data_value_ratio(
@@ -460,11 +478,18 @@ def data_value_ratio(
     Monte-Carlo mean excess of n_U unlabeled samples.
 
     The labeled curve is ``engine.labeled_excess`` (exact, memoised on the
-    engine, strictly decreasing in n on the default grid, which is tested),
-    so the grid is scanned by bisection and the matched point has, by
-    construction, a failing predecessor.  The target's standard error is
-    mapped through the same curve: ``n_labeled_lo`` and ``n_labeled_hi`` are
-    the least grid points at or below target + and - DVR_Z standard errors.
+    engine, strictly decreasing in n on the default grid, which is tested).
+    It is B_I + m/(2n) + O(1/n^2), one 1/(2n) per source, so each search
+    starts at the grid point nearest the size where that asymptote meets its
+    threshold, (m/2)/(threshold - B_I), or at the grid's last point when the
+    threshold is at or below B_I, and gallops from there to the least point
+    at or below the threshold (``_first_at_or_below``).  The guess only
+    decides which points are evaluated: on a monotone curve the least
+    passing point is unique, and the matched point has, by construction, an
+    evaluated failing predecessor, so the result is the one a bisection of
+    the whole grid finds.  The target's standard error is mapped through the
+    same curve: ``n_labeled_lo`` and ``n_labeled_hi`` are the least grid
+    points at or below target + and - DVR_Z standard errors.
     """
     engine = engine if engine is not None else TrialEngine(model)
     grid = list(grid) if grid is not None else labeled_search_grid()
@@ -476,10 +501,15 @@ def data_value_ratio(
         evaluated[n_l] = engine.labeled_excess(n_l)
         return evaluated[n_l]
 
-    matched = _first_at_or_below(grid, labeled, target.mean)
+    def first_at_or_below(threshold: float) -> int | None:
+        gap = threshold - engine.diag.inference_bias
+        guess = engine.m / 2 / gap if gap > 0 else grid[-1]
+        return _first_at_or_below(grid, labeled, threshold, guess)
+
+    matched = first_at_or_below(target.mean)
     half_width = DVR_Z * target.stderr
-    n_lo = _first_at_or_below(grid, labeled, target.mean + half_width)
-    n_hi = _first_at_or_below(grid, labeled, target.mean - half_width)
+    n_lo = first_at_or_below(target.mean + half_width)
+    n_hi = first_at_or_below(target.mean - half_width)
     ratio = n_unlabeled / (matched if matched is not None else grid[-1])
     trace = tuple((n, evaluated[n], 0.0) for n in sorted(evaluated))
     return DvrResult(

@@ -342,6 +342,17 @@ class CaseStudyConfig:
     class_balance: float = 0.5
     threshold: float = 0.5
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ContractError("trials must be at least 1")
+        sizes = {
+            "n_grid": self.n_grid, "n_unlabeled": (self.n_unlabeled,),
+            "n_labeled_grid": self.n_labeled_grid,
+        }
+        for name, ns in sizes.items():
+            if any(n < 1 for n in ns):
+                raise ContractError(f"{name} sizes must be at least 1, got {min(ns)}")
+
     def to_dict(self) -> dict:
         return {
             "n_grid": list(self.n_grid),

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from labelmoments import ContractError, SourceMatrix, calibrate, diagnostics
+from labelmoments.analysis import expected_loss_by_enumeration
+from labelmoments.ising import conditional_entropy
 from labelmoments.ws import Corpus, Document, _read_split, default_roster
 
 SYNTH_ACCURACIES = [
@@ -109,6 +111,13 @@ def matrix_from_state_counts(counts, m):
     values = values_from_config(idx & ((1 << m) - 1), m)
     labels = (2 * ((idx >> m) & 1) - 1).astype(np.int8)
     return SourceMatrix(values, labels)
+
+
+def exact_generalization_error(model, fitted):
+    """(expected loss, excess over H(Y|sources)) of a fitted label model by
+    enumeration: the reference that ``analysis.accuracy_excess`` must match."""
+    loss = expected_loss_by_enumeration(model, fitted)
+    return loss, loss - conditional_entropy(model)
 
 
 # ---------------------------------------------------------------------------

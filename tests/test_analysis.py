@@ -20,7 +20,6 @@ from labelmoments.analysis import (
     bound_report,
     bound_unlabeled,
     decompose,
-    exact_generalization_error,
     expected_loss_by_enumeration,
     median_correction_constant,
     median_mse,
@@ -33,7 +32,9 @@ from labelmoments.label_model import (
     empirical_config_dist,
 )
 
-from conftest import brute_joint, brute_moment, matrix_from_state_counts, state_counts
+from conftest import (
+    brute_joint, brute_moment, exact_generalization_error, matrix_from_state_counts, state_counts,
+)
 
 
 class TestDecomposition:

@@ -145,6 +145,28 @@ def test_ws_run_metrics_match_recorded_hash(tmp_path, tiny_corpus):
     assert file_sha256(out / "metrics.csv") == WS_RUN_METRICS_SHA256
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--trials", "0", "trials must be at least 1"),
+    ("--trials", "-3", "trials must be at least 1"),
+    ("--n-grid", "0,200", "n_grid sizes must be at least 1, got 0"),
+    ("--n-unlabeled", "0", "n_unlabeled sizes must be at least 1, got 0"),
+    ("--n-labeled-grid", "40,-1", "n_labeled_grid sizes must be at least 1, got -1"),
+])
+def test_ws_run_rejects_non_positive_counts(tmp_path, tiny_corpus, option, value, message):
+    docs, split = tiny_corpus
+    args = {"--n-grid": "400,1600", "--n-unlabeled": "1600", "--n-labeled-grid": "40,80",
+            "--trials": "2", option: value}
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "ws", "run", "--corpus", str(docs), "--split", str(split), "-o", str(out),
+        *(token for pair in args.items() for token in pair),
+    ])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not (out / "metrics.csv").exists()
+
+
 def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
     docs, split = tiny_corpus
     with open(docs, "a") as fh:
@@ -168,6 +190,21 @@ def test_ws_input_that_is_not_utf8_fails_typed(tmp_path, fmt):
         args = ["ws", "ingest", "--input", path, "--format", "csv",
                 "--docs-out", out, "--split-out", tmp_path / "split.json"]
     result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {path}: not UTF-8 text" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_source_csv_that_is_not_utf8_fails_typed(tmp_path, where):
+    rows = [b"lf_0,lf_1,lf_2", b"1,-1,1", b"-1,1,1"]
+    rows[0 if where == "header" else 2] += b"\xe9"
+    path, out = tmp_path / "data.csv", tmp_path / "est.json"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    result = CliRunner().invoke(main, [
+        "fit", "--data", str(path), "--method", "triplet", "-o", str(out),
+    ])
     assert result.exit_code == 1
     assert f"error (ContractError): {path}: not UTF-8 text" in result.output
     assert "Traceback" not in result.output
@@ -250,9 +287,11 @@ GOLDEN_HASHES = {
 }
 
 # The same under protocol v5, on cells that draw rows: at m=10 the samples
-# of n=100 (curves, and the unlabeled side of combine) and of the labeled
-# sizes 25 and 50 have n(m+1) < 2^(m+2); the curve cells at n=1000 draw
-# counts.  Recorded with numpy 2.4.6.
+# of n=100 (curves, dvr, and the unlabeled side of combine) and of the
+# labeled sizes 25 and 50 have n(m+1) < 2^(m+2); the cells at n=1000 draw
+# counts.  Recorded with numpy 2.4.6; dvr.csv was recorded while the labeled
+# grid was still searched by bisection, so it pins the seeded search to the
+# bisection's points.
 ROW_GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES), "d": 5},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -263,6 +302,7 @@ ROW_GOLDEN_CONFIG = {
 ROW_GOLDEN_HASHES = {
     "curves.csv": "db5d0c1002336fdaf792f50a04fd0066a1c7fb98888c22d03253930963ba90a1",
     "combined.csv": "f8f9d272e2e7509c1ac9584cc2957237694b78ad6e5a9a8d45c3e17d5b7ee8ae",
+    "dvr.csv": "8a9d46805e75df3d42ce517584b2a3a65cac71db5d78dfeb0109b0884afc807d",
 }
 
 
@@ -300,6 +340,7 @@ def test_row_path_outputs_match_recorded_hashes(tmp_path):
     numpy 2.4.6's ``random`` stream and the thresholds it is compared with."""
     out = _run_suites(tmp_path, ROW_GOLDEN_CONFIG, [
         ["curves"],
+        ["dvr"],
         ["combine", "--n-unlabeled", "100", "--n-labeled-grid", "25,50",
          "--estimator", "triplet-single"],
     ])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelmoments import ContractError, EstimationError, NumericalError, SourceMatrix, experiments
 from labelmoments.analysis import accuracy_excess
@@ -12,6 +14,7 @@ from labelmoments.estimators import (
     green_strawderman_alpha,
 )
 from labelmoments.experiments import (
+    _first_at_or_below,
     ALPHA_STEP,
     DEFAULT_ACCURACIES,
     CombinedSweepRow,
@@ -30,9 +33,8 @@ from labelmoments.experiments import (
 )
 from labelmoments.ising import sample_state_counts
 from labelmoments.label_model import LabelModel
-from labelmoments.analysis import exact_generalization_error
 
-from conftest import state_counts
+from conftest import exact_generalization_error, state_counts
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +173,78 @@ class TestExactLabeled:
         assert engine.labeled_excess(n) == total
 
 
+@st.composite
+def _search_cases(draw):
+    """An ascending grid, a non-increasing curve on it with ties, a threshold
+    below, among (equal to one) or above its values, and a guess on, between
+    or outside the grid's points."""
+    grid = sorted(draw(st.sets(st.integers(1, 5000), min_size=1, max_size=80)))
+    steps = draw(st.lists(st.integers(0, 3), min_size=len(grid), max_size=len(grid)))
+    values = list(np.cumsum(steps[::-1])[::-1] / 4.0)
+    threshold = draw(st.one_of(
+        st.sampled_from(values),
+        st.floats(-1.0, values[0] + 1.0),
+        st.just(values[-1] - 0.5),
+        st.just(values[0] + 0.5),
+    ))
+    guess = draw(st.one_of(
+        st.sampled_from(grid),
+        st.floats(0.0, 6000.0),
+        st.floats(-1e9, float(grid[0])),
+        st.floats(float(grid[-1]), 1e12),
+    ))
+    return grid, dict(zip(grid, values)), threshold, guess
+
+
+class TestFirstAtOrBelow:
+    @settings(max_examples=400, deadline=None)
+    @given(_search_cases())
+    def test_matches_linear_scan(self, case):
+        grid, values, threshold, guess = case
+        calls = []
+
+        def curve(n):
+            calls.append(n)
+            return values[n]
+
+        found = _first_at_or_below(grid, curve, threshold, guess)
+        hits = [n for n in grid if values[n] <= threshold]
+        assert found == (hits[0] if hits else None)
+        # each point at most once; the answer certified by its evaluated neighbours
+        assert len(calls) == len(set(calls))
+        if found is None:
+            assert grid[-1] in calls
+        else:
+            assert found in calls
+            idx = grid.index(found)
+            if idx > 0:
+                assert grid[idx - 1] in calls and values[grid[idx - 1]] > threshold
+        # the search starts at the grid point nearest the guess, the upper one on a tie
+        start = min(range(len(grid)), key=lambda i: (abs(grid[i] - guess), -i))
+        assert calls[0] == grid[start]
+        # the gallop's worst case: two evaluations per doubling of the distance
+        # from the start to the answer, so at most about twice bisection's
+        answer = grid.index(found) if found is not None else len(grid)
+        assert len(calls) <= 2 * math.ceil(math.log2(abs(answer - start) + 1)) + 2
+        assert len(calls) <= 2 * math.ceil(math.log2(len(grid))) + 2
+
+    def test_grid_ends_only_when_reached(self):
+        grid = list(range(100))
+        calls = []
+
+        def curve(n):
+            calls.append(n)
+            return -n
+
+        assert _first_at_or_below(grid, curve, -50, 49.6) == 50
+        assert calls == [50, 49]
+        calls.clear()
+        assert _first_at_or_below(grid, curve, -1, 0.4) == 1
+        assert calls == [0, 1]
+
+
 class TestDataValueRatio:
-    def test_bisection_matches_linear_scan(self, synth_model_dep, dep_engine):
+    def test_search_matches_linear_scan(self, synth_model_dep, dep_engine):
         grid = list(range(100, 1001, 50))
         res = data_value_ratio(
             synth_model_dep, 800, "triplet-median", trials=60, seed=8,
