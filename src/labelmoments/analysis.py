@@ -34,13 +34,13 @@ from .ising import (
     IsingModel,
     ModelDiagnostics,
     conditional_entropy,
+    diagnostics,
     inference_bias,
     sample_state_counts,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .estimators import estimate_triplet_from_moments  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .label_model import ACCURACY_CLAMP, LabelModel
 from .manifest import write_json
-from .states import sign_rows
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +73,6 @@ class DecompositionReport:
         write_json(path, self.to_dict())
 
 
-def _source_conditionals(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    """True Pr(s_i = 1 | Y = +-1) for every source, from the joint table."""
-    blocks = model.conditional_configs()  # rows: Y=-1, Y=+1
-    m = model.m
-    signs = sign_rows(m)[:m, : blocks.shape[1]]  # source signs per configuration
-    out = np.empty((2, m))
-    for i in range(m):
-        mask = 0.5 * (signs[i] + 1.0)
-        out[0, i] = float((blocks[1] * mask).sum())  # Y = +1
-        out[1, i] = float((blocks[0] * mask).sum())  # Y = -1
-    return out[0], out[1]
-
-
 def _binary_kl(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
@@ -103,9 +90,14 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     """Exact four-term decomposition of the fitted model's expected loss.
 
     Requires empirical-denominator mode with a full-support configuration
-    distribution; every term is enumerated under the ground truth.  The
-    estimation term includes the label prior's KL(pi || fitted balance),
-    which is 0 when the fitted balance is the model's.
+    distribution.  The entropy and sampling-noise terms are enumerated over
+    the joint table and B_I is summed over the edges.  The estimation term
+    is closed form: u_i = s_i * y is independent of Y, so the true
+    Pr(s_i = 1 | Y = +-1) is (1 +- a_i) / 2 with a_i the exact accuracy from
+    ``diagnostics``.  It includes the label prior's KL(pi || fitted
+    balance), which is 0 when the fitted balance is the model's.  The loss
+    the terms must sum to stays enumerated
+    (``expected_loss_by_enumeration``), so it checks them by another route.
     """
     if fitted.mode != "empirical":
         raise ContractError("the decomposition applies to empirical-denominator mode")
@@ -120,7 +112,8 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     p_lambda = model.lambda_marginal()
     noise = float((p_lambda * (np.log(p_lambda) - np.log(fitted.config_dist))).sum())
     bias = inference_bias(model)
-    true_pos, true_neg = _source_conditionals(model)
+    acc = diagnostics(model).accuracies
+    true_pos, true_neg = (1.0 + acc) / 2.0, (1.0 - acc) / 2.0
     p = model.class_balance()
     est = _binary_kl(p, fitted.class_balance)
     for i in range(model.m):

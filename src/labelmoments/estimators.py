@@ -48,7 +48,7 @@ import numpy as np
 from .data import SourceMatrix
 from .errors import ContractError, EstimationError, NumericalError
 from .manifest import write_json
-from .states import sign_rows
+from .states import config_bits
 
 DEGENERATE_FLOOR = 1e-6  # |M_jk| below this makes a triplet denominator unusable
 SHRINKAGE_RIDGE = 1e-8   # ridge on the labeled covariance, relative to its mean diagonal
@@ -67,13 +67,14 @@ def _state_stats(m: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     Rows 0..m-1 hold each source's sign and the rest the sign products of
     the pairs (i, j), i < j, in ``combinations`` order.  Source signs repeat
     in both label halves of the joint states, so configurations suffice.
-    Each row is contiguous and filled in place, so no whole-table temporary
-    is built.
+    The sign rows are ``2 * config_bits - 1``; every row is contiguous and
+    filled in place, so no whole-table temporary is built.
     """
-    signs = sign_rows(m)[:m, : 1 << m]
     ii, jj = np.triu_indices(m, 1)
     table = np.empty((m + ii.size, 1 << m))
-    table[:m] = signs
+    signs = table[:m]
+    np.multiply(config_bits(m).T, 2.0, out=signs)
+    signs -= 1.0
     for c in range(ii.size):
         np.multiply(signs[ii[c]], signs[jj[c]], out=table[m + c])
     return table, (ii, jj)

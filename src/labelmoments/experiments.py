@@ -423,7 +423,7 @@ class DvrResult:
     # least grid points matching target +- DVR_Z * target_stderr; None off-grid
     n_labeled_lo: int | None
     n_labeled_hi: int | None
-    trace: tuple = field(default=())  # evaluated (n_labeled, exact excess, 0.0) points
+    trace: tuple = field(default=())  # evaluated (n_labeled, exact excess) points
 
 
 # Normal quantile of the two-sided 95% interval mapped onto the labeled grid.
@@ -511,7 +511,7 @@ def data_value_ratio(
     n_lo = first_at_or_below(target.mean + half_width)
     n_hi = first_at_or_below(target.mean - half_width)
     ratio = n_unlabeled / (matched if matched is not None else grid[-1])
-    trace = tuple((n, evaluated[n], 0.0) for n in sorted(evaluated))
+    trace = tuple(sorted(evaluated.items()))
     return DvrResult(
         n_unlabeled, estimator, target.mean, matched, ratio, matched is None,
         target.stderr, n_lo, n_hi, trace,

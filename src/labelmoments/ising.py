@@ -14,10 +14,13 @@ and linear in m: ``diagnostics`` reads accuracies, gaps and the inference
 bias off each edge's table (``_pair_stats``, the one forward map),
 ``calibrate`` inverts that map, and ``sample_rows`` draws column by column.
 The dense table over all 2**(m+1) states, ``IsingModel.joint``, is built on
-first use by the enumeration users only (the decomposition,
-``conditional_entropy``, ``sample_state_counts``), where
-``states.ENUMERATION_GUARD`` bounds m.  The tests check every closed form
-against a brute-force enumeration that shares no code with it.
+first use, where ``states.ENUMERATION_GUARD`` bounds m.  Its readers are the
+enumerations that need every state: ``lambda_marginal`` (the decomposition's
+sampling-noise term), ``conditional_entropy``,
+``analysis.expected_loss_by_enumeration`` (the decomposition's loss oracle)
+and ``sample_state_counts`` (the Monte-Carlo engine's count path).  The
+tests check every closed form against a brute-force enumeration that shares
+no code with it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .data import SourceMatrix
 from .errors import CalibrationError, ContractError
 from .estimators import triplet_census
 from .manifest import read_json, write_json
-from .states import sign_rows
+from .states import config_bits
 
 Edge = tuple[int, int, float]
 
@@ -88,30 +91,20 @@ class IsingModel:
     def joint(self) -> np.ndarray:
         """Read-only Pr over all 2**(m+1) joint states in ``states`` order, built
         on first access; ``CapacityError`` above ``ENUMERATION_GUARD`` sources."""
-        m, signs = self.m, sign_rows(self.m)
-        sy = signs[m]
-        energy = self.theta_y * sy
+        m, bits = self.m, config_bits(self.m)
+        sy = np.array([[-1.0], [1.0]])  # Y per row of the (2, 2**m) energy
+        energy = np.repeat(self.theta_y * sy, 1 << m, axis=1)
         for i in range(m):
             if self.theta[i] != 0.0:
-                energy += self.theta[i] * signs[i] * sy
+                energy += self.theta[i] * (2.0 * bits[:, i] - 1.0) * sy
         for i, j, t in self.edges:
             if t != 0.0:
-                energy += t * signs[i] * signs[j]
+                energy += t * (2.0 * bits[:, i] - 1.0) * (2.0 * bits[:, j] - 1.0)
+        energy = energy.ravel()
         table = np.exp(energy - energy.max())
         table /= table.sum()
         table.setflags(write=False)
         return table
-
-    @cached_property
-    def log_partition(self) -> float:
-        """log Z, the sum of the log partition functions of Y, of each
-        singleton u_i and of each edge pair (u_i, u_j)."""
-        paired = {k for i, j, _ in self.edges for k in (i, j)}
-        singles = [self.theta_y] + [t for k, t in enumerate(self.theta) if k not in paired]
-        log_z = sum(abs(t) + math.log1p(math.exp(-2.0 * abs(t))) for t in singles)  # log 2cosh
-        for i, j, t in self.edges:
-            log_z += math.log(sum(_pair_weights(self.theta[i], self.theta[j], t)))
-        return float(log_z)
 
     def lambda_marginal(self) -> np.ndarray:
         """Pr over the 2**m source configurations."""
@@ -120,11 +113,6 @@ class IsingModel:
     def class_balance(self) -> float:
         """Pr(Y = 1) = sigmoid(2 theta_Y)."""
         return float(self.row_thresholds[0][self.m])
-
-    def conditional_configs(self) -> np.ndarray:
-        """(2, 2**m) table of Pr(config | Y), row 0 for Y=-1, row 1 for Y=+1."""
-        blocks = self.joint.reshape(2, -1)
-        return blocks / blocks.sum(axis=1, keepdims=True)
 
     @cached_property
     def row_thresholds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,12 @@ fixed order: bit k of the state index holds source k's sign (bit set means
 +1), and the top bit holds Y.  Source-only configuration indices use the
 same low-m bits, so ``table.reshape(2, 2**m)[y_bit, config]`` addresses a
 single state.
+
+``config_bits`` is the one state table: every reader that needs the sources'
+values over all states (the joint's energy, the moment statistics of state
+counts, the label model's posterior table, the case study's vote counts)
+takes them from its 0/1 bits, as ``2 * bit - 1`` where it needs signs.  The
+label needs no table: it is the row of the ``(2, 2**m)`` reshape.
 """
 
 from __future__ import annotations
@@ -26,30 +32,10 @@ def check_capacity(m: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def sign_rows(m: int) -> np.ndarray:
-    """Read-only (m+1, 2**(m+1)) table of -1.0/+1.0 signs over every joint state.
-
-    Row k holds source k's sign and row m holds Y's.  Each row is filled in
-    place and stays contiguous, so a reduction along a row sums in the same
-    order as over a freshly built sign vector.  Cached, so every reader at
-    one m shares a single table.
-    """
-    check_capacity(m)
-    idx = np.arange(1 << (m + 1), dtype=np.int64)
-    rows = np.empty((m + 1, idx.size))
-    for k in range(m + 1):
-        np.multiply((idx >> k) & 1, 2.0, out=rows[k])
-        rows[k] -= 1.0
-    rows.setflags(write=False)
-    return rows
-
-
-@lru_cache(maxsize=8)
 def config_bits(m: int) -> np.ndarray:
     """Read-only (2**m, m) matrix of 0/1 bits for source-only configurations.
 
-    Cached like :func:`sign_rows`, so every label-model table at one m
-    shares it.
+    Cached, so every reader at one m shares a single table.
     """
     check_capacity(m)
     idx = np.arange(1 << m, dtype=np.int64)

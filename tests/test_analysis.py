@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,33 @@ class TestDecomposition:
         rep = decompose(synth_model_dep, fitted)
         assert rep.residual <= 1e-9
         assert rep.inference_bias > 0
+
+    def test_estimation_term_matches_brute_force_kl(self):
+        # class balance 0.3, two edges and fitted conditionals that are not the
+        # truth: the closed-form estimation term against per-source KLs of the
+        # conditionals enumerated from the brute-force joint
+        theta, edges = [0.6, 0.9, 0.4, 0.7, 0.5], [(0, 1, 0.3), (2, 4, 0.5)]
+        theta_y = math.atanh(2 * 0.3 - 1)
+        model = IsingModel.from_parameters(theta, edges, theta_y)
+        rng = np.random.default_rng(5)
+        fitted = LabelModel(
+            rng.uniform(0.55, 0.9, 5), rng.uniform(0.1, 0.45, 5), 0.4,
+            mode="empirical", config_dist=model.lambda_marginal(),
+        )
+        table, _ = brute_joint(theta, edges, theta_y)
+
+        def kl(p, q):
+            return p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
+
+        p_pos = brute_moment(table, lambda y, s: float(y == 1))
+        oracle = kl(p_pos, 0.4)
+        for i in range(5):
+            for y, p_y, cond in ((1, p_pos, fitted.cond_pos), (-1, 1 - p_pos, fitted.cond_neg)):
+                p_on = brute_moment(table, lambda yy, s, y=y, i=i: float(yy == y and s[i] == 1))
+                oracle += p_y * kl(p_on / p_y, float(cond[i]))
+        rep = decompose(model, fitted)
+        assert rep.estimation_error == pytest.approx(oracle, abs=1e-13)
+        assert rep.residual <= 1e-13
 
     def test_zero_mass_pattern_rejected(self, synth_model_dep):
         data = sample(synth_model_dep, 50, 1)

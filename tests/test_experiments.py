@@ -262,7 +262,7 @@ class TestDataValueRatio:
         assert res.n_labeled_hi == scan(res.target_excess - half)
         if res.n_labeled_lo is not None and res.n_labeled_hi is not None:
             assert res.n_labeled_lo <= res.matched_n_labeled <= res.n_labeled_hi
-        assert all(stderr == 0.0 for _, _, stderr in res.trace)
+        assert all(excess == dep_engine.labeled_excess(n) for n, excess in res.trace)
 
 
     def test_minimal_grid_point_with_failing_predecessor(
@@ -274,7 +274,7 @@ class TestDataValueRatio:
         )
         assert res.matched_n_labeled is not None
         assert not res.lower_bounded
-        trace = {n: mean for n, mean, _ in res.trace}
+        trace = dict(res.trace)
         grid = labeled_search_grid()
         idx = grid.index(res.matched_n_labeled)
         assert trace[res.matched_n_labeled] <= res.target_excess

@@ -23,7 +23,7 @@ from labelmoments.analysis import decompose
 from labelmoments.estimators import SampleMoments
 from labelmoments.ising import _pair_stats, conditional_entropy, inference_bias, sample_rows
 from labelmoments.label_model import LabelModel
-from labelmoments.states import sign_rows
+from labelmoments.states import config_bits
 
 from conftest import (
     SYNTH_ACCURACIES,
@@ -66,7 +66,7 @@ class TestEnumeration:
     def test_density_form_on_random_states(self, synth_model_dep):
         # table entry times the partition function equals the exponential form
         model = synth_model_dep
-        z = math.exp(model.log_partition)
+        _, z = brute_joint(list(model.theta), model.edges, model.theta_y)
         rng = np.random.default_rng(0)
         for idx in rng.integers(0, model.joint.size, 100):
             y = 1 if (idx >> model.m) & 1 else -1
@@ -157,14 +157,13 @@ class TestDiagnostics:
         model = IsingModel.from_parameters(theta, edges, theta_y)
         d = diagnostics(model)
         assert "joint" not in model.__dict__
-        table, z = brute_joint(theta, edges, theta_y)
+        table, _ = brute_joint(theta, edges, theta_y)
         acc, pair = brute_accuracies(table, m), brute_pair_moments(table, m)
         np.testing.assert_allclose(d.accuracies, acc, rtol=0, atol=1e-14)
         np.testing.assert_allclose(d.pair_moments, pair, rtol=0, atol=1e-14)
         for i, j, _ in edges:
             assert abs(d.edge_gaps[i, j] - (pair[i, j] - acc[i] * acc[j])) < 1e-14
         assert abs(d.class_balance - 0.3) < 1e-14
-        assert abs(model.log_partition - math.log(z)) < 1e-14 * max(1.0, math.log(z))
         # B_I = sum over edges of I(s_i; s_j | Y), from the table's cells
         bias = 0.0
         for i, j, _ in edges:
@@ -230,8 +229,9 @@ def test_exact_reductions_ignore_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
-class TestSignRows:
-    """The one state-sign table against the brute-force joint, which shares no code with it."""
+class TestConfigBits:
+    """The one state table and the moments read through it, against the
+    brute-force joint, which shares no code with them."""
 
     THETA = [0.7, 0.5, 0.9, 0.4, 0.2]
     EDGES = [(1, 3, 0.3), (0, 4, 0.6)]
@@ -240,13 +240,13 @@ class TestSignRows:
     def _state_index(y, s):
         return sum(1 << k for k, v in enumerate(s) if v > 0) + ((y > 0) << len(s))
 
-    def test_rows_hold_every_state_sign(self):
+    def test_bits_hold_every_state_sign(self):
         table, _ = brute_joint(self.THETA, self.EDGES)
-        rows = sign_rows(5)
-        assert rows.shape == (6, 64) and rows.flags.c_contiguous
+        bits = config_bits(5)
+        assert bits.shape == (32, 5) and not bits.flags.writeable
         for (y, s), _p in table.items():
             idx = self._state_index(y, s)
-            assert list(rows[:5, idx]) == list(s) and rows[5, idx] == y
+            assert list(2 * bits[idx & 31] - 1) == list(s)
 
     def test_moments_from_brute_force_counts(self):
         table, _ = brute_joint(self.THETA, self.EDGES)
@@ -512,8 +512,9 @@ class TestRowSampler:
     def _pmf(model):
         # each joint state's probability, multiplied out from the thresholds
         p, given_minus, _, _ = model.row_thresholds
-        signs = sign_rows(model.m)
-        u = np.vstack([signs[: model.m] * signs[model.m], signs[model.m]]) > 0
+        s = np.tile(config_bits(model.m).T > 0, 2)  # source bits per joint state
+        y = np.arange(s.shape[1]) >> model.m > 0
+        u = np.vstack([s == y, y])  # u_i = s_i * y is +1 where s_i's bit equals Y's
         cond = np.where(u, p[:, None], 1.0 - p[:, None])
         for e, (i, j, _) in enumerate(model.edges):
             cond[j] = np.where(u[i], cond[j], np.where(u[j], given_minus[e], 1.0 - given_minus[e]))
