@@ -14,17 +14,19 @@ throughout: sources are assumed better than random on average.
 
 Labeled data estimates E[s_i Y] directly: it is ``SampleMoments.acc``.
 Every estimator reads moments, never rows; ``SampleMoments`` comes from
-joint-state counts (``from_state_counts``) or from +-1 rows (``from_rows``;
-``from_source_matrix`` for a data file).  The Monte-Carlo engine takes
-rows when a sample has fewer entries than the joint states, and counts
-otherwise.  The two estimates can be combined linearly or through a
-positive-part James-Stein rule that picks the weight from the labeled
-estimator's covariance.
+joint-state counts (``from_state_counts``), from counts of the
+configurations of u = s * y (``from_u_counts``, without sign means) or
+from +-1 rows (``from_rows``; ``from_source_matrix`` for a data file).
+The Monte-Carlo engine takes rows when a sample has fewer entries than the
+joint states, and u-counts otherwise.  The two estimates can be combined
+linearly or through a positive-part James-Stein rule that picks the weight
+from the labeled estimator's covariance.
 
 Batch axes: ``SampleMoments.from_state_counts`` takes counts of shape
-(..., 2^(m+1)) and ``from_rows`` rows of shape (..., n, m), and both
-return moments with the same leading axes; ``triplet_census`` turns pair
-moments (..., m, m) into a (..., m, C(m-1, 2)) census, and
+(..., 2^(m+1)), ``from_u_counts`` (..., 2^m) and ``from_rows`` rows of
+shape (..., n, m), and all return moments with the same leading axes;
+``triplet_census`` turns pair moments (..., m, m) into a (..., m,
+C(m-1, 2)) census, and
 ``aggregate_census`` reduces a census over its last axis.  The Monte-Carlo
 engine passes a block of trials at once; a single fit (``estimate_*``, the
 data-file commands, the case study) is the case without leading axes, so
@@ -80,23 +82,35 @@ def _state_stats(m: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return table, (ii, jj)
 
 
+def _config_moments(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row counts, sign means and pair moments (unit diagonal) of counts
+    (..., 2^m) over source configurations."""
+    table, (ii, jj) = _state_stats(m)
+    n = counts.sum(axis=-1)
+    stats = (counts @ table.T) / n[..., None]  # means, then pair moments
+    pair = np.empty(counts.shape[:-1] + (m, m))
+    pair[..., ii, jj] = pair[..., jj, ii] = stats[..., m:]
+    pair[..., range(m), range(m)] = 1.0
+    return n, stats[..., :m], pair
+
+
 @dataclass(frozen=True)
 class SampleMoments:
     """First and second empirical moments of a sample; all estimators run on these.
 
-    ``from_state_counts`` and ``from_rows`` also make the moments of a batch
-    of samples, with leading axes on every field, and the covariance methods
-    then return one matrix per sample.
+    ``from_state_counts``, ``from_u_counts`` and ``from_rows`` also make
+    the moments of a batch of samples, with leading axes on every field,
+    and the covariance methods then return one matrix per sample.
     """
 
     n: int                         # an integer array for a batch of samples
-    means: np.ndarray              # empirical E[s_i]
+    means: np.ndarray | None       # empirical E[s_i]; None when Y was never drawn
     pair: np.ndarray               # empirical E[s_i s_j], unit diagonal
     acc: np.ndarray | None = None  # empirical E[s_i y] when labels were present
 
     @property
     def m(self) -> int:
-        return self.means.shape[-1]
+        return self.pair.shape[-1]
 
     @classmethod
     def from_source_matrix(cls, data: SourceMatrix) -> "SampleMoments":
@@ -130,18 +144,23 @@ class SampleMoments:
         order, and one matrix product over a batch equals a product per
         sample.
         """
-        table, (ii, jj) = _state_stats(m)
         neg, pos = counts[..., : 1 << m], counts[..., 1 << m :]
-        n = counts.sum(axis=-1)
-        scale = n[..., None]
-        stats = ((neg + pos) @ table.T) / scale  # means, then pair moments
-        pair = np.empty(counts.shape[:-1] + (m, m))
-        pair[..., ii, jj] = pair[..., jj, ii] = stats[..., m:]
-        pair[..., range(m), range(m)] = 1.0
-        acc = ((pos - neg) @ table[:m].T) / scale
-        return cls(
-            int(n) if counts.ndim == 1 else n.astype(np.int64), stats[..., :m], pair, acc
-        )
+        n, means, pair = _config_moments(neg + pos, m)
+        acc = ((pos - neg) @ _state_stats(m)[0][:m].T) / n[..., None]
+        return cls(int(n) if counts.ndim == 1 else n.astype(np.int64), means, pair, acc)
+
+    @classmethod
+    def from_u_counts(cls, counts: np.ndarray, m: int) -> "SampleMoments":
+        """Labeled moments of counts (..., 2^m) over the configurations of
+        u = s * y; leading axes are a batch.
+
+        Every moment the estimators read depends on u alone: E[s_i y] is
+        E[u_i] and E[s_i s_j] is E[u_i u_j], so ``acc`` is the mean u and
+        ``pair`` the mean u u^T, by the sums of ``from_state_counts``.
+        E[s_i] needs Y, so ``means`` is None.
+        """
+        n, acc, pair = _config_moments(counts, m)
+        return cls(int(n) if counts.ndim == 1 else n.astype(np.int64), None, pair, acc)
 
     def labeled_covariance(self) -> np.ndarray:
         """Sample covariance (ddof=1) of the per-row vectors s * y."""

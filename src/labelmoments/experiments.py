@@ -32,25 +32,30 @@ combined sweep) is separate: it draws from ``excess:labeled/0`` and never
 reads the unlabeled samples, so the combined sweep pairs independent
 samples even when its two sizes are equal.  Trial t's sample is the t-th
 draw of its stream.  The engine scores trials in blocks of at most
-``BLOCK_BYTES`` of count rows: one draw per block, then moments, triplet
-census, aggregation and excess once per block; a trial whose fit fails is
-a masked row, skipped and counted.
+``BLOCK_BYTES`` of joint-state count rows: one draw per block, then
+moments, triplet census, aggregation and excess once per block; a trial
+whose fit fails is a masked row, skipped and counted.
 
-Random-stream protocol v5 picks the draw per cell from n and m alone, as
-v3 and v4 did.  A sample with fewer entries than twice the joint states,
-n(m+1) < 2^(m+2), is drawn as rows: one ``random((block, n, m+1))``
+Random-stream protocol v6 picks the draw per cell from n and m alone, as
+v3 to v5 did.  A sample with fewer entries than the joint states,
+n(m+1) < 2^(m+1), is drawn as rows: one ``random((block, n, m+1))``
 compared with per-column thresholds, since given Y the model factors into
-singletons and edge pairs (``ising.sample_rows``).  A larger sample is
-one ``multinomial(size=...)`` over the 2^(m+1) states; at m=10 these are
-the cells with n >= 373, so n=250 of the default grid draws rows.  v5
-also moved every model's last bits: ``ising.calibrate`` is closed-form.
-numpy draws uniforms, multinomial rows and ``integers`` elements one after
-another, so a block draws exactly what the same trials drawn one by one
-would, and every batched step computes each row exactly as for a lone
-trial.  Results are reproducible, and the same whatever the block size
-and whichever cells run first; within a cell, trial t depends on the
-trials before it, so the first T trials of a longer run equal a run of T
-trials.
+singletons and edge pairs (``ising.sample_rows``).  At m=10 these are the
+cells with n <= 186; they keep v5's bytes, label column included.  A
+larger sample never draws Y: every number the engine reads, the pair
+moments E[s_i s_j] = E[u_i u_j] and the labeled accuracies
+E[s_i y] = E[u_i], depends only on u = s * y, which is independent of Y.
+So the sample is n draws over the 2^m configurations of u, by Walker's
+alias method, one trial at a time (``ising.sample_u_counts``): each
+uniform times 2^m splits into a bin and a fraction, and the fraction picks
+the bin or its alias.  Its moments carry no sign means E[s_i].  v5 drew
+these cells as one ``multinomial(size=...)`` over the 2^(m+1) joint
+states.  numpy draws uniforms and ``integers`` elements one after another,
+so a block draws exactly what the same trials drawn one by one would, and
+every batched step computes each row exactly as for a lone trial.  Results
+are reproducible, and the same whatever the block size and whichever cells
+run first; within a cell, trial t depends on the trials before it, so the
+first T trials of a longer run equal a run of T trials.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from .estimators import (
     triplet_census,
 )
 from .ising import (
-    IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_rows, sample_state_counts,
+    IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_rows, sample_u_counts,
 )
 from .label_model import ACCURACY_CLAMP
 from .manifest import read_json
@@ -218,10 +223,12 @@ class ExcessResult:
     failures: int
 
 
-# Memory budget of one block of trials' joint-state count rows (float64,
-# 2^(m+1) states per sample): at m=10, 8 trials per block; one trial from
-# m=13 up.  A row block holds n(m+1) uniforms per trial: by the draw rule of
-# ``TrialEngine.blocks``, under twice the bytes of the count rows it replaces.
+# Memory budget of one block of trials, counted as joint-state count rows
+# (float64, 2^(m+1) states per sample): at m=10, 8 trials per block; one
+# trial from m=13 up.  Larger blocks also grow the combined sweep's
+# (block, 101, m) blend arrays.  By the draw rule of ``TrialEngine.blocks``,
+# a row block's n(m+1) uniforms per trial stay under the budget, and a
+# u-count block fills half of it with 2^m counts per trial.
 BLOCK_BYTES = 128 * 1024
 
 
@@ -235,8 +242,8 @@ class TrialEngine:
         self.diag = diag if diag is not None else diagnostics(model)
         self.m = model.m
         self._labeled: dict[int, float] = {}
-        # (n, trials, seed) -> read-only moment blocks of the unlabeled cell;
-        # ``means`` copied out of its moment table so the table is freed
+        # (n, trials, seed) -> read-only pair moments of the unlabeled cell's
+        # blocks, all its triplet fits read
         self._unlabeled: dict[tuple[int, int, int], list[SampleMoments]] = {}
         self._log_factorial = np.zeros(1)
 
@@ -296,27 +303,30 @@ class TrialEngine:
         ``SampleMoments`` of each block's samples.
 
         The samples come from the stream ``trial_rng(seed, f"{label}/0", n)``.
-        A sample with fewer entries than twice the joint states,
-        n(m+1) < 2^(m+2), is drawn as rows (``sample_rows``), a larger one as
-        state counts (``sample_state_counts``).  The rule reads only n and
-        m, so a whole cell takes one path; it stays below the measured
-        crossovers of the two paths, n(m+1) of about 5,500 at m=10 and
-        26,000 at m=12.  Blocks hold as many trials as ``BLOCK_BYTES`` of
-        count rows on both paths, so a row block is under twice the bytes of
-        the count block it replaces.
+        A sample with fewer entries than the joint states, n(m+1) < 2^(m+1),
+        is drawn as rows (``sample_rows``); a larger one as counts of the
+        2^m configurations of u = s * y (``sample_u_counts``), without its
+        labels, and read by ``SampleMoments.from_u_counts``.  The rule reads
+        only n and m, so a whole cell takes one path.  With one BLAS thread
+        the two paths cost the same per trial near n(m+1) of 700 at m=10,
+        7,300 at m=12 and 52,000 at m=14.  The rule's 2,048, 8,192 and
+        32,768 lie within a factor of three of these, and a cell on the
+        slower path costs under twice the faster one.
+        Blocks hold as many trials as ``BLOCK_BYTES`` of joint-state count
+        rows on both paths: a count block is half that budget, and a row
+        block under its bytes.
         """
         m = self.m
         draw = trial_rng(seed, f"{label}/0", n)
         step = min(trials, max(1, BLOCK_BYTES // (8 << (m + 1))))
-        as_rows = n * (m + 1) < 1 << (m + 2)
+        as_rows = n * (m + 1) < 1 << (m + 1)
         for start in range(0, trials, step):
             size = min(step, trials - start)
             if as_rows:
                 rows = sample_rows(self.model, n, draw, size)
                 yield SampleMoments.from_rows(rows[..., :m], rows[..., m])
             else:
-                counts = sample_state_counts(self.model, n, draw, size)
-                yield SampleMoments.from_state_counts(counts, m)
+                yield SampleMoments.from_u_counts(sample_u_counts(self.model, n, draw, size), m)
 
     def fit(self, estimator: str, moments: SampleMoments, rng) -> tuple[np.ndarray, np.ndarray]:
         """Accuracy fits of a block of trials and the mask of fits that succeeded.
@@ -345,8 +355,8 @@ class TrialEngine:
 
         The labeled fits read the labeled cell ``excess:labeled``.  Every
         triplet estimator fits the unlabeled cell ``excess:unlabeled``, drawn
-        once per (n, trials, seed) and memoised as read-only moments without
-        labels, with its own fit generator
+        once per (n, trials, seed) and memoised as read-only pair moments
+        without labels or sign means, with its own fit generator
         ``trial_rng(seed, f"excess:{estimator}/fit", n)``.
         """
         _require_estimator(estimator)
@@ -356,11 +366,10 @@ class TrialEngine:
             cell = self._unlabeled.get((n, trials, seed))
             if cell is None:
                 cell = self._unlabeled[n, trials, seed] = [
-                    SampleMoments(mom.n, mom.means.copy(), mom.pair)
+                    SampleMoments(mom.n, None, mom.pair)
                     for mom in self.blocks("excess:unlabeled", n, trials, seed)
                 ]
                 for moments in cell:
-                    moments.means.setflags(write=False)
                     moments.pair.setflags(write=False)
             rng = trial_rng(seed, f"excess:{estimator}/fit", n)
         fits, oks = [], []
@@ -558,7 +567,7 @@ def _shrinkage_alphas(labeled: SampleMoments, a_u: np.ndarray, r: float) -> np.n
         pass
     alphas = np.full(len(a_u), np.nan)
     for b in range(len(a_u)):
-        one = SampleMoments(int(labeled.n[b]), labeled.means[b], labeled.pair[b], labeled.acc[b])
+        one = SampleMoments(int(labeled.n[b]), None, labeled.pair[b], labeled.acc[b])
         try:
             alphas[b] = green_strawderman_alpha(one.acc - a_u[b], one.shrinkage_covariance(), r)
         except (NumericalError, ContractError):
@@ -610,7 +619,7 @@ def combined_sweep(
             a_u, a_l = fits_u[block][ok], mom_l.acc[ok]
             blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]
             blend_excess.append(engine.excess(blends))
-            labeled = SampleMoments(mom_l.n[ok], mom_l.means[ok], mom_l.pair[ok], a_l)
+            labeled = SampleMoments(mom_l.n[ok], None, mom_l.pair[ok], a_l)
             alpha_g = _shrinkage_alphas(labeled, a_u, r)
             fell_back = np.isnan(alpha_g)
             alpha_g[fell_back] = 1.0

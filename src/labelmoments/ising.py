@@ -13,14 +13,18 @@ table of weights (``_pair_weights``).  So the ground truth is closed-form
 and linear in m: ``diagnostics`` reads accuracies, gaps and the inference
 bias off each edge's table (``_pair_stats``, the one forward map),
 ``calibrate`` inverts that map, and ``sample_rows`` draws column by column.
-The dense table over all 2**(m+1) states, ``IsingModel.joint``, is built on
-first use, where ``states.ENUMERATION_GUARD`` bounds m.  Its readers are the
-enumerations that need every state: ``lambda_marginal`` (the decomposition's
+Since u is independent of Y, the Monte-Carlo engine's larger samples draw
+u alone: ``IsingModel.u_marginal`` is Pr(u) over the 2**m configurations,
+the product of those singleton and pair tables, and ``sample_u_counts``
+draws from it through its alias table.  The dense table over all 2**(m+1)
+states, ``IsingModel.joint``, is built on first use, where
+``states.ENUMERATION_GUARD`` bounds m.  Its readers are the enumerations
+that need every state: ``lambda_marginal`` (the decomposition's
 sampling-noise term), ``conditional_entropy``,
 ``analysis.expected_loss_by_enumeration`` (the decomposition's loss oracle)
-and ``sample_state_counts`` (the Monte-Carlo engine's count path).  The
-tests check every closed form against a brute-force enumeration that shares
-no code with it.
+and ``sample_state_counts`` (labeled joint-state counts; tests and the
+benchmark's tracer use it).  The tests check every closed form against a
+brute-force enumeration that shares no code with it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .data import SourceMatrix
 from .errors import CalibrationError, ContractError
 from .estimators import triplet_census
 from .manifest import read_json, write_json
-from .states import config_bits
+from .states import check_capacity, config_bits
 
 Edge = tuple[int, int, float]
 
@@ -105,6 +109,55 @@ class IsingModel:
         table /= table.sum()
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def u_marginal(self) -> np.ndarray:
+        """Read-only Pr over the 2**m configurations of u = s * y, in
+        ``states`` order (bit k set means u_k = +1).
+
+        Closed form, without the joint: the product of the singleton and
+        edge-pair tables of ``row_thresholds``, built one source at a time.
+        An edge's second source is conditioned on its first, which has the
+        lower index and so is already a bit of the table.  u is independent
+        of Y, so Y has no factor.
+        """
+        check_capacity(self.m)
+        p, given_minus, first, second = self.row_thresholds
+        conditioned = dict(zip(second.tolist(), zip(first.tolist(), given_minus.tolist())))
+        table = np.ones(1)
+        for k in range(self.m):
+            plus = p[k]
+            if k in conditioned:
+                i, minus = conditioned[k]
+                plus = np.where((np.arange(1 << k) >> i) & 1, plus, minus)
+            table = np.concatenate((table * (1.0 - plus), table * plus))
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def u_alias(self) -> tuple[np.ndarray, np.ndarray]:
+        """Walker's alias table of ``u_marginal``, built by Vose's method.
+
+        Returns (prob, alias) over the 2**m bins: a uniform bin k is kept
+        with probability prob[k] and replaced by alias[k] otherwise, so
+        configuration k is drawn with probability prob[k]/2**m plus
+        (1 - prob[j])/2**m for every j with alias[j] = k.  Built on first use.
+        """
+        size = 1 << self.m
+        q = (self.u_marginal * size).tolist()
+        prob, alias = [1.0] * size, list(range(size))
+        small = [k for k in range(size) if q[k] < 1.0]
+        large = [k for k in range(size) if q[k] >= 1.0]
+        while small and large:
+            k, g = small.pop(), large.pop()
+            prob[k], alias[k] = q[k], g
+            q[g] = (q[g] + q[k]) - 1.0
+            (small if q[g] < 1.0 else large).append(g)
+        # bins left over in either list hold 1 up to rounding and keep prob 1
+        prob, alias = np.array(prob), np.array(alias, dtype=np.intp)
+        prob.setflags(write=False)
+        alias.setflags(write=False)
+        return prob, alias
 
     def lambda_marginal(self) -> np.ndarray:
         """Pr over the 2**m source configurations."""
@@ -377,14 +430,40 @@ def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None
     ``size``, returns (size, 2^(m+1)) counts of that many independent
     samples in one call; numpy draws the rows one after another, so they
     equal ``size`` calls without it on the same generator.  Reads the joint
-    table.  The Monte-Carlo engine draws a sample this way when its entries
-    reach twice the joint states, n(m+1) >= 2^(m+2); a smaller sample is
-    cheaper as rows (:func:`sample_rows`).
+    table.  The Monte-Carlo engine does not draw this way: it needs no
+    label, and draws u alone (:func:`sample_u_counts`) or rows
+    (:func:`sample_rows`).
     """
     if n < 1:
         raise ContractError("sample size must be at least 1")
     rng = np.random.default_rng(seed)
     return rng.multinomial(n, model.joint, size=size).astype(np.float64)
+
+
+def sample_u_counts(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
+    """``size`` samples of n rows as (size, 2^m) counts of the configurations
+    of u = s * y; the label is never drawn.
+
+    One trial at a time: ``random(n)`` times 2^m splits exactly, as 2^m is a
+    power of two, into a uniform bin and a uniform fraction; the fraction is
+    compared with the bin's ``IsingModel.u_alias`` probability, which picks
+    the bin or its alias, and one ``bincount`` counts the picks.  numpy draws
+    the uniforms one after another, so consecutive calls on one generator
+    equal one call for all their samples.
+    """
+    if n < 1:
+        raise ContractError("sample size must be at least 1")
+    prob, alias = model.u_alias
+    rng = np.random.default_rng(seed)
+    bins = 1 << model.m
+    counts = np.empty((size, bins))
+    for t in range(size):
+        x = rng.random(n)
+        x *= bins
+        k = x.astype(np.intp)
+        x -= k
+        counts[t] = np.bincount(np.where(x < prob[k], k, alias[k]), minlength=bins)
+    return counts
 
 
 def sample_rows(model: IsingModel, n: int, seed, size: int) -> np.ndarray:

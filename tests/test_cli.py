@@ -268,11 +268,11 @@ def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeyp
 
 
 # SHA-256 of the suite outputs of GOLDEN_CONFIG under random-stream protocol
-# v5 (closed-form calibration; one generator per stream; every triplet
+# v6 (closed-form calibration; one generator per stream; every triplet
 # estimator at n fits the samples of the unlabeled cell, each with its own
 # fit stream; the combined sweep pairs them with the separate Monte-Carlo
-# labeled cell), recorded with numpy 2.4.6.  Every cell but combine's
-# labeled size 25 has n(m+1) >= 2^(m+2), so it draws state counts.
+# labeled cell), recorded with numpy 2.4.6.  Every cell has
+# n(m+1) >= 2^(m+1), so it draws counts of u = s * y by the alias method.
 GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES[:6]), "d": 1},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -281,17 +281,22 @@ GOLDEN_CONFIG = {
     "seed": 3,
 }
 GOLDEN_HASHES = {
-    "curves.csv": "4e8aac152deca12e77e4ad2c2033d4d3f142cd04d4f579d6aba6b921babc74d6",
-    "combined.csv": "a6d47a09cb968aba2022f336ebe2d5a190ad62bc2e2f57db348486e828d15274",
-    "dvr.csv": "dff125b2a19b3b9310af8df4004aebad51570e5271135f6bf02fbf55ad1eca77",
+    "curves.csv": "49042bb683b3ca6b5055a78f0c9c0d2b6514ab144186674f77ceb9b910e16a29",
+    "combined.csv": "635cabda4a5965fd701d18ff8f234dac64e25ca97896656bdbf72c8df8fb22db",
+    "dvr.csv": "16ddce5b4911f632b57ca663c3d54bdfec83f1cd251a3752b7cad5bf41565a14",
 }
+# The exact labeled curve draws nothing: these lines of curves.csv are
+# byte for byte those of protocol v5.
+GOLDEN_LABELED_LINES = (
+    "labeled,40,0.10406948933251411,0.0,5,0",
+    "labeled,200,0.028664855695798654,0.0,5,0",
+)
 
-# The same under protocol v5, on cells that draw rows: at m=10 the samples
+# The same under protocol v6, on cells that draw rows: at m=10 the samples
 # of n=100 (curves, dvr, and the unlabeled side of combine) and of the
-# labeled sizes 25 and 50 have n(m+1) < 2^(m+2); the cells at n=1000 draw
-# counts.  Recorded with numpy 2.4.6; dvr.csv was recorded while the labeled
-# grid was still searched by bisection, so it pins the seeded search to the
-# bisection's points.
+# labeled sizes 25 and 50 have n(m+1) < 2^(m+1), and their bytes are those
+# of protocol v5 (combined.csv reads only these cells); the cells at n=1000
+# draw u-counts.  Recorded with numpy 2.4.6.
 ROW_GOLDEN_CONFIG = {
     "model": {"accuracies": list(DEFAULT_ACCURACIES), "d": 5},
     "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
@@ -300,10 +305,14 @@ ROW_GOLDEN_CONFIG = {
     "seed": 3,
 }
 ROW_GOLDEN_HASHES = {
-    "curves.csv": "db5d0c1002336fdaf792f50a04fd0066a1c7fb98888c22d03253930963ba90a1",
+    "curves.csv": "14d4ef76af66b8c488f12ae13c36e8b164cac41b1e813ca901f51fd81378177e",
     "combined.csv": "f8f9d272e2e7509c1ac9584cc2957237694b78ad6e5a9a8d45c3e17d5b7ee8ae",
-    "dvr.csv": "8a9d46805e75df3d42ce517584b2a3a65cac71db5d78dfeb0109b0884afc807d",
+    "dvr.csv": "63c12d321f7f8e49e260e4e0a8e935a7947a342938d396a9907708d31cee1922",
 }
+ROW_LABELED_LINES = (
+    "labeled,100,0.12237229899810348,0.0,5,0",
+    "labeled,1000,0.07507258276192876,0.0,5,0",
+)
 
 
 def _run_suites(tmp_path, config_doc, commands):
@@ -319,10 +328,10 @@ def _run_suites(tmp_path, config_doc, commands):
 def test_suite_outputs_match_recorded_hashes(tmp_path):
     """The Monte-Carlo suites reproduce recorded bytes (m=6, 5 trials).
 
-    These hashes pin random-stream protocol v5: one generator per stream
+    These hashes pin random-stream protocol v6: one generator per stream
     from ``trial_rng``, the unlabeled cell shared by every triplet
-    estimator at n, numpy 2.4.6's ``multinomial(size=...)`` and
-    ``integers`` streams, and every number computed from the draws.  A
+    estimator at n, numpy 2.4.6's ``random`` stream split into alias bins,
+    its ``integers`` stream, and every number computed from the draws.  A
     speed-up must leave them unchanged.  A deliberate change of the stream
     must update them in the same change, and say so.
     """
@@ -333,11 +342,14 @@ def test_suite_outputs_match_recorded_hashes(tmp_path):
          "--estimator", "triplet-single"],
     ])
     assert {name: file_sha256(out / name) for name in GOLDEN_HASHES} == GOLDEN_HASHES
+    lines = (out / "curves.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("labeled,")] == list(GOLDEN_LABELED_LINES)
 
 
 def test_row_path_outputs_match_recorded_hashes(tmp_path):
-    """Protocol v5's row draws reproduce recorded bytes (m=10, 5 trials):
-    numpy 2.4.6's ``random`` stream and the thresholds it is compared with."""
+    """Protocol v6's row draws, unchanged from v5, reproduce recorded bytes
+    (m=10, 5 trials): numpy 2.4.6's ``random`` stream and the thresholds it
+    is compared with."""
     out = _run_suites(tmp_path, ROW_GOLDEN_CONFIG, [
         ["curves"],
         ["dvr"],
@@ -345,6 +357,8 @@ def test_row_path_outputs_match_recorded_hashes(tmp_path):
          "--estimator", "triplet-single"],
     ])
     assert {name: file_sha256(out / name) for name in ROW_GOLDEN_HASHES} == ROW_GOLDEN_HASHES
+    lines = (out / "curves.csv").read_text().splitlines()
+    assert [line for line in lines if line.startswith("labeled,")] == list(ROW_LABELED_LINES)
 
 
 def test_ws_ingest_rejects_test_fraction_outside_unit_interval(tmp_path, tiny_corpus):
@@ -490,14 +504,14 @@ def test_bounds_json_and_csv(tmp_path, model_and_data):
 
 
 def test_bounds_records_the_fits_behind_rho(tmp_path, model_and_data):
-    # four sources at n=8: some median-corrected fits find no usable triplet
+    # four sources at n=8: about one median-corrected fit in 60 finds no usable triplet
     model, _ = model_and_data
     out = tmp_path / "bounds.json"
-    result = _ok("bounds", "--model", model, "--n-unlabeled", "8", "--rho-trials", "40",
+    result = _ok("bounds", "--model", model, "--n-unlabeled", "8", "--rho-trials", "400",
                  "--seed", "3", "-o", out)
     inputs = json.loads(out.read_text())["inputs"]
     scored, failed = inputs["rho_trials"], inputs["rho_failures"]
-    assert failed > 0 and scored + failed == 40
+    assert failed > 0 and scored + failed == 400
     assert f"rho from {scored} median-corrected fits ({failed} failed)" in result.output
 
 

@@ -31,7 +31,7 @@ from labelmoments.experiments import (
     run_dvr,
     trial_rng,
 )
-from labelmoments.ising import sample_state_counts
+from labelmoments.ising import sample_u_counts
 from labelmoments.label_model import LabelModel
 
 from conftest import exact_generalization_error, state_counts
@@ -80,8 +80,8 @@ class TestExpectedExcess:
         res = expected_excess_error(
             synth_model_dep, "labeled", 400, trials=1, seed=9, engine=dep_engine
         )
-        counts = sample_state_counts(synth_model_dep, 400, trial_rng(9, "excess:labeled/0", 400))
-        est = AccuracyEstimate(SampleMoments.from_state_counts(counts, 10).acc, "labeled")
+        counts = sample_u_counts(synth_model_dep, 400, trial_rng(9, "excess:labeled/0", 400), 1)
+        est = AccuracyEstimate(SampleMoments.from_u_counts(counts[0], 10).acc, "labeled")
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
             config_dist=synth_model_dep.lambda_marginal(),
@@ -424,7 +424,7 @@ class TestSharedUnlabeledCell:
 
     def test_run_curves_draws_each_n_once(self, monkeypatch, tmp_path):
         drawn = []
-        for name in ("sample_rows", "sample_state_counts"):
+        for name in ("sample_rows", "sample_u_counts"):
             def spy(model, n, rng, size, _draw=getattr(experiments, name), _name=name):
                 drawn.append((_name, n))
                 return _draw(model, n, rng, size)
@@ -432,11 +432,11 @@ class TestSharedUnlabeledCell:
             monkeypatch.setattr(experiments, name, spy)
         monkeypatch.setattr(experiments, "BLOCK_BYTES", 1 << 40)  # one block per cell
         cfg = ExperimentConfig(
-            estimators=("labeled",) + self.TRIPLETS, n_grid=(300, 400), trials=12, seed=5
+            estimators=("labeled",) + self.TRIPLETS, n_grid=(186, 187), trials=12, seed=5
         )
         run_curves(cfg, tmp_path)
-        # m=10: rows while n * 11 < 2^12
-        assert sorted(drawn) == [("sample_rows", 300), ("sample_state_counts", 400)]
+        # m=10: rows while n * 11 < 2^11, so 186 rows and 187 u-counts
+        assert sorted(drawn) == [("sample_rows", 186), ("sample_u_counts", 187)]
 
     def test_combined_labeled_draws_are_not_the_unlabeled_samples(self, synth_model_dep):
         engine = TrialEngine(synth_model_dep)
@@ -452,10 +452,10 @@ class TestSharedUnlabeledCell:
         seen = self._spy_fits(monkeypatch)
         TrialEngine(synth_model_dep).estimates("triplet-mean", 300, 5, 0)
         (moments,) = seen["triplet-mean"]
-        assert moments.acc is None  # the unlabeled fits never see a label
-        for array in (moments.means, moments.pair):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+        # the unlabeled fits never see a label, nor sign means
+        assert moments.acc is None and moments.means is None
+        with pytest.raises(ValueError, match="read-only"):
+            moments.pair[0] = 0.0
 
     def test_estimator_order_leaves_rows_unchanged(self, tmp_path):
         estimators = ("labeled",) + self.TRIPLETS
@@ -512,20 +512,34 @@ def _row_counts(model, n, rng):
     return state_counts(SourceMatrix(u * y[:, None], y))
 
 
+def _alias_counts(model, n, rng):
+    """One sample of u = s * y drawn as the engine draws it, one uniform at a
+    time: the uniform times 2^m is a bin and a fraction, and the bin is kept
+    while the fraction lies below its alias probability; the joint-state
+    counts of the sample with every label +1, so s = u."""
+    m = model.m
+    prob, alias = model.u_alias
+    counts = np.zeros(2 << m)
+    for x in rng.random(n) * (1 << m):
+        k = int(x)
+        counts[(1 << m) + (k if x - k < prob[k] else int(alias[k]))] += 1
+    return counts
+
+
+def _as_rows(engine, n):
+    """The engine's rule: rows when the sample has fewer entries than the
+    joint states, n(m+1) < 2^(m+1), else u alone."""
+    return n * (engine.m + 1) < 1 << (engine.m + 1)
+
+
 def _draw_moments(engine, n, rng):
-    """One trial's moments, drawn by the engine's rule: rows when the sample
-    has fewer entries than twice the joint states, n(m+1) < 2^(m+2), else
-    counts."""
-    m = engine.m
-    if n * (m + 1) < 1 << (m + 2):
-        counts = _row_counts(engine.model, n, rng)
-    else:
-        counts = sample_state_counts(engine.model, n, rng)
-    return SampleMoments.from_state_counts(counts, m)
+    """One trial's moments, drawn by the engine's rule."""
+    draw = _row_counts if _as_rows(engine, n) else _alias_counts
+    return SampleMoments.from_state_counts(draw(engine.model, n, rng), engine.m)
 
 
 def _cell_streams(estimator, n, seed):
-    """Protocol v4 and v5: the labeled cell draws from its own stream, every triplet
+    """Protocols v4 to v6: the labeled cell draws from its own stream, every triplet
     estimator from the shared unlabeled one; each estimator has its own fit
     stream."""
     cell = "labeled" if estimator == "labeled" else "unlabeled"
@@ -614,10 +628,10 @@ class TestBatchedEngineOracle:
     def test_excess_series_matches_per_trial_loop(
         self, monkeypatch, tiny_engine, dep_engine, estimator, budget
     ):
-        # tiny at n=4 and dep at n=100 draw rows, tiny at n=9 and dep at n=300 counts
-        failed = 0
+        # tiny at n=4 and dep at n=100 draw rows, tiny at n=8 and dep at n=300 u-counts
+        failed = {True: 0, False: 0}
         cells = (
-            (tiny_engine, 4, 40), (tiny_engine, 9, 13), (dep_engine, 100, 20), (dep_engine, 300, 20)
+            (tiny_engine, 4, 40), (tiny_engine, 8, 100), (dep_engine, 100, 20), (dep_engine, 300, 20)
         )
         for engine, n, trials in cells:
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
@@ -626,33 +640,50 @@ class TestBatchedEngineOracle:
             ref_series, ref_failures = _per_trial_series(engine, estimator, n, trials, 21)
             np.testing.assert_array_equal(series, ref_series)
             assert failures == ref_failures
-            failed += failures
+            failed[_as_rows(engine, n)] += failures
         if estimator != "labeled":
-            assert failed > 0  # the tiny model exercises masked rows
+            assert min(failed.values()) > 0  # the tiny model masks rows on both paths
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("estimator", ["triplet-mean", "triplet-single"])
     def test_combined_sweep_matches_per_trial_loop(
         self, monkeypatch, tiny_engine, dep_engine, estimator, budget
     ):
-        # labeled sizes 2 and 6 at m=4 and 30 at m=10 draw rows; at n_L=2 the
-        # labeled covariance is often zero, and the shrinkage rule falls back
-        failed = fallbacks = 0
-        for engine, n_u, grid, trials in ((tiny_engine, 4, (2, 6), 30), (dep_engine, 200, (30,), 12)):
+        # unlabeled sizes 4 at m=4 and 30 at m=10 draw rows, 8 at m=4 and 200
+        # at m=10 u-counts; labeled sizes 2 and 6 at m=4 and 30 at m=10 draw
+        # rows, 8 at m=4 and 300 at m=10 u-counts.  At n_L=2 the labeled
+        # covariance is often zero, and the shrinkage rule falls back.
+        failed = {True: 0, False: 0}
+        fallbacks = 0
+        cells = (
+            (tiny_engine, 4, (2, 8), 30), (tiny_engine, 8, (6,), 40),
+            (dep_engine, 30, (300,), 12), (dep_engine, 200, (30, 300), 12),
+        )
+        for engine, n_u, grid, trials in cells:
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
             engine = TrialEngine(engine.model, engine.diag)
             rows = combined_sweep(engine.model, n_u, grid, estimator, trials, 8, engine)
             assert rows == _per_trial_combined(engine, n_u, grid, estimator, trials, 8)
-            failed += sum(r.failures for r in rows)
+            failed[_as_rows(engine, n_u)] += rows[0].failures
             fallbacks += sum(r.gs_fallbacks for r in rows)
-        assert failed > 0 and fallbacks > 0
+        assert min(failed.values()) > 0 and fallbacks > 0
 
     def test_block_size_follows_the_budget(self, monkeypatch, tiny_engine):
-        sizes = []
-        for budget in (1, 3 * (8 << 5), 1 << 40):
-            monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
-            sizes.append([len(mom.acc) for mom in tiny_engine.blocks("x", 4, 7, 0)])
-        assert sizes == [[1] * 7, [3, 3, 1], [7]]
+        # n=4 draws rows and n=8 u-counts; both hold budget // 2^(m+1) count rows
+        for n in (4, 8):
+            sizes = []
+            for budget in (1, 3 * (8 << 5), 1 << 40):
+                monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
+                sizes.append([len(mom.acc) for mom in tiny_engine.blocks("x", n, 7, 0)])
+            assert sizes == [[1] * 7, [3, 3, 1], [7]]
+
+    def test_u_count_moments_have_no_sign_means(self, tiny_engine):
+        # E[s_i] needs Y; a u-count sample must not pass E[u_i] off as it
+        (rows,) = tiny_engine.blocks("x", 4, 3, 0)
+        (counts,) = tiny_engine.blocks("x", 8, 3, 0)
+        assert rows.means.shape == (3, 4) and counts.means is None
+        with pytest.raises(TypeError):
+            counts.means[0]
 
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
     def test_shorter_run_is_a_prefix(self, tiny_engine, dep_engine, estimator):

@@ -21,7 +21,9 @@ from labelmoments import (
 )
 from labelmoments.analysis import decompose
 from labelmoments.estimators import SampleMoments
-from labelmoments.ising import _pair_stats, conditional_entropy, inference_bias, sample_rows
+from labelmoments.ising import (
+    _pair_stats, conditional_entropy, inference_bias, sample_rows, sample_u_counts,
+)
 from labelmoments.label_model import LabelModel
 from labelmoments.states import config_bits
 
@@ -555,6 +557,88 @@ class TestRowSampler:
     def test_rejects_empty_samples(self, synth_model_dep):
         with pytest.raises(ContractError):
             sample_rows(synth_model_dep, 0, 1, 3)
+
+
+class TestAliasSampler:
+    """Counts of u = s * y drawn through the alias table, against the
+    brute-force joint and against the row sampler."""
+
+    @staticmethod
+    def _realised_pmf(model):
+        # a uniform bin k keeps itself with prob[k] and gives the rest to alias[k]
+        prob, alias = model.u_alias
+        pmf = prob / prob.size
+        np.add.at(pmf, alias, (1.0 - prob) / prob.size)
+        return pmf
+
+    @staticmethod
+    def _brute_u_marginal(model):
+        table, _ = brute_joint(list(model.theta), model.edges, model.theta_y)
+        pmf = np.zeros(1 << model.m)
+        for (y, s), p in table.items():
+            pmf[sum(1 << i for i, si in enumerate(s) if si == y)] += p
+        return pmf
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    @pytest.mark.parametrize("with_edges", [False, True])
+    def test_alias_table_realises_the_u_marginal(self, m, with_edges):
+        rng = np.random.default_rng(200 + m)
+        pairs = (random_valid_edges(rng, m) or [(0, 1)]) if with_edges else []
+        edges = [(i, j, t) for (i, j), t in zip(pairs, rng.uniform(0.1, 1.0, len(pairs)))]
+        theta = rng.uniform(0.0, 1.5, m)
+        models = [
+            IsingModel.from_parameters(theta, edges, math.atanh(2 * balance - 1))
+            for balance in (0.5, 0.3)
+        ]
+        for model in models:
+            np.testing.assert_allclose(
+                self._realised_pmf(model), self._brute_u_marginal(model), rtol=0, atol=1e-15
+            )
+            assert "joint" not in model.__dict__
+        # u is independent of Y: only theta_Y differs, and the tables are equal
+        for a, b in zip(models[0].u_alias, models[1].u_alias):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_moments_agree_with_the_row_sampler(self, synth_model_dep, seed):
+        # m=10, n=400, 4000 samples a side: every accuracy and pair moment has
+        # the same mean and variance across samples, within 4 standard errors
+        m, n = 10, 400
+        ii, jj = np.triu_indices(m, 1)
+        draw_u, draw_rows = (np.random.default_rng([seed, k]) for k in (0, 1))
+        sides = [[], []]
+        for _ in range(16):
+            mom = SampleMoments.from_u_counts(sample_u_counts(synth_model_dep, n, draw_u, 250), m)
+            sides[0].append(np.hstack([mom.acc, mom.pair[:, ii, jj]]))
+            rows = sample_rows(synth_model_dep, n, draw_rows, 250)
+            mom = SampleMoments.from_rows(rows[..., :m], rows[..., m])
+            sides[1].append(np.hstack([mom.acc, mom.pair[:, ii, jj]]))
+        (u_mean, u_se, u_var, u_var_se), (r_mean, r_se, r_var, r_var_se) = (
+            _mean_and_variance(np.vstack(side)) for side in sides
+        )
+        assert (np.abs(u_mean - r_mean) <= 4 * np.hypot(u_se, r_se)).all()
+        assert (np.abs(u_var - r_var) <= 4 * np.hypot(u_var_se, r_var_se)).all()
+
+    def test_consecutive_calls_equal_one_call(self, synth_model_dep):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        whole = sample_u_counts(synth_model_dep, 20, a, 5)
+        parts = [sample_u_counts(synth_model_dep, 20, b, k) for k in (2, 1, 2)]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        assert whole.shape == (5, 1 << 10) and (whole.sum(axis=1) == 20).all()
+
+    def test_rejects_empty_samples(self, synth_model_dep):
+        with pytest.raises(ContractError):
+            sample_u_counts(synth_model_dep, 0, 1, 3)
+
+
+def _mean_and_variance(x):
+    """Column means and variances of x with their standard errors."""
+    k = len(x)
+    dev2 = (x - x.mean(axis=0)) ** 2
+    return (
+        x.mean(axis=0), x.std(axis=0, ddof=1) / np.sqrt(k),
+        dev2.sum(axis=0) / (k - 1), dev2.std(axis=0, ddof=1) / np.sqrt(k),
+    )
 
 
 class TestSerialization:
