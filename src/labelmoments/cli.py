@@ -20,6 +20,8 @@ hashes, wall-clock seconds):
   with the options the config does not hold (the estimators dvr ran;
   combine's ``n_unlabeled``, ``n_labeled_grid`` and ``estimator``);
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
+- dvr adds ``dvr_cells``: per (estimator, n_unlabeled), the labeled sizes its
+  search evaluated and how many comparisons took the exact labeled sum;
 - inputs are the given existing-path options that name a file (not a
   directory), hashed before the command runs; outputs are the files the
   command wrote.
@@ -70,7 +72,8 @@ def _recorded(fn):
     """Run a command body under its run record; a domain error exits 1.
 
     The body returns the paths it wrote, or ``(paths, config, seed)`` when
-    its recorded config is a resolved config object.
+    its recorded config is a resolved config object, optionally followed by
+    a dict of further manifest entries.
     """
 
     @functools.wraps(fn)
@@ -90,12 +93,14 @@ def _recorded(fn):
         except LabelMomentsError as exc:
             click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
             sys.exit(1)
-        outputs, config, seed = result if isinstance(result, tuple) else (result, config, seed)
+        outputs, config, seed, *extra = result if isinstance(result, tuple) else (result, config, seed)
         if "out_dir" in kwargs:
             path = Path(kwargs["out_dir"]) / "manifest.json"
         else:
             path = Path(f"{outputs[0]}.manifest.json")
-        write_manifest(path, _subcommand(ctx), config, seed, __version__, inputs, outputs, started)
+        write_manifest(
+            path, _subcommand(ctx), config, seed, __version__, inputs, outputs, started, *extra
+        )
 
     return wrapper
 
@@ -394,7 +399,14 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
             f"(matched n_labeled={r.matched_n_labeled})"
         )
     ran = list(dict.fromkeys(r.estimator for r in results))
-    return [Path(out_dir) / "dvr.csv"], {**cfg.to_dict(), "estimators": ran}, cfg.seed
+    cells = [
+        {"estimator": r.estimator, "n_unlabeled": r.n_unlabeled,
+         "labeled_sizes": sorted({n for n, _, _ in r.trace}),
+         "exact_fallbacks": r.exact_fallbacks}
+        for r in results
+    ]
+    record = {**cfg.to_dict(), "estimators": ran}
+    return [Path(out_dir) / "dvr.csv"], record, cfg.seed, {"dvr_cells": cells}
 
 
 @main.command("combine")

@@ -14,10 +14,19 @@ The labeled side is computed exactly, not simulated: each labeled estimate
 mean(s_i*y) is (2*Binomial(n, (1+a_i)/2) - n)/n and the scored excess
 separates by source, so its expectation is a sum over n+1 binomial outcomes
 per source (``TrialEngine.labeled_excess``).  The curve has zero variance
-and approaches B_I + m/(2n).  The data value ratio's search starts near
-where that asymptote meets its target and gallops to the least grid point
-at or below it; the search is exact because the curve is monotone in n,
-which is tested, and the point's failing predecessor is evaluated.
+and approaches B_I + m/(2n).  The data value ratio's search needs only
+whether the curve lies at or below a threshold.  It decides that from a
+windowed sum (``TrialEngine.labeled_excess_windowed``) over the outcomes
+within the Hoeffding half-width of each binomial's mean, which drops less
+than 1e-20 of the mass and lies within 1e-13 of the exact sum; only when
+the windowed value is within ``LABELED_TIE_MARGIN`` (1e-10) of the
+threshold does it take the exact sum.  So every comparison is the exact
+curve's.  Each search starts where the 1/n extrapolation of the computed
+size nearest its threshold meets it, or, before any size is computed, the
+asymptote, and gallops to the least grid point at or below it.  The start
+decides only which points are evaluated: the search is exact because the
+curve is monotone in n, which is tested, and the point's failing
+predecessor is evaluated.
 
 A Monte-Carlo sample cell is a sample size n.  The unlabeled estimators
 share it: every triplet estimator at n fits the same samples, drawn once
@@ -231,6 +240,11 @@ class ExcessResult:
 # u-count block fills half of it with 2^m counts per trial.
 BLOCK_BYTES = 128 * 1024
 
+# Binomial mass the windowed labeled sum may drop per source, and the distance
+# from a threshold within which a labeled comparison takes the exact sum.
+LABELED_TAIL_MASS = 1e-20
+LABELED_TIE_MARGIN = 1e-10
+
 
 class TrialEngine:
     """Shared per-model state for excess evaluation: Monte-Carlo trials of
@@ -242,22 +256,30 @@ class TrialEngine:
         self.diag = diag if diag is not None else diagnostics(model)
         self.m = model.m
         self._labeled: dict[int, float] = {}
+        # n -> labeled_excess_windowed(n), read by the DVR search's guesses
+        self.windowed_values: dict[int, float] = {}
+        # decisions of ``labeled_excess_against`` that took the exact sum
+        self.exact_fallbacks = 0
         # (n, trials, seed) -> read-only pair moments of the unlabeled cell's
         # blocks, all its triplet fits read
         self._unlabeled: dict[tuple[int, int, int], list[SampleMoments]] = {}
         self._log_factorial = np.zeros(1)
 
-    def log_binomial(self, n: int) -> np.ndarray:
-        """log C(n, k) for k = 0..n.
+    def log_factorials(self, n: int) -> np.ndarray:
+        """log k! for k = 0..n at least.
 
-        The log-factorial table is a sequential cumulative sum, so its
-        entries do not depend on how far it has grown.
+        The table is a sequential cumulative sum, so its entries do not
+        depend on how far it has grown.
         """
         if n >= self._log_factorial.size:
             self._log_factorial = np.concatenate(
                 ([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.float64))))
             )
-        lf = self._log_factorial
+        return self._log_factorial
+
+    def log_binomial(self, n: int) -> np.ndarray:
+        """log C(n, k) for k = 0..n."""
+        lf = self.log_factorials(n)
         k = np.arange(n + 1)
         return lf[n] - lf[k] - lf[n - k]
 
@@ -297,6 +319,89 @@ class TrialEngine:
                 total += float((self.binomial_pmf(n, tp, log_binomial) * kl).sum())
             self._labeled[n] = float(total)
         return self._labeled[n]
+
+    def labeled_excess_windowed(self, n: int) -> float:
+        """``labeled_excess(n)`` summed only over the outcomes near the mean.
+
+        Source i's window of outcomes k holds every k with |k - n*p_i| <= h,
+        the Hoeffding half-width h = sqrt(n*ln(2/eps)/2) for
+        eps = ``LABELED_TAIL_MASS``: Binomial(n, p_i) has less than eps of its
+        mass outside it (Hoeffding 1963).  All sources share one window
+        length, so the sum is one pass over an (m, window) array.  Each pmf
+        entry and score is built as in ``labeled_excess``, bit for bit, from
+        the same log-factorial table and the same per-source logs, and the
+        pmf is renormalised over the window.  So the two values differ by
+        the dropped tails and the order of summation alone:
+
+            |windowed - exact| <= m * 2 * eps * log(2/ACCURACY_CLAMP) + r.
+
+        The first term is the tails: a score is at most log(2/clamp), about
+        14.5, and renormalising moves the kept terms by a relative eps, so
+        it is about 3e-18 for ten sources.  r is the rounding of summing
+        the same terms over two sets: numpy's pairwise sums err by a
+        relative 2*log2(n+1)*2^-53 of each source's term, and the running
+        total by an ulp per source, so r stays under 1e-14 for n <= 5,000
+        and curve values below 1.  The largest difference measured on the
+        search grid of the test models is 2.8e-17.  Memoised per n.
+        """
+        if n < 1:
+            raise ContractError("sample size must be at least 1")
+        if n not in self.windowed_values:
+            lf = self.log_factorials(n)
+            tp = (1.0 + self.diag.accuracies[:, None]) / 2.0
+            tq = (1.0 - self.diag.accuracies[:, None]) / 2.0
+            half = np.sqrt(n * np.log(2.0 / LABELED_TAIL_MASS) / 2.0)
+            width = min(n + 1, int(np.ceil(2.0 * half)) + 2)
+            k = np.clip(np.floor(n * tp - half), 0, n + 1 - width).astype(np.int64)
+            k = k + np.arange(width)
+            # the pmf's log, in labeled_excess's order of operations; k is
+            # turned into n - k and back in place, which is exact
+            pmf, tmp, kl = np.take(lf, k), np.empty(k.shape), np.multiply(k, np.log(tp))
+            np.subtract(lf[n], pmf, out=pmf)
+            np.subtract(n, k, out=k)
+            pmf -= np.take(lf, k, out=tmp)
+            pmf += kl
+            pmf += np.multiply(k, np.log1p(-tp), out=tmp)
+            np.subtract(n, k, out=k)
+            np.exp(pmf, out=pmf)
+            pmf /= pmf.sum(axis=1, keepdims=True)
+            # the score of each outcome, as labeled_excess's kl
+            outcomes = np.multiply(k, 2.0, out=tmp)
+            outcomes -= n
+            outcomes /= n
+            np.clip(outcomes, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP, out=outcomes)
+            np.add(1.0, outcomes, out=kl)
+            kl /= 2.0
+            np.subtract(np.log(tp), np.log(kl, out=kl), out=kl)
+            kl *= tp
+            np.subtract(1.0, outcomes, out=tmp)
+            tmp /= 2.0
+            np.subtract(np.log(tq), np.log(tmp, out=tmp), out=tmp)
+            tmp *= tq
+            kl += tmp
+            pmf *= kl
+            total = self.diag.inference_bias
+            for term in pmf.sum(axis=1):
+                total += float(term)
+            self.windowed_values[n] = float(total)
+        return self.windowed_values[n]
+
+    def labeled_excess_against(self, n: int, threshold: float) -> float:
+        """A value of the labeled curve at n on the same side of ``threshold``
+        as ``labeled_excess(n)``: ``value <= threshold`` is exactly
+        ``labeled_excess(n) <= threshold``.
+
+        It is the windowed value, unless that lies within
+        ``LABELED_TIE_MARGIN`` of the threshold; then it is the exact sum,
+        and the fallback is counted in ``exact_fallbacks``.  The margin is
+        far wider than the windowed value's error, so outside it both
+        values lie strictly on the same side.
+        """
+        value = self.labeled_excess_windowed(n)
+        if abs(value - threshold) <= LABELED_TIE_MARGIN:
+            self.exact_fallbacks += 1
+            value = self.labeled_excess(n)
+        return value
 
     def blocks(self, label: str, n: int, trials: int, seed: int):
         """Draw ``trials`` samples of size n of a cell in blocks; yields the
@@ -432,7 +537,10 @@ class DvrResult:
     # least grid points matching target +- DVR_Z * target_stderr; None off-grid
     n_labeled_lo: int | None
     n_labeled_hi: int | None
-    trace: tuple = field(default=())  # evaluated (n_labeled, exact excess) points
+    # the search's comparisons (n_labeled, threshold, labeled_excess <= threshold),
+    # in the order made
+    trace: tuple = field(default=())
+    exact_fallbacks: int = 0  # comparisons that took the exact labeled sum
 
 
 # Normal quantile of the two-sided 95% interval mapped onto the labeled grid.
@@ -488,12 +596,21 @@ def data_value_ratio(
 
     The labeled curve is ``engine.labeled_excess`` (exact, memoised on the
     engine, strictly decreasing in n on the default grid, which is tested).
-    It is B_I + m/(2n) + O(1/n^2), one 1/(2n) per source, so each search
-    starts at the grid point nearest the size where that asymptote meets its
-    threshold, (m/2)/(threshold - B_I), or at the grid's last point when the
-    threshold is at or below B_I, and gallops from there to the least point
-    at or below the threshold (``_first_at_or_below``).  The guess only
-    decides which points are evaluated: on a monotone curve the least
+    The search needs only whether it lies at or below a threshold, and
+    ``engine.labeled_excess_against`` decides that from the windowed sum,
+    which is within 1e-13 of the exact one, and takes the exact sum only
+    when the windowed value is within ``LABELED_TIE_MARGIN`` (1e-10) of the
+    threshold.  So each comparison is exactly the exact curve's.
+
+    Each search starts from the labeled size n0 whose windowed value f(n0)
+    is nearest its threshold among those the engine has computed, at the
+    size where f(n0)'s excess over B_I, scaled as 1/n, meets the threshold:
+    n0*(f(n0) - B_I)/(threshold - B_I).  The curve is B_I + m/(2n) +
+    O(1/n^2), so before any size is computed it starts from that
+    asymptote, (m/2)/(threshold - B_I), and at the grid's last point when
+    the threshold is at or below B_I.  It gallops from there to the least
+    point at or below the threshold (``_first_at_or_below``).  The guess
+    only decides which points are evaluated: on a monotone curve the least
     passing point is unique, and the matched point has, by construction, an
     evaluated failing predecessor, so the result is the one a bisection of
     the whole grid finds.  The target's standard error is mapped through the
@@ -503,16 +620,24 @@ def data_value_ratio(
     engine = engine if engine is not None else TrialEngine(model)
     grid = list(grid) if grid is not None else labeled_search_grid()
     target = expected_excess_error(model, estimator, n_unlabeled, trials, seed, engine)
-
-    evaluated: dict[int, float] = {}
-
-    def labeled(n_l: int) -> float:
-        evaluated[n_l] = engine.labeled_excess(n_l)
-        return evaluated[n_l]
+    b_i = engine.diag.inference_bias
+    trace = []
+    fallbacks = engine.exact_fallbacks
 
     def first_at_or_below(threshold: float) -> int | None:
-        gap = threshold - engine.diag.inference_bias
-        guess = engine.m / 2 / gap if gap > 0 else grid[-1]
+        def labeled(n_l: int) -> float:
+            value = engine.labeled_excess_against(n_l, threshold)
+            trace.append((n_l, threshold, value <= threshold))
+            return value
+
+        gap = threshold - b_i
+        if gap <= 0:
+            guess = grid[-1]
+        elif engine.windowed_values:
+            n0, f0 = min(engine.windowed_values.items(), key=lambda nf: abs(nf[1] - threshold))
+            guess = n0 * (f0 - b_i) / gap
+        else:
+            guess = engine.m / 2 / gap
         return _first_at_or_below(grid, labeled, threshold, guess)
 
     matched = first_at_or_below(target.mean)
@@ -520,10 +645,9 @@ def data_value_ratio(
     n_lo = first_at_or_below(target.mean + half_width)
     n_hi = first_at_or_below(target.mean - half_width)
     ratio = n_unlabeled / (matched if matched is not None else grid[-1])
-    trace = tuple(sorted(evaluated.items()))
     return DvrResult(
         n_unlabeled, estimator, target.mean, matched, ratio, matched is None,
-        target.stderr, n_lo, n_hi, trace,
+        target.stderr, n_lo, n_hi, tuple(trace), engine.exact_fallbacks - fallbacks,
     )
 
 
@@ -702,10 +826,26 @@ def run_curves(config: ExperimentConfig, out_dir: str | Path) -> list[ExcessResu
 def run_dvr(
     config: ExperimentConfig, out_dir: str | Path, estimators=None
 ) -> list[DvrResult]:
-    """Data value ratios at every n in the grid; writes dvr.csv."""
+    """Data value ratios at every n in the grid; writes dvr.csv.
+
+    ``estimators`` defaults to the config's unlabeled estimators.  The list
+    must name each estimator once, and not ``labeled``, whose target would be
+    the labeled curve itself; an empty list, a repeated name or ``labeled``
+    raises ``ContractError`` before any trial.
+    """
+    if estimators is None:
+        estimators = [e for e in config.estimators if e != "labeled"]
+    for name in estimators:
+        _require_estimator(name)
+    if not estimators:
+        raise ContractError("dvr needs at least one unlabeled estimator")
+    if "labeled" in estimators:
+        raise ContractError("dvr compares unlabeled estimators with the labeled curve; "
+                            "'labeled' is not one")
+    if len(set(estimators)) < len(estimators):
+        raise ContractError(f"estimator listed twice in {', '.join(estimators)}")
     model = config.model.build()
     engine = TrialEngine(model)
-    estimators = estimators or [e for e in config.estimators if e != "labeled"]
     results = [
         data_value_ratio(model, n, est, config.trials, config.seed, engine=engine)
         for est in estimators

@@ -69,14 +69,18 @@ def write_manifest(
     input_hashes: dict,
     outputs,
     started: float,
+    extra: dict | None = None,
 ) -> None:
     """Record of one CLI run, enough to reproduce it exactly.
 
     ``outputs`` are hashed here; ``started`` is the ``time.monotonic()`` at
     which the run began.  The Python and numpy versions are recorded
     because the Monte-Carlo outputs follow numpy's random streams.
+    ``extra`` holds further entries of the record, such as a suite's
+    per-cell tallies.
     """
     write_json(path, {
+        **(extra or {}),
         "subcommand": subcommand,
         "config": config,
         "config_hash": config_hash(config),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from labelmoments import experiments
 from labelmoments.cli import main
 from labelmoments.experiments import DEFAULT_ACCURACIES
 from labelmoments.ising import IsingModel
@@ -254,8 +255,6 @@ def test_combine_rejects_nonpositive_sizes(tmp_path, tiny_config, sizes):
     ["combine", "--estimator", "foo"],
 ])
 def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeypatch, args):
-    from labelmoments import experiments
-
     def no_draw(*a):
         raise AssertionError("a trial was drawn")
 
@@ -265,6 +264,29 @@ def test_unknown_estimator_fails_before_any_trial(tmp_path, tiny_config, monkeyp
     assert result.exit_code == 1
     assert "error (ContractError): unknown estimator 'foo'" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, estimators, message", [
+    (["--estimators", "labeled"], None, "'labeled' is not one"),
+    (["--estimators", "triplet-mean,triplet-mean"], None, "listed twice"),
+    ([], ["labeled"], "at least one unlabeled estimator"),
+])
+def test_dvr_rejects_estimator_lists_it_cannot_run(
+    tmp_path, tiny_config, monkeypatch, args, estimators, message
+):
+    def no_draw(*a):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "trial_rng", no_draw)
+    if estimators is not None:
+        doc = json.loads(tiny_config.read_text())
+        tiny_config.write_text(json.dumps({**doc, "estimators": estimators}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["dvr", "--config", str(tiny_config), "-o", str(out)] + args)
+    assert result.exit_code == 1
+    assert "error (ContractError)" in result.output and message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 # SHA-256 of the suite outputs of GOLDEN_CONFIG under random-stream protocol
@@ -682,6 +704,27 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
 
     # the options a run used beyond its resolved config are recorded as given
     assert records[("dvr",)]["estimators"] == ["triplet-mean"]
+
+    # per DVR cell, the labeled sizes its search evaluated and its exact-sum fallbacks
+    cells = json.loads((t / "dvr" / "manifest.json").read_text())["dvr_cells"]
+    rows = (t / "dvr" / "dvr.csv").read_text().splitlines()[1:]
+    assert [(c["estimator"], c["n_unlabeled"]) for c in cells] == [
+        ("triplet-mean", 100), ("triplet-mean", 200)
+    ]
+    config = experiments.ExperimentConfig.from_dict({**json.loads(tiny_config.read_text()), "seed": 8})
+    expected = experiments.run_dvr(config, t / "dvr-again")
+    grid = experiments.labeled_search_grid()
+    for cell, row, res in zip(cells, rows, expected):
+        assert cell["labeled_sizes"] == sorted({n for n, _, _ in res.trace})
+        assert cell["exact_fallbacks"] == res.exact_fallbacks == 0
+        matched = int(row.split(",")[3])
+        assert matched == res.matched_n_labeled
+        assert matched in cell["labeled_sizes"]
+        assert grid[grid.index(matched) - 1] in cell["labeled_sizes"]
+    assert all(
+        ("dvr_cells" in json.loads(path.read_text())) == (path == t / "dvr" / "manifest.json")
+        for _, path, *_ in runs
+    )
     combine = records[("combine",)]
     assert (combine["n_unlabeled"], combine["n_labeled_grid"], combine["estimator"]) == (
         200, [40], "triplet-mean"

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelmoments import ContractError, EstimationError, NumericalError, SourceMatrix, experiments
+from labelmoments import (
+    ContractError, EstimationError, NumericalError, SourceMatrix, calibrate, experiments,
+)
 from labelmoments.analysis import accuracy_excess
 from labelmoments.estimators import (
     AccuracyEstimate,
@@ -17,6 +20,7 @@ from labelmoments.experiments import (
     _first_at_or_below,
     ALPHA_STEP,
     DEFAULT_ACCURACIES,
+    DVR_Z,
     CombinedSweepRow,
     ExperimentConfig,
     SyntheticModelSpec,
@@ -34,7 +38,7 @@ from labelmoments.experiments import (
 from labelmoments.ising import sample_u_counts
 from labelmoments.label_model import LabelModel
 
-from conftest import exact_generalization_error, state_counts
+from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, exact_generalization_error, state_counts
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +177,52 @@ class TestExactLabeled:
         assert engine.labeled_excess(n) == total
 
 
+@pytest.fixture(scope="module", params=[
+    pytest.param((edges, balance), id=f"{name}-{balance}")
+    for name, edges in (("dep", SYNTH_EDGES), ("indep", []))
+    for balance in (0.5, 0.3)
+])
+def balance_engine(request):
+    edges, balance = request.param
+    return TrialEngine(calibrate(SYNTH_ACCURACIES, edges, 0.1 if edges else 0.0, balance))
+
+
+class TestWindowedLabeled:
+    """The windowed labeled sum and the comparisons it decides, against the
+    exact sum, the only code they share."""
+
+    MARGIN = experiments.LABELED_TIE_MARGIN
+
+    def test_within_1e13_of_the_exact_sum_on_the_search_grid(self, balance_engine):
+        grid = labeled_search_grid()
+        windowed = np.array([balance_engine.labeled_excess_windowed(n) for n in grid])
+        exact = np.array([balance_engine.labeled_excess(n) for n in grid])
+        assert np.abs(windowed - exact).max() <= 1e-13
+
+    # at n = 228 and 250 the windowed value differs from the exact sum in its last bits
+    @pytest.mark.parametrize("n", [10, 228, 250, 2990, 5000])
+    def test_ties_take_the_exact_sum(self, dep_engine, n):
+        exact = dep_engine.labeled_excess(n)
+        near = [
+            exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+            exact - self.MARGIN / 2, exact + self.MARGIN / 2,
+        ]
+        for threshold in near:
+            before = dep_engine.exact_fallbacks
+            value = dep_engine.labeled_excess_against(n, threshold)
+            assert (value <= threshold) == (exact <= threshold), threshold
+            assert dep_engine.exact_fallbacks == before + 1
+        for threshold in (exact - 1e-6, exact + 1e-6):
+            before = dep_engine.exact_fallbacks
+            value = dep_engine.labeled_excess_against(n, threshold)
+            assert (value <= threshold) == (exact <= threshold)
+            assert dep_engine.exact_fallbacks == before
+
+    def test_rejects_bad_sizes(self, dep_engine):
+        with pytest.raises(ContractError):
+            dep_engine.labeled_excess_windowed(0)
+
+
 @st.composite
 def _search_cases(draw):
     """An ascending grid, a non-increasing curve on it with ties, a threshold
@@ -243,6 +293,20 @@ class TestFirstAtOrBelow:
         assert calls == [0, 1]
 
 
+@st.composite
+def _dvr_cases(draw):
+    """A subset of the labeled search grid, a grid point, how the target
+    mean sits against the exact curve there, and how its standard error is
+    chosen; the test turns them into numbers on the exact curve."""
+    grid = sorted(draw(st.sets(st.sampled_from(labeled_search_grid()), min_size=1, max_size=60)))
+    i = draw(st.integers(0, len(grid) - 1))
+    kind = draw(st.sampled_from(["on", "down", "up", "between", "under-bias"]))
+    frac = draw(st.floats(0.0, 1.0))
+    spread = draw(st.sampled_from(["zero", "drawn", "to-point"]))
+    j = draw(st.integers(0, len(grid) - 1))
+    return grid, i, kind, frac, spread, j
+
+
 class TestDataValueRatio:
     def test_search_matches_linear_scan(self, synth_model_dep, dep_engine):
         grid = list(range(100, 1001, 50))
@@ -262,8 +326,12 @@ class TestDataValueRatio:
         assert res.n_labeled_hi == scan(res.target_excess - half)
         if res.n_labeled_lo is not None and res.n_labeled_hi is not None:
             assert res.n_labeled_lo <= res.matched_n_labeled <= res.n_labeled_hi
-        assert all(excess == dep_engine.labeled_excess(n) for n, excess in res.trace)
-
+        # every recorded comparison is the exact curve's
+        assert res.trace
+        assert all(
+            passed == (dep_engine.labeled_excess(n) <= threshold)
+            for n, threshold, passed in res.trace
+        )
 
     def test_minimal_grid_point_with_failing_predecessor(
         self, synth_model_dep, dep_engine
@@ -274,13 +342,49 @@ class TestDataValueRatio:
         )
         assert res.matched_n_labeled is not None
         assert not res.lower_bounded
-        trace = dict(res.trace)
+        assert all(
+            passed == (dep_engine.labeled_excess(n) <= threshold)
+            for n, threshold, passed in res.trace
+        )
         grid = labeled_search_grid()
         idx = grid.index(res.matched_n_labeled)
-        assert trace[res.matched_n_labeled] <= res.target_excess
+        assert (res.matched_n_labeled, res.target_excess, True) in res.trace
         if idx > 0:
-            assert trace[grid[idx - 1]] > res.target_excess
+            assert (grid[idx - 1], res.target_excess, False) in res.trace
         assert res.value_ratio == pytest.approx(500 / res.matched_n_labeled)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_dvr_cases())
+    def test_results_match_a_linear_scan_of_the_exact_curve(self, dep_engine, case):
+        grid, i, kind, frac, spread, j = case
+        exact = [dep_engine.labeled_excess(n) for n in grid]
+        b_i = dep_engine.diag.inference_bias
+        upper = exact[i - 1] if i > 0 else exact[0] + 0.01
+        mean = {
+            "on": exact[i],
+            "down": np.nextafter(exact[i], -np.inf),
+            "up": np.nextafter(exact[i], np.inf),
+            "between": exact[i] + frac * (upper - exact[i]),
+            "under-bias": b_i - frac * 0.01,
+        }[kind]
+        # a standard error of zero, a drawn one, or one whose interval ends
+        # on an exact value
+        stderr = {"zero": 0.0, "drawn": frac * 0.01, "to-point": abs(exact[j] - mean) / DVR_Z}[spread]
+        target = experiments.ExcessResult("triplet-mean", 1000, float(mean), stderr, 10, 0)
+        with mock.patch.object(experiments, "expected_excess_error", lambda *a: target):
+            res = data_value_ratio(dep_engine.model, 1000, "triplet-mean", 10, 0, grid, dep_engine)
+
+        def scan(threshold):
+            return next((n for n, v in zip(grid, exact) if v <= threshold), None)
+
+        assert res.matched_n_labeled == scan(mean)
+        assert res.n_labeled_lo == scan(mean + DVR_Z * stderr)
+        assert res.n_labeled_hi == scan(mean - DVR_Z * stderr)
+        assert res.lower_bounded == (res.matched_n_labeled is None)
+        assert all(
+            passed == (dep_engine.labeled_excess(n) <= threshold)
+            for n, threshold, passed in res.trace
+        )
 
     def test_lower_bounded_flag(self, synth_model_dep, dep_engine):
         res = data_value_ratio(
@@ -383,6 +487,25 @@ class TestSuiteRunners:
         text = (tmp_path / "dvr.csv").read_text().splitlines()
         assert len(text) == 1 + len(results)
         assert text[0].startswith("estimator,n_unlabeled")
+
+    @pytest.mark.parametrize("estimators, message", [
+        ([], "at least one unlabeled estimator"),
+        (["labeled"], "'labeled' is not one"),
+        (["triplet-mean", "labeled"], "'labeled' is not one"),
+        (["triplet-mean", "triplet-median", "triplet-mean"], "listed twice"),
+        (["triplet-foo"], "unknown estimator"),
+    ])
+    def test_dvr_runner_rejects_lists_it_cannot_run(
+        self, monkeypatch, tmp_path, estimators, message
+    ):
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "trial_rng", no_draw)
+        cfg = ExperimentConfig(SyntheticModelSpec(d=1, accuracies=DEFAULT_ACCURACIES[:6]))
+        with pytest.raises(ContractError, match=message):
+            run_dvr(cfg, tmp_path, estimators)
+        assert not (tmp_path / "dvr.csv").exists()
 
     def test_combined_runner_writes_rows(self, tmp_path):
         cfg = ExperimentConfig(
