@@ -21,7 +21,7 @@ hashes, wall-clock seconds):
   combine's ``n_unlabeled``, ``n_labeled_grid`` and ``estimator``);
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
 - dvr adds ``dvr_cells``: per (estimator, n_unlabeled), the labeled sizes its
-  search evaluated and how many comparisons took the exact labeled sum;
+  search evaluated;
 - inputs are the given existing-path options that name a file (not a
   directory), hashed before the command runs; outputs are the files the
   command wrote.
@@ -391,7 +391,7 @@ def curves_cmd(config_path, d, trials, seed, n_grid, out_dir):
 def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
     """Data value ratio V(n) per unlabeled estimator; writes dvr.csv."""
     cfg = _experiment_config(config_path, d, trials, seed, n_grid)
-    names = estimators.split(",") if estimators else None
+    names = estimators.split(",") if estimators is not None else None
     results = experiments.run_dvr(cfg, out_dir, names)
     for r in results:
         click.echo(
@@ -401,8 +401,7 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
     ran = list(dict.fromkeys(r.estimator for r in results))
     cells = [
         {"estimator": r.estimator, "n_unlabeled": r.n_unlabeled,
-         "labeled_sizes": sorted({n for n, _, _ in r.trace}),
-         "exact_fallbacks": r.exact_fallbacks}
+         "labeled_sizes": sorted({n for n, _, _ in r.trace})}
         for r in results
     ]
     record = {**cfg.to_dict(), "estimators": ran}

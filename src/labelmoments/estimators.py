@@ -247,7 +247,14 @@ def _jsonable(obj):
 
 @lru_cache(maxsize=64)
 def _pair_table(m: int, known_edges: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Witness-pair index arrays (m, C(m-1,2)) and the known-edge exclusion mask."""
+    """Witness-pair index arrays (m, C(m-1,2)) and the known-edge exclusion mask.
+
+    A known edge must join two distinct sources in [0, m); a self-pair or an
+    unknown source would exclude nothing, so it raises ``ContractError``.
+    """
+    bad = sorted((i, j) for i, j in known_edges if not 0 <= i < j < m)
+    if bad:
+        raise ContractError(f"known edges {bad} are not pairs of distinct sources in [0, {m})")
     npairs = (m - 1) * (m - 2) // 2
     jj = np.empty((m, npairs), dtype=np.int64)
     kk = np.empty((m, npairs), dtype=np.int64)

@@ -12,21 +12,18 @@ which is what the scaling theory bounds.
 
 The labeled side is computed exactly, not simulated: each labeled estimate
 mean(s_i*y) is (2*Binomial(n, (1+a_i)/2) - n)/n and the scored excess
-separates by source, so its expectation is a sum over n+1 binomial outcomes
-per source (``TrialEngine.labeled_excess``).  The curve has zero variance
-and approaches B_I + m/(2n).  The data value ratio's search needs only
-whether the curve lies at or below a threshold.  It decides that from a
-windowed sum (``TrialEngine.labeled_excess_windowed``) over the outcomes
+separates by source, so its expectation is a sum over binomial outcomes per
+source (``TrialEngine.labeled_excess``).  The sum runs over the outcomes
 within the Hoeffding half-width of each binomial's mean, which drops less
-than 1e-20 of the mass and lies within 1e-13 of the exact sum; only when
-the windowed value is within ``LABELED_TIE_MARGIN`` (1e-10) of the
-threshold does it take the exact sum.  So every comparison is the exact
-curve's.  Each search starts where the 1/n extrapolation of the computed
-size nearest its threshold meets it, or, before any size is computed, the
-asymptote, and gallops to the least grid point at or below it.  The start
-decides only which points are evaluated: the search is exact because the
-curve is monotone in n, which is tested, and the point's failing
-predecessor is evaluated.
+than 1e-20 of the mass, about 3e-18 of the value.  The curve has zero
+variance and approaches B_I + m/(2n); ``curves.csv`` reports it and the
+data value ratio's search compares it with its thresholds.  Each search
+starts where the 1/n extrapolation of the computed size nearest its
+threshold meets it, or, before any size is computed, the asymptote, and
+gallops to the least grid point at or below it.  The start decides only
+which points are evaluated: the search is exact because the curve is
+monotone in n, which is tested, and the point's failing predecessor is
+evaluated.
 
 A Monte-Carlo sample cell is a sample size n.  The unlabeled estimators
 share it: every triplet estimator at n fits the same samples, drawn once
@@ -110,6 +107,8 @@ def _require_estimator(name: str) -> None:
 
 def edge_layout(d: int, m: int | None = None) -> tuple[tuple[int, int], ...]:
     """Dependent pairs (0,1), (2,3), ... for the first d edges."""
+    if d < 0:
+        raise ContractError(f"the number of edges must be non-negative, got {d}")
     m = m if m is not None else 2 * d
     if 2 * d > m:
         raise ContractError(f"cannot place {d} disjoint edges among {m} sources")
@@ -240,10 +239,8 @@ class ExcessResult:
 # u-count block fills half of it with 2^m counts per trial.
 BLOCK_BYTES = 128 * 1024
 
-# Binomial mass the windowed labeled sum may drop per source, and the distance
-# from a threshold within which a labeled comparison takes the exact sum.
+# Binomial mass the labeled curve's sum may drop per source.
 LABELED_TAIL_MASS = 1e-20
-LABELED_TIE_MARGIN = 1e-10
 
 
 class TrialEngine:
@@ -255,11 +252,8 @@ class TrialEngine:
         self.model = model
         self.diag = diag if diag is not None else diagnostics(model)
         self.m = model.m
-        self._labeled: dict[int, float] = {}
-        # n -> labeled_excess_windowed(n), read by the DVR search's guesses
-        self.windowed_values: dict[int, float] = {}
-        # decisions of ``labeled_excess_against`` that took the exact sum
-        self.exact_fallbacks = 0
+        # n -> labeled_excess(n), read by the DVR search's guesses
+        self.labeled_values: dict[int, float] = {}
         # (n, trials, seed) -> read-only pair moments of the unlabeled cell's
         # blocks, all its triplet fits read
         self._unlabeled: dict[tuple[int, int, int], list[SampleMoments]] = {}
@@ -277,76 +271,29 @@ class TrialEngine:
             )
         return self._log_factorial
 
-    def log_binomial(self, n: int) -> np.ndarray:
-        """log C(n, k) for k = 0..n."""
-        lf = self.log_factorials(n)
-        k = np.arange(n + 1)
-        return lf[n] - lf[k] - lf[n - k]
-
-    def binomial_pmf(self, n: int, p: float, log_binomial: np.ndarray | None = None) -> np.ndarray:
-        """Binomial(n, p) probabilities of 0..n successes, renormalised to
-        absorb the log-factorial table's accumulated rounding;
-        ``log_binomial`` is ``self.log_binomial(n)``, passed when reused."""
-        log_binomial = self.log_binomial(n) if log_binomial is None else log_binomial
-        k = np.arange(n + 1)
-        pmf = np.exp(log_binomial + k * np.log(p) + (n - k) * np.log1p(-p))
-        return pmf / pmf.sum()
-
     def labeled_excess(self, n: int) -> float:
-        """Exact expected excess of the labeled fit on n labeled samples.
+        """Expected excess of the labeled fit on n labeled samples, computed
+        exactly up to a tail of 1e-20 of each binomial's mass.
 
-        Source i's estimate is (2K - n)/n with K ~ Binomial(n, (1+a_i)/2), and
-        the excess is B_I plus a sum of per-source terms, so its expectation
-        is B_I plus, per source, the pmf-weighted score of the n+1 outcomes,
-        summed by numpy rather than a BLAS dot, whose split across threads
-        would move its last bits.  The score is ``accuracy_excess``'s
-        per-source KL term; the log binomial coefficients and the log-ratios
-        of the clamped outcomes do not depend on the source and are computed
-        once per n.  Memoised per n.
+        Source i's estimate is (2K - n)/n with K ~ Binomial(n, p_i),
+        p_i = (1+a_i)/2, and the excess is B_I plus a sum of per-source
+        terms, so its expectation is B_I plus, per source, the pmf-weighted
+        score of the outcomes; the score is ``accuracy_excess``'s per-source
+        KL term.  The sum runs over source i's window of outcomes k, every k
+        with |k - n*p_i| <= h, the Hoeffding half-width h = sqrt(n*ln(2/eps)/2)
+        for eps = ``LABELED_TAIL_MASS``: Binomial(n, p_i) has less than eps
+        of its mass outside it (Hoeffding 1963).  All sources share one
+        window length, so the sum is one pass over an (m, window) array, and
+        the pmf, built from the log-factorial table, is renormalised over
+        the window.  The dropped tails move the value by at most
+        m * 2 * eps * log(2/ACCURACY_CLAMP), about 3e-18 for ten sources,
+        below the last bit of a curve value near 0.07 (ulp 1.4e-17).  Each
+        source's term is a numpy pairwise sum rather than a BLAS dot, whose
+        split across threads would move its last bits.  Memoised per n.
         """
         if n < 1:
             raise ContractError("sample size must be at least 1")
-        if n not in self._labeled:
-            outcomes = np.clip(
-                (2.0 * np.arange(n + 1) - n) / n, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP
-            )
-            log_fp, log_fq = np.log((1.0 + outcomes) / 2.0), np.log((1.0 - outcomes) / 2.0)
-            log_binomial = self.log_binomial(n)
-            total = self.diag.inference_bias
-            for a in self.diag.accuracies:
-                tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
-                kl = tp * (np.log(tp) - log_fp) + tq * (np.log(tq) - log_fq)
-                total += float((self.binomial_pmf(n, tp, log_binomial) * kl).sum())
-            self._labeled[n] = float(total)
-        return self._labeled[n]
-
-    def labeled_excess_windowed(self, n: int) -> float:
-        """``labeled_excess(n)`` summed only over the outcomes near the mean.
-
-        Source i's window of outcomes k holds every k with |k - n*p_i| <= h,
-        the Hoeffding half-width h = sqrt(n*ln(2/eps)/2) for
-        eps = ``LABELED_TAIL_MASS``: Binomial(n, p_i) has less than eps of its
-        mass outside it (Hoeffding 1963).  All sources share one window
-        length, so the sum is one pass over an (m, window) array.  Each pmf
-        entry and score is built as in ``labeled_excess``, bit for bit, from
-        the same log-factorial table and the same per-source logs, and the
-        pmf is renormalised over the window.  So the two values differ by
-        the dropped tails and the order of summation alone:
-
-            |windowed - exact| <= m * 2 * eps * log(2/ACCURACY_CLAMP) + r.
-
-        The first term is the tails: a score is at most log(2/clamp), about
-        14.5, and renormalising moves the kept terms by a relative eps, so
-        it is about 3e-18 for ten sources.  r is the rounding of summing
-        the same terms over two sets: numpy's pairwise sums err by a
-        relative 2*log2(n+1)*2^-53 of each source's term, and the running
-        total by an ulp per source, so r stays under 1e-14 for n <= 5,000
-        and curve values below 1.  The largest difference measured on the
-        search grid of the test models is 2.8e-17.  Memoised per n.
-        """
-        if n < 1:
-            raise ContractError("sample size must be at least 1")
-        if n not in self.windowed_values:
+        if n not in self.labeled_values:
             lf = self.log_factorials(n)
             tp = (1.0 + self.diag.accuracies[:, None]) / 2.0
             tq = (1.0 - self.diag.accuracies[:, None]) / 2.0
@@ -354,7 +301,7 @@ class TrialEngine:
             width = min(n + 1, int(np.ceil(2.0 * half)) + 2)
             k = np.clip(np.floor(n * tp - half), 0, n + 1 - width).astype(np.int64)
             k = k + np.arange(width)
-            # the pmf's log, in labeled_excess's order of operations; k is
+            # the pmf's log, log C(n, k) + k log p + (n - k) log(1 - p); k is
             # turned into n - k and back in place, which is exact
             pmf, tmp, kl = np.take(lf, k), np.empty(k.shape), np.multiply(k, np.log(tp))
             np.subtract(lf[n], pmf, out=pmf)
@@ -365,7 +312,7 @@ class TrialEngine:
             np.subtract(n, k, out=k)
             np.exp(pmf, out=pmf)
             pmf /= pmf.sum(axis=1, keepdims=True)
-            # the score of each outcome, as labeled_excess's kl
+            # the score of each outcome, clamped as a fit is
             outcomes = np.multiply(k, 2.0, out=tmp)
             outcomes -= n
             outcomes /= n
@@ -383,25 +330,8 @@ class TrialEngine:
             total = self.diag.inference_bias
             for term in pmf.sum(axis=1):
                 total += float(term)
-            self.windowed_values[n] = float(total)
-        return self.windowed_values[n]
-
-    def labeled_excess_against(self, n: int, threshold: float) -> float:
-        """A value of the labeled curve at n on the same side of ``threshold``
-        as ``labeled_excess(n)``: ``value <= threshold`` is exactly
-        ``labeled_excess(n) <= threshold``.
-
-        It is the windowed value, unless that lies within
-        ``LABELED_TIE_MARGIN`` of the threshold; then it is the exact sum,
-        and the fallback is counted in ``exact_fallbacks``.  The margin is
-        far wider than the windowed value's error, so outside it both
-        values lie strictly on the same side.
-        """
-        value = self.labeled_excess_windowed(n)
-        if abs(value - threshold) <= LABELED_TIE_MARGIN:
-            self.exact_fallbacks += 1
-            value = self.labeled_excess(n)
-        return value
+            self.labeled_values[n] = float(total)
+        return self.labeled_values[n]
 
     def blocks(self, label: str, n: int, trials: int, seed: int):
         """Draw ``trials`` samples of size n of a cell in blocks; yields the
@@ -540,7 +470,6 @@ class DvrResult:
     # the search's comparisons (n_labeled, threshold, labeled_excess <= threshold),
     # in the order made
     trace: tuple = field(default=())
-    exact_fallbacks: int = 0  # comparisons that took the exact labeled sum
 
 
 # Normal quantile of the two-sided 95% interval mapped onto the labeled grid.
@@ -594,15 +523,12 @@ def data_value_ratio(
     """n_U over the least labeled size whose exact labeled excess matches the
     Monte-Carlo mean excess of n_U unlabeled samples.
 
-    The labeled curve is ``engine.labeled_excess`` (exact, memoised on the
-    engine, strictly decreasing in n on the default grid, which is tested).
-    The search needs only whether it lies at or below a threshold, and
-    ``engine.labeled_excess_against`` decides that from the windowed sum,
-    which is within 1e-13 of the exact one, and takes the exact sum only
-    when the windowed value is within ``LABELED_TIE_MARGIN`` (1e-10) of the
-    threshold.  So each comparison is exactly the exact curve's.
+    The labeled curve is ``engine.labeled_excess`` (memoised on the engine,
+    strictly decreasing in n on the default grid, which is tested), the
+    curve ``curves.csv`` reports; every comparison the search makes is
+    that curve's value against a threshold.
 
-    Each search starts from the labeled size n0 whose windowed value f(n0)
+    Each search starts from the labeled size n0 whose curve value f(n0)
     is nearest its threshold among those the engine has computed, at the
     size where f(n0)'s excess over B_I, scaled as 1/n, meets the threshold:
     n0*(f(n0) - B_I)/(threshold - B_I).  The curve is B_I + m/(2n) +
@@ -622,19 +548,18 @@ def data_value_ratio(
     target = expected_excess_error(model, estimator, n_unlabeled, trials, seed, engine)
     b_i = engine.diag.inference_bias
     trace = []
-    fallbacks = engine.exact_fallbacks
 
     def first_at_or_below(threshold: float) -> int | None:
         def labeled(n_l: int) -> float:
-            value = engine.labeled_excess_against(n_l, threshold)
+            value = engine.labeled_excess(n_l)
             trace.append((n_l, threshold, value <= threshold))
             return value
 
         gap = threshold - b_i
         if gap <= 0:
             guess = grid[-1]
-        elif engine.windowed_values:
-            n0, f0 = min(engine.windowed_values.items(), key=lambda nf: abs(nf[1] - threshold))
+        elif engine.labeled_values:
+            n0, f0 = min(engine.labeled_values.items(), key=lambda nf: abs(nf[1] - threshold))
             guess = n0 * (f0 - b_i) / gap
         else:
             guess = engine.m / 2 / gap
@@ -647,7 +572,7 @@ def data_value_ratio(
     ratio = n_unlabeled / (matched if matched is not None else grid[-1])
     return DvrResult(
         n_unlabeled, estimator, target.mean, matched, ratio, matched is None,
-        target.stderr, n_lo, n_hi, tuple(trace), engine.exact_fallbacks - fallbacks,
+        target.stderr, n_lo, n_hi, tuple(trace),
     )
 
 
@@ -723,8 +648,14 @@ def combined_sweep(
     labeled size, an independent stream even when the two sizes are equal.
     The unlabeled fits are made once and shared by the whole grid, so every
     row scores the same unlabeled trials and fails the same ones.
+    ``estimator`` must be a triplet estimator: ``labeled`` fits would read
+    the labeled cell too, and pair a sample with itself at equal sizes, so
+    it raises ``ContractError`` before any trial.
     """
     _require_estimator(estimator)
+    if estimator == "labeled":
+        raise ContractError("combine blends an unlabeled estimator with the labeled fits; "
+                            "'labeled' is not one")
     engine = engine if engine is not None else TrialEngine(model)
     m = engine.m
     alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)

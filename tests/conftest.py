@@ -9,6 +9,7 @@ import pytest
 from labelmoments import ContractError, SourceMatrix, calibrate, diagnostics
 from labelmoments.analysis import expected_loss_by_enumeration
 from labelmoments.ising import conditional_entropy
+from labelmoments.label_model import ACCURACY_CLAMP
 from labelmoments.ws import Corpus, Document, _read_split, default_roster
 
 SYNTH_ACCURACIES = [
@@ -118,6 +119,32 @@ def exact_generalization_error(model, fitted):
     enumeration: the reference that ``analysis.accuracy_excess`` must match."""
     loss = expected_loss_by_enumeration(model, fitted)
     return loss, loss - conditional_entropy(model)
+
+
+def binomial_pmf(n, p):
+    """Binomial(n, p) probabilities of 0..n successes from a cumulative
+    log-factorial table, renormalised to absorb its accumulated rounding."""
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1, dtype=np.float64)))))
+    k = np.arange(n + 1)
+    pmf = np.exp(log_fact[n] - log_fact[k] - log_fact[n - k] + k * np.log(p) + (n - k) * np.log1p(-p))
+    return pmf / pmf.sum()
+
+
+def labeled_excess_by_full_sum(diag, n):
+    """Expected excess of the labeled fit on n samples, summed over all n+1
+    outcomes of each source's binomial: the reference for
+    ``TrialEngine.labeled_excess``, which sums only a window of them.
+
+    Source i's estimate is (2K - n)/n with K ~ Binomial(n, (1+a_i)/2), scored
+    by its clamped per-source KL term."""
+    outcomes = np.clip((2.0 * np.arange(n + 1) - n) / n, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
+    log_fp, log_fq = np.log((1.0 + outcomes) / 2.0), np.log((1.0 - outcomes) / 2.0)
+    total = diag.inference_bias
+    for a in diag.accuracies:
+        tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
+        kl = tp * (np.log(tp) - log_fp) + tq * (np.log(tq) - log_fq)
+        total += float((binomial_pmf(n, tp) * kl).sum())
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

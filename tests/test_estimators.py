@@ -327,6 +327,14 @@ class TestPartialRecovery:
         )
         np.testing.assert_allclose(est.values, synth_diag_dep.accuracies, atol=1e-12)
 
+    @pytest.mark.parametrize("known", [[(0, 99)], [(2, 2)], [(-1, 3)], [(0, 1), (10, 4)]])
+    def test_edges_outside_the_sources_raise(self, synth_diag_dep, known):
+        # a self-pair or an unknown source would exclude nothing
+        with pytest.raises(ContractError, match="not pairs of distinct sources"):
+            triplet_census(synth_diag_dep.pair_moments, known_edges=known)
+        with pytest.raises(ContractError, match="not pairs of distinct sources"):
+            estimate_triplet_from_moments(synth_diag_dep.pair_moments, known_edges=known)
+
     def test_census_mse_never_increased_by_known_edges(self, synth_diag_dep):
         # the uniformly-random-pair variant: mean squared census error can
         # only shrink when dependent pairs are excluded

@@ -38,7 +38,14 @@ from labelmoments.experiments import (
 from labelmoments.ising import sample_u_counts
 from labelmoments.label_model import LabelModel
 
-from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, exact_generalization_error, state_counts
+from conftest import (
+    SYNTH_ACCURACIES,
+    SYNTH_EDGES,
+    binomial_pmf,
+    exact_generalization_error,
+    labeled_excess_by_full_sum,
+    state_counts,
+)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +77,8 @@ class TestConfig:
         assert edge_layout(3) == ((0, 1), (2, 3), (4, 5))
         with pytest.raises(ContractError):
             edge_layout(6, m=10)
+        with pytest.raises(ContractError, match="non-negative"):
+            edge_layout(-1, m=10)
 
     def test_grid_shape(self):
         grid = labeled_search_grid()
@@ -134,9 +143,10 @@ class TestExactLabeled:
 
     @pytest.mark.parametrize("n", [1, 10, 1000, 5000])
     def test_binomial_pmf(self, dep_engine, n):
+        # the full-sum reference's weights
         for a in dep_engine.diag.accuracies:
             p = (1 + a) / 2
-            pmf = dep_engine.binomial_pmf(n, p)
+            pmf = binomial_pmf(n, p)
             assert abs(pmf.sum() - 1.0) <= 1e-12
             # against math.lgamma at the outcomes carrying the mass
             k = np.arange(n + 1)
@@ -166,15 +176,22 @@ class TestExactLabeled:
             dep_engine.labeled_excess(0)
 
     @pytest.mark.parametrize("n", [1, 7, 250, 4000])
-    def test_equals_the_per_source_score_sum(self, synth_model_dep, synth_diag_dep, n):
-        # bit for bit the pmf-weighted accuracy_excess of each source's n+1 outcomes
-        engine = TrialEngine(synth_model_dep, synth_diag_dep)
+    def test_equals_the_per_source_score_sum(self, synth_diag_dep, dep_engine, n):
+        # the full-sum reference is bit for bit the pmf-weighted accuracy_excess
+        # of each source's n+1 outcomes, and the windowed curve lies within 1e-13
         outcomes = (2.0 * np.arange(n + 1) - n) / n
         total = synth_diag_dep.inference_bias
         for a in synth_diag_dep.accuracies:
             kl = accuracy_excess([a], 0.0, outcomes[:, None])
-            total += float((engine.binomial_pmf(n, (1.0 + a) / 2.0) * kl).sum())
-        assert engine.labeled_excess(n) == total
+            total += float((binomial_pmf(n, (1.0 + a) / 2.0) * kl).sum())
+        assert labeled_excess_by_full_sum(synth_diag_dep, n) == total
+        assert abs(dep_engine.labeled_excess(n) - total) <= 1e-13
+
+    def test_within_1e13_of_the_full_sum_on_the_search_grid(self, balance_engine):
+        grid = labeled_search_grid()
+        curve = np.array([balance_engine.labeled_excess(n) for n in grid])
+        full = np.array([labeled_excess_by_full_sum(balance_engine.diag, n) for n in grid])
+        assert np.abs(curve - full).max() <= 1e-13
 
 
 @pytest.fixture(scope="module", params=[
@@ -185,42 +202,6 @@ class TestExactLabeled:
 def balance_engine(request):
     edges, balance = request.param
     return TrialEngine(calibrate(SYNTH_ACCURACIES, edges, 0.1 if edges else 0.0, balance))
-
-
-class TestWindowedLabeled:
-    """The windowed labeled sum and the comparisons it decides, against the
-    exact sum, the only code they share."""
-
-    MARGIN = experiments.LABELED_TIE_MARGIN
-
-    def test_within_1e13_of_the_exact_sum_on_the_search_grid(self, balance_engine):
-        grid = labeled_search_grid()
-        windowed = np.array([balance_engine.labeled_excess_windowed(n) for n in grid])
-        exact = np.array([balance_engine.labeled_excess(n) for n in grid])
-        assert np.abs(windowed - exact).max() <= 1e-13
-
-    # at n = 228 and 250 the windowed value differs from the exact sum in its last bits
-    @pytest.mark.parametrize("n", [10, 228, 250, 2990, 5000])
-    def test_ties_take_the_exact_sum(self, dep_engine, n):
-        exact = dep_engine.labeled_excess(n)
-        near = [
-            exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
-            exact - self.MARGIN / 2, exact + self.MARGIN / 2,
-        ]
-        for threshold in near:
-            before = dep_engine.exact_fallbacks
-            value = dep_engine.labeled_excess_against(n, threshold)
-            assert (value <= threshold) == (exact <= threshold), threshold
-            assert dep_engine.exact_fallbacks == before + 1
-        for threshold in (exact - 1e-6, exact + 1e-6):
-            before = dep_engine.exact_fallbacks
-            value = dep_engine.labeled_excess_against(n, threshold)
-            assert (value <= threshold) == (exact <= threshold)
-            assert dep_engine.exact_fallbacks == before
-
-    def test_rejects_bad_sizes(self, dep_engine):
-        with pytest.raises(ContractError):
-            dep_engine.labeled_excess_windowed(0)
 
 
 @st.composite
@@ -817,15 +798,17 @@ class TestBatchedEngineOracle:
             np.testing.assert_array_equal(long_ok[:trials], short_ok)
             np.testing.assert_array_equal(long[:trials][short_ok], short[short_ok])
 
-    @pytest.mark.parametrize("call", [
-        lambda e: e.excess_series("triplet-foo", 50, 3, 0),
-        lambda e: expected_excess_error(e.model, "foo", 50, 3, 0, e),
-        lambda e: combined_sweep(e.model, 50, (10,), "foo", 3, 0, e),
+    @pytest.mark.parametrize("call, message", [
+        (lambda e: e.excess_series("triplet-foo", 50, 3, 0), "unknown estimator"),
+        (lambda e: expected_excess_error(e.model, "foo", 50, 3, 0, e), "unknown estimator"),
+        (lambda e: combined_sweep(e.model, 50, (10,), "foo", 3, 0, e), "unknown estimator"),
+        # both sides would read the labeled cell and, at equal sizes, pair a sample with itself
+        (lambda e: combined_sweep(e.model, 50, (50,), "labeled", 3, 0, e), "'labeled' is not one"),
     ])
-    def test_unknown_estimator_raises_before_any_draw(self, monkeypatch, tiny_engine, call):
+    def test_bad_estimator_raises_before_any_draw(self, monkeypatch, tiny_engine, call, message):
         def no_draw(*args):
             raise AssertionError("a trial was drawn")
 
         monkeypatch.setattr(experiments, "trial_rng", no_draw)
-        with pytest.raises(ContractError, match="unknown estimator"):
+        with pytest.raises(ContractError, match=message):
             call(tiny_engine)
