@@ -137,6 +137,26 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
+def accuracy_kl(true_accuracies, estimates) -> np.ndarray:
+    """Per-source KL(true cond_i || fitted cond_i) of symmetric accuracy fits.
+
+    Elementwise over the broadcast arrays: source i's true conditionals are
+    (1 +- a_i) / 2 and its fitted ones (1 +- est_i) / 2, estimates clamped
+    exactly as LabelModel clamps them.
+    """
+    a = np.asarray(true_accuracies, dtype=np.float64)
+    est = np.clip(
+        np.asarray(estimates, dtype=np.float64),
+        -1.0 + ACCURACY_CLAMP,
+        1.0 - ACCURACY_CLAMP,
+    )
+    tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
+    # one class at a time, so that few estimate-sized arrays are alive at once
+    kl = tp * (np.log(tp) - np.log((1.0 + est) / 2.0))
+    kl += tq * (np.log(tq) - np.log((1.0 - est) / 2.0))
+    return kl
+
+
 def accuracy_excess(
     true_accuracies: np.ndarray, inference_bias: float, estimates: np.ndarray
 ) -> np.ndarray:
@@ -149,20 +169,11 @@ def accuracy_excess(
 
         excess = inference_bias + sum_i E_Y KL(true cond_i || fitted cond_i).
 
-    ``estimates`` may be a batch with shape (..., m); estimates are clamped
-    exactly as LabelModel does before the KL.  The per-source terms are
-    summed as the rows of a 2-d array, so a batch row scores bit for bit as
-    the same estimate alone.
+    ``estimates`` may be a batch with shape (..., m).  The per-source terms
+    (``accuracy_kl``) are summed as the rows of a 2-d array, so a batch row
+    scores bit for bit as the same estimate alone.
     """
-    a = np.asarray(true_accuracies, dtype=np.float64)
-    est = np.clip(
-        np.asarray(estimates, dtype=np.float64),
-        -1.0 + ACCURACY_CLAMP,
-        1.0 - ACCURACY_CLAMP,
-    )
-    tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
-    fp, fq = (1.0 + est) / 2.0, (1.0 - est) / 2.0
-    kl = tp * (np.log(tp) - np.log(fp)) + tq * (np.log(tq) - np.log(fq))
+    kl = accuracy_kl(true_accuracies, estimates)
     return inference_bias + kl.reshape(-1, kl.shape[-1]).sum(axis=1).reshape(kl.shape[:-1])
 
 
@@ -204,21 +215,21 @@ def bound_labeled(diag: ModelDiagnostics, n_labeled: int) -> float:
     return diag.m / (2.0 * n_labeled) + diag.inference_bias
 
 
-def bound_unlabeled(
-    diag: ModelDiagnostics, n_unlabeled: int, d: int | None = None
-) -> dict:
+def bound_unlabeled(diag: ModelDiagnostics, n_unlabeled: int) -> dict:
     """Upper bound on unlabeled-fit excess, with its constants and components.
 
-    Returns a dict with c1..c4, the misspecification component ``B_est``,
-    and the total bound.  The o(1/n) remainder is dropped.
+        B_est = eps_max (c1 d/m + c2/sqrt(n) + c3 d/(m n)),
+        bound = B_est + c4 m/n + B_I,
+
+    with d the model's edge count and eps_max its largest edge gap.  Returns
+    a dict with c1..c4, ``B_est``, ``B_I`` and the bound.  The o(1/n)
+    remainder is dropped.
     """
     if n_unlabeled < 1:
         raise ContractError("sample size must be at least 1")
-    if d is None:
-        d = diag.edge_count
     consts = bound_constants(diag)
     eps_max = diag.gap_max
-    m, n = diag.m, n_unlabeled
+    m, n, d = diag.m, n_unlabeled, diag.edge_count
     b_est = eps_max * (
         consts["c1"] * d / m
         + consts["c2"] / math.sqrt(n)
@@ -234,15 +245,17 @@ def bound_unlabeled(
     }
 
 
-def bound_lower_unlabeled(diag: ModelDiagnostics, d: int | None = None) -> float:
-    """Asymptotic lower bound on uncorrected unlabeled-fit excess."""
-    if d is None:
-        d = diag.edge_count
-    if d < 0:
-        raise ContractError("d must be nonnegative")
+def bound_lower_unlabeled(diag: ModelDiagnostics) -> float:
+    """Asymptotic lower bound on uncorrected unlabeled-fit excess:
+
+        (m - 2d) d^2 eps_min^2 b_min^4 / (2 (m-1)^2 (m-2)^2) + B_I,
+
+    with d the model's edge count and eps_min its smallest edge gap; B_I
+    alone when the model has no edge.
+    """
+    m, d = diag.m, diag.edge_count
     if d == 0:
         return diag.inference_bias
-    m = diag.m
     eps_min = diag.gap_min
     b4 = diag.min_pair_moment**4
     first = ((m - 2 * d) * d * d * eps_min * eps_min * b4) / (
@@ -319,20 +332,18 @@ def bound_report(
     diag: ModelDiagnostics,
     n_labeled: int | None = None,
     n_unlabeled: int | None = None,
-    d: int | None = None,
     rho: MedianMseResult | None = None,
 ) -> dict:
     """All bound quantities in one JSON-ready dict (paper-symbol field names).
 
+    The inputs record the model's edge count as d, the one the bounds use.
     A Monte-Carlo ``rho`` is recorded with the number of fits it scored and
     of fits that failed.
     """
-    if d is None:
-        d = diag.edge_count
     out: dict = {
         "inputs": {
             "m": diag.m,
-            "d": d,
+            "d": diag.edge_count,
             "n_U": n_unlabeled,
             "n_L": n_labeled,
             "eps_max": diag.gap_max,
@@ -344,7 +355,7 @@ def bound_report(
         },
         "B_I": diag.inference_bias,
         "c_rho": median_correction_constant(diag),
-        "lower_bound_unlabeled": bound_lower_unlabeled(diag, d),
+        "lower_bound_unlabeled": bound_lower_unlabeled(diag),
         "o_terms_dropped": True,
     }
     if rho is not None:
@@ -353,7 +364,7 @@ def bound_report(
     if n_labeled is not None:
         out["R_L_bound"] = bound_labeled(diag, n_labeled)
     if n_unlabeled is not None:
-        ub = bound_unlabeled(diag, n_unlabeled, d)
+        ub = bound_unlabeled(diag, n_unlabeled)
         out["B_est"] = ub["B_est"]
         out["R_U_bound"] = ub["bound"]
         if rho is not None:

@@ -2,8 +2,9 @@
 decomposition, bound evaluation, the synthetic experiment suites, and the
 keyword weak-supervision pipeline.
 
-All randomness flows from --seed.  Exit codes: 0 on success, 1 on domain
-errors (the error class name is printed), 2 on usage errors.
+All randomness flows from --seed, a non-negative integer.  Exit codes: 0
+on success, 1 on domain errors (the error class name is printed), 2 on
+usage errors.
 
 Every command runs under one decorator, ``_recorded``, which writes the run's
 manifest (subcommand, config and its hash, seed, version, input and output
@@ -38,7 +39,7 @@ import click
 
 from . import __version__, analysis, experiments, ws
 from .data import load_source_matrix
-from .errors import LabelMomentsError
+from .errors import ContractError, LabelMomentsError
 from .estimators import (
     AccuracyEstimate,
     ClassConditionalEstimate,
@@ -52,6 +53,8 @@ from .label_model import LabelModel, empirical_config_dist, posterior
 from .manifest import hash_files, read_json, write_json, write_manifest
 
 DEFAULT_SEED = 0
+# every --seed option: a negative seed is a usage error
+SEED = click.IntRange(min=0)
 
 
 def _option_key(param: click.Parameter) -> str:
@@ -155,6 +158,8 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 def _fit(data, method, agg, balance, seed, known_edges=()):
     """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets."""
+    if known_edges and method != "triplet":
+        raise ContractError(f"known edges apply to --method triplet only, not '{method}'")
     moments = SampleMoments.from_source_matrix(data)
     if method == "labeled":
         data.require_labels()
@@ -207,7 +212,7 @@ def calibrate_cmd(accuracies, edges, edge_gap, balance, out):
 @main.command("sample")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("-n", "--rows", "n", required=True, type=int, help="Number of draws.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--binary", is_flag=True, help="Write the compact binary format instead of CSV.")
 @click.option("--out", "-o", required=True, type=click.Path())
 @_recorded
@@ -232,10 +237,10 @@ def sample_cmd(model_path, n, seed, binary, out):
 @click.option("--method", type=click.Choice(["labeled", "triplet", "quadratic"]), default="triplet", show_default=True)
 @click.option("--agg", type=click.Choice(["single", "mean", "median"]), default="mean", show_default=True)
 @click.option("--balance", default=0.5, show_default=True)
-@click.option("--known-edges", default="", help="Recovered dependencies to avoid, as i-j tokens.")
+@click.option("--known-edges", default="", help="Recovered dependencies to avoid, as i-j tokens (--method triplet).")
 @click.option("--combine-with", type=click.Path(exists=True), default=None,
               help="Labeled CSV; applies the shrinkage combination to the unlabeled fit.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--out", "-o", required=True, type=click.Path())
 @_recorded
 def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, out):
@@ -292,7 +297,7 @@ DEMO_ACCURACIES = "0.7,0.65,0.6,0.75"
 @click.option("--laplace", default=1.0, show_default=True, type=float)
 @click.option("--balance", default=0.5, show_default=True)
 @click.option("--demo", is_flag=True, help="Run on a built-in small model and sample.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--out", "-o", required=True, type=click.Path())
 @_recorded
 def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, seed, out):
@@ -319,7 +324,7 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
 @click.option("--n-unlabeled", default=None, type=int)
 @click.option("--rho-trials", default=0, show_default=True, type=int,
               help="When positive, also estimate the median-corrected MSE by Monte Carlo.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--out", "-o", required=True, type=click.Path())
 @_recorded
@@ -366,7 +371,7 @@ def _suite_options(fn):
                       help="Experiment config JSON; flags override its fields.")(fn)
     fn = click.option("--d", default=None, type=int, help="Number of dependency edges.")(fn)
     fn = click.option("--trials", default=None, type=int)(fn)
-    fn = click.option("--seed", default=None, type=int)(fn)
+    fn = click.option("--seed", default=None, type=SEED)(fn)
     fn = click.option("--n-grid", default=None, help="Comma-separated sample sizes.")(fn)
     fn = click.option("--out", "-o", "out_dir", required=True, type=click.Path())(fn)
     return fn
@@ -445,7 +450,7 @@ def ws_group():
               help="Review directory ({train,test}/{pos,neg}/*.txt), a CSV with text/label columns, or a JSONL file.")
 @click.option("--format", "fmt", type=click.Choice(["review-dir", "csv", "jsonl"]), default="review-dir", show_default=True)
 @click.option("--test-fraction", default=0.2, show_default=True, help="Test share for formats without a split.")
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--docs-out", required=True, type=click.Path())
 @click.option("--split-out", required=True, type=click.Path())
 @_recorded
@@ -487,7 +492,7 @@ def ws_apply_cmd(docs_path, split_path, subset, out):
 @click.option("--n-labeled-grid", default="40,80,120,200,400", show_default=True)
 @click.option("--trials", default=5, show_default=True, type=int)
 @click.option("--balance", default=0.5, show_default=True)
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--out", "-o", "out_dir", required=True, type=click.Path())
 @_recorded
 def ws_run_cmd(docs_path, split_path, n_grid, n_unlabeled, n_labeled_grid, trials, balance, seed, out_dir):

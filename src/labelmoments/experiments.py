@@ -12,18 +12,19 @@ which is what the scaling theory bounds.
 
 The labeled side is computed exactly, not simulated: each labeled estimate
 mean(s_i*y) is (2*Binomial(n, (1+a_i)/2) - n)/n and the scored excess
-separates by source, so its expectation is a sum over binomial outcomes per
-source (``TrialEngine.labeled_excess``).  The sum runs over the outcomes
-within the Hoeffding half-width of each binomial's mean, which drops less
-than 1e-20 of the mass, about 3e-18 of the value.  The curve has zero
-variance and approaches B_I + m/(2n); ``curves.csv`` reports it and the
-data value ratio's search compares it with its thresholds.  Each search
-starts where the 1/n extrapolation of the computed size nearest its
-threshold meets it, or, before any size is computed, the asymptote, and
-gallops to the least grid point at or below it.  The start decides only
-which points are evaluated: the search is exact because the curve is
-monotone in n, which is tested, and the point's failing predecessor is
-evaluated.
+separates by source, so its expectation is B_I plus, per source, the
+binomial-weighted sum of the outcomes' ``analysis.accuracy_kl``, the same
+per-source score as a Monte-Carlo fit's (``TrialEngine.labeled_excess``).
+The sum runs over the outcomes within the Hoeffding half-width of each
+binomial's mean, which drops less than 1e-20 of the mass, about 3e-18 of
+the value.  The curve has zero variance and approaches B_I + m/(2n);
+``curves.csv`` reports it and the data value ratio's search compares it
+with its thresholds.  Each search starts where the 1/n extrapolation of
+the computed size nearest its threshold meets it, or, before any size is
+computed, the asymptote, and gallops to the least grid point at or below
+it.  The start decides only which points are evaluated: the search is exact
+because the curve is monotone in n, which is tested, and the point's
+failing predecessor is evaluated.
 
 A Monte-Carlo sample cell is a sample size n.  The unlabeled estimators
 share it: every triplet estimator at n fits the same samples, drawn once
@@ -73,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import accuracy_excess
+from .analysis import accuracy_excess, accuracy_kl
 from .errors import ContractError, EstimationError, NumericalError
 from .estimators import (
     SampleMoments,
@@ -85,7 +86,6 @@ from .estimators import (
 from .ising import (
     IsingModel, ModelDiagnostics, calibrate, diagnostics, sample_rows, sample_u_counts,
 )
-from .label_model import ACCURACY_CLAMP
 from .manifest import read_json
 
 # Default synthetic roster: ten sources with accuracies drawn once, uniformly
@@ -122,6 +122,19 @@ def _reject_unknown_keys(cls, doc: dict, what: str) -> None:
         raise ContractError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}")
 
 
+def _typed(key: str, value, kind: type):
+    """``value`` as ``kind``: an int for int, an int or a float for float.
+
+    A boolean is neither, and a float where an integer belongs is refused
+    rather than truncated.
+    """
+    allowed = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "a number" if kind is float else "an integer"
+        raise ContractError(f"'{key}' must be {what}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class SyntheticModelSpec:
     """Calibration targets defining a synthetic ground truth."""
@@ -153,10 +166,10 @@ class SyntheticModelSpec:
             raise TypeError(f"the model spec must be an object, got {type(doc).__name__}")
         _reject_unknown_keys(cls, doc, "model spec")
         return cls(
-            tuple(doc.get("accuracies", DEFAULT_ACCURACIES)),
-            int(doc.get("d", 0)),
-            float(doc.get("edge_gap", DEFAULT_EDGE_GAP)),
-            float(doc.get("class_balance", 0.5)),
+            tuple(_typed("accuracies", a, float) for a in doc.get("accuracies", DEFAULT_ACCURACIES)),
+            _typed("d", doc.get("d", 0), int),
+            _typed("edge_gap", doc.get("edge_gap", DEFAULT_EDGE_GAP), float),
+            _typed("class_balance", doc.get("class_balance", 0.5), float),
         )
 
 
@@ -171,6 +184,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractError("trials must be at least 1")
+        if self.seed < 0:
+            raise ContractError(f"'seed' must be non-negative, got {self.seed}")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ContractError("n grid must be strictly increasing")
         for name in self.estimators:
@@ -189,9 +204,9 @@ class ExperimentConfig:
         return cls(
             SyntheticModelSpec.from_dict(doc.get("model", {})),
             tuple(doc.get("estimators", ("labeled", "triplet-mean", "triplet-median"))),
-            tuple(doc.get("n_grid", DEFAULT_CURVE_GRID)),
-            int(doc.get("trials", 1000)),
-            int(doc.get("seed", 0)),
+            tuple(_typed("n_grid", n, int) for n in doc.get("n_grid", DEFAULT_CURVE_GRID)),
+            _typed("trials", doc.get("trials", 1000), int),
+            _typed("seed", doc.get("seed", 0), int),
         )
 
     @classmethod
@@ -278,55 +293,35 @@ class TrialEngine:
         Source i's estimate is (2K - n)/n with K ~ Binomial(n, p_i),
         p_i = (1+a_i)/2, and the excess is B_I plus a sum of per-source
         terms, so its expectation is B_I plus, per source, the pmf-weighted
-        score of the outcomes; the score is ``accuracy_excess``'s per-source
-        KL term.  The sum runs over source i's window of outcomes k, every k
-        with |k - n*p_i| <= h, the Hoeffding half-width h = sqrt(n*ln(2/eps)/2)
-        for eps = ``LABELED_TAIL_MASS``: Binomial(n, p_i) has less than eps
-        of its mass outside it (Hoeffding 1963).  All sources share one
-        window length, so the sum is one pass over an (m, window) array, and
-        the pmf, built from the log-factorial table, is renormalised over
-        the window.  The dropped tails move the value by at most
-        m * 2 * eps * log(2/ACCURACY_CLAMP), about 3e-18 for ten sources,
-        below the last bit of a curve value near 0.07 (ulp 1.4e-17).  Each
-        source's term is a numpy pairwise sum rather than a BLAS dot, whose
-        split across threads would move its last bits.  Memoised per n.
+        ``accuracy_kl`` of the outcomes.  The sum runs over source i's window
+        of outcomes k, every k with |k - n*p_i| <= h, the Hoeffding
+        half-width h = sqrt(n*ln(2/eps)/2) for eps = ``LABELED_TAIL_MASS``:
+        Binomial(n, p_i) has less than eps of its mass outside it (Hoeffding
+        1963).  All sources share one window length, so the sum is one pass
+        over an (m, window) array, and the pmf, built from the log-factorial
+        table, is renormalised over the window.  The dropped tails move the
+        value by at most m * 2 * eps * log(2/ACCURACY_CLAMP), about 3e-18 for
+        ten sources, below the last bit of a curve value near 0.07 (ulp
+        1.4e-17).  Each source's term is a numpy pairwise sum rather than a
+        BLAS dot, whose split across threads would move its last bits.
+        Memoised per n.
         """
         if n < 1:
             raise ContractError("sample size must be at least 1")
         if n not in self.labeled_values:
             lf = self.log_factorials(n)
-            tp = (1.0 + self.diag.accuracies[:, None]) / 2.0
-            tq = (1.0 - self.diag.accuracies[:, None]) / 2.0
+            acc = self.diag.accuracies[:, None]
+            tp = (1.0 + acc) / 2.0
             half = np.sqrt(n * np.log(2.0 / LABELED_TAIL_MASS) / 2.0)
             width = min(n + 1, int(np.ceil(2.0 * half)) + 2)
             k = np.clip(np.floor(n * tp - half), 0, n + 1 - width).astype(np.int64)
             k = k + np.arange(width)
-            # the pmf's log, log C(n, k) + k log p + (n - k) log(1 - p); k is
-            # turned into n - k and back in place, which is exact
-            pmf, tmp, kl = np.take(lf, k), np.empty(k.shape), np.multiply(k, np.log(tp))
-            np.subtract(lf[n], pmf, out=pmf)
-            np.subtract(n, k, out=k)
-            pmf -= np.take(lf, k, out=tmp)
-            pmf += kl
-            pmf += np.multiply(k, np.log1p(-tp), out=tmp)
-            np.subtract(n, k, out=k)
-            np.exp(pmf, out=pmf)
+            # the score before the pmf, so that their temporaries are never
+            # alive together; the pmf's log is log C(n, k) + k log p + (n - k) log(1 - p)
+            score = accuracy_kl(acc, (2.0 * k - n) / n)
+            pmf = np.exp(lf[n] - lf[k] - lf[n - k] + k * np.log(tp) + (n - k) * np.log1p(-tp))
             pmf /= pmf.sum(axis=1, keepdims=True)
-            # the score of each outcome, clamped as a fit is
-            outcomes = np.multiply(k, 2.0, out=tmp)
-            outcomes -= n
-            outcomes /= n
-            np.clip(outcomes, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP, out=outcomes)
-            np.add(1.0, outcomes, out=kl)
-            kl /= 2.0
-            np.subtract(np.log(tp), np.log(kl, out=kl), out=kl)
-            kl *= tp
-            np.subtract(1.0, outcomes, out=tmp)
-            tmp /= 2.0
-            np.subtract(np.log(tq), np.log(tmp, out=tmp), out=tmp)
-            tmp *= tq
-            kl += tmp
-            pmf *= kl
+            pmf *= score
             total = self.diag.inference_bias
             for term in pmf.sum(axis=1):
                 total += float(term)

@@ -330,7 +330,7 @@ def diagnostics(model: IsingModel) -> ModelDiagnostics:
 
 
 def _calibration_targets(targets, edges, edge_gap, class_balance):
-    """Validated (accuracies, edge pairs, one gap per pair) of a calibration."""
+    """Validated (accuracies, edge pairs, gap) of a calibration."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 1 or targets.size == 0:
         raise ContractError("accuracy targets must be a nonempty vector")
@@ -340,38 +340,34 @@ def _calibration_targets(targets, edges, edge_gap, class_balance):
         raise ContractError("class balance must lie in (0, 1)")
     pairs = [(int(i), int(j)) for i, j in edges]
     _validate_edges(targets.size, [(i, j, 0.0) for i, j in pairs])
-    gaps = [float(g) for g in ([edge_gap] * len(pairs) if np.isscalar(edge_gap) else edge_gap)]
-    if len(gaps) != len(pairs):
-        raise ContractError("one gap target required per edge")
-    if any(g < 0 for g in gaps):
-        raise ContractError("gap targets must be nonnegative")
-    return targets, pairs, gaps
+    if not edge_gap >= 0.0:
+        raise ContractError(f"the gap target must be nonnegative, got {edge_gap}")
+    return targets, pairs, float(edge_gap)
 
 
 def calibrate(
     targets,
     edges=(),
-    edge_gap: float | list[float] = 0.1,
+    edge_gap: float = 0.1,
     class_balance: float = 0.5,
 ) -> IsingModel:
-    """Build the model whose accuracies, per-edge gaps and class balance hit targets.
+    """Build the model whose accuracies, edge gaps and class balance hit targets.
 
     ``targets`` are the desired E[s_i Y] in (0.5, 1); ``edges`` lists the
-    dependent pairs; ``edge_gap`` is one target misspecification gap or one
-    per edge, and an edge with gap 0 is dropped.  Closed form: a singleton
-    has theta_i = atanh(a_i) and the label theta_Y = atanh(2 pi - 1).  An
-    edge's (u_i, u_j) cells are p_st = (1 + s a_i + t a_j + s t M_ij) / 4
-    with M_ij = gap + a_i a_j, and its potentials are quarter log
-    cross-ratios of them.  Targets no model reaches, where a cell is not
-    positive or a potential is negative, raise ``CalibrationError`` with the
-    edge's cells and potentials as its residuals.
+    dependent pairs; ``edge_gap`` is the one target misspecification gap
+    E[s_i s_j] - a_i a_j of every edge, and a gap of 0 drops the edges, so
+    the model has none.  Closed form: a singleton has theta_i = atanh(a_i)
+    and the label theta_Y = atanh(2 pi - 1).  An edge's (u_i, u_j) cells
+    are p_st = (1 + s a_i + t a_j + s t M_ij) / 4 with M_ij = gap + a_i a_j,
+    and its potentials are quarter log cross-ratios of them.  Targets no
+    model reaches, where a cell is not positive or a potential is negative,
+    raise ``CalibrationError`` with the edge's cells and potentials as its
+    residuals.
     """
-    targets, pairs, gaps = _calibration_targets(targets, edges, edge_gap, class_balance)
+    targets, pairs, gap = _calibration_targets(targets, edges, edge_gap, class_balance)
     theta = np.array([math.atanh(a) for a in targets])
     solved: list[Edge] = []
-    for (i, j), gap in zip(pairs, gaps):
-        if gap == 0.0:
-            continue
+    for i, j in pairs if gap > 0.0 else ():
         a_i, a_j = targets[i], targets[j]
         m_ij = gap + a_i * a_j
         cells = [
@@ -403,11 +399,11 @@ def calibration_residual(model: IsingModel, targets, edges=(), edge_gap=0.1, cla
     """max |achieved - target| over the accuracies, edge gaps and class
     balance of a ``calibrate`` call, with the model's achieved values from
     the forward map (``diagnostics``)."""
-    targets, pairs, gaps = _calibration_targets(targets, edges, edge_gap, class_balance)
+    targets, pairs, gap = _calibration_targets(targets, edges, edge_gap, class_balance)
     diag = diagnostics(model)
     acc, pair = diag.accuracies, diag.pair_moments
     misses = list(np.abs(acc - targets))
-    misses += [abs(pair[i, j] - acc[i] * acc[j] - g) for (i, j), g in zip(pairs, gaps)]
+    misses += [abs(pair[i, j] - acc[i] * acc[j] - gap) for i, j in pairs]
     misses.append(abs(diag.class_balance - class_balance))
     return float(max(misses))
 

@@ -99,7 +99,6 @@ class LabelModel:
         class_balance: float,
         mode: str = "normalized",
         config_dist: np.ndarray | None = None,
-        metadata: dict | None = None,
     ) -> "LabelModel":
         if isinstance(accuracies, AccuracyEstimate):
             meta = {"method": accuracies.method, "aggregation": accuracies.aggregation}
@@ -108,7 +107,6 @@ class LabelModel:
             meta = {}
             acc = np.asarray(accuracies, dtype=np.float64)
         acc = np.clip(acc, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
-        meta.update(metadata or {})
         return cls(
             (1.0 + acc) / 2.0,
             (1.0 - acc) / 2.0,
@@ -124,17 +122,14 @@ class LabelModel:
         estimate: ClassConditionalEstimate,
         mode: str = "normalized",
         config_dist: np.ndarray | None = None,
-        metadata: dict | None = None,
     ) -> "LabelModel":
-        meta = {"method": "quadratic-triplet"}
-        meta.update(metadata or {})
         return cls(
             estimate.cond_pos.copy(),
             estimate.cond_neg.copy(),
             estimate.class_balance,
             mode,
             config_dist,
-            meta,
+            {"method": "quadratic-triplet"},
         )
 
     # -- log-space cores ---------------------------------------------------

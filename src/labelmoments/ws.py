@@ -9,14 +9,14 @@ nothing more.
 The case study fits three class-conditional label models on growing
 training subsets (labeled frequencies, quadratic-triplet with mean
 aggregation, and its median-corrected variant), evaluates test
-cross-entropy and F1, and sweeps a shrinkage combination of the corrected
-and labeled fits across small labeled budgets.  It works on joint states,
-as the synthetic trial engine does: each split becomes one vector of
-joint-state indices right after ``apply_sources``, a training subset is the
-``bincount`` of the indices it draws, every fit reads those counts (through
-``SampleMoments.from_state_counts`` or the class-conditional frequencies),
-and the test split is scored by gathering from the label model's
-posterior table.
+cross-entropy and F1 at posterior threshold 0.5, and sweeps a shrinkage
+combination of the corrected and labeled fits across small labeled budgets.
+It works on joint states, as the synthetic trial engine does: each split
+becomes one vector of joint-state indices right after ``apply_sources``, a
+training subset is the ``bincount`` of the indices it draws, every fit reads
+those counts (through ``SampleMoments.from_state_counts`` or the
+class-conditional frequencies), and the test split is scored by gathering
+from the label model's posterior table.
 
 External corpora are ingested to JSONL ({"id", "text", "label"}) plus a
 split manifest ({"train": [...], "test": [...]}); nothing is bundled.
@@ -125,20 +125,19 @@ class Corpus:
 
     # -- persistence -------------------------------------------------------
 
-    def to_jsonl(self, docs_path: str | Path, split_path: str | Path | None = None):
+    def to_jsonl(self, docs_path: str | Path, split_path: str | Path):
         with open(docs_path, "w") as fh:
             for d in self.documents:
                 rec = {"id": d.doc_id, "text": d.text}
                 if d.label is not None:
                     rec["label"] = d.label
                 fh.write(json.dumps(rec) + "\n")
-        if split_path is not None:
-            groups = {"train": [], "test": []}
-            for d in self.documents:
-                name = self.split.get(d.doc_id)
-                if name in groups:
-                    groups[name].append(d.doc_id)
-            Path(split_path).write_text(json.dumps(groups, indent=2))
+        groups = {"train": [], "test": []}
+        for d in self.documents:
+            name = self.split.get(d.doc_id)
+            if name in groups:
+                groups[name].append(d.doc_id)
+        Path(split_path).write_text(json.dumps(groups, indent=2))
 
     @classmethod
     def from_jsonl(
@@ -340,7 +339,6 @@ class CaseStudyConfig:
     trials: int = 5
     seed: int = 0
     class_balance: float = 0.5
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.trials < 1:
@@ -361,7 +359,6 @@ class CaseStudyConfig:
             "trials": self.trials,
             "seed": self.seed,
             "class_balance": self.class_balance,
-            "threshold": self.threshold,
         }
 
 
@@ -458,7 +455,7 @@ def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> lis
 
     def score(est: ClassConditionalEstimate) -> tuple[float, float]:
         lm = LabelModel.from_class_conditional(est, mode="normalized")
-        return cross_entropy(lm, test_states), f1_score(lm, test_states, config.threshold)
+        return cross_entropy(lm, test_states), f1_score(lm, test_states)
 
     def subsample(rng, n: int) -> np.ndarray:
         rows = train_states if n >= train_states.size else rng.choice(train_states, n, replace=False)

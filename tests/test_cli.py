@@ -34,6 +34,16 @@ def tiny_config(tmp_path):
     ["calibrate", "--accuracies", "0.6,x", "-o", "m.json"],
     ["curves", "--n-grid", "100,abc", "-o", "out"],
     ["combine", "--n-labeled-grid", "25,zz", "-o", "out"],
+    # a negative seed, given before any other option so that it is the one refused
+    ["sample", "--seed", "-1", "-o", "d.csv"],
+    ["fit", "--seed", "-1", "--agg", "single", "-o", "e.json"],
+    ["decompose", "--seed", "-1", "--demo", "-o", "d.json"],
+    ["bounds", "--seed", "-1", "-o", "b.json"],
+    ["curves", "--seed", "-1", "-o", "out"],
+    ["dvr", "--seed", "-1", "-o", "out"],
+    ["combine", "--seed", "-1", "-o", "out"],
+    ["ws", "ingest", "--seed", "-1", "--docs-out", "d.jsonl"],
+    ["ws", "run", "--seed", "-1", "-o", "out"],
 ])
 def test_malformed_tokens_are_usage_errors(tmp_path, args):
     result = CliRunner().invoke(main, args[:-1] + [str(tmp_path / args[-1])])
@@ -491,14 +501,18 @@ def test_malformed_json_input_fails_typed(tmp_path, model_and_data, command, cas
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edges", ["0-1", "0-99", "2-2"])
-def test_fit_known_edges_name_pairs_of_sources(tmp_path, model_and_data, edges):
+@pytest.mark.parametrize("edges, method", [
+    ("0-1", "triplet"), ("0-99", "triplet"), ("2-2", "triplet"),
+    # only the triplet fit reads known edges; another method refuses them
+    ("0-1", "quadratic"), ("0-99", "labeled"),
+], ids=["0-1", "0-99", "2-2", "0-1-quadratic", "0-99-labeled"])
+def test_fit_known_edges_name_pairs_of_sources(tmp_path, model_and_data, edges, method):
     _, data = model_and_data
     out = tmp_path / "est.json"
     result = CliRunner().invoke(main, [
-        "fit", "--data", str(data), "--known-edges", edges, "-o", str(out),
+        "fit", "--data", str(data), "--method", method, "--known-edges", edges, "-o", str(out),
     ])
-    if edges == "0-1":
+    if (edges, method) == ("0-1", "triplet"):
         assert result.exit_code == 0, result.output
         assert json.loads(out.read_text())["metadata"]["known_edges"] == [[0, 1]]
         return
@@ -706,7 +720,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
           "-o", t / "wsrun"],
          t / "wsrun" / "manifest.json",
          {"corpus", "split", "n_grid", "n_unlabeled", "n_labeled_grid", "trials", "seed",
-          "class_balance", "threshold"}, 10,
+          "class_balance"}, 10,
          [docs, split], [t / "wsrun" / "metrics.csv"]),
     ]
     records = {}
@@ -778,6 +792,16 @@ def test_outputs_differing_in_extension_keep_separate_records(tmp_path, model_an
 @pytest.mark.parametrize("doc, key", [
     ({"trails": 5}, "trails"),
     ({"model": {"acuracies": [0.7]}}, "acuracies"),
+    # a wrongly typed value is refused, not truncated or left to fail mid-run
+    ({"model": {"d": 1.7}}, "d"),
+    ({"trials": 2.9}, "trials"),
+    ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"n_grid": [100.5]}, "n_grid"),
+    ({"n_grid": ["100"]}, "n_grid"),
+    ({"model": {"accuracies": [0.7, "0.6"]}}, "accuracies"),
+    ({"model": {"edge_gap": None}}, "edge_gap"),
+    ({"model": {"class_balance": "0.5"}}, "class_balance"),
 ])
 def test_config_with_unknown_key_fails_typed(tmp_path, doc, key):
     config, out = tmp_path / "config.json", tmp_path / "out"
