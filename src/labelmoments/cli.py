@@ -245,11 +245,11 @@ def sample_cmd(model_path, n, seed, binary, out):
 @_recorded
 def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, out):
     """Estimate source accuracies (or class conditionals) from data."""
+    if combine_with is not None and method == "quadratic":
+        raise ContractError("--combine-with applies to accuracy estimates, not --method quadratic")
     data = load_source_matrix(data_path)
     est = _fit(data, method, agg, balance, seed, _parse_edges(known_edges))
     if combine_with is not None:
-        if not isinstance(est, AccuracyEstimate):
-            raise LabelMomentsError("combination applies to accuracy estimates only")
         labeled = SampleMoments.from_source_matrix(load_source_matrix(combine_with))
         est = combine_green_strawderman(est, labeled)
     est.to_json(out)
@@ -272,6 +272,8 @@ def infer_cmd(data_path, estimate_path, balance, mode, laplace, out):
         estimate_path,
         lambda doc: (ClassConditionalEstimate if "mu" in doc else AccuracyEstimate).from_dict(doc),
     )
+    if est.m != data.m:
+        raise ContractError(f"the estimate has m={est.m} sources, the data m={data.m}")
     model = _build_label_model(est, balance, mode, data, laplace)
     probs = posterior(model, data)
     lines = ["row_id,p_y1,soft_label"]
@@ -476,9 +478,8 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
 @_recorded
 def ws_apply_cmd(docs_path, split_path, subset, out):
     """Apply the keyword sources to a corpus; writes a source-matrix CSV."""
-    corpus = ws.Corpus.from_jsonl(docs_path, split_path)
-    docs = list(corpus.documents) if subset == "all" else corpus.subset(subset)
-    matrix = ws.apply_sources(docs)
+    votes = ws.CorpusVotes.from_jsonl(docs_path, split_path)
+    matrix = votes.matrix(None if subset == "all" else subset)
     matrix.to_csv(out)
     click.echo(f"wrote {out} ({matrix.n} rows x {matrix.m} sources)")
     return [out]
@@ -505,8 +506,8 @@ def ws_run_cmd(docs_path, split_path, n_grid, n_unlabeled, n_labeled_grid, trial
         seed=seed,
         class_balance=balance,
     )
-    corpus = ws.Corpus.from_jsonl(docs_path, split_path)
-    rows = ws.run_case_study(corpus, cfg)
+    train_states, test_states = ws.CorpusVotes.from_jsonl(docs_path, split_path).case_study_states()
+    rows = ws.run_case_study(train_states, test_states, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ws.write_metrics_csv(rows, out / "metrics.csv")

@@ -186,6 +186,8 @@ class ExperimentConfig:
             raise ContractError("trials must be at least 1")
         if self.seed < 0:
             raise ContractError(f"'seed' must be non-negative, got {self.seed}")
+        if not self.n_grid:
+            raise ContractError("'n_grid' must list at least one sample size")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ContractError("n grid must be strictly increasing")
         for name in self.estimators:
@@ -229,8 +231,11 @@ def trial_rng(seed: int, label: str, n: int) -> np.random.Generator:
     Derived from the root seed, the stream label and the cell's sample
     size; the only place a generator is seeded from the root seed.  The name
     predates one generator per stream and stays: ``perfbench/tracer.py`` and
-    the tests patch it.
+    the tests patch it.  A negative seed is refused, as the CLI and configs
+    refuse it, rather than wrapped onto another seed's stream.
     """
+    if seed < 0:
+        raise ContractError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence([seed % (1 << 63), _stream(label), n])
     )

@@ -11,12 +11,17 @@ training subsets (labeled frequencies, quadratic-triplet with mean
 aggregation, and its median-corrected variant), evaluates test
 cross-entropy and F1 at posterior threshold 0.5, and sweeps a shrinkage
 combination of the corrected and labeled fits across small labeled budgets.
-It works on joint states, as the synthetic trial engine does: each split
-becomes one vector of joint-state indices right after ``apply_sources``, a
-training subset is the ``bincount`` of the indices it draws, every fit reads
-those counts (through ``SampleMoments.from_state_counts`` or the
-class-conditional frequencies), and the test split is scored by gathering
-from the label model's posterior table.
+It works on joint states, as the synthetic trial engine does: a training
+subset is the ``bincount`` of the indices it draws, every fit reads those
+counts (through ``SampleMoments.from_state_counts`` or the class-conditional
+frequencies), and the test split is scored by gathering from the label
+model's posterior table.
+
+The states are built while the corpus file is read (``CorpusVotes``): the
+file is read a slice of about ``_SLICE_BYTES`` of text at a time, each slice
+is voted by one ``apply_sources`` call, and its text is dropped.  What is
+kept per document is its id, its label and its votes, so the memory of
+``ws run`` and ``ws apply`` does not grow with the length of the documents.
 
 External corpora are ingested to JSONL ({"id", "text", "label"}) plus a
 split manifest ({"train": [...], "test": [...]}); nothing is bundled.
@@ -27,7 +32,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +52,7 @@ from .states import config_bits
 _TOKEN = re.compile(r"[0-9a-z]+")
 _TOKEN_BYTE = np.zeros(256, dtype=bool)  # byte value -> whether it can be part of a token
 _TOKEN_BYTE[list(b"0123456789abcdefghijklmnopqrstuvwxyz")] = True
-_SLICE_DOCS = 4096  # documents per scanned buffer: bounds its memory
+_SLICE_BYTES = 1 << 18  # text bytes per slice read and scanned at once: bounds their memory
 _SCAN_ONCE = json.JSONDecoder().scan_once  # json.loads' C scanner, without its wrappers
 
 POSITIVE_WORDS = ("love", "like", "good", "great", "best", "excellent")
@@ -78,6 +82,28 @@ def default_roster() -> tuple[KeywordSource, ...]:
     )
 
 
+_LABELS = (None, -1, 1)
+
+
+def _check_record(text, label) -> None:
+    """Raise the error of a record whose text is not a string or whose label is
+    not -1, +1 or None.  Per-record callers test the record inline first, so
+    that a valid record costs no call."""
+    if not isinstance(text, str):
+        raise ContractError("document text must be a string")
+    if label not in _LABELS:
+        raise ContractError("labels must be -1 or +1")
+
+
+def _check_unique(ids) -> None:
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for doc_id in ids:
+            if doc_id in seen:
+                raise ContractError(f"document ids must be unique; {doc_id!r} repeats")
+            seen.add(doc_id)
+
+
 @dataclass(frozen=True, slots=True)
 class Document:
     doc_id: str
@@ -85,10 +111,8 @@ class Document:
     label: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise ContractError("document text must be a string")
-        if self.label is not None and self.label not in (-1, 1):
-            raise ContractError("labels must be -1 or +1")
+        if not isinstance(self.text, str) or self.label not in _LABELS:
+            _check_record(self.text, self.label)
 
 
 @dataclass(frozen=True)
@@ -97,31 +121,7 @@ class Corpus:
     split: dict = field(default_factory=dict)  # doc_id -> "train" | "test"
 
     def __post_init__(self):
-        if len({d.doc_id for d in self.documents}) != len(self.documents):
-            seen = set()
-            for d in self.documents:
-                if d.doc_id in seen:
-                    raise ContractError(f"document ids must be unique; {d.doc_id!r} repeats")
-                seen.add(d.doc_id)
-
-    @cached_property
-    def _by_split(self) -> dict:
-        """Split name -> its documents in corpus order, from one pass."""
-        groups: dict = {}
-        for d in self.documents:
-            groups.setdefault(self.split.get(d.doc_id), []).append(d)
-        return {name: tuple(docs) for name, docs in groups.items()}
-
-    def subset(self, name: str) -> tuple[Document, ...]:
-        return self._by_split.get(name, ())
-
-    @property
-    def train(self) -> tuple[Document, ...]:
-        return self.subset("train")
-
-    @property
-    def test(self) -> tuple[Document, ...]:
-        return self.subset("test")
+        _check_unique([d.doc_id for d in self.documents])
 
     # -- persistence -------------------------------------------------------
 
@@ -143,49 +143,70 @@ class Corpus:
     def from_jsonl(
         cls, docs_path: str | Path, split_path: str | Path | None = None
     ) -> "Corpus":
-        """Read documents from JSONL, and their split from a manifest if given.
-
-        The file is UTF-8 text with one JSON object per line, each with
-        ``"id"``, ``"text"`` and optionally ``"label"``.  Lines end as
-        universal newlines do (``\\n``, ``\\r\\n`` or a lone ``\\r``); whitespace
-        around a line is ignored, and blank lines are skipped.  A line that is
-        not such a record, or a file that is not UTF-8, raises
-        ``ContractError`` naming the file, and the line where it is known
-        (undecodable bytes are found a read buffer at a time).
-
-        The file is streamed a line at a time.  ``_parse_line`` parses a line
-        with ``json.loads``' own C scanner from index 0 and keeps the value
-        when the scan ends at the end of the line.  That is exactly
-        ``json.loads`` on a stripped line, which checks for a BOM, scans from
-        index 0 and fails with "Extra data" unless the scan ends at the end
-        (past trailing whitespace, which a stripped line lacks); a BOM fails
-        the scan, as no value starts with one.  On any other outcome the line
-        goes to ``json.loads`` itself, for the error it raises.
-        """
+        """Read documents from JSONL (``_read_jsonl``), and their split from a manifest if given."""
         docs = []
-        with open(docs_path, encoding="utf-8") as fh:
-            try:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = _parse_line(line)
-                        docs.append(Document(str(rec["id"]), rec["text"], rec.get("label")))
-                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                        raise ContractError(
-                            f"{docs_path}, line {lineno}: not a document record with "
-                            f"'id' and 'text' ({type(exc).__name__}: {exc})"
-                        ) from exc
-            except UnicodeDecodeError as exc:
-                raise ContractError(f"{docs_path}: not UTF-8 text ({exc})") from exc
+        for ids, texts, labels in _read_jsonl(docs_path):
+            docs.extend(map(Document, ids, texts, labels))
         split = _read_split(split_path) if split_path is not None else {}
         return cls(tuple(docs), split)
 
 
+def _read_jsonl(docs_path: str | Path):
+    """Yield a JSONL corpus's records as ``(ids, texts, labels)`` lists, a slice at a time.
+
+    The file is UTF-8 text with one JSON object per line, each with ``"id"``,
+    ``"text"`` and optionally ``"label"`` (-1 or +1); an id is read as its
+    ``str``.  Lines end as universal newlines do (``\\n``, ``\\r\\n`` or a
+    lone ``\\r``); whitespace around a line is ignored, and blank lines are
+    skipped.  A line that is not such a record, or a file that is not UTF-8,
+    raises ``ContractError`` naming the file, and the line where it is known
+    (undecodable bytes are found a read buffer at a time).  Records before
+    the faulty line may already have been yielded.
+
+    The file is streamed a line at a time, and a slice is yielded as soon as
+    its texts reach ``_SLICE_BYTES`` characters (one byte each for ASCII
+    text), so at most one slice of text is held at once, however long the
+    file.  ``_parse_line`` parses a line with ``json.loads``' own C scanner
+    from index 0 and keeps the value when the scan ends at the end of the
+    line.  That is exactly ``json.loads`` on a stripped line, which checks
+    for a BOM, scans from index 0 and fails with "Extra data" unless the
+    scan ends at the end (past trailing whitespace, which a stripped line
+    lacks); a BOM fails the scan, as no value starts with one.  On any other
+    outcome the line goes to ``json.loads`` itself, for the error it raises.
+    """
+    ids, texts, labels, size = [], [], [], 0
+    with open(docs_path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = _parse_line(line)
+                    doc_id, text, label = str(rec["id"]), rec["text"], rec.get("label")
+                    if not isinstance(text, str) or label not in _LABELS:
+                        _check_record(text, label)
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    raise ContractError(
+                        f"{docs_path}, line {lineno}: not a document record with "
+                        f"'id' and 'text' ({type(exc).__name__}: {exc})"
+                    ) from exc
+                ids.append(doc_id)
+                texts.append(text)
+                labels.append(label)
+                size += len(text)
+                if size >= _SLICE_BYTES:
+                    yield ids, texts, labels
+                    ids, texts, labels, size = [], [], [], 0
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{docs_path}: not UTF-8 text ({exc})") from exc
+    if ids:
+        yield ids, texts, labels
+
+
 def _parse_line(line: str):
     """``json.loads(line)`` for a stripped line, by its C scanner where that is
-    exact (``Corpus.from_jsonl`` says why)."""
+    exact (``_read_jsonl`` says why)."""
     try:
         rec, end = _SCAN_ONCE(line, 0)
         if end == len(line):
@@ -219,29 +240,28 @@ def random_split(docs, test_fraction: float, seed: int) -> dict:
 
 
 def apply_sources(
-    docs, roster: tuple[KeywordSource, ...] | None = None
+    texts, labels=None, roster: tuple[KeywordSource, ...] | None = None
 ) -> SourceMatrix:
-    """Vote matrix for the documents; label column included when all are labeled.
+    """Vote matrix for the texts; label column included when labels are given and none is None.
 
-    A word is present in a document when it equals one of the document's
-    tokens (the module docstring's tokenization), found without a token set
-    per document.  The documents are taken ``_SLICE_DOCS`` at a time; each is
-    lowercased and UTF-8 encoded, and the slice is joined into one buffer
-    with ``b"\\n"`` before, between and after the documents.  Each roster
-    word is one literal scan of that buffer.  A match counts when the bytes
-    on both sides of it are not token bytes (``_TOKEN_BYTE``), and a binary
-    search of the documents' end offsets names its document.
+    A word is present in a text when it equals one of the text's tokens (the
+    module docstring's tokenization), found without a token set per text.
+    Each text is lowercased and UTF-8 encoded, and the encoded texts are
+    joined a slice at a time into one buffer, with ``b"\\n"`` before, between
+    and after them; a slice ends as soon as its texts reach ``_SLICE_BYTES``
+    bytes, which bounds the buffer's memory.  Each roster word is one
+    literal scan of that buffer.  A match counts when the bytes on both
+    sides of it are not token bytes (``_TOKEN_BYTE``), and a binary search of
+    the texts' end offsets names its text.
 
-    This is exact.  The tokens of the lowercased text are its maximal runs
-    of ``[0-9a-z]``.  UTF-8 writes each ASCII character as its own byte and
-    every other code point (lone surrogates included) as bytes of 0x80 and
-    above, and the separator is not a token byte, so the buffer's maximal
-    runs of token bytes are the documents' tokens.  The scan's matches do
-    not overlap, but it skips no whole-token match: a match overlapping one
-    would put a token byte right before it.
+    This is exact, wherever the slices end.  The tokens of the lowercased
+    text are its maximal runs of ``[0-9a-z]``.  UTF-8 writes each ASCII
+    character as its own byte and every other code point (lone surrogates
+    included) as bytes of 0x80 and above, and the separator is not a token
+    byte, so the buffer's maximal runs of token bytes are the texts' tokens.
+    The scan's matches do not overlap, but it skips no whole-token match: a
+    match overlapping one would put a token byte right before it.
     """
-    if isinstance(docs, Corpus):
-        docs = list(docs.documents)
     roster = roster if roster is not None else default_roster()
     if not roster:
         raise ContractError("source roster must be nonempty")
@@ -251,23 +271,99 @@ def apply_sources(
     scans = [  # a keyword is [0-9a-z]+, a pure literal: the regex engine's fast search
         (re.compile(word.encode()), len(word), col) for word, col in column.items()
     ]
-    present = np.zeros((len(docs), len(column)), dtype=bool)
-    for start in range(0, len(docs), _SLICE_DOCS):
-        texts = [d.text.lower().encode("utf-8", "surrogatepass")
-                 for d in docs[start:start + _SLICE_DOCS]]
-        buf = b"\n".join([b""] + texts + [b""])  # a separator before and after each document
-        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-        ends = np.cumsum(lengths + 1)  # offset of the separator after each document
+    present = np.zeros((len(texts), len(column)), dtype=bool)
+    start = 0
+    for encoded in _encoded_slices(texts):
+        buf = b"\n".join([b""] + encoded + [b""])  # a separator before and after each text
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        ends = np.cumsum(lengths + 1)  # offset of the separator after each text
         byte = np.frombuffer(buf, dtype=np.uint8)
         for pattern, size, col in scans:
             at = np.fromiter(map(re.Match.start, pattern.finditer(buf)), np.int64)
             at = at[~(_TOKEN_BYTE[byte[at - 1]] | _TOKEN_BYTE[byte[at + size]])]  # a whole token
             present[start + np.searchsorted(ends, at, side="right"), col] = True
+        start += len(encoded)
     sentiment = np.array([src.sentiment for src in roster], dtype=np.int8)
     values = np.where(present[:, [column[src.word] for src in roster]], sentiment, -sentiment)
-    labels = [d.label for d in docs]
-    labels = np.array(labels, dtype=np.int8) if labels and None not in labels else None
+    if labels is not None and (not len(labels) or None in labels):
+        labels = None
     return SourceMatrix(values, labels)
+
+
+def _encoded_slices(texts):
+    """The texts lowercased and UTF-8 encoded, in lists that end once they reach ``_SLICE_BYTES``."""
+    encoded, size = [], 0
+    for text in texts:
+        encoded.append(text.lower().encode("utf-8", "surrogatepass"))
+        size += len(encoded[-1])
+        if size >= _SLICE_BYTES:
+            yield encoded
+            encoded, size = [], 0
+    if encoded:
+        yield encoded
+
+
+@dataclass(frozen=True)
+class CorpusVotes:
+    """The keyword votes of a JSONL corpus, with each document's id, label and split.
+
+    ``from_jsonl`` reads the file through ``_read_jsonl`` and votes each
+    slice with one ``apply_sources`` call, then drops its text: only the
+    ids, the labels and the votes are kept.  It raises what
+    ``Corpus.from_jsonl`` raises on the same files, in the same order (a
+    faulty line or undecodable bytes, then a malformed split manifest, then a
+    repeated id).
+    """
+
+    ids: list  # in file order
+    values: np.ndarray  # (n, m) int8 votes of the default roster
+    labels: np.ndarray  # int8, 0 for an unlabeled document
+    split: dict  # doc_id -> split name
+
+    @classmethod
+    def from_jsonl(
+        cls, docs_path: str | Path, split_path: str | Path | None = None
+    ) -> "CorpusVotes":
+        ids, values, labels = [], [], []
+        for slice_ids, texts, slice_labels in _read_jsonl(docs_path):
+            values.append(apply_sources(texts).values)
+            ids += slice_ids
+            labels += slice_labels
+        split = _read_split(split_path) if split_path is not None else {}
+        _check_unique(ids)
+        m = len(default_roster())
+        values = np.concatenate(values) if values else np.empty((0, m), dtype=np.int8)
+        labels = np.array([0 if label is None else label for label in labels], dtype=np.int8)
+        return cls(ids, values, labels, split)
+
+    def _in(self, name: str) -> np.ndarray:
+        return np.fromiter((self.split.get(i) == name for i in self.ids), bool, len(self.ids))
+
+    def matrix(self, name: str | None = None) -> SourceMatrix:
+        """The votes of split ``name`` in file order, or of every document when None;
+        labeled when every one of them is."""
+        rows = self._in(name) if name is not None else slice(None)
+        labels = self.labels[rows]
+        return SourceMatrix(self.values[rows], labels if labels.size and labels.all() else None)
+
+    def case_study_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """The joint-state indices of the train and test splits, which ``run_case_study`` reads.
+
+        Both splits must be nonempty and fully labeled.
+        """
+        train, test = self._in("train"), self._in("test")
+        if not train.any() or not test.any():
+            raise ContractError(
+                "corpus is missing a train or test split: ingest one first "
+                "(labelmoments ws ingest --help) and pass its split manifest"
+            )
+        if not self.labels[test].all():
+            raise ContractError("the test split must be fully labeled")
+        if not self.labels[train].all():
+            raise ContractError("the training split must be labeled to simulate budgets")
+        return tuple(
+            SourceMatrix(self.values[rows], self.labels[rows]).state_index() for rows in (train, test)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -418,37 +514,30 @@ def _metric_row(model: str, n, n_labeled, losses, f1s, alpha="", gs_fallbacks=""
     }
 
 
-def run_case_study(corpus: Corpus, config: CaseStudyConfig | None = None) -> list[dict]:
+def run_case_study(
+    train_states: np.ndarray, test_states: np.ndarray, config: CaseStudyConfig | None = None
+) -> list[dict]:
     """Fit labeled / mean / median-corrected / combined models; score on the test split.
 
-    Returns metric rows (dicts) ready for CSV serialization.  Both splits
-    become joint-state indices once.  Each cell (a model and a training
-    size) draws its trials, one after another, from one
-    ``trial_rng(seed, f"case:{name}", n)``.  A training subset is one
-    ``rng.choice`` of the split's rows without replacement, kept as the
-    joint-state counts of the drawn rows; a size of at least the split is
-    the whole split and draws nothing, so such a cell is fitted and scored
-    once and its one result stands for each of its trials.  Every fit reads
-    those counts, and the test split is scored by its state indices.  Combined trial t pairs
-    the t-th corrected-median fit at ``n_unlabeled``, fitted once for the
-    whole labeled grid, with the t-th labeled subset at the labeled size,
-    drawn as the ``labeled`` cell of that size draws it; a combined row's
-    ``gs_fallbacks`` counts its trials whose shrinkage weight fell back to
-    1.  The test split must be labeled.
+    The splits come as joint-state indices of the default roster over
+    (sources, Y), one per document (``CorpusVotes.case_study_states``); an
+    empty split raises ``ContractError``.  Returns metric rows (dicts) ready for CSV
+    serialization.  Each cell (a model and a training size) draws its
+    trials, one after another, from one ``trial_rng(seed, f"case:{name}", n)``.
+    A training subset is one ``rng.choice`` of the split's rows without
+    replacement, kept as the joint-state counts of the drawn rows; a size of
+    at least the split is the whole split and draws nothing, so such a cell
+    is fitted and scored once and its one result stands for each of its
+    trials.  Every fit reads those counts, and the test split is scored by
+    its state indices.  Combined trial t pairs the t-th corrected-median fit
+    at ``n_unlabeled``, fitted once for the whole labeled grid, with the t-th
+    labeled subset at the labeled size, drawn as the ``labeled`` cell of that
+    size draws it; a combined row's ``gs_fallbacks`` counts its trials whose
+    shrinkage weight fell back to 1.
     """
     config = config if config is not None else CaseStudyConfig()
-    train_docs, test_docs = corpus.train, corpus.test
-    if not train_docs or not test_docs:
-        raise ContractError(
-            "corpus is missing a train or test split: ingest one first "
-            "(labelmoments ws ingest --help) and pass its split manifest"
-        )
-    if not all(d.label is not None for d in test_docs):
-        raise ContractError("the test split must be fully labeled")
-    if not all(d.label is not None for d in train_docs):
-        raise ContractError("the training split must be labeled to simulate budgets")
-    train_states = apply_sources(train_docs).state_index()
-    test_states = apply_sources(test_docs).state_index()
+    if not train_states.size or not test_states.size:
+        raise ContractError("the case study needs the states of a nonempty train and test split")
     m = len(default_roster())
     p = config.class_balance
     rows: list[dict] = []

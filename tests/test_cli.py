@@ -1,17 +1,18 @@
 import json
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from labelmoments import experiments
+from labelmoments import cli, experiments, ws
 from labelmoments.cli import main
 from labelmoments.experiments import DEFAULT_ACCURACIES
 from labelmoments.ising import IsingModel
 from labelmoments.manifest import file_sha256
-from labelmoments.ws import Corpus, default_roster
+from labelmoments.ws import Corpus, Document, default_roster
 
 from conftest import synthetic_keyword_corpus
 
@@ -187,6 +188,108 @@ def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
     assert "error (ContractError)" in result.output
     assert "docs.jsonl, line 2001" in result.output
     assert "Traceback" not in result.output
+
+
+# Faults of a `ws run` input, in the order in which they are reported: the
+# corpus is read first (a faulty line, then undecodable bytes in a later read
+# buffer), then the split manifest, then the ids, then the splits.
+WS_RUN_FAULTS = {
+    "bad-line": "{docs}, line 2: not a document record with 'id' and 'text' "
+                "(JSONDecodeError: Expecting ',' delimiter: line 1 column 16 (char 15))",
+    "not-utf8": "{docs}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9 in position "
+                "{position}: invalid continuation byte)",
+    "bad-manifest": "{split}: not a JSON object",
+    "repeated-id": "document ids must be unique; 'd5' repeats",
+    "missing-split": "corpus is missing a train or test split: ingest one first "
+                     "(labelmoments ws ingest --help) and pass its split manifest",
+    "unlabeled-test": "the test split must be fully labeled",
+    "unlabeled-train": "the training split must be labeled to simulate budgets",
+}
+
+
+def _faulty_corpus(tmp_path, faults):
+    """24 labeled documents of about 1 KB, 16 train and 8 test, with the given faults."""
+    records = [{"id": f"d{i}", "text": f"good film number {i} " + "x" * 1000, "label": 1 - 2 * (i % 2)}
+               for i in range(24)]
+    split = {"train": [f"d{i}" for i in range(16)], "test": [f"d{i}" for i in range(16, 24)]}
+    if "unlabeled-test" in faults:
+        del records[20]["label"]
+    if "unlabeled-train" in faults:
+        del records[3]["label"]
+    if "repeated-id" in faults:
+        records.append({"id": "d5", "text": "again", "label": 1})
+    if "missing-split" in faults:
+        del split["test"]
+    lines = [json.dumps(r) for r in records]
+    if "bad-line" in faults:
+        lines.insert(1, '{"id": "broken"')
+    data = "\n".join(lines).encode() + b"\n"
+    if "not-utf8" in faults:  # past the first read buffer of 8 KB
+        data += b'{"id": "z", "text": "caf\xe9", "label": 1}\n'
+    docs, split_path = tmp_path / "docs.jsonl", tmp_path / "split.json"
+    docs.write_bytes(data)
+    split_path.write_text('["d0"]' if "bad-manifest" in faults else json.dumps(split))
+    return docs, split_path
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 1000], ids=["default-slices", "1000-byte-slices"])
+@pytest.mark.parametrize("with_later", [False, True], ids=["alone", "with-every-later-fault"])
+@pytest.mark.parametrize("fault", list(WS_RUN_FAULTS))
+def test_ws_run_reports_the_first_input_fault(tmp_path, monkeypatch, fault, with_later, slice_bytes):
+    if slice_bytes is not None:  # slices are voted before the reader meets the fault
+        monkeypatch.setattr(ws, "_SLICE_BYTES", slice_bytes)
+    names = list(WS_RUN_FAULTS)
+    docs, split = _faulty_corpus(
+        tmp_path, names[names.index(fault):] if with_later else [fault]
+    )
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "ws", "run", "--corpus", str(docs), "--split", str(split), "--trials", "1", "-o", str(out),
+    ])
+    message = WS_RUN_FAULTS[fault].format(
+        docs=docs, split=split, position=849 if with_later else 832
+    )
+    assert result.exit_code == 1
+    assert result.output == f"error (ContractError): {message}\n"
+    assert not out.exists()
+
+
+def test_ws_run_memory_does_not_grow_with_document_length(tmp_path):
+    """The same documents and keywords, once padded to about 4 KB each: the
+    tracemalloc peaks of `ws run` differ by less than six slice budgets.
+
+    Reading the whole corpus would add its 4 MB of text.  The difference is
+    that of reading the input in 1 MiB blocks to hash it (four budgets); a
+    slice's text, its encoded copy and its joined buffer are about three.
+    """
+    sent = [s.sentiment for s in default_roster()]
+    corpus = synthetic_keyword_corpus(
+        1000, [0.6 if s > 0 else 0.2 for s in sent], [0.2 if s > 0 else 0.6 for s in sent], seed=4
+    )
+    split = {d.doc_id: ("test" if i % 5 == 0 else "train") for i, d in enumerate(corpus.documents)}
+
+    for pad in (0, 1333):
+        docs = tuple(Document(d.doc_id, d.text + " zz" * pad, d.label) for d in corpus.documents)
+        Corpus(docs, split).to_jsonl(tmp_path / f"{pad}.jsonl", tmp_path / f"{pad}.split.json")
+
+    def run(pad, out):
+        return CliRunner().invoke(main, [
+            "ws", "run", "--corpus", str(tmp_path / f"{pad}.jsonl"),
+            "--split", str(tmp_path / f"{pad}.split.json"), "--n-grid", "200",
+            "--n-unlabeled", "400", "--n-labeled-grid", "40", "--trials", "1", "-o", str(out),
+        ])
+
+    assert run(0, tmp_path / "warm-up").exit_code == 0  # first-call imports and caches
+    peaks = {}
+    for pad in (0, 1333):
+        tracemalloc.start()
+        try:
+            result = run(pad, tmp_path / f"out{pad}")
+            peaks[pad] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+    assert abs(peaks[1333] - peaks[0]) < 6 * ws._SLICE_BYTES, peaks
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
@@ -522,6 +625,32 @@ def test_fit_known_edges_name_pairs_of_sources(tmp_path, model_and_data, edges, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("fit", "--combine-with applies to accuracy estimates, not --method quadratic"),
+    ("infer", "the estimate has m=6 sources, the data m=4"),
+])
+def test_inputs_that_disagree_fail_before_any_work(tmp_path, model_and_data, monkeypatch, command, message):
+    _, data = model_and_data
+    est, wide, out = tmp_path / "est.json", tmp_path / "wide.csv", tmp_path / "out"
+    wide.write_text("lf_0,lf_1,lf_2,lf_3,lf_4,lf_5\n" + "1,-1,1,1,-1,1\n-1,1,1,-1,1,1\n" * 20)
+    _ok("fit", "--data", wide, "-o", est)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command did its work")
+
+    monkeypatch.setattr(cli, "estimate_quadratic_triplet_from_moments", no_work)
+    monkeypatch.setattr(cli, "posterior", no_work)
+    args = {
+        "fit": ["fit", "--data", data, "--method", "quadratic", "--combine-with", data, "-o", out],
+        "infer": ["infer", "--data", data, "--estimate", est, "-o", out],
+    }[command]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("est_method", ["triplet", "quadratic"])
 def test_infer_writes_soft_labels(tmp_path, model_and_data, est_method):
     _, data = model_and_data
@@ -649,8 +778,7 @@ def test_ws_ingest_formats_and_apply(tmp_path, tiny_corpus, review_dir):
             "--docs-out", docs, "--split-out", split)
         corpus = Corpus.from_jsonl(docs, split)
         assert len(corpus.documents) == n_docs
-        assert len(corpus.train) + len(corpus.test) == n_docs
-        assert corpus.train and corpus.test
+        assert sorted({corpus.split.get(d.doc_id) for d in corpus.documents}) == ["test", "train"]
     matrix = tmp_path / "matrix.csv"
     _ok("ws", "apply", "--corpus", tmp_path / "jsonl.jsonl", "--split", tmp_path / "jsonl.split.json",
         "--subset", "test", "-o", matrix)
@@ -799,6 +927,7 @@ def test_outputs_differing_in_extension_keep_separate_records(tmp_path, model_an
     ({"seed": -1}, "seed"),
     ({"n_grid": [100.5]}, "n_grid"),
     ({"n_grid": ["100"]}, "n_grid"),
+    ({"n_grid": []}, "n_grid"),
     ({"model": {"accuracies": [0.7, "0.6"]}}, "accuracies"),
     ({"model": {"edge_gap": None}}, "edge_gap"),
     ({"model": {"class_balance": "0.5"}}, "class_balance"),

@@ -80,6 +80,11 @@ class TestConfig:
         with pytest.raises(ContractError, match="non-negative"):
             edge_layout(-1, m=10)
 
+    def test_trial_rng_refuses_a_negative_seed(self):
+        # seed % 2**63 would draw the stream of seed 2**63 - 1
+        with pytest.raises(ContractError, match="seed must be non-negative, got -1"):
+            trial_rng(-1, "case:labeled", 40)
+
     def test_grid_shape(self):
         grid = labeled_search_grid()
         assert grid[0] == 10 and grid[-1] == 5000

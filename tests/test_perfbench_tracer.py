@@ -35,7 +35,7 @@ def test_every_patch_installs_and_uninstalls(monkeypatch):
     assert (experiments.trial_rng, ws.green_strawderman_alpha) == originals
 
 
-def test_case_study_spans_are_traced(monkeypatch):
+def test_case_study_spans_are_traced(monkeypatch, tmp_path):
     from labelmoments import ws
 
     tracer_mod = _load_tracer(monkeypatch)
@@ -44,14 +44,20 @@ def test_case_study_spans_are_traced(monkeypatch):
         600, [0.6 if s > 0 else 0.2 for s in sent], [0.2 if s > 0 else 0.6 for s in sent], seed=1
     )
     split = {d.doc_id: ("test" if i % 3 == 0 else "train") for i, d in enumerate(corpus.documents)}
+    docs, split_path = tmp_path / "docs.jsonl", tmp_path / "split.json"
+    ws.Corpus(corpus.documents, split).to_jsonl(docs, split_path)
     config = ws.CaseStudyConfig(n_grid=(200,), n_unlabeled=400, n_labeled_grid=(40,), trials=2)
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install(tracer, lambda: None)
-        ws.run_case_study(ws.Corpus(corpus.documents, split), config)
+        states = ws.CorpusVotes.from_jsonl(docs, split_path).case_study_states()
+        ws.run_case_study(*states, config)
     finally:
         tracer.uninstall()
     metrics = tracer_mod.layer_metrics(tracer)
+    # the 600 short documents are one slice of the reader, voted by one call
+    assert metrics["ws.apply_sources.calls"] == 1
+    assert metrics["ws.run_case_study.s"] > 0
     # 3 fitters x 2 trials, then labeled-small and combined x 2 trials
     assert metrics["label_model.cross_entropy.calls"] == 10
     assert metrics["label_model.f1_score.calls"] == 10

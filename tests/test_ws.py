@@ -11,6 +11,7 @@ from labelmoments.estimators import SampleMoments, estimate_quadratic_triplet_fr
 from labelmoments.ws import (
     CaseStudyConfig,
     Corpus,
+    CorpusVotes,
     Document,
     KeywordSource,
     apply_sources,
@@ -71,16 +72,21 @@ FRAGMENTS = [
 ROSTER_WORDS = ["go", "good", "goodness", "Good", "don", "t", "10", "k", "i", "ss", "fi"]
 
 
-def oracle_votes(docs, roster):
-    """Votes from each document's token set, one document at a time."""
-    votes = [[s.sentiment if s.word in tokenize(d.text) else -s.sentiment for s in roster]
-             for d in docs]
-    return np.array(votes, dtype=np.int8).reshape(len(docs), len(roster))
+def oracle_votes(texts, roster):
+    """Votes from each text's token set, one text at a time."""
+    votes = [[s.sentiment if s.word in tokenize(t) else -s.sentiment for s in roster]
+             for t in texts]
+    return np.array(votes, dtype=np.int8).reshape(len(texts), len(roster))
+
+
+def labeled_matrix(corpus):
+    """``apply_sources`` on every document of the corpus, with its labels."""
+    return apply_sources([d.text for d in corpus.documents], [d.label for d in corpus.documents])
 
 
 class TestApplySources:
     def test_votes_for_simple_document(self):
-        matrix = apply_sources([Document("d", "a good movie")])
+        matrix = apply_sources(["a good movie"])
         votes = dict(zip([s.word for s in default_roster()], matrix.values[0]))
         assert votes["good"] == 1
         for w in ("love", "like", "great", "best", "excellent"):
@@ -89,25 +95,22 @@ class TestApplySources:
             assert votes[w] == 1
 
     def test_empty_document(self):
-        matrix = apply_sources([Document("d", "")])
+        matrix = apply_sources([""])
         sentiments = np.array([s.sentiment for s in default_roster()])
         np.testing.assert_array_equal(matrix.values[0], -sentiments)
 
     def test_label_column_when_fully_labeled(self):
-        docs = [Document("a", "good", 1), Document("b", "bad", -1)]
-        matrix = apply_sources(docs)
+        matrix = apply_sources(["good", "bad"], [1, -1])
         np.testing.assert_array_equal(matrix.labels, [1, -1])
-        assert apply_sources([Document("a", "good")]).labels is None
+        assert apply_sources(["good", "bad"], [1, None]).labels is None
+        assert apply_sources(["good"]).labels is None
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
-        docs = [
-            Document(f"d{i}", " ".join(rng.choice(["good", "bad", "movie", "the"], 4)))
-            for i in range(20)
-        ]
-        base = apply_sources(docs).values
+        texts = [" ".join(rng.choice(["good", "bad", "movie", "the"], 4)) for _ in range(20)]
+        base = apply_sources(texts).values
         perm = rng.permutation(20)
-        shuffled = apply_sources([docs[i] for i in perm]).values
+        shuffled = apply_sources([texts[i] for i in perm]).values
         np.testing.assert_array_equal(shuffled, base[perm])
 
     @pytest.mark.parametrize("roster", [
@@ -121,31 +124,34 @@ class TestApplySources:
             "", "could've been better; WOULD not watch", "don't", "love-like 2 GREAT",
             "goodgood bad_ending", "Excellent.", "worst\tterrible\nbest",
         ]
-        docs = [Document(f"d{i}", t) for i, t in enumerate(texts)]
-        np.testing.assert_array_equal(apply_sources(docs, roster).values, oracle_votes(docs, roster))
+        np.testing.assert_array_equal(
+            apply_sources(texts, roster=roster).values, oracle_votes(texts, roster)
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(
         texts=st.lists(st.lists(st.sampled_from(FRAGMENTS), max_size=12).map("".join), max_size=12),
         words=st.lists(st.sampled_from(ROSTER_WORDS), min_size=1, max_size=8),
         sentiments=st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8),
-        slice_docs=st.integers(1, 5),
+        slice_bytes=st.integers(1, 40),
     )
-    def test_matches_tokenize_oracle(self, texts, words, sentiments, slice_docs):
+    def test_matches_tokenize_oracle(self, texts, words, sentiments, slice_bytes):
         # small slices, so most examples scan several buffers
         roster = tuple(KeywordSource(w, s) for w, s in zip(words, sentiments))
-        docs = [Document(f"d{i}", t) for i, t in enumerate(texts)]
-        with mock.patch.object(ws, "_SLICE_DOCS", slice_docs):
-            votes = apply_sources(docs, roster).values
-        np.testing.assert_array_equal(votes, oracle_votes(docs, roster))
+        with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes):
+            votes = apply_sources(texts, roster=roster).values
+        np.testing.assert_array_equal(votes, oracle_votes(texts, roster))
 
     def test_matches_tokenize_oracle_across_default_slices(self):
         rng = np.random.default_rng(11)
-        n = 2 * ws._SLICE_DOCS + 37
-        docs = [Document(f"d{i}", "".join(rng.choice(FRAGMENTS, rng.integers(0, 10))))
-                for i in range(n)]
+        texts, size = [], 0
+        while size < 2 * ws._SLICE_BYTES or len(texts) % 37:
+            texts.append("".join(rng.choice(FRAGMENTS, rng.integers(0, 400))))
+            size += len(texts[-1].lower().encode("utf-8", "surrogatepass"))
         roster = tuple(KeywordSource(w, 1) for w in ROSTER_WORDS)
-        np.testing.assert_array_equal(apply_sources(docs, roster).values, oracle_votes(docs, roster))
+        np.testing.assert_array_equal(
+            apply_sources(texts, roster=roster).values, oracle_votes(texts, roster)
+        )
 
     def test_empty_corpus(self):
         matrix = apply_sources([])
@@ -154,7 +160,7 @@ class TestApplySources:
 
     def test_empty_roster_rejected(self):
         with pytest.raises(ContractError):
-            apply_sources([Document("d", "x")], roster=())
+            apply_sources(["x"], roster=())
 
 
 # JSONL lines on which a parse could disagree with one ``json.loads`` per line:
@@ -196,8 +202,7 @@ class TestCorpusIO:
         corpus.to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
         back = Corpus.from_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
         assert back.documents == docs
-        assert [d.doc_id for d in back.train] == ["a", "c"]
-        assert [d.doc_id for d in back.test] == ["b"]
+        assert back.split == {"a": "train", "b": "test", "c": "train"}
 
     @pytest.mark.parametrize("line", [
         "not json",
@@ -218,22 +223,55 @@ class TestCorpusIO:
         lines=st.lists(st.sampled_from(JSONL_LINES), max_size=10),
         ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=10, max_size=10),
         bom=st.booleans(),
+        slice_bytes=st.integers(1, 30),
     )
-    def test_jsonl_matches_per_line_json_loads(self, tmp_path_factory, lines, ends, bom):
-        # the record ids are the line positions, so a repeat is a repeated line
+    def test_jsonl_matches_per_line_json_loads(
+        self, tmp_path_factory, lines, ends, bom, slice_bytes
+    ):
+        # the record ids are the line positions, so a repeat is a repeated line;
+        # small slices, so most files are read in several
         text = "".join(
             line.replace("@ID@", f"r{i}") + end for i, (line, end) in enumerate(zip(lines, ends))
         )
         path = tmp_path_factory.mktemp("jsonl") / "docs.jsonl"
         path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
 
-        def outcome(read):
+        def outcome(read, keep=lambda x: x):
             try:
-                return read(path)
+                return keep(read(path))
             except ContractError as exc:
                 return str(exc)
 
-        assert outcome(Corpus.from_jsonl) == outcome(oracle_from_jsonl)
+        def kept(corpus):  # what the streaming pass keeps of a corpus
+            docs = corpus.documents
+            labels = [d.label or 0 for d in docs]
+            return [d.doc_id for d in docs], labels, oracle_votes([d.text for d in docs], default_roster())
+
+        def votes_kept(votes):
+            return votes.ids, votes.labels.tolist(), votes.values
+
+        with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes):
+            corpus, votes = outcome(Corpus.from_jsonl), outcome(CorpusVotes.from_jsonl, votes_kept)
+        expected = outcome(oracle_from_jsonl)
+        assert corpus == expected
+        expected = expected if isinstance(expected, str) else kept(expected)
+        if isinstance(votes, str) or isinstance(expected, str):
+            assert votes == expected
+        else:
+            assert votes[:2] == expected[:2]
+            np.testing.assert_array_equal(votes[2], expected[2])
+
+    @pytest.mark.parametrize("slice_bytes", [1, 7, 100, 10_000])
+    def test_reader_slices_end_once_their_text_reaches_the_budget(self, tmp_path, slice_bytes):
+        rng = np.random.default_rng(slice_bytes)
+        docs = tuple(Document(f"d{i}", "x" * int(rng.integers(0, 60)), 1) for i in range(300))
+        Corpus(docs, {}).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
+        with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes):
+            slices = list(ws._read_jsonl(tmp_path / "docs.jsonl"))
+        sizes = [[len(t) for t in texts] for _, texts, _ in slices]
+        assert all(sum(s) >= slice_bytes > sum(s[:-1]) for s in sizes[:-1])
+        assert sum(sizes[-1][:-1]) < slice_bytes
+        assert [i for ids, _, _ in slices for i in ids] == [d.doc_id for d in docs]
 
     @pytest.mark.parametrize("manifest", ['{"train": ["a"]', '["a"]', '{"train": "a"}'])
     def test_bad_split_manifest_names_file(self, tmp_path, manifest):
@@ -260,13 +298,30 @@ class TestCorpusIO:
         with pytest.raises(ContractError, match="'b' repeats"):
             Corpus(docs + (Document("b", "w"), Document("a", "v")))
 
-    def test_splits_from_one_pass(self):
-        docs = tuple(Document(str(i), "x") for i in range(6))
-        corpus = Corpus(docs, {"0": "test", "1": "train", "3": "train", "4": "test", "5": "dev"})
-        assert corpus.train == (docs[1], docs[3])
-        assert corpus.test == (docs[0], docs[4])
-        assert corpus.subset("dev") == (docs[5],)
-        assert corpus.subset("other") == ()
+    def test_votes_by_split(self, tmp_path):
+        texts = ["good", "bad film", "great", "", "worst, could", "love"]
+        labels = [1, -1, None, 1, -1, 1]
+        docs = tuple(Document(str(i), t, y) for i, (t, y) in enumerate(zip(texts, labels)))
+        Corpus(docs, {}).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
+        (tmp_path / "split.json").write_text(
+            json.dumps({"test": ["0", "4"], "train": ["1", "3"], "dev": ["5", "2"]})
+        )
+        votes = CorpusVotes.from_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
+
+        def expected(rows):
+            return apply_sources([texts[i] for i in rows], [labels[i] for i in rows])
+
+        for name, rows in {"train": [1, 3], "test": [0, 4], "dev": [2, 5], "other": [],
+                           None: range(6)}.items():
+            matrix, want = votes.matrix(name), expected(rows)
+            np.testing.assert_array_equal(matrix.values, want.values)
+            if want.labels is None:
+                assert matrix.labels is None
+            else:
+                np.testing.assert_array_equal(matrix.labels, want.labels)
+        train, test = votes.case_study_states()
+        np.testing.assert_array_equal(train, expected([1, 3]).state_index())
+        np.testing.assert_array_equal(test, expected([0, 4]).state_index())
 
     def test_ingest_review_directory(self, tmp_path):
         for part in ("train", "test"):
@@ -276,7 +331,7 @@ class TestCorpusIO:
                 (d / "0.txt").write_text(f"{part} {sent} review")
         corpus = ingest_review_directory(tmp_path)
         assert len(corpus.documents) == 4
-        assert len(corpus.train) == 2 and len(corpus.test) == 2
+        assert sorted(corpus.split.values()) == ["test", "test", "train", "train"]
         labels = {d.doc_id: d.label for d in corpus.documents}
         assert labels["train/pos/0"] == 1 and labels["test/neg/0"] == -1
 
@@ -289,7 +344,7 @@ class TestCorpusIO:
         path.write_text("text,label\ngood film,1\nbad film,0\nfine film,1\nmeh,0\n")
         corpus = ingest_csv(path, test_fraction=0.25, seed=1)
         assert len(corpus.documents) == 4
-        assert len(corpus.test) == 1
+        assert list(corpus.split.values()).count("test") == 1
         assert {d.label for d in corpus.documents} == {-1, 1}
 
     @pytest.mark.parametrize("neg", ["0", "-1"])
@@ -324,7 +379,7 @@ class TestSyntheticOracle:
         p_pos = rng.uniform(0.2, 0.8, m)
         p_neg = rng.uniform(0.2, 0.8, m)
         corpus = synthetic_keyword_corpus(40_000, p_pos, p_neg, seed=2)
-        matrix = apply_sources(corpus.train)
+        matrix = labeled_matrix(corpus)
         cond_pos, cond_neg = implied_source_conditionals(p_pos, p_neg)
         votes = matrix.values > 0
         pos_rows = matrix.labels > 0
@@ -341,7 +396,7 @@ class TestSyntheticOracle:
         p_pos = np.where(sent > 0, rng.uniform(0.5, 0.75, m), rng.uniform(0.1, 0.35, m))
         p_neg = np.where(sent > 0, rng.uniform(0.1, 0.35, m), rng.uniform(0.5, 0.75, m))
         corpus = synthetic_keyword_corpus(20_000, p_pos, p_neg, seed=3)
-        matrix = apply_sources(corpus.train)
+        matrix = labeled_matrix(corpus)
         est = estimate_quadratic_triplet_from_moments(
             SampleMoments.from_source_matrix(matrix), 0.5, "median"
         )
@@ -394,12 +449,19 @@ class TestCaseStudy:
         split.update({"t" + d.doc_id: "test" for d in test.documents})
         return Corpus(tuple(docs), split)
 
-    def test_metrics_table(self, small_corpus, tmp_path):
+    @pytest.fixture(scope="class")
+    def small_states(self, small_corpus, tmp_path_factory):
+        """The splits' joint states, through the corpus files ``ws run`` reads."""
+        path = tmp_path_factory.mktemp("case")
+        small_corpus.to_jsonl(path / "docs.jsonl", path / "split.json")
+        return CorpusVotes.from_jsonl(path / "docs.jsonl", path / "split.json").case_study_states()
+
+    def test_metrics_table(self, small_states, tmp_path):
         cfg = CaseStudyConfig(
             n_grid=(1500, 6000), n_unlabeled=6000,
             n_labeled_grid=(40, 200), trials=3, seed=0,
         )
-        rows = run_case_study(small_corpus, cfg)
+        rows = run_case_study(*small_states, cfg)
         models = {r["model"] for r in rows}
         assert models == {
             "labeled", "unlabeled-mean", "corrected-median",
@@ -413,30 +475,30 @@ class TestCaseStudy:
         assert lines[0].startswith("model,n,")
         assert len(lines) == len(rows) + 1
 
-    def test_combined_rows_count_shrinkage_fallbacks(self, small_corpus):
+    def test_combined_rows_count_shrinkage_fallbacks(self, small_states):
         # one labeled row has no covariance, so every combined trial at n_L=1
         # falls back to alpha 1; at n_L=200 the rule itself picks alpha 1, so
         # only the count tells the rows apart
         cfg = CaseStudyConfig(
             n_grid=(6000,), n_unlabeled=6000, n_labeled_grid=(1, 200), trials=3, seed=2,
         )
-        combined = [r for r in run_case_study(small_corpus, cfg) if r["model"] == "combined"]
+        combined = [r for r in run_case_study(*small_states, cfg) if r["model"] == "combined"]
         assert [(r["n_labeled"], r["gs_fallbacks"], r["alpha"]) for r in combined] == [
             (1, 3, 1.0), (200, 0, 1.0),
         ]
 
-    def test_cells_share_streams_and_the_whole_split_draws_nothing(self, small_corpus):
+    def test_cells_share_streams_and_the_whole_split_draws_nothing(self, small_states):
         # labeled-small at 40 draws as the labeled cell at 40 does; at the
         # split's size every trial is the whole split
         cfg = CaseStudyConfig(
             n_grid=(40, 6000), n_unlabeled=6000, n_labeled_grid=(40,), trials=3, seed=4,
         )
-        rows = {(r["model"], r["n"], r["n_labeled"]): r for r in run_case_study(small_corpus, cfg)}
+        rows = {(r["model"], r["n"], r["n_labeled"]): r for r in run_case_study(*small_states, cfg)}
         small, labeled = rows["labeled-small", "", 40], rows["labeled", 40, ""]
         assert (small["loss"], small["f1"]) == (labeled["loss"], labeled["f1"])
         assert rows["corrected-median", 6000, ""]["loss_sd"] == 0.0
 
-    def test_cells_covering_the_split_are_fitted_and_scored_once(self, small_corpus, monkeypatch):
+    def test_cells_covering_the_split_are_fitted_and_scored_once(self, small_states, monkeypatch):
         calls = {"fits": 0, "scores": 0}
 
         def counted(fn, key):
@@ -448,17 +510,25 @@ class TestCaseStudy:
         cfg = CaseStudyConfig(
             n_grid=(1500, 9000), n_unlabeled=6000, n_labeled_grid=(40,), trials=3, seed=4,
         )
-        expected = run_case_study(small_corpus, cfg)
+        expected = run_case_study(*small_states, cfg)
         monkeypatch.setattr(ws, "estimate_quadratic_triplet_from_moments",
                             counted(estimate_quadratic_triplet_from_moments, "fits"))
         monkeypatch.setattr(ws, "cross_entropy", counted(ws.cross_entropy, "scores"))
-        assert run_case_study(small_corpus, cfg) == expected
+        assert run_case_study(*small_states, cfg) == expected
         # mean and median: 3 trials at 1500 and one fit at 9000 each, then the
         # shared corrected fit at 6000 once; three models scored 3 + 1 times,
         # and labeled-small and combined 3 times each
         assert calls == {"fits": 2 * (3 + 1) + 1, "scores": 3 * (3 + 1) + 2 * 3}
 
-    def test_missing_split_raises_with_remedy(self, small_corpus):
-        bare = Corpus(small_corpus.documents, {})
+    def test_missing_split_raises_with_remedy(self, small_corpus, tmp_path):
+        Corpus(small_corpus.documents, {}).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
+        votes = CorpusVotes.from_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
         with pytest.raises(ContractError, match="ingest"):
-            run_case_study(bare, CaseStudyConfig(trials=1))
+            votes.case_study_states()
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_states_raise(self, small_states, empty):
+        train, test = small_states
+        states = {"train": train, "test": test, empty: train[:0]}
+        with pytest.raises(ContractError, match="nonempty train and test split"):
+            run_case_study(states["train"], states["test"], CaseStudyConfig(trials=1))
