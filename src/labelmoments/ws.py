@@ -82,19 +82,6 @@ def default_roster() -> tuple[KeywordSource, ...]:
     )
 
 
-_LABELS = (None, -1, 1)
-
-
-def _check_record(text, label) -> None:
-    """Raise the error of a record whose text is not a string or whose label is
-    not -1, +1 or None.  Per-record callers test the record inline first, so
-    that a valid record costs no call."""
-    if not isinstance(text, str):
-        raise ContractError("document text must be a string")
-    if label not in _LABELS:
-        raise ContractError("labels must be -1 or +1")
-
-
 def _check_unique(ids) -> None:
     if len(set(ids)) != len(ids):
         seen = set()
@@ -111,8 +98,10 @@ class Document:
     label: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.text, str) or self.label not in _LABELS:
-            _check_record(self.text, self.label)
+        if not isinstance(self.text, str):
+            raise ContractError("document text must be a string")
+        if self.label is not None and self.label not in (-1, 1):
+            raise ContractError("labels must be -1 or +1")
 
 
 @dataclass(frozen=True)
@@ -145,23 +134,24 @@ class Corpus:
     ) -> "Corpus":
         """Read documents from JSONL (``_read_jsonl``), and their split from a manifest if given."""
         docs = []
-        for ids, texts, labels in _read_jsonl(docs_path):
-            docs.extend(map(Document, ids, texts, labels))
+        for chunk in _read_jsonl(docs_path):
+            docs += chunk
         split = _read_split(split_path) if split_path is not None else {}
         return cls(tuple(docs), split)
 
 
 def _read_jsonl(docs_path: str | Path):
-    """Yield a JSONL corpus's records as ``(ids, texts, labels)`` lists, a slice at a time.
+    """Yield a JSONL corpus's ``Document`` records in lists, a slice at a time.
 
     The file is UTF-8 text with one JSON object per line, each with ``"id"``,
-    ``"text"`` and optionally ``"label"`` (-1 or +1); an id is read as its
-    ``str``.  Lines end as universal newlines do (``\\n``, ``\\r\\n`` or a
-    lone ``\\r``); whitespace around a line is ignored, and blank lines are
-    skipped.  A line that is not such a record, or a file that is not UTF-8,
-    raises ``ContractError`` naming the file, and the line where it is known
-    (undecodable bytes are found a read buffer at a time).  Records before
-    the faulty line may already have been yielded.
+    ``"text"`` and optionally ``"label"``; an id is read as its ``str``, and
+    ``Document`` checks the text and the label.  Lines end as universal
+    newlines do (``\\n``, ``\\r\\n`` or a lone ``\\r``); whitespace around a
+    line is ignored, and blank lines are skipped.  A line that is not such a
+    record, or a file that is not UTF-8, raises ``ContractError`` naming the
+    file, and the line where it is known (undecodable bytes are found a read
+    buffer at a time).  Records before the faulty line may already have been
+    yielded.
 
     The file is streamed a line at a time, and a slice is yielded as soon as
     its texts reach ``_SLICE_BYTES`` characters (one byte each for ASCII
@@ -174,7 +164,7 @@ def _read_jsonl(docs_path: str | Path):
     lacks); a BOM fails the scan, as no value starts with one.  On any other
     outcome the line goes to ``json.loads`` itself, for the error it raises.
     """
-    ids, texts, labels, size = [], [], [], 0
+    docs, size = [], 0
     with open(docs_path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -183,25 +173,21 @@ def _read_jsonl(docs_path: str | Path):
                     continue
                 try:
                     rec = _parse_line(line)
-                    doc_id, text, label = str(rec["id"]), rec["text"], rec.get("label")
-                    if not isinstance(text, str) or label not in _LABELS:
-                        _check_record(text, label)
+                    doc = Document(str(rec["id"]), rec["text"], rec.get("label"))
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise ContractError(
                         f"{docs_path}, line {lineno}: not a document record with "
                         f"'id' and 'text' ({type(exc).__name__}: {exc})"
                     ) from exc
-                ids.append(doc_id)
-                texts.append(text)
-                labels.append(label)
-                size += len(text)
+                docs.append(doc)
+                size += len(doc.text)
                 if size >= _SLICE_BYTES:
-                    yield ids, texts, labels
-                    ids, texts, labels, size = [], [], [], 0
+                    yield docs
+                    docs, size = [], 0
         except UnicodeDecodeError as exc:
             raise ContractError(f"{docs_path}: not UTF-8 text ({exc})") from exc
-    if ids:
-        yield ids, texts, labels
+    if docs:
+        yield docs
 
 
 def _parse_line(line: str):
@@ -239,28 +225,26 @@ def random_split(docs, test_fraction: float, seed: int) -> dict:
     }
 
 
-def apply_sources(
-    texts, labels=None, roster: tuple[KeywordSource, ...] | None = None
-) -> SourceMatrix:
-    """Vote matrix for the texts; label column included when labels are given and none is None.
+def apply_sources(texts, roster: tuple[KeywordSource, ...] | None = None) -> SourceMatrix:
+    """Vote matrix (without labels) for the texts.
 
     A word is present in a text when it equals one of the text's tokens (the
     module docstring's tokenization), found without a token set per text.
     Each text is lowercased and UTF-8 encoded, and the encoded texts are
-    joined a slice at a time into one buffer, with ``b"\\n"`` before, between
-    and after them; a slice ends as soon as its texts reach ``_SLICE_BYTES``
-    bytes, which bounds the buffer's memory.  Each roster word is one
-    literal scan of that buffer.  A match counts when the bytes on both
-    sides of it are not token bytes (``_TOKEN_BYTE``), and a binary search of
-    the texts' end offsets names its text.
+    joined into one buffer, with ``b"\\n"`` before, between and after them.
+    Each roster word is one literal scan of that buffer.  A match counts
+    when the bytes on both sides of it are not token bytes (``_TOKEN_BYTE``),
+    and a binary search of the texts' end offsets names its text.  The
+    buffer is as large as the texts' encoding: ``CorpusVotes`` bounds it by
+    voting one slice of the reader (about ``_SLICE_BYTES`` of text) per call.
 
-    This is exact, wherever the slices end.  The tokens of the lowercased
-    text are its maximal runs of ``[0-9a-z]``.  UTF-8 writes each ASCII
-    character as its own byte and every other code point (lone surrogates
-    included) as bytes of 0x80 and above, and the separator is not a token
-    byte, so the buffer's maximal runs of token bytes are the texts' tokens.
-    The scan's matches do not overlap, but it skips no whole-token match: a
-    match overlapping one would put a token byte right before it.
+    This is exact.  The tokens of the lowercased text are its maximal runs
+    of ``[0-9a-z]``.  UTF-8 writes each ASCII character as its own byte and
+    every other code point (lone surrogates included) as bytes of 0x80 and
+    above, and the separator is not a token byte, so the buffer's maximal
+    runs of token bytes are the texts' tokens.  The scan's matches do not
+    overlap, but it skips no whole-token match: a match overlapping one
+    would put a token byte right before it.
     """
     roster = roster if roster is not None else default_roster()
     if not roster:
@@ -268,39 +252,20 @@ def apply_sources(
     column: dict[str, int] = {}  # roster word -> presence column; a repeated word shares one
     for src in roster:
         column.setdefault(src.word, len(column))
-    scans = [  # a keyword is [0-9a-z]+, a pure literal: the regex engine's fast search
-        (re.compile(word.encode()), len(word), col) for word, col in column.items()
-    ]
-    present = np.zeros((len(texts), len(column)), dtype=bool)
-    start = 0
-    for encoded in _encoded_slices(texts):
-        buf = b"\n".join([b""] + encoded + [b""])  # a separator before and after each text
-        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-        ends = np.cumsum(lengths + 1)  # offset of the separator after each text
-        byte = np.frombuffer(buf, dtype=np.uint8)
-        for pattern, size, col in scans:
-            at = np.fromiter(map(re.Match.start, pattern.finditer(buf)), np.int64)
-            at = at[~(_TOKEN_BYTE[byte[at - 1]] | _TOKEN_BYTE[byte[at + size]])]  # a whole token
-            present[start + np.searchsorted(ends, at, side="right"), col] = True
-        start += len(encoded)
+    encoded = [text.lower().encode("utf-8", "surrogatepass") for text in texts]
+    buf = b"\n".join([b""] + encoded + [b""])  # a separator before and after each text
+    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    ends = np.cumsum(lengths + 1)  # offset of the separator after each text
+    byte = np.frombuffer(buf, dtype=np.uint8)
+    present = np.zeros((len(encoded), len(column)), dtype=bool)
+    for word, col in column.items():  # a keyword is [0-9a-z]+: a literal, the regex fast search
+        at = np.fromiter(map(re.Match.start, re.finditer(word.encode(), buf)), np.int64)
+        at = at[~(_TOKEN_BYTE[byte[at - 1]] | _TOKEN_BYTE[byte[at + len(word)]])]  # a whole token
+        present[np.searchsorted(ends, at, side="right"), col] = True
     sentiment = np.array([src.sentiment for src in roster], dtype=np.int8)
-    values = np.where(present[:, [column[src.word] for src in roster]], sentiment, -sentiment)
-    if labels is not None and (not len(labels) or None in labels):
-        labels = None
-    return SourceMatrix(values, labels)
-
-
-def _encoded_slices(texts):
-    """The texts lowercased and UTF-8 encoded, in lists that end once they reach ``_SLICE_BYTES``."""
-    encoded, size = [], 0
-    for text in texts:
-        encoded.append(text.lower().encode("utf-8", "surrogatepass"))
-        size += len(encoded[-1])
-        if size >= _SLICE_BYTES:
-            yield encoded
-            encoded, size = [], 0
-    if encoded:
-        yield encoded
+    return SourceMatrix(
+        np.where(present[:, [column[src.word] for src in roster]], sentiment, -sentiment)
+    )
 
 
 @dataclass(frozen=True)
@@ -325,10 +290,10 @@ class CorpusVotes:
         cls, docs_path: str | Path, split_path: str | Path | None = None
     ) -> "CorpusVotes":
         ids, values, labels = [], [], []
-        for slice_ids, texts, slice_labels in _read_jsonl(docs_path):
-            values.append(apply_sources(texts).values)
-            ids += slice_ids
-            labels += slice_labels
+        for docs in _read_jsonl(docs_path):
+            values.append(apply_sources([d.text for d in docs]).values)
+            ids += [d.doc_id for d in docs]
+            labels += [d.label for d in docs]
         split = _read_split(split_path) if split_path is not None else {}
         _check_unique(ids)
         m = len(default_roster())

@@ -81,7 +81,8 @@ def oracle_votes(texts, roster):
 
 def labeled_matrix(corpus):
     """``apply_sources`` on every document of the corpus, with its labels."""
-    return apply_sources([d.text for d in corpus.documents], [d.label for d in corpus.documents])
+    docs = corpus.documents
+    return SourceMatrix(apply_sources([d.text for d in docs]).values, [d.label for d in docs])
 
 
 class TestApplySources:
@@ -99,11 +100,8 @@ class TestApplySources:
         sentiments = np.array([s.sentiment for s in default_roster()])
         np.testing.assert_array_equal(matrix.values[0], -sentiments)
 
-    def test_label_column_when_fully_labeled(self):
-        matrix = apply_sources(["good", "bad"], [1, -1])
-        np.testing.assert_array_equal(matrix.labels, [1, -1])
-        assert apply_sources(["good", "bad"], [1, None]).labels is None
-        assert apply_sources(["good"]).labels is None
+    def test_no_label_column(self):
+        assert apply_sources(["good", "bad"]).labels is None
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
@@ -133,25 +131,27 @@ class TestApplySources:
         texts=st.lists(st.lists(st.sampled_from(FRAGMENTS), max_size=12).map("".join), max_size=12),
         words=st.lists(st.sampled_from(ROSTER_WORDS), min_size=1, max_size=8),
         sentiments=st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8),
-        slice_bytes=st.integers(1, 40),
     )
-    def test_matches_tokenize_oracle(self, texts, words, sentiments, slice_bytes):
-        # small slices, so most examples scan several buffers
+    def test_matches_tokenize_oracle(self, texts, words, sentiments):
         roster = tuple(KeywordSource(w, s) for w, s in zip(words, sentiments))
-        with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes):
-            votes = apply_sources(texts, roster=roster).values
+        votes = apply_sources(texts, roster=roster).values
         np.testing.assert_array_equal(votes, oracle_votes(texts, roster))
 
-    def test_matches_tokenize_oracle_across_default_slices(self):
+    def test_matches_tokenize_oracle_across_default_slices(self, tmp_path):
+        # one call on texts past two slice budgets, and the streaming pass that votes them a slice at a time
         rng = np.random.default_rng(11)
         texts, size = [], 0
         while size < 2 * ws._SLICE_BYTES or len(texts) % 37:
             texts.append("".join(rng.choice(FRAGMENTS, rng.integers(0, 400))))
-            size += len(texts[-1].lower().encode("utf-8", "surrogatepass"))
+            size += len(texts[-1])
         roster = tuple(KeywordSource(w, 1) for w in ROSTER_WORDS)
         np.testing.assert_array_equal(
             apply_sources(texts, roster=roster).values, oracle_votes(texts, roster)
         )
+        docs = tuple(Document(str(i), t) for i, t in enumerate(texts))
+        Corpus(docs).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
+        votes = CorpusVotes.from_jsonl(tmp_path / "docs.jsonl")
+        np.testing.assert_array_equal(votes.values, oracle_votes(texts, default_roster()))
 
     def test_empty_corpus(self):
         matrix = apply_sources([])
@@ -268,10 +268,10 @@ class TestCorpusIO:
         Corpus(docs, {}).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
         with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes):
             slices = list(ws._read_jsonl(tmp_path / "docs.jsonl"))
-        sizes = [[len(t) for t in texts] for _, texts, _ in slices]
+        sizes = [[len(d.text) for d in chunk] for chunk in slices]
         assert all(sum(s) >= slice_bytes > sum(s[:-1]) for s in sizes[:-1])
         assert sum(sizes[-1][:-1]) < slice_bytes
-        assert [i for ids, _, _ in slices for i in ids] == [d.doc_id for d in docs]
+        assert tuple(d for chunk in slices for d in chunk) == docs
 
     @pytest.mark.parametrize("manifest", ['{"train": ["a"]', '["a"]', '{"train": "a"}'])
     def test_bad_split_manifest_names_file(self, tmp_path, manifest):
@@ -308,20 +308,22 @@ class TestCorpusIO:
         )
         votes = CorpusVotes.from_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
 
-        def expected(rows):
-            return apply_sources([texts[i] for i in rows], [labels[i] for i in rows])
+        def expected(rows, labels=None):
+            return SourceMatrix(apply_sources([texts[i] for i in rows]).values, labels)
 
-        for name, rows in {"train": [1, 3], "test": [0, 4], "dev": [2, 5], "other": [],
-                           None: range(6)}.items():
-            matrix, want = votes.matrix(name), expected(rows)
+        # a split's matrix is labeled when every one of its documents is
+        for name, want in {"train": expected([1, 3], [-1, 1]), "test": expected([0, 4], [1, -1]),
+                           "dev": expected([2, 5]), "other": expected([]),
+                           None: expected(range(6))}.items():
+            matrix = votes.matrix(name)
             np.testing.assert_array_equal(matrix.values, want.values)
             if want.labels is None:
                 assert matrix.labels is None
             else:
                 np.testing.assert_array_equal(matrix.labels, want.labels)
         train, test = votes.case_study_states()
-        np.testing.assert_array_equal(train, expected([1, 3]).state_index())
-        np.testing.assert_array_equal(test, expected([0, 4]).state_index())
+        np.testing.assert_array_equal(train, expected([1, 3], [-1, 1]).state_index())
+        np.testing.assert_array_equal(test, expected([0, 4], [1, -1]).state_index())
 
     def test_ingest_review_directory(self, tmp_path):
         for part in ("train", "test"):
