@@ -53,8 +53,8 @@ from .label_model import LabelModel, empirical_config_dist, posterior
 from .manifest import hash_files, read_json, write_json, write_manifest
 
 DEFAULT_SEED = 0
-# every --seed option: a negative seed is a usage error
-SEED = click.IntRange(min=0)
+# every --seed option: a seed outside [0, 2**63) is a usage error
+SEED = click.IntRange(min=0, max=(1 << 63) - 1)
 
 
 def _option_key(param: click.Parameter) -> str:

@@ -291,13 +291,19 @@ def triplet_census(
         raise ContractError("triplet estimation requires at least three sources")
     jj, kk, allowed = _pair_table(m, _normalize_edges(known_edges))
     rows = np.arange(m)[:, None]
-    denom = pair_moments[..., jj, kk]
-    valid = allowed & (np.abs(denom) >= DEGENERATE_FLOOR)
+    # sqrt|M_ij M_ik / M_jk| in place, gathered by ``take`` in C order (a
+    # fancy index behind the batch axes would put those axes innermost), so
+    # that no more than two census-sized float64 arrays are alive at once
+    flat = pair_moments.reshape(pair_moments.shape[:-2] + (m * m,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sqrt(
-            np.abs(pair_moments[..., rows, jj] * pair_moments[..., rows, kk] / denom)
-        )
-    vals = np.clip(np.where(valid, vals, np.nan), 0.0, 1.0)
+        vals = np.take(flat, rows * m + jj, axis=-1)
+        vals *= np.take(flat, rows * m + kk, axis=-1)
+        denom = np.take(flat, jj * m + kk, axis=-1)
+        valid = allowed & ((denom >= DEGENERATE_FLOOR) | (denom <= -DEGENERATE_FLOOR))
+        vals /= denom
+        np.sqrt(np.abs(vals, out=vals), out=vals)
+    vals[~valid] = np.nan
+    np.clip(vals, 0.0, 1.0, out=vals)
     return vals, valid
 
 
@@ -322,18 +328,24 @@ def aggregate_census(
     npairs = vals.shape[-1]
     counts = valid.sum(axis=-1)
     if aggregation == "mean":
-        # The row sums run over a 2-d array, as for a single census.
-        sums = np.nansum(np.where(valid, vals, 0.0).reshape(-1, npairs), axis=1)
+        # Invalid and NaN columns add zero, as in a nansum.  The row sums run
+        # over a 2-d array, as for a single census.
+        terms = np.where(valid & ~np.isnan(vals), vals, 0.0)
+        sums = terms.reshape(-1, npairs).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return sums.reshape(counts.shape) / counts, counts
     if aggregation == "median":
-        order = np.sort(np.where(valid, vals, np.inf), axis=-1)
+        order = np.where(valid, vals, np.inf)
+        order.sort(axis=-1)
         lower = np.maximum(counts - 1, 0)[..., None] // 2  # lower median for even counts
         return np.take_along_axis(order, lower, axis=-1)[..., 0], counts
     usable = (counts > 0).all(axis=-1)
     pick = np.random.default_rng(rng).integers(0, counts[usable])
-    # the pick-th valid column is the first whose running valid count exceeds pick
-    cols = np.argmax(np.cumsum(valid[usable], axis=-1) > pick[..., None], axis=-1)
+    # the pick-th valid column is the first whose running valid count exceeds
+    # pick; the count runs in place, in one integer array
+    cols = valid[usable].astype(np.int64)
+    np.cumsum(cols, axis=-1, out=cols)
+    cols = np.argmax(cols > pick[..., None], axis=-1)
     est = np.full(counts.shape, np.nan)
     est[usable] = np.take_along_axis(vals[usable], cols[..., None], axis=-1)[..., 0]
     return est, counts

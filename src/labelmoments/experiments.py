@@ -38,10 +38,12 @@ choices (the witness pairs of ``triplet-single``) from its own stream,
 combined sweep) is separate: it draws from ``excess:labeled/0`` and never
 reads the unlabeled samples, so the combined sweep pairs independent
 samples even when its two sizes are equal.  Trial t's sample is the t-th
-draw of its stream.  The engine scores trials in blocks of at most
-``BLOCK_BYTES`` of joint-state count rows: one draw per block, then
-moments, triplet census, aggregation and excess once per block; a trial
-whose fit fails is a masked row, skipped and counted.
+draw of its stream.  The engine draws a cell in blocks of trials and fits
+and scores them in chunks, all sized by one rule: a block holds as many
+trials as fit ``BLOCK_BYTES`` of the arrays it keeps alive per trial.  The
+triplet census and aggregation run once per chunk of the memoised
+unlabeled cell, and the combined sweep scores its blends once per chunk; a
+trial whose fit fails is a masked row, skipped and counted.
 
 Random-stream protocol v6 picks the draw per cell from n and m alone, as
 v3 to v5 did.  A sample with fewer entries than the joint states,
@@ -103,6 +105,13 @@ ESTIMATOR_NAMES = ("labeled", "triplet-mean", "triplet-median", "triplet-single"
 def _require_estimator(name: str) -> None:
     if name not in ESTIMATOR_NAMES:
         raise ContractError(f"unknown estimator '{name}'")
+
+
+def _require_cell(n: int, trials: int) -> None:
+    if n < 1:
+        raise ContractError("sample size must be at least 1")
+    if trials < 1:
+        raise ContractError("trials must be at least 1")
 
 
 def edge_layout(d: int, m: int | None = None) -> tuple[tuple[int, int], ...]:
@@ -184,8 +193,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractError("trials must be at least 1")
-        if self.seed < 0:
-            raise ContractError(f"'seed' must be non-negative, got {self.seed}")
+        _require_seed(self.seed, "'seed'")
         if not self.n_grid:
             raise ContractError("'n_grid' must list at least one sample size")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -225,20 +233,25 @@ def _stream(label: str) -> int:
     return zlib.crc32(label.encode())
 
 
+def _require_seed(seed: int, name: str) -> None:
+    """A root seed lies in [0, 2**63), as every ``--seed`` does."""
+    if seed < 0:
+        raise ContractError(f"{name} must be non-negative, got {seed}")
+    if seed >= 1 << 63:
+        raise ContractError(f"{name} must be below 2**63, got {seed}")
+
+
 def trial_rng(seed: int, label: str, n: int) -> np.random.Generator:
     """The generator of one random stream of a Monte-Carlo cell.
 
     Derived from the root seed, the stream label and the cell's sample
     size; the only place a generator is seeded from the root seed.  The name
     predates one generator per stream and stays: ``perfbench/tracer.py`` and
-    the tests patch it.  A negative seed is refused, as the CLI and configs
-    refuse it, rather than wrapped onto another seed's stream.
+    the tests patch it.  A seed outside [0, 2**63) is refused, as the CLI
+    and configs refuse it, rather than wrapped onto another seed's stream.
     """
-    if seed < 0:
-        raise ContractError(f"seed must be non-negative, got {seed}")
-    return np.random.default_rng(
-        np.random.SeedSequence([seed % (1 << 63), _stream(label), n])
-    )
+    _require_seed(seed, "seed")
+    return np.random.default_rng(np.random.SeedSequence([seed, _stream(label), n]))
 
 
 @dataclass(frozen=True)
@@ -251,13 +264,24 @@ class ExcessResult:
     failures: int
 
 
-# Memory budget of one block of trials, counted as joint-state count rows
-# (float64, 2^(m+1) states per sample): at m=10, 8 trials per block; one
-# trial from m=13 up.  Larger blocks also grow the combined sweep's
-# (block, 101, m) blend arrays.  By the draw rule of ``TrialEngine.blocks``,
-# a row block's n(m+1) uniforms per trial stay under the budget, and a
-# u-count block fills half of it with 2^m counts per trial.
+# Memory budget of one block of trials: a block holds as many trials as fit
+# BLOCK_BYTES of the arrays it keeps alive at once (``_trials_per_block``).
+# A row block is charged 16 bytes per entry of its n(m+1) uniforms, which
+# the rows overwrite, for them and the edge columns' temporaries; a u-count
+# block 2^(m+1) float64 joint-state count rows, twice its 2^m counts; a fit
+# chunk of the shared unlabeled cell 20 bytes per value of its m*C(m-1,2)
+# census, for two float64 arrays and the boolean masks; and a blend chunk
+# of the combined sweep five float64 arrays of 101*m values.  At m=10 a
+# u-count block holds 8 trials, a fit chunk 18 and a blend chunk 3; at m=14
+# a row block at n=250 holds 2 trials, one at n=1000, and a fit chunk 6.
 BLOCK_BYTES = 128 * 1024
+
+
+def _trials_per_block(bytes_per_trial: int, trials: int) -> int:
+    """Trials of a block that keeps ``bytes_per_trial`` alive per trial: as
+    many as fit ``BLOCK_BYTES``, at least one, and at most ``trials``."""
+    return min(trials, max(1, BLOCK_BYTES // bytes_per_trial))
+
 
 # Binomial mass the labeled curve's sum may drop per source.
 LABELED_TAIL_MASS = 1e-20
@@ -274,9 +298,9 @@ class TrialEngine:
         self.m = model.m
         # n -> labeled_excess(n), read by the DVR search's guesses
         self.labeled_values: dict[int, float] = {}
-        # (n, trials, seed) -> read-only pair moments of the unlabeled cell's
-        # blocks, all its triplet fits read
-        self._unlabeled: dict[tuple[int, int, int], list[SampleMoments]] = {}
+        # (n, trials, seed) -> the read-only (trials, m, m) pair moments of
+        # the unlabeled cell, which all its triplet fits read
+        self._unlabeled: dict[tuple[int, int, int], np.ndarray] = {}
         self._log_factorial = np.zeros(1)
 
     def log_factorials(self, n: int) -> np.ndarray:
@@ -347,14 +371,17 @@ class TrialEngine:
         7,300 at m=12 and 52,000 at m=14.  The rule's 2,048, 8,192 and
         32,768 lie within a factor of three of these, and a cell on the
         slower path costs under twice the faster one.
-        Blocks hold as many trials as ``BLOCK_BYTES`` of joint-state count
-        rows on both paths: a count block is half that budget, and a row
-        block under its bytes.
+        A block holds as many trials as fit ``BLOCK_BYTES``: a row block is
+        charged two float64 arrays of its n(m+1) entries, the uniforms that
+        ``sample_rows`` overwrites with the rows and, at most, the edge
+        columns' temporaries; a count block 2^(m+1) float64 joint-state
+        count rows, twice its 2^m counts.
         """
+        _require_cell(n, trials)
         m = self.m
         draw = trial_rng(seed, f"{label}/0", n)
-        step = min(trials, max(1, BLOCK_BYTES // (8 << (m + 1))))
         as_rows = n * (m + 1) < 1 << (m + 1)
+        step = _trials_per_block(16 * n * (m + 1) if as_rows else 8 << (m + 1), trials)
         for start in range(0, trials, step):
             size = min(step, trials - start)
             if as_rows:
@@ -388,24 +415,36 @@ class TrialEngine:
         """The (trials, m) fits of ``estimator`` at n, in trial order, and the
         mask of fits that succeeded.
 
-        The labeled fits read the labeled cell ``excess:labeled``.  Every
-        triplet estimator fits the unlabeled cell ``excess:unlabeled``, drawn
-        once per (n, trials, seed) and memoised as read-only pair moments
-        without labels or sign means, with its own fit generator
-        ``trial_rng(seed, f"excess:{estimator}/fit", n)``.
+        The labeled fits read the labeled cell ``excess:labeled`` block by
+        block.  Every triplet estimator fits the unlabeled cell
+        ``excess:unlabeled``, drawn once per (n, trials, seed) and memoised
+        as one read-only (trials, m, m) array of pair moments, without labels
+        or sign means, with its own fit generator
+        ``trial_rng(seed, f"excess:{estimator}/fit", n)``.  It fits the array
+        in chunks of as many trials as fit ``BLOCK_BYTES`` of what a fit
+        keeps alive per trial: two float64 arrays of the m*C(m-1,2) census
+        values and their boolean masks, 20 bytes per value.
         """
         _require_estimator(estimator)
+        _require_cell(n, trials)
+        m = self.m
         if estimator == "labeled":
             cell, rng = self.blocks("excess:labeled", n, trials, seed), None
         else:
-            cell = self._unlabeled.get((n, trials, seed))
-            if cell is None:
-                cell = self._unlabeled[n, trials, seed] = [
-                    SampleMoments(mom.n, None, mom.pair)
-                    for mom in self.blocks("excess:unlabeled", n, trials, seed)
-                ]
-                for moments in cell:
-                    moments.pair.setflags(write=False)
+            pair = self._unlabeled.get((n, trials, seed))
+            if pair is None:
+                pair, start = np.empty((trials, m, m)), 0
+                for mom in self.blocks("excess:unlabeled", n, trials, seed):
+                    pair[start : start + len(mom.pair)] = mom.pair
+                    start += len(mom.pair)
+                pair.setflags(write=False)
+                self._unlabeled[n, trials, seed] = pair
+            step = _trials_per_block(20 * m * ((m - 1) * (m - 2) // 2), trials)
+            sizes = np.full(trials, n, dtype=np.int64)
+            cell = (
+                SampleMoments(sizes[s : s + step], None, pair[s : s + step])
+                for s in range(0, trials, step)
+            )
             rng = trial_rng(seed, f"excess:{estimator}/fit", n)
         fits, oks = [], []
         for moments in cell:
@@ -431,8 +470,6 @@ def expected_excess_error(
     engine: TrialEngine | None = None,
 ) -> ExcessResult:
     """Mean exact excess over fresh samples of size n, with its standard error."""
-    if n < 1:
-        raise ContractError("sample size must be at least 1")
     engine = engine if engine is not None else TrialEngine(model)
     series, failures = engine.excess_series(estimator, n, trials, seed)
     if series.size == 0:
@@ -647,7 +684,9 @@ def combined_sweep(
     the t-th sample of the Monte-Carlo labeled cell ``excess:labeled`` at the
     labeled size, an independent stream even when the two sizes are equal.
     The unlabeled fits are made once and shared by the whole grid, so every
-    row scores the same unlabeled trials and fails the same ones.
+    row scores the same unlabeled trials and fails the same ones.  The
+    (trials, 101, m) blends of a labeled size are scored in chunks of as many
+    trials as fit ``BLOCK_BYTES``, whatever the labeled cell's blocks.
     ``estimator`` must be a triplet estimator: ``labeled`` fits would read
     the labeled cell too, and pair a sample with itself at equal sizes, so
     it raises ``ContractError`` before any trial.
@@ -664,28 +703,32 @@ def combined_sweep(
     k = int(ok_u.sum())
     if k == 0:
         raise EstimationError(f"every trial failed for estimator '{estimator}'")
+    a_u = fits_u[ok_u]
+    # a blend chunk keeps five float64 (alphas, m) arrays per trial alive:
+    # the blends, their clipped copy and three terms of ``accuracy_kl``
+    step = _trials_per_block(5 * 8 * alphas.size * m, k)
     rows = []
     for n_l in n_labeled_grid:
-        blend_excess, gs_excess, gs_alpha = [], [], []
-        start = fallbacks = 0
+        fits_l, gs_alpha = [], []
+        start = 0
         for mom_l in engine.blocks("excess:labeled", n_l, trials, seed):
             block = slice(start, start + len(mom_l.acc))
             ok, start = ok_u[block], block.stop
-            a_u, a_l = fits_u[block][ok], mom_l.acc[ok]
-            blends = alphas[:, None] * a_u[:, None, :] + (1 - alphas)[:, None] * a_l[:, None, :]
-            blend_excess.append(engine.excess(blends))
-            labeled = SampleMoments(mom_l.n[ok], None, mom_l.pair[ok], a_l)
-            alpha_g = _shrinkage_alphas(labeled, a_u, r)
-            fell_back = np.isnan(alpha_g)
-            alpha_g[fell_back] = 1.0
-            gs_alpha.extend(alpha_g)
-            fallbacks += int(fell_back.sum())
-            gs_excess.append(engine.excess(alpha_g[:, None] * a_u + (1 - alpha_g)[:, None] * a_l))
-        per_alpha = np.concatenate(blend_excess)
+            labeled = SampleMoments(mom_l.n[ok], None, mom_l.pair[ok], mom_l.acc[ok])
+            fits_l.append(labeled.acc)
+            gs_alpha.append(_shrinkage_alphas(labeled, fits_u[block][ok], r))
+        a_l, gs_alpha = np.concatenate(fits_l), np.concatenate(gs_alpha)
+        fell_back = np.isnan(gs_alpha)
+        gs_alpha[fell_back] = 1.0
+        gs_excess = engine.excess(gs_alpha[:, None] * a_u + (1 - gs_alpha)[:, None] * a_l)
+        per_alpha = np.concatenate([
+            engine.excess(alphas[:, None] * a_u[c : c + step, None, :]
+                          + (1 - alphas)[:, None] * a_l[c : c + step, None, :])
+            for c in range(0, k, step)
+        ])
         means = per_alpha.mean(axis=0)
         stderrs = per_alpha.std(axis=0, ddof=1) / np.sqrt(k) if k > 1 else 0 * means
         best = int(np.argmin(means))
-        gs_excess = np.concatenate(gs_excess)
         rows.append(
             CombinedSweepRow(
                 n_labeled=int(n_l),
@@ -697,12 +740,12 @@ def combined_sweep(
                 best_alpha=float(alphas[best]),
                 excess_best=float(means[best]),
                 stderr_best=float(stderrs[best]),
-                gs_alpha_mean=float(np.mean(gs_alpha)),
+                gs_alpha_mean=float(gs_alpha.mean()),
                 excess_gs=float(gs_excess.mean()),
                 stderr_gs=float(gs_excess.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0,
                 trials=k,
                 failures=trials - k,
-                gs_fallbacks=fallbacks,
+                gs_fallbacks=int(fell_back.sum()),
             )
         )
     return rows

@@ -56,6 +56,8 @@ def _validate_edges(m: int, edges) -> tuple[Edge, ...]:
             raise ContractError(
                 f"source {i if i in seen else j} already participates in an edge"
             )
+        if not math.isfinite(t):
+            raise ContractError(f"'theta_ij' of edge ({i},{j}) must be finite, got {t}")
         if t < 0:
             raise ContractError("edge potentials must be nonnegative")
         seen.update((i, j))
@@ -80,12 +82,17 @@ class IsingModel:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.ndim != 1 or theta.size == 0:
             raise ContractError("theta must be a nonempty vector")
+        if not np.isfinite(theta).all():
+            raise ContractError(f"'theta' must be finite, got {theta.tolist()}")
         if np.any(theta < 0):
             raise ContractError("source potentials must be nonnegative")
+        theta_y = float(theta_y)
+        if not math.isfinite(theta_y):
+            raise ContractError(f"'theta_Y' must be finite, got {theta_y}")
         edges = _validate_edges(theta.size, edges)
         theta = theta.copy()
         theta.setflags(write=False)
-        return cls(theta.size, float(theta_y), theta, edges)
+        return cls(theta.size, theta_y, theta, edges)
 
     @property
     def edge_count(self) -> int:
@@ -203,8 +210,13 @@ class IsingModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IsingModel":
+        """The model of a ``to_dict`` document; an ``m`` that disagrees with
+        the number of potentials raises ``ContractError``."""
         edges = [(e["i"], e["j"], e["theta_ij"]) for e in doc.get("edges", [])]
-        return cls.from_parameters(doc["theta"], edges, doc.get("theta_Y", 0.0))
+        model = cls.from_parameters(doc["theta"], edges, doc.get("theta_Y", 0.0))
+        if "m" in doc and doc["m"] != model.m:
+            raise ContractError(f"'m' is {doc['m']!r} but 'theta' holds {model.m} potentials")
+        return model
 
     @classmethod
     def from_json(cls, path: str | Path) -> "IsingModel":
@@ -468,9 +480,11 @@ def sample_rows(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
 
     One ``random((size, n, m+1))`` call; a column is +1 where its uniform
     lies below its ``IsingModel.row_thresholds`` entry, and a source's sign
-    is then its u times the label.  numpy draws the uniforms one after
-    another, so consecutive calls on one generator equal one call for all
-    their samples.
+    is then its u times the label.  The rows overwrite the uniforms, as
+    ``2 * plus - 1``, so the call keeps one float64 array of the rows' size
+    alive, plus temporaries of the edges' second columns.  numpy draws the
+    uniforms one after another, so consecutive calls on one generator equal
+    one call for all their samples.
     """
     if n < 1:
         raise ContractError("sample size must be at least 1")
@@ -478,6 +492,9 @@ def sample_rows(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
     p, given_minus, first, second = model.row_thresholds
     uniform = np.random.default_rng(seed).random((size, n, m + 1))
     plus = uniform < p
-    plus[..., second] = uniform[..., second] < np.where(plus[..., first], p[second], given_minus)
+    edge = uniform[..., second]
+    plus[..., second] = np.where(plus[..., first], edge < p[second], edge < given_minus)
     plus[..., :m] = plus[..., :m] == plus[..., m:]  # s_i = u_i * y
-    return np.where(plus, 1.0, -1.0)
+    rows = np.multiply(plus, 2.0, out=uniform)
+    rows -= 1.0
+    return rows

@@ -45,6 +45,9 @@ def tiny_config(tmp_path):
     ["combine", "--seed", "-1", "-o", "out"],
     ["ws", "ingest", "--seed", "-1", "--docs-out", "d.jsonl"],
     ["ws", "run", "--seed", "-1", "-o", "out"],
+    # seeds from 2**63 up
+    ["curves", "--seed", str(2**63), "-o", "out"],
+    ["ws", "run", "--seed", str(2**64), "-o", "out"],
 ])
 def test_malformed_tokens_are_usage_errors(tmp_path, args):
     result = CliRunner().invoke(main, args[:-1] + [str(tmp_path / args[-1])])
@@ -601,6 +604,37 @@ def test_malformed_json_input_fails_typed(tmp_path, model_and_data, command, cas
     assert isinstance(result.exception, SystemExit)
     assert f"error (ContractError): {bad}: " in result.output
     assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+# Model JSON documents that parse but describe no model: Python's json reads
+# the literal NaN, and "m" must count the potentials.
+BAD_MODELS = {
+    "nan-theta": ({"theta": [0.3, float("nan"), 0.5, 0.6]}, "'theta' must be finite"),
+    "inf-theta": ({"theta": [0.3, float("inf"), 0.5, 0.6]}, "'theta' must be finite"),
+    "nan-theta_Y": ({"theta_Y": float("nan")}, "'theta_Y' must be finite"),
+    "nan-theta_ij": ({"edges": [{"i": 0, "j": 1, "theta_ij": float("nan")}]},
+                     "'theta_ij' of edge (0,1) must be finite"),
+    "wrong-m": ({"m": 7}, "'m' is 7 but 'theta' holds 4 potentials"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+@pytest.mark.parametrize("command", ["sample", "bounds"])
+def test_model_json_that_describes_no_model_fails_typed(tmp_path, command, case):
+    change, message = BAD_MODELS[case]
+    doc = {"m": 4, "theta_Y": 0.0, "theta": [0.3, 0.4, 0.5, 0.6],
+           "edges": [{"i": 0, "j": 1, "theta_ij": 0.2}]}
+    model, out = tmp_path / "model.json", tmp_path / "out"
+    model.write_text(json.dumps({**doc, **change}))
+    args = {
+        "sample": ["sample", "--model", model, "-n", "50", "-o", out],
+        "bounds": ["bounds", "--model", model, "-o", out],
+    }[command]
+    result = CliRunner().invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error (ContractError): {model}: ")
+    assert message in result.output and "Warning" not in result.output
     assert not out.exists()
 
 

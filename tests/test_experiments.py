@@ -85,6 +85,18 @@ class TestConfig:
         with pytest.raises(ContractError, match="seed must be non-negative, got -1"):
             trial_rng(-1, "case:labeled", 40)
 
+    def test_seeds_from_2_63_are_refused(self):
+        # seed % 2**63 drew seed 0's stream for seed 2**63
+        with pytest.raises(ContractError, match="seed must be below 2\\*\\*63"):
+            trial_rng(2**63, "x", 5)
+        with pytest.raises(ContractError, match="'seed' must be below 2\\*\\*63"):
+            ExperimentConfig.from_dict({"seed": 2**63})
+        # the largest seed keeps its stream: the one SeedSequence derives from it
+        expected = np.random.default_rng(
+            np.random.SeedSequence([2**63 - 1, experiments._stream("x"), 5])
+        ).random(3)
+        np.testing.assert_array_equal(trial_rng(2**63 - 1, "x", 5).random(3), expected)
+
     def test_grid_shape(self):
         grid = labeled_search_grid()
         assert grid[0] == 10 and grid[-1] == 5000
@@ -527,9 +539,12 @@ class TestSharedUnlabeledCell:
         for estimator in self.TRIPLETS:
             engine.estimates(estimator, 300, 20, 4)
         first = seen["triplet-mean"]
-        assert len(first) == 3  # 8 + 8 + 4 trials under the default budget
+        assert len(first) == 2  # 18 + 2 trials under the default budget
         for estimator in self.TRIPLETS[1:]:
-            assert all(a is b for a, b in zip(seen[estimator], first, strict=True))
+            for a, b in zip(seen[estimator], first, strict=True):
+                # the same trials of one memoised array
+                assert a.pair.base is b.pair.base is not None
+                assert a.pair.ctypes.data == b.pair.ctypes.data and a.pair.shape == b.pair.shape
 
     def test_run_curves_draws_each_n_once(self, monkeypatch, tmp_path):
         drawn = []
@@ -721,6 +736,14 @@ def tiny_engine():
     return TrialEngine(SyntheticModelSpec((0.6, 0.55, 0.7, 0.65), d=1).build())
 
 
+@pytest.fixture(scope="module")
+def wide_engine():
+    """Fourteen sources with five dependent pairs: rows up to n = 2,184, and
+    blocks and fit chunks of several trials under the default budget."""
+    spec = SyntheticModelSpec(DEFAULT_ACCURACIES + (0.62, 0.71, 0.58, 0.66), d=5)
+    return TrialEngine(spec.build())
+
+
 # Block budgets: one trial per block, seven count rows (uneven blocks), the
 # module default, and the whole cell in one block.
 BUDGETS = {
@@ -735,12 +758,14 @@ class TestBatchedEngineOracle:
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
     def test_excess_series_matches_per_trial_loop(
-        self, monkeypatch, tiny_engine, dep_engine, estimator, budget
+        self, monkeypatch, tiny_engine, dep_engine, wide_engine, estimator, budget
     ):
-        # tiny at n=4 and dep at n=100 draw rows, tiny at n=8 and dep at n=300 u-counts
+        # tiny at n=4, dep at n=100 and wide at n=250 and n=1000 draw rows,
+        # tiny at n=8 and dep at n=300 u-counts
         failed = {True: 0, False: 0}
         cells = (
-            (tiny_engine, 4, 40), (tiny_engine, 8, 100), (dep_engine, 100, 20), (dep_engine, 300, 20)
+            (tiny_engine, 4, 40), (tiny_engine, 8, 100), (dep_engine, 100, 20), (dep_engine, 300, 20),
+            (wide_engine, 250, 15), (wide_engine, 1000, 15),
         )
         for engine, n, trials in cells:
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
@@ -777,14 +802,65 @@ class TestBatchedEngineOracle:
             fallbacks += sum(r.gs_fallbacks for r in rows)
         assert min(failed.values()) > 0 and fallbacks > 0
 
-    def test_block_size_follows_the_budget(self, monkeypatch, tiny_engine):
-        # n=4 draws rows and n=8 u-counts; both hold budget // 2^(m+1) count rows
-        for n in (4, 8):
-            sizes = []
-            for budget in (1, 3 * (8 << 5), 1 << 40):
-                monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
-                sizes.append([len(mom.acc) for mom in tiny_engine.blocks("x", n, 7, 0)])
-            assert sizes == [[1] * 7, [3, 3, 1], [7]]
+    @pytest.mark.parametrize("budget", [1, 3 * 320, 3 * 256, 1 << 40])
+    def test_blocks_follow_the_budget(self, monkeypatch, tiny_engine, budget):
+        # m=4: a row block of n=4 is charged 16*4*5 = 320 bytes per trial and
+        # a u-count block of n=8 8 << 5 = 256
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
+        for n, charge in ((4, 320), (8, 256)):
+            sizes = [len(mom.acc) for mom in tiny_engine.blocks("x", n, 7, 0)]
+            self._assert_chunks(sizes, 7, charge, budget)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 20 * 14 * 78, 1 << 40, "default"])
+    def test_fit_chunks_follow_the_budget(self, monkeypatch, wide_engine, budget):
+        # m=14: a fit is charged 20 bytes per value of its 14 * C(13, 2) census
+        budget = experiments.BLOCK_BYTES if budget == "default" else budget
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
+        seen = TestSharedUnlabeledCell._spy_fits(monkeypatch)
+        TrialEngine(wide_engine.model, wide_engine.diag).estimates("triplet-mean", 250, 15, 3)
+        sizes = [len(mom.pair) for mom in seen["triplet-mean"]]
+        self._assert_chunks(sizes, 15, 20 * 14 * 78, budget)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 40400, 1 << 40, "default"])
+    def test_blend_chunks_follow_the_budget(self, monkeypatch, dep_engine, budget):
+        # m=10: a blend chunk is charged five float64 arrays of 101 * 10 values
+        budget = experiments.BLOCK_BYTES if budget == "default" else budget
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
+        sizes, original = [], TrialEngine.excess
+
+        def excess(engine, estimates):
+            if estimates.ndim == 3:
+                sizes.append(len(estimates))
+            return original(engine, estimates)
+
+        monkeypatch.setattr(TrialEngine, "excess", excess)
+        engine = TrialEngine(dep_engine.model, dep_engine.diag)
+        (row,) = combined_sweep(engine.model, 300, [50], trials=10, seed=2, engine=engine)
+        self._assert_chunks(sizes, row.trials, 5 * 8 * 101 * 10, budget)
+
+    def test_default_block_sizes(self):
+        # the sizes the BLOCK_BYTES comment states, for cells of 100 trials
+        per_block = experiments._trials_per_block
+        assert [per_block(8 << 11, 100), per_block(20 * 10 * 36, 100), per_block(40400, 100)] == [8, 18, 3]
+        assert [per_block(16 * 250 * 15, 100), per_block(16 * 1000 * 15, 100)] == [2, 1]
+        assert per_block(20 * 14 * 78, 100) == 6
+
+    @pytest.mark.parametrize("estimator", ["labeled", "triplet-mean"])
+    @pytest.mark.parametrize("n, trials", [(0, 5), (100, 0), (100, -1)])
+    def test_empty_cell_is_refused(self, dep_engine, estimator, n, trials):
+        # no block of zero trials: range() would refuse a step of 0 with a bare ValueError
+        engine = TrialEngine(dep_engine.model, dep_engine.diag)
+        for _ in range(2):  # nothing is memoised by the refused call
+            with pytest.raises(ContractError, match="at least 1"):
+                engine.estimates(estimator, n, trials, 0)
+
+    @staticmethod
+    def _assert_chunks(sizes, trials, charge, budget):
+        """Blocks in trial order, each of at least one trial and within the
+        budget, all but the last as large as the budget allows."""
+        step = min(trials, max(1, budget // charge))
+        assert sizes == [step] * (trials // step) + [trials % step] * (trials % step > 0)
+        assert all(size == 1 or size * charge <= budget for size in sizes)
 
     def test_u_count_moments_have_no_sign_means(self, tiny_engine):
         # E[s_i] needs Y; a u-count sample must not pass E[u_i] off as it
