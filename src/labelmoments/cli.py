@@ -19,7 +19,9 @@ hashes, wall-clock seconds):
   (``--n-labeled`` -> ``n_labeled``), unless the command resolves a config
   object (curves, dvr, combine, ws run), which is recorded instead, together
   with the options the config does not hold (the estimators dvr ran;
-  combine's ``n_unlabeled``, ``n_labeled_grid`` and ``estimator``);
+  combine's ``n_unlabeled``, ``n_labeled_grid`` and ``estimator``).  combine
+  records only what it runs: the config's ``model``, ``trials`` and
+  ``seed``, and its own three options;
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
 - dvr adds ``dvr_cells``: per (estimator, n_unlabeled), the labeled sizes its
   search evaluated;
@@ -351,7 +353,7 @@ def bounds_cmd(model_path, n_labeled, n_unlabeled, rho_trials, seed, fmt, out):
 # ---------------------------------------------------------------------------
 
 
-def _experiment_config(config_path, d, trials, seed, n_grid) -> experiments.ExperimentConfig:
+def _experiment_config(config_path, d, trials, seed, n_grid=None) -> experiments.ExperimentConfig:
     if config_path is not None:
         cfg = experiments.ExperimentConfig.from_json(config_path)
     else:
@@ -374,13 +376,16 @@ def _suite_options(fn):
     fn = click.option("--d", default=None, type=int, help="Number of dependency edges.")(fn)
     fn = click.option("--trials", default=None, type=int)(fn)
     fn = click.option("--seed", default=None, type=SEED)(fn)
-    fn = click.option("--n-grid", default=None, help="Comma-separated sample sizes.")(fn)
     fn = click.option("--out", "-o", "out_dir", required=True, type=click.Path())(fn)
     return fn
 
 
+_n_grid_option = click.option("--n-grid", default=None, help="Comma-separated sample sizes.")
+
+
 @main.command("curves")
 @_suite_options
+@_n_grid_option
 @_recorded
 def curves_cmd(config_path, d, trials, seed, n_grid, out_dir):
     """Mean excess generalization error per (estimator, n); writes curves.csv."""
@@ -393,6 +398,7 @@ def curves_cmd(config_path, d, trials, seed, n_grid, out_dir):
 
 @main.command("dvr")
 @_suite_options
+@_n_grid_option
 @click.option("--estimators", default=None, help="Comma-separated unlabeled estimators.")
 @_recorded
 def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
@@ -421,9 +427,9 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
 @click.option("--n-labeled-grid", default="25,50,100,200,400,800", show_default=True)
 @click.option("--estimator", default="triplet-mean", show_default=True)
 @_recorded
-def combine_cmd(config_path, d, trials, seed, n_grid, out_dir, n_unlabeled, n_labeled_grid, estimator):
+def combine_cmd(config_path, d, trials, seed, out_dir, n_unlabeled, n_labeled_grid, estimator):
     """Combined labeled+unlabeled sweep at fixed n_unlabeled; writes combined.csv."""
-    cfg = _experiment_config(config_path, d, trials, seed, n_grid)
+    cfg = _experiment_config(config_path, d, trials, seed)
     grid = _parse_ints(n_labeled_grid)
     rows = experiments.run_combined(cfg, out_dir, n_unlabeled, grid, estimator)
     for r in rows:
@@ -432,8 +438,8 @@ def combine_cmd(config_path, d, trials, seed, n_grid, out_dir, n_unlabeled, n_la
             f"unlabeled={r.excess_unlabeled:.5f} best={r.excess_best:.5f} "
             f"(alpha={r.best_alpha:.2f})"
         )
-    record = {**cfg.to_dict(), "n_unlabeled": n_unlabeled, "n_labeled_grid": grid,
-              "estimator": estimator}
+    record = {"model": cfg.model.to_dict(), "trials": cfg.trials, "seed": cfg.seed,
+              "n_unlabeled": n_unlabeled, "n_labeled_grid": grid, "estimator": estimator}
     return [Path(out_dir) / "combined.csv"], record, cfg.seed
 
 

@@ -29,21 +29,22 @@ failing predecessor is evaluated.
 A Monte-Carlo sample cell is a sample size n.  The unlabeled estimators
 share it: every triplet estimator at n fits the same samples, drawn once
 from the stream ``trial_rng(seed, "excess:unlabeled/0", n)`` and memoised
-on the engine as their moments, so the curves, the DVR targets, the median
-MSE behind rho (``analysis.median_mse``) and the unlabeled side of the
-combined sweep read one draw.  Each estimator draws its fits' random
+on the engine as their pair moments, so the curves, the DVR targets, the
+median MSE behind rho (``analysis.median_mse``) and the unlabeled side of
+the combined sweep read one draw.  Each estimator draws its fits' random
 choices (the witness pairs of ``triplet-single``) from its own stream,
-``excess:{estimator}/fit``.  The Monte-Carlo labeled cell
-(``expected_excess_error(..., "labeled", ...)`` and the labeled side of the
-combined sweep) is separate: it draws from ``excess:labeled/0`` and never
-reads the unlabeled samples, so the combined sweep pairs independent
-samples even when its two sizes are equal.  Trial t's sample is the t-th
-draw of its stream.  The engine draws a cell in blocks of trials and fits
-and scores them in chunks, all sized by one rule: a block holds as many
-trials as fit ``BLOCK_BYTES`` of the arrays it keeps alive per trial.  The
-triplet census and aggregation run once per chunk of the memoised
-unlabeled cell, and the combined sweep scores its blends once per chunk; a
-trial whose fit fails is a masked row, skipped and counted.
+``excess:{estimator}/fit``.  The engine fits triplet estimators only: the
+labeled curve is exact, and ``labeled`` or an unknown name is refused
+before any draw.  The labeled side of the combined sweep is the one
+Monte-Carlo labeled cell: it reads ``blocks("excess:labeled", ...)``, which
+never reads the unlabeled samples, so the sweep pairs independent samples
+even when its two sizes are equal.  Trial t's sample is the t-th draw of
+its stream.  The engine draws a cell in blocks of trials and fits and
+scores them in chunks, all sized by one rule: a block holds as many trials
+as fit ``BLOCK_BYTES`` of the arrays it keeps alive per trial.  The triplet
+census and aggregation run once per chunk of the memoised unlabeled cell,
+and the combined sweep scores its blends once per chunk; a trial whose fit
+fails is a masked row, skipped and counted.
 
 Random-stream protocol v6 picks the draw per cell from n and m alone, as
 v3 to v5 did.  A sample with fewer entries than the joint states,
@@ -105,6 +106,33 @@ ESTIMATOR_NAMES = ("labeled", "triplet-mean", "triplet-median", "triplet-single"
 def _require_estimator(name: str) -> None:
     if name not in ESTIMATOR_NAMES:
         raise ContractError(f"unknown estimator '{name}'")
+
+
+def _require_estimators(names, key: str) -> None:
+    """``names`` lists at least one known estimator, each once."""
+    if not names:
+        raise ContractError(f"{key} must list at least one estimator")
+    for name in names:
+        _require_estimator(name)
+    if len(set(names)) < len(names):
+        raise ContractError(f"estimator listed twice in {key}: {', '.join(names)}")
+
+
+def _require_triplet(name: str) -> None:
+    """The trial engine fits triplet estimators only; the labeled curve is exact."""
+    if name == "labeled":
+        raise ContractError("the trial engine fits triplet estimators; 'labeled' is not one")
+    _require_estimator(name)
+
+
+def require_sizes(key: str, sizes) -> None:
+    """A size grid lists at least one size, each at least 1, strictly increasing."""
+    if not sizes:
+        raise ContractError(f"'{key}' must list at least one sample size")
+    if min(sizes) < 1:
+        raise ContractError(f"{key} sizes must be at least 1, got {min(sizes)}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ContractError(f"'{key}' must be strictly increasing")
 
 
 def _require_cell(n: int, trials: int) -> None:
@@ -194,12 +222,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ContractError("trials must be at least 1")
         _require_seed(self.seed, "'seed'")
-        if not self.n_grid:
-            raise ContractError("'n_grid' must list at least one sample size")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
-            raise ContractError("n grid must be strictly increasing")
-        for name in self.estimators:
-            _require_estimator(name)
+        require_sizes("n_grid", self.n_grid)
+        _require_estimators(self.estimators, "'estimators'")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -289,8 +313,9 @@ LABELED_TAIL_MASS = 1e-20
 
 class TrialEngine:
     """Shared per-model state for excess evaluation: Monte-Carlo trials of
-    the fitted estimators, scored in blocks, the memoised moments of the
-    unlabeled samples, and the exact, memoised labeled curve."""
+    the triplet estimators, fitted and scored in chunks of the memoised pair
+    moments of the unlabeled samples, and the exact, memoised labeled
+    curve."""
 
     def __init__(self, model: IsingModel, diag: ModelDiagnostics | None = None):
         self.model = model
@@ -390,17 +415,15 @@ class TrialEngine:
             else:
                 yield SampleMoments.from_u_counts(sample_u_counts(self.model, n, draw, size), m)
 
-    def fit(self, estimator: str, moments: SampleMoments, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Accuracy fits of a block of trials and the mask of fits that succeeded.
+    def fit(self, estimator: str, pair: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Triplet fits of a chunk of trials and the mask of fits that succeeded.
 
-        ``moments`` carry one leading trial axis; a ``triplet-single`` fit
-        draws its witness pairs from ``rng``.  A fit fails when some source
-        has no usable triplet; its row is then meaningless.
+        ``pair`` is a (trials, m, m) chunk of the unlabeled cell's pair
+        moments; a ``triplet-single`` fit draws its witness pairs from
+        ``rng``.  A fit fails when some source has no usable triplet; its
+        row is then meaningless.
         """
-        if estimator == "labeled":
-            return moments.acc, np.ones(len(moments.acc), dtype=bool)
-        _require_estimator(estimator)
-        vals, valid = triplet_census(moments.pair)
+        vals, valid = triplet_census(pair)
         est, counts = aggregate_census(vals, valid, estimator.split("-", 1)[1], rng)
         return est, (counts > 0).all(axis=-1)
 
@@ -412,45 +435,34 @@ class TrialEngine:
     def estimates(
         self, estimator: str, n: int, trials: int, seed: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The (trials, m) fits of ``estimator`` at n, in trial order, and the
-        mask of fits that succeeded.
+        """The (trials, m) fits of the triplet estimator ``estimator`` at n,
+        in trial order, and the mask of fits that succeeded.
 
-        The labeled fits read the labeled cell ``excess:labeled`` block by
-        block.  Every triplet estimator fits the unlabeled cell
-        ``excess:unlabeled``, drawn once per (n, trials, seed) and memoised
-        as one read-only (trials, m, m) array of pair moments, without labels
-        or sign means, with its own fit generator
-        ``trial_rng(seed, f"excess:{estimator}/fit", n)``.  It fits the array
-        in chunks of as many trials as fit ``BLOCK_BYTES`` of what a fit
-        keeps alive per trial: two float64 arrays of the m*C(m-1,2) census
-        values and their boolean masks, 20 bytes per value.
+        Every triplet estimator fits the unlabeled cell ``excess:unlabeled``,
+        drawn once per (n, trials, seed) and memoised as one read-only
+        (trials, m, m) array of pair moments, without labels or sign means,
+        with its own fit generator ``trial_rng(seed, f"excess:{estimator}/fit", n)``.
+        It fits the array in chunks of as many trials as fit ``BLOCK_BYTES``
+        of what a fit keeps alive per trial: two float64 arrays of the
+        m*C(m-1,2) census values and their boolean masks, 20 bytes per
+        value.  ``labeled``, an unknown estimator and an empty cell are
+        refused before any draw.
         """
-        _require_estimator(estimator)
+        _require_triplet(estimator)
         _require_cell(n, trials)
         m = self.m
-        if estimator == "labeled":
-            cell, rng = self.blocks("excess:labeled", n, trials, seed), None
-        else:
-            pair = self._unlabeled.get((n, trials, seed))
-            if pair is None:
-                pair, start = np.empty((trials, m, m)), 0
-                for mom in self.blocks("excess:unlabeled", n, trials, seed):
-                    pair[start : start + len(mom.pair)] = mom.pair
-                    start += len(mom.pair)
-                pair.setflags(write=False)
-                self._unlabeled[n, trials, seed] = pair
-            step = _trials_per_block(20 * m * ((m - 1) * (m - 2) // 2), trials)
-            sizes = np.full(trials, n, dtype=np.int64)
-            cell = (
-                SampleMoments(sizes[s : s + step], None, pair[s : s + step])
-                for s in range(0, trials, step)
-            )
-            rng = trial_rng(seed, f"excess:{estimator}/fit", n)
-        fits, oks = [], []
-        for moments in cell:
-            est, ok = self.fit(estimator, moments, rng)
-            fits.append(est)
-            oks.append(ok)
+        pair = self._unlabeled.get((n, trials, seed))
+        if pair is None:
+            pair, start = np.empty((trials, m, m)), 0
+            for mom in self.blocks("excess:unlabeled", n, trials, seed):
+                pair[start : start + len(mom.pair)] = mom.pair
+                start += len(mom.pair)
+            pair.setflags(write=False)
+            self._unlabeled[n, trials, seed] = pair
+        step = _trials_per_block(20 * m * ((m - 1) * (m - 2) // 2), trials)
+        rng = trial_rng(seed, f"excess:{estimator}/fit", n)
+        chunks = (self.fit(estimator, pair[s : s + step], rng) for s in range(0, trials, step))
+        fits, oks = zip(*chunks)
         return np.concatenate(fits), np.concatenate(oks)
 
     def excess_series(
@@ -462,15 +474,10 @@ class TrialEngine:
 
 
 def expected_excess_error(
-    model: IsingModel,
-    estimator: str,
-    n: int,
-    trials: int = 1000,
-    seed: int = 0,
-    engine: TrialEngine | None = None,
+    engine: TrialEngine, estimator: str, n: int, trials: int = 1000, seed: int = 0
 ) -> ExcessResult:
-    """Mean exact excess over fresh samples of size n, with its standard error."""
-    engine = engine if engine is not None else TrialEngine(model)
+    """Mean exact excess of a triplet estimator's fits on the engine's
+    unlabeled samples of size n, with its standard error."""
     series, failures = engine.excess_series(estimator, n, trials, seed)
     if series.size == 0:
         raise EstimationError(f"every trial failed for estimator '{estimator}'")
@@ -549,13 +556,12 @@ def _first_at_or_below(grid: list[int], curve, threshold: float, guess: float) -
 
 
 def data_value_ratio(
-    model: IsingModel,
+    engine: TrialEngine,
     n_unlabeled: int,
     estimator: str = "triplet-mean",
     trials: int = 1000,
     seed: int = 0,
     grid: list[int] | None = None,
-    engine: TrialEngine | None = None,
 ) -> DvrResult:
     """n_U over the least labeled size whose exact labeled excess matches the
     Monte-Carlo mean excess of n_U unlabeled samples.
@@ -580,9 +586,8 @@ def data_value_ratio(
     same curve: ``n_labeled_lo`` and ``n_labeled_hi`` are the least grid
     points at or below target + and - DVR_Z standard errors.
     """
-    engine = engine if engine is not None else TrialEngine(model)
     grid = list(grid) if grid is not None else labeled_search_grid()
-    target = expected_excess_error(model, estimator, n_unlabeled, trials, seed, engine)
+    target = expected_excess_error(engine, estimator, n_unlabeled, trials, seed)
     b_i = engine.diag.inference_bias
     trace = []
 
@@ -662,13 +667,12 @@ def _shrinkage_alphas(labeled: SampleMoments, a_u: np.ndarray, r: float) -> np.n
 
 
 def combined_sweep(
-    model: IsingModel,
+    engine: TrialEngine,
     n_unlabeled: int,
     n_labeled_grid,
     estimator: str = "triplet-mean",
     trials: int = 1000,
     seed: int = 0,
-    engine: TrialEngine | None = None,
 ) -> list[CombinedSweepRow]:
     """Excess error of linear combinations across a labeled-size grid.
 
@@ -679,23 +683,20 @@ def combined_sweep(
     zero or undefined, counted in ``gs_fallbacks``.  Alpha 0 is labeled-only
     and alpha 1 unlabeled-only, so those columns come from the same sweep.
 
-    Trial t pairs the t-th fit of ``estimator`` on the unlabeled cell at
-    n_unlabeled (the samples of the curves, ``TrialEngine.estimates``) with
-    the t-th sample of the Monte-Carlo labeled cell ``excess:labeled`` at the
-    labeled size, an independent stream even when the two sizes are equal.
-    The unlabeled fits are made once and shared by the whole grid, so every
-    row scores the same unlabeled trials and fails the same ones.  The
-    (trials, 101, m) blends of a labeled size are scored in chunks of as many
-    trials as fit ``BLOCK_BYTES``, whatever the labeled cell's blocks.
-    ``estimator`` must be a triplet estimator: ``labeled`` fits would read
-    the labeled cell too, and pair a sample with itself at equal sizes, so
-    it raises ``ContractError`` before any trial.
+    Trial t pairs the t-th fit of the triplet estimator ``estimator`` on the
+    unlabeled cell at n_unlabeled (the samples of the curves,
+    ``TrialEngine.estimates``) with the labeled accuracies of the t-th
+    sample of the Monte-Carlo labeled cell, read from
+    ``engine.blocks("excess:labeled", ...)`` at the labeled size: an
+    independent stream even when the two sizes are equal.  The unlabeled
+    fits are made once and shared by the whole grid, so every row scores the
+    same unlabeled trials and fails the same ones.  The (trials, 101, m)
+    blends of a labeled size are scored in chunks of as many trials as fit
+    ``BLOCK_BYTES``, whatever the labeled cell's blocks.  ``labeled`` or an
+    unknown estimator, and a labeled grid that is empty, not increasing or
+    holds a size below 1, raise ``ContractError`` before any trial.
     """
-    _require_estimator(estimator)
-    if estimator == "labeled":
-        raise ContractError("combine blends an unlabeled estimator with the labeled fits; "
-                            "'labeled' is not one")
-    engine = engine if engine is not None else TrialEngine(model)
+    require_sizes("n_labeled_grid", n_labeled_grid)
     m = engine.m
     alphas = np.arange(0.0, 1.0 + ALPHA_STEP / 2, ALPHA_STEP)
     r = float(m - 2)
@@ -778,13 +779,12 @@ def run_curves(config: ExperimentConfig, out_dir: str | Path) -> list[ExcessResu
     Labeled cells are exact (``TrialEngine.labeled_excess``): stderr 0, no
     failures, and ``trials`` reports the requested count.
     """
-    model = config.model.build()
-    engine = TrialEngine(model)
+    engine = TrialEngine(config.model.build())
 
     def cell(est: str, n: int) -> ExcessResult:
         if est == "labeled":
             return ExcessResult(est, n, engine.labeled_excess(n), 0.0, config.trials, 0)
-        return expected_excess_error(model, est, n, config.trials, config.seed, engine)
+        return expected_excess_error(engine, est, n, config.trials, config.seed)
 
     results = [cell(est, n) for est in config.estimators for n in config.n_grid]
     out = Path(out_dir)
@@ -803,25 +803,17 @@ def run_dvr(
     """Data value ratios at every n in the grid; writes dvr.csv.
 
     ``estimators`` defaults to the config's unlabeled estimators.  The list
-    must name each estimator once, and not ``labeled``, whose target would be
-    the labeled curve itself; an empty list, a repeated name or ``labeled``
-    raises ``ContractError`` before any trial.
+    follows the config's rule (at least one known estimator, each once) and
+    names no ``labeled``; else ``ContractError`` is raised before any trial.
     """
     if estimators is None:
         estimators = [e for e in config.estimators if e != "labeled"]
-    for name in estimators:
-        _require_estimator(name)
-    if not estimators:
-        raise ContractError("dvr needs at least one unlabeled estimator")
+    _require_estimators(estimators, "dvr's unlabeled estimators")
     if "labeled" in estimators:
-        raise ContractError("dvr compares unlabeled estimators with the labeled curve; "
-                            "'labeled' is not one")
-    if len(set(estimators)) < len(estimators):
-        raise ContractError(f"estimator listed twice in {', '.join(estimators)}")
-    model = config.model.build()
-    engine = TrialEngine(model)
+        _require_triplet("labeled")
+    engine = TrialEngine(config.model.build())
     results = [
-        data_value_ratio(model, n, est, config.trials, config.seed, engine=engine)
+        data_value_ratio(engine, n, est, config.trials, config.seed)
         for est in estimators
         for n in config.n_grid
     ]
@@ -853,11 +845,12 @@ def run_combined(
     n_labeled_grid=(25, 50, 100, 200, 400, 800),
     estimator: str = "triplet-mean",
 ) -> list[CombinedSweepRow]:
-    """Combined-estimator sweep at fixed n_unlabeled; writes combined.csv."""
-    model = config.model.build()
-    rows = combined_sweep(
-        model, n_unlabeled, n_labeled_grid, estimator, config.trials, config.seed
-    )
+    """Combined-estimator sweep at fixed n_unlabeled; writes combined.csv.
+
+    It reads the config's model, trials and seed, not its estimators or
+    n_grid."""
+    engine = TrialEngine(config.model.build())
+    rows = combined_sweep(engine, n_unlabeled, n_labeled_grid, estimator, config.trials, config.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(

@@ -44,7 +44,7 @@ from .estimators import (
     estimate_quadratic_triplet_from_moments,
     green_strawderman_alpha,
 )
-from .experiments import trial_rng, write_csv
+from .experiments import require_sizes, trial_rng, write_csv
 from .label_model import LabelModel, cross_entropy, f1_score
 from .manifest import read_json
 from .states import config_bits
@@ -404,13 +404,9 @@ class CaseStudyConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractError("trials must be at least 1")
-        sizes = {
-            "n_grid": self.n_grid, "n_unlabeled": (self.n_unlabeled,),
-            "n_labeled_grid": self.n_labeled_grid,
-        }
-        for name, ns in sizes.items():
-            if any(n < 1 for n in ns):
-                raise ContractError(f"{name} sizes must be at least 1, got {min(ns)}")
+        require_sizes("n_grid", self.n_grid)
+        require_sizes("n_unlabeled", (self.n_unlabeled,))
+        require_sizes("n_labeled_grid", self.n_labeled_grid)
 
     def to_dict(self) -> dict:
         return {

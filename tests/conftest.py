@@ -147,6 +147,22 @@ def labeled_excess_by_full_sum(diag, n):
     return float(total)
 
 
+def labeled_excess_by_monte_carlo(engine, n, trials, seed):
+    """Mean and standard error of the labeled fit's excess over the trials of
+    the Monte-Carlo labeled cell, ``engine.blocks("excess:labeled", ...)``:
+    the labeled side of the combined sweep, and a sample of the expectation
+    that ``TrialEngine.labeled_excess`` computes exactly.
+
+    Each trial's fit is its labeled accuracies mean(s_i*y), scored by the
+    per-source KL terms written out here."""
+    acc = np.concatenate([mom.acc for mom in engine.blocks("excess:labeled", n, trials, seed)])
+    est = np.clip(acc, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
+    tp, tq = (1.0 + engine.diag.accuracies) / 2.0, (1.0 - engine.diag.accuracies) / 2.0
+    kl = tp * np.log(tp / ((1.0 + est) / 2.0)) + tq * np.log(tq / ((1.0 - est) / 2.0))
+    series = engine.diag.inference_bias + kl.sum(axis=1)
+    return float(series.mean()), float(series.std(ddof=1) / np.sqrt(trials))
+
+
 # ---------------------------------------------------------------------------
 # Keyword corpora: the per-line reader that ``Corpus.from_jsonl`` and the
 # per-document tokenizer that ``ws.apply_sources`` must agree with, and

@@ -16,6 +16,7 @@ from labelmoments import (
 )
 from labelmoments.analysis import (
     accuracy_excess,
+    accuracy_kl,
     bound_constants,
     bound_labeled,
     bound_lower_unlabeled,
@@ -182,6 +183,14 @@ class TestExactGeneralizationError:
                 synth_diag_dep.accuracies, synth_diag_dep.inference_bias, est
             )
             assert fast == pytest.approx(excess, abs=1e-12)
+
+    def test_kl_broadcasts(self):
+        # a scalar pair, and true accuracies of more axes than the estimates
+        assert float(accuracy_kl(0.7, 0.6)) == pytest.approx(
+            0.85 * math.log(0.85 / 0.8) + 0.15 * math.log(0.15 / 0.2), abs=1e-15
+        )
+        a, est = np.array([[0.7, -0.2], [0.1, 0.5], [0.9, 0.0]]), np.array([0.6, -0.3])
+        np.testing.assert_array_equal(accuracy_kl(a, est), np.stack([accuracy_kl(row, est) for row in a]))
 
     def test_batched_fast_path(self, synth_diag_dep):
         batch = np.tile(synth_diag_dep.accuracies, (4, 1))

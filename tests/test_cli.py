@@ -56,6 +56,18 @@ def test_malformed_tokens_are_usage_errors(tmp_path, args):
     assert "Invalid value" in result.output
 
 
+def test_combine_has_no_n_grid(tmp_path, tiny_config):
+    # combine runs no curve grid, so it takes none rather than record one it ignores
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "combine", "--config", str(tiny_config), "--n-grid", "7", "--n-labeled-grid", "30",
+        "-o", str(out),
+    ])
+    assert result.exit_code == 2
+    assert "No such option '--n-grid'" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, output", [
     (["curves"], "curves.csv"),
     (["dvr"], "dvr.csv"),
@@ -166,6 +178,9 @@ def test_ws_run_metrics_match_recorded_hash(tmp_path, tiny_corpus):
     ("--n-grid", "0,200", "n_grid sizes must be at least 1, got 0"),
     ("--n-unlabeled", "0", "n_unlabeled sizes must be at least 1, got 0"),
     ("--n-labeled-grid", "40,-1", "n_labeled_grid sizes must be at least 1, got -1"),
+    ("--n-grid", "", "'n_grid' must list at least one sample size"),
+    ("--n-labeled-grid", "", "'n_labeled_grid' must list at least one sample size"),
+    ("--n-grid", "400,400", "'n_grid' must be strictly increasing"),
 ])
 def test_ws_run_rejects_non_positive_counts(tmp_path, tiny_corpus, option, value, message):
     docs, split = tiny_corpus
@@ -366,17 +381,27 @@ def test_combine_rejects_nonpositive_sizes(tmp_path, tiny_config, sizes):
     assert not (out / "combined.csv").exists()
 
 
-@pytest.mark.parametrize("args, message", [
-    (["dvr", "--estimators", "foo"], "unknown estimator 'foo'"),
-    (["combine", "--estimator", "foo"], "unknown estimator 'foo'"),
-    (["combine", "--estimator", "labeled"], "'labeled' is not one"),
-    (["curves", "--d", "-1"], "must be non-negative, got -1"),
+@pytest.mark.parametrize("args, config, message", [
+    (["dvr", "--estimators", "foo"], {}, "unknown estimator 'foo'"),
+    (["combine", "--estimator", "foo"], {}, "unknown estimator 'foo'"),
+    (["combine", "--estimator", "labeled"], {}, "'labeled' is not one"),
+    (["curves", "--d", "-1"], {}, "must be non-negative, got -1"),
+    # one rule for estimator lists and size grids in every suite
+    (["curves"], {"estimators": []}, "'estimators' must list at least one estimator"),
+    (["curves"], {"estimators": ["triplet-mean", "triplet-mean"]},
+     "estimator listed twice in 'estimators': triplet-mean, triplet-mean"),
+    (["curves", "--n-grid", "0,100"], {}, "n_grid sizes must be at least 1, got 0"),
+    (["combine", "--n-labeled-grid", ""], {}, "'n_labeled_grid' must list at least one sample size"),
+    (["combine", "--n-labeled-grid", "80,40"], {}, "'n_labeled_grid' must be strictly increasing"),
 ])
-def test_bad_suite_input_fails_before_any_trial(tmp_path, tiny_config, monkeypatch, args, message):
+def test_bad_suite_input_fails_before_any_trial(
+    tmp_path, tiny_config, monkeypatch, args, config, message
+):
     def no_draw(*a):
         raise AssertionError("a trial was drawn")
 
     monkeypatch.setattr(experiments, "trial_rng", no_draw)
+    tiny_config.write_text(json.dumps({**json.loads(tiny_config.read_text()), **config}))
     out = tmp_path / "out"
     result = CliRunner().invoke(main, args + ["--config", str(tiny_config), "-o", str(out)])
     assert result.exit_code == 1
@@ -389,7 +414,7 @@ def test_bad_suite_input_fails_before_any_trial(tmp_path, tiny_config, monkeypat
     (["--estimators", "labeled"], None, "'labeled' is not one"),
     (["--estimators", "triplet-mean,triplet-mean"], None, "listed twice"),
     (["--estimators", ""], None, "unknown estimator ''"),
-    ([], ["labeled"], "at least one unlabeled estimator"),
+    ([], ["labeled"], "unlabeled estimators must list at least one estimator"),
 ])
 def test_dvr_rejects_estimator_lists_it_cannot_run(
     tmp_path, tiny_config, monkeypatch, args, estimators, message
@@ -862,7 +887,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
         (["combine", "--trials", "3", "--d", "1", "--n-unlabeled", "200", "--n-labeled-grid", "40",
           "-o", t / "combine"],
          t / "combine" / "manifest.json",
-         suite_keys | {"n_unlabeled", "n_labeled_grid", "estimator"}, 0,
+         {"model", "trials", "seed", "n_unlabeled", "n_labeled_grid", "estimator"}, 0,
          [], [t / "combine" / "combined.csv"]),
         (["ws", "ingest", "--input", csv_in, "--format", "csv", "--seed", "9",
           "--docs-out", t / "ing.jsonl", "--split-out", t / "ing.split.json"],

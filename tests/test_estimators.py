@@ -494,7 +494,7 @@ class TestShrinkageCovariance:
 
         a_u = estimate_triplet_from_moments(mom.pair, "mean")
         combine_green_strawderman(a_u, mom)
-        experiments.combined_sweep(synth_model_dep, 200, [200], trials=1)
+        experiments.combined_sweep(experiments.TrialEngine(synth_model_dep), 200, [200], trials=1)
         cc = estimate_quadratic_triplet_from_moments(mom, 0.5, "mean")
         lab = ws.estimate_labeled_class_conditional(counts, 10, 0.5)
         ws._combine_class_conditional(cc, lab, mom, 8.0)
@@ -508,7 +508,7 @@ class TestShrinkageCovariance:
         counts = np.zeros(synth_model_dep.joint.size)
         counts[-1] = 50.0
         self._fixed_draws(monkeypatch, counts)
-        (row,) = experiments.combined_sweep(synth_model_dep, 50, [50], trials=3)
+        (row,) = experiments.combined_sweep(experiments.TrialEngine(synth_model_dep), 50, [50], trials=3)
         assert row.gs_alpha_mean == 1.0 and row.failures == 0
 
         unl = SampleMoments.from_source_matrix(sample(synth_model_dep, 500, 1))

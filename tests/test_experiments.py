@@ -11,7 +11,6 @@ from labelmoments import (
 )
 from labelmoments.analysis import accuracy_excess
 from labelmoments.estimators import (
-    AccuracyEstimate,
     SampleMoments,
     estimate_triplet_from_moments,
     green_strawderman_alpha,
@@ -44,6 +43,7 @@ from conftest import (
     binomial_pmf,
     exact_generalization_error,
     labeled_excess_by_full_sum,
+    labeled_excess_by_monte_carlo,
     state_counts,
 )
 
@@ -66,6 +66,12 @@ class TestConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ContractError):
             ExperimentConfig(estimators=("nope",))
+        with pytest.raises(ContractError, match="n_grid sizes must be at least 1, got 0"):
+            ExperimentConfig(n_grid=(0, 100))
+        with pytest.raises(ContractError, match="'estimators' must list at least one estimator"):
+            ExperimentConfig(estimators=())
+        with pytest.raises(ContractError, match="estimator listed twice in 'estimators'"):
+            ExperimentConfig(estimators=("labeled", "triplet-mean", "labeled"))
 
     def test_round_trip_and_hash(self):
         cfg = ExperimentConfig(SyntheticModelSpec(d=3), trials=7, seed=5)
@@ -106,12 +112,10 @@ class TestConfig:
 
 class TestExpectedExcess:
     def test_single_trial_matches_enumeration(self, synth_model_dep, dep_engine):
-        # trials=1 reduces to one fit scored by the exact enumerated loss
-        res = expected_excess_error(
-            synth_model_dep, "labeled", 400, trials=1, seed=9, engine=dep_engine
-        )
-        counts = sample_u_counts(synth_model_dep, 400, trial_rng(9, "excess:labeled/0", 400), 1)
-        est = AccuracyEstimate(SampleMoments.from_u_counts(counts[0], 10).acc, "labeled")
+        # trials=1 reduces to one fit of the unlabeled cell scored by the exact enumerated loss
+        res = expected_excess_error(dep_engine, "triplet-mean", 400, trials=1, seed=9)
+        counts = sample_u_counts(synth_model_dep, 400, trial_rng(9, "excess:unlabeled/0", 400), 1)
+        est = estimate_triplet_from_moments(SampleMoments.from_u_counts(counts[0], 10).pair, "mean")
         fitted = LabelModel.from_accuracies(
             est, 0.5, mode="empirical",
             config_dist=synth_model_dep.lambda_marginal(),
@@ -120,26 +124,19 @@ class TestExpectedExcess:
         assert res.mean == pytest.approx(excess, abs=1e-12)
         assert res.trials == 1 and res.failures == 0
 
-    def test_mean_triplet_plateaus_above_bias(self, synth_model_dep, dep_engine):
-        res = expected_excess_error(
-            synth_model_dep, "triplet-mean", 100_000, trials=100, seed=1,
-            engine=dep_engine,
-        )
+    def test_mean_triplet_plateaus_above_bias(self, dep_engine):
+        res = expected_excess_error(dep_engine, "triplet-mean", 100_000, trials=100, seed=1)
         plateau = res.mean - dep_engine.diag.inference_bias
         assert plateau > 5 * res.stderr
 
-    def test_determinism(self, synth_model_dep, dep_engine):
-        a = expected_excess_error(
-            synth_model_dep, "triplet-median", 500, 40, 3, engine=dep_engine
-        )
-        b = expected_excess_error(
-            synth_model_dep, "triplet-median", 500, 40, 3, engine=dep_engine
-        )
+    def test_determinism(self, dep_engine):
+        a = expected_excess_error(dep_engine, "triplet-median", 500, 40, 3)
+        b = expected_excess_error(dep_engine, "triplet-median", 500, 40, 3)
         assert a == b
 
-    def test_rejects_bad_sizes(self, synth_model_dep, dep_engine):
-        with pytest.raises(ContractError):
-            expected_excess_error(synth_model_dep, "labeled", 0, engine=dep_engine)
+    def test_rejects_bad_sizes(self, dep_engine):
+        with pytest.raises(ContractError, match="at least 1"):
+            expected_excess_error(dep_engine, "triplet-mean", 0)
 
 
 class TestExactLabeled:
@@ -149,10 +146,8 @@ class TestExactLabeled:
     ])
     def test_matches_monte_carlo_oracle(self, request, d, n, seed):
         engine = request.getfixturevalue(f"{d}_engine")
-        mc = expected_excess_error(
-            engine.model, "labeled", n, trials=1000, seed=seed, engine=engine
-        )
-        assert abs(engine.labeled_excess(n) - mc.mean) <= 4 * mc.stderr
+        mean, stderr = labeled_excess_by_monte_carlo(engine, n, trials=1000, seed=seed)
+        assert abs(engine.labeled_excess(n) - mean) <= 4 * stderr
 
     def test_matches_parametric_rate(self, indep_engine):
         # d = 0: no inference bias, and labeled fits concentrate at m / (2 n)
@@ -306,12 +301,9 @@ def _dvr_cases(draw):
 
 
 class TestDataValueRatio:
-    def test_search_matches_linear_scan(self, synth_model_dep, dep_engine):
+    def test_search_matches_linear_scan(self, dep_engine):
         grid = list(range(100, 1001, 50))
-        res = data_value_ratio(
-            synth_model_dep, 800, "triplet-median", trials=60, seed=8,
-            grid=grid, engine=dep_engine,
-        )
+        res = data_value_ratio(dep_engine, 800, "triplet-median", trials=60, seed=8, grid=grid)
 
         def scan(threshold):
             hits = [n for n in grid if dep_engine.labeled_excess(n) <= threshold]
@@ -331,13 +323,8 @@ class TestDataValueRatio:
             for n, threshold, passed in res.trace
         )
 
-    def test_minimal_grid_point_with_failing_predecessor(
-        self, synth_model_dep, dep_engine
-    ):
-        res = data_value_ratio(
-            synth_model_dep, 500, "triplet-mean", trials=150, seed=2,
-            engine=dep_engine,
-        )
+    def test_minimal_grid_point_with_failing_predecessor(self, dep_engine):
+        res = data_value_ratio(dep_engine, 500, "triplet-mean", trials=150, seed=2)
         assert res.matched_n_labeled is not None
         assert not res.lower_bounded
         assert all(
@@ -370,7 +357,7 @@ class TestDataValueRatio:
         stderr = {"zero": 0.0, "drawn": frac * 0.01, "to-point": abs(exact[j] - mean) / DVR_Z}[spread]
         target = experiments.ExcessResult("triplet-mean", 1000, float(mean), stderr, 10, 0)
         with mock.patch.object(experiments, "expected_excess_error", lambda *a: target):
-            res = data_value_ratio(dep_engine.model, 1000, "triplet-mean", 10, 0, grid, dep_engine)
+            res = data_value_ratio(dep_engine, 1000, "triplet-mean", 10, 0, grid)
 
         def scan(threshold):
             return next((n for n, v in zip(grid, exact) if v <= threshold), None)
@@ -384,26 +371,18 @@ class TestDataValueRatio:
             for n, threshold, passed in res.trace
         )
 
-    def test_lower_bounded_flag(self, synth_model_dep, dep_engine):
-        res = data_value_ratio(
-            synth_model_dep, 100_000, "triplet-median", trials=40, seed=3,
-            grid=[10, 12, 14], engine=dep_engine,
-        )
+    def test_lower_bounded_flag(self, dep_engine):
+        res = data_value_ratio(dep_engine, 100_000, "triplet-median", trials=40, seed=3, grid=[10, 12, 14])
         assert res.lower_bounded and res.matched_n_labeled is None
 
-    def test_first_point_qualifies(self, synth_model_dep, dep_engine):
-        res = data_value_ratio(
-            synth_model_dep, 50, "triplet-mean", trials=40, seed=4,
-            grid=[4000, 4010], engine=dep_engine,
-        )
+    def test_first_point_qualifies(self, dep_engine):
+        res = data_value_ratio(dep_engine, 50, "triplet-mean", trials=40, seed=4, grid=[4000, 4010])
         assert res.matched_n_labeled == 4000
 
 
 class TestCombinedSweep:
-    def test_alpha_zero_column_is_labeled_only(self, synth_model_dep, dep_engine):
-        rows = combined_sweep(
-            synth_model_dep, 300, [80], trials=30, seed=6, engine=dep_engine
-        )
+    def test_alpha_zero_column_is_labeled_only(self, dep_engine):
+        rows = combined_sweep(dep_engine, 300, [80], trials=30, seed=6)
         row = rows[0]
         # reproduce the labeled-only column from the Monte-Carlo labeled cell's stream
         excesses = [
@@ -411,29 +390,19 @@ class TestCombinedSweep:
         ]
         assert row.excess_labeled == pytest.approx(np.concatenate(excesses).mean(), abs=1e-12)
 
-    def test_endpoints_are_the_curve_cells(self, synth_model_dep, dep_engine):
+    def test_endpoints_are_the_curve_cells(self, dep_engine):
         # alpha 1 scores the unlabeled curve cell, once for the whole grid;
         # alpha 0 scores the Monte-Carlo labeled cell at each labeled size
-        rows = combined_sweep(
-            synth_model_dep, 300, [40, 80], "triplet-single", trials=25, seed=2, engine=dep_engine
-        )
-        unlabeled = expected_excess_error(
-            synth_model_dep, "triplet-single", 300, 25, 2, dep_engine
-        )
+        rows = combined_sweep(dep_engine, 300, [40, 80], "triplet-single", trials=25, seed=2)
+        unlabeled = expected_excess_error(dep_engine, "triplet-single", 300, 25, 2)
         for row in rows:
             assert row.excess_unlabeled == pytest.approx(unlabeled.mean, rel=1e-12)
-            assert (row.trials, row.failures) == (unlabeled.trials, unlabeled.failures)
-            labeled = expected_excess_error(
-                synth_model_dep, "labeled", row.n_labeled, 25, 2, dep_engine
-            )
-            assert row.excess_labeled == pytest.approx(labeled.mean, rel=1e-12)
+            assert (row.trials, row.failures) == (unlabeled.trials, unlabeled.failures) == (25, 0)
+            labeled, _ = labeled_excess_by_monte_carlo(dep_engine, row.n_labeled, 25, 2)
+            assert row.excess_labeled == pytest.approx(labeled, rel=1e-12)
 
-    def test_combined_never_worse_than_best_endpoint(
-        self, synth_model_dep, dep_engine
-    ):
-        rows = combined_sweep(
-            synth_model_dep, 1000, [100, 400], trials=120, seed=7, engine=dep_engine
-        )
+    def test_combined_never_worse_than_best_endpoint(self, dep_engine):
+        rows = combined_sweep(dep_engine, 1000, [100, 400], trials=120, seed=7)
         for row in rows:
             assert row.excess_best <= min(row.excess_labeled, row.excess_unlabeled) + 1e-12
             assert 0.0 <= row.best_alpha <= 1.0
@@ -487,7 +456,7 @@ class TestSuiteRunners:
         assert text[0].startswith("estimator,n_unlabeled")
 
     @pytest.mark.parametrize("estimators, message", [
-        ([], "at least one unlabeled estimator"),
+        ([], "unlabeled estimators must list at least one estimator"),
         (["labeled"], "'labeled' is not one"),
         (["triplet-mean", "labeled"], "'labeled' is not one"),
         (["triplet-mean", "triplet-median", "triplet-mean"], "listed twice"),
@@ -522,13 +491,13 @@ class TestSharedUnlabeledCell:
 
     @staticmethod
     def _spy_fits(monkeypatch):
-        """estimator -> the moment blocks its fits read."""
+        """estimator -> the pair-moment chunks its fits read."""
         seen = {}
         original = TrialEngine.fit
 
-        def fit(engine, estimator, moments, rng):
-            seen.setdefault(estimator, []).append(moments)
-            return original(engine, estimator, moments, rng)
+        def fit(engine, estimator, pair, rng):
+            seen.setdefault(estimator, []).append(pair)
+            return original(engine, estimator, pair, rng)
 
         monkeypatch.setattr(TrialEngine, "fit", fit)
         return seen
@@ -543,8 +512,8 @@ class TestSharedUnlabeledCell:
         for estimator in self.TRIPLETS[1:]:
             for a, b in zip(seen[estimator], first, strict=True):
                 # the same trials of one memoised array
-                assert a.pair.base is b.pair.base is not None
-                assert a.pair.ctypes.data == b.pair.ctypes.data and a.pair.shape == b.pair.shape
+                assert a.base is b.base is not None
+                assert a.ctypes.data == b.ctypes.data and a.shape == b.shape
 
     def test_run_curves_draws_each_n_once(self, monkeypatch, tmp_path):
         drawn = []
@@ -564,7 +533,7 @@ class TestSharedUnlabeledCell:
 
     def test_combined_labeled_draws_are_not_the_unlabeled_samples(self, synth_model_dep):
         engine = TrialEngine(synth_model_dep)
-        (row,) = combined_sweep(synth_model_dep, 300, [300], trials=20, seed=4, engine=engine)
+        (row,) = combined_sweep(engine, 300, [300], trials=20, seed=4)
         labeled = np.concatenate([mom.acc for mom in engine.blocks("excess:labeled", 300, 20, 4)])
         unlabeled = np.concatenate(
             [mom.acc for mom in engine.blocks("excess:unlabeled", 300, 20, 4)]
@@ -575,11 +544,11 @@ class TestSharedUnlabeledCell:
     def test_memoised_moments_are_read_only(self, monkeypatch, synth_model_dep):
         seen = self._spy_fits(monkeypatch)
         TrialEngine(synth_model_dep).estimates("triplet-mean", 300, 5, 0)
-        (moments,) = seen["triplet-mean"]
-        # the unlabeled fits never see a label, nor sign means
-        assert moments.acc is None and moments.means is None
+        (pair,) = seen["triplet-mean"]
+        # the unlabeled fits see pair moments only: no label, no sign means
+        assert type(pair) is np.ndarray and pair.shape == (5, 10, 10)
         with pytest.raises(ValueError, match="read-only"):
-            moments.pair[0] = 0.0
+            pair[0] = 0.0
 
     def test_estimator_order_leaves_rows_unchanged(self, tmp_path):
         estimators = ("labeled",) + self.TRIPLETS
@@ -607,8 +576,6 @@ class TestSharedUnlabeledCell:
 
 
 def _fit_one(estimator, moments, rng):
-    if estimator == "labeled":
-        return moments.acc
     aggregation = estimator.split("-", 1)[1]
     return estimate_triplet_from_moments(moments.pair, aggregation, seed=rng).values
 
@@ -663,11 +630,9 @@ def _draw_moments(engine, n, rng):
 
 
 def _cell_streams(estimator, n, seed):
-    """Protocols v4 to v6: the labeled cell draws from its own stream, every triplet
-    estimator from the shared unlabeled one; each estimator has its own fit
-    stream."""
-    cell = "labeled" if estimator == "labeled" else "unlabeled"
-    return trial_rng(seed, f"excess:{cell}/0", n), trial_rng(seed, f"excess:{estimator}/fit", n)
+    """Protocols v4 to v6: every triplet estimator draws from the shared
+    unlabeled stream, and each has its own fit stream."""
+    return trial_rng(seed, "excess:unlabeled/0", n), trial_rng(seed, f"excess:{estimator}/fit", n)
 
 
 def _per_trial_series(engine, estimator, n, trials, seed):
@@ -754,20 +719,22 @@ BUDGETS = {
 }
 
 
+TRIPLETS = TestSharedUnlabeledCell.TRIPLETS
+# the cells of the per-trial oracles: tiny at n=4, dep at n=100 and wide at
+# n=250 and n=1000 draw rows, tiny at n=8 and dep at n=300 u-counts
+ORACLE_CELLS = (("tiny", 4, 40), ("tiny", 8, 100), ("dep", 100, 20), ("dep", 300, 20),
+                ("wide", 250, 15), ("wide", 1000, 15))
+
+
 class TestBatchedEngineOracle:
     @pytest.mark.parametrize("budget", BUDGETS)
-    @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
+    @pytest.mark.parametrize("estimator", TRIPLETS)
     def test_excess_series_matches_per_trial_loop(
-        self, monkeypatch, tiny_engine, dep_engine, wide_engine, estimator, budget
+        self, request, monkeypatch, estimator, budget
     ):
-        # tiny at n=4, dep at n=100 and wide at n=250 and n=1000 draw rows,
-        # tiny at n=8 and dep at n=300 u-counts
         failed = {True: 0, False: 0}
-        cells = (
-            (tiny_engine, 4, 40), (tiny_engine, 8, 100), (dep_engine, 100, 20), (dep_engine, 300, 20),
-            (wide_engine, 250, 15), (wide_engine, 1000, 15),
-        )
-        for engine, n, trials in cells:
+        for name, n, trials in ORACLE_CELLS:
+            engine = request.getfixturevalue(f"{name}_engine")
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
             engine = TrialEngine(engine.model, engine.diag)  # nothing memoised under another budget
             series, failures = engine.excess_series(estimator, n, trials, 21)
@@ -775,8 +742,19 @@ class TestBatchedEngineOracle:
             np.testing.assert_array_equal(series, ref_series)
             assert failures == ref_failures
             failed[_as_rows(engine, n)] += failures
-        if estimator != "labeled":
-            assert min(failed.values()) > 0  # the tiny model masks rows on both paths
+        assert min(failed.values()) > 0  # the tiny model masks rows on both paths
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_labeled_blocks_match_per_trial_loop(self, request, monkeypatch, budget):
+        # the Monte-Carlo labeled cell, which the combined sweep reads: its
+        # labeled accuracies, trial by trial, on both draw paths
+        for name, n, trials in ORACLE_CELLS:
+            engine = request.getfixturevalue(f"{name}_engine")
+            monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
+            acc = np.concatenate([mom.acc for mom in engine.blocks("excess:labeled", n, trials, 21)])
+            draw = trial_rng(21, "excess:labeled/0", n)
+            ref = [_draw_moments(engine, n, draw).acc for _ in range(trials)]
+            np.testing.assert_array_equal(acc, ref)
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("estimator", ["triplet-mean", "triplet-single"])
@@ -796,7 +774,7 @@ class TestBatchedEngineOracle:
         for engine, n_u, grid, trials in cells:
             monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
             engine = TrialEngine(engine.model, engine.diag)
-            rows = combined_sweep(engine.model, n_u, grid, estimator, trials, 8, engine)
+            rows = combined_sweep(engine, n_u, grid, estimator, trials, 8)
             assert rows == _per_trial_combined(engine, n_u, grid, estimator, trials, 8)
             failed[_as_rows(engine, n_u)] += rows[0].failures
             fallbacks += sum(r.gs_fallbacks for r in rows)
@@ -818,7 +796,7 @@ class TestBatchedEngineOracle:
         monkeypatch.setattr(experiments, "BLOCK_BYTES", budget)
         seen = TestSharedUnlabeledCell._spy_fits(monkeypatch)
         TrialEngine(wide_engine.model, wide_engine.diag).estimates("triplet-mean", 250, 15, 3)
-        sizes = [len(mom.pair) for mom in seen["triplet-mean"]]
+        sizes = [len(pair) for pair in seen["triplet-mean"]]
         self._assert_chunks(sizes, 15, 20 * 14 * 78, budget)
 
     @pytest.mark.parametrize("budget", [1, 3 * 40400, 1 << 40, "default"])
@@ -835,7 +813,7 @@ class TestBatchedEngineOracle:
 
         monkeypatch.setattr(TrialEngine, "excess", excess)
         engine = TrialEngine(dep_engine.model, dep_engine.diag)
-        (row,) = combined_sweep(engine.model, 300, [50], trials=10, seed=2, engine=engine)
+        (row,) = combined_sweep(engine, 300, [50], trials=10, seed=2)
         self._assert_chunks(sizes, row.trials, 5 * 8 * 101 * 10, budget)
 
     def test_default_block_sizes(self):
@@ -845,14 +823,18 @@ class TestBatchedEngineOracle:
         assert [per_block(16 * 250 * 15, 100), per_block(16 * 1000 * 15, 100)] == [2, 1]
         assert per_block(20 * 14 * 78, 100) == 6
 
-    @pytest.mark.parametrize("estimator", ["labeled", "triplet-mean"])
+    @pytest.mark.parametrize("cell", ["labeled", "triplet-mean"])
     @pytest.mark.parametrize("n, trials", [(0, 5), (100, 0), (100, -1)])
-    def test_empty_cell_is_refused(self, dep_engine, estimator, n, trials):
+    def test_empty_cell_is_refused(self, dep_engine, cell, n, trials):
         # no block of zero trials: range() would refuse a step of 0 with a bare ValueError
         engine = TrialEngine(dep_engine.model, dep_engine.diag)
+        draw = {
+            "labeled": lambda: next(engine.blocks("excess:labeled", n, trials, 0)),
+            "triplet-mean": lambda: engine.estimates("triplet-mean", n, trials, 0),
+        }[cell]
         for _ in range(2):  # nothing is memoised by the refused call
             with pytest.raises(ContractError, match="at least 1"):
-                engine.estimates(estimator, n, trials, 0)
+                draw()
 
     @staticmethod
     def _assert_chunks(sizes, trials, charge, budget):
@@ -872,19 +854,33 @@ class TestBatchedEngineOracle:
 
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
     def test_shorter_run_is_a_prefix(self, tiny_engine, dep_engine, estimator):
+        def fits(engine, n, trials):
+            if estimator != "labeled":
+                return engine.estimates(estimator, n, trials, 5)
+            # the Monte-Carlo labeled cell: each trial's labeled accuracies are its fit
+            acc = [mom.acc for mom in engine.blocks("excess:labeled", n, trials, 5)]
+            return np.concatenate(acc), np.ones(trials, dtype=bool)
+
         for engine, n, trials in ((tiny_engine, 4, 20), (dep_engine, 300, 9)):
-            short, short_ok = engine.estimates(estimator, n, trials, 5)
-            long, long_ok = engine.estimates(estimator, n, 2 * trials, 5)
+            short, short_ok = fits(engine, n, trials)
+            long, long_ok = fits(engine, n, 2 * trials)
             # the first `trials` trials of the long run are the short run
             np.testing.assert_array_equal(long_ok[:trials], short_ok)
             np.testing.assert_array_equal(long[:trials][short_ok], short[short_ok])
 
     @pytest.mark.parametrize("call, message", [
         (lambda e: e.excess_series("triplet-foo", 50, 3, 0), "unknown estimator"),
-        (lambda e: expected_excess_error(e.model, "foo", 50, 3, 0, e), "unknown estimator"),
-        (lambda e: combined_sweep(e.model, 50, (10,), "foo", 3, 0, e), "unknown estimator"),
+        (lambda e: expected_excess_error(e, "foo", 50, 3, 0), "unknown estimator"),
+        (lambda e: combined_sweep(e, 50, (10,), "foo", 3, 0), "unknown estimator"),
+        # the engine fits triplet estimators only; the labeled curve is exact
+        (lambda e: expected_excess_error(e, "labeled", 50, 3, 0), "'labeled' is not one"),
+        (lambda e: data_value_ratio(e, 50, "labeled", 3, 0), "'labeled' is not one"),
+        (lambda e: e.estimates("labeled", 50, 3, 0), "'labeled' is not one"),
         # both sides would read the labeled cell and, at equal sizes, pair a sample with itself
-        (lambda e: combined_sweep(e.model, 50, (50,), "labeled", 3, 0, e), "'labeled' is not one"),
+        (lambda e: combined_sweep(e, 50, (50,), "labeled", 3, 0), "'labeled' is not one"),
+        (lambda e: combined_sweep(e, 50, (), "triplet-mean", 3, 0), "'n_labeled_grid' must list"),
+        (lambda e: combined_sweep(e, 50, (40, 40), "triplet-mean", 3, 0), "strictly increasing"),
+        (lambda e: combined_sweep(e, 50, (0, 40), "triplet-mean", 3, 0), "at least 1, got 0"),
     ])
     def test_bad_estimator_raises_before_any_draw(self, monkeypatch, tiny_engine, call, message):
         def no_draw(*args):
