@@ -39,7 +39,8 @@ from pathlib import Path
 
 import click
 
-from . import __version__, analysis, experiments, ws
+# ws is imported inside the ws commands, so that no other command loads or compiles it.
+from . import __version__, analysis, experiments
 from .data import load_source_matrix
 from .errors import ContractError, LabelMomentsError
 from .estimators import (
@@ -464,6 +465,8 @@ def ws_group():
 @_recorded
 def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
     """Convert a corpus layout into JSONL documents plus a split manifest."""
+    from . import ws
+
     if fmt == "review-dir":
         corpus = ws.ingest_review_directory(input_path)
     elif fmt == "csv":
@@ -484,6 +487,8 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
 @_recorded
 def ws_apply_cmd(docs_path, split_path, subset, out):
     """Apply the keyword sources to a corpus; writes a source-matrix CSV."""
+    from . import ws
+
     votes = ws.CorpusVotes.from_jsonl(docs_path, split_path)
     matrix = votes.matrix(None if subset == "all" else subset)
     matrix.to_csv(out)
@@ -504,6 +509,8 @@ def ws_apply_cmd(docs_path, split_path, subset, out):
 @_recorded
 def ws_run_cmd(docs_path, split_path, n_grid, n_unlabeled, n_labeled_grid, trials, balance, seed, out_dir):
     """Run the full case study; writes metrics.csv in the output directory."""
+    from . import ws
+
     cfg = ws.CaseStudyConfig(
         n_grid=tuple(_parse_ints(n_grid)),
         n_unlabeled=n_unlabeled,

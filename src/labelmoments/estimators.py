@@ -220,8 +220,12 @@ class AccuracyEstimate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AccuracyEstimate":
+        """The estimate stored as JSON; refuses ``values`` that are not accuracies in [-1, 1]."""
+        values = np.asarray(doc["values"], dtype=np.float64)
+        if values.ndim != 1 or not np.all((values >= -1.0) & (values <= 1.0)):
+            raise ContractError("'values' must be a list of finite accuracies in [-1, 1]")
         return cls(
-            np.asarray(doc["values"], dtype=np.float64),
+            values,
             doc.get("method", "unknown"),
             doc.get("aggregation"),
             doc.get("metadata", {}),
@@ -531,11 +535,14 @@ class ClassConditionalEstimate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ClassConditionalEstimate":
-        return cls(
-            np.asarray(doc["mu"], dtype=np.float64),
-            float(doc["class_balance"]),
-            doc.get("metadata", {}),
-        )
+        """The estimate stored as JSON; refuses a ``mu`` that is not (m, 2, 2) probabilities
+        and a ``class_balance`` outside (0, 1)."""
+        mu, balance = np.asarray(doc["mu"], dtype=np.float64), float(doc["class_balance"])
+        if mu.ndim != 3 or mu.shape[1:] != (2, 2) or not np.all((mu >= 0.0) & (mu <= 1.0)):
+            raise ContractError("'mu' must hold finite (2, 2) tables of probabilities in [0, 1]")
+        if not 0.0 < balance < 1.0:
+            raise ContractError("'class_balance' must be a finite number in (0, 1)")
+        return cls(mu, balance, doc.get("metadata", {}))
 
 
 def _class_conditional_census(

@@ -18,10 +18,11 @@ frequencies), and the test split is scored by gathering from the label
 model's posterior table.
 
 The states are built while the corpus file is read (``CorpusVotes``): the
-file is read a slice of about ``_SLICE_BYTES`` of text at a time, each slice
-is voted by one ``apply_sources`` call, and its text is dropped.  What is
-kept per document is its id, its label and its votes, so the memory of
-``ws run`` and ``ws apply`` does not grow with the length of the documents.
+reader hands over ids, texts and labels a checked batch of lines at a time,
+each slice of about ``_SLICE_BYTES`` of text is voted by one
+``apply_sources`` call, and its text is dropped.  What is kept per document
+is its id, its label and its votes, so the memory of ``ws run`` and ``ws
+apply`` does not grow with the length of the documents.
 
 External corpora are ingested to JSONL ({"id", "text", "label"}) plus a
 split manifest ({"train": [...], "test": [...]}); nothing is bundled.
@@ -30,8 +31,9 @@ split manifest ({"train": [...], "test": [...]}); nothing is bundled.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import eq, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +51,9 @@ from .label_model import LabelModel, cross_entropy, f1_score
 from .manifest import read_json
 from .states import config_bits
 
-_TOKEN = re.compile(r"[0-9a-z]+")
-_TOKEN_BYTE = np.zeros(256, dtype=bool)  # byte value -> whether it can be part of a token
-_TOKEN_BYTE[list(b"0123456789abcdefghijklmnopqrstuvwxyz")] = True
-_SLICE_BYTES = 1 << 18  # text bytes per slice read and scanned at once: bounds their memory
+_TOKEN_BYTES = bytes(c in b"0123456789abcdefghijklmnopqrstuvwxyz" for c in range(256))  # 1: token byte
+_READ_CHARS = 1 << 13  # characters of lines the reader parses and checks at once
+_SLICE_BYTES = 1 << 18  # text bytes voted at once: bounds the memory of a vote
 _SCAN_ONCE = json.JSONDecoder().scan_once  # json.loads' C scanner, without its wrappers
 
 POSITIVE_WORDS = ("love", "like", "good", "great", "best", "excellent")
@@ -68,7 +69,7 @@ class KeywordSource:
         if self.sentiment not in (-1, 1):
             raise ContractError("sentiment must be -1 or +1")
         object.__setattr__(self, "word", self.word.lower())
-        if not _TOKEN.fullmatch(self.word):
+        if not (self.word.isascii() and self.word.isalnum()):
             raise ContractError(
                 f"keyword {self.word!r} can never be a token: after lowercasing, "
                 "a keyword is one or more of [0-9a-z]"
@@ -134,78 +135,92 @@ class Corpus:
     ) -> "Corpus":
         """Read documents from JSONL (``_read_jsonl``), and their split from a manifest if given."""
         docs = []
-        for chunk in _read_jsonl(docs_path):
-            docs += chunk
+        for batch in _read_jsonl(docs_path):
+            docs += map(Document, *batch)
         split = _read_split(split_path) if split_path is not None else {}
         return cls(tuple(docs), split)
 
 
 def _read_jsonl(docs_path: str | Path):
-    """Yield a JSONL corpus's ``Document`` records in lists, a slice at a time.
+    """Yield a JSONL corpus's records as (ids, texts, labels) lists, a batch of lines at a time.
 
-    The file is UTF-8 text with one JSON object per line, each with ``"id"``,
-    ``"text"`` and optionally ``"label"``; an id is read as its ``str``, and
-    ``Document`` checks the text and the label.  Lines end as universal
-    newlines do (``\\n``, ``\\r\\n`` or a lone ``\\r``); whitespace around a
-    line is ignored, and blank lines are skipped.  A line that is not such a
+    The file is UTF-8 text with one JSON object per line, each with ``"id"``
+    (read as its ``str``), ``"text"`` (a string) and optionally ``"label"``
+    (-1 or +1).  Lines end as universal newlines do; whitespace around a line
+    is ignored, and blank lines are skipped.  A line that is not such a
     record, or a file that is not UTF-8, raises ``ContractError`` naming the
-    file, and the line where it is known (undecodable bytes are found a read
-    buffer at a time).  Records before the faulty line may already have been
-    yielded.
+    file, and the line where it is known; earlier batches may have been
+    yielded by then.
 
-    The file is streamed a line at a time, and a slice is yielded as soon as
-    its texts reach ``_SLICE_BYTES`` characters (one byte each for ASCII
-    text), so at most one slice of text is held at once, however long the
-    file.  ``_parse_line`` parses a line with ``json.loads``' own C scanner
-    from index 0 and keeps the value when the scan ends at the end of the
-    line.  That is exactly ``json.loads`` on a stripped line, which checks
-    for a BOM, scans from index 0 and fails with "Extra data" unless the
-    scan ends at the end (past trailing whitespace, which a stripped line
-    lacks); a BOM fails the scan, as no value starts with one.  On any other
-    outcome the line goes to ``json.loads`` itself, for the error it raises.
+    ``fh.readlines`` reads a batch of about ``_READ_CHARS`` characters, and
+    ``_checked_batch`` checks it whole.  When a check fails, or the file is
+    not UTF-8, the file is read again from the top with one ``json.loads``
+    per line, so that the first fault in file order raises its own message;
+    that pass yields only the records after those already yielded.
     """
-    docs, size = [], 0
+    done = 0  # records yielded
     with open(docs_path, encoding="utf-8") as fh:
         try:
+            while lines := fh.readlines(_READ_CHARS):
+                batch = _checked_batch(list(filter(None, map(str.strip, lines))))
+                yield batch
+                done += len(batch[0])
+            return
+        except (ValueError, KeyError, TypeError, RecursionError):  # UnicodeDecodeError is a ValueError
+            fh.seek(0)
+        try:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = _parse_line(line)
-                    doc = Document(str(rec["id"]), rec["text"], rec.get("label"))
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    raise ContractError(
-                        f"{docs_path}, line {lineno}: not a document record with "
-                        f"'id' and 'text' ({type(exc).__name__}: {exc})"
-                    ) from exc
-                docs.append(doc)
-                size += len(doc.text)
-                if size >= _SLICE_BYTES:
-                    yield docs
-                    docs, size = [], 0
+                if line := line.strip():
+                    try:
+                        rec = json.loads(line)
+                        doc = Document(str(rec["id"]), rec["text"], rec.get("label"))
+                    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                        raise ContractError(
+                            f"{docs_path}, line {lineno}: not a document record with "
+                            f"'id' and 'text' ({type(exc).__name__}: {exc})"
+                        ) from exc
+                    if (done := done - 1) < 0:
+                        yield [doc.doc_id], [doc.text], [doc.label]
         except UnicodeDecodeError as exc:
             raise ContractError(f"{docs_path}: not UTF-8 text ({exc})") from exc
-    if docs:
-        yield docs
 
 
-def _parse_line(line: str):
-    """``json.loads(line)`` for a stripped line, by its C scanner where that is
-    exact (``_read_jsonl`` says why)."""
-    try:
-        rec, end = _SCAN_ONCE(line, 0)
-        if end == len(line):
-            return rec
-    except (StopIteration, ValueError, RecursionError):
-        pass
-    return json.loads(line)
+def _checked_batch(lines):
+    """(ids, texts, labels) of stripped, nonblank JSONL lines; ``ValueError`` where a check fails.
+
+    ``json.loads``' C scanner scans each line from index 0.  A scan that ends
+    at the end of the line is exactly ``json.loads`` on it (a BOM fails
+    both), and a failed scan ends the ``map`` early.  ``itemgetter`` and
+    ``dict.get`` refuse a record that is not a dict with an id and a text.
+    The texts must be ``str`` and the set of labels lie within {None, -1, 1},
+    whose equality is that of ``Document``'s check.  The batch's records die
+    when this returns, before the reader yields: held together with the
+    records that stay, they would leave freed memory scattered among them.
+    """
+    scans = list(chain.from_iterable(map(_SCAN_ONCE, lines, repeat(0))))  # record, end, record, ...
+    recs = scans[::2]
+    texts, labels = list(map(itemgetter("text"), recs)), list(map(dict.get, recs, repeat("label")))
+    if scans[1::2] != list(map(len, lines)) or not set(map(type, texts)) <= {str} \
+            or not set(labels) <= {None, -1, 1}:
+        raise ValueError  # a faulty line, for the per-line pass to name
+    ids = list(map(itemgetter("id"), recs))  # each read as its str, which a str already is
+    return ids if set(map(type, ids)) <= {str} else list(map(str, ids)), texts, labels
 
 
 def _split_from_dict(doc: dict) -> dict:
     if not all(isinstance(ids, list) for ids in doc.values()):
         raise TypeError("a split manifest maps each split name to a list of document ids")
-    return {str(i): name for name, ids in doc.items() for i in ids}
+    split = {str(i): name for name, ids in doc.items() for i in ids}
+    if len(split) < sum(map(len, doc.values())):  # some id is listed twice: name it
+        seen = {}
+        for name, ids in doc.items():
+            for doc_id in map(str, ids):
+                if doc_id in seen:
+                    raise ContractError(
+                        f"document {doc_id!r} is listed under {seen[doc_id]!r} and {name!r}"
+                    )
+                seen[doc_id] = name
+    return split
 
 
 def _read_split(path: str | Path) -> dict:
@@ -226,25 +241,28 @@ def random_split(docs, test_fraction: float, seed: int) -> dict:
 
 
 def apply_sources(texts, roster: tuple[KeywordSource, ...] | None = None) -> SourceMatrix:
-    """Vote matrix (without labels) for the texts.
+    """Vote matrix (without labels) for a sequence of texts.
 
     A word is present in a text when it equals one of the text's tokens (the
     module docstring's tokenization), found without a token set per text.
-    Each text is lowercased and UTF-8 encoded, and the encoded texts are
-    joined into one buffer, with ``b"\\n"`` before, between and after them.
-    Each roster word is one literal scan of that buffer.  A match counts
-    when the bytes on both sides of it are not token bytes (``_TOKEN_BYTE``),
-    and a binary search of the texts' end offsets names its text.  The
-    buffer is as large as the texts' encoding: ``CorpusVotes`` bounds it by
-    voting one slice of the reader (about ``_SLICE_BYTES`` of text) per call.
+    The texts, joined with ``"\\n"`` before, between and after them, are
+    lowercased and UTF-8 encoded into one buffer; a text that is not ASCII
+    takes its length from its own encoding.  ``bytes.translate`` codes each
+    byte: 0 outside tokens, 2 for a word's first byte, 1 for another token
+    byte.  Each token that starts with a 2 after a 0 is narrowed per word,
+    byte by byte, and kept when a 0 follows the word; a binary search of
+    the texts' end offsets names its text.  Arrays hold a byte per buffer
+    byte or an index per candidate, and ``CorpusVotes`` bounds the buffer by
+    voting a slice (about ``_SLICE_BYTES`` of text) per call.
 
     This is exact.  The tokens of the lowercased text are its maximal runs
     of ``[0-9a-z]``.  UTF-8 writes each ASCII character as its own byte and
     every other code point (lone surrogates included) as bytes of 0x80 and
     above, and the separator is not a token byte, so the buffer's maximal
-    runs of token bytes are the texts' tokens.  The scan's matches do not
-    overlap, but it skips no whole-token match: a match overlapping one
-    would put a token byte right before it.
+    runs of token bytes are the texts' tokens.  Lowercasing the joined text
+    lowercases each text as alone would: only a final sigma looks at its
+    neighbours, through cased or case-ignorable letters, and ``"\\n"`` is
+    neither.
     """
     roster = roster if roster is not None else default_roster()
     if not roster:
@@ -252,15 +270,22 @@ def apply_sources(texts, roster: tuple[KeywordSource, ...] | None = None) -> Sou
     column: dict[str, int] = {}  # roster word -> presence column; a repeated word shares one
     for src in roster:
         column.setdefault(src.word, len(column))
-    encoded = [text.lower().encode("utf-8", "surrogatepass") for text in texts]
-    buf = b"\n".join([b""] + encoded + [b""])  # a separator before and after each text
-    lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    ends = np.cumsum(lengths + 1)  # offset of the separator after each text
-    byte = np.frombuffer(buf, dtype=np.uint8)
-    present = np.zeros((len(encoded), len(column)), dtype=bool)
-    for word, col in column.items():  # a keyword is [0-9a-z]+: a literal, the regex fast search
-        at = np.fromiter(map(re.Match.start, re.finditer(word.encode(), buf)), np.int64)
-        at = at[~(_TOKEN_BYTE[byte[at - 1]] | _TOKEN_BYTE[byte[at + len(word)]])]  # a whole token
+    buf = "\n".join(["", *texts, ""]).lower().encode("utf-8", "surrogatepass")
+    ends = np.cumsum([  # offset of the separator after each text
+        1 + (len(t) if t.isascii() else len(t.lower().encode("utf-8", "surrogatepass"))) for t in texts
+    ])
+    table = bytearray(_TOKEN_BYTES)
+    for word in column:
+        table[ord(word[0])] = 2
+    code, byte = np.frombuffer(buf.translate(table), np.uint8), np.frombuffer(buf, np.uint8)
+    before = np.flatnonzero(code[1:] > code[:-1] + 1)  # the byte before each such token
+    heads = byte[1:][before]
+    present = np.zeros((len(texts), len(column)), dtype=bool)
+    for word, col in column.items():
+        at = before[heads == ord(word[0])]
+        for k, b in enumerate(word.encode()[1:], 2):
+            at = at[byte[at + k] == b]
+        at = at[code[at + len(word) + 1] == 0]  # the token is the word
         present[np.searchsorted(ends, at, side="right"), col] = True
     sentiment = np.array([src.sentiment for src in roster], dtype=np.int8)
     return SourceMatrix(
@@ -272,12 +297,11 @@ def apply_sources(texts, roster: tuple[KeywordSource, ...] | None = None) -> Sou
 class CorpusVotes:
     """The keyword votes of a JSONL corpus, with each document's id, label and split.
 
-    ``from_jsonl`` reads the file through ``_read_jsonl`` and votes each
-    slice with one ``apply_sources`` call, then drops its text: only the
-    ids, the labels and the votes are kept.  It raises what
-    ``Corpus.from_jsonl`` raises on the same files, in the same order (a
-    faulty line or undecodable bytes, then a malformed split manifest, then a
-    repeated id).
+    ``from_jsonl`` keeps the ids and labels of the reader's batches and votes
+    their texts with one ``apply_sources`` call per ``_SLICE_BYTES``
+    characters.  It raises what ``Corpus.from_jsonl`` raises on the same
+    files, in the same order (a faulty line or undecodable bytes, then a
+    malformed split manifest, then a repeated id).
     """
 
     ids: list  # in file order
@@ -289,20 +313,24 @@ class CorpusVotes:
     def from_jsonl(
         cls, docs_path: str | Path, split_path: str | Path | None = None
     ) -> "CorpusVotes":
-        ids, values, labels = [], [], []
-        for docs in _read_jsonl(docs_path):
-            values.append(apply_sources([d.text for d in docs]).values)
-            ids += [d.doc_id for d in docs]
-            labels += [d.label for d in docs]
+        ids, labels, values, texts, size = [], [], [], [], 0
+        for batch_ids, batch_texts, batch_labels in _read_jsonl(docs_path):
+            ids += batch_ids
+            labels += batch_labels
+            texts += batch_texts
+            size += sum(map(len, batch_texts))
+            if size >= _SLICE_BYTES:
+                values.append(apply_sources(texts).values)
+                texts, size = [], 0
+        if texts or not values:
+            values.append(apply_sources(texts).values)
         split = _read_split(split_path) if split_path is not None else {}
         _check_unique(ids)
-        m = len(default_roster())
-        values = np.concatenate(values) if values else np.empty((0, m), dtype=np.int8)
         labels = np.array([0 if label is None else label for label in labels], dtype=np.int8)
-        return cls(ids, values, labels, split)
+        return cls(ids, np.concatenate(values), labels, split)
 
     def _in(self, name: str) -> np.ndarray:
-        return np.fromiter((self.split.get(i) == name for i in self.ids), bool, len(self.ids))
+        return np.fromiter(map(eq, map(self.split.get, self.ids), repeat(name)), bool, len(self.ids))
 
     def matrix(self, name: str | None = None) -> SourceMatrix:
         """The votes of split ``name`` in file order, or of every document when None;

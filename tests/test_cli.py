@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -54,6 +57,15 @@ def test_malformed_tokens_are_usage_errors(tmp_path, args):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "Invalid value" in result.output
+
+
+def test_only_the_ws_commands_load_the_ws_module():
+    # every other command, and each benchmark workload but the case study,
+    # runs without loading (or compiling) the keyword pipeline
+    code = "import sys, labelmoments.cli; print('labelmoments.ws' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, sys.path))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.stdout.strip() == "False", result.stderr
 
 
 def test_combine_has_no_n_grid(tmp_path, tiny_config):
@@ -661,6 +673,47 @@ def test_model_json_that_describes_no_model_fails_typed(tmp_path, command, case)
     assert result.output.startswith(f"error (ContractError): {model}: ")
     assert message in result.output and "Warning" not in result.output
     assert not out.exists()
+
+
+# Estimate JSON documents that parse but hold no estimate: a NaN or an
+# out-of-range accuracy, conditional probability or class balance.
+ACCURACY_DOC = {"values": [0.3, 0.4, 0.5, 0.6], "method": "triplet"}
+CONDITIONAL_DOC = {"mu": [[[0.7, 0.2], [0.3, 0.8]]] * 4, "class_balance": 0.5}
+BAD_ESTIMATES = {
+    "nan-values": ({**ACCURACY_DOC, "values": [float("nan"), 0.4, 0.5, 0.6]}, "'values' must be"),
+    "inf-values": ({**ACCURACY_DOC, "values": [0.3, float("-inf"), 0.5, 0.6]}, "'values' must be"),
+    "values-above-one": ({**ACCURACY_DOC, "values": [0.3, 1.5, 0.5, 0.6]}, "'values' must be"),
+    "values-below-minus-one": ({**ACCURACY_DOC, "values": [0.3, 0.4, -1.01, 0.6]}, "'values' must be"),
+    "nan-mu": ({**CONDITIONAL_DOC, "mu": [[[float("nan"), 0.2], [0.3, 0.8]]] * 4}, "'mu' must hold"),
+    "mu-above-one": ({**CONDITIONAL_DOC, "mu": [[[1.2, 0.2], [-0.2, 0.8]]] * 4}, "'mu' must hold"),
+    "nan-balance": ({**CONDITIONAL_DOC, "class_balance": float("nan")}, "'class_balance' must be"),
+    "balance-one": ({**CONDITIONAL_DOC, "class_balance": 1.0}, "'class_balance' must be"),
+    "balance-zero": ({**CONDITIONAL_DOC, "class_balance": 0}, "'class_balance' must be"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ESTIMATES))
+def test_estimate_json_that_holds_no_estimate_fails_typed(tmp_path, model_and_data, case):
+    doc, message = BAD_ESTIMATES[case]
+    est, out = tmp_path / "est.json", tmp_path / "soft.csv"
+    est.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, [
+        "infer", "--data", str(model_and_data[1]), "--estimate", str(est), "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error (ContractError): {est}: ")
+    assert message in result.output and "Warning" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [ACCURACY_DOC, CONDITIONAL_DOC], ids=["accuracy", "conditional"])
+def test_estimate_json_at_its_limits_is_read(tmp_path, model_and_data, doc):
+    # accuracies of exactly -1 and 1 and probabilities of exactly 0 and 1 are estimates
+    edge = {"values": [-1.0, 1.0, 0.5, 0.0]} if "values" in doc else {"mu": [[[1.0, 0.0], [0.0, 1.0]]] * 4}
+    est, out = tmp_path / "est.json", tmp_path / "soft.csv"
+    est.write_text(json.dumps({**doc, **edge}))
+    _ok("infer", "--data", model_and_data[1], "--estimate", est, "-o", out)
+    assert len(out.read_text().splitlines()) == 401
 
 
 @pytest.mark.parametrize("edges, method", [

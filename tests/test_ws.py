@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -153,6 +154,25 @@ class TestApplySources:
         votes = CorpusVotes.from_jsonl(tmp_path / "docs.jsonl")
         np.testing.assert_array_equal(votes.values, oracle_votes(texts, default_roster()))
 
+    def test_memory_is_a_few_bytes_per_buffer_byte(self):
+        # a keyword-dense slice: about one candidate token per six bytes.  An index
+        # per buffer byte (8 bytes each) would alone exceed the bound.
+        rng = np.random.default_rng(3)
+        words = [s.word for s in default_roster()] + ["Good", "BAD", "the", "film"]
+        texts, size = [], 0
+        while size < ws._SLICE_BYTES:
+            texts.append(" ".join(rng.choice(words, 8)))
+            size += len(texts[-1]) + 1
+        expected = oracle_votes(texts[:200], default_roster())
+        np.testing.assert_array_equal(apply_sources(texts[:200]).values, expected)
+        tracemalloc.start()
+        try:
+            apply_sources(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * size, peak / size
+
     def test_empty_corpus(self):
         matrix = apply_sources([])
         assert matrix.values.shape == (0, len(default_roster()))
@@ -188,6 +208,16 @@ JSONL_LINES = [
     '{"id": "@ID@", "text": "x", "z": [1',
     '2]}, {"id": "@ID@", "text": "y"}',
     '{"id": 7, "text": "numeric id"}',
+    # labels equal to -1 or +1 in another type, a null label, and an unhashable one;
+    # a text that is not a string; ids that are an object or null
+    '{"id": "@ID@", "text": "x", "label": true}',
+    '{"id": "@ID@", "text": "x", "label": 1.0}',
+    '{"id": "@ID@", "text": "x", "label": -1.0}',
+    '{"id": "@ID@", "text": "x", "label": [1]}',
+    '{"id": "@ID@", "text": "x", "label": null}',
+    '{"id": "@ID@", "text": 5}',
+    '{"id": {"a": 1}, "text": "object id"}',
+    '{"id": null, "text": "null id"}',
 ]
 
 
@@ -261,17 +291,78 @@ class TestCorpusIO:
             assert votes[:2] == expected[:2]
             np.testing.assert_array_equal(votes[2], expected[2])
 
-    @pytest.mark.parametrize("slice_bytes", [1, 7, 100, 10_000])
-    def test_reader_slices_end_once_their_text_reaches_the_budget(self, tmp_path, slice_bytes):
-        rng = np.random.default_rng(slice_bytes)
-        docs = tuple(Document(f"d{i}", "x" * int(rng.integers(0, 60)), 1) for i in range(300))
-        Corpus(docs, {}).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
-        with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes):
-            slices = list(ws._read_jsonl(tmp_path / "docs.jsonl"))
-        sizes = [[len(d.text) for d in chunk] for chunk in slices]
-        assert all(sum(s) >= slice_bytes > sum(s[:-1]) for s in sizes[:-1])
-        assert sum(sizes[-1][:-1]) < slice_bytes
-        assert tuple(d for chunk in slices for d in chunk) == docs
+    @pytest.mark.parametrize("slice_bytes, read_chars", [
+        (1, 1), (7, 1), (7, 200), (100, 50), (100, 5000), (10_000, 1000), (10_000, 100_000),
+    ])
+    def test_votes_slices_are_whole_batches_that_end_once_their_text_reaches_the_budget(
+        self, tmp_path, slice_bytes, read_chars
+    ):
+        rng = np.random.default_rng(slice_bytes + read_chars)
+        docs = tuple(Document(f"d{i}", "good " * int(rng.integers(0, 12)), 1) for i in range(300))
+        path = tmp_path / "docs.jsonl"
+        Corpus(docs, {}).to_jsonl(path, tmp_path / "split.json")
+        slices = []
+
+        def recorded(texts):
+            slices.append(list(texts))
+            return apply_sources(texts)
+
+        with mock.patch.object(ws, "_SLICE_BYTES", slice_bytes), \
+                mock.patch.object(ws, "_READ_CHARS", read_chars):
+            batches = list(ws._read_jsonl(path))
+            with mock.patch.object(ws, "apply_sources", recorded):
+                votes = CorpusVotes.from_jsonl(path)
+        # the reader yields every record once, in file order, in batches of whole lines
+        assert [rec for batch in batches for rec in zip(*batch)] == [
+            (d.doc_id, d.text, d.label) for d in docs
+        ]
+        assert len(batches) == 1 if read_chars > 20_000 else len(batches) > 1
+        # each slice is the texts of whole batches, and ends at the first batch where
+        # its text reaches the budget; what is left is one last slice
+        expected, texts, size = [], [], 0
+        for batch in batches:
+            texts, size = texts + batch[1], size + sum(map(len, batch[1]))
+            if size >= slice_bytes:
+                expected, texts, size = expected + [texts], [], 0
+        assert slices == expected + [texts] * bool(texts)
+        np.testing.assert_array_equal(votes.values, apply_sources([d.text for d in docs]).values)
+
+    def test_reader_fallback_yields_the_records_not_yet_yielded(self, tmp_path, monkeypatch):
+        # a batch that fails its checks sends the reader to the per-line path from the
+        # top of the file, which yields each record after those already yielded, once
+        docs = tuple(Document(f"d{i}", f"text {i}", 1 - 2 * (i % 2)) for i in range(50))
+        path = tmp_path / "docs.jsonl"
+        Corpus(docs, {}).to_jsonl(path, tmp_path / "split.json")
+        checked, calls = ws._checked_batch, []
+
+        def fails_third(lines):
+            calls.append(len(lines))
+            if len(calls) == 3:
+                raise ValueError
+            return checked(lines)
+
+        monkeypatch.setattr(ws, "_READ_CHARS", 200)
+        monkeypatch.setattr(ws, "_checked_batch", fails_third)
+        batches = list(ws._read_jsonl(path))
+        assert len(calls) == 3 and len(batches) > 3
+        assert [rec for batch in batches for rec in zip(*batch)] == [
+            (d.doc_id, d.text, d.label) for d in docs
+        ]
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"train": ["d0", "d4"], "test": ["d4", "d5"]}, "document 'd4' is listed under 'train' and 'test'"),
+        ({"train": ["d0", "d1"], "dev": ["d0"]}, "document 'd0' is listed under 'train' and 'dev'"),
+        ({"train": ["d1", "d2", "d1"]}, "document 'd1' is listed under 'train' and 'train'"),
+        ({"train": ["d0", 5], "test": ["5"]}, "document '5' is listed under 'train' and 'test'"),
+    ])
+    @pytest.mark.parametrize("reader", [Corpus, CorpusVotes])
+    def test_split_manifest_listing_a_document_twice_is_refused(self, tmp_path, reader, manifest, message):
+        docs, split = tmp_path / "docs.jsonl", tmp_path / "split.json"
+        ids = ["d0", "d1", "d2", "d4", "d5", "5"]
+        docs.write_text("".join(json.dumps({"id": d, "text": "x"}) + "\n" for d in ids))
+        split.write_text(json.dumps(manifest))
+        with pytest.raises(ContractError, match=rf"split\.json: malformed \(ContractError: {message}\)"):
+            reader.from_jsonl(docs, split)
 
     @pytest.mark.parametrize("manifest", ['{"train": ["a"]', '["a"]', '{"train": "a"}'])
     def test_bad_split_manifest_names_file(self, tmp_path, manifest):
