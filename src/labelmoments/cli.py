@@ -263,7 +263,9 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
 @main.command("infer")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--estimate", "estimate_path", required=True, type=click.Path(exists=True))
-@click.option("--balance", default=0.5, show_default=True)
+@click.option("--balance", type=float, default=None,
+              help="Class balance Pr(Y=1) of an accuracy estimate [default: 0.5]; "
+                   "a class-conditional estimate holds its own.")
 @click.option("--mode", type=click.Choice(["normalized", "empirical"]), default="normalized", show_default=True)
 @click.option("--laplace", default=None, type=float, help="Pseudocount for the configuration distribution (empirical mode).")
 @click.option("--out", "-o", required=True, type=click.Path())
@@ -277,7 +279,12 @@ def infer_cmd(data_path, estimate_path, balance, mode, laplace, out):
     )
     if est.m != data.m:
         raise ContractError(f"the estimate has m={est.m} sources, the data m={data.m}")
-    model = _build_label_model(est, balance, mode, data, laplace)
+    if isinstance(est, ClassConditionalEstimate) and balance is not None:
+        raise ContractError(
+            f"--balance applies to accuracy estimates; the class-conditional estimate "
+            f"holds its own class balance, {est.class_balance}"
+        )
+    model = _build_label_model(est, 0.5 if balance is None else balance, mode, data, laplace)
     probs = posterior(model, data)
     lines = ["row_id,p_y1,soft_label"]
     lines += [f"{i},{p!r},{2 * p - 1!r}" for i, p in enumerate(map(float, probs))]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +110,8 @@ class SourceMatrix:
                 except UnicodeDecodeError:
                     raise
                 except ValueError as exc:
-                    raise ContractError(f"{path}: {exc}") from exc
+                    fh.seek(0)
+                    raise ContractError(f"{path}: {_ragged_row(fh, len(header)) or exc}") from exc
         except UnicodeDecodeError as exc:
             raise ContractError(f"{path}: not UTF-8 text ({exc})") from exc
         if body.size == 0:
@@ -166,6 +168,16 @@ class SourceMatrix:
             )
             labels = (2 * lbits.astype(np.int8)) - 1
         return cls(values, labels)
+
+
+def _ragged_row(lines, width: int) -> str | None:
+    """Name the first data row (counted from 1 below the header, as ``np.loadtxt``
+    counts: blank lines and ``#`` comments skipped) whose column count is not ``width``."""
+    rows = filter(None, (line.split("#", 1)[0].strip() for line in islice(lines, 1, None)))
+    for r, row in enumerate(rows, 1):
+        if (k := row.count(",") + 1) != width:
+            return f"row {r} has {k} columns, the header {width}"
+    return None
 
 
 def load_source_matrix(path: str | Path) -> SourceMatrix:

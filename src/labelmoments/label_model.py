@@ -19,8 +19,10 @@ models supply both columns explicitly.
 
 ``posterior`` evaluates rows of source outputs.  The scores
 (``cross_entropy``, ``classification_scores``) take labeled rows as
-joint-state indices and gather from ``log_posterior_table``, the posteriors
-of all 2**m configurations.
+``LabeledStates``, or as joint-state indices that they decode into one.  A
+model's posteriors are computed once per ``LabeledStates``, at the source
+configurations its rows hold; ``log_posterior_table`` holds them at all
+2**m configurations.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .states import check_capacity, config_bits, config_index
 
 ACCURACY_CLAMP = 1e-6   # estimates pulled inside [-1 + c, 1 - c] before use
 LOSS_FLOOR = 1e-12      # probability floor applied inside cross_entropy only
+ROW_BLOCK = 16          # LabeledStates pads its configuration rows to whole blocks of this many
 
 
 def empirical_config_dist(
@@ -66,6 +69,7 @@ class LabelModel:
     mode: str = "normalized"
     config_dist: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+    _scored: list = field(default_factory=list, init=False, repr=False, compare=False)  # [states, posteriors]
 
     def __post_init__(self):
         if self.mode not in ("normalized", "empirical"):
@@ -136,14 +140,15 @@ class LabelModel:
 
     def _log_numerators(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row log numerators for Y=+1 and Y=-1; bits is an (n, m) 0/1 array."""
+        off = 1.0 - bits
         lw_pos = (
             bits @ np.log(self.cond_pos)
-            + (1.0 - bits) @ np.log1p(-self.cond_pos)
+            + off @ np.log1p(-self.cond_pos)
             + np.log(self.class_balance)
         )
         lw_neg = (
             bits @ np.log(self.cond_neg)
-            + (1.0 - bits) @ np.log1p(-self.cond_neg)
+            + off @ np.log1p(-self.cond_neg)
             + np.log1p(-self.class_balance)
         )
         return lw_pos, lw_neg
@@ -178,8 +183,15 @@ class LabelModel:
     @cached_property
     def _posterior_table(self) -> tuple[np.ndarray, np.ndarray]:
         check_capacity(self.m)
-        bits = config_bits(self.m)
-        lw_pos, lw_neg = self._log_numerators(bits)
+        return self._log_posteriors_at(np.arange(1 << self.m), config_bits(self.m))
+
+    def _log_posteriors_at(self, configs: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only log posteriors (Y=+1, Y=-1) at source configurations, whose
+        rows of ``config_bits`` lead ``bits``.
+
+        Empirical mode needs a configuration distribution with full support.
+        """
+        lw_pos, lw_neg = (lw[: configs.size] for lw in self._log_numerators(bits))
         if self.mode == "normalized":
             denom = np.logaddexp(lw_pos, lw_neg)
         else:
@@ -187,11 +199,24 @@ class LabelModel:
                 raise UnseenConfigurationError(
                     "configuration distribution lacks full support"
                 )
-            denom = np.log(self.config_dist)
+            denom = np.log(self.config_dist[configs])
         table = (lw_pos - denom, lw_neg - denom)
         for arr in table:
             arr.setflags(write=False)
         return table
+
+    def _log_posteriors_of(self, states: "LabeledStates") -> tuple[np.ndarray, np.ndarray]:
+        """Log posteriors (Y=+1, Y=-1) at the configurations of ``states``.
+
+        Rows that hold every configuration read the table.  Otherwise the
+        model keeps the columns of the last ``states`` it was asked for, so a
+        loss and an F1 on one split compute them once.
+        """
+        if states.configs.size == 1 << self.m:
+            return self.log_posterior_table()
+        if not self._scored or self._scored[0] is not states:
+            self._scored[:] = states, self._log_posteriors_at(states.configs, states.bits)
+        return self._scored[1]
 
 
 def posterior(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:
@@ -201,47 +226,88 @@ def posterior(model: LabelModel, rows: SourceMatrix | np.ndarray) -> np.ndarray:
     return np.exp(lp_pos)
 
 
-def _check_states(model: LabelModel, states) -> np.ndarray:
-    """Joint-state indices (``SourceMatrix.state_index``) of the model's sources, as an array."""
-    states = np.asarray(states)
-    if states.ndim != 1 or not np.issubdtype(states.dtype, np.integer):
-        raise ContractError("scoring takes a 1-d integer array of joint-state indices")
-    if states.size and (states.min() < 0 or states.max() >= 2 << model.m):
-        raise ContractError(f"joint-state indices of {model.m} sources lie in [0, {2 << model.m})")
-    return states
+@dataclass(frozen=True, eq=False)
+class LabeledStates:
+    """Labeled rows given as joint-state indices, decoded and checked once for scoring.
+
+    ``configs`` are the distinct source configurations of the rows, in
+    ascending order, and ``pos`` and ``neg`` count each one's rows with
+    Y = +1 and Y = -1.  Row r reads entry ``rows[r]`` of a model's Y = -1 and
+    Y = +1 log posteriors at ``configs`` joined end to end, so it reads the
+    value the posterior table holds at its joint state.  ``bits`` are the
+    configurations' rows of ``config_bits``, padded with rows of
+    configuration 0 to a whole number of ``ROW_BLOCK`` rows: BLAS forms a
+    matrix-vector product in blocks of rows and may sum the rows of a last,
+    partial block in another order, while the table of all 2**m
+    configurations is whole blocks.  Padded, each configuration's posterior
+    equals the table's bit for bit.
+    """
+
+    m: int
+    configs: np.ndarray
+    bits: np.ndarray
+    rows: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    @classmethod
+    def from_states(cls, states, m: int) -> "LabeledStates":
+        """Decode the joint-state indices (``SourceMatrix.state_index``) of rows of m sources."""
+        states = np.asarray(states)
+        if states.ndim != 1 or not np.issubdtype(states.dtype, np.integer):
+            raise ContractError("scoring takes a 1-d integer array of joint-state indices")
+        if states.size and (states.min() < 0 or states.max() >= 2 << m):
+            raise ContractError(f"joint-state indices of {m} sources lie in [0, {2 << m})")
+        check_capacity(m)
+        states = states.astype(np.intp, copy=False)
+        neg, pos = np.bincount(states, minlength=2 << m).reshape(2, 1 << m)
+        configs = np.flatnonzero(neg + pos)
+        where = np.zeros(1 << m, dtype=np.intp)
+        where[configs] = np.arange(configs.size)
+        rows = where[states & ((1 << m) - 1)] + (states >> m) * configs.size
+        bits = config_bits(m)[np.pad(configs, (0, -configs.size % ROW_BLOCK))]
+        return cls(m, configs, bits, rows, pos[configs], neg[configs])
+
+
+def _decoded(model: LabelModel, states) -> tuple[LabeledStates, np.ndarray, np.ndarray]:
+    """The rows as ``LabeledStates`` and the model's log posteriors (Y=+1, Y=-1) at their configurations."""
+    if not isinstance(states, LabeledStates):
+        states = LabeledStates.from_states(states, model.m)
+    elif states.m != model.m:
+        raise ContractError(f"the rows hold states of {states.m} sources, the model {model.m}")
+    return (states, *model._log_posteriors_of(states))
 
 
 def cross_entropy(model: LabelModel, states, floor: float = LOSS_FLOOR) -> float:
     """Mean cross-entropy of the model's posteriors against the labels.
 
-    ``states`` holds each scored row's joint-state index, so every row's
-    log posterior is gathered from ``log_posterior_table``; empirical mode
-    therefore needs a configuration distribution with full support, as
-    ``analysis.decompose`` does.  Posterior probabilities are floored at
-    ``floor`` before the log so the loss stays finite; values above one
-    (possible in empirical mode) are kept as-is for decomposition fidelity.
+    ``states`` are the scored rows as ``LabeledStates`` or joint-state
+    indices; each row's log posterior is the posterior table's at its joint
+    state, so the loss is the mean over rows, in row order, of the floored
+    table gathered per row.  Empirical mode needs a configuration
+    distribution with full support, as ``analysis.decompose`` does.
+    Posterior probabilities are floored at ``floor`` before the log so the
+    loss stays finite; values above one (possible in empirical mode) are
+    kept as-is for decomposition fidelity.
     """
-    states = _check_states(model, states)
-    lp_pos, lp_neg = model.log_posterior_table()
-    table = np.concatenate((lp_neg, lp_pos))  # indexed by joint state: the label is the top bit
+    states, lp_pos, lp_neg = _decoded(model, states)
+    table = np.concatenate((lp_neg, lp_pos))  # indexed by LabeledStates.rows: the label is the block
     if floor > 0.0:
         table = np.maximum(table, np.log(floor))
-    return float(-table[states].mean())
+    return float(-table[states.rows].mean())
 
 
 def classification_scores(model: LabelModel, states, threshold: float = 0.5) -> dict:
     """Precision/recall/F1 on the +1 class at the given posterior threshold.
 
-    ``states`` are joint-state indices, scored through ``log_posterior_table``
-    as in :func:`cross_entropy`.
+    ``states`` are as in :func:`cross_entropy`; a configuration's rows are
+    all predicted alike, so the counts are sums of its label counts.
     """
-    states = _check_states(model, states)
-    config, actual = states & ((1 << model.m) - 1), (states >> model.m) > 0
-    lp_pos, _ = model.log_posterior_table()
-    pred = np.exp(lp_pos)[config] >= threshold
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    fn = int(np.sum(~pred & actual))
+    states, lp_pos, _ = _decoded(model, states)
+    pred = np.exp(lp_pos) >= threshold
+    tp = int(states.pos[pred].sum())
+    fp = int(states.neg[pred].sum())
+    fn = int(states.pos[~pred].sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     degenerate = precision + recall == 0.0

@@ -12,10 +12,12 @@ aggregation, and its median-corrected variant), evaluates test
 cross-entropy and F1 at posterior threshold 0.5, and sweeps a shrinkage
 combination of the corrected and labeled fits across small labeled budgets.
 It works on joint states, as the synthetic trial engine does: a training
-subset is the ``bincount`` of the indices it draws, every fit reads those
-counts (through ``SampleMoments.from_state_counts`` or the class-conditional
-frequencies), and the test split is scored by gathering from the label
-model's posterior table.
+subset is the ``bincount`` of the indices it draws, and the fits read those
+counts a cell (a model and a training size) at a time, as one batch: one
+``SampleMoments.from_state_counts`` call, or one product for the
+class-conditional frequencies.  The test split is decoded once
+(``label_model.LabeledStates``), and each model is scored from its
+posteriors at the source configurations the split holds.
 
 The states are built while the corpus file is read (``CorpusVotes``): the
 reader hands over ids, texts and labels a checked batch of lines at a time,
@@ -33,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,7 @@ from .estimators import (
     green_strawderman_alpha,
 )
 from .experiments import require_sizes, trial_rng, write_csv
-from .label_model import LabelModel, cross_entropy, f1_score
+from .label_model import LabelModel, LabeledStates, cross_entropy, f1_score
 from .manifest import read_json
 from .states import config_bits
 
@@ -246,12 +248,15 @@ def apply_sources(texts, roster: tuple[KeywordSource, ...] | None = None) -> Sou
     A word is present in a text when it equals one of the text's tokens (the
     module docstring's tokenization), found without a token set per text.
     The texts, joined with ``"\\n"`` before, between and after them, are
-    lowercased and UTF-8 encoded into one buffer; a text that is not ASCII
-    takes its length from its own encoding.  ``bytes.translate`` codes each
-    byte: 0 outside tokens, 2 for a word's first byte, 1 for another token
-    byte.  Each token that starts with a 2 after a 0 is narrowed per word,
-    byte by byte, and kept when a 0 follows the word; a binary search of
-    the texts' end offsets names its text.  Arrays hold a byte per buffer
+    lowercased and UTF-8 encoded into one buffer.  When the buffer is ASCII
+    each text's length is its own (only the Kelvin sign lowercases to ASCII
+    from outside it, one character to one); otherwise a text that is not
+    ASCII takes its length from its own lowercased encoding.
+    ``bytes.translate`` codes each byte: 0 outside tokens, 2 for a word's
+    first byte, 1 for another token byte.  The tokens that start with a 2
+    after a 0 are selected once per first letter, narrowed per word that
+    starts with it, byte by byte, and kept when a 0 follows the word; a
+    binary search of the texts' end offsets names its text.  Arrays hold a byte per buffer
     byte or an index per candidate, and ``CorpusVotes`` bounds the buffer by
     voting a slice (about ``_SLICE_BYTES`` of text) per call.
 
@@ -271,22 +276,28 @@ def apply_sources(texts, roster: tuple[KeywordSource, ...] | None = None) -> Sou
     for src in roster:
         column.setdefault(src.word, len(column))
     buf = "\n".join(["", *texts, ""]).lower().encode("utf-8", "surrogatepass")
-    ends = np.cumsum([  # offset of the separator after each text
-        1 + (len(t) if t.isascii() else len(t.lower().encode("utf-8", "surrogatepass"))) for t in texts
-    ])
-    table = bytearray(_TOKEN_BYTES)
+    lengths = map(len, texts) if buf.isascii() else (
+        len(t) if t.isascii() else len(t.lower().encode("utf-8", "surrogatepass")) for t in texts
+    )
+    ends = np.cumsum(np.fromiter(lengths, np.intp, len(texts)) + 1)  # offset of the separator after each text
+    by_head: dict[str, list] = {}  # first letter -> the roster words that start with it
     for word in column:
-        table[ord(word[0])] = 2
+        by_head.setdefault(word[0], []).append(word)
+    table = bytearray(_TOKEN_BYTES)
+    for head in by_head:
+        table[ord(head)] = 2
     code, byte = np.frombuffer(buf.translate(table), np.uint8), np.frombuffer(buf, np.uint8)
     before = np.flatnonzero(code[1:] > code[:-1] + 1)  # the byte before each such token
     heads = byte[1:][before]
     present = np.zeros((len(texts), len(column)), dtype=bool)
-    for word, col in column.items():
-        at = before[heads == ord(word[0])]
-        for k, b in enumerate(word.encode()[1:], 2):
-            at = at[byte[at + k] == b]
-        at = at[code[at + len(word) + 1] == 0]  # the token is the word
-        present[np.searchsorted(ends, at, side="right"), col] = True
+    for head, words in by_head.items():
+        candidates = before[heads == ord(head)]
+        for word in words:
+            at = candidates
+            for k, b in enumerate(word.encode()[1:], 2):
+                at = at[byte[at + k] == b]
+            at = at[code[at + len(word) + 1] == 0]  # the token is the word
+            present[np.searchsorted(ends, at, side="right"), column[word]] = True
     sentiment = np.array([src.sentiment for src in roster], dtype=np.int8)
     return SourceMatrix(
         np.where(present[:, [column[src.word] for src in roster]], sentiment, -sentiment)
@@ -329,13 +340,16 @@ class CorpusVotes:
         labels = np.array([0 if label is None else label for label in labels], dtype=np.int8)
         return cls(ids, np.concatenate(values), labels, split)
 
-    def _in(self, name: str) -> np.ndarray:
-        return np.fromiter(map(eq, map(self.split.get, self.ids), repeat(name)), bool, len(self.ids))
+    def _in(self, *names: str) -> list[np.ndarray]:
+        """The row mask of each named split, from one pass over the ids."""
+        number = {name: k for k, name in enumerate(names, 1)}.get
+        which = np.fromiter(map(number, map(self.split.get, self.ids), repeat(0)), np.int8, len(self.ids))
+        return [which == k for k in range(1, len(names) + 1)]
 
     def matrix(self, name: str | None = None) -> SourceMatrix:
         """The votes of split ``name`` in file order, or of every document when None;
         labeled when every one of them is."""
-        rows = self._in(name) if name is not None else slice(None)
+        rows = self._in(name)[0] if name is not None else slice(None)
         labels = self.labels[rows]
         return SourceMatrix(self.values[rows], labels if labels.size and labels.all() else None)
 
@@ -344,7 +358,7 @@ class CorpusVotes:
 
         Both splits must be nonempty and fully labeled.
         """
-        train, test = self._in("train"), self._in("test")
+        train, test = self._in("train", "test")
         if not train.any() or not test.any():
             raise ContractError(
                 "corpus is missing a train or test split: ingest one first "
@@ -432,6 +446,8 @@ class CaseStudyConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ContractError("trials must be at least 1")
+        if not 0.0 < self.class_balance < 1.0:
+            raise ContractError(f"class balance must lie in (0, 1), got {self.class_balance}")
         require_sizes("n_grid", self.n_grid)
         require_sizes("n_unlabeled", (self.n_unlabeled,))
         require_sizes("n_labeled_grid", self.n_labeled_grid)
@@ -447,6 +463,22 @@ class CaseStudyConfig:
         }
 
 
+def _labeled_conditionals(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical Pr(vote = 1 | Y = +1) and Pr(vote = 1 | Y = -1) per source from
+    joint-state counts (..., 2^(m+1)); leading axes are a batch.
+
+    A class with no rows gets conditionals of 0.5.  The vote counts are sums
+    of integer counts, so they are exact in any order, and one product over
+    a batch equals a product per sample.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    by_class = counts.reshape(*counts.shape[:-1], 2, 1 << m)
+    votes = by_class @ config_bits(m)  # +1 votes per class and source; Y = -1, then Y = +1
+    rows = by_class.sum(axis=-1)[..., None]
+    cond = np.divide(votes, rows, out=np.full(votes.shape, 0.5), where=rows > 0)
+    return cond[..., 1, :], cond[..., 0, :]
+
+
 def estimate_labeled_class_conditional(
     counts: np.ndarray, m: int, class_balance: float
 ) -> ClassConditionalEstimate:
@@ -454,13 +486,8 @@ def estimate_labeled_class_conditional(
 
     A class with no rows gets conditionals of 0.5.
     """
-    by_class = np.asarray(counts, dtype=np.float64).reshape(2, 1 << m)  # Y = -1, then Y = +1
-    votes = by_class @ config_bits(m)  # +1 votes per class and source
-    n_neg, n_pos = by_class.sum(axis=1)
-    cond_pos = votes[1] / n_pos if n_pos else np.full(m, 0.5)
-    cond_neg = votes[0] / n_neg if n_neg else np.full(m, 0.5)
     return ClassConditionalEstimate.from_conditionals(
-        cond_pos, cond_neg, class_balance, {"method": "labeled-class-conditional"}
+        *_labeled_conditionals(counts, m), class_balance, {"method": "labeled-class-conditional"}
     )
 
 
@@ -517,68 +544,89 @@ def run_case_study(
     replacement, kept as the joint-state counts of the drawn rows; a size of
     at least the split is the whole split and draws nothing, so such a cell
     is fitted and scored once and its one result stands for each of its
-    trials.  Every fit reads those counts, and the test split is scored by
-    its state indices.  Combined trial t pairs the t-th corrected-median fit
-    at ``n_unlabeled``, fitted once for the whole labeled grid, with the t-th
-    labeled subset at the labeled size, drawn as the ``labeled`` cell of that
-    size draws it; a combined row's ``gs_fallbacks`` counts its trials whose
-    shrinkage weight fell back to 1.
+    trials.  A cell is fitted as one batch: its moments come from one
+    ``SampleMoments.from_state_counts`` call and its labeled conditionals
+    from one product, exact sums of integer counts that equal a call per
+    trial bit for bit; each trial still has its own quadratic solve,
+    shrinkage weight and score.  The test split is decoded once into
+    ``LabeledStates``, and each model's posteriors are computed once, at the
+    configurations the split holds.  Combined trial t pairs the t-th
+    corrected-median fit at ``n_unlabeled``, fitted once for the whole
+    labeled grid, with the t-th labeled subset at the labeled size, drawn as
+    the ``labeled`` cell of that size draws it; a combined row's
+    ``gs_fallbacks`` counts its trials whose shrinkage weight fell back to 1.
     """
     config = config if config is not None else CaseStudyConfig()
     if not train_states.size or not test_states.size:
         raise ContractError("the case study needs the states of a nonempty train and test split")
     m = len(default_roster())
-    p = config.class_balance
+    p, trials = config.class_balance, config.trials
+    test = LabeledStates.from_states(test_states, m)
+    whole = np.bincount(train_states, minlength=2 << m)[None]
     rows: list[dict] = []
 
     def score(est: ClassConditionalEstimate) -> tuple[float, float]:
         lm = LabelModel.from_class_conditional(est, mode="normalized")
-        return cross_entropy(lm, test_states), f1_score(lm, test_states)
+        return cross_entropy(lm, test), f1_score(lm, test)
 
-    def subsample(rng, n: int) -> np.ndarray:
-        rows = train_states if n >= train_states.size else rng.choice(train_states, n, replace=False)
-        return np.bincount(rows, minlength=1 << (m + 1))
-
-    def per_trial(n: int, trial):
-        """``trial()`` for each trial of a cell of size n; one call when n covers the split."""
+    def cell_counts(name: str, n: int) -> np.ndarray:
+        """The joint-state counts of a cell's subsets, a row per trial in draw order;
+        one row, the whole split, when n covers the split."""
         if n >= train_states.size:
-            return [trial()] * config.trials
-        return [trial() for _ in range(config.trials)]
+            return whole
+        rng = trial_rng(config.seed, f"case:{name}", n)
+        return np.stack([
+            np.bincount(rng.choice(train_states, n, replace=False), minlength=2 << m) for _ in range(trials)
+        ])
 
-    def quadratic(counts: np.ndarray, aggregation: str) -> ClassConditionalEstimate:
+    def per_trial(results: list) -> list:
+        """A cell's results, one per trial: a fit-once cell's one result stands for each."""
+        return results * (trials // len(results))
+
+    def each(moments: SampleMoments) -> list[SampleMoments]:
+        """The samples of a batch of moments, one by one."""
+        return [SampleMoments(int(n), *fields) for n, *fields in zip(
+            moments.n, moments.means, moments.pair, moments.acc
+        )]
+
+    def labeled(counts: np.ndarray) -> list[ClassConditionalEstimate]:
+        return [
+            ClassConditionalEstimate.from_conditionals(
+                cond_pos, cond_neg, p, {"method": "labeled-class-conditional"}
+            )
+            for cond_pos, cond_neg in zip(*_labeled_conditionals(counts, m))
+        ]
+
+    def quadratic(counts: np.ndarray, aggregation: str) -> list[ClassConditionalEstimate]:
         # unlabeled: the solver reads only the source moments, not the labels in the counts
-        moments = SampleMoments.from_state_counts(counts, m)
-        return estimate_quadratic_triplet_from_moments(moments, p, aggregation)
+        return [
+            estimate_quadratic_triplet_from_moments(moments, p, aggregation)
+            for moments in each(SampleMoments.from_state_counts(counts, m))
+        ]
 
     fitters = {
-        "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
+        "labeled": labeled,
         "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
         "corrected-median": lambda counts: quadratic(counts, "median"),
     }
     for name, fitter in fitters.items():
         for n in config.n_grid:
-            rng = trial_rng(config.seed, f"case:{name}", n)
-            scores = per_trial(n, lambda: score(fitter(subsample(rng, n))))
+            scores = per_trial([score(est) for est in fitter(cell_counts(name, n))])
             rows.append(_metric_row(
                 name, int(min(n, train_states.size)), "",
                 [loss for loss, _ in scores], [f1 for _, f1 in scores],
             ))
 
     r = float(m - 2)
-    rng = trial_rng(config.seed, "case:corrected-median", config.n_unlabeled)
-    unlabeled = per_trial(
-        config.n_unlabeled, lambda: quadratic(subsample(rng, config.n_unlabeled), "median")
-    )
+    unlabeled = per_trial(quadratic(cell_counts("corrected-median", config.n_unlabeled), "median"))
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
         alphas, fallbacks = [], 0
-        rng = trial_rng(config.seed, "case:labeled", n_l)
-        for corrected in unlabeled:
-            lab_counts = subsample(rng, n_l)
-            lab = estimate_labeled_class_conditional(lab_counts, m, p)
-            combined, alpha = _combine_class_conditional(
-                corrected, lab, SampleMoments.from_state_counts(lab_counts, m), r
-            )
+        counts = cell_counts("labeled", n_l)
+        for corrected, lab, moments in zip(
+            unlabeled, per_trial(labeled(counts)), per_trial(each(SampleMoments.from_state_counts(counts, m)))
+        ):
+            combined, alpha = _combine_class_conditional(corrected, lab, moments, r)
             alphas.append(alpha)
             fallbacks += combined.metadata["fallback"]
             for key, est in (("combined", combined), ("labeled-small", lab)):

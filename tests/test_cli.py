@@ -209,6 +209,21 @@ def test_ws_run_rejects_non_positive_counts(tmp_path, tiny_corpus, option, value
     assert not (out / "metrics.csv").exists()
 
 
+def test_ws_run_refuses_a_class_balance_before_reading_the_corpus(tmp_path, tiny_corpus, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(ws.CorpusVotes, "from_jsonl", no_read)
+    docs, split = tiny_corpus
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [
+        "ws", "run", "--corpus", str(docs), "--split", str(split), "--balance", "1.5", "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error (ContractError): class balance must lie in (0, 1), got 1.5" in result.output
+    assert not out.exists()
+
+
 def test_ws_run_malformed_corpus_exits_1(tmp_path, tiny_corpus):
     docs, split = tiny_corpus
     with open(docs, "a") as fh:
@@ -777,6 +792,29 @@ def test_infer_writes_soft_labels(tmp_path, model_and_data, est_method):
         assert int(row_id) == k
         assert 0.0 <= float(p) <= 1.0
         assert float(soft) == 2 * float(p) - 1
+
+
+def test_infer_balance_applies_to_accuracy_estimates_only(tmp_path, model_and_data):
+    _, data = model_and_data
+    acc, cond = tmp_path / "acc.json", tmp_path / "cond.json"
+    _ok("fit", "--data", data, "--method", "triplet", "-o", acc)
+    _ok("fit", "--data", data, "--method", "quadratic", "--balance", "0.4", "-o", cond)
+    # an accuracy estimate holds no balance: 0.5 unless --balance says otherwise
+    for name, args in {"unset": [], "half": ["--balance", "0.5"], "tenth": ["--balance", "0.1"]}.items():
+        _ok("infer", "--data", data, "--estimate", acc, *args, "-o", tmp_path / f"{name}.csv")
+    assert (tmp_path / "unset.csv").read_text() == (tmp_path / "half.csv").read_text()
+    assert (tmp_path / "unset.csv").read_text() != (tmp_path / "tenth.csv").read_text()
+    # a class-conditional estimate holds its own, and a --balance beside it is refused
+    _ok("infer", "--data", data, "--estimate", cond, "-o", tmp_path / "cond.csv")
+    for balance in ("0.1", "0.4"):
+        out = tmp_path / f"cond-{balance}.csv"
+        result = CliRunner().invoke(main, [
+            "infer", "--data", str(data), "--estimate", str(cond), "--balance", balance, "-o", str(out),
+        ])
+        assert result.exit_code == 1
+        assert ("error (ContractError): --balance applies to accuracy estimates; the "
+                "class-conditional estimate holds its own class balance, 0.4") in result.output
+        assert not out.exists()
 
 
 def test_bounds_json_and_csv(tmp_path, model_and_data):

@@ -101,6 +101,18 @@ class TestRoundTrips:
         with pytest.raises(ContractError, match="d.csv"):
             SourceMatrix.from_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("lf_0,lf_1,y\n1,-1,1\n1,1\n", "row 2 has 2 columns, the header 3"),
+        ("lf_0,lf_1\n1,-1\n\n# a comment\n-1,1,1\n1,1\n", "row 2 has 3 columns, the header 2"),
+        ("lf_0,lf_1,lf_2\n1,-1\n1,1,1\n", "row 1 has 2 columns, the header 3"),
+    ])
+    def test_csv_ragged_rows_are_named(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ContractError) as info:
+            SourceMatrix.from_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_sniffing_loader(self, tmp_path, small):
         csv_path, bin_path = tmp_path / "d.csv", tmp_path / "d.bin"
         small.to_csv(csv_path)

@@ -15,6 +15,7 @@ from labelmoments.estimators import ClassConditionalEstimate, SampleMoments
 from labelmoments.ising import conditional_entropy
 from labelmoments.label_model import (
     LOSS_FLOOR,
+    LabeledStates,
     LabelModel,
     classification_scores,
     cross_entropy,
@@ -344,3 +345,68 @@ class TestScoresMatchRowOracle:
         fresh = LabelModel.from_accuracies([0.6, 0.2, 0.4], 0.5)
         assert (cross_entropy(fresh, states), f1_score(fresh, states)) == (loss, f1)
         assert len(builds) == 2
+
+
+class TestLabeledStates:
+    """Rows decoded once: posteriors at the configurations the rows hold."""
+
+    @staticmethod
+    def _model(rng, m):
+        cond_pos, cond_neg = rng.uniform(1e-9, 1 - 1e-9, (2, m)) ** rng.uniform(0.2, 5)
+        est = ClassConditionalEstimate.from_conditionals(cond_pos, cond_neg, rng.uniform(0.1, 0.9), {})
+        return LabelModel.from_class_conditional(est)
+
+    def test_posteriors_at_the_rows_configurations_equal_the_table(self):
+        # any number of configurations, not only whole blocks of rows, and
+        # every m up to the case study's 12 sources and past it
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            m = int(rng.integers(1, 14))
+            k = int(rng.integers(1, (1 << m) + 1))
+            configs = rng.choice(1 << m, k, replace=False)
+            states = rng.choice(configs, 3 * k) + (rng.integers(0, 2, 3 * k) << m)
+            decoded = LabeledStates.from_states(states, m)
+            model = self._model(rng, m)
+            lp_pos, lp_neg = model._log_posteriors_of(decoded)
+            table_pos, table_neg = model.log_posterior_table()
+            np.testing.assert_array_equal(lp_pos, table_pos[decoded.configs])
+            np.testing.assert_array_equal(lp_neg, table_neg[decoded.configs])
+            joint = np.concatenate((lp_neg, lp_pos))[decoded.rows]
+            np.testing.assert_array_equal(joint, np.concatenate((table_neg, table_pos))[states])
+            assert decoded.pos.sum() + decoded.neg.sum() == states.size
+
+    def test_decoded_rows_score_as_their_states(self):
+        rng = np.random.default_rng(31)
+        data = _random_rows(rng, 777, 9)
+        states = data.state_index()
+        decoded = LabeledStates.from_states(states, 9)
+        model = self._model(rng, 9)
+        for floor in (LOSS_FLOOR, 0.0):
+            assert cross_entropy(model, decoded, floor) == _row_cross_entropy(model, data, floor)
+        for threshold in (0.3, 0.5, 0.9):
+            assert classification_scores(model, decoded, threshold) == classification_scores(
+                model, states, threshold
+            )
+            assert f1_score(model, decoded, threshold) == _row_f1(model, data, threshold)
+        with pytest.raises(ContractError, match="states of 9 sources, the model 8"):
+            cross_entropy(self._model(rng, 8), decoded)
+
+    def test_a_split_computes_a_models_posteriors_once(self, monkeypatch):
+        builds, original = [], LabelModel._log_numerators
+
+        def counted(self, bits):
+            builds.append(bits.shape)
+            return original(self, bits)
+
+        monkeypatch.setattr(LabelModel, "_log_numerators", counted)
+        rng = np.random.default_rng(37)
+        decoded = LabeledStates.from_states(np.array([3, 70, 1000, 70 + 2048]), 11)
+        model = self._model(rng, 11)
+        scores = cross_entropy(model, decoded), f1_score(model, decoded)
+        # three configurations, padded to one block of rows
+        assert builds == [(16, 11)]
+        assert (cross_entropy(model, decoded), f1_score(model, decoded)) == scores
+        assert len(builds) == 1
+        other = LabeledStates.from_states(np.array([3, 70]), 11)
+        cross_entropy(model, other), cross_entropy(model, decoded)
+        assert builds[1:] == [(16, 11), (16, 11)]

@@ -61,7 +61,7 @@ def test_case_study_spans_are_traced(monkeypatch, tmp_path):
     # 3 fitters x 2 trials, then labeled-small and combined x 2 trials
     assert metrics["label_model.cross_entropy.calls"] == 10
     assert metrics["label_model.f1_score.calls"] == 10
-    # the two quadratic fitters per trial, the corrected fit once (n_unlabeled is the
-    # whole 400-document training split), then the labeled moments per trial
-    assert metrics["estimators.from_state_counts.calls"] == 7
+    # one call per cell: the two quadratic fitters at 200, the corrected fit at 400
+    # (n_unlabeled is the whole 400-document training split), then the labeled moments
+    assert metrics["estimators.from_state_counts.calls"] == 4
     assert metrics["estimators.from_source_matrix.calls"] == 0

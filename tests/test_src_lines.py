@@ -1,5 +1,5 @@
 """``scripts/src_lines.py`` counts a code line wherever a token lies outside
-docstrings and comments."""
+docstrings and comments, and the tokens CPython's parser reads."""
 
 import importlib.util
 from pathlib import Path
@@ -48,3 +48,19 @@ def test_totals_cover_every_file(tmp_path, capsys):
     module.main()
     total = capsys.readouterr().out.splitlines()[-1].split()
     assert total[:2] == [str(SOURCE.count("\n") + 2), str(8 + 1)]
+
+
+def test_parser_tokens_skip_comments_blank_lines_and_the_encoding():
+    # NAME OP NUMBER NEWLINE, then ENDMARKER; the comment and the blank line do not count
+    assert _load().parser_tokens("x = 1  # a comment\n\n") == 5
+
+
+def test_modules_past_the_token_step_are_flagged(tmp_path, capsys):
+    module = _load()
+    (tmp_path / "big.py").write_text("x = 1\n" * (module.TOKEN_STEP // 4))  # 4 tokens a line, and ENDMARKER
+    (tmp_path / "edge.py").write_text("x = 1\n" * (module.TOKEN_STEP // 4 - 1) + "x\n")
+    module.ROOT = tmp_path
+    module.main()
+    lines = {Path(line.split()[-1]).name: line.split() for line in capsys.readouterr().out.splitlines()[:-1]}
+    assert lines["big.py"][2] == f"{module.TOKEN_STEP + 1}*"
+    assert lines["edge.py"][2] == f"{module.TOKEN_STEP - 1}"

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from labelmoments import ContractError, SourceMatrix, ws
 from labelmoments.estimators import SampleMoments, estimate_quadratic_triplet_from_moments
+from labelmoments.experiments import trial_rng
+from labelmoments.label_model import LOSS_FLOOR, LabelModel
 from labelmoments.ws import (
     CaseStudyConfig,
     Corpus,
@@ -524,6 +526,74 @@ class TestLabeledClassConditional:
         np.testing.assert_array_equal(est.cond_neg, expected[1])
 
 
+def _table_scores(est, test_states, m):
+    """Loss and F1 at threshold 0.5, gathered per row from the posterior table of all 2^m configurations."""
+    lp_pos, lp_neg = LabelModel.from_class_conditional(est).log_posterior_table()
+    table = np.maximum(np.concatenate((lp_neg, lp_pos)), np.log(LOSS_FLOOR))
+    pred = np.exp(lp_pos)[test_states & ((1 << m) - 1)] >= 0.5
+    actual = (test_states >> m) > 0
+    tp, fp, fn = int(np.sum(pred & actual)), int(np.sum(pred & ~actual)), int(np.sum(~pred & actual))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 0.0 if precision + recall == 0.0 else 2.0 * precision * recall / (precision + recall)
+    return float(-table[test_states].mean()), f1
+
+
+def _per_trial_case_study(train_states, test_states, config):
+    """The case study fitted and scored trial by trial: one moment call and one
+    labeled product per trial, every score through the whole posterior table."""
+    m = len(default_roster())
+    p = config.class_balance
+    rows = []
+
+    def subsample(rng, n):
+        drawn = train_states if n >= train_states.size else rng.choice(train_states, n, replace=False)
+        return np.bincount(drawn, minlength=1 << (m + 1))
+
+    def per_trial(n, trial):
+        return [trial()] * config.trials if n >= train_states.size else [trial() for _ in range(config.trials)]
+
+    def quadratic(counts, aggregation):
+        return estimate_quadratic_triplet_from_moments(SampleMoments.from_state_counts(counts, m), p, aggregation)
+
+    fitters = {
+        "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
+        "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
+        "corrected-median": lambda counts: quadratic(counts, "median"),
+    }
+    for name, fitter in fitters.items():
+        for n in config.n_grid:
+            rng = trial_rng(config.seed, f"case:{name}", n)
+            scores = per_trial(n, lambda: _table_scores(fitter(subsample(rng, n)), test_states, m))
+            rows.append(ws._metric_row(
+                name, int(min(n, train_states.size)), "", [s[0] for s in scores], [s[1] for s in scores],
+            ))
+    rng = trial_rng(config.seed, "case:corrected-median", config.n_unlabeled)
+    unlabeled = per_trial(config.n_unlabeled, lambda: quadratic(subsample(rng, config.n_unlabeled), "median"))
+    for n_l in config.n_labeled_grid:
+        stats = {"combined": ([], []), "labeled-small": ([], [])}
+        alphas, fallbacks = [], 0
+        rng = trial_rng(config.seed, "case:labeled", n_l)
+        for corrected in unlabeled:
+            lab_counts = subsample(rng, n_l)
+            lab = estimate_labeled_class_conditional(lab_counts, m, p)
+            combined, alpha = ws._combine_class_conditional(
+                corrected, lab, SampleMoments.from_state_counts(lab_counts, m), float(m - 2)
+            )
+            alphas.append(alpha)
+            fallbacks += combined.metadata["fallback"]
+            for key, est in (("combined", combined), ("labeled-small", lab)):
+                loss, f1 = _table_scores(est, test_states, m)
+                stats[key][0].append(loss)
+                stats[key][1].append(f1)
+        rows.append(ws._metric_row("labeled-small", "", int(n_l), *stats["labeled-small"]))
+        rows.append(ws._metric_row(
+            "combined", int(config.n_unlabeled), int(n_l), *stats["combined"],
+            float(np.mean(alphas)), fallbacks,
+        ))
+    return rows
+
+
 class TestCaseStudy:
     @pytest.fixture(scope="class")
     def small_corpus(self):
@@ -625,3 +695,25 @@ class TestCaseStudy:
         states = {"train": train, "test": test, empty: train[:0]}
         with pytest.raises(ContractError, match="nonempty train and test split"):
             run_case_study(states["train"], states["test"], CaseStudyConfig(trials=1))
+
+    @pytest.mark.parametrize("cfg", [
+        # drawn cells at 40 and 1500 and a fit-once cell at the split's 6000; at
+        # n_L = 1 and 2 a subset lacks a class (conditionals of 0.5), and at
+        # n_L = 1 every shrinkage weight falls back to 1
+        CaseStudyConfig(n_grid=(40, 1500, 6000), n_unlabeled=1500, n_labeled_grid=(1, 2, 40),
+                        trials=3, seed=5),
+        # the shared corrected fit and the labeled-small budget cover the split
+        CaseStudyConfig(n_grid=(200, 9000), n_unlabeled=9000, n_labeled_grid=(1, 6000),
+                        trials=2, seed=3, class_balance=0.4),
+        CaseStudyConfig(n_grid=(300, 700), n_unlabeled=700, n_labeled_grid=(1, 3), trials=1, seed=8),
+    ], ids=["drawn-and-fit-once", "covering", "one-trial"])
+    def test_cell_batches_equal_the_per_trial_loop(self, small_states, cfg):
+        rows = run_case_study(*small_states, cfg)
+        assert rows == _per_trial_case_study(*small_states, cfg)
+        combined = {r["n_labeled"]: r for r in rows if r["model"] == "combined"}
+        assert combined[1]["gs_fallbacks"] == cfg.trials
+
+    @pytest.mark.parametrize("balance", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_config_refuses_a_class_balance_outside_the_unit_interval(self, balance):
+        with pytest.raises(ContractError, match=r"class balance must lie in \(0, 1\), got"):
+            CaseStudyConfig(class_balance=balance)
