@@ -5,18 +5,20 @@ Usage:
 
 PARENT and CHANGE are two checkouts of the repository.  Pair k runs
 ``perfbench/run.py --workload W --seed S_k --seconds N --trace 0`` once in
-each tree, the parent first in even pairs and the change first in odd
-ones, so that drift of the host falls on both sides alike.  Every run has
-``PYTHONDONTWRITEBYTECODE=1``, so that each worker compiles src from its
-source, as a fresh checkout does.
+each tree.  Every run has ``PYTHONDONTWRITEBYTECODE=1``, so that each
+worker compiles src from its source, as a fresh checkout does.
 
-Two things move ``peak_rss_mb`` without any change to the code: the length
-of the checkout's path, and cached bytecode in ``src``.  So the two paths
-must have the same length, and neither ``src`` may hold ``__pycache__``;
-otherwise the script refuses to run.
+The path a tree runs from moves ``peak_rss_mb`` without any change to the
+code: its length, and even its bytes at equal length, as does cached
+bytecode.  So the trees run from two work slots, ``a`` and ``b`` in one
+temporary directory, into which each is copied afresh for every pair,
+without ``.git``, ``.perfbench-work`` or ``__pycache__``.  In every four pairs each side runs
+first twice and from each slot twice (``schedule``), so that the drift of
+the host and the slots' paths fall on both sides alike.
 
 The JSON printed on stdout holds, per pair, the seed, which tree ran first,
-each tree's end-to-end metrics (its run's medians over the iterations),
+the slot of each tree, each tree's end-to-end metrics (its run's medians
+over the iterations),
 its iteration count and whether the output hashes agree; and, per metric,
 the quartiles of each side over the pairs (linear interpolation), the
 number of pairs where the change is lower, the parent's interquartile
@@ -28,27 +30,33 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
+SLOTS = ("a", "b")
+NOT_COPIED = shutil.ignore_patterns(".git", ".perfbench-work", "__pycache__")
 
 
 def tree_problems(parent: Path, change: Path) -> list[str]:
     """Why the two checkouts cannot be compared; empty when they can."""
-    problems = []
-    for name, tree in (("parent", parent), ("change", change)):
-        if not (tree / "perfbench" / "run.py").is_file() or not (tree / "src").is_dir():
-            problems.append(f"{name} {tree} is not a checkout with perfbench/run.py and src/")
-        elif next((tree / "src").rglob("__pycache__"), None) is not None:
-            problems.append(f"{name} {tree}: src holds __pycache__; remove it, since cached "
-                            "bytecode changes peak_rss_mb")
-    if len(str(parent)) != len(str(change)):
-        problems.append(f"the paths differ in length ({len(str(parent))} and {len(str(change))} "
-                        "characters), which changes peak_rss_mb; use paths of equal length")
-    return problems
+    return [
+        f"{name} {tree} is not a checkout with perfbench/run.py and src/"
+        for name, tree in (("parent", parent), ("change", change))
+        if not (tree / "perfbench" / "run.py").is_file() or not (tree / "src").is_dir()
+    ]
+
+
+def schedule(k: int) -> tuple[tuple[str, str], dict]:
+    """Pair k's run order and each side's slot: the first side alternates
+    every pair, and the slots swap every second pair."""
+    order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+    slots = dict(zip(("parent", "change"), SLOTS if k % 4 < 2 else SLOTS[::-1]))
+    return order, slots
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -121,17 +129,22 @@ def main(argv=None) -> int:
 
     trees = {"parent": parent, "change": change}
     pairs = []
-    for k, seed in enumerate(seeds):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        runs = {side: run_tree(trees[side], args.workload, seed, args.seconds) for side in order}
-        pairs.append({
-            "pair": k, "seed": seed, "first": order[0],
-            **{side: runs[side]["metrics"] for side in ("parent", "change")},
-            "iterations": {side: runs[side]["iterations"] for side in ("parent", "change")},
-            "output_sha256_equal": runs["parent"]["output_sha256"] == runs["change"]["output_sha256"],
-        })
-        print(f"pair {k} seed {seed}: " + json.dumps({s: pairs[-1][s]["wall_s"] for s in trees}),
-              file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
+        for k, seed in enumerate(seeds):
+            order, slots = schedule(k)
+            for side, slot in slots.items():
+                shutil.rmtree(Path(work) / slot, ignore_errors=True)
+                shutil.copytree(trees[side], Path(work) / slot, ignore=NOT_COPIED)
+            runs = {side: run_tree(Path(work) / slots[side], args.workload, seed, args.seconds)
+                    for side in order}
+            pairs.append({
+                "pair": k, "seed": seed, "first": order[0], "slot": slots,
+                **{side: runs[side]["metrics"] for side in trees},
+                "iterations": {side: runs[side]["iterations"] for side in trees},
+                "output_sha256_equal": runs["parent"]["output_sha256"] == runs["change"]["output_sha256"],
+            })
+            print(f"pair {k} seed {seed}: " + json.dumps({s: pairs[-1][s]["wall_s"] for s in trees}),
+                  file=sys.stderr)
     print(json.dumps({
         "workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,
         "pairs": pairs, "medians": summarize(pairs),

@@ -238,8 +238,10 @@ def sample_cmd(model_path, n, seed, binary, out):
 @main.command("fit")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--method", type=click.Choice(["labeled", "triplet", "quadratic"]), default="triplet", show_default=True)
-@click.option("--agg", type=click.Choice(["single", "mean", "median"]), default="mean", show_default=True)
-@click.option("--balance", default=0.5, show_default=True)
+@click.option("--agg", type=click.Choice(["single", "mean", "median"]), default=None,
+              help="Triplet aggregation of the unlabeled methods [default: mean].")
+@click.option("--balance", type=float, default=None,
+              help="Class balance Pr(Y=1) of --method quadratic [default: 0.5].")
 @click.option("--known-edges", default="", help="Recovered dependencies to avoid, as i-j tokens (--method triplet).")
 @click.option("--combine-with", type=click.Path(exists=True), default=None,
               help="Labeled CSV; applies the shrinkage combination to the unlabeled fit.")
@@ -250,8 +252,13 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
     """Estimate source accuracies (or class conditionals) from data."""
     if combine_with is not None and method == "quadratic":
         raise ContractError("--combine-with applies to accuracy estimates, not --method quadratic")
+    if balance is not None and method != "quadratic":
+        raise ContractError(f"--balance applies to --method quadratic, not '{method}'")
+    if agg is not None and method == "labeled":
+        raise ContractError("--agg applies to the unlabeled methods, not --method labeled")
     data = load_source_matrix(data_path)
-    est = _fit(data, method, agg, balance, seed, _parse_edges(known_edges))
+    balance = 0.5 if balance is None else balance
+    est = _fit(data, method, agg or "mean", balance, seed, _parse_edges(known_edges))
     if combine_with is not None:
         labeled = SampleMoments.from_source_matrix(load_source_matrix(combine_with))
         est = combine_green_strawderman(est, labeled)

@@ -22,7 +22,11 @@ models supply both columns explicitly.
 ``LabeledStates``, or as joint-state indices that they decode into one.  A
 model's posteriors are computed once per ``LabeledStates``, at the source
 configurations its rows hold; ``log_posterior_table`` holds them at all
-2**m configurations.
+2**m configurations.  All three come from one product over 0/1 rows
+(``LabelModel._log_posteriors``), so a row's posterior is the table's at
+its configuration bit for bit.  Empirical mode refuses a configuration of
+zero mass only where it is evaluated: a row, a scored configuration, or
+any configuration for the table.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .states import check_capacity, config_bits, config_index
 
 ACCURACY_CLAMP = 1e-6   # estimates pulled inside [-1 + c, 1 - c] before use
 LOSS_FLOOR = 1e-12      # probability floor applied inside cross_entropy only
-ROW_BLOCK = 16          # LabeledStates pads its configuration rows to whole blocks of this many
+ROW_BLOCK = 16          # posteriors are computed over whole blocks of this many rows
 
 
 def empirical_config_dist(
@@ -153,57 +157,55 @@ class LabelModel:
         )
         return lw_pos, lw_neg
 
-    def log_posteriors(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(log q(Y=1|row), log q(Y=-1|row)) without any probability floor."""
-        values = np.asarray(values)
-        if values.ndim == 1:
-            values = values[None, :]
-        bits = (values > 0).astype(np.float64)
-        lw_pos, lw_neg = self._log_numerators(bits)
+    def _log_posteriors(self, bits: np.ndarray, configs=None) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only log posteriors (Y=+1, Y=-1) of an (n, m) array of 0/1 source bits.
+
+        ``configs`` are the rows' configuration indices, which only empirical
+        mode reads: a row whose configuration has zero mass is refused.  The
+        rows are padded with rows of configuration 0 to a whole number of
+        ``ROW_BLOCK`` rows: BLAS forms a matrix-vector product in blocks of
+        rows and may sum the rows of a last, partial block in another order.
+        Padded, a row's posterior is the same bits whatever rows it comes
+        with, so rows, a split's configurations and the table agree.  Bits
+        that are not float64, such as booleans, are converted in the same copy.
+        """
+        n = bits.shape[0]
+        if n % ROW_BLOCK or bits.dtype != np.float64:
+            bits = np.concatenate((bits, np.zeros((-n % ROW_BLOCK, self.m))), dtype=np.float64)
+        lw_pos, lw_neg = (lw[:n] for lw in self._log_numerators(bits))
         if self.mode == "normalized":
             denom = np.logaddexp(lw_pos, lw_neg)
         else:
-            dist = self.config_dist[config_index(values)]
-            if np.any(dist <= 0.0):
-                bad = int(np.flatnonzero(dist <= 0.0)[0])
+            mass = self.config_dist[configs]
+            if np.any(mass <= 0.0):
                 raise UnseenConfigurationError(
-                    f"row {bad} has a configuration with zero estimated probability; "
-                    "use smoothing or normalized mode"
+                    f"configuration {configs[np.argmax(mass <= 0.0)]} has zero estimated "
+                    "probability; use smoothing or normalized mode"
                 )
-            denom = np.log(dist)
-        return lw_pos - denom, lw_neg - denom
+            denom = np.log(mass)
+        posteriors = (lw_pos - denom, lw_neg - denom)
+        for arr in posteriors:
+            arr.setflags(write=False)
+        return posteriors
+
+    def log_posteriors(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log q(Y=1|row), log q(Y=-1|row)) of an (n, m) array of +-1 rows, without any floor."""
+        values = np.asarray(values)
+        configs = config_index(values) if self.mode == "empirical" else None
+        return self._log_posteriors(values > 0, configs)
 
     def log_posterior_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Log posteriors for every one of the 2**m configurations, in index order.
 
         Built once per model (the model is immutable) and returned read-only.
+        Empirical mode needs a configuration distribution with full support.
         """
         return self._posterior_table
 
     @cached_property
     def _posterior_table(self) -> tuple[np.ndarray, np.ndarray]:
         check_capacity(self.m)
-        return self._log_posteriors_at(np.arange(1 << self.m), config_bits(self.m))
-
-    def _log_posteriors_at(self, configs: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only log posteriors (Y=+1, Y=-1) at source configurations, whose
-        rows of ``config_bits`` lead ``bits``.
-
-        Empirical mode needs a configuration distribution with full support.
-        """
-        lw_pos, lw_neg = (lw[: configs.size] for lw in self._log_numerators(bits))
-        if self.mode == "normalized":
-            denom = np.logaddexp(lw_pos, lw_neg)
-        else:
-            if np.any(self.config_dist <= 0.0):
-                raise UnseenConfigurationError(
-                    "configuration distribution lacks full support"
-                )
-            denom = np.log(self.config_dist[configs])
-        table = (lw_pos - denom, lw_neg - denom)
-        for arr in table:
-            arr.setflags(write=False)
-        return table
+        return self._log_posteriors(config_bits(self.m), np.arange(1 << self.m))
 
     def _log_posteriors_of(self, states: "LabeledStates") -> tuple[np.ndarray, np.ndarray]:
         """Log posteriors (Y=+1, Y=-1) at the configurations of ``states``.
@@ -215,7 +217,7 @@ class LabelModel:
         if states.configs.size == 1 << self.m:
             return self.log_posterior_table()
         if not self._scored or self._scored[0] is not states:
-            self._scored[:] = states, self._log_posteriors_at(states.configs, states.bits)
+            self._scored[:] = states, self._log_posteriors(states.bits, states.configs)
         return self._scored[1]
 
 
@@ -235,12 +237,7 @@ class LabeledStates:
     Y = +1 and Y = -1.  Row r reads entry ``rows[r]`` of a model's Y = -1 and
     Y = +1 log posteriors at ``configs`` joined end to end, so it reads the
     value the posterior table holds at its joint state.  ``bits`` are the
-    configurations' rows of ``config_bits``, padded with rows of
-    configuration 0 to a whole number of ``ROW_BLOCK`` rows: BLAS forms a
-    matrix-vector product in blocks of rows and may sum the rows of a last,
-    partial block in another order, while the table of all 2**m
-    configurations is whole blocks.  Padded, each configuration's posterior
-    equals the table's bit for bit.
+    configurations' rows of ``config_bits``.
     """
 
     m: int
@@ -265,7 +262,7 @@ class LabeledStates:
         where = np.zeros(1 << m, dtype=np.intp)
         where[configs] = np.arange(configs.size)
         rows = where[states & ((1 << m) - 1)] + (states >> m) * configs.size
-        bits = config_bits(m)[np.pad(configs, (0, -configs.size % ROW_BLOCK))]
+        bits = config_bits(m)[configs]
         return cls(m, configs, bits, rows, pos[configs], neg[configs])
 
 
@@ -284,11 +281,11 @@ def cross_entropy(model: LabelModel, states, floor: float = LOSS_FLOOR) -> float
     ``states`` are the scored rows as ``LabeledStates`` or joint-state
     indices; each row's log posterior is the posterior table's at its joint
     state, so the loss is the mean over rows, in row order, of the floored
-    table gathered per row.  Empirical mode needs a configuration
-    distribution with full support, as ``analysis.decompose`` does.
-    Posterior probabilities are floored at ``floor`` before the log so the
-    loss stays finite; values above one (possible in empirical mode) are
-    kept as-is for decomposition fidelity.
+    table gathered per row.  Empirical mode refuses a scored configuration
+    of zero mass with ``UnseenConfigurationError``; other configurations
+    may have none.  Posterior probabilities are floored at ``floor`` before
+    the log so the loss stays finite; values above one (possible in
+    empirical mode) are kept as-is for decomposition fidelity.
     """
     states, lp_pos, lp_neg = _decoded(model, states)
     table = np.concatenate((lp_neg, lp_pos))  # indexed by LabeledStates.rows: the label is the block

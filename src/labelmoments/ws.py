@@ -516,16 +516,21 @@ def _combine_class_conditional(
     return ClassConditionalEstimate(mu, labeled.class_balance, meta), alpha
 
 
+def _mean_sd(xs) -> tuple[float, float]:
+    """Mean and sample standard deviation over the trials.  Trials that all
+    agree, as a fit-once cell's do, give their one value and 0, not the
+    rounding of a sum."""
+    if len(set(xs)) == 1:
+        return float(xs[0]), 0.0
+    return float(np.mean(xs)), float(np.std(xs, ddof=1))
+
+
 def _metric_row(model: str, n, n_labeled, losses, f1s, alpha="", gs_fallbacks="") -> dict:
     """One metrics row: mean and sample standard deviation over the trials."""
-
-    def sd(xs) -> float:
-        return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
-
+    (loss, loss_sd), (f1, f1_sd) = _mean_sd(losses), _mean_sd(f1s)
     return {
         "model": model, "n": n, "n_labeled": n_labeled,
-        "loss": float(np.mean(losses)), "loss_sd": sd(losses),
-        "f1": float(np.mean(f1s)), "f1_sd": sd(f1s),
+        "loss": loss, "loss_sd": loss_sd, "f1": f1, "f1_sd": f1_sd,
         "alpha": alpha, "gs_fallbacks": gs_fallbacks,
     }
 
@@ -636,7 +641,7 @@ def run_case_study(
         rows.append(_metric_row("labeled-small", "", int(n_l), *stats["labeled-small"]))
         rows.append(_metric_row(
             "combined", int(config.n_unlabeled), int(n_l), *stats["combined"],
-            float(np.mean(alphas)), fallbacks,
+            _mean_sd(alphas)[0], fallbacks,
         ))
     return rows
 

@@ -1,8 +1,11 @@
 """``scripts/bench_pairs.py`` refuses trees that cannot be compared before it
-runs anything, and summarises pairs by quartiles and change-wins."""
+runs anything, runs both trees from two copied slots alike, and summarises
+pairs by quartiles and change-wins."""
 
 import importlib.util
+import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,23 +36,26 @@ def checkout(path: Path) -> Path:
     return path
 
 
-def test_trees_of_equal_path_length_without_bytecode_are_accepted(bench_pairs, tmp_path):
-    assert bench_pairs.tree_problems(checkout(tmp_path / "aaa"), checkout(tmp_path / "bbb")) == []
+def test_checkouts_are_accepted_whatever_their_paths_and_bytecode(bench_pairs, tmp_path):
+    # the trees run from copies, so neither path nor __pycache__ reaches a run
+    change = checkout(tmp_path / "a-longer-name")
+    (change / "src" / "pkg" / "__pycache__").mkdir()
+    assert bench_pairs.tree_problems(checkout(tmp_path / "p"), change) == []
 
 
 @pytest.mark.parametrize("case, message", [
-    ("lengths", "the paths differ in length"),
-    ("pycache", "change .+: src holds __pycache__"),
     ("not-a-checkout", "parent .+ is not a checkout"),
+    ("no-src", "change .+ is not a checkout"),
 ])
 def test_trees_that_cannot_be_compared_are_refused_before_any_run(
     bench_pairs, no_runs, tmp_path, capsys, case, message
 ):
-    parent, change = checkout(tmp_path / "p"), checkout(tmp_path / ("cc" if case == "lengths" else "c"))
-    if case == "pycache":
-        (change / "src" / "pkg" / "__pycache__").mkdir()
+    parent, change = checkout(tmp_path / "p"), checkout(tmp_path / "c")
     if case == "not-a-checkout":
         (parent / "perfbench" / "run.py").unlink()
+    if case == "no-src":
+        (change / "src" / "pkg").rmdir()
+        (change / "src").rmdir()
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main([str(parent), str(change), "--workload", "dvr", "--seeds", "1-3"])
     assert exc.value.code == 2
@@ -80,3 +86,37 @@ def test_summary_counts_the_pairs_where_the_change_is_lower(bench_pairs):
     assert wall["change"] == {"q1": 1.0, "median": 2.5, "q3": 3.0}
     assert (wall["change_lower_pairs"], wall["pairs"]) == (3, 5)
     assert (wall["parent_iqr"], wall["median_diff"]) == (2.0, -0.5)
+
+
+def test_each_side_runs_first_and_from_each_slot_alike(bench_pairs, tmp_path, monkeypatch, capsys):
+    trees = {side: checkout(tmp_path / side) for side in ("parent", "change-tree")}
+    for side, tree in trees.items():
+        (tree / "side.txt").write_text(side)
+        for skipped in (".git", ".perfbench-work", "src/pkg/__pycache__"):
+            (tree / skipped).mkdir()
+    runs = []
+
+    def run_tree(tree, workload, seed, seconds):
+        assert not any((tree / name).exists() for name in (".git", ".perfbench-work", "src/pkg/__pycache__"))
+        runs.append((tree, (tree / "side.txt").read_text(), seed))
+        metrics = {m: float(seed) for m in bench_pairs.METRICS}
+        return {"metrics": metrics, "iterations": 3, "output_sha256": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_tree", run_tree)
+    assert bench_pairs.main([str(trees["parent"]), str(trees["change-tree"]),
+                             "--workload", "dvr", "--seeds", "11-18"]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    # both slots sit in one directory under names of one length
+    assert len({len(str(tree)) for tree, _, _ in runs}) == 1
+    assert len({tree.parent for tree, _, _ in runs}) == 1
+    for k, pair in enumerate(pairs):
+        ran = runs[2 * k: 2 * k + 2]
+        assert [seed for _, _, seed in ran] == [pair["seed"]] * 2
+        assert ran[0][1].startswith(pair["first"])
+        assert {side: tree.name for tree, side, _ in ran} == {
+            "parent": pair["slot"]["parent"], "change-tree": pair["slot"]["change"],
+        }
+    for block in (pairs[:4], pairs[4:]):
+        assert Counter(p["first"] for p in block) == {"parent": 2, "change": 2}
+        assert Counter(p["slot"]["parent"] for p in block) == {"a": 2, "b": 2}
+        assert all(p["slot"]["parent"] != p["slot"]["change"] for p in block)

@@ -817,6 +817,54 @@ def test_infer_balance_applies_to_accuracy_estimates_only(tmp_path, model_and_da
         assert not out.exists()
 
 
+def test_normalized_infer_runs_past_the_enumeration_guard(tmp_path):
+    # normalized posteriors are products over the rows, with no table of the
+    # 2^30 configurations; empirical mode needs that table and is refused
+    model, data, est, out = (tmp_path / name for name in ("model.json", "data.csv", "est.json", "soft.csv"))
+    _ok("calibrate", "--accuracies", ",".join(["0.7", "0.65", "0.6"] * 10), "-o", model)
+    _ok("sample", "--model", model, "-n", "301", "--seed", "3", "-o", data)
+    _ok("fit", "--data", data, "-o", est)
+    _ok("infer", "--data", data, "--estimate", est, "-o", out)
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert len(rows) == 301 and all(0.0 <= float(p) <= 1.0 for _, p, _ in rows)
+    result = CliRunner().invoke(main, [
+        "infer", "--data", str(data), "--estimate", str(est), "--mode", "empirical", "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error (CapacityError): exact enumeration supports at most 24 sources, got m=30" in result.output
+
+
+@pytest.mark.parametrize("method, option, message", [
+    ("triplet", ["--balance", "0.1"], "--balance applies to --method quadratic, not 'triplet'"),
+    ("labeled", ["--balance", "0.5"], "--balance applies to --method quadratic, not 'labeled'"),
+    ("labeled", ["--agg", "mean"], "--agg applies to the unlabeled methods, not --method labeled"),
+], ids=["triplet-balance", "labeled-balance", "labeled-agg"])
+def test_fit_refuses_options_its_method_does_not_read(tmp_path, model_and_data, method, option, message):
+    _, data = model_and_data
+    out = tmp_path / "est.json"
+    result = CliRunner().invoke(main, [
+        "fit", "--data", str(data), "--method", method, *option, "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_fit_defaults_are_the_options_it_reads(tmp_path, model_and_data):
+    # unset, --agg is mean and --balance is 0.5; each is read where its method uses it
+    _, data = model_and_data
+    for method, option in [
+        ("triplet", ["--agg", "mean"]), ("quadratic", ["--agg", "mean", "--balance", "0.5"]),
+    ]:
+        unset, given = tmp_path / f"{method}-unset.json", tmp_path / f"{method}-given.json"
+        _ok("fit", "--data", data, "--method", method, "-o", unset)
+        _ok("fit", "--data", data, "--method", method, *option, "-o", given)
+        assert unset.read_text() == given.read_text()
+    _ok("fit", "--data", data, "--method", "quadratic", "--balance", "0.45", "-o", tmp_path / "q.json")
+    assert (tmp_path / "q.json").read_text() != (tmp_path / "quadratic-unset.json").read_text()
+
+
 def test_bounds_json_and_csv(tmp_path, model_and_data):
     model, _ = model_and_data
     as_json, as_csv = tmp_path / "bounds.json", tmp_path / "bounds.csv"

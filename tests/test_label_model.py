@@ -15,6 +15,7 @@ from labelmoments.estimators import ClassConditionalEstimate, SampleMoments
 from labelmoments.ising import conditional_entropy
 from labelmoments.label_model import (
     LOSS_FLOOR,
+    ROW_BLOCK,
     LabeledStates,
     LabelModel,
     classification_scores,
@@ -114,6 +115,26 @@ class TestPosterior:
         )
         with pytest.raises(UnseenConfigurationError):
             posterior(model, np.array([[-1, 1]]))
+
+    def test_rows_equal_the_table_at_their_configurations(self):
+        # any number of rows, not only whole blocks, and random conditionals
+        rng = np.random.default_rng(43)
+        for trial in range(320):
+            m, n = int(rng.integers(1, 14)), int(rng.integers(1, 3000))
+            n += n % 16 == 0
+            values = rng.choice([-1, 1], size=(n, m))
+            cond_pos, cond_neg = rng.uniform(1e-9, 1 - 1e-9, (2, m)) ** rng.uniform(0.2, 5)
+            est = ClassConditionalEstimate.from_conditionals(cond_pos, cond_neg, rng.uniform(0.1, 0.9), {})
+            model = LabelModel.from_class_conditional(est)
+            if trial % 4 == 0:
+                dist = empirical_config_dist(SourceMatrix(values), laplace=rng.uniform(0.1, 2.0))
+                model = LabelModel.from_class_conditional(est, "empirical", dist)
+            configs = (values > 0) @ (1 << np.arange(m))
+            table_pos, table_neg = model.log_posterior_table()
+            lp_pos, lp_neg = model.log_posteriors(values)
+            np.testing.assert_array_equal(lp_pos, table_pos[configs])
+            np.testing.assert_array_equal(lp_neg, table_neg[configs])
+            np.testing.assert_array_equal(posterior(model, values), np.exp(table_pos[configs]))
 
     def test_empirical_mode_requires_dist(self):
         with pytest.raises(ContractError):
@@ -219,14 +240,34 @@ class TestScores:
 
 
 # ---------------------------------------------------------------------------
-# Row-wise scoring oracle: every row's posterior from ``log_posteriors``,
-# without the configuration table the package scores through.
+# Row-wise scoring oracle: every row's posterior from its own product over
+# the row's bits, without the package's posterior code or its configuration
+# table.  The rows are padded with zero rows to whole blocks of ROW_BLOCK,
+# as the package pads them, so that BLAS sums each row in the same order and
+# the oracle equals the package bit for bit by construction.
 # ---------------------------------------------------------------------------
+
+
+def _row_log_posteriors(model, values):
+    n, m = values.shape
+    bits = np.zeros((n + -n % ROW_BLOCK, m))
+    bits[:n] = values > 0
+    off = 1.0 - bits
+    lw_pos = (bits @ np.log(model.cond_pos) + off @ np.log1p(-model.cond_pos)
+              + np.log(model.class_balance))[:n]
+    lw_neg = (bits @ np.log(model.cond_neg) + off @ np.log1p(-model.cond_neg)
+              + np.log1p(-model.class_balance))[:n]
+    if model.mode == "normalized":
+        denom = np.logaddexp(lw_pos, lw_neg)
+    else:
+        configs = sum((values[:, k] > 0).astype(np.int64) << k for k in range(m))
+        denom = np.log(model.config_dist[configs])
+    return lw_pos - denom, lw_neg - denom
 
 
 def _row_cross_entropy(model, data, floor=LOSS_FLOOR):
     labels = data.require_labels()
-    lp_pos, lp_neg = model.log_posteriors(data.values)
+    lp_pos, lp_neg = _row_log_posteriors(model, data.values)
     if floor > 0.0:
         lp_pos = np.maximum(lp_pos, np.log(floor))
         lp_neg = np.maximum(lp_neg, np.log(floor))
@@ -234,7 +275,7 @@ def _row_cross_entropy(model, data, floor=LOSS_FLOOR):
 
 
 def _row_f1(model, data, threshold=0.5):
-    pred = posterior(model, data) >= threshold
+    pred = np.exp(_row_log_posteriors(model, data.values)[0]) >= threshold
     actual = data.require_labels() > 0
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))
@@ -310,16 +351,25 @@ class TestScoresMatchRowOracle:
                     states = data.state_index()
                     assert cross_entropy(model, states, floor) == two_gathers(model, states, floor)
 
-    def test_empirical_mode_needs_full_support(self):
-        # every scored row is seen, but an unseen configuration elsewhere
-        # has no table entry, so the table cannot be built
+    def test_empirical_mode_refuses_only_scored_configurations_of_zero_mass(self):
+        # configuration 0, (-1, -1), is unseen: the seen rows score alike by
+        # row and by split, a row of configuration 0 is refused by both, and
+        # the table, which holds every configuration, cannot be built
         data = SourceMatrix(np.array([[1, 1], [1, -1], [-1, 1]]), np.array([1, -1, 1]))
         model = LabelModel.from_accuracies(
             [0.6, 0.6], 0.5, mode="empirical", config_dist=empirical_config_dist(data)
         )
-        assert np.isfinite(_row_cross_entropy(model, data))
-        with pytest.raises(UnseenConfigurationError):
-            cross_entropy(model, data.state_index())
+        seen_pos, _ = _row_log_posteriors(model, data.values)
+        np.testing.assert_array_equal(posterior(model, data), np.exp(seen_pos))
+        assert cross_entropy(model, data.state_index()) == _row_cross_entropy(model, data)
+        assert f1_score(model, data.state_index()) == _row_f1(model, data)
+        unseen = SourceMatrix(np.array([[1, 1], [-1, -1]]), np.array([1, -1]))
+        for score in (posterior, cross_entropy, f1_score):
+            rows = unseen if score is posterior else unseen.state_index()
+            with pytest.raises(UnseenConfigurationError, match="configuration 0 has zero"):
+                score(model, rows)
+        with pytest.raises(UnseenConfigurationError, match="configuration 0 has zero"):
+            model.log_posterior_table()
 
     @pytest.mark.parametrize("states", [[0, 8], [-1], [[0, 1]], [0.0, 1.0]])
     def test_rejects_bad_state_indices(self, states):

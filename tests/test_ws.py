@@ -661,6 +661,25 @@ class TestCaseStudy:
         assert (small["loss"], small["f1"]) == (labeled["loss"], labeled["f1"])
         assert rows["corrected-median", 6000, ""]["loss_sd"] == 0.0
 
+    def test_trials_that_agree_report_their_score_and_no_spread(self, small_states):
+        # five trials of a cell covering the split are one fit: its row holds
+        # that fit's score, not the rounding of a mean of five, and sd 0
+        train, test = small_states
+        m = len(default_roster())
+        cfg = CaseStudyConfig(n_grid=(9000,), n_unlabeled=9000, n_labeled_grid=(40,), trials=5, seed=6)
+        whole = np.bincount(train, minlength=2 << m)
+        fits = {"labeled": estimate_labeled_class_conditional(whole, m, 0.5)}
+        for name, aggregation in (("unlabeled-mean", "mean"), ("corrected-median", "median")):
+            fits[name] = estimate_quadratic_triplet_from_moments(
+                SampleMoments.from_state_counts(whole, m), 0.5, aggregation
+            )
+        for row in run_case_study(train, test, cfg)[:3]:
+            loss, f1 = _table_scores(fits[row["model"]], test, m)
+            assert (row["loss"], row["loss_sd"], row["f1"], row["f1_sd"]) == (loss, 0.0, f1, 0.0)
+        f1 = 0.9567307692307693  # the mean of five copies rounds to ...694
+        row = ws._metric_row("labeled", 1, "", [0.25] * 5, [f1] * 5)
+        assert (row["loss"], row["loss_sd"], row["f1"], row["f1_sd"]) == (0.25, 0.0, f1, 0.0)
+
     def test_cells_covering_the_split_are_fitted_and_scored_once(self, small_states, monkeypatch):
         calls = {"fits": 0, "scores": 0}
 
