@@ -160,13 +160,20 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
 
 
 def _fit(data, method, agg, balance, seed, known_edges=()):
-    """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets."""
+    """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets.
+
+    ``agg`` is None when unset, and then ``mean``; the labeled method reads
+    none, so a given ``--agg`` is refused for it rather than recorded unread.
+    """
     if known_edges and method != "triplet":
         raise ContractError(f"known edges apply to --method triplet only, not '{method}'")
+    if agg is not None and method == "labeled":
+        raise ContractError("--agg applies to the unlabeled methods, not --method labeled")
     moments = SampleMoments.from_source_matrix(data)
     if method == "labeled":
         data.require_labels()
         return AccuracyEstimate(moments.acc, method="labeled")
+    agg = agg or "mean"
     if method == "triplet":
         return estimate_triplet_from_moments(moments.pair, agg, seed, known_edges)
     return estimate_quadratic_triplet_from_moments(moments, balance, agg, seed)
@@ -254,11 +261,9 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
         raise ContractError("--combine-with applies to accuracy estimates, not --method quadratic")
     if balance is not None and method != "quadratic":
         raise ContractError(f"--balance applies to --method quadratic, not '{method}'")
-    if agg is not None and method == "labeled":
-        raise ContractError("--agg applies to the unlabeled methods, not --method labeled")
     data = load_source_matrix(data_path)
     balance = 0.5 if balance is None else balance
-    est = _fit(data, method, agg or "mean", balance, seed, _parse_edges(known_edges))
+    est = _fit(data, method, agg, balance, seed, _parse_edges(known_edges))
     if combine_with is not None:
         labeled = SampleMoments.from_source_matrix(load_source_matrix(combine_with))
         est = combine_green_strawderman(est, labeled)
@@ -312,7 +317,8 @@ DEMO_ACCURACIES = "0.7,0.65,0.6,0.75"
 @click.option("--model", "model_path", type=click.Path(exists=True), default=None)
 @click.option("--data", "data_path", type=click.Path(exists=True), default=None)
 @click.option("--method", type=click.Choice(["labeled", "triplet", "quadratic"]), default="triplet", show_default=True)
-@click.option("--agg", type=click.Choice(["single", "mean", "median"]), default="mean", show_default=True)
+@click.option("--agg", type=click.Choice(["single", "mean", "median"]), default=None,
+              help="Triplet aggregation of the unlabeled methods [default: mean].")
 @click.option("--laplace", default=1.0, show_default=True, type=float)
 @click.option("--balance", default=0.5, show_default=True)
 @click.option("--demo", is_flag=True, help="Run on a built-in small model and sample.")

@@ -14,35 +14,33 @@ throughout: sources are assumed better than random on average.
 
 Labeled data estimates E[s_i Y] directly: it is ``SampleMoments.acc``.
 Every estimator reads moments, never rows; ``SampleMoments`` comes from
-joint-state counts (``from_state_counts``), from counts of the
-configurations of u = s * y (``from_u_counts``, without sign means) or
-from +-1 rows (``from_rows``; ``from_source_matrix`` for a data file).
-The Monte-Carlo engine takes rows when a sample has fewer entries than the
-joint states, and u-counts otherwise.  The two estimates can be combined
+joint-state counts (``from_state_counts``), from +-1 rows (``from_rows``;
+``from_source_matrix`` for a data file), or from counts or rows of
+u = s * y (``from_u_counts``, ``from_u_rows``; without sign means).
+The Monte-Carlo engine takes u-rows when a sample has fewer entries than
+the joint states, and u-counts otherwise.  The two estimates can be combined
 linearly or through a positive-part James-Stein rule that picks the weight
 from the labeled estimator's covariance.
 
 Batch axes: ``SampleMoments.from_state_counts`` takes counts of shape
-(..., 2^(m+1)), ``from_u_counts`` (..., 2^m) and ``from_rows`` rows of
-shape (..., n, m), and all return moments with the same leading axes;
-``triplet_census`` turns pair moments (..., m, m) into a (..., m,
-C(m-1, 2)) census, and
-``aggregate_census`` reduces a census over its last axis.  The Monte-Carlo
-engine passes a block of trials at once; a single fit (``estimate_*``, the
-data-file commands, the case study) is the case without leading axes, so
-both run one implementation.
+(..., 2^(m+1)), ``from_u_counts`` (..., 2^m) and ``from_rows`` and
+``from_u_rows`` rows of shape (..., n, m), and all return moments with the
+same leading axes; ``triplet_census`` turns pair moments (..., m, m) into
+a (..., m, C(m-1, 2)) census, and ``aggregate_census`` reduces a census
+over its last axis.  The Monte-Carlo engine passes a block of trials at
+once; a single fit (``estimate_*``, the data-file commands, the case
+study) is the case without leading axes, so both run one implementation.
 Each batch row comes out bit for bit as the unbatched call would give it,
 and a sample's row moments equal the moments of its state counts: the
 moment sums are exact (integer counts times +-1), the census is
-elementwise, the median is a sort, and the mean sums the rows of a 2-d
-array.
+elementwise, the median is a sort, and the mean sums the rows of a
+C-contiguous 2-d array, whatever the census's memory layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +96,14 @@ def _config_moments(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray,
 class SampleMoments:
     """First and second empirical moments of a sample; all estimators run on these.
 
-    ``from_state_counts``, ``from_u_counts`` and ``from_rows`` also make
-    the moments of a batch of samples, with leading axes on every field,
-    and the covariance methods then return one matrix per sample.
+    ``from_state_counts``, ``from_u_counts``, ``from_rows`` and
+    ``from_u_rows`` also make the moments of a batch of samples, with
+    leading axes on every field, and the covariance methods then return one
+    matrix per sample.
     """
 
     n: int                         # an integer array for a batch of samples
-    means: np.ndarray | None       # empirical E[s_i]; None when Y was never drawn
+    means: np.ndarray | None       # empirical E[s_i]; None for moments of u = s * y
     pair: np.ndarray               # empirical E[s_i s_j], unit diagonal
     acc: np.ndarray | None = None  # empirical E[s_i y] when labels were present
 
@@ -161,6 +160,19 @@ class SampleMoments:
         """
         n, acc, pair = _config_moments(counts, m)
         return cls(int(n) if counts.ndim == 1 else n.astype(np.int64), None, pair, acc)
+
+    @classmethod
+    def from_u_rows(cls, u: np.ndarray) -> "SampleMoments":
+        """Labeled moments of +-1 rows (..., n, m) of u = s * y, as
+        ``from_u_counts`` gives them: ``acc`` is the mean u, ``pair`` the
+        mean u u^T and ``means`` None.
+
+        These are ``from_rows``' sign means and pair moments of u, exact
+        sums of +-1 products, so they equal ``from_rows(s, y)``'s ``acc``
+        and ``pair`` bit for bit.
+        """
+        moments = cls.from_rows(u)
+        return cls(moments.n, None, moments.pair, moments.means)
 
     def labeled_covariance(self) -> np.ndarray:
         """Sample covariance (ddof=1) of the per-row vectors s * y."""
@@ -253,26 +265,23 @@ def _jsonable(obj):
 def _pair_table(m: int, known_edges: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Witness-pair index arrays (m, C(m-1,2)) and the known-edge exclusion mask.
 
+    Row i holds the pairs (j, k) of the other sources in ``combinations``
+    order; a pair is excluded when any of (i, j), (i, k), (j, k) is a known
+    edge, read from an (m, m) edge mask.  All three arrays are C-contiguous.
     A known edge must join two distinct sources in [0, m); a self-pair or an
     unknown source would exclude nothing, so it raises ``ContractError``.
     """
     bad = sorted((i, j) for i, j in known_edges if not 0 <= i < j < m)
     if bad:
         raise ContractError(f"known edges {bad} are not pairs of distinct sources in [0, {m})")
-    npairs = (m - 1) * (m - 2) // 2
-    jj = np.empty((m, npairs), dtype=np.int64)
-    kk = np.empty((m, npairs), dtype=np.int64)
-    allowed = np.ones((m, npairs), dtype=bool)
-
-    def is_edge(a, b):
-        return (min(a, b), max(a, b)) in known_edges
-
-    for i in range(m):
-        others = [o for o in range(m) if o != i]
-        for c, (j, k) in enumerate(combinations(others, 2)):
-            jj[i, c], kk[i, c] = j, k
-            if is_edge(i, j) or is_edge(i, k) or is_edge(j, k):
-                allowed[i, c] = False
+    rows = np.arange(m)[:, None]
+    others = np.arange(m - 1, dtype=np.int64) + (np.arange(m - 1) >= rows)  # row i: all but i
+    a, b = np.triu_indices(m - 1, 1)
+    jj, kk = np.take(others, a, axis=1), np.take(others, b, axis=1)
+    edge = np.zeros((m, m), dtype=bool)
+    for i, j in known_edges:
+        edge[i, j] = edge[j, i] = True
+    allowed = ~(edge[rows, jj] | edge[rows, kk] | edge[jj, kk])
     return jj, kk, allowed
 
 
@@ -333,8 +342,9 @@ def aggregate_census(
     counts = valid.sum(axis=-1)
     if aggregation == "mean":
         # Invalid and NaN columns add zero, as in a nansum.  The row sums run
-        # over a 2-d array, as for a single census.
-        terms = np.where(valid & ~np.isnan(vals), vals, 0.0)
+        # over a C-contiguous 2-d array, as for a single C-ordered census:
+        # numpy sums a contiguous row pairwise and a strided one in sequence.
+        terms = np.ascontiguousarray(np.where(valid & ~np.isnan(vals), vals, 0.0))
         sums = terms.reshape(-1, npairs).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return sums.reshape(counts.shape) / counts, counts

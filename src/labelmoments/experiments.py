@@ -47,25 +47,27 @@ and the combined sweep scores its blends once per chunk; a trial whose fit
 fails is a masked row, skipped and counted.
 
 Random-stream protocol v6 picks the draw per cell from n and m alone, as
-v3 to v5 did.  A sample with fewer entries than the joint states,
-n(m+1) < 2^(m+1), is drawn as rows: one ``random((block, n, m+1))``
-compared with per-column thresholds, since given Y the model factors into
-singletons and edge pairs (``ising.sample_rows``).  At m=10 these are the
-cells with n <= 186; they keep v5's bytes, label column included.  A
-larger sample never draws Y: every number the engine reads, the pair
-moments E[s_i s_j] = E[u_i u_j] and the labeled accuracies
-E[s_i y] = E[u_i], depends only on u = s * y, which is independent of Y.
-So the sample is n draws over the 2^m configurations of u, by Walker's
+v3 to v5 did.  Every number the engine reads, the pair moments
+E[s_i s_j] = E[u_i u_j] and the labeled accuracies E[s_i y] = E[u_i],
+depends only on u = s * y, which is independent of Y, so both draw paths
+yield the moments of u (``SampleMoments.from_u_rows`` and
+``from_u_counts``), and neither carries sign means E[s_i].  A sample with
+fewer entries than the joint states, n(m+1) < 2^(m+1), is drawn as rows:
+one ``random((block, n, m+1))`` compared with per-column thresholds on u
+and Y, since u factors into singletons and edge pairs
+(``ising.sample_rows``).  At m=10 these are the cells with n <= 186; they
+keep v5's draws, label column included, and so its bytes.  A larger sample
+never draws Y: it is n draws over the 2^m configurations of u, by Walker's
 alias method, one trial at a time (``ising.sample_u_counts``): each
 uniform times 2^m splits into a bin and a fraction, and the fraction picks
-the bin or its alias.  Its moments carry no sign means E[s_i].  v5 drew
-these cells as one ``multinomial(size=...)`` over the 2^(m+1) joint
-states.  numpy draws uniforms and ``integers`` elements one after another,
-so a block draws exactly what the same trials drawn one by one would, and
-every batched step computes each row exactly as for a lone trial.  Results
-are reproducible, and the same whatever the block size and whichever cells
-run first; within a cell, trial t depends on the trials before it, so the
-first T trials of a longer run equal a run of T trials.
+the bin or its alias.  v5 drew these cells as one ``multinomial(size=...)``
+over the 2^(m+1) joint states.  numpy draws uniforms and ``integers``
+elements one after another, so a block draws exactly what the same trials
+drawn one by one would, and every batched step computes each row exactly
+as for a lone trial.  Results are reproducible, and the same whatever the
+block size and whichever cells run first; within a cell, trial t depends
+on the trials before it, so the first T trials of a longer run equal a run
+of T trials.
 """
 
 from __future__ import annotations
@@ -388,14 +390,17 @@ class TrialEngine:
 
         The samples come from the stream ``trial_rng(seed, f"{label}/0", n)``.
         A sample with fewer entries than the joint states, n(m+1) < 2^(m+1),
-        is drawn as rows (``sample_rows``); a larger one as counts of the
-        2^m configurations of u = s * y (``sample_u_counts``), without its
-        labels, and read by ``SampleMoments.from_u_counts``.  The rule reads
+        is drawn as rows of u = s * y (``sample_rows``, whose label column
+        is not read) and read by ``SampleMoments.from_u_rows``; a larger one
+        as counts of the 2^m configurations of u (``sample_u_counts``),
+        without its labels, and read by ``SampleMoments.from_u_counts``.
+        Both yield ``acc`` and ``pair`` and no sign means.  The rule reads
         only n and m, so a whole cell takes one path.  With one BLAS thread
-        the two paths cost the same per trial near n(m+1) of 700 at m=10,
-        7,300 at m=12 and 52,000 at m=14.  The rule's 2,048, 8,192 and
-        32,768 lie within a factor of three of these, and a cell on the
-        slower path costs under twice the faster one.
+        the two paths cost the same per trial near n(m+1) of 1,300 at m=10,
+        9,800 at m=12 and 92,000 at m=14.  The rule's 2,048, 8,192 and
+        32,768 lie within a factor of three of these; the costliest
+        misplaced cells are at m=14 from n=2,185, where u-counts cost about
+        2.4 times the rows.
         A block holds as many trials as fit ``BLOCK_BYTES``: a row block is
         charged two float64 arrays of its n(m+1) entries, the uniforms that
         ``sample_rows`` overwrites with the rows and, at most, the edge
@@ -410,8 +415,8 @@ class TrialEngine:
         for start in range(0, trials, step):
             size = min(step, trials - start)
             if as_rows:
-                rows = sample_rows(self.model, n, draw, size)
-                yield SampleMoments.from_rows(rows[..., :m], rows[..., m])
+                u = sample_rows(self.model, n, draw, size)[..., :m]
+                yield SampleMoments.from_u_rows(u)
             else:
                 yield SampleMoments.from_u_counts(sample_u_counts(self.model, n, draw, size), m)
 

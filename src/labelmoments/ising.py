@@ -426,9 +426,11 @@ def calibration_residual(model: IsingModel, targets, edges=(), edge_gap=0.1, cla
 
 
 def sample(model: IsingModel, n: int, seed) -> SourceMatrix:
-    """n i.i.d. labeled draws: one :func:`sample_rows` sample, as int8 rows."""
+    """n i.i.d. labeled draws: one :func:`sample_rows` sample, as int8 rows
+    of the source signs s = u * y."""
     rows = sample_rows(model, n, seed, 1)[0].astype(np.int8)
-    return SourceMatrix(rows[:, : model.m], rows[:, model.m])
+    y = rows[:, model.m]
+    return SourceMatrix(rows[:, : model.m] * y[:, None], y)
 
 
 def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None) -> np.ndarray:
@@ -439,7 +441,7 @@ def sample_state_counts(model: IsingModel, n: int, seed, size: int | None = None
     samples in one call; numpy draws the rows one after another, so they
     equal ``size`` calls without it on the same generator.  Reads the joint
     table.  The Monte-Carlo engine does not draw this way: it needs no
-    label, and draws u alone (:func:`sample_u_counts`) or rows
+    label, and draws u alone (:func:`sample_u_counts`) or rows of u
     (:func:`sample_rows`).
     """
     if n < 1:
@@ -475,12 +477,13 @@ def sample_u_counts(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
 
 
 def sample_rows(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
-    """``size`` samples of n rows, (size, n, m+1) of +-1: the source signs,
-    then the label in column m.
+    """``size`` samples of n rows, (size, n, m+1) of +-1: u = s * y in
+    columns 0..m-1, then the label in column m.
 
     One ``random((size, n, m+1))`` call; a column is +1 where its uniform
-    lies below its ``IsingModel.row_thresholds`` entry, and a source's sign
-    is then its u times the label.  The rows overwrite the uniforms, as
+    lies below its ``IsingModel.row_thresholds`` entry, an edge's second
+    column against the threshold its first column's value selects.  The
+    source signs are s = u * y.  The rows overwrite the uniforms, as
     ``2 * plus - 1``, so the call keeps one float64 array of the rows' size
     alive, plus temporaries of the edges' second columns.  numpy draws the
     uniforms one after another, so consecutive calls on one generator equal
@@ -492,9 +495,7 @@ def sample_rows(model: IsingModel, n: int, seed, size: int) -> np.ndarray:
     p, given_minus, first, second = model.row_thresholds
     uniform = np.random.default_rng(seed).random((size, n, m + 1))
     plus = uniform < p
-    edge = uniform[..., second]
-    plus[..., second] = np.where(plus[..., first], edge < p[second], edge < given_minus)
-    plus[..., :m] = plus[..., :m] == plus[..., m:]  # s_i = u_i * y
+    plus[..., second] = uniform[..., second] < np.where(plus[..., first], p[second], given_minus)
     rows = np.multiply(plus, 2.0, out=uniform)
     rows -= 1.0
     return rows

@@ -267,25 +267,29 @@ class LabeledStates:
 
 
 def _decoded(model: LabelModel, states) -> tuple[LabeledStates, np.ndarray, np.ndarray]:
-    """The rows as ``LabeledStates`` and the model's log posteriors (Y=+1, Y=-1) at their configurations."""
+    """The rows as ``LabeledStates`` and the model's log posteriors (Y=+1,
+    Y=-1) at their configurations; no rows raise ``ContractError``, as no
+    score is defined on them."""
     if not isinstance(states, LabeledStates):
         states = LabeledStates.from_states(states, model.m)
     elif states.m != model.m:
         raise ContractError(f"the rows hold states of {states.m} sources, the model {model.m}")
+    if not states.rows.size:
+        raise ContractError("scoring needs at least one labeled row")
     return (states, *model._log_posteriors_of(states))
 
 
 def cross_entropy(model: LabelModel, states, floor: float = LOSS_FLOOR) -> float:
     """Mean cross-entropy of the model's posteriors against the labels.
 
-    ``states`` are the scored rows as ``LabeledStates`` or joint-state
-    indices; each row's log posterior is the posterior table's at its joint
-    state, so the loss is the mean over rows, in row order, of the floored
-    table gathered per row.  Empirical mode refuses a scored configuration
-    of zero mass with ``UnseenConfigurationError``; other configurations
-    may have none.  Posterior probabilities are floored at ``floor`` before
-    the log so the loss stays finite; values above one (possible in
-    empirical mode) are kept as-is for decomposition fidelity.
+    ``states`` are the scored rows, at least one, as ``LabeledStates`` or
+    joint-state indices; each row's log posterior is the posterior table's
+    at its joint state, so the loss is the mean over rows, in row order, of
+    the floored table gathered per row.  Empirical mode refuses a scored
+    configuration of zero mass with ``UnseenConfigurationError``; other
+    configurations may have none.  Posterior probabilities are floored at
+    ``floor`` before the log so the loss stays finite; values above one
+    (possible in empirical mode) are kept as-is for decomposition fidelity.
     """
     states, lp_pos, lp_neg = _decoded(model, states)
     table = np.concatenate((lp_neg, lp_pos))  # indexed by LabeledStates.rows: the label is the block

@@ -99,6 +99,20 @@ def values_from_config(indices, m):
     return (2 * bits - 1).astype(np.int8)
 
 
+def sign_rows(model, n, rng, size):
+    """``size`` samples of n rows as the row sampler drew them before it
+    returned u: the same uniforms and thresholds, then s_i = u_i * y in the
+    source columns and the label in column m."""
+    m = model.m
+    p, given_minus, first, second = model.row_thresholds
+    uniform = rng.random((size, n, m + 1))
+    plus = uniform < p
+    edge = uniform[..., second]
+    plus[..., second] = np.where(plus[..., first], edge < p[second], edge < given_minus)
+    plus[..., :m] = plus[..., :m] == plus[..., m:]
+    return 2.0 * plus - 1.0
+
+
 def state_counts(data):
     """Counts of a labeled matrix's rows over the 2**(m+1) joint states: the
     rows-to-counts oracle."""

@@ -557,6 +557,32 @@ def test_row_path_outputs_match_recorded_hashes(tmp_path):
     assert [line for line in lines if line.startswith("labeled,")] == list(ROW_LABELED_LINES)
 
 
+# The same on the row path at m=14 with five dependent pairs, where every
+# cell here draws rows (n(m+1) < 2^15): blocks of two trials at n=250 and of
+# one at n=1000, unlabeled and labeled.  Recorded with numpy 2.4.6, before
+# the row path read u without converting it to source signs.
+WIDE_ROW_GOLDEN_CONFIG = {
+    "model": {"accuracies": list(DEFAULT_ACCURACIES) + [0.62, 0.71, 0.58, 0.66], "d": 5},
+    "estimators": ["labeled", "triplet-mean", "triplet-median", "triplet-single"],
+    "n_grid": [250, 1000],
+    "trials": 5,
+    "seed": 3,
+}
+WIDE_ROW_GOLDEN_HASHES = {
+    "curves.csv": "c227347836373dfbf589228665f1708a5e3f299dbe5318bd464ffe6d6f2e6e15",
+    "combined.csv": "e465f033e4c55979c644b93bffcb18d0430eee0e033e2b62161ff5890b63d750",
+}
+
+
+def test_wide_row_path_outputs_match_recorded_hashes(tmp_path):
+    out = _run_suites(tmp_path, WIDE_ROW_GOLDEN_CONFIG, [
+        ["curves"],
+        ["combine", "--n-unlabeled", "250", "--n-labeled-grid", "40,250",
+         "--estimator", "triplet-single"],
+    ])
+    assert {name: file_sha256(out / name) for name in WIDE_ROW_GOLDEN_HASHES} == WIDE_ROW_GOLDEN_HASHES
+
+
 def test_ws_ingest_rejects_test_fraction_outside_unit_interval(tmp_path, tiny_corpus):
     docs, _ = tiny_corpus
     result = CliRunner().invoke(main, [
@@ -849,6 +875,22 @@ def test_fit_refuses_options_its_method_does_not_read(tmp_path, model_and_data, 
     assert f"error (ContractError): {message}" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_decompose_refuses_agg_for_the_labeled_method(tmp_path, model_and_data):
+    # fit's rule: the labeled method reads no aggregation, so none is recorded unread
+    model, data = model_and_data
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, [
+        "decompose", "--model", str(model), "--data", str(data), "--method", "labeled",
+        "--agg", "mean", "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error (ContractError): --agg applies to the unlabeled methods, not --method labeled" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+    _ok("decompose", "--model", model, "--data", data, "--method", "labeled", "-o", out)
+    assert json.loads((tmp_path / "report.json.manifest.json").read_text())["config"]["agg"] is None
 
 
 def test_fit_defaults_are_the_options_it_reads(tmp_path, model_and_data):

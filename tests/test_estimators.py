@@ -32,6 +32,7 @@ from labelmoments.estimators import (
 )
 
 from labelmoments.ising import sample_rows, sample_state_counts
+from labelmoments.states import config_index
 
 from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint, state_counts
 
@@ -97,14 +98,33 @@ class TestCountMomentsMatchRows:
             )
 
     def test_batched_rows_bit_for_bit(self, synth_model_dep):
+        # the sampler's rows are u = s * y and the label; s is u times the label
         rows = sample_rows(synth_model_dep, 60, np.random.default_rng(4), 7)
-        batch = SampleMoments.from_rows(rows[..., :10], rows[..., 10])
+        signs = rows[..., :10] * rows[..., 10:]
+        batch = SampleMoments.from_rows(signs, rows[..., 10])
         assert batch.n.tolist() == [60] * 7
-        for b, one in enumerate(rows):
-            data = SourceMatrix(one[:, :10], one[:, 10])
+        for b, one in enumerate(signs):
+            data = SourceMatrix(one, rows[b, :, 10])
             counts = SampleMoments.from_state_counts(state_counts(data), 10)
             for name in ("means", "pair", "acc"):
                 np.testing.assert_array_equal(getattr(batch, name)[b], getattr(counts, name))
+
+    @pytest.mark.parametrize("n", [1, 60, 1001])
+    def test_u_rows_give_the_labeled_moments_of_the_signs(self, synth_model_dep, n):
+        # from_u_rows(u) is from_u_counts' contract on rows: from_rows(s, y)'s
+        # accuracies and pair moments bit for bit, and no sign means
+        rows = sample_rows(synth_model_dep, n, np.random.default_rng(n), 3)
+        u, y = rows[..., :10], rows[..., 10]
+        signs = SampleMoments.from_rows(u * y[..., None], y)
+        moments = SampleMoments.from_u_rows(u)
+        assert moments.means is None and moments.n.tolist() == [n] * 3
+        np.testing.assert_array_equal(moments.acc, signs.acc)
+        np.testing.assert_array_equal(moments.pair, signs.pair)
+        for b in range(3):
+            counts = np.bincount(config_index(u[b]), minlength=1 << 10).astype(np.float64)
+            one, rows_b = SampleMoments.from_u_counts(counts, 10), SampleMoments.from_u_rows(u[b])
+            np.testing.assert_array_equal(rows_b.acc, one.acc)
+            np.testing.assert_array_equal(rows_b.pair, one.pair)
 
 
 class TestTripletRaw:
@@ -237,6 +257,21 @@ class TestTripletAggregation:
         with pytest.raises(ContractError):
             estimate_triplet_from_moments(np.eye(2), "mean")
 
+    def test_mean_does_not_depend_on_memory_layout(self):
+        # single censuses and batches of four, with NaN and invalid columns:
+        # C and Fortran order give the same bits
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            m = int(rng.integers(3, 15))
+            shape = ((4,) if rng.random() < 0.5 else ()) + (m, (m - 1) * (m - 2) // 2)
+            vals = rng.random(shape)
+            vals[rng.random(shape) < 0.05] = np.nan
+            valid = rng.random(shape) < 0.9
+            est, counts = aggregate_census(vals, valid, "mean")
+            est_f, counts_f = aggregate_census(np.asfortranarray(vals), np.asfortranarray(valid), "mean")
+            np.testing.assert_array_equal(est_f, est)
+            np.testing.assert_array_equal(counts_f, counts)
+
     def test_single_draws_as_one_choice_per_source(self):
         # the loop `single` replaced: one rng.choice among each source's valid
         # columns, in source order; same picks and same generator state after
@@ -326,6 +361,31 @@ class TestPartialRecovery:
             synth_diag_dep.pair_moments, "mean", known_edges=SYNTH_EDGES
         )
         np.testing.assert_allclose(est.values, synth_diag_dep.accuracies, atol=1e-12)
+
+    @staticmethod
+    def _pair_table_by_loop(m, known):
+        """Witness pairs of each source in ``combinations`` order, and the
+        pairs that touch no known edge, one pair at a time."""
+        rows = [list(itertools.combinations([o for o in range(m) if o != i], 2)) for i in range(m)]
+        touches = lambda a, b: (min(a, b), max(a, b)) in known  # noqa: E731
+        jj = np.array([[j for j, _ in row] for row in rows], dtype=np.int64)
+        kk = np.array([[k for _, k in row] for row in rows], dtype=np.int64)
+        allowed = np.array([
+            [not (touches(i, j) or touches(i, k) or touches(j, k)) for j, k in row]
+            for i, row in enumerate(rows)
+        ])
+        return jj, kk, allowed
+
+    @pytest.mark.parametrize("m", range(3, 16))
+    def test_pair_table_matches_a_combinations_loop(self, m):
+        rng = np.random.default_rng(m)
+        every = list(itertools.combinations(range(m), 2))
+        for density in (0.0, 0.1, 0.4, 1.0):
+            known = frozenset(p for p in every if rng.random() < density)
+            table = estimators._pair_table(m, known)
+            for got, want in zip(table, self._pair_table_by_loop(m, known), strict=True):
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("known", [[(0, 99)], [(2, 2)], [(-1, 3)], [(0, 1), (10, 4)]])
     def test_edges_outside_the_sources_raise(self, synth_diag_dep, known):

@@ -44,6 +44,7 @@ from conftest import (
     exact_generalization_error,
     labeled_excess_by_full_sum,
     labeled_excess_by_monte_carlo,
+    sign_rows,
     state_counts,
 )
 
@@ -844,13 +845,35 @@ class TestBatchedEngineOracle:
         assert sizes == [step] * (trials // step) + [trials % step] * (trials % step > 0)
         assert all(size == 1 or size * charge <= budget for size in sizes)
 
-    def test_u_count_moments_have_no_sign_means(self, tiny_engine):
-        # E[s_i] needs Y; a u-count sample must not pass E[u_i] off as it
+    def test_neither_paths_moments_carry_sign_means(self, tiny_engine):
+        # E[s_i] needs Y; neither a u-row nor a u-count sample may pass E[u_i] off as it
         (rows,) = tiny_engine.blocks("x", 4, 3, 0)
         (counts,) = tiny_engine.blocks("x", 8, 3, 0)
-        assert rows.means.shape == (3, 4) and counts.means is None
-        with pytest.raises(TypeError):
-            counts.means[0]
+        for moments in (rows, counts):
+            assert moments.means is None and moments.acc.shape == (3, 4)
+            with pytest.raises(TypeError):
+                moments.means[0]
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_row_moments_equal_those_of_the_source_signs(self, request, monkeypatch, budget):
+        # the row path reads u; the same uniforms turned into source signs
+        # s = u * y and read with their labels (``sign_rows``, the sampler
+        # before it returned u) give the same accuracies and pair moments,
+        # bit for bit
+        for name, n, trials in ORACLE_CELLS:
+            engine = request.getfixturevalue(f"{name}_engine")
+            if not _as_rows(engine, n):
+                continue
+            monkeypatch.setattr(experiments, "BLOCK_BYTES", BUDGETS[budget](engine.m))
+            blocks = list(engine.blocks("excess:labeled", n, trials, 21))
+            draw, start = trial_rng(21, "excess:labeled/0", n), 0
+            for mom in blocks:
+                rows = sign_rows(engine.model, n, draw, len(mom.acc))
+                ref = SampleMoments.from_rows(rows[..., : engine.m], rows[..., engine.m])
+                np.testing.assert_array_equal(mom.acc, ref.acc)
+                np.testing.assert_array_equal(mom.pair, ref.pair)
+                start += len(mom.acc)
+            assert start == trials
 
     @pytest.mark.parametrize("estimator", experiments.ESTIMATOR_NAMES)
     def test_shorter_run_is_a_prefix(self, tiny_engine, dep_engine, estimator):

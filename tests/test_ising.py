@@ -35,6 +35,7 @@ from conftest import (
     brute_moment,
     brute_pair_moments,
     random_valid_edges,
+    sign_rows,
 )
 
 
@@ -541,11 +542,34 @@ class TestRowSampler:
         # samples' moments lies within 5 standard errors of diagnostics'
         model = calibrate([0.6, 0.7, 0.65, 0.8, 0.75, 0.55], [(0, 1), (2, 4)], 0.1, 0.3)
         diag = diagnostics(model)
+        # the rows are u = s * y and the label, so E[u] is the accuracies,
+        # E[u u^T] the pair moments and the label's mean 2 * 0.3 - 1
         rows = sample_rows(model, 50, np.random.default_rng(5), 4000)
-        mom = SampleMoments.from_rows(rows[..., :6], rows[..., 6])
-        for draws, exact in ((mom.acc, diag.accuracies), (mom.pair, diag.pair_moments)):
+        mom = SampleMoments.from_u_rows(rows[..., :6])
+        label_means = rows[..., 6].mean(axis=-1)
+        for draws, exact in (
+            (mom.acc, diag.accuracies), (mom.pair, diag.pair_moments), (label_means, -0.4),
+        ):
             se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
             assert (np.abs(draws.mean(axis=0) - exact) <= 5 * se + 1e-15).all()
+
+    @pytest.mark.parametrize("m", range(3, 15))
+    def test_u_times_the_label_is_the_sign_rows(self, m):
+        # the same uniforms as the sampler that returned source signs
+        # (conftest's ``sign_rows``): s = u * y and the label, entry for entry,
+        # and ``sample``'s int8 matrix holds those signs
+        rng = np.random.default_rng(300 + m)
+        pairs = random_valid_edges(rng, m) or [(0, 1)]
+        edges = [(i, j, t) for (i, j), t in zip(pairs, rng.uniform(0.1, 1.0, len(pairs)))]
+        model = IsingModel.from_parameters(rng.uniform(0.0, 1.5, m), edges, rng.uniform(-0.5, 0.5))
+        rows = sample_rows(model, 40, np.random.default_rng(m), 3)
+        ref = sign_rows(model, 40, np.random.default_rng(m), 3)
+        np.testing.assert_array_equal(rows[..., :m] * rows[..., m:], ref[..., :m])
+        np.testing.assert_array_equal(rows[..., m], ref[..., m])
+        data = sample(model, 40, m)
+        (one,) = sign_rows(model, 40, np.random.default_rng(m), 1).astype(np.int8)
+        np.testing.assert_array_equal(data.values, one[:, :m])
+        np.testing.assert_array_equal(data.labels, one[:, m])
 
     def test_consecutive_calls_equal_one_call(self, synth_model_dep):
         a, b = np.random.default_rng(3), np.random.default_rng(3)
@@ -610,8 +634,7 @@ class TestAliasSampler:
         for _ in range(16):
             mom = SampleMoments.from_u_counts(sample_u_counts(synth_model_dep, n, draw_u, 250), m)
             sides[0].append(np.hstack([mom.acc, mom.pair[:, ii, jj]]))
-            rows = sample_rows(synth_model_dep, n, draw_rows, 250)
-            mom = SampleMoments.from_rows(rows[..., :m], rows[..., m])
+            mom = SampleMoments.from_u_rows(sample_rows(synth_model_dep, n, draw_rows, 250)[..., :m])
             sides[1].append(np.hstack([mom.acc, mom.pair[:, ii, jj]]))
         (u_mean, u_se, u_var, u_var_se), (r_mean, r_se, r_var, r_var_se) = (
             _mean_and_variance(np.vstack(side)) for side in sides

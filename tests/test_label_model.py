@@ -377,6 +377,15 @@ class TestScoresMatchRowOracle:
         with pytest.raises(ContractError):
             cross_entropy(model, np.array(states))
 
+    @pytest.mark.parametrize("score", [cross_entropy, f1_score, classification_scores])
+    def test_rejects_empty_rows(self, score):
+        # no mean of an empty slice, and no F1 of 0.0 for rows that were never scored
+        model = LabelModel.from_accuracies([0.6, 0.6], 0.5)
+        empty = np.array([], dtype=np.int64)
+        for rows in (empty, LabeledStates.from_states(empty, 2)):
+            with pytest.raises(ContractError, match="at least one labeled row"):
+                score(model, rows)
+
     def test_posterior_table_is_built_once_per_model(self, monkeypatch):
         model = LabelModel.from_accuracies([0.6, 0.2, 0.4], 0.5)
         builds = []
