@@ -21,7 +21,9 @@ hashes, wall-clock seconds):
   with the options the config does not hold (the estimators dvr ran;
   combine's ``n_unlabeled``, ``n_labeled_grid`` and ``estimator``).  combine
   records only what it runs: the config's ``model``, ``trials`` and
-  ``seed``, and its own three options;
+  ``seed``, and its own three options.  fit and decompose record the
+  aggregation they ran as ``agg``: ``mean`` when unset, and null for
+  ``--method labeled``;
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
 - dvr adds ``dvr_cells``: per (estimator, n_unlabeled), the labeled sizes its
   search evaluated;
@@ -74,23 +76,30 @@ def _subcommand(ctx: click.Context) -> str:
     return "-".join(names)
 
 
+def _options(**resolved) -> dict:
+    """The running command's options as its manifest records them: all but
+    ``--seed``, with ``resolved`` in place of the ones the command resolved."""
+    ctx = click.get_current_context()
+    return {_option_key(p): ctx.params[p.name] for p in ctx.command.params if p.name != "seed"} | resolved
+
+
 def _recorded(fn):
     """Run a command body under its run record; a domain error exits 1.
 
     The body returns the paths it wrote, or ``(paths, config, seed)`` when
-    its recorded config is a resolved config object, optionally followed by
-    a dict of further manifest entries.
+    it records another config than its options as given (a resolved config
+    object, or ``_options`` with resolved values), optionally followed by a
+    dict of further manifest entries.
     """
 
     @functools.wraps(fn)
     def wrapper(**kwargs):
         started = time.monotonic()
         ctx = click.get_current_context()
-        params = ctx.command.params
-        config = {_option_key(p): kwargs[p.name] for p in params if p.name != "seed"}
+        config = _options()
         seed = kwargs.get("seed", DEFAULT_SEED)
         inputs = hash_files(
-            kwargs[p.name] for p in params
+            kwargs[p.name] for p in ctx.command.params
             if isinstance(p.type, click.Path) and p.type.exists
             and kwargs[p.name] is not None and Path(kwargs[p.name]).is_file()
         )
@@ -115,10 +124,7 @@ def _write_report(doc: dict, out: Path, fmt: str) -> None:
     if fmt == "json":
         write_json(out, doc)
     else:
-        lines = ["key,value"]
-        flat = _flatten(doc)
-        lines += [f"{k},{v}" for k, v in flat]
-        out.write_text("\n".join(lines) + "\n")
+        experiments.write_csv(out, ["key", "value"], _flatten(doc))
 
 
 def _flatten(doc, prefix=""):
@@ -159,21 +165,28 @@ def _parse_edges(text: str) -> list[tuple[int, int]]:
     return _parse_tokens(text, _parse_edge, "an i-j pair")
 
 
-def _fit(data, method, agg, balance, seed, known_edges=()):
-    """The ``--method`` estimate: labeled, accuracy triplets or class-conditional triplets.
+def _aggregation(method: str, agg: str | None) -> str | None:
+    """The triplet aggregation ``--method`` runs: ``--agg``, or ``mean`` when unset.
 
-    ``agg`` is None when unset, and then ``mean``; the labeled method reads
-    none, so a given ``--agg`` is refused for it rather than recorded unread.
+    The labeled method reads none, so it gets None, and a given ``--agg`` is
+    refused for it rather than recorded unread.
     """
+    if method != "labeled":
+        return agg or "mean"
+    if agg is not None:
+        raise ContractError("--agg applies to the unlabeled methods, not --method labeled")
+    return None
+
+
+def _fit(data, method, agg, balance, seed, known_edges=()):
+    """The ``--method`` estimate: labeled, accuracy triplets or class-conditional
+    triplets aggregated by ``agg``, as ``_aggregation`` resolves it."""
     if known_edges and method != "triplet":
         raise ContractError(f"known edges apply to --method triplet only, not '{method}'")
-    if agg is not None and method == "labeled":
-        raise ContractError("--agg applies to the unlabeled methods, not --method labeled")
     moments = SampleMoments.from_source_matrix(data)
     if method == "labeled":
         data.require_labels()
         return AccuracyEstimate(moments.acc, method="labeled")
-    agg = agg or "mean"
     if method == "triplet":
         return estimate_triplet_from_moments(moments.pair, agg, seed, known_edges)
     return estimate_quadratic_triplet_from_moments(moments, balance, agg, seed)
@@ -261,15 +274,15 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
         raise ContractError("--combine-with applies to accuracy estimates, not --method quadratic")
     if balance is not None and method != "quadratic":
         raise ContractError(f"--balance applies to --method quadratic, not '{method}'")
+    edges, agg = _parse_edges(known_edges), _aggregation(method, agg)
     data = load_source_matrix(data_path)
-    balance = 0.5 if balance is None else balance
-    est = _fit(data, method, agg, balance, seed, _parse_edges(known_edges))
+    est = _fit(data, method, agg, 0.5 if balance is None else balance, seed, edges)
     if combine_with is not None:
         labeled = SampleMoments.from_source_matrix(load_source_matrix(combine_with))
         est = combine_green_strawderman(est, labeled)
     est.to_json(out)
     click.echo(f"wrote {out}")
-    return [out]
+    return [out], _options(agg=agg), seed
 
 
 @main.command("infer")
@@ -284,6 +297,8 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
 @_recorded
 def infer_cmd(data_path, estimate_path, balance, mode, laplace, out):
     """Produce soft labels (row_id, p_y1, soft_label) for a source matrix."""
+    if laplace is not None and mode != "empirical":
+        raise ContractError(f"--laplace applies to --mode empirical, not '{mode}'")
     data = load_source_matrix(data_path)
     est = read_json(
         estimate_path,
@@ -298,9 +313,9 @@ def infer_cmd(data_path, estimate_path, balance, mode, laplace, out):
         )
     model = _build_label_model(est, 0.5 if balance is None else balance, mode, data, laplace)
     probs = posterior(model, data)
-    lines = ["row_id,p_y1,soft_label"]
-    lines += [f"{i},{p!r},{2 * p - 1!r}" for i, p in enumerate(map(float, probs))]
-    Path(out).write_text("\n".join(lines) + "\n")
+    experiments.write_csv(
+        out, ["row_id", "p_y1", "soft_label"], [[i, p, 2 * p - 1] for i, p in enumerate(map(float, probs))]
+    )
     click.echo(f"wrote {out}")
     return [out]
 
@@ -327,6 +342,9 @@ DEMO_ACCURACIES = "0.7,0.65,0.6,0.75"
 @_recorded
 def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, seed, out):
     """Exact four-term decomposition of a fitted model's expected loss."""
+    if demo and (model_path is not None or data_path is not None):
+        raise ContractError("--demo runs on a built-in model and sample; it reads no --model or --data")
+    agg = _aggregation(method, agg)
     if demo:
         model = calibrate(_parse_floats(DEMO_ACCURACIES), [(0, 1)], 0.08, balance)
         data = sample(model, 800, seed)
@@ -340,7 +358,7 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
     report = analysis.decompose(model, fitted)
     report.to_json(out)
     click.echo(f"wrote {out} (residual {report.residual:.3e})")
-    return [out]
+    return [out], _options(agg=agg), seed
 
 
 @main.command("bounds")

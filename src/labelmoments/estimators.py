@@ -98,8 +98,8 @@ class SampleMoments:
 
     ``from_state_counts``, ``from_u_counts``, ``from_rows`` and
     ``from_u_rows`` also make the moments of a batch of samples, with
-    leading axes on every field, and the covariance methods then return one
-    matrix per sample.
+    leading axes on every field, and ``shrinkage_covariance`` then returns
+    one matrix and one mask entry per sample.
     """
 
     n: int                         # an integer array for a batch of samples
@@ -174,26 +174,23 @@ class SampleMoments:
         moments = cls.from_rows(u)
         return cls(moments.n, None, moments.pair, moments.means)
 
-    def labeled_covariance(self) -> np.ndarray:
-        """Sample covariance (ddof=1) of the per-row vectors s * y."""
+    def shrinkage_covariance(self) -> tuple[np.ndarray, np.ndarray]:
+        """Covariance of the labeled accuracy estimate, as the shrinkage rule uses
+        it, and a mask of the samples it is defined for.
+
+        The sample covariance (ddof=1) of the per-row vectors s * y over the
+        row count, plus ``SHRINKAGE_RIDGE`` times its mean diagonal.  It is
+        defined where a sample has at least two rows and a nonzero trace, and
+        there the ridge makes it positive definite; elsewhere it is zero.
+        Moments without labels raise ``ContractError``.
+        """
         if self.acc is None:
             raise ContractError("labeled covariance requires labels")
-        if np.any(self.n < 2):
-            raise ContractError("labeled covariance requires at least two rows")
         n = np.asarray(self.n)[..., None, None]
-        return (self.pair - self.acc[..., :, None] * self.acc[..., None, :]) * (n / (n - 1))
-
-    def shrinkage_covariance(self) -> np.ndarray:
-        """Covariance of the labeled accuracy estimate, as the shrinkage rule uses it.
-
-        The labeled covariance over the row count, plus ``SHRINKAGE_RIDGE``
-        times its mean diagonal; a zero trace raises ``NumericalError``.
-        """
-        sigma = self.labeled_covariance() / np.asarray(self.n)[..., None, None]
+        ddof = np.divide(n, n - 1, out=np.zeros(n.shape), where=n > 1)  # 0 below two rows
+        sigma = (self.pair - self.acc[..., :, None] * self.acc[..., None, :]) * ddof / n
         scale = np.trace(sigma, axis1=-2, axis2=-1)[..., None, None] / self.m
-        if np.any(scale <= 0.0):
-            raise NumericalError("labeled covariance is identically zero")
-        return sigma + SHRINKAGE_RIDGE * scale * np.eye(self.m)
+        return sigma + SHRINKAGE_RIDGE * scale * np.eye(self.m), scale[..., 0, 0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +457,9 @@ def combine_green_strawderman(
     """Positive-part shrinkage of the labeled estimate toward the unlabeled one.
 
     The labeled estimate is ``moments.acc``, so the moments must carry labels
-    (``ContractError`` otherwise).  The labeled estimator's covariance is
-    ``SampleMoments.shrinkage_covariance``, so a zero covariance raises
-    ``NumericalError``.  The result equals the
+    and at least two rows (``ContractError`` otherwise).  The labeled
+    estimator's covariance is ``SampleMoments.shrinkage_covariance``, so a
+    zero covariance raises ``NumericalError``.  The result equals the
     linear combination at alpha = min(r / ||a_L - a_U||_{cov^-1}, 1),
     reported in the metadata.
     ``r`` defaults to m - 2, the midpoint of the admissible range
@@ -477,7 +474,11 @@ def combine_green_strawderman(
         r = float(m - 2)
     if not 0.0 <= r <= 2.0 * (m - 2):
         raise ContractError(f"r must lie in [0, {2 * (m - 2)}]")
-    sigma = moments.shrinkage_covariance()  # ContractError when the moments carry no labels
+    sigma, defined = moments.shrinkage_covariance()  # ContractError when the moments carry no labels
+    if not defined:
+        if moments.n < 2:
+            raise ContractError("labeled covariance requires at least two rows")
+        raise NumericalError("labeled covariance is identically zero")
     a_labeled = AccuracyEstimate(moments.acc, method="labeled")
     alpha = green_strawderman_alpha(a_labeled.values - a_unlabeled.values, sigma, r)
     out = combine_linear(a_unlabeled, a_labeled, alpha)

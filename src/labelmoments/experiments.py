@@ -80,7 +80,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import accuracy_excess, accuracy_kl
-from .errors import ContractError, EstimationError, NumericalError
+from .errors import ContractError, EstimationError
 from .estimators import (
     SampleMoments,
     aggregate_census,
@@ -650,27 +650,6 @@ class CombinedSweepRow:
     gs_fallbacks: int  # trials where the shrinkage rule fell back to alpha 1
 
 
-def _shrinkage_alphas(labeled: SampleMoments, a_u: np.ndarray, r: float) -> np.ndarray:
-    """The shrinkage rule's unlabeled weight per trial of a labeled batch;
-    NaN where the labeled covariance is zero or undefined.
-
-    One batched covariance and solve; when either fails for some trial, the
-    batch is taken again trial by trial.
-    """
-    try:
-        return green_strawderman_alpha(labeled.acc - a_u, labeled.shrinkage_covariance(), r)
-    except (NumericalError, ContractError):
-        pass
-    alphas = np.full(len(a_u), np.nan)
-    for b in range(len(a_u)):
-        one = SampleMoments(int(labeled.n[b]), None, labeled.pair[b], labeled.acc[b])
-        try:
-            alphas[b] = green_strawderman_alpha(one.acc - a_u[b], one.shrinkage_covariance(), r)
-        except (NumericalError, ContractError):
-            pass
-    return alphas
-
-
 def combined_sweep(
     engine: TrialEngine,
     n_unlabeled: int,
@@ -684,9 +663,12 @@ def combined_sweep(
     Per labeled size: the grid-optimal weight is the alpha (unlabeled weight,
     scanned in steps of ``ALPHA_STEP``) minimizing the trial-averaged excess;
     the shrinkage rule picks its own per-trial weight, at r = m - 2, from the
-    labeled covariance, and falls back to alpha 1 when that covariance is
-    zero or undefined, counted in ``gs_fallbacks``.  Alpha 0 is labeled-only
-    and alpha 1 unlabeled-only, so those columns come from the same sweep.
+    labeled covariance.  One ``green_strawderman_alpha`` call per labeled
+    block weighs the trials whose covariance is defined
+    (``SampleMoments.shrinkage_covariance``'s mask); every other trial, its
+    covariance zero or undefined, falls back to alpha 1, counted in
+    ``gs_fallbacks``.  Alpha 0 is labeled-only and alpha 1 unlabeled-only,
+    so those columns come from the same sweep.
 
     Trial t pairs the t-th fit of the triplet estimator ``estimator`` on the
     unlabeled cell at n_unlabeled (the samples of the curves,
@@ -715,17 +697,20 @@ def combined_sweep(
     step = _trials_per_block(5 * 8 * alphas.size * m, k)
     rows = []
     for n_l in n_labeled_grid:
-        fits_l, gs_alpha = [], []
+        fits_l, gs_alpha, fell_back = [], [], []
         start = 0
         for mom_l in engine.blocks("excess:labeled", n_l, trials, seed):
             block = slice(start, start + len(mom_l.acc))
             ok, start = ok_u[block], block.stop
             labeled = SampleMoments(mom_l.n[ok], None, mom_l.pair[ok], mom_l.acc[ok])
+            sigma, defined = labeled.shrinkage_covariance()
+            alpha = np.ones(len(labeled.acc))
+            diff = labeled.acc - fits_u[block][ok]
+            alpha[defined] = green_strawderman_alpha(diff[defined], sigma[defined], r)
             fits_l.append(labeled.acc)
-            gs_alpha.append(_shrinkage_alphas(labeled, fits_u[block][ok], r))
-        a_l, gs_alpha = np.concatenate(fits_l), np.concatenate(gs_alpha)
-        fell_back = np.isnan(gs_alpha)
-        gs_alpha[fell_back] = 1.0
+            gs_alpha.append(alpha)
+            fell_back.append(~defined)
+        a_l, gs_alpha, fell_back = (np.concatenate(x) for x in (fits_l, gs_alpha, fell_back))
         gs_excess = engine.excess(gs_alpha[:, None] * a_u + (1 - gs_alpha)[:, None] * a_l)
         per_alpha = np.concatenate([
             engine.excess(alphas[:, None] * a_u[c : c + step, None, :]

@@ -15,9 +15,12 @@ It works on joint states, as the synthetic trial engine does: a training
 subset is the ``bincount`` of the indices it draws, and the fits read those
 counts a cell (a model and a training size) at a time, as one batch: one
 ``SampleMoments.from_state_counts`` call, or one product for the
-class-conditional frequencies.  The test split is decoded once
-(``label_model.LabeledStates``), and each model is scored from its
-posteriors at the source configurations the split holds.
+class-conditional frequencies.  A labeled budget's shrinkage weights come
+from one ``green_strawderman_alpha`` call over its trials whose labeled
+covariance is defined; the other trials take weight 1, with no exception
+caught.  The test split is decoded once (``label_model.LabeledStates``),
+and each model is scored from its posteriors at the source configurations
+the split holds.
 
 The states are built while the corpus file is read (``CorpusVotes``): the
 reader hands over ids, texts and labels a checked batch of lines at a time,
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SourceMatrix
-from .errors import ContractError, NumericalError
+from .errors import ContractError
 from .estimators import (
     ClassConditionalEstimate,
     SampleMoments,
@@ -463,57 +466,26 @@ class CaseStudyConfig:
         }
 
 
-def _labeled_conditionals(counts: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical Pr(vote = 1 | Y = +1) and Pr(vote = 1 | Y = -1) per source from
-    joint-state counts (..., 2^(m+1)); leading axes are a batch.
+def estimate_labeled_class_conditional(
+    counts: np.ndarray, m: int, class_balance: float
+) -> list[ClassConditionalEstimate]:
+    """Empirical Pr(vote = 1 | label) per source, one estimate per row of a
+    batch of labeled samples' joint-state counts (batch, 2^(m+1)).
 
     A class with no rows gets conditionals of 0.5.  The vote counts are sums
     of integer counts, so they are exact in any order, and one product over
     a batch equals a product per sample.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    by_class = counts.reshape(*counts.shape[:-1], 2, 1 << m)
+    by_class = np.asarray(counts, dtype=np.float64).reshape(len(counts), 2, 1 << m)
     votes = by_class @ config_bits(m)  # +1 votes per class and source; Y = -1, then Y = +1
     rows = by_class.sum(axis=-1)[..., None]
     cond = np.divide(votes, rows, out=np.full(votes.shape, 0.5), where=rows > 0)
-    return cond[..., 1, :], cond[..., 0, :]
-
-
-def estimate_labeled_class_conditional(
-    counts: np.ndarray, m: int, class_balance: float
-) -> ClassConditionalEstimate:
-    """Empirical Pr(vote = 1 | label) per source from a labeled sample's joint-state counts.
-
-    A class with no rows gets conditionals of 0.5.
-    """
-    return ClassConditionalEstimate.from_conditionals(
-        *_labeled_conditionals(counts, m), class_balance, {"method": "labeled-class-conditional"}
-    )
-
-
-def _combine_class_conditional(
-    unlabeled: ClassConditionalEstimate,
-    labeled: ClassConditionalEstimate,
-    labeled_moments: SampleMoments,
-    r: float,
-) -> tuple[ClassConditionalEstimate, float]:
-    """Shrink the labeled conditionals toward the unlabeled ones.
-
-    The weight comes from the accuracy-vector shrinkage rule (the labeled
-    accuracy estimator's covariance is observable), and falls back to 1 when
-    that covariance is zero or undefined, flagged as ``fallback`` in the
-    metadata; the same weight then blends both conditional columns, which
-    preserves column-stochasticity.
-    """
-    diff = labeled.implied_accuracies() - unlabeled.implied_accuracies()
-    try:
-        alpha = green_strawderman_alpha(diff, labeled_moments.shrinkage_covariance(), r)
-        fallback = False
-    except (NumericalError, ContractError):
-        alpha, fallback = 1.0, True
-    mu = alpha * unlabeled.mu + (1.0 - alpha) * labeled.mu
-    meta = {"method": "combined", "alpha": alpha, "fallback": fallback}
-    return ClassConditionalEstimate(mu, labeled.class_balance, meta), alpha
+    return [
+        ClassConditionalEstimate.from_conditionals(
+            cond_pos, cond_neg, class_balance, {"method": "labeled-class-conditional"}
+        )
+        for cond_neg, cond_pos in cond
+    ]
 
 
 def _mean_sd(xs) -> tuple[float, float]:
@@ -551,15 +523,18 @@ def run_case_study(
     is fitted and scored once and its one result stands for each of its
     trials.  A cell is fitted as one batch: its moments come from one
     ``SampleMoments.from_state_counts`` call and its labeled conditionals
-    from one product, exact sums of integer counts that equal a call per
-    trial bit for bit; each trial still has its own quadratic solve,
-    shrinkage weight and score.  The test split is decoded once into
-    ``LabeledStates``, and each model's posteriors are computed once, at the
-    configurations the split holds.  Combined trial t pairs the t-th
+    from one product (``estimate_labeled_class_conditional``), exact sums of
+    integer counts that equal a call per trial bit for bit; each trial still
+    has its own quadratic solve and score.  The test split is decoded once
+    into ``LabeledStates``, and each model's posteriors are computed once, at
+    the configurations the split holds.  Combined trial t pairs the t-th
     corrected-median fit at ``n_unlabeled``, fitted once for the whole
     labeled grid, with the t-th labeled subset at the labeled size, drawn as
-    the ``labeled`` cell of that size draws it; a combined row's
-    ``gs_fallbacks`` counts its trials whose shrinkage weight fell back to 1.
+    the ``labeled`` cell of that size draws it.  One
+    ``green_strawderman_alpha`` call per labeled size weighs the trials whose
+    labeled covariance is defined (``SampleMoments.shrinkage_covariance``'s
+    mask); every other trial takes weight 1, and a combined row's
+    ``gs_fallbacks`` counts those trials.
     """
     config = config if config is not None else CaseStudyConfig()
     if not train_states.size or not test_states.size:
@@ -594,14 +569,6 @@ def run_case_study(
             moments.n, moments.means, moments.pair, moments.acc
         )]
 
-    def labeled(counts: np.ndarray) -> list[ClassConditionalEstimate]:
-        return [
-            ClassConditionalEstimate.from_conditionals(
-                cond_pos, cond_neg, p, {"method": "labeled-class-conditional"}
-            )
-            for cond_pos, cond_neg in zip(*_labeled_conditionals(counts, m))
-        ]
-
     def quadratic(counts: np.ndarray, aggregation: str) -> list[ClassConditionalEstimate]:
         # unlabeled: the solver reads only the source moments, not the labels in the counts
         return [
@@ -610,7 +577,7 @@ def run_case_study(
         ]
 
     fitters = {
-        "labeled": labeled,
+        "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
         "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
         "corrected-median": lambda counts: quadratic(counts, "median"),
     }
@@ -626,14 +593,19 @@ def run_case_study(
     unlabeled = per_trial(quadratic(cell_counts("corrected-median", config.n_unlabeled), "median"))
     for n_l in config.n_labeled_grid:
         stats = {"combined": ([], []), "labeled-small": ([], [])}
-        alphas, fallbacks = [], 0
         counts = cell_counts("labeled", n_l)
-        for corrected, lab, moments in zip(
-            unlabeled, per_trial(labeled(counts)), per_trial(each(SampleMoments.from_state_counts(counts, m)))
-        ):
-            combined, alpha = _combine_class_conditional(corrected, lab, moments, r)
-            alphas.append(alpha)
-            fallbacks += combined.metadata["fallback"]
+        labs = per_trial(estimate_labeled_class_conditional(counts, m, p))
+        sigma, defined = (
+            np.repeat(x, trials // len(counts), axis=0)
+            for x in SampleMoments.from_state_counts(counts, m).shrinkage_covariance()
+        )
+        diff = np.array([lab.implied_accuracies() - cc.implied_accuracies() for cc, lab in zip(unlabeled, labs)])
+        alphas = np.ones(trials)
+        alphas[defined] = green_strawderman_alpha(diff[defined], sigma[defined], r)
+        for alpha, corrected, lab in zip(alphas, unlabeled, labs):
+            # one weight blends both conditional columns, which keeps them column-stochastic
+            mu = alpha * corrected.mu + (1.0 - alpha) * lab.mu
+            combined = ClassConditionalEstimate(mu, p, {"method": "combined"})
             for key, est in (("combined", combined), ("labeled-small", lab)):
                 loss, f1 = score(est)
                 stats[key][0].append(loss)
@@ -641,7 +613,7 @@ def run_case_study(
         rows.append(_metric_row("labeled-small", "", int(n_l), *stats["labeled-small"]))
         rows.append(_metric_row(
             "combined", int(config.n_unlabeled), int(n_l), *stats["combined"],
-            _mean_sd(alphas)[0], fallbacks,
+            _mean_sd(alphas)[0], int(np.count_nonzero(~defined)),
         ))
     return rows
 

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from labelmoments import ContractError, SourceMatrix, calibrate, diagnostics
+from labelmoments import ContractError, NumericalError, SourceMatrix, calibrate, diagnostics
 from labelmoments.analysis import expected_loss_by_enumeration
+from labelmoments.estimators import SHRINKAGE_RIDGE
 from labelmoments.ising import conditional_entropy
 from labelmoments.label_model import ACCURACY_CLAMP
 from labelmoments.ws import Corpus, Document, _read_split, default_roster
@@ -175,6 +176,21 @@ def labeled_excess_by_monte_carlo(engine, n, trials, seed):
     kl = tp * np.log(tp / ((1.0 + est) / 2.0)) + tq * np.log(tq / ((1.0 - est) / 2.0))
     series = engine.diag.inference_bias + kl.sum(axis=1)
     return float(series.mean()), float(series.std(ddof=1) / np.sqrt(trials))
+
+
+def raising_shrinkage_covariance(n, pair, acc):
+    """The shrinkage rule's covariance of one labeled sample (n rows, pair
+    moments of u = s * y, labeled accuracies), written out here: the sample
+    covariance (ddof=1) of the rows over n, plus the ridge times its mean
+    diagonal.  Below two rows it raises ``ContractError`` and at a zero
+    trace ``NumericalError``, the errors the per-trial loops catch."""
+    if n < 2:
+        raise ContractError("labeled covariance requires at least two rows")
+    sigma = (pair - np.outer(acc, acc)) * (n / (n - 1)) / n
+    scale = np.trace(sigma) / len(acc)
+    if scale <= 0.0:
+        raise NumericalError("labeled covariance is identically zero")
+    return sigma + SHRINKAGE_RIDGE * scale * np.eye(len(acc))
 
 
 # ---------------------------------------------------------------------------

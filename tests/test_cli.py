@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -905,6 +906,74 @@ def test_fit_defaults_are_the_options_it_reads(tmp_path, model_and_data):
         assert unset.read_text() == given.read_text()
     _ok("fit", "--data", data, "--method", "quadratic", "--balance", "0.45", "-o", tmp_path / "q.json")
     assert (tmp_path / "q.json").read_text() != (tmp_path / "quadratic-unset.json").read_text()
+
+
+def test_manifests_record_the_aggregation_the_fit_ran(tmp_path, model_and_data):
+    # unset, --agg is recorded as the mean the fit ran, and null only for --method labeled
+    model, data = model_and_data
+    for method, key in (("triplet", "aggregation"), ("quadratic", None), ("labeled", "aggregation")):
+        out = tmp_path / f"{method}.json"
+        _ok("fit", "--data", data, "--method", method, "-o", out)
+        doc = json.loads(out.read_text())
+        ran = doc[key] if key else doc["metadata"]["aggregation"]
+        assert ran == (None if method == "labeled" else "mean")
+        assert json.loads((tmp_path / f"{method}.json.manifest.json").read_text())["config"]["agg"] == ran
+    _ok("fit", "--data", data, "--agg", "median", "-o", tmp_path / "median.json")
+    assert json.loads((tmp_path / "median.json.manifest.json").read_text())["config"]["agg"] == "median"
+    _ok("decompose", "--demo", "-o", tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json.manifest.json").read_text())["config"]["agg"] == "mean"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("infer", "--laplace applies to --mode empirical, not 'normalized'"),
+    ("decompose-model", "--demo runs on a built-in model and sample; it reads no --model or --data"),
+    ("decompose-data", "--demo runs on a built-in model and sample; it reads no --model or --data"),
+], ids=["infer-laplace", "decompose-demo-model", "decompose-demo-data"])
+def test_options_that_nothing_reads_are_refused_before_any_work(
+    tmp_path, model_and_data, monkeypatch, command, message
+):
+    model, data = model_and_data
+    est, out = tmp_path / "est.json", tmp_path / "out"
+    _ok("fit", "--data", data, "-o", est)
+    # read in empirical mode, the pseudocount changes the soft labels
+    _ok("infer", "--data", data, "--estimate", est, "--mode", "empirical", "-o", tmp_path / "one.csv")
+    _ok("infer", "--data", data, "--estimate", est, "--mode", "empirical", "--laplace", "5",
+        "-o", tmp_path / "five.csv")
+    assert (tmp_path / "one.csv").read_text() != (tmp_path / "five.csv").read_text()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command did its work")
+
+    for name in ("load_source_matrix", "calibrate", "posterior"):
+        monkeypatch.setattr(cli, name, no_work)
+    args = {
+        "infer": ["infer", "--data", data, "--estimate", est, "--laplace", "5"],
+        "decompose-model": ["decompose", "--demo", "--model", model],
+        "decompose-data": ["decompose", "--demo", "--data", data],
+    }[command]
+    result = CliRunner().invoke(main, [str(a) for a in args] + ["-o", str(out)])
+    assert result.exit_code == 1
+    assert f"error (ContractError): {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
+# SHA-256 of infer's soft labels (400 rows) and of a bounds CSV report with a
+# Monte-Carlo rho, as the commands wrote them when each built its CSV lines by
+# hand: ``experiments.write_csv`` writes the same bytes
+CSV_REPORT_SHA256 = {
+    "soft.csv": "eff5265537936dd12deb76c4515a78d36e27cc8656a3372c6e8936237751c314",
+    "bounds.csv": "0655b8d32e6a13720cb9ef53477854c4b09ee422d2799fbd450e854b1d029790",
+}
+
+
+def test_csv_reports_match_recorded_hashes(tmp_path, model_and_data):
+    model, data = model_and_data
+    _ok("fit", "--data", data, "-o", tmp_path / "est.json")
+    _ok("infer", "--data", data, "--estimate", tmp_path / "est.json", "-o", tmp_path / "soft.csv")
+    _ok("bounds", "--model", model, "--n-labeled", "200", "--n-unlabeled", "2000", "--rho-trials", "40",
+        "--format", "csv", "-o", tmp_path / "bounds.csv")
+    assert {name: file_sha256(tmp_path / name) for name in CSV_REPORT_SHA256} == CSV_REPORT_SHA256
 
 
 def test_bounds_json_and_csv(tmp_path, model_and_data):

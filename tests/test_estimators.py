@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from labelmoments.estimators import (
 from labelmoments.ising import sample_rows, sample_state_counts
 from labelmoments.states import config_index
 
-from conftest import SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint, state_counts
+from conftest import (
+    SYNTH_ACCURACIES, SYNTH_EDGES, brute_accuracies, brute_joint, raising_shrinkage_covariance, state_counts,
+)
 
 
 def _labeled(data: SourceMatrix) -> np.ndarray:
@@ -56,8 +59,8 @@ class TestLabeled:
     def test_missing_labels(self):
         unlabeled = SampleMoments.from_source_matrix(SourceMatrix(np.array([[1, -1]])))
         assert unlabeled.acc is None
-        with pytest.raises(ContractError):
-            unlabeled.labeled_covariance()
+        with pytest.raises(ContractError, match="requires labels"):
+            unlabeled.shrinkage_covariance()
         with pytest.raises(ContractError, match="at least one row"):
             SampleMoments.from_source_matrix(SourceMatrix(np.zeros((0, 3))))
 
@@ -93,9 +96,8 @@ class TestCountMomentsMatchRows:
             assert moments.n == rows.n
             for name in ("means", "pair", "acc"):
                 np.testing.assert_array_equal(getattr(moments, name), getattr(rows, name))
-            np.testing.assert_array_equal(
-                moments.shrinkage_covariance(), rows.shrinkage_covariance()
-            )
+            for got, want in zip(moments.shrinkage_covariance(), rows.shrinkage_covariance()):
+                np.testing.assert_array_equal(got, want)
 
     def test_batched_rows_bit_for_bit(self, synth_model_dep):
         # the sampler's rows are u = s * y and the label; s is u times the label
@@ -471,12 +473,13 @@ class TestGreenStrawderman:
             diff = mom.acc - rng.uniform(-1, 1, (b, m))
             diff[0] *= rng.integers(0, 2)  # a zero difference takes weight 1
             r = float(rng.uniform(0, 2 * (m - 2)))
-            sigma = mom.shrinkage_covariance()
+            sigma, defined = mom.shrinkage_covariance()
+            assert defined.all()
             alphas = green_strawderman_alpha(diff, sigma, r)
             assert alphas.shape == (b,)
             for k in range(b):
                 one = SampleMoments(n, mom.means[k], mom.pair[k], mom.acc[k])
-                np.testing.assert_array_equal(sigma[k], one.shrinkage_covariance())
+                np.testing.assert_array_equal(sigma[k], one.shrinkage_covariance()[0])
                 assert alphas[k] == green_strawderman_alpha(diff[k], sigma[k], r)
                 assert alphas[k] == lone_pair(diff[k], sigma[k], r)
 
@@ -503,11 +506,20 @@ class TestGreenStrawderman:
         assert 0.0 <= out.metadata["alpha"] <= 1.0
         assert out.metadata["r"] == pytest.approx(8.0)
 
-    def test_zero_covariance_raises(self):
-        data = SourceMatrix(np.ones((10, 3), dtype=np.int8), np.ones(10, dtype=np.int8))
+    def test_undefined_covariance_raises(self):
+        # no labels or one row: ContractError; a zero covariance: NumericalError
         a_u = AccuracyEstimate(np.array([0.5, 0.5, 0.5]), "triplet")
-        with pytest.raises(NumericalError):
-            combine_green_strawderman(a_u, SampleMoments.from_source_matrix(data))
+        rows = np.array([[1, -1, 1], [1, 1, -1]], dtype=np.int8)
+        cases = [
+            (SourceMatrix(rows), ContractError, "labeled covariance requires labels"),
+            (SourceMatrix(rows[:1], np.ones(1, dtype=np.int8)), ContractError,
+             "labeled covariance requires at least two rows"),
+            (SourceMatrix(np.ones((10, 3), dtype=np.int8), np.ones(10, dtype=np.int8)), NumericalError,
+             "labeled covariance is identically zero"),
+        ]
+        for data, error, message in cases:
+            with pytest.raises(error, match=f"^{message}$"):
+                combine_green_strawderman(a_u, SampleMoments.from_source_matrix(data))
 
     def test_r_range_validation(self, synth_model_dep):
         mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 100, 2))
@@ -517,7 +529,9 @@ class TestGreenStrawderman:
 
 
 class TestShrinkageCovariance:
-    """One labeled covariance for the three shrinkage callers, and one zero-covariance policy."""
+    """One labeled covariance for the three shrinkage callers, and one fallback
+    rule: a sample's covariance is defined at two rows or more and a nonzero
+    trace, and every other sample takes alpha 1."""
 
     @staticmethod
     def _capture(monkeypatch, module, seen):
@@ -530,55 +544,108 @@ class TestShrinkageCovariance:
         monkeypatch.setattr(module, "green_strawderman_alpha", spy)
 
     @staticmethod
-    def _fixed_draws(monkeypatch, counts):
-        # every trial of every cell draws the sample ``counts``
+    def _fixed_labeled_draws(monkeypatch, counts):
+        # the labeled cell's trials draw the samples ``counts`` (trials, 2^(m+1)) in one block
+        original = experiments.TrialEngine.blocks
+
         def blocks(engine, label, n, trials, seed):
-            yield SampleMoments.from_state_counts(np.tile(counts, (trials, 1)), engine.m)
+            if label != "excess:labeled":
+                yield from original(engine, label, n, trials, seed)
+                return
+            assert len(counts) == trials
+            yield SampleMoments.from_state_counts(counts, engine.m)
 
         monkeypatch.setattr(experiments.TrialEngine, "blocks", blocks)
 
     def test_definition(self, synth_model_dep):
-        mom = SampleMoments.from_source_matrix(sample(synth_model_dep, 300, 6))
-        cov = mom.labeled_covariance() / mom.n
+        data = sample(synth_model_dep, 300, 6)
+        mom = SampleMoments.from_source_matrix(data)
+        sigma, defined = mom.shrinkage_covariance()
+        cov = (mom.pair - np.outer(mom.acc, mom.acc)) * (300 / 299) / 300
         expected = cov + SHRINKAGE_RIDGE * (np.trace(cov) / mom.m) * np.eye(mom.m)
-        np.testing.assert_array_equal(mom.shrinkage_covariance(), expected)
+        assert defined
+        np.testing.assert_array_equal(sigma, expected)
+        # the sample covariance of the rows u = s * y, over the row count
+        u = data.values * data.labels[:, None].astype(np.float64)
+        np.testing.assert_allclose(sigma, np.cov(u, rowvar=False) / 300, rtol=1e-6, atol=1e-12)
+
+    def test_batch_equals_each_sample_alone(self, synth_model_dep):
+        # a batch of ordinary samples, samples whose rows all agree with the
+        # label, samples of one identical row repeated and samples of one row
+        rng = np.random.default_rng(12)
+        m = synth_model_dep.m
+        rows = []
+        for n in (40, 7, 2):
+            rows += list(sample_state_counts(synth_model_dep, n, rng, 3))
+            for state in ((2 << m) - 1, 0, int(rng.integers(0, 2 << m))):
+                rows.append(np.bincount([state], minlength=2 << m) * n)
+        rows.append(np.bincount([5], minlength=2 << m))
+        counts = np.stack(rows).astype(np.float64)
+        sigma, defined = SampleMoments.from_state_counts(counts, m).shrinkage_covariance()
+        assert defined.tolist() == [True, True, True, False, False, False] * 3 + [False]
+        for b, one in enumerate(counts):
+            one_sigma, one_defined = SampleMoments.from_state_counts(one, m).shrinkage_covariance()
+            np.testing.assert_array_equal(sigma[b], one_sigma)
+            assert defined[b] == one_defined
+        assert not sigma[~defined].any()
 
     def test_three_callers_share_one_covariance(self, monkeypatch, synth_model_dep):
         counts = sample_state_counts(synth_model_dep, 200, 9)
         mom = SampleMoments.from_state_counts(counts, 10)
+        # the case study reads the twelve sources of the keyword roster
+        states = sample(calibrate([0.7, 0.65, 0.6] * 4, [], 0.0), 3000, 3).state_index()
+        mom12 = SampleMoments.from_state_counts(np.bincount(states, minlength=1 << 13), 12)
         seen = {}
         for module in (estimators, experiments, ws):
             seen[module.__name__] = []
             self._capture(monkeypatch, module, seen[module.__name__])
-        self._fixed_draws(monkeypatch, counts)
+        self._fixed_labeled_draws(monkeypatch, counts[None])
 
         a_u = estimate_triplet_from_moments(mom.pair, "mean")
         combine_green_strawderman(a_u, mom)
         experiments.combined_sweep(experiments.TrialEngine(synth_model_dep), 200, [200], trials=1)
-        cc = estimate_quadratic_triplet_from_moments(mom, 0.5, "mean")
-        lab = ws.estimate_labeled_class_conditional(counts, 10, 0.5)
-        ws._combine_class_conditional(cc, lab, mom, 8.0)
+        n = len(states)  # every cell covers the split: one fit of the whole split
+        ws.run_case_study(states, states, ws.CaseStudyConfig((n,), n, (n,), trials=1))
 
         assert [len(sigmas) for sigmas in seen.values()] == [1, 1, 1]
-        for (sigma,) in seen.values():  # the sweep's is a block of its one trial
-            np.testing.assert_array_equal(np.reshape(sigma, (10, 10)), mom.shrinkage_covariance())
+        for (sigma,), moments in zip(seen.values(), (mom, mom, mom12)):
+            # the sweep's and the case study's are a batch of their one trial
+            shape = (moments.m, moments.m)
+            np.testing.assert_array_equal(np.reshape(sigma, shape), moments.shrinkage_covariance()[0])
 
-    def test_both_loops_fall_back_to_alpha_one(self, monkeypatch, synth_model_dep):
-        # every draw is the all-agree state: zero labeled covariance
-        counts = np.zeros(synth_model_dep.joint.size)
-        counts[-1] = 50.0
-        self._fixed_draws(monkeypatch, counts)
-        (row,) = experiments.combined_sweep(experiments.TrialEngine(synth_model_dep), 50, [50], trials=3)
-        assert row.gs_alpha_mean == 1.0 and row.failures == 0
+    def test_sweep_weighs_a_mixed_block_and_falls_back_on_the_rest(self, monkeypatch, synth_model_dep):
+        # one labeled block: ordinary samples between samples whose every row
+        # agrees with its label (a zero covariance), which fall back to alpha 1
+        m, trials, n_u = synth_model_dep.m, 6, 300
+        agree = np.bincount([(2 << m) - 1], minlength=2 << m) * 30.0
+        ordinary = sample_state_counts(synth_model_dep, 30, 5, 3).astype(np.float64)
+        counts = np.stack([ordinary[0], agree, ordinary[1], agree, agree, ordinary[2]])
+        self._fixed_labeled_draws(monkeypatch, counts)
+        seen = []
+        self._capture(monkeypatch, experiments, seen)
+        engine = experiments.TrialEngine(synth_model_dep)
+        (row,) = experiments.combined_sweep(engine, n_u, [30], trials=trials, seed=2)
 
-        unl = SampleMoments.from_source_matrix(sample(synth_model_dep, 500, 1))
-        cc = estimate_quadratic_triplet_from_moments(unl, 0.5)
-        lab_counts = state_counts(sample(synth_model_dep, 50, 2))
-        lab = ws.estimate_labeled_class_conditional(lab_counts, 10, 0.5)
-        zero = SampleMoments.from_state_counts(counts, 10)
-        combined, alpha = ws._combine_class_conditional(cc, lab, zero, 8.0)
-        assert alpha == 1.0
-        np.testing.assert_array_equal(combined.mu, cc.mu)
+        fits_u, ok_u = engine.estimates("triplet-mean", n_u, trials, 2)
+        assert ok_u.all() and row.failures == 0
+        labeled = SampleMoments.from_state_counts(counts, m)
+        expected = np.ones(trials)
+        for t in (0, 2, 5):
+            sigma = raising_shrinkage_covariance(30, labeled.pair[t], labeled.acc[t])
+            expected[t] = green_strawderman_alpha(labeled.acc[t] - fits_u[t], sigma, m - 2.0)
+        assert len(seen) == 1 and len(seen[0]) == 3  # one call, on the defined samples only
+        assert row.gs_fallbacks == 3
+        assert row.gs_alpha_mean == expected.mean()
+        gs_excess = engine.excess(expected[:, None] * fits_u + (1 - expected)[:, None] * labeled.acc)
+        assert row.excess_gs == gs_excess.mean()
+
+    def test_one_labeled_row_falls_back_on_every_trial_without_warning(self, synth_model_dep):
+        engine = experiments.TrialEngine(synth_model_dep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = experiments.combined_sweep(engine, 300, [1], trials=5, seed=3)
+        assert (row.gs_fallbacks, row.gs_alpha_mean) == (row.trials, 1.0)
+        assert row.excess_gs == row.excess_unlabeled
 
 
 def _class_conditional_moments(cond_pos, cond_neg, p):

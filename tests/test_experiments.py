@@ -44,6 +44,7 @@ from conftest import (
     exact_generalization_error,
     labeled_excess_by_full_sum,
     labeled_excess_by_monte_carlo,
+    raising_shrinkage_covariance,
     sign_rows,
     state_counts,
 )
@@ -674,7 +675,8 @@ def _per_trial_combined(engine, n_u, n_labeled_grid, estimator, trials, seed):
             a_l = mom_l.acc
             per_alpha.append(engine.excess(alphas[:, None] * a_u + (1 - alphas)[:, None] * a_l))
             try:
-                alpha = green_strawderman_alpha(a_l - a_u, mom_l.shrinkage_covariance(), m - 2.0)
+                sigma = raising_shrinkage_covariance(int(mom_l.n), mom_l.pair, a_l)
+                alpha = green_strawderman_alpha(a_l - a_u, sigma, m - 2.0)
             except (NumericalError, ContractError):
                 alpha, fallbacks = 1.0, fallbacks + 1
             gs_alpha.append(alpha)

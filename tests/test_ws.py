@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelmoments import ContractError, SourceMatrix, ws
-from labelmoments.estimators import SampleMoments, estimate_quadratic_triplet_from_moments
+from labelmoments import ContractError, NumericalError, SourceMatrix, ws
+from labelmoments.estimators import (
+    ClassConditionalEstimate,
+    SampleMoments,
+    estimate_quadratic_triplet_from_moments,
+    green_strawderman_alpha,
+)
 from labelmoments.experiments import trial_rng
 from labelmoments.label_model import LOSS_FLOOR, LabelModel
 from labelmoments.ws import (
@@ -27,7 +33,9 @@ from labelmoments.ws import (
     write_metrics_csv,
 )
 
-from conftest import oracle_from_jsonl, state_counts, synthetic_keyword_corpus, tokenize
+from conftest import (
+    oracle_from_jsonl, raising_shrinkage_covariance, state_counts, synthetic_keyword_corpus, tokenize,
+)
 
 
 class TestRoster:
@@ -505,9 +513,22 @@ class TestLabeledClassConditional:
         values = np.array([[1, -1], [1, 1], [-1, 1], [1, -1]], dtype=np.int8)
         labels = np.array([1, 1, -1, -1], dtype=np.int8)
         counts = state_counts(SourceMatrix(values, labels))
-        est = estimate_labeled_class_conditional(counts, 2, 0.5)
+        (est,) = estimate_labeled_class_conditional(counts[None], 2, 0.5)
         np.testing.assert_allclose(est.cond_pos, [1.0, 0.5])
         np.testing.assert_allclose(est.cond_neg, [0.5, 0.5])
+
+    def test_batch_equals_each_sample_alone(self):
+        # the third sample has no Y = +1 row, the fourth no row at all
+        counts = np.random.default_rng(8).integers(0, 3, (4, 1 << 13))
+        counts[2, 1 << 12 :] = 0
+        counts[3] = 0
+        batch = estimate_labeled_class_conditional(counts, 12, 0.4)
+        assert len(batch) == 4
+        for b, est in enumerate(batch):
+            (one,) = estimate_labeled_class_conditional(counts[b : b + 1], 12, 0.4)
+            np.testing.assert_array_equal(est.mu, one.mu)
+            assert (est.class_balance, est.metadata) == (0.4, {"method": "labeled-class-conditional"})
+        assert (batch[2].cond_pos == 0.5).all() and (batch[3].mu == 0.5).all()
 
     @pytest.mark.parametrize("n, p", [(1, 0.5), (40, 0.5), (400, 0.9), (40_000, 0.5)])
     def test_counts_equal_row_frequencies(self, n, p):
@@ -521,7 +542,7 @@ class TestLabeledClassConditional:
             for rows in (pos_rows, ~pos_rows)
         ]
         counts = np.bincount(data.state_index(), minlength=1 << 13)
-        est = estimate_labeled_class_conditional(counts, 12, 0.5)
+        (est,) = estimate_labeled_class_conditional(counts[None], 12, 0.5)
         np.testing.assert_array_equal(est.cond_pos, expected[0])
         np.testing.assert_array_equal(est.cond_neg, expected[1])
 
@@ -557,7 +578,7 @@ def _per_trial_case_study(train_states, test_states, config):
         return estimate_quadratic_triplet_from_moments(SampleMoments.from_state_counts(counts, m), p, aggregation)
 
     fitters = {
-        "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
+        "labeled": lambda counts: estimate_labeled_class_conditional(counts[None], m, p)[0],
         "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
         "corrected-median": lambda counts: quadratic(counts, "median"),
     }
@@ -576,12 +597,16 @@ def _per_trial_case_study(train_states, test_states, config):
         rng = trial_rng(config.seed, "case:labeled", n_l)
         for corrected in unlabeled:
             lab_counts = subsample(rng, n_l)
-            lab = estimate_labeled_class_conditional(lab_counts, m, p)
-            combined, alpha = ws._combine_class_conditional(
-                corrected, lab, SampleMoments.from_state_counts(lab_counts, m), float(m - 2)
-            )
+            (lab,) = estimate_labeled_class_conditional(lab_counts[None], m, p)
+            moments = SampleMoments.from_state_counts(lab_counts, m)
+            diff = lab.implied_accuracies() - corrected.implied_accuracies()
+            try:
+                sigma = raising_shrinkage_covariance(moments.n, moments.pair, moments.acc)
+                alpha = green_strawderman_alpha(diff, sigma, float(m - 2))
+            except (NumericalError, ContractError):
+                alpha, fallbacks = 1.0, fallbacks + 1
             alphas.append(alpha)
-            fallbacks += combined.metadata["fallback"]
+            combined = ClassConditionalEstimate(alpha * corrected.mu + (1.0 - alpha) * lab.mu, p)
             for key, est in (("combined", combined), ("labeled-small", lab)):
                 loss, f1 = _table_scores(est, test_states, m)
                 stats[key][0].append(loss)
@@ -668,7 +693,8 @@ class TestCaseStudy:
         m = len(default_roster())
         cfg = CaseStudyConfig(n_grid=(9000,), n_unlabeled=9000, n_labeled_grid=(40,), trials=5, seed=6)
         whole = np.bincount(train, minlength=2 << m)
-        fits = {"labeled": estimate_labeled_class_conditional(whole, m, 0.5)}
+        (labeled,) = estimate_labeled_class_conditional(whole[None], m, 0.5)
+        fits = {"labeled": labeled}
         for name, aggregation in (("unlabeled-mean", "mean"), ("corrected-median", "median")):
             fits[name] = estimate_quadratic_triplet_from_moments(
                 SampleMoments.from_state_counts(whole, m), 0.5, aggregation
@@ -731,6 +757,26 @@ class TestCaseStudy:
         assert rows == _per_trial_case_study(*small_states, cfg)
         combined = {r["n_labeled"]: r for r in rows if r["model"] == "combined"}
         assert combined[1]["gs_fallbacks"] == cfg.trials
+
+    def test_budgets_that_mix_zero_covariances_equal_the_per_trial_loop(self, small_states):
+        # a third of the training rows repeat one state, so a labeled subset of
+        # two rows is now and then that state twice (a zero covariance, weight 1)
+        train, test = small_states
+        mixed = train.copy()
+        mixed[::3] = train[0]
+        cfg = CaseStudyConfig(n_grid=(300,), n_unlabeled=3000, n_labeled_grid=(2, 40), trials=10, seed=34)
+        rows = run_case_study(mixed, test, cfg)
+        assert rows == _per_trial_case_study(mixed, test, cfg)
+        fallbacks = [r["gs_fallbacks"] for r in rows if r["model"] == "combined"]
+        assert 0 < fallbacks[0] < cfg.trials and fallbacks[1] == 0
+
+    def test_one_labeled_row_falls_back_on_every_trial_without_warning(self, small_states):
+        cfg = CaseStudyConfig(n_grid=(300,), n_unlabeled=3000, n_labeled_grid=(1,), trials=4, seed=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_case_study(*small_states, cfg)
+        (combined,) = [r for r in rows if r["model"] == "combined"]
+        assert (combined["gs_fallbacks"], combined["alpha"]) == (cfg.trials, 1.0)
 
     @pytest.mark.parametrize("balance", [1.5, 1.0, 0.0, -0.2, float("nan")])
     def test_config_refuses_a_class_balance_outside_the_unit_interval(self, balance):
