@@ -25,6 +25,8 @@ hashes, wall-clock seconds):
   aggregation they ran as ``agg``: ``mean`` when unset, and null for
   ``--method labeled``;
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
+  fit and decompose record null when nothing drew from it: only
+  ``--agg single`` and decompose's ``--demo`` sample draw;
 - dvr adds ``dvr_cells``: per (estimator, n_unlabeled), the labeled sizes its
   search evaluated;
 - inputs are the given existing-path options that name a file (not a
@@ -282,7 +284,7 @@ def fit_cmd(data_path, method, agg, balance, known_edges, combine_with, seed, ou
         est = combine_green_strawderman(est, labeled)
     est.to_json(out)
     click.echo(f"wrote {out}")
-    return [out], _options(agg=agg), seed
+    return [out], _options(agg=agg), seed if agg == "single" else None
 
 
 @main.command("infer")
@@ -358,7 +360,7 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
     report = analysis.decompose(model, fitted)
     report.to_json(out)
     click.echo(f"wrote {out} (residual {report.residual:.3e})")
-    return [out], _options(agg=agg), seed
+    return [out], _options(agg=agg), seed if demo or agg == "single" else None
 
 
 @main.command("bounds")
@@ -392,9 +394,17 @@ def bounds_cmd(model_path, n_labeled, n_unlabeled, rho_trials, seed, fmt, out):
 # ---------------------------------------------------------------------------
 
 
-def _experiment_config(config_path, d, trials, seed, n_grid=None) -> experiments.ExperimentConfig:
+def _experiment_config(config_path, d, trials, seed, n_grid=None, unread=()) -> experiments.ExperimentConfig:
+    """The config file's fields, or the defaults, with the given flags in their place.
+
+    The fields named in ``unread``, which the command does not read, are
+    dropped from the file unchecked and take their defaults; a key that is
+    no field is refused all the same.
+    """
     if config_path is not None:
-        cfg = experiments.ExperimentConfig.from_json(config_path)
+        cfg = read_json(config_path, lambda doc: experiments.ExperimentConfig.from_dict(
+            {key: value for key, value in doc.items() if key not in unread}
+        ))
     else:
         cfg = experiments.ExperimentConfig()
     doc = cfg.to_dict()
@@ -468,7 +478,7 @@ def dvr_cmd(config_path, d, trials, seed, n_grid, out_dir, estimators):
 @_recorded
 def combine_cmd(config_path, d, trials, seed, out_dir, n_unlabeled, n_labeled_grid, estimator):
     """Combined labeled+unlabeled sweep at fixed n_unlabeled; writes combined.csv."""
-    cfg = _experiment_config(config_path, d, trials, seed)
+    cfg = _experiment_config(config_path, d, trials, seed, unread=("estimators", "n_grid"))
     grid = _parse_ints(n_labeled_grid)
     rows = experiments.run_combined(cfg, out_dir, n_unlabeled, grid, estimator)
     for r in rows:

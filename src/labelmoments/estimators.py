@@ -27,14 +27,17 @@ Batch axes: ``SampleMoments.from_state_counts`` takes counts of shape
 ``from_u_rows`` rows of shape (..., n, m), and all return moments with the
 same leading axes; ``triplet_census`` turns pair moments (..., m, m) into
 a (..., m, C(m-1, 2)) census, and ``aggregate_census`` reduces a census
-over its last axis.  The Monte-Carlo engine passes a block of trials at
-once; a single fit (``estimate_*``, the data-file commands, the case
-study) is the case without leading axes, so both run one implementation.
-Each batch row comes out bit for bit as the unbatched call would give it,
-and a sample's row moments equal the moments of its state counts: the
-moment sums are exact (integer counts times +-1), the census is
-elementwise, the median is a sort, and the mean sums the rows of a
-C-contiguous 2-d array, whatever the census's memory layout.
+over its last axis.  The class-conditional census and
+``estimate_quadratic_triplet_from_moments`` take moments with the same
+leading axes, and ``ClassConditionalEstimate`` then holds one (m, 2, 2)
+table per sample.  The Monte-Carlo engine passes a block of trials at once
+and the case study a cell's trials; a single fit (the data-file commands)
+is the case without leading axes, so both run one implementation.  Each
+batch row comes out bit for bit as the unbatched call would give it, and a
+sample's row moments equal the moments of its state counts: the moment
+sums are exact (integer counts times +-1), the censuses are elementwise,
+the median is a sort, and the mean sums the rows of a C-contiguous 2-d
+array, whatever the census's memory layout.
 """
 
 from __future__ import annotations
@@ -365,11 +368,12 @@ def aggregate_census(
 def _aggregate_one(
     vals: np.ndarray, valid: np.ndarray, aggregation: str, seed, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``aggregate_census`` of one (m, C) census; ``kind`` names it in the error
-    raised, before any draw, when a source has no valid column."""
-    counts = valid.sum(axis=1)
-    if (counts == 0).any():
-        raise EstimationError(f"no usable {kind} for source {int(np.argmin(counts))}")
+    """``aggregate_census`` of a census (..., m, C) in which every source has a
+    valid column; ``kind`` names it in the error raised, before any draw, for
+    the first source of the first sample that has none."""
+    empty = ~valid.any(axis=-1)
+    if empty.any():
+        raise EstimationError(f"no usable {kind} for source {np.flatnonzero(empty)[0] % empty.shape[-1]}")
     return aggregate_census(vals, valid, aggregation, seed)
 
 
@@ -498,8 +502,12 @@ def combine_green_strawderman(
 class ClassConditionalEstimate:
     """Per-source 2x2 matrices of Pr(s_i = +-1 | Y = +-1).
 
-    ``mu[i]`` has rows indexed by the source value (+1 then -1) and columns by
-    the label (+1 then -1); each column sums to one.
+    ``mu[..., i, :, :]`` has rows indexed by the source value (+1 then -1)
+    and columns by the label (+1 then -1); each column sums to one.  Leading
+    axes of ``mu`` (..., m, 2, 2) are a batch of fits, one per sample, as
+    ``estimate_quadratic_triplet_from_moments`` returns them for batched
+    moments; ``m``, ``cond_pos``, ``cond_neg`` and ``implied_accuracies``
+    read the trailing axes, and only an unbatched estimate is written as JSON.
     """
 
     mu: np.ndarray
@@ -508,17 +516,17 @@ class ClassConditionalEstimate:
 
     @property
     def m(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-3]
 
     @property
     def cond_pos(self) -> np.ndarray:
         """Pr(s_i = 1 | Y = 1)."""
-        return self.mu[:, 0, 0]
+        return self.mu[..., 0, 0]
 
     @property
     def cond_neg(self) -> np.ndarray:
         """Pr(s_i = 1 | Y = -1)."""
-        return self.mu[:, 0, 1]
+        return self.mu[..., 0, 1]
 
     def implied_accuracies(self) -> np.ndarray:
         p = self.class_balance
@@ -538,10 +546,10 @@ class ClassConditionalEstimate:
     def from_conditionals(
         cls, cond_pos: np.ndarray, cond_neg: np.ndarray, class_balance: float, metadata: dict
     ) -> "ClassConditionalEstimate":
-        """From per-source Pr(s_i = 1 | Y = 1) and Pr(s_i = 1 | Y = -1)."""
-        mu = np.empty((len(cond_pos), 2, 2))
-        mu[:, 0, 0], mu[:, 1, 0] = cond_pos, 1.0 - cond_pos
-        mu[:, 0, 1], mu[:, 1, 1] = cond_neg, 1.0 - cond_neg
+        """From per-source Pr(s_i = 1 | Y = 1) and Pr(s_i = 1 | Y = -1), (..., m) each."""
+        mu = np.empty(np.shape(cond_pos) + (2, 2))
+        mu[..., 0, 0], mu[..., 1, 0] = cond_pos, 1.0 - cond_pos
+        mu[..., 0, 1], mu[..., 1, 1] = cond_neg, 1.0 - cond_neg
         return cls(mu, class_balance, metadata)
 
     @classmethod
@@ -558,28 +566,29 @@ class ClassConditionalEstimate:
 
 def _class_conditional_census(
     q: np.ndarray, c: np.ndarray, d: float
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pr(s_i = 1 | Y = 1) from every triplet (i, j, k) of positive-vote overlaps.
 
-    ``q[a, b]`` is Pr(s_a = 1, s_b = 1) / Pr(Y = -1) and ``c[a]`` is
-    Pr(s_a = 1) / Pr(Y = -1); d is the class-balance odds.  Eliminating the
-    i and k unknowns from the three pair equations leaves a quadratic in
-    source j's parameter; each real root back-substitutes into candidate
-    probabilities for all three sources, and a root counts only when all six
-    lie within ``PROB_TOL`` of [0, 1].  All (i, j, k) of the witness-pair
-    table are solved at once.  Returns the (m, C(m-1, 2)) values, NaN where
-    no root is valid, and the number of cells where both roots were valid and
-    the better-than-random one was kept.
+    ``q[..., a, b]`` is Pr(s_a = 1, s_b = 1) / Pr(Y = -1) and ``c[..., a]``
+    is Pr(s_a = 1) / Pr(Y = -1), with leading axes a batch of samples; d is
+    the class-balance odds.  Eliminating the i and k unknowns from the three
+    pair equations leaves a quadratic in source j's parameter; each real root
+    back-substitutes into candidate probabilities for all three sources, and
+    a root counts only when all six lie within ``PROB_TOL`` of [0, 1].  All
+    (i, j, k) of the witness-pair table are solved at once.  Returns the
+    (..., m, C(m-1, 2)) values, NaN where no root is valid, and per sample
+    the number of cells where both roots were valid and the better-than-random
+    one was kept.
     """
-    m = c.size
+    m = c.shape[-1]
     jj, kk, _ = _pair_table(m, frozenset())
     rows = np.arange(m)[:, None]
-    ci, cj, ck = c[:, None], c[jj], c[kk]
+    ci, cj, ck = c[..., :, None], c[..., jj], c[..., kk]
     big_a = d + d * d
-    u0, u1 = q[rows, jj] - ci * cj, ci * d
-    v0, v1 = q[jj, kk] - cj * ck, ck * d
+    u0, u1 = q[..., rows, jj] - ci * cj, ci * d
+    v0, v1 = q[..., jj, kk] - cj * ck, ck * d
     d0, d1 = -cj * d, big_a
-    w = ci * ck - q[rows, kk]
+    w = ci * ck - q[..., rows, kk]
     qa = big_a * u1 * v1 - ck * d * u1 * d1 - ci * d * v1 * d1 + w * d1 * d1
     qb = (
         big_a * (u0 * v1 + u1 * v0)
@@ -619,7 +628,7 @@ def _class_conditional_census(
         second = oks[1] & (~oks[0] | (acc[1] > acc[0]))
     both = oks[0] & oks[1]
     vals = np.where(second, alphas[1], np.where(oks[0], alphas[0], np.nan))
-    return np.clip(vals, 0.0, 1.0), int(both.sum())
+    return np.clip(vals, 0.0, 1.0), both.sum(axis=(-2, -1))
 
 
 def estimate_quadratic_triplet_from_moments(
@@ -631,10 +640,15 @@ def estimate_quadratic_triplet_from_moments(
     """Class-conditional estimates from the quadratic triplet census of unlabeled moments.
 
     The census over every source i and witness pair (j, k) is computed in one
-    array pass and aggregated per source like the accuracy triplets.  The
-    metadata counts the skipped (rootless) cells per source and
-    ``tiebreaks``, the cells where both roots were valid probability systems
-    and the better-than-random root was kept.
+    array pass and aggregated per source like the accuracy triplets.  Moments
+    with leading axes are a batch of samples, fitted in that one pass into one
+    estimate per sample, each bit for bit the fit of its sample alone; a
+    sample in which some source has no root raises ``EstimationError`` naming
+    the first such source.  The metadata counts the skipped (rootless) cells
+    per source and ``tiebreaks``, the cells where both roots were valid
+    probability systems and the better-than-random root was kept.  It
+    describes a batch's census as one: ``census_size`` is the cells per
+    source over all samples, and ``skipped`` and ``tiebreaks`` are totals.
     """
     if not 0.0 < class_balance < 1.0:
         raise ContractError("class balance must lie in (0, 1)")
@@ -644,23 +658,23 @@ def estimate_quadratic_triplet_from_moments(
     p = class_balance
     d = p / (1.0 - p)
     pos = (1.0 + moments.means) / 2.0
-    q = (1.0 + moments.pair + moments.means[:, None] + moments.means[None, :]) / 4.0
+    q = (1.0 + moments.pair + moments.means[..., :, None] + moments.means[..., None, :]) / 4.0
     q = q / (1.0 - p)
     c = pos / (1.0 - p)
 
     vals, tiebreaks = _class_conditional_census(q, c, d)
-    npairs = vals.shape[1]
     alpha, counts = _aggregate_one(
         vals, ~np.isnan(vals), aggregation, seed, "class-conditional triplet"
     )
 
     alpha = np.clip(alpha, 0.0, 1.0)
     alpha_neg = np.clip((pos - p * alpha) / (1.0 - p), 0.0, 1.0)
+    npairs = vals.shape[-1]
+    cells = npairs * (counts.size // m)  # per source, over the batch
     meta = {
         "aggregation": aggregation,
-        "skipped": [int(npairs - cnt) for cnt in counts],
-        "census_size": int(npairs),
-        "tiebreaks": int(tiebreaks),
+        "skipped": [int(cnt) for cnt in cells - counts.reshape(-1, m).sum(axis=0)],
+        "census_size": int(cells),
+        "tiebreaks": int(tiebreaks.sum()),
     }
     return ClassConditionalEstimate.from_conditionals(alpha, alpha_neg, class_balance, meta)
-

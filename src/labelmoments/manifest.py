@@ -64,7 +64,7 @@ def write_manifest(
     path: str | Path,
     subcommand: str,
     config: dict,
-    seed: int,
+    seed: int | None,
     version: str,
     input_hashes: dict,
     outputs,

@@ -14,13 +14,15 @@ combination of the corrected and labeled fits across small labeled budgets.
 It works on joint states, as the synthetic trial engine does: a training
 subset is the ``bincount`` of the indices it draws, and the fits read those
 counts a cell (a model and a training size) at a time, as one batch: one
-``SampleMoments.from_state_counts`` call, or one product for the
-class-conditional frequencies.  A labeled budget's shrinkage weights come
-from one ``green_strawderman_alpha`` call over its trials whose labeled
-covariance is defined; the other trials take weight 1, with no exception
-caught.  The test split is decoded once (``label_model.LabeledStates``),
-and each model is scored from its posteriors at the source configurations
-the split holds.
+``SampleMoments.from_state_counts`` call and one quadratic-triplet fit, or
+one product for the class-conditional frequencies.  A cell that covers the
+training split is a batch of one, which broadcasts against the trials of
+the cells it is combined with, and each distinct fit is scored once.  A
+labeled budget's shrinkage weights come from one ``green_strawderman_alpha``
+call over its trials whose labeled covariance is defined; the other trials
+take weight 1, with no exception caught.  The test split is decoded once
+(``label_model.LabeledStates``), and each fit is scored from its
+posteriors at the source configurations the split holds.
 
 The states are built while the corpus file is read (``CorpusVotes``): the
 reader hands over ids, texts and labels a checked batch of lines at a time,
@@ -468,24 +470,22 @@ class CaseStudyConfig:
 
 def estimate_labeled_class_conditional(
     counts: np.ndarray, m: int, class_balance: float
-) -> list[ClassConditionalEstimate]:
-    """Empirical Pr(vote = 1 | label) per source, one estimate per row of a
-    batch of labeled samples' joint-state counts (batch, 2^(m+1)).
+) -> ClassConditionalEstimate:
+    """Empirical Pr(vote = 1 | label) per source from joint-state counts
+    (..., 2^(m+1)); leading axes are a batch of labeled samples, and the
+    estimate holds one fit per sample.
 
     A class with no rows gets conditionals of 0.5.  The vote counts are sums
     of integer counts, so they are exact in any order, and one product over
     a batch equals a product per sample.
     """
-    by_class = np.asarray(counts, dtype=np.float64).reshape(len(counts), 2, 1 << m)
+    by_class = np.asarray(counts, dtype=np.float64).reshape(np.shape(counts)[:-1] + (2, 1 << m))
     votes = by_class @ config_bits(m)  # +1 votes per class and source; Y = -1, then Y = +1
     rows = by_class.sum(axis=-1)[..., None]
     cond = np.divide(votes, rows, out=np.full(votes.shape, 0.5), where=rows > 0)
-    return [
-        ClassConditionalEstimate.from_conditionals(
-            cond_pos, cond_neg, class_balance, {"method": "labeled-class-conditional"}
-        )
-        for cond_neg, cond_pos in cond
-    ]
+    return ClassConditionalEstimate.from_conditionals(
+        cond[..., 1, :], cond[..., 0, :], class_balance, {"method": "labeled-class-conditional"}
+    )
 
 
 def _mean_sd(xs) -> tuple[float, float]:
@@ -520,21 +520,24 @@ def run_case_study(
     A training subset is one ``rng.choice`` of the split's rows without
     replacement, kept as the joint-state counts of the drawn rows; a size of
     at least the split is the whole split and draws nothing, so such a cell
-    is fitted and scored once and its one result stands for each of its
-    trials.  A cell is fitted as one batch: its moments come from one
-    ``SampleMoments.from_state_counts`` call and its labeled conditionals
-    from one product (``estimate_labeled_class_conditional``), exact sums of
-    integer counts that equal a call per trial bit for bit; each trial still
-    has its own quadratic solve and score.  The test split is decoded once
-    into ``LabeledStates``, and each model's posteriors are computed once, at
-    the configurations the split holds.  Combined trial t pairs the t-th
-    corrected-median fit at ``n_unlabeled``, fitted once for the whole
-    labeled grid, with the t-th labeled subset at the labeled size, drawn as
-    the ``labeled`` cell of that size draws it.  One
-    ``green_strawderman_alpha`` call per labeled size weighs the trials whose
-    labeled covariance is defined (``SampleMoments.shrinkage_covariance``'s
-    mask); every other trial takes weight 1, and a combined row's
-    ``gs_fallbacks`` counts those trials.
+    is one fit.  A cell is fitted with one call, as a batch of a row per
+    trial or of the one row: its moments come from one
+    ``SampleMoments.from_state_counts`` call, its quadratic fit from one
+    ``estimate_quadratic_triplet_from_moments`` call and its labeled
+    conditionals from one product (``estimate_labeled_class_conditional``),
+    and each row equals a call per trial bit for bit.  Each distinct fit is
+    scored once, and a fit-once cell's one score stands for each of its
+    trials.  The test split is decoded once into ``LabeledStates``, and each
+    fit's posteriors are computed once, at the configurations the split
+    holds.  Combined trial t pairs the t-th corrected-median fit at
+    ``n_unlabeled``, fitted once for the whole labeled grid, with the t-th
+    labeled subset at the labeled size, drawn as the ``labeled`` cell of that
+    size draws it; a fit-once side's one row pairs with each row of the
+    other, so the combined fits are one row when both sides cover the split.
+    One ``green_strawderman_alpha`` call per labeled size weighs the pairs
+    whose labeled covariance is defined (``SampleMoments.shrinkage_covariance``'s
+    mask); every other pair takes weight 1, and a combined row's
+    ``gs_fallbacks`` counts the trials of those pairs.
     """
     config = config if config is not None else CaseStudyConfig()
     if not train_states.size or not test_states.size:
@@ -545,9 +548,14 @@ def run_case_study(
     whole = np.bincount(train_states, minlength=2 << m)[None]
     rows: list[dict] = []
 
-    def score(est: ClassConditionalEstimate) -> tuple[float, float]:
-        lm = LabelModel.from_class_conditional(est, mode="normalized")
-        return cross_entropy(lm, test), f1_score(lm, test)
+    def scores(est: ClassConditionalEstimate) -> tuple[tuple, tuple]:
+        """The losses and F1s of a cell's trials: each fit of ``est`` is scored
+        once, and a fit-once cell's one score stands for each trial."""
+        scored = [
+            (cross_entropy(lm, test), f1_score(lm, test))
+            for lm in map(LabelModel, est.cond_pos, est.cond_neg, repeat(p))
+        ]
+        return tuple(zip(*scored * (trials // len(scored))))
 
     def cell_counts(name: str, n: int) -> np.ndarray:
         """The joint-state counts of a cell's subsets, a row per trial in draw order;
@@ -559,22 +567,9 @@ def run_case_study(
             np.bincount(rng.choice(train_states, n, replace=False), minlength=2 << m) for _ in range(trials)
         ])
 
-    def per_trial(results: list) -> list:
-        """A cell's results, one per trial: a fit-once cell's one result stands for each."""
-        return results * (trials // len(results))
-
-    def each(moments: SampleMoments) -> list[SampleMoments]:
-        """The samples of a batch of moments, one by one."""
-        return [SampleMoments(int(n), *fields) for n, *fields in zip(
-            moments.n, moments.means, moments.pair, moments.acc
-        )]
-
-    def quadratic(counts: np.ndarray, aggregation: str) -> list[ClassConditionalEstimate]:
+    def quadratic(counts: np.ndarray, aggregation: str) -> ClassConditionalEstimate:
         # unlabeled: the solver reads only the source moments, not the labels in the counts
-        return [
-            estimate_quadratic_triplet_from_moments(moments, p, aggregation)
-            for moments in each(SampleMoments.from_state_counts(counts, m))
-        ]
+        return estimate_quadratic_triplet_from_moments(SampleMoments.from_state_counts(counts, m), p, aggregation)
 
     fitters = {
         "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
@@ -583,37 +578,26 @@ def run_case_study(
     }
     for name, fitter in fitters.items():
         for n in config.n_grid:
-            scores = per_trial([score(est) for est in fitter(cell_counts(name, n))])
-            rows.append(_metric_row(
-                name, int(min(n, train_states.size)), "",
-                [loss for loss, _ in scores], [f1 for _, f1 in scores],
-            ))
+            rows.append(_metric_row(name, int(min(n, train_states.size)), "", *scores(fitter(cell_counts(name, n)))))
 
     r = float(m - 2)
-    unlabeled = per_trial(quadratic(cell_counts("corrected-median", config.n_unlabeled), "median"))
+    unlabeled = quadratic(cell_counts("corrected-median", config.n_unlabeled), "median")
     for n_l in config.n_labeled_grid:
-        stats = {"combined": ([], []), "labeled-small": ([], [])}
         counts = cell_counts("labeled", n_l)
-        labs = per_trial(estimate_labeled_class_conditional(counts, m, p))
-        sigma, defined = (
-            np.repeat(x, trials // len(counts), axis=0)
-            for x in SampleMoments.from_state_counts(counts, m).shrinkage_covariance()
-        )
-        diff = np.array([lab.implied_accuracies() - cc.implied_accuracies() for cc, lab in zip(unlabeled, labs)])
-        alphas = np.ones(trials)
+        labeled = estimate_labeled_class_conditional(counts, m, p)
+        sigma, defined = SampleMoments.from_state_counts(counts, m).shrinkage_covariance()
+        fallbacks = int(np.count_nonzero(~defined)) * (trials // len(defined))
+        # a row per distinct pair of fits: one when both cells are fitted once, else a row per trial
+        diff = labeled.implied_accuracies() - unlabeled.implied_accuracies()
+        sigma, defined = np.broadcast_to(sigma, diff.shape + (m,)), np.broadcast_to(defined, len(diff))
+        alphas = np.ones(len(diff))
         alphas[defined] = green_strawderman_alpha(diff[defined], sigma[defined], r)
-        for alpha, corrected, lab in zip(alphas, unlabeled, labs):
-            # one weight blends both conditional columns, which keeps them column-stochastic
-            mu = alpha * corrected.mu + (1.0 - alpha) * lab.mu
-            combined = ClassConditionalEstimate(mu, p, {"method": "combined"})
-            for key, est in (("combined", combined), ("labeled-small", lab)):
-                loss, f1 = score(est)
-                stats[key][0].append(loss)
-                stats[key][1].append(f1)
-        rows.append(_metric_row("labeled-small", "", int(n_l), *stats["labeled-small"]))
+        # one weight blends both conditional columns, which keeps them column-stochastic
+        weight = alphas[:, None, None, None]
+        combined = ClassConditionalEstimate(weight * unlabeled.mu + (1.0 - weight) * labeled.mu, p)
+        rows.append(_metric_row("labeled-small", "", int(n_l), *scores(labeled)))
         rows.append(_metric_row(
-            "combined", int(config.n_unlabeled), int(n_l), *stats["combined"],
-            _mean_sd(alphas)[0], int(np.count_nonzero(~defined)),
+            "combined", int(config.n_unlabeled), int(n_l), *scores(combined), _mean_sd(alphas)[0], fallbacks,
         ))
     return rows
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -924,6 +925,47 @@ def test_manifests_record_the_aggregation_the_fit_ran(tmp_path, model_and_data):
     assert json.loads((tmp_path / "report.json.manifest.json").read_text())["config"]["agg"] == "mean"
 
 
+def test_manifests_record_a_seed_only_where_something_drew(tmp_path, model_and_data):
+    model, data = model_and_data
+    names = itertools.count()
+
+    def run(*args, seed):
+        out = tmp_path / f"run{next(names)}.json"
+        _ok(*args, "--seed", seed, "-o", out)
+        return out.read_text(), json.loads(Path(f"{out}.manifest.json").read_text())["seed"]
+
+    fits = [["fit", "--data", data], ["fit", "--data", data, "--method", "quadratic"],
+            ["decompose", "--model", model, "--data", data],
+            ["decompose", "--model", model, "--data", data, "--method", "quadratic"]]
+    for args in fits:
+        # nothing draws: the outputs at two seeds are the same bytes, and neither records its seed
+        (five, seed_five), (zero, seed_zero) = run(*args, seed=5), run(*args, seed=0)
+        assert five == zero and seed_five is seed_zero is None, args
+    draws = [["fit", "--data", data, "--agg", "single"],
+             ["decompose", "--model", model, "--data", data, "--agg", "single"], ["decompose", "--demo"]]
+    for args in draws:
+        (five, seed_five), (zero, seed_zero) = run(*args, seed=5), run(*args, seed=0)
+        assert five != zero and (seed_five, seed_zero) == (5, 0), args
+
+
+def test_combine_reads_only_the_config_fields_it_runs(tmp_path):
+    # combine runs no estimator list and no curve grid, so it does not check them
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"estimators": [], "n_grid": [5, 3], "trials": 40, "seed": 1}))
+    out = tmp_path / "combine"
+    _ok("combine", "--config", config, "--n-unlabeled", "100", "--n-labeled-grid", "25", "-o", out)
+    record = json.loads((out / "manifest.json").read_text())
+    assert (record["config"]["trials"], record["config"]["seed"], record["seed"]) == (40, 1, 1)
+    for command, message in (("curves", "'n_grid' must be strictly increasing"),
+                             ("dvr", "'n_grid' must be strictly increasing")):
+        result = CliRunner().invoke(main, [command, "--config", str(config), "-o", str(tmp_path / command)])
+        assert result.exit_code == 1 and message in result.output, command
+    # a key that is no field is still refused
+    config.write_text(json.dumps({"n_grid": [5, 3], "trails": 40}))
+    result = CliRunner().invoke(main, ["combine", "--config", str(config), "-o", str(tmp_path / "again")])
+    assert result.exit_code == 1 and "unknown experiment config key(s) 'trails'" in result.output
+
+
 @pytest.mark.parametrize("command, message", [
     ("infer", "--laplace applies to --mode empirical, not 'normalized'"),
     ("decompose-model", "--demo runs on a built-in model and sample; it reads no --model or --data"),
@@ -1113,7 +1155,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
         (["fit", "--data", t / "data.csv", "--combine-with", t / "data.csv", "--seed", "5",
           "-o", t / "est.json"],
          t / "est.json.manifest.json",
-         {"data", "method", "agg", "balance", "known_edges", "combine_with", "out"}, 5,
+         {"data", "method", "agg", "balance", "known_edges", "combine_with", "out"}, None,
          [t / "data.csv"], [t / "est.json"]),
         (["infer", "--data", t / "data.csv", "--estimate", t / "est.json", "-o", t / "soft.csv"],
          t / "soft.csv.manifest.json", {"data", "estimate", "balance", "mode", "laplace", "out"}, 0,
@@ -1121,7 +1163,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
         (["decompose", "--model", t / "model.json", "--data", t / "data.csv", "--seed", "6",
           "-o", t / "dec.json"],
          t / "dec.json.manifest.json",
-         {"model", "data", "method", "agg", "laplace", "balance", "demo", "out"}, 6,
+         {"model", "data", "method", "agg", "laplace", "balance", "demo", "out"}, None,
          [t / "model.json", t / "data.csv"], [t / "dec.json"]),
         (["bounds", "--model", t / "model.json", "--n-labeled", "100", "--seed", "7",
           "-o", t / "bounds.json"],

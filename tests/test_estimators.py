@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import warnings
 
@@ -704,6 +706,82 @@ class TestQuadraticTriplets:
             estimate_quadratic_triplet_from_moments(moments, 1.0, "mean")
 
 
+def _sampled_class_conditional_moments(seed, n, m, p, batch=None):
+    """Moments of ``batch`` samples (None: one) of n rows from a conditionally
+    independent two-class model with random conditionals."""
+    rng = np.random.default_rng(seed)
+    cond_pos, cond_neg = rng.uniform(0.5, 0.95, m), rng.uniform(0.05, 0.5, m)
+    shape = (n,) if batch is None else (batch, n)
+    y = rng.random(shape) < p
+    votes = rng.random(shape + (m,)) < np.where(y[..., None], cond_pos, cond_neg)
+    return SampleMoments.from_rows(np.where(votes, 1.0, -1.0))
+
+
+def _sample(moments, b):
+    """Sample b of a batch of moments, as unbatched moments."""
+    return SampleMoments(int(moments.n[b]), moments.means[b], moments.pair[b], None)
+
+
+class TestBatchedQuadraticTriplets:
+    @pytest.mark.parametrize("aggregation, p", [("mean", 0.5), ("median", 0.4)])
+    def test_batch_equals_each_sample_alone(self, aggregation, p):
+        # small samples, so that rootless cells and tiebreaks occur
+        moments = _sampled_class_conditional_moments(3, 150, 10, p, batch=6)
+        batch = estimate_quadratic_triplet_from_moments(moments, p, aggregation)
+        assert batch.mu.shape == (6, 10, 2, 2) and batch.m == 10
+        alone = [estimate_quadratic_triplet_from_moments(_sample(moments, b), p, aggregation) for b in range(6)]
+        for b, est in enumerate(alone):
+            np.testing.assert_array_equal(batch.mu[b], est.mu)
+            np.testing.assert_array_equal(batch.cond_neg[b], est.cond_neg)
+            np.testing.assert_array_equal(batch.implied_accuracies()[b], est.implied_accuracies())
+        # the metadata describes the batch's census as one census of 6 samples
+        assert batch.metadata == {
+            "aggregation": aggregation,
+            "skipped": list(np.sum([est.metadata["skipped"] for est in alone], axis=0)),
+            "census_size": 6 * 36,
+            "tiebreaks": sum(est.metadata["tiebreaks"] for est in alone),
+        }
+        assert 0 < sum(batch.metadata["skipped"]) and 0 < batch.metadata["tiebreaks"]
+
+    # sha256 of the sorted-key JSON of ``to_dict()``, recorded before the fit took batches
+    TO_DICT_SHA256 = {
+        ("mean", 0.5): "15f0c2b705c2357bef45a883846f7680085fdf2d67bc43ae836ca17cad6d8e7c",
+        ("median", 0.4): "365875779854494b0a8d05b75d12343893f86c0308e06435f75b1086629b24bf",
+    }
+
+    @pytest.mark.parametrize("aggregation, p", list(TO_DICT_SHA256))
+    def test_a_batch_of_one_is_the_single_fit(self, aggregation, p):
+        moments = _sampled_class_conditional_moments(11, 2500, 12, p)
+        single = estimate_quadratic_triplet_from_moments(moments, p, aggregation)
+        doc = json.dumps(single.to_dict(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == self.TO_DICT_SHA256[aggregation, p]
+        one = SampleMoments(np.array([moments.n]), moments.means[None], moments.pair[None], None)
+        batch = estimate_quadratic_triplet_from_moments(one, p, aggregation)
+        assert batch.mu.shape == (1, 12, 2, 2)
+        assert json.dumps(
+            estimators.ClassConditionalEstimate(batch.mu[0], p, batch.metadata).to_dict(), sort_keys=True
+        ) == doc
+
+    def test_a_failing_sample_raises_as_it_does_alone(self):
+        # at 30 rows of 5 sources, some samples leave a source without a root
+        moments = _sampled_class_conditional_moments(4, 30, 5, 0.5, batch=40)
+        messages = []
+        for b in range(40):
+            try:
+                estimate_quadratic_triplet_from_moments(_sample(moments, b), 0.5, "median")
+                messages.append(None)
+            except EstimationError as exc:
+                messages.append(str(exc))
+        failing = [b for b, msg in enumerate(messages) if msg is not None]
+        fine = [b for b, msg in enumerate(messages) if msg is None]
+        assert len(failing) >= 2 and len(set(messages[b] for b in failing)) >= 2 and len(fine) >= 2
+        for rows in ([fine[0], failing[0], fine[1]], [fine[0], failing[1], failing[0]], failing[::-1]):
+            batch = SampleMoments(moments.n[rows], moments.means[rows], moments.pair[rows], None)
+            with pytest.raises(EstimationError) as err:
+                estimate_quadratic_triplet_from_moments(batch, 0.5, "median")
+            assert str(err.value) == messages[next(b for b in rows if messages[b] is not None)]
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference for the class-conditional census: one (i, j, k) at a time,
 # sharing no code with the array pass in the package.
@@ -800,14 +878,25 @@ class TestClassConditionalCensusOracle:
         cond_pos = rng.uniform(0.5, 0.95, 12)
         cond_neg = rng.uniform(0.05, 0.5, 12)
         rootless = 0
+        inputs = []
         for n in (50, 200, 2500, 40000):
             for _ in range(3):
                 y = rng.random(n) < p
                 votes = rng.random((n, 12)) < np.where(y[:, None], cond_pos, cond_neg)
                 data = SourceMatrix(np.where(votes, 1, -1))
-                vals = self._assert_same(SampleMoments.from_source_matrix(data), p)
+                moments = SampleMoments.from_source_matrix(data)
+                vals = self._assert_same(moments, p)
                 rootless += int(np.isnan(vals).sum())
+                inputs.append(_census_inputs(moments, p))
         assert rootless > 0
+        # the same samples stacked as one batch: each row is its sample's scalar census
+        q, c = np.stack([x[0] for x in inputs]), np.stack([x[1] for x in inputs])
+        vals, tiebreaks = _class_conditional_census(q, c, inputs[0][2])
+        assert vals.shape == (12, 12, 55) and tiebreaks.shape == (12,)
+        for b in range(12):
+            ref_vals, ref_tiebreaks = _scalar_census(q[b], c[b], inputs[0][2])
+            np.testing.assert_array_equal(vals[b], ref_vals)
+            assert tiebreaks[b] == ref_tiebreaks
 
     def test_exact_moments(self, synth_diag_dep):
         self._assert_same(SampleMoments(10**9, np.zeros(10), synth_diag_dep.pair_moments, None), 0.5)

@@ -65,3 +65,10 @@ def test_case_study_spans_are_traced(monkeypatch, tmp_path):
     # (n_unlabeled is the whole 400-document training split), then the labeled moments
     assert metrics["estimators.from_state_counts.calls"] == 4
     assert metrics["estimators.from_source_matrix.calls"] == 0
+    # and one quadratic fit per cell, whose metadata describes a batch's census
+    # as one: the census of 2 + 2 + 1 samples, 12 sources by C(11, 2) pairs
+    name = "estimators.estimate_quadratic_triplet_from_moments"
+    assert metrics[f"{name}.calls"] == 3
+    assert metrics[f"{name}.solves"] == 5 * 12 * 55
+    assert abs(metrics[f"{name}.valid_ratio"] - 0.880909) < 1e-6
+    assert metrics[f"{name}.tiebreaks"] == 2907

@@ -513,7 +513,7 @@ class TestLabeledClassConditional:
         values = np.array([[1, -1], [1, 1], [-1, 1], [1, -1]], dtype=np.int8)
         labels = np.array([1, 1, -1, -1], dtype=np.int8)
         counts = state_counts(SourceMatrix(values, labels))
-        (est,) = estimate_labeled_class_conditional(counts[None], 2, 0.5)
+        est = estimate_labeled_class_conditional(counts, 2, 0.5)
         np.testing.assert_allclose(est.cond_pos, [1.0, 0.5])
         np.testing.assert_allclose(est.cond_neg, [0.5, 0.5])
 
@@ -523,12 +523,14 @@ class TestLabeledClassConditional:
         counts[2, 1 << 12 :] = 0
         counts[3] = 0
         batch = estimate_labeled_class_conditional(counts, 12, 0.4)
-        assert len(batch) == 4
-        for b, est in enumerate(batch):
-            (one,) = estimate_labeled_class_conditional(counts[b : b + 1], 12, 0.4)
-            np.testing.assert_array_equal(est.mu, one.mu)
-            assert (est.class_balance, est.metadata) == (0.4, {"method": "labeled-class-conditional"})
-        assert (batch[2].cond_pos == 0.5).all() and (batch[3].mu == 0.5).all()
+        assert batch.mu.shape == (4, 12, 2, 2) and batch.m == 12
+        assert (batch.class_balance, batch.metadata) == (0.4, {"method": "labeled-class-conditional"})
+        for b in range(4):
+            one = estimate_labeled_class_conditional(counts[b], 12, 0.4)
+            np.testing.assert_array_equal(batch.mu[b], one.mu)
+            np.testing.assert_array_equal(batch.cond_pos[b], one.cond_pos)
+            np.testing.assert_array_equal(batch.implied_accuracies()[b], one.implied_accuracies())
+        assert (batch.cond_pos[2] == 0.5).all() and (batch.mu[3] == 0.5).all()
 
     @pytest.mark.parametrize("n, p", [(1, 0.5), (40, 0.5), (400, 0.9), (40_000, 0.5)])
     def test_counts_equal_row_frequencies(self, n, p):
@@ -542,7 +544,7 @@ class TestLabeledClassConditional:
             for rows in (pos_rows, ~pos_rows)
         ]
         counts = np.bincount(data.state_index(), minlength=1 << 13)
-        (est,) = estimate_labeled_class_conditional(counts[None], 12, 0.5)
+        est = estimate_labeled_class_conditional(counts, 12, 0.5)
         np.testing.assert_array_equal(est.cond_pos, expected[0])
         np.testing.assert_array_equal(est.cond_neg, expected[1])
 
@@ -578,7 +580,7 @@ def _per_trial_case_study(train_states, test_states, config):
         return estimate_quadratic_triplet_from_moments(SampleMoments.from_state_counts(counts, m), p, aggregation)
 
     fitters = {
-        "labeled": lambda counts: estimate_labeled_class_conditional(counts[None], m, p)[0],
+        "labeled": lambda counts: estimate_labeled_class_conditional(counts, m, p),
         "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
         "corrected-median": lambda counts: quadratic(counts, "median"),
     }
@@ -597,7 +599,7 @@ def _per_trial_case_study(train_states, test_states, config):
         rng = trial_rng(config.seed, "case:labeled", n_l)
         for corrected in unlabeled:
             lab_counts = subsample(rng, n_l)
-            (lab,) = estimate_labeled_class_conditional(lab_counts[None], m, p)
+            lab = estimate_labeled_class_conditional(lab_counts, m, p)
             moments = SampleMoments.from_state_counts(lab_counts, m)
             diff = lab.implied_accuracies() - corrected.implied_accuracies()
             try:
@@ -693,7 +695,7 @@ class TestCaseStudy:
         m = len(default_roster())
         cfg = CaseStudyConfig(n_grid=(9000,), n_unlabeled=9000, n_labeled_grid=(40,), trials=5, seed=6)
         whole = np.bincount(train, minlength=2 << m)
-        (labeled,) = estimate_labeled_class_conditional(whole[None], m, 0.5)
+        labeled = estimate_labeled_class_conditional(whole, m, 0.5)
         fits = {"labeled": labeled}
         for name, aggregation in (("unlabeled-mean", "mean"), ("corrected-median", "median")):
             fits[name] = estimate_quadratic_triplet_from_moments(
@@ -718,15 +720,37 @@ class TestCaseStudy:
         cfg = CaseStudyConfig(
             n_grid=(1500, 9000), n_unlabeled=6000, n_labeled_grid=(40,), trials=3, seed=4,
         )
-        expected = run_case_study(*small_states, cfg)
+        # every cell covers the 6,000-row split
+        covering = CaseStudyConfig(n_grid=(9000,), n_unlabeled=9000, n_labeled_grid=(9000,), trials=5, seed=4)
+        expected = [run_case_study(*small_states, c) for c in (cfg, covering)]
         monkeypatch.setattr(ws, "estimate_quadratic_triplet_from_moments",
                             counted(estimate_quadratic_triplet_from_moments, "fits"))
         monkeypatch.setattr(ws, "cross_entropy", counted(ws.cross_entropy, "scores"))
-        assert run_case_study(*small_states, cfg) == expected
-        # mean and median: 3 trials at 1500 and one fit at 9000 each, then the
-        # shared corrected fit at 6000 once; three models scored 3 + 1 times,
-        # and labeled-small and combined 3 times each
-        assert calls == {"fits": 2 * (3 + 1) + 1, "scores": 3 * (3 + 1) + 2 * 3}
+        assert run_case_study(*small_states, cfg) == expected[0]
+        # one fit call per cell: mean and median at 1500 and at 9000, then the
+        # shared corrected fit at 6000; three models scored 3 + 1 times, and
+        # labeled-small and combined 3 times each
+        assert calls == {"fits": 2 * 2 + 1, "scores": 3 * (3 + 1) + 2 * 3}
+        calls.update(fits=0, scores=0)
+        assert run_case_study(*small_states, covering) == expected[1]
+        # every fit is the whole split: three cells, labeled-small and combined
+        # are one fit each, scored once
+        assert calls == {"fits": 3, "scores": 5}
+        assert expected[1] == _per_trial_case_study(*small_states, covering)
+        assert all(r["loss_sd"] == r["f1_sd"] == 0.0 for r in expected[1])
+
+    def test_a_covering_budget_without_covariance_falls_back_on_every_trial(self, small_states):
+        # the split holds one state and its complement, so u = s * y is the same
+        # on every row: the one labeled fit has no covariance and stands for
+        # each of the five trials, which all fall back
+        _, test = small_states
+        m = len(default_roster())
+        state = int(test[0])
+        train = np.array([state, state ^ ((2 << m) - 1)] * 10)
+        cfg = CaseStudyConfig(n_grid=(20,), n_unlabeled=20, n_labeled_grid=(20,), trials=5, seed=1)
+        rows = run_case_study(train, test, cfg)
+        assert rows == _per_trial_case_study(train, test, cfg)
+        assert (rows[-1]["model"], rows[-1]["gs_fallbacks"], rows[-1]["alpha"]) == ("combined", 5, 1.0)
 
     def test_missing_split_raises_with_remedy(self, small_corpus, tmp_path):
         Corpus(small_corpus.documents, {}).to_jsonl(tmp_path / "docs.jsonl", tmp_path / "split.json")
