@@ -18,7 +18,13 @@ distribution has full support.  It doubles as the package's central
 correctness oracle: every term is computed by a different route and the
 residual against an independently enumerated expected loss must vanish.
 
-Bound evaluators drop the o(1/n) remainder terms; reports record that.
+The per-source KL has one implementation, ``vote_kl``: the estimation term
+and the trial engine's excess scoring (``accuracy_kl``) both run through it.
+
+Bound evaluators drop the o(1/n) remainder terms; reports record that.  They
+read the source-quality constants a_min, a_max, b_min, a_bar_max, eps_min and
+eps_max from one function, ``bound_inputs``, which derives them from the
+exact moments of ``ising.diagnostics``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .ising import (
     sample_state_counts,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .estimators import estimate_triplet_from_moments  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .estimators import triplet_census
 from .label_model import ACCURACY_CLAMP, LabelModel
 from .manifest import write_json
 
@@ -73,10 +80,6 @@ class DecompositionReport:
         write_json(path, self.to_dict())
 
 
-def _binary_kl(p: float, q: float) -> float:
-    return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-
-
 def expected_loss_by_enumeration(model: IsingModel, fitted: LabelModel) -> float:
     """E over the true joint of the cross-entropy loss, no probability floor."""
     if fitted.m != model.m:
@@ -94,9 +97,10 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     the joint table and B_I is summed over the edges.  The estimation term
     is closed form: u_i = s_i * y is independent of Y, so the true
     Pr(s_i = 1 | Y = +-1) is (1 +- a_i) / 2 with a_i the exact accuracy from
-    ``diagnostics``.  It includes the label prior's KL(pi || fitted
-    balance), which is 0 when the fitted balance is the model's.  The loss
-    the terms must sum to stays enumerated
+    ``diagnostics``.  It is the label prior's KL(pi || fitted balance), 0
+    when the fitted balance is the model's, plus each source's KL given
+    Y = +1 and given Y = -1 weighted by pi and 1 - pi, all through
+    ``vote_kl``.  The loss the terms must sum to stays enumerated
     (``expected_loss_by_enumeration``), so it checks them by another route.
     """
     if fitted.mode != "empirical":
@@ -113,12 +117,11 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     noise = float((p_lambda * (np.log(p_lambda) - np.log(fitted.config_dist))).sum())
     bias = inference_bias(model)
     acc = diagnostics(model).accuracies
-    true_pos, true_neg = (1.0 + acc) / 2.0, (1.0 - acc) / 2.0
-    p = model.class_balance()
-    est = _binary_kl(p, fitted.class_balance)
-    for i in range(model.m):
-        est += p * _binary_kl(true_pos[i], float(fitted.cond_pos[i]))
-        est += (1.0 - p) * _binary_kl(true_neg[i], float(fitted.cond_neg[i]))
+    p, q = model.class_balance(), fitted.class_balance
+    true = np.stack(((1.0 + acc) / 2.0, (1.0 - acc) / 2.0))  # Pr(s_i = 1 | Y = +1), given Y = -1
+    fit = np.stack((fitted.cond_pos, fitted.cond_neg))
+    per_class = vote_kl(true, fit, 1.0 - true, 1.0 - fit).sum(axis=1)
+    est = float(vote_kl(p, q, 1.0 - p, 1.0 - q) + p * per_class[0] + (1.0 - p) * per_class[1])
     total = h_cond - noise + bias + est
     loss = expected_loss_by_enumeration(model, fitted)
     return DecompositionReport(
@@ -137,6 +140,21 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
+def vote_kl(true_pos, fitted_pos, true_neg, fitted_neg) -> np.ndarray:
+    """KL(true || fitted) between distributions of one vote, elementwise:
+
+        t+ (log t+ - log f+) + t- (log t- - log f-),
+
+    with t+- and f+- the true and fitted probabilities of the vote's two
+    values.  The one per-source score: ``accuracy_kl`` is its symmetric case
+    and ``decompose``'s estimation term its class-conditional one.
+    """
+    # one value at a time, so that few estimate-sized arrays are alive at once
+    kl = true_pos * (np.log(true_pos) - np.log(fitted_pos))
+    kl += true_neg * (np.log(true_neg) - np.log(fitted_neg))
+    return kl
+
+
 def accuracy_kl(true_accuracies, estimates) -> np.ndarray:
     """Per-source KL(true cond_i || fitted cond_i) of symmetric accuracy fits.
 
@@ -150,11 +168,9 @@ def accuracy_kl(true_accuracies, estimates) -> np.ndarray:
         -1.0 + ACCURACY_CLAMP,
         1.0 - ACCURACY_CLAMP,
     )
-    tp, tq = (1.0 + a) / 2.0, (1.0 - a) / 2.0
-    # one class at a time, so that few estimate-sized arrays are alive at once
-    kl = tp * (np.log(tp) - np.log((1.0 + est) / 2.0))
-    kl += tq * (np.log(tq) - np.log((1.0 - est) / 2.0))
-    return kl
+    fitted_pos, fitted_neg = (1.0 + est) / 2.0, (1.0 - est) / 2.0
+    del est  # not kept alive beside the KL's temporaries
+    return vote_kl((1.0 + a) / 2.0, fitted_pos, (1.0 - a) / 2.0, fitted_neg)
 
 
 def accuracy_excess(
@@ -182,22 +198,37 @@ def accuracy_excess(
 # ---------------------------------------------------------------------------
 
 
-def _require_bound_inputs(diag: ModelDiagnostics) -> tuple[float, float, float]:
-    b = diag.min_pair_moment
-    a_min = diag.min_accuracy
-    a_bar = diag.max_mean_triplet
+def bound_inputs(diag: ModelDiagnostics) -> dict:
+    """The source-quality inputs of the bounds, from a model's exact moments.
+
+    eps_max and eps_min are the extreme edge gaps (0 without an edge),
+    a_min and a_max the extreme accuracies, b_min the smallest pair moment
+    off the diagonal (nan for m < 2) and a_bar_max the largest mean of a
+    source's population triplet values, over the census of the triplet
+    estimators, which floors tiny denominators as they do (nan for m < 3).
+    """
+    m, acc, pair = diag.m, diag.accuracies, diag.pair_moments
+    gaps = diag.edge_gaps.values()
+    return {
+        "eps_max": max(gaps, default=0.0),
+        "eps_min": min(gaps, default=0.0),
+        "a_min": float(acc.min()),
+        "a_max": float(acc.max()),
+        "b_min": float(pair[~np.eye(m, dtype=bool)].min()) if m > 1 else float("nan"),
+        "a_bar_max": float(np.nanmean(triplet_census(pair)[0], axis=1).max()) if m >= 3 else float("nan"),
+    }
+
+
+def bound_constants(diag: ModelDiagnostics) -> dict:
+    """The four source-quality constants of the unlabeled excess-error bound."""
+    inputs = bound_inputs(diag)
+    b, a_min, a_bar = inputs["b_min"], inputs["a_min"], inputs["a_bar_max"]
     if not (b > 0.0 and a_min > 0.0):
         raise NumericalError("bound constants require strictly positive moments")
     if not a_bar < 1.0:
         raise NumericalError(
             "degenerate bound constants: the mean triplet value reaches 1"
         )
-    return b, a_min, a_bar
-
-
-def bound_constants(diag: ModelDiagnostics) -> dict:
-    """The four source-quality constants of the unlabeled excess-error bound."""
-    b, a_min, a_bar = _require_bound_inputs(diag)
     b2, am2 = b * b, a_min * a_min
     slack = 1.0 - a_bar * a_bar
     tail = 1.0 / b2**2 + 2.0 / b2
@@ -228,7 +259,7 @@ def bound_unlabeled(diag: ModelDiagnostics, n_unlabeled: int) -> dict:
     if n_unlabeled < 1:
         raise ContractError("sample size must be at least 1")
     consts = bound_constants(diag)
-    eps_max = diag.gap_max
+    eps_max = bound_inputs(diag)["eps_max"]
     m, n, d = diag.m, n_unlabeled, diag.edge_count
     b_est = eps_max * (
         consts["c1"] * d / m
@@ -256,8 +287,9 @@ def bound_lower_unlabeled(diag: ModelDiagnostics) -> float:
     m, d = diag.m, diag.edge_count
     if d == 0:
         return diag.inference_bias
-    eps_min = diag.gap_min
-    b4 = diag.min_pair_moment**4
+    inputs = bound_inputs(diag)
+    eps_min = inputs["eps_min"]
+    b4 = inputs["b_min"]**4
     first = ((m - 2 * d) * d * d * eps_min * eps_min * b4) / (
         2.0 * (m - 1) ** 2 * (m - 2) ** 2
     )
@@ -266,14 +298,13 @@ def bound_lower_unlabeled(diag: ModelDiagnostics) -> float:
 
 def median_correction_constant(diag: ModelDiagnostics) -> float:
     """c_rho = 1 / (2 (1 - max_i a_i^2)) from the corrected-fit bound."""
-    return 1.0 / (2.0 * (1.0 - diag.max_accuracy**2))
+    return 1.0 / (2.0 * (1.0 - bound_inputs(diag)["a_max"]**2))
 
 
 @dataclass(frozen=True)
 class MedianMseResult:
     rho: float                   # max over sources of mean squared error
     bound: float                 # c_rho * m * rho + inference bias
-    c_rho: float
     applicable: bool             # consistency conditions m > 5, d < (m-1)(m-2)/4
     n_unlabeled: int
     trials: int                  # fits scored
@@ -309,12 +340,10 @@ def median_mse(
         raise EstimationError("every median-corrected fit failed")
     per_source = ((fits[ok] - diag.accuracies) ** 2).mean(axis=0)
     rho = float(per_source.max())
-    c_rho = median_correction_constant(diag)
     applicable = m > 5 and model.edge_count < (m - 1) * (m - 2) / 4.0
     return MedianMseResult(
         rho=rho,
-        bound=c_rho * m * rho + diag.inference_bias,
-        c_rho=c_rho,
+        bound=median_correction_constant(diag) * m * rho + diag.inference_bias,
         applicable=applicable,
         n_unlabeled=n_unlabeled,
         trials=int(ok.sum()),
@@ -338,19 +367,18 @@ def bound_report(
 
     The inputs record the model's edge count as d, the one the bounds use.
     A Monte-Carlo ``rho`` is recorded with the number of fits it scored and
-    of fits that failed.
+    of fits that failed.  Of ``bound_inputs`` it records all but a_max,
+    which c_rho stands for.
     """
+    inputs = bound_inputs(diag)
+    del inputs["a_max"]
     out: dict = {
         "inputs": {
             "m": diag.m,
             "d": diag.edge_count,
             "n_U": n_unlabeled,
             "n_L": n_labeled,
-            "eps_max": diag.gap_max,
-            "eps_min": diag.gap_min,
-            "a_min": diag.min_accuracy,
-            "b_min": diag.min_pair_moment,
-            "a_bar_max": diag.max_mean_triplet,
+            **inputs,
             "rho": rho.rho if rho is not None else None,
         },
         "B_I": diag.inference_bias,

@@ -25,8 +25,9 @@ hashes, wall-clock seconds):
   aggregation they ran as ``agg``: ``mean`` when unset, and null for
   ``--method labeled``;
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
-  fit and decompose record null when nothing drew from it: only
-  ``--agg single`` and decompose's ``--demo`` sample draw;
+  fit, decompose, bounds and ws ingest record null when nothing drew from
+  it: only ``--agg single``, decompose's ``--demo`` sample, bounds'
+  ``--rho-trials`` fits and ws ingest's split of a csv or jsonl corpus draw;
 - dvr adds ``dvr_cells``: per (estimator, n_unlabeled), the labeled sizes its
   search evaluated;
 - inputs are the given existing-path options that name a file (not a
@@ -386,7 +387,7 @@ def bounds_cmd(model_path, n_labeled, n_unlabeled, rho_trials, seed, fmt, out):
     doc = analysis.bound_report(diag, n_labeled, n_unlabeled, rho=rho)
     _write_report(doc, Path(out), fmt)
     click.echo(f"wrote {out}")
-    return [out]
+    return [out], _options(), seed if rho is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +525,7 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
         corpus = ws.Corpus(docs, ws.random_split(docs, test_fraction, seed))
     corpus.to_jsonl(docs_out, split_out)
     click.echo(f"wrote {docs_out} ({len(corpus.documents)} documents) and {split_out}")
-    return [docs_out, split_out]
+    return [docs_out, split_out], _options(), seed if fmt != "review-dir" else None
 
 
 @ws_group.command("apply")

@@ -25,6 +25,11 @@ sampling-noise term), ``conditional_entropy``,
 and ``sample_state_counts`` (labeled joint-state counts; tests and the
 benchmark's tracer use it).  The tests check every closed form against a
 brute-force enumeration that shares no code with it.
+
+``diagnostics`` returns exact moments only; ``analysis.bound_inputs``
+derives the bounds' constants from them.  The module imports nothing from
+the estimators, so that it is an oracle for them that shares no code with
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import numpy as np
 
 from .data import SourceMatrix
 from .errors import CalibrationError, ContractError
-from .estimators import triplet_census
 from .manifest import read_json, write_json
 from .states import check_capacity, config_bits
 
@@ -250,7 +254,8 @@ def _pair_stats(ti: float, tj: float, tij: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ModelDiagnostics:
-    """Exact moments of a model, the inputs to every bound evaluator."""
+    """Exact moments of a model; ``analysis.bound_inputs`` derives the
+    bounds' constants from them."""
 
     m: int
     edge_count: int
@@ -259,18 +264,6 @@ class ModelDiagnostics:
     class_balance: float            # Pr(Y = 1)
     inference_bias: float           # sum over edges of I(s_i; s_j | Y)
     edge_gaps: dict[tuple[int, int], float]  # E[s_i s_j] - E[s_i Y] E[s_j Y] per edge
-    min_accuracy: float
-    max_accuracy: float
-    min_pair_moment: float
-    max_mean_triplet: float         # max_i of the mean population triplet value
-
-    @property
-    def gap_min(self) -> float:
-        return min(self.edge_gaps.values()) if self.edge_gaps else 0.0
-
-    @property
-    def gap_max(self) -> float:
-        return max(self.edge_gaps.values()) if self.edge_gaps else 0.0
 
 
 def inference_bias(model: IsingModel) -> float:
@@ -314,13 +307,6 @@ def diagnostics(model: IsingModel) -> ModelDiagnostics:
     for (i, j), gap in gaps.items():
         pair[i, j] = pair[j, i] = gap + acc[i] * acc[j]
     np.fill_diagonal(pair, 1.0)
-
-    off = pair[~np.eye(m, dtype=bool)]
-    if m >= 3:
-        max_mean_triplet = float(np.nanmean(triplet_census(pair)[0], axis=1).max())
-    else:
-        max_mean_triplet = float("nan")
-
     return ModelDiagnostics(
         m=m,
         edge_count=model.edge_count,
@@ -329,10 +315,6 @@ def diagnostics(model: IsingModel) -> ModelDiagnostics:
         class_balance=model.class_balance(),
         inference_bias=inference_bias(model),
         edge_gaps=gaps,
-        min_accuracy=float(acc.min()),
-        max_accuracy=float(acc.max()),
-        min_pair_moment=float(off.min()) if m > 1 else float("nan"),
-        max_mean_triplet=max_mean_triplet,
     )
 
 

@@ -72,7 +72,6 @@ class LabelModel:
     class_balance: float
     mode: str = "normalized"
     config_dist: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
     _scored: list = field(default_factory=list, init=False, repr=False, compare=False)  # [states, posteriors]
 
     def __post_init__(self):
@@ -109,20 +108,9 @@ class LabelModel:
         config_dist: np.ndarray | None = None,
     ) -> "LabelModel":
         if isinstance(accuracies, AccuracyEstimate):
-            meta = {"method": accuracies.method, "aggregation": accuracies.aggregation}
-            acc = accuracies.values
-        else:
-            meta = {}
-            acc = np.asarray(accuracies, dtype=np.float64)
-        acc = np.clip(acc, -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
-        return cls(
-            (1.0 + acc) / 2.0,
-            (1.0 - acc) / 2.0,
-            class_balance,
-            mode,
-            config_dist,
-            meta,
-        )
+            accuracies = accuracies.values
+        acc = np.clip(np.asarray(accuracies, dtype=np.float64), -1.0 + ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
+        return cls((1.0 + acc) / 2.0, (1.0 - acc) / 2.0, class_balance, mode, config_dist)
 
     @classmethod
     def from_class_conditional(
@@ -131,14 +119,7 @@ class LabelModel:
         mode: str = "normalized",
         config_dist: np.ndarray | None = None,
     ) -> "LabelModel":
-        return cls(
-            estimate.cond_pos.copy(),
-            estimate.cond_neg.copy(),
-            estimate.class_balance,
-            mode,
-            config_dist,
-            {"method": "quadratic-triplet"},
-        )
+        return cls(estimate.cond_pos, estimate.cond_neg, estimate.class_balance, mode, config_dist)
 
     # -- log-space cores ---------------------------------------------------
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -520,19 +521,20 @@ def run_case_study(
     A training subset is one ``rng.choice`` of the split's rows without
     replacement, kept as the joint-state counts of the drawn rows; a size of
     at least the split is the whole split and draws nothing, so such a cell
-    is one fit.  A cell is fitted with one call, as a batch of a row per
+    is one fit.  A cell is keyed by its model and its size capped at the
+    split's, and each distinct cell is drawn and fitted once, whichever rows
+    read it.  A cell is fitted with one call, as a batch of a row per
     trial or of the one row: its moments come from one
     ``SampleMoments.from_state_counts`` call, its quadratic fit from one
     ``estimate_quadratic_triplet_from_moments`` call and its labeled
     conditionals from one product (``estimate_labeled_class_conditional``),
-    and each row equals a call per trial bit for bit.  Each distinct fit is
-    scored once, and a fit-once cell's one score stands for each of its
-    trials.  The test split is decoded once into ``LabeledStates``, and each
-    fit's posteriors are computed once, at the configurations the split
-    holds.  Combined trial t pairs the t-th corrected-median fit at
-    ``n_unlabeled``, fitted once for the whole labeled grid, with the t-th
-    labeled subset at the labeled size, drawn as the ``labeled`` cell of that
-    size draws it; a fit-once side's one row pairs with each row of the
+    and each row equals a call per trial bit for bit.  A metric row scores
+    each distinct fit once, and a fit-once cell's one score stands for each
+    of its trials.  The test split is decoded once into ``LabeledStates``,
+    and each fit's posteriors are computed once, at the configurations the
+    split holds.  Combined trial t pairs the t-th fit of the corrected-median cell
+    at ``n_unlabeled`` with the t-th subset of the ``labeled`` cell at the
+    labeled size; a fit-once side's one row pairs with each row of the
     other, so the combined fits are one row when both sides cover the split.
     One ``green_strawderman_alpha`` call per labeled size weighs the pairs
     whose labeled covariance is defined (``SampleMoments.shrinkage_covariance``'s
@@ -557,16 +559,6 @@ def run_case_study(
         ]
         return tuple(zip(*scored * (trials // len(scored))))
 
-    def cell_counts(name: str, n: int) -> np.ndarray:
-        """The joint-state counts of a cell's subsets, a row per trial in draw order;
-        one row, the whole split, when n covers the split."""
-        if n >= train_states.size:
-            return whole
-        rng = trial_rng(config.seed, f"case:{name}", n)
-        return np.stack([
-            np.bincount(rng.choice(train_states, n, replace=False), minlength=2 << m) for _ in range(trials)
-        ])
-
     def quadratic(counts: np.ndarray, aggregation: str) -> ClassConditionalEstimate:
         # unlabeled: the solver reads only the source moments, not the labels in the counts
         return estimate_quadratic_triplet_from_moments(SampleMoments.from_state_counts(counts, m), p, aggregation)
@@ -576,15 +568,32 @@ def run_case_study(
         "unlabeled-mean": lambda counts: quadratic(counts, "mean"),
         "corrected-median": lambda counts: quadratic(counts, "median"),
     }
-    for name, fitter in fitters.items():
+
+    @cache
+    def cell(name: str, n: int) -> tuple[np.ndarray, ClassConditionalEstimate]:
+        """The joint-state counts of a cell's subsets, a row per trial in draw
+        order, and its fit; one row, the whole split, when n is the split's size."""
+        if n == train_states.size:
+            counts = whole
+        else:
+            rng = trial_rng(config.seed, f"case:{name}", n)
+            counts = np.stack([
+                np.bincount(rng.choice(train_states, n, replace=False), minlength=2 << m) for _ in range(trials)
+            ])
+        return counts, fitters[name](counts)
+
+    def size(n: int) -> int:
+        """A cell's training size: n, or the split's size when n covers the split."""
+        return int(min(n, train_states.size))
+
+    for name in fitters:
         for n in config.n_grid:
-            rows.append(_metric_row(name, int(min(n, train_states.size)), "", *scores(fitter(cell_counts(name, n)))))
+            rows.append(_metric_row(name, size(n), "", *scores(cell(name, size(n))[1])))
 
     r = float(m - 2)
-    unlabeled = quadratic(cell_counts("corrected-median", config.n_unlabeled), "median")
+    unlabeled = cell("corrected-median", size(config.n_unlabeled))[1]
     for n_l in config.n_labeled_grid:
-        counts = cell_counts("labeled", n_l)
-        labeled = estimate_labeled_class_conditional(counts, m, p)
+        counts, labeled = cell("labeled", size(n_l))
         sigma, defined = SampleMoments.from_state_counts(counts, m).shrinkage_covariance()
         fallbacks = int(np.count_nonzero(~defined)) * (trials // len(defined))
         # a row per distinct pair of fits: one when both cells are fitted once, else a row per trial

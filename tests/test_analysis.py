@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from labelmoments.analysis import (
     accuracy_excess,
     accuracy_kl,
     bound_constants,
+    bound_inputs,
     bound_labeled,
     bound_lower_unlabeled,
     bound_report,
@@ -28,7 +30,6 @@ from labelmoments.analysis import (
     median_mse,
 )
 from labelmoments.estimators import AccuracyEstimate, SampleMoments, estimate_triplet_from_moments
-from labelmoments.ising import ModelDiagnostics
 from labelmoments.label_model import (
     LabelModel,
     cross_entropy,
@@ -267,17 +268,40 @@ class TestBounds:
         assert all(v > 0 for v in consts.values())
 
     def test_degenerate_triplet_mean_rejected(self, synth_diag_dep):
-        d = synth_diag_dep
-        broken = ModelDiagnostics(
-            m=d.m, edge_count=d.edge_count, accuracies=d.accuracies,
-            pair_moments=d.pair_moments, class_balance=d.class_balance,
-            inference_bias=d.inference_bias,
-            edge_gaps=d.edge_gaps, min_accuracy=d.min_accuracy,
-            max_accuracy=d.max_accuracy, min_pair_moment=d.min_pair_moment,
-            max_mean_triplet=1.0,
-        )
-        with pytest.raises(NumericalError):
+        # rank-one pair moments of a source with accuracy 1: each of its
+        # triplet values is M_0j M_0k / M_jk = 1 exactly
+        acc = synth_diag_dep.accuracies.copy()
+        acc[0] = 1.0
+        pair = np.outer(acc, acc)
+        np.fill_diagonal(pair, 1.0)
+        broken = dataclasses.replace(synth_diag_dep, pair_moments=pair)
+        assert bound_inputs(broken)["a_bar_max"] == 1.0
+        with pytest.raises(NumericalError, match="the mean triplet value reaches 1"):
             bound_unlabeled(broken, 1000)
+
+    def test_mean_triplet_floors_tiny_denominators(self):
+        # Source 4 is nearly uninformative, so every pair moment with it lies
+        # in (0, 1e-6): those witness pairs are degenerate for the bound
+        # constant a_bar exactly as for the triplet estimator.
+        model = IsingModel.from_parameters([0.5, 0.5, 1.4, 0.6, 1e-6], [(0, 1, 0.6)])
+        d = diagnostics(model)
+        inputs = bound_inputs(d)
+        pair = d.pair_moments
+        assert 0.0 < inputs["b_min"] < 1e-6
+        floored, every = [], []
+        for i in range(5):
+            vals, kept = [], []
+            others = [o for o in range(5) if o != i]
+            for a, j in enumerate(others):
+                for k in others[a + 1:]:
+                    v = min(1.0, math.sqrt(abs(pair[i, j] * pair[i, k] / pair[j, k])))
+                    vals.append(v)
+                    if abs(pair[j, k]) >= 1e-6:
+                        kept.append(v)
+            floored.append(np.mean(kept))
+            every.append(np.mean(vals))
+        assert inputs["a_bar_max"] == pytest.approx(max(floored), abs=1e-15)
+        assert inputs["a_bar_max"] < max(every) - 0.01
 
     def test_lower_bound_cases(self, synth_diag_dep, synth_diag_indep):
         # d = 0: no first term
@@ -375,5 +399,5 @@ class TestMedianMse:
             median_mse(model, 4, trials=30)
 
     def test_c_rho_value(self, synth_diag_dep):
-        want = 1.0 / (2.0 * (1.0 - synth_diag_dep.max_accuracy**2))
+        want = 1.0 / (2.0 * (1.0 - synth_diag_dep.accuracies.max()**2))
         assert median_correction_constant(synth_diag_dep) == pytest.approx(want)

@@ -925,24 +925,36 @@ def test_manifests_record_the_aggregation_the_fit_ran(tmp_path, model_and_data):
     assert json.loads((tmp_path / "report.json.manifest.json").read_text())["config"]["agg"] == "mean"
 
 
-def test_manifests_record_a_seed_only_where_something_drew(tmp_path, model_and_data):
+def test_manifests_record_a_seed_only_where_something_drew(tmp_path, model_and_data, review_dir, tiny_corpus):
     model, data = model_and_data
+    csv_in = tmp_path / "reviews.csv"
+    csv_in.write_text("text,label\n" + "".join(f"review {k},{k % 2}\n" for k in range(40)))
     names = itertools.count()
 
     def run(*args, seed):
         out = tmp_path / f"run{next(names)}.json"
-        _ok(*args, "--seed", seed, "-o", out)
-        return out.read_text(), json.loads(Path(f"{out}.manifest.json").read_text())["seed"]
+        if args[0] == "ws":  # ingest writes the documents and their split
+            split = tmp_path / f"{out.name}.split"
+            _ok(*args, "--seed", seed, "--docs-out", out, "--split-out", split)
+            text = out.read_text() + split.read_text()
+        else:
+            _ok(*args, "--seed", seed, "-o", out)
+            text = out.read_text()
+        return text, json.loads(Path(f"{out}.manifest.json").read_text())["seed"]
 
+    bounds = ["bounds", "--model", model, "--n-labeled", "200", "--n-unlabeled", "300"]
     fits = [["fit", "--data", data], ["fit", "--data", data, "--method", "quadratic"],
             ["decompose", "--model", model, "--data", data],
-            ["decompose", "--model", model, "--data", data, "--method", "quadratic"]]
+            ["decompose", "--model", model, "--data", data, "--method", "quadratic"],
+            bounds, ["ws", "ingest", "--input", review_dir]]
     for args in fits:
         # nothing draws: the outputs at two seeds are the same bytes, and neither records its seed
         (five, seed_five), (zero, seed_zero) = run(*args, seed=5), run(*args, seed=0)
         assert five == zero and seed_five is seed_zero is None, args
     draws = [["fit", "--data", data, "--agg", "single"],
-             ["decompose", "--model", model, "--data", data, "--agg", "single"], ["decompose", "--demo"]]
+             ["decompose", "--model", model, "--data", data, "--agg", "single"], ["decompose", "--demo"],
+             [*bounds, "--rho-trials", "30"], ["ws", "ingest", "--input", csv_in, "--format", "csv"],
+             ["ws", "ingest", "--input", tiny_corpus[0], "--format", "jsonl"]]
     for args in draws:
         (five, seed_five), (zero, seed_zero) = run(*args, seed=5), run(*args, seed=0)
         assert five != zero and (seed_five, seed_zero) == (5, 0), args
@@ -964,6 +976,22 @@ def test_combine_reads_only_the_config_fields_it_runs(tmp_path):
     config.write_text(json.dumps({"n_grid": [5, 3], "trails": 40}))
     result = CliRunner().invoke(main, ["combine", "--config", str(config), "-o", str(tmp_path / "again")])
     assert result.exit_code == 1 and "unknown experiment config key(s) 'trails'" in result.output
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"estimators": "triplet-mean"}, "estimators"),
+    ({"n_grid": 100}, "n_grid"),
+    ({"model": {"accuracies": 0.7}}, "accuracies"),
+], ids=["estimators", "n_grid", "accuracies"])
+def test_config_list_fields_refuse_a_single_value(tmp_path, doc, key):
+    # a string would be read as its characters and a number fail as not iterable
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["curves", "--config", str(config), "-o", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert "error (ContractError)" in result.output
+    assert f"'{key}' must be a list, got" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("command, message", [
@@ -1168,7 +1196,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
         (["bounds", "--model", t / "model.json", "--n-labeled", "100", "--seed", "7",
           "-o", t / "bounds.json"],
          t / "bounds.json.manifest.json",
-         {"model", "n_labeled", "n_unlabeled", "rho_trials", "format", "out"}, 7,
+         {"model", "n_labeled", "n_unlabeled", "rho_trials", "format", "out"}, None,
          [t / "model.json"], [t / "bounds.json"]),
         (["curves", "--config", tiny_config, "-o", t / "curves"],
          t / "curves" / "manifest.json", suite_keys, 3,
@@ -1189,7 +1217,7 @@ def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus,
         (["ws", "ingest", "--input", review_dir, "--docs-out", t / "rev.jsonl",
           "--split-out", t / "rev.split.json"],
          t / "rev.jsonl.manifest.json",
-         {"input", "format", "test_fraction", "docs_out", "split_out"}, 0,
+         {"input", "format", "test_fraction", "docs_out", "split_out"}, None,
          [], [t / "rev.jsonl", t / "rev.split.json"]),
         (["ws", "apply", "--corpus", docs, "--split", split, "-o", t / "matrix.csv"],
          t / "matrix.csv.manifest.json", {"corpus", "split", "subset", "out"}, 0,

@@ -190,6 +190,7 @@ _THREADS_SCRIPT = textwrap.dedent("""
     import dataclasses
     import numpy as np
     from labelmoments import calibrate, diagnostics
+    from labelmoments.analysis import bound_inputs
     from labelmoments.experiments import TrialEngine
     from labelmoments.ising import conditional_entropy
 
@@ -199,9 +200,20 @@ _THREADS_SCRIPT = textwrap.dedent("""
     for f in dataclasses.fields(diag):
         v = getattr(diag, f.name)
         print(f.name, repr(v.tolist() if isinstance(v, np.ndarray) else v))
+    print(bound_inputs(diag))
     print(repr(conditional_entropy(model)))
     print(repr(TrialEngine(model, diag).labeled_excess(20000)))
 """ % (SYNTH_ACCURACIES, SYNTH_EDGES))
+
+
+def _run_python(script: str, **env) -> str:
+    """The standard output of ``script`` run by a fresh interpreter on this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, **env, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
 
 
 def _openblas() -> bool:
@@ -218,18 +230,17 @@ def _openblas() -> bool:
 )
 def test_exact_reductions_ignore_the_blas_thread_count():
     # OpenBLAS splits a long dot across threads, which moved the last bits of
-    # min_accuracy at m=14 between one and two threads
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-c", _THREADS_SCRIPT],
-            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
-            capture_output=True, text=True, check=True,
-        ).stdout
-        for threads in ("1", "2")
-    ]
+    # the smallest accuracy (``bound_inputs``' a_min) at m=14 between one and
+    # two threads
+    outputs = [_run_python(_THREADS_SCRIPT, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
+
+
+def test_the_ground_truth_imports_no_estimator():
+    # the exact ground truth is the oracle of the estimators' tests, so it
+    # shares no code with them
+    script = "import sys, labelmoments.ising; print('labelmoments.estimators' in sys.modules)"
+    assert _run_python(script) == "False\n"
 
 
 class TestConfigBits:
@@ -283,29 +294,6 @@ class TestSharedExactTerms:
             h -= sum(p * math.log(p / sum(pair)) for p in pair)
         model = IsingModel.from_parameters(theta, edges, theta_y=0.25)
         assert conditional_entropy(model) == pytest.approx(h, abs=1e-13)
-
-    def test_mean_triplet_floors_tiny_denominators(self):
-        # Source 4 is nearly uninformative, so every pair moment with it lies
-        # in (0, 1e-6): those witness pairs are degenerate for the bound
-        # constant a_bar exactly as for the triplet estimator.
-        model = IsingModel.from_parameters([0.5, 0.5, 1.4, 0.6, 1e-6], [(0, 1, 0.6)])
-        d = diagnostics(model)
-        pair = d.pair_moments
-        assert 0.0 < d.min_pair_moment < 1e-6
-        floored, every = [], []
-        for i in range(5):
-            vals, kept = [], []
-            others = [o for o in range(5) if o != i]
-            for a, j in enumerate(others):
-                for k in others[a + 1:]:
-                    v = min(1.0, math.sqrt(abs(pair[i, j] * pair[i, k] / pair[j, k])))
-                    vals.append(v)
-                    if abs(pair[j, k]) >= 1e-6:
-                        kept.append(v)
-            floored.append(np.mean(kept))
-            every.append(np.mean(vals))
-        assert d.max_mean_triplet == pytest.approx(max(floored), abs=1e-15)
-        assert d.max_mean_triplet < max(every) - 0.01
 
 
 class TestSymmetry:

@@ -727,15 +727,16 @@ class TestCaseStudy:
                             counted(estimate_quadratic_triplet_from_moments, "fits"))
         monkeypatch.setattr(ws, "cross_entropy", counted(ws.cross_entropy, "scores"))
         assert run_case_study(*small_states, cfg) == expected[0]
-        # one fit call per cell: mean and median at 1500 and at 9000, then the
-        # shared corrected fit at 6000; three models scored 3 + 1 times, and
-        # labeled-small and combined 3 times each
-        assert calls == {"fits": 2 * 2 + 1, "scores": 3 * (3 + 1) + 2 * 3}
+        # one fit call per distinct cell: mean and median at 1500 and at 9000,
+        # the size of the split, which is also the corrected fit at 6000; three
+        # models scored 3 + 1 times, and labeled-small and combined 3 times each
+        assert calls == {"fits": 2 * 2, "scores": 3 * (3 + 1) + 2 * 3}
         calls.update(fits=0, scores=0)
         assert run_case_study(*small_states, covering) == expected[1]
         # every fit is the whole split: three cells, labeled-small and combined
-        # are one fit each, scored once
-        assert calls == {"fits": 3, "scores": 5}
+        # are one fit each, scored once, and the corrected fit at n_unlabeled is
+        # the corrected-median cell
+        assert calls == {"fits": 2, "scores": 5}
         assert expected[1] == _per_trial_case_study(*small_states, covering)
         assert all(r["loss_sd"] == r["f1_sd"] == 0.0 for r in expected[1])
 
