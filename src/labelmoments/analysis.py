@@ -22,8 +22,8 @@ The per-source KL has one implementation, ``vote_kl``: the estimation term
 and the trial engine's excess scoring (``accuracy_kl``) both run through it.
 
 Bound evaluators drop the o(1/n) remainder terms; reports record that.  They
-read the source-quality constants a_min, a_max, b_min, a_bar_max, eps_min and
-eps_max from one function, ``bound_inputs``, which derives them from the
+read one record, ``bound_inputs``: m, d, B_I and the source-quality constants
+a_min, a_max, b_min, a_bar_max, eps_min and eps_max, derived once from the
 exact moments of ``ising.diagnostics``.
 """
 
@@ -41,11 +41,10 @@ from .ising import (
     ModelDiagnostics,
     conditional_entropy,
     diagnostics,
-    inference_bias,
     sample_state_counts,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .estimators import estimate_triplet_from_moments  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .estimators import triplet_census
+from .estimators import aggregate_census, triplet_census
 from .label_model import ACCURACY_CLAMP, LabelModel
 from .manifest import write_json
 
@@ -94,10 +93,10 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
 
     Requires empirical-denominator mode with a full-support configuration
     distribution.  The entropy and sampling-noise terms are enumerated over
-    the joint table and B_I is summed over the edges.  The estimation term
-    is closed form: u_i = s_i * y is independent of Y, so the true
-    Pr(s_i = 1 | Y = +-1) is (1 +- a_i) / 2 with a_i the exact accuracy from
-    ``diagnostics``.  It is the label prior's KL(pi || fitted balance), 0
+    the joint table; B_I and the exact accuracies a_i are read from one
+    ``diagnostics`` call.  The estimation term is closed form: u_i = s_i * y
+    is independent of Y, so the true Pr(s_i = 1 | Y = +-1) is
+    (1 +- a_i) / 2.  It is the label prior's KL(pi || fitted balance), 0
     when the fitted balance is the model's, plus each source's KL given
     Y = +1 and given Y = -1 weighted by pi and 1 - pi, all through
     ``vote_kl``.  The loss the terms must sum to stays enumerated
@@ -115,8 +114,8 @@ def decompose(model: IsingModel, fitted: LabelModel) -> DecompositionReport:
     h_cond = conditional_entropy(model)
     p_lambda = model.lambda_marginal()
     noise = float((p_lambda * (np.log(p_lambda) - np.log(fitted.config_dist))).sum())
-    bias = inference_bias(model)
-    acc = diagnostics(model).accuracies
+    diag = diagnostics(model)
+    bias, acc = diag.inference_bias, diag.accuracies
     p, q = model.class_balance(), fitted.class_balance
     true = np.stack(((1.0 + acc) / 2.0, (1.0 - acc) / 2.0))  # Pr(s_i = 1 | Y = +1), given Y = -1
     fit = np.stack((fitted.cond_pos, fitted.cond_neg))
@@ -199,32 +198,41 @@ def accuracy_excess(
 
 
 def bound_inputs(diag: ModelDiagnostics) -> dict:
-    """The source-quality inputs of the bounds, from a model's exact moments.
+    """The one record of a model's bound inputs, from its exact moments.
 
-    eps_max and eps_min are the extreme edge gaps (0 without an edge),
+    m, d (the edge count) and B_I (the inference bias) as ``diag`` holds
+    them; eps_max and eps_min the extreme edge gaps (0 without an edge),
     a_min and a_max the extreme accuracies, b_min the smallest pair moment
-    off the diagonal (nan for m < 2) and a_bar_max the largest mean of a
-    source's population triplet values, over the census of the triplet
-    estimators, which floors tiny denominators as they do (nan for m < 3).
+    off the diagonal (nan for m < 2) and a_bar_max the largest value of the
+    triplet mean's fit to the exact pair moments (``aggregate_census``),
+    which floors tiny denominators as the estimator does.  a_bar_max is nan
+    when some source has no usable triplet, so always for m < 3.
     """
     m, acc, pair = diag.m, diag.accuracies, diag.pair_moments
     gaps = diag.edge_gaps.values()
     return {
+        "m": m,
+        "d": diag.edge_count,
+        "B_I": diag.inference_bias,
         "eps_max": max(gaps, default=0.0),
         "eps_min": min(gaps, default=0.0),
         "a_min": float(acc.min()),
         "a_max": float(acc.max()),
         "b_min": float(pair[~np.eye(m, dtype=bool)].min()) if m > 1 else float("nan"),
-        "a_bar_max": float(np.nanmean(triplet_census(pair)[0], axis=1).max()) if m >= 3 else float("nan"),
+        "a_bar_max": float(aggregate_census(*triplet_census(pair), "mean")[0].max()) if m >= 3 else float("nan"),
     }
 
 
-def bound_constants(diag: ModelDiagnostics) -> dict:
-    """The four source-quality constants of the unlabeled excess-error bound."""
-    inputs = bound_inputs(diag)
+def bound_constants(inputs: dict) -> dict:
+    """The four source-quality constants of the unlabeled excess-error bound,
+    from a ``bound_inputs`` record."""
     b, a_min, a_bar = inputs["b_min"], inputs["a_min"], inputs["a_bar_max"]
     if not (b > 0.0 and a_min > 0.0):
         raise NumericalError("bound constants require strictly positive moments")
+    if math.isnan(a_bar):
+        raise NumericalError(
+            "a source has no usable triplet, so the mean triplet value a_bar_max is undefined"
+        )
     if not a_bar < 1.0:
         raise NumericalError(
             "degenerate bound constants: the mean triplet value reaches 1"
@@ -239,14 +247,14 @@ def bound_constants(diag: ModelDiagnostics) -> dict:
     return {"c1": c1, "c2": c2, "c3": c3, "c4": c4}
 
 
-def bound_labeled(diag: ModelDiagnostics, n_labeled: int) -> float:
+def bound_labeled(inputs: dict, n_labeled: int) -> float:
     """Upper bound on labeled-fit excess: m / (2 n) + inference bias."""
     if n_labeled < 1:
         raise ContractError("sample size must be at least 1")
-    return diag.m / (2.0 * n_labeled) + diag.inference_bias
+    return inputs["m"] / (2.0 * n_labeled) + inputs["B_I"]
 
 
-def bound_unlabeled(diag: ModelDiagnostics, n_unlabeled: int) -> dict:
+def bound_unlabeled(inputs: dict, n_unlabeled: int) -> dict:
     """Upper bound on unlabeled-fit excess, with its constants and components.
 
         B_est = eps_max (c1 d/m + c2/sqrt(n) + c3 d/(m n)),
@@ -258,25 +266,24 @@ def bound_unlabeled(diag: ModelDiagnostics, n_unlabeled: int) -> dict:
     """
     if n_unlabeled < 1:
         raise ContractError("sample size must be at least 1")
-    consts = bound_constants(diag)
-    eps_max = bound_inputs(diag)["eps_max"]
-    m, n, d = diag.m, n_unlabeled, diag.edge_count
-    b_est = eps_max * (
+    consts = bound_constants(inputs)
+    m, n, d = inputs["m"], n_unlabeled, inputs["d"]
+    b_est = inputs["eps_max"] * (
         consts["c1"] * d / m
         + consts["c2"] / math.sqrt(n)
         + consts["c3"] * d / (m * n)
     )
-    bound = b_est + consts["c4"] * m / n + diag.inference_bias
+    bound = b_est + consts["c4"] * m / n + inputs["B_I"]
     return {
         **consts,
         "B_est": b_est,
-        "B_I": diag.inference_bias,
+        "B_I": inputs["B_I"],
         "bound": bound,
         "o_terms_dropped": True,
     }
 
 
-def bound_lower_unlabeled(diag: ModelDiagnostics) -> float:
+def bound_lower_unlabeled(inputs: dict) -> float:
     """Asymptotic lower bound on uncorrected unlabeled-fit excess:
 
         (m - 2d) d^2 eps_min^2 b_min^4 / (2 (m-1)^2 (m-2)^2) + B_I,
@@ -284,27 +291,25 @@ def bound_lower_unlabeled(diag: ModelDiagnostics) -> float:
     with d the model's edge count and eps_min its smallest edge gap; B_I
     alone when the model has no edge.
     """
-    m, d = diag.m, diag.edge_count
+    m, d = inputs["m"], inputs["d"]
     if d == 0:
-        return diag.inference_bias
-    inputs = bound_inputs(diag)
+        return inputs["B_I"]
     eps_min = inputs["eps_min"]
     b4 = inputs["b_min"]**4
     first = ((m - 2 * d) * d * d * eps_min * eps_min * b4) / (
         2.0 * (m - 1) ** 2 * (m - 2) ** 2
     )
-    return first + diag.inference_bias
+    return first + inputs["B_I"]
 
 
-def median_correction_constant(diag: ModelDiagnostics) -> float:
+def median_correction_constant(inputs: dict) -> float:
     """c_rho = 1 / (2 (1 - max_i a_i^2)) from the corrected-fit bound."""
-    return 1.0 / (2.0 * (1.0 - bound_inputs(diag)["a_max"]**2))
+    return 1.0 / (2.0 * (1.0 - inputs["a_max"]**2))
 
 
 @dataclass(frozen=True)
 class MedianMseResult:
     rho: float                   # max over sources of mean squared error
-    bound: float                 # c_rho * m * rho + inference bias
     applicable: bool             # consistency conditions m > 5, d < (m-1)(m-2)/4
     n_unlabeled: int
     trials: int                  # fits scored
@@ -319,7 +324,7 @@ def median_mse(
     seed: int = 0,
     diag: ModelDiagnostics | None = None,
 ) -> MedianMseResult:
-    """Monte-Carlo maximum MSE of the median-corrected estimator, plus its bound.
+    """Monte-Carlo maximum MSE of the median-corrected estimator.
 
     The fits are the ``triplet-median`` fits of the unlabeled cell at
     n_unlabeled (``TrialEngine.estimates``): the samples that every triplet
@@ -327,7 +332,8 @@ def median_mse(
     n_unlabeled share one Monte-Carlo path.  A failed fit is skipped and counted;
     ``EstimationError`` only when every fit fails.  The consistency
     conditions (m > 5, d below a quarter of the triplet count) are
-    reported; when violated the MSE is still estimated.
+    reported; when violated the MSE is still estimated.  ``bound_report``
+    turns rho into the corrected-fit bound R_M.
     """
     from .experiments import TrialEngine  # experiments imports this module
 
@@ -339,11 +345,9 @@ def median_mse(
     if not ok.any():
         raise EstimationError("every median-corrected fit failed")
     per_source = ((fits[ok] - diag.accuracies) ** 2).mean(axis=0)
-    rho = float(per_source.max())
     applicable = m > 5 and model.edge_count < (m - 1) * (m - 2) / 4.0
     return MedianMseResult(
-        rho=rho,
-        bound=median_correction_constant(diag) * m * rho + diag.inference_bias,
+        rho=float(per_source.max()),
         applicable=applicable,
         n_unlabeled=n_unlabeled,
         trials=int(ok.sum()),
@@ -365,36 +369,35 @@ def bound_report(
 ) -> dict:
     """All bound quantities in one JSON-ready dict (paper-symbol field names).
 
-    The inputs record the model's edge count as d, the one the bounds use.
-    A Monte-Carlo ``rho`` is recorded with the number of fits it scored and
-    of fits that failed.  Of ``bound_inputs`` it records all but a_max,
-    which c_rho stands for.
+    Every evaluator reads one ``bound_inputs`` record of ``diag``.  The
+    inputs record all of it but B_I, recorded beside the bounds, and a_max,
+    which c_rho stands for.  A Monte-Carlo ``rho`` is recorded with the
+    number of fits it scored and of fits that failed, and gives the
+    corrected-fit bound R_M = c_rho m rho + B_I.
     """
     inputs = bound_inputs(diag)
-    del inputs["a_max"]
+    c_rho = median_correction_constant(inputs)
     out: dict = {
         "inputs": {
-            "m": diag.m,
-            "d": diag.edge_count,
             "n_U": n_unlabeled,
             "n_L": n_labeled,
-            **inputs,
+            **{key: value for key, value in inputs.items() if key not in ("B_I", "a_max")},
             "rho": rho.rho if rho is not None else None,
         },
-        "B_I": diag.inference_bias,
-        "c_rho": median_correction_constant(diag),
-        "lower_bound_unlabeled": bound_lower_unlabeled(diag),
+        "B_I": inputs["B_I"],
+        "c_rho": c_rho,
+        "lower_bound_unlabeled": bound_lower_unlabeled(inputs),
         "o_terms_dropped": True,
     }
     if rho is not None:
         out["inputs"].update(rho_trials=rho.trials, rho_failures=rho.failures)
-    out.update(bound_constants(diag))
+    out.update(bound_constants(inputs))
     if n_labeled is not None:
-        out["R_L_bound"] = bound_labeled(diag, n_labeled)
+        out["R_L_bound"] = bound_labeled(inputs, n_labeled)
     if n_unlabeled is not None:
-        ub = bound_unlabeled(diag, n_unlabeled)
+        ub = bound_unlabeled(inputs, n_unlabeled)
         out["B_est"] = ub["B_est"]
         out["R_U_bound"] = ub["bound"]
         if rho is not None:
-            out["R_M_bound"] = rho.bound
+            out["R_M_bound"] = c_rho * inputs["m"] * rho.rho + inputs["B_I"]
     return out

@@ -23,7 +23,8 @@ hashes, wall-clock seconds):
   records only what it runs: the config's ``model``, ``trials`` and
   ``seed``, and its own three options.  fit and decompose record the
   aggregation they ran as ``agg``: ``mean`` when unset, and null for
-  ``--method labeled``;
+  ``--method labeled``; ws ingest records the ``test_fraction`` it split
+  by: 0.2 when unset, and null for a review directory, which holds its split;
 - the seed is ``--seed``, or ``DEFAULT_SEED`` for commands without one;
   fit, decompose, bounds and ws ingest record null when nothing drew from
   it: only ``--agg single``, decompose's ``--demo`` sample, bounds'
@@ -368,7 +369,7 @@ def decompose_cmd(model_path, data_path, method, agg, laplace, balance, demo, se
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--n-labeled", default=None, type=int)
 @click.option("--n-unlabeled", default=None, type=int)
-@click.option("--rho-trials", default=0, show_default=True, type=int,
+@click.option("--rho-trials", default=0, show_default=True, type=click.IntRange(min=0),
               help="When positive, also estimate the median-corrected MSE by Monte Carlo.")
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
@@ -507,7 +508,8 @@ def ws_group():
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True),
               help="Review directory ({train,test}/{pos,neg}/*.txt), a CSV with text/label columns, or a JSONL file.")
 @click.option("--format", "fmt", type=click.Choice(["review-dir", "csv", "jsonl"]), default="review-dir", show_default=True)
-@click.option("--test-fraction", default=0.2, show_default=True, help="Test share for formats without a split.")
+@click.option("--test-fraction", type=float, default=None,
+              help="Test share of csv and jsonl, which hold no split [default: 0.2].")
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=SEED)
 @click.option("--docs-out", required=True, type=click.Path())
 @click.option("--split-out", required=True, type=click.Path())
@@ -517,15 +519,19 @@ def ws_ingest_cmd(input_path, fmt, test_fraction, seed, docs_out, split_out):
     from . import ws
 
     if fmt == "review-dir":
+        if test_fraction is not None:
+            raise ContractError("--test-fraction applies to csv and jsonl; a review directory holds its split")
         corpus = ws.ingest_review_directory(input_path)
-    elif fmt == "csv":
-        corpus = ws.ingest_csv(input_path, test_fraction, seed)
     else:
-        docs = ws.Corpus.from_jsonl(input_path).documents
-        corpus = ws.Corpus(docs, ws.random_split(docs, test_fraction, seed))
+        test_fraction = 0.2 if test_fraction is None else test_fraction
+        if fmt == "csv":
+            corpus = ws.ingest_csv(input_path, test_fraction, seed)
+        else:
+            docs = ws.Corpus.from_jsonl(input_path).documents
+            corpus = ws.Corpus(docs, ws.random_split(docs, test_fraction, seed))
     corpus.to_jsonl(docs_out, split_out)
     click.echo(f"wrote {docs_out} ({len(corpus.documents)} documents) and {split_out}")
-    return [docs_out, split_out], _options(), seed if fmt != "review-dir" else None
+    return [docs_out, split_out], _options(test_fraction=test_fraction), seed if fmt != "review-dir" else None
 
 
 @ws_group.command("apply")
@@ -538,8 +544,12 @@ def ws_apply_cmd(docs_path, split_path, subset, out):
     """Apply the keyword sources to a corpus; writes a source-matrix CSV."""
     from . import ws
 
+    if subset != "all" and split_path is None:
+        raise ContractError(f"--subset {subset} needs the --split manifest that names it")
     votes = ws.CorpusVotes.from_jsonl(docs_path, split_path)
     matrix = votes.matrix(None if subset == "all" else subset)
+    if matrix.n == 0:
+        raise ContractError(f"--subset {subset} selects no document; no matrix written")
     matrix.to_csv(out)
     click.echo(f"wrote {out} ({matrix.n} rows x {matrix.m} sources)")
     return [out]

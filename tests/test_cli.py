@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from labelmoments import cli, experiments, ws
+from labelmoments import analysis, cli, experiments, ws
+from labelmoments.analysis import bound_inputs
 from labelmoments.cli import main
 from labelmoments.experiments import DEFAULT_ACCURACIES
 from labelmoments.ising import IsingModel
@@ -53,6 +54,8 @@ def tiny_config(tmp_path):
     # seeds from 2**63 up
     ["curves", "--seed", str(2**63), "-o", "out"],
     ["ws", "run", "--seed", str(2**64), "-o", "out"],
+    # a negative fit count
+    ["bounds", "--rho-trials", "-3", "-o", "b.json"],
 ])
 def test_malformed_tokens_are_usage_errors(tmp_path, args):
     result = CliRunner().invoke(main, args[:-1] + [str(tmp_path / args[-1])])
@@ -998,7 +1001,10 @@ def test_config_list_fields_refuse_a_single_value(tmp_path, doc, key):
     ("infer", "--laplace applies to --mode empirical, not 'normalized'"),
     ("decompose-model", "--demo runs on a built-in model and sample; it reads no --model or --data"),
     ("decompose-data", "--demo runs on a built-in model and sample; it reads no --model or --data"),
-], ids=["infer-laplace", "decompose-demo-model", "decompose-demo-data"])
+    ("ws-ingest", "--test-fraction applies to csv and jsonl; a review directory holds its split"),
+    ("ws-apply", "--subset test needs the --split manifest that names it"),
+], ids=["infer-laplace", "decompose-demo-model", "decompose-demo-data", "ws-ingest-review-dir",
+        "ws-apply-subset-without-split"])
 def test_options_that_nothing_reads_are_refused_before_any_work(
     tmp_path, model_and_data, monkeypatch, command, message
 ):
@@ -1016,12 +1022,17 @@ def test_options_that_nothing_reads_are_refused_before_any_work(
 
     for name in ("load_source_matrix", "calibrate", "posterior"):
         monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(ws, "ingest_review_directory", no_work)
+    monkeypatch.setattr(ws.CorpusVotes, "from_jsonl", no_work)
     args = {
-        "infer": ["infer", "--data", data, "--estimate", est, "--laplace", "5"],
-        "decompose-model": ["decompose", "--demo", "--model", model],
-        "decompose-data": ["decompose", "--demo", "--data", data],
+        "infer": ["infer", "--data", data, "--estimate", est, "--laplace", "5", "-o", out],
+        "decompose-model": ["decompose", "--demo", "--model", model, "-o", out],
+        "decompose-data": ["decompose", "--demo", "--data", data, "-o", out],
+        "ws-ingest": ["ws", "ingest", "--input", tmp_path, "--test-fraction", "0.9",
+                      "--docs-out", out, "--split-out", tmp_path / "split.json"],
+        "ws-apply": ["ws", "apply", "--corpus", data, "--subset", "test", "-o", out],
     }[command]
-    result = CliRunner().invoke(main, [str(a) for a in args] + ["-o", str(out)])
+    result = CliRunner().invoke(main, [str(a) for a in args])
     assert result.exit_code == 1
     assert f"error (ContractError): {message}" in result.output
     assert "Traceback" not in result.output
@@ -1080,6 +1091,37 @@ def test_bounds_records_the_fits_behind_rho(tmp_path, model_and_data):
     scored, failed = inputs["rho_trials"], inputs["rho_failures"]
     assert failed > 0 and scored + failed == 400
     assert f"rho from {scored} median-corrected fits ({failed} failed)" in result.output
+
+
+@pytest.mark.parametrize("rho_trials", ["0", "30"])
+def test_bounds_derive_the_bound_inputs_once(tmp_path, model_and_data, monkeypatch, rho_trials):
+    model, _ = model_and_data
+    calls = []
+
+    def counted(diag):
+        calls.append(diag)
+        return bound_inputs(diag)
+
+    monkeypatch.setattr(analysis, "bound_inputs", counted)
+    _ok("bounds", "--model", model, "--n-labeled", "200", "--n-unlabeled", "300",
+        "--rho-trials", rho_trials, "-o", tmp_path / "bounds.json")
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_name_a_source_without_a_usable_triplet(tmp_path):
+    # two nearly uninformative sources: each witness pair of source 2 (and
+    # of 3) holds source 0 or 1, so its pair moment lies below the degenerate
+    # floor, and the mean of no triplet value is nan
+    model, out = tmp_path / "model.json", tmp_path / "bounds.json"
+    model.write_text(json.dumps({"theta": [1e-7, 1e-7, 0.5, 0.5]}))
+    result = CliRunner().invoke(main, ["bounds", "--model", str(model), "-o", str(out)])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.output == (
+        "error (NumericalError): a source has no usable triplet, "
+        "so the mean triplet value a_bar_max is undefined\n"
+    )
+    assert not out.exists()
 
 
 def test_calibrate_records_its_residual(tmp_path):
@@ -1150,20 +1192,38 @@ def review_dir(tmp_path):
 def test_ws_ingest_formats_and_apply(tmp_path, tiny_corpus, review_dir):
     csv_in = tmp_path / "reviews.csv"
     csv_in.write_text("text,label\ngood film,1\nbad film,0\ngreat,1\nworst,0\n")
-    sources = {"csv": (csv_in, 4), "jsonl": (tiny_corpus[0], 2000), "review-dir": (review_dir, 8)}
-    for fmt, (path, n_docs) in sources.items():
+    # (input, documents, split options, test fraction recorded, test documents):
+    # jsonl splits by the default fraction, and a review directory holds its own split
+    sources = {"csv": (csv_in, 4, ["--test-fraction", "0.5"], 0.5, 2),
+               "jsonl": (tiny_corpus[0], 2000, [], 0.2, 400),
+               "review-dir": (review_dir, 8, [], None, 4)}
+    for fmt, (path, n_docs, fraction, recorded, n_test) in sources.items():
         docs, split = tmp_path / f"{fmt}.jsonl", tmp_path / f"{fmt}.split.json"
-        _ok("ws", "ingest", "--input", path, "--format", fmt, "--test-fraction", "0.5",
+        _ok("ws", "ingest", "--input", path, "--format", fmt, *fraction,
             "--docs-out", docs, "--split-out", split)
         corpus = Corpus.from_jsonl(docs, split)
         assert len(corpus.documents) == n_docs
         assert sorted({corpus.split.get(d.doc_id) for d in corpus.documents}) == ["test", "train"]
+        assert list(corpus.split.values()).count("test") == n_test
+        assert json.loads(Path(f"{docs}.manifest.json").read_text())["config"]["test_fraction"] == recorded
     matrix = tmp_path / "matrix.csv"
     _ok("ws", "apply", "--corpus", tmp_path / "jsonl.jsonl", "--split", tmp_path / "jsonl.split.json",
         "--subset", "test", "-o", matrix)
     header, *rows = matrix.read_text().splitlines()
-    assert len(rows) == 1000
+    assert len(rows) == 400  # the jsonl corpus's test split
     assert len(header.split(",")) == len(default_roster()) + 1  # sources plus the label
+
+
+def test_ws_apply_writes_no_empty_matrix(tmp_path, tiny_corpus):
+    docs, split = tiny_corpus
+    out = tmp_path / "m.csv"
+    split.write_text(json.dumps({"train": ["elsewhere0"], "test": ["elsewhere1"]}))
+    result = CliRunner().invoke(main, [
+        "ws", "apply", "--corpus", str(docs), "--split", str(split), "--subset", "test", "-o", str(out),
+    ])
+    assert result.exit_code == 1
+    assert "error (ContractError): --subset test selects no document" in result.output
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
 def test_every_command_writes_its_run_record(tmp_path, tiny_config, tiny_corpus, review_dir):
